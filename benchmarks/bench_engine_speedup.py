@@ -4,10 +4,10 @@ Measures the fig12-style single-thread figure driver (the headline
 comparison: 6 schemes x N workloads) under several regimes:
 
 1. **kernel legs** — empty disk cache, ``jobs=1``, one cold sequential
-   measurement per hot-loop kernel: the original ``object`` model, the
-   pure-Python flat ``py`` kernel, and (when a C toolchain is present)
-   the ``compiled`` C twin.  The best available flat kernel is the
-   headline ``cold sequential`` leg.  When the compiled kernel is
+   measurement per hot-loop kernel: the ``object`` model and (when a C
+   toolchain is present) its ``compiled`` C twin.  The compiled kernel,
+   or the object model on a host without a toolchain, is the headline
+   ``cold sequential`` leg.  When the compiled kernel is
    available, a dedicated **scheme-training leg** additionally times the
    C-twinned schemes (spp / dspatch / spp+dspatch) on one longer trace
    where training dominates, asserts bit-identity against the object
@@ -95,19 +95,13 @@ def run_bench(args):
     from repro.kernel import kernel_available
 
     engine.configure(jobs=1, cache_dir=cache_dir, disk_cache=True)
-    headline_kernel = "compiled" if kernel_available() else "py"
-    if headline_kernel == "compiled":
-        # Pay the one-time .so build outside the timed region.
-        from repro.kernel.cbuild import load_kernel
+    # kernel_available() pays the one-time .so build outside the timed
+    # region.
+    headline_kernel = "compiled" if kernel_available() else "object"
 
-        load_kernel()
-
-    kernel_seconds = {}
+    kernel_seconds = {"compiled": None}
     kernel_rows = {}
-    for kind in ("object", "py", "compiled"):
-        if kind == "compiled" and headline_kernel != "compiled":
-            kernel_seconds[kind] = None
-            continue
+    for kind in ("object", "compiled") if headline_kernel == "compiled" else ("object",):
         engine.configure(kernel=kind)
         best = None
         for _ in range(args.repeats):
@@ -124,7 +118,6 @@ def run_bench(args):
     rows_seq = kernel_rows[headline_kernel]
     t_cold_seq = kernel_seconds[headline_kernel]
     hot_path_score = sim_ops / t_cold_seq / calibration
-    kernel_py_score = sim_ops / kernel_seconds["py"] / calibration
     kernel_speedup = kernel_seconds["object"] / t_cold_seq
 
     # --- 1b. scheme-training leg (compiled twins vs live objects) ---------
@@ -206,13 +199,11 @@ def run_bench(args):
         "cold_parallel_seconds": t_cold_par,
         "warm_seconds": t_warm,
         "kernel_object_seconds": kernel_seconds["object"],
-        "kernel_py_seconds": kernel_seconds["py"],
         "kernel_compiled_seconds": kernel_seconds["compiled"],
         "scheme_object_seconds": scheme_seconds["object"],
         "scheme_compiled_seconds": scheme_seconds["compiled"],
         "scheme_kernel_speedup": scheme_speedup,
         "hot_path_score": hot_path_score,
-        "kernel_py_score": kernel_py_score,
         "kernel_speedup": kernel_speedup,
         "parallel_speedup": parallel_speedup,
         "warm_speedup": warm_speedup,
@@ -240,8 +231,8 @@ def run_bench(args):
         seed_score = baseline.get("seed_hot_path_score")
         # The regression target must compare like with like: a compiled-
         # kernel score is gated against the compiled-era target when the
-        # baseline records one; toolchain-less hosts (py kernel headline)
-        # gate against the original engine-era target.
+        # baseline records one; toolchain-less hosts (object model
+        # headline) gate against the original engine-era target.
         target_score = baseline.get("target_hot_path_score")
         if headline_kernel == "compiled":
             target_score = baseline.get("target_hot_path_score_compiled", target_score)
@@ -269,7 +260,6 @@ def run_bench(args):
             )
         if seed_score:
             result["hot_path_speedup_vs_seed"] = hot_path_score / seed_score
-            result["kernel_py_speedup_vs_seed"] = kernel_py_score / seed_score
             cold_vs_seed = hot_path_score / seed_score
             if parallel_speedup:
                 cold_vs_seed *= parallel_speedup
@@ -295,15 +285,6 @@ def run_bench(args):
                     failures.append(
                         f"hot-path speedup vs seed {cold_vs_seed:.2f}x below 1.4x floor"
                     )
-            # The pure-Python kernel is the no-toolchain fallback: it must
-            # hold the same hot-path floor the object model held, so that
-            # hosts without a C compiler never regress below the pre-kernel
-            # engine.
-            if protocol_matches and result["kernel_py_speedup_vs_seed"] < 1.4:
-                failures.append(
-                    f"py-kernel speedup vs seed "
-                    f"{result['kernel_py_speedup_vs_seed']:.2f}x below 1.4x floor"
-                )
         if target_score:
             floor = target_score * (1.0 - args.max_regression)
             result["regression_gate"] = {
@@ -334,7 +315,6 @@ def run_bench(args):
 
     print(f"cold sequential : {t_cold_seq:8.2f}s  ({sim_ops} sim-ops, kernel={headline_kernel})")
     print(f"object kernel   : {kernel_seconds['object']:8.2f}s")
-    print(f"py kernel       : {kernel_seconds['py']:8.2f}s")
     if kernel_seconds["compiled"] is not None:
         print(
             f"compiled kernel : {kernel_seconds['compiled']:8.2f}s  "
@@ -350,7 +330,7 @@ def run_bench(args):
         print(f"cold parallel   : {t_cold_par:8.2f}s  ({parallel_speedup:.2f}x, jobs={jobs})")
     print(f"warm (disk)     : {t_warm:8.3f}s  ({warm_speedup:.0f}x)")
     print(f"hot-path score  : {hot_path_score:.6f}  (calibration {calibration:.0f} ops/s)")
-    for key in ("hot_path_speedup_vs_seed", "kernel_py_speedup_vs_seed", "cold_speedup_vs_seed"):
+    for key in ("hot_path_speedup_vs_seed", "cold_speedup_vs_seed"):
         if key in result:
             print(f"{key:15s} : {result[key]:.2f}x")
     print(f"deterministic   : {deterministic}")

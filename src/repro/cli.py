@@ -409,15 +409,16 @@ def build_parser():
         default=None,
         help="worker processes for independent runs (default: REPRO_JOBS or 1)",
     )
+    from repro.engine.config import KERNEL_CHOICES
+
     parser.add_argument(
         "--kernel",
-        choices=("auto", "py", "compiled", "object"),
+        choices=KERNEL_CHOICES,
         default=None,
         help="hot-loop kernel: 'compiled' builds the C twin (needs a C "
-        "toolchain), 'py' runs the pure-Python flat kernel, 'object' the "
-        "original object model; all three are bit-identical. 'auto' picks "
-        "compiled when a toolchain is present, else py "
-        "(default: REPRO_KERNEL or auto)",
+        "toolchain), 'object' runs the object model it transliterates; "
+        "both are bit-identical. 'auto' picks compiled when a toolchain "
+        "is present, else object (default: REPRO_KERNEL or auto)",
     )
     parser.add_argument(
         "--cache-dir",

@@ -19,15 +19,14 @@ IPC falls out as instructions / final retirement cycle.  Absolute numbers
 differ from the paper's Skylake model; relative speed-ups (the paper's
 reported metric) are what this model is built to preserve.
 
-``advance`` is the simulator's innermost loop (one call per memory op per
-run); it is written allocation-free — the hierarchy returns a plain
-``(latency, level)`` tuple, per-level hits are integer counters indexed by
-the hierarchy's level codes, and every per-call attribute lookup that can
-be hoisted into ``__init__`` or a local is.
+:meth:`CoreExecution.run_ops_until` is the simulator's one op body (every
+single-core and multi-core run goes through it, and the compiled kernel
+transliterates it); it is written allocation-free — the hierarchy returns
+a plain ``(latency, level)`` tuple, per-level hits are integer counters
+indexed by the hierarchy's level codes, and every per-op attribute lookup
+is hoisted into a local.
 """
 
-import heapq
-import math
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
@@ -35,9 +34,6 @@ from dataclasses import dataclass
 from repro.cpu.trace import FLAG_DEP, FLAG_WRITE
 
 _INF = float("inf")
-#: Largest finite float: ``nextafter(inf, -inf)`` — an always-permissive
-#: horizon threshold for the fused driver's single-comparison stop check.
-_MAX_FLOAT = math.nextafter(_INF, 0.0)
 
 
 @dataclass(frozen=True)
@@ -87,9 +83,9 @@ class CoreStats:
 class CoreExecution:
     """Steppable execution of one trace against one memory hierarchy.
 
-    The multi-core driver interleaves several of these by always advancing
-    the one with the smallest current retirement time, so contention on the
-    shared LLC/DRAM is resolved in near-global time order.
+    :func:`interleave_two_level` schedules one or more of these by always
+    advancing the one with the smallest current retirement time, so
+    contention on the shared LLC/DRAM is resolved in global time order.
     """
 
     __slots__ = (
@@ -116,7 +112,7 @@ class CoreExecution:
         self.hierarchy = hierarchy
         self.stats = CoreStats()
         # One fused (gap, pc, addr, is_write, dep) tuple per op: a single
-        # list index + tuple unpack per advance instead of four list
+        # list index + tuple unpack per op instead of four list
         # indexes, with flag decoding hoisted out of the loop into two
         # vectorized array passes here.
         flags = trace.flags
@@ -159,158 +155,33 @@ class CoreExecution:
         """Memory operations executed so far."""
         return self._pos
 
-    def _retire_floor(self, idx):
-        """Retirement time of instruction ``idx`` (ROB-entry bound)."""
-        if idx <= 0:
-            return 0.0
-        window = self._window
-        while len(window) > 1 and window[1][0] <= idx:
-            window.popleft()
-        if not window or window[0][0] > idx:
-            # Before the first checkpoint retirement is purely
-            # bandwidth-bound.
-            return idx / self._width
-        base_idx, base_time = window[0]
-        return base_time + (idx - base_idx) / self._width
-
     def advance(self):
         """Execute the next memory operation (and its preceding gap).
 
         Returns ``False`` when the trace is exhausted.
         """
-        pos = self._pos
-        if pos >= self._n:
-            return False
-        self._pos = pos + 1
-        gap, pc, addr, is_write, dep = self._ops[pos]
-        width = self._width
-        retire = self._retire
-        instr = self._instr
-        if gap:
-            instr += gap
-            retire += gap / width
-        idx = instr
-        self._instr = instr + 1
-
-        # Inlined _retire_floor(idx - rob_size): the ROB-entry bound.
-        rob_idx = idx - self._rob_size
-        if rob_idx <= 0:
-            enter = idx / width
-        else:
-            window = self._window
-            while len(window) > 1 and window[1][0] <= rob_idx:
-                window.popleft()
-            if not window or window[0][0] > rob_idx:
-                floor = rob_idx / width
-            else:
-                base = window[0]
-                floor = base[1] + (rob_idx - base[0]) / width
-            enter = idx / width
-            if floor > enter:
-                enter = floor
-        if dep and self._last_load_done > enter:
-            enter = self._last_load_done
-        latency, level = self._access(int(enter), pc, addr, is_write)
-        if is_write:
-            # Stores retire through the store buffer without waiting for
-            # data; their bandwidth/occupancy effects are already modelled
-            # by the hierarchy access above.
-            retire += self._retire_step
-            if enter > retire:
-                retire = enter
-        else:
-            done = enter + latency
-            retire += self._retire_step
-            if done > retire:
-                retire = done
-            self._last_load_done = done
-        self._retire = retire
-        self._window.append((idx, retire))
-        self._hits[level] += 1
-        return True
+        return self.run_ops_until(_INF, 1) == 1
 
     def run_ops(self, max_ops=None):
         """Execute up to ``max_ops`` memory operations (all, if ``None``).
 
-        Semantically identical to calling :meth:`advance` in a loop, but
-        the loop lives inside one frame with every hot attribute bound to
-        a local — for single-core runs (where no other core interleaves)
-        this removes the per-op method-call and attribute-access overhead,
-        which is significant at millions of ops.  Returns the number of
-        ops executed.
+        Returns the number of ops executed.
         """
-        pos = self._pos
-        n = self._n
-        end = n if max_ops is None else min(n, pos + max_ops)
-        if pos >= end:
-            return 0
-        ops = self._ops
-        width = self._width
-        rob_size = self._rob_size
-        retire_step = self._retire_step
-        access = self._access
-        window = self._window
-        window_append = window.append
-        popleft = window.popleft
-        hits = self._hits
-        retire = self._retire
-        instr = self._instr
-        last_load_done = self._last_load_done
-        start = pos
-        while pos < end:
-            gap, pc, addr, is_write, dep = ops[pos]
-            pos += 1
-            if gap:
-                instr += gap
-                retire += gap / width
-            idx = instr
-            instr += 1
-            rob_idx = idx - rob_size
-            if rob_idx <= 0:
-                enter = idx / width
-            else:
-                while len(window) > 1 and window[1][0] <= rob_idx:
-                    popleft()
-                if not window or window[0][0] > rob_idx:
-                    floor = rob_idx / width
-                else:
-                    base = window[0]
-                    floor = base[1] + (rob_idx - base[0]) / width
-                enter = idx / width
-                if floor > enter:
-                    enter = floor
-            if dep and last_load_done > enter:
-                enter = last_load_done
-            latency, level = access(int(enter), pc, addr, is_write)
-            if is_write:
-                retire += retire_step
-                if enter > retire:
-                    retire = enter
-            else:
-                done = enter + latency
-                retire += retire_step
-                if done > retire:
-                    retire = done
-                last_load_done = done
-            window_append((idx, retire))
-            hits[level] += 1
-        self._pos = pos
-        self._retire = retire
-        self._instr = instr
-        self._last_load_done = last_load_done
-        return pos - start
+        return self.run_ops_until(_INF, max_ops)
 
     def run_ops_until(self, horizon, max_ops=None, strict=False):
         """Execute memory ops until the retirement time passes ``horizon``.
 
-        The multi-core scheduler's inner batch: the same localized loop as
-        :meth:`run_ops`, but before each op it checks the core's current
+        The one op body: before each op it checks the core's current
         retirement time against ``horizon`` and stops once the core is no
-        longer the globally minimal one.  With ``strict=False`` the core
-        keeps running while ``time <= horizon``; with ``strict=True`` it
-        stops at ``time >= horizon`` — the caller sets ``strict`` when the
-        competing core wins ties (smaller core index), so the interleave
-        order matches a per-op ``(time, index)`` heap exactly.
+        longer the globally minimal one (an infinite horizon never stops).
+        With ``strict=False`` the core keeps running while ``time <=
+        horizon``; with ``strict=True`` it stops at ``time >= horizon`` —
+        the scheduler sets ``strict`` when the competing core wins ties
+        (smaller core index), so the interleave order matches a per-op
+        ``(time, index)`` heap exactly.  The loop lives in one frame with
+        every hot attribute bound to a local, which matters at millions of
+        ops.
 
         ``max_ops`` additionally caps the batch (used to stop exactly on a
         warmup boundary).  Returns the number of ops executed; the op that
@@ -422,28 +293,21 @@ class CoreExecution:
         )
 
 
-# -- multi-core interleave drivers -------------------------------------------
+# -- the scheduler ------------------------------------------------------------
 #
-# All three drivers execute one op at a time in global ``(retirement time,
-# core index)`` order, so shared-LLC/DRAM contention resolves identically —
-# their results are bit-for-bit interchangeable (pinned by the parity tests
-# in tests/test_mp_interleave.py):
-#
-# - ``interleave_reference`` is the pre-batching per-op heap loop, kept as
-#   the executable specification and the bench baseline;
-# - ``interleave_two_level`` is the readable form of the batched scheduler:
-#   pop the minimum-time core, drive it through ``run_ops_until``;
-# - ``interleave_batched`` is the shipped hot path: the same two-level
-#   schedule with the op body and the (tiny) schedule inlined into one
-#   frame, eliminating the per-op method dispatch and heap traffic.
+# ``interleave_two_level`` executes ops in global ``(retirement time, core
+# index)`` order, so shared-LLC/DRAM contention resolves exactly as a
+# per-op heap loop would (the parity tests in tests/test_mp_interleave.py
+# pin it against that reference).  A single-thread run is its one-core
+# case.
 #
 # ``stop_ops``/``on_stop`` implement warmup boundaries: ``on_stop(idx)``
 # fires exactly once per core, at the moment core ``idx`` has executed
 # ``stop_ops[idx]`` ops — *before* any further op executes, and immediately
 # (before the first op) when the checkpoint is already met at entry, so a
-# zero-op warmup behaves like the single-core path.  The callback may
-# inspect ``executions[idx]`` (its ``time``/``ops``/stats); other cores'
-# state is undefined while the drivers run.
+# zero-op warmup measures the whole trace.  The callback may inspect
+# ``executions[idx]`` (its ``time``/``ops``/stats); other cores' state is
+# undefined while the scheduler runs.
 
 
 def _fire_met_checkpoints(executions, stop_ops, on_stop):
@@ -461,34 +325,10 @@ def _fire_met_checkpoints(executions, stop_ops, on_stop):
     return pending
 
 
-def interleave_reference(executions, stop_ops=None, on_stop=None):
-    """Per-op heap interleave (the pre-batching driver, executable spec).
-
-    Advances whichever core has the smallest ``(time, index)`` by exactly
-    one op per heap pop.  Kept for the parity tests and as the baseline leg
-    of ``benchmarks/bench_mp_interleave.py``; production runs go through
-    :func:`interleave_batched`.
-    """
-    pending = _fire_met_checkpoints(executions, stop_ops, on_stop)
-    heap = [(ex.time, idx) for idx, ex in enumerate(executions) if not ex.done]
-    heapq.heapify(heap)
-    while heap:
-        _, idx = heapq.heappop(heap)
-        ex = executions[idx]
-        if ex.advance():
-            heapq.heappush(heap, (ex.time, idx))
-        target = pending[idx]
-        if target is not None and ex.ops >= target:
-            pending[idx] = None
-            if on_stop is not None:
-                on_stop(idx)
-
-
 def interleave_two_level(executions, stop_ops=None, on_stop=None):
     """Two-level batched interleave: pop min core, batch via run_ops_until.
 
-    The readable form of the batched scheduler: the minimum-``(time,
-    index)`` core runs in one :meth:`CoreExecution.run_ops_until` batch
+    The minimum-``(time, index)`` core runs in one ``run_ops_until`` batch
     until its retirement time passes the second-smallest schedule entry
     (ties broken by core index, exactly as a per-op heap would) or its
     next warmup checkpoint.  Stopping a batch *early* can never reorder
@@ -516,146 +356,3 @@ def interleave_two_level(executions, stop_ops=None, on_stop=None):
                 on_stop(idx)
         if not ex.done:
             insort(sched, (ex.time, idx))
-
-
-def interleave_batched(executions, stop_ops=None, on_stop=None):
-    """Fused batched interleave: the production multi-core driver.
-
-    Semantically identical to :func:`interleave_two_level` (and therefore
-    to :func:`interleave_reference`), with the schedule and the op body
-    held in one frame: per-core hot state lives in parallel lists, the
-    schedule is a sorted list of at most ``len(executions)`` entries with
-    inline insertion, and each batch runs the :meth:`CoreExecution.run_ops`
-    loop body directly.  This removes the per-op heap push/pop and method
-    dispatch the reference driver pays, which is the entire cost the MP
-    driver adds over raw single-core ``run_ops`` execution (the memory
-    hierarchy dominates everything else; see docs/engine.md).
-
-    Couples to ``CoreExecution``'s slots by design, exactly like
-    ``run_ops`` couples to ``advance`` — the parity tests pin all three
-    loops to agree bit-for-bit.
-    """
-    pending = _fire_met_checkpoints(executions, stop_ops, on_stop)
-    n_cores = len(executions)
-    # Per-core loop-invariant bindings (one tuple unpack per batch) and
-    # mutable scalars (unpacked per batch, written back after).
-    const_l = [
-        (
-            ex._ops,
-            ex._n,
-            ex._width,
-            ex._rob_size,
-            ex._retire_step,
-            ex._access,
-            ex._window,
-            ex._window.append,
-            ex._window.popleft,
-            ex._hits,
-        )
-        for ex in executions
-    ]
-    state_l = [
-        [ex._pos, ex._retire, ex._instr, ex._last_load_done] for ex in executions
-    ]
-
-    def _write_back(idx):
-        ex = executions[idx]
-        ex._pos, ex._retire, ex._instr, ex._last_load_done = state_l[idx]
-
-    nextafter = math.nextafter
-    sched = sorted(
-        (ex._retire, idx)
-        for idx, ex in enumerate(executions)
-        if ex._pos < ex._n
-    )
-    while sched:
-        _, idx = sched.pop(0)
-        if sched:
-            h_time, h_idx = sched[0]
-            # Single-comparison stop check: ``retire > threshold`` means
-            # ``retire > h_time`` when this core wins ties (smaller index)
-            # and ``retire >= h_time`` when it loses them — floats are
-            # discrete, so stepping the threshold one ulp down turns the
-            # strict comparison into the inclusive one.
-            threshold = nextafter(h_time, 0.0) if idx > h_idx else h_time
-        else:
-            threshold = _MAX_FLOAT
-        state = state_l[idx]
-        pos, retire, instr, last_load_done = state
-        (
-            ops,
-            n,
-            width,
-            rob_size,
-            retire_step,
-            access,
-            window,
-            window_append,
-            popleft,
-            hits,
-        ) = const_l[idx]
-        target = pending[idx]
-        # A target beyond the trace never fires (ops cannot reach it) but
-        # must not walk the batch past the last op.
-        end = n if target is None else min(n, target)
-        while pos < end:
-            if retire > threshold:
-                break
-            gap, pc, addr, is_write, dep = ops[pos]
-            pos += 1
-            if gap:
-                instr += gap
-                retire += gap / width
-            i_idx = instr
-            instr += 1
-            rob_idx = i_idx - rob_size
-            if rob_idx <= 0:
-                enter = i_idx / width
-            else:
-                while len(window) > 1 and window[1][0] <= rob_idx:
-                    popleft()
-                if not window or window[0][0] > rob_idx:
-                    floor = rob_idx / width
-                else:
-                    base = window[0]
-                    floor = base[1] + (rob_idx - base[0]) / width
-                enter = i_idx / width
-                if floor > enter:
-                    enter = floor
-            if dep and last_load_done > enter:
-                enter = last_load_done
-            latency, level = access(int(enter), pc, addr, is_write)
-            if is_write:
-                retire += retire_step
-                if enter > retire:
-                    retire = enter
-            else:
-                done = enter + latency
-                retire += retire_step
-                if done > retire:
-                    retire = done
-                last_load_done = done
-            window_append((i_idx, retire))
-            hits[level] += 1
-        state[0] = pos
-        state[1] = retire
-        state[2] = instr
-        state[3] = last_load_done
-        if target is not None and pos >= target:
-            pending[idx] = None
-            if on_stop is not None:
-                _write_back(idx)
-                on_stop(idx)
-        if pos < n:
-            # Inline insertion: the schedule holds at most n_cores - 1
-            # entries here, so a linear scan beats bisect's call overhead.
-            entry = (retire, idx)
-            at = 0
-            for item in sched:
-                if item < entry:
-                    at += 1
-                else:
-                    break
-            sched.insert(at, entry)
-    for idx in range(n_cores):
-        _write_back(idx)

@@ -6,25 +6,21 @@ Mirrors the paper's two configurations (Section 4):
 - **MP** — four cores, private L1/L2 per core, shared 8MB LLC, two DDR4
   channels (same LLC capacity per core, half the bandwidth per core).
 
-The multi-core driver interleaves per-core executions in global time order
-(always advancing the core with the smallest retirement time) so cores
-contend realistically for the shared LLC and DRAM — which is what makes
-the accuracy-biased pattern matter in Section 5.4.  Scheduling runs
-through the batched interleave driver
-(:func:`repro.cpu.core.interleave_batched`); see docs/engine.md for the
-design and the parity/performance story.
+Both run through one driver, :func:`_simulate`; a single-thread run is
+its one-core case.  It interleaves per-core executions in global time
+order (always advancing the core with the smallest retirement time, via
+:func:`repro.cpu.core.interleave_two_level`) so cores contend
+realistically for the shared LLC and DRAM — which is what makes the
+accuracy-biased pattern matter in Section 5.4.  Each core runs either on
+the object model (``MemoryHierarchy`` + ``CoreExecution``, the spec) or
+on its compiled twin (:mod:`repro.kernel`); see docs/engine.md.
 """
 
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.cpu.core import (
-    CoreExecution,
-    CoreModel,
-    interleave_batched,
-    interleave_two_level,
-)
+from repro.cpu.core import CoreExecution, CoreModel, interleave_two_level
 from repro.memory.cache import Cache
 from repro.constants import MP_LLC_BYTES, ST_LLC_BYTES
 from repro.memory.dram import MP_DRAM, ST_DRAM, DramConfig, DramModel
@@ -59,16 +55,15 @@ class SystemConfig:
     #: methodology of the paper's simulator.  Structures keep their state
     #: across the boundary; only statistics reset.
     warmup_frac: float = 0.25
-    #: Hot-loop kernel: "auto" defers to the engine config (REPRO_KERNEL /
-    #: ``repro run --kernel``, itself defaulting to the compiled kernel
-    #: when a C toolchain is present and the pure-Python kernel otherwise);
-    #: "py"/"compiled" force a flat kernel, "object" forces the original
-    #: object-model loop.  All choices are bit-identical (pinned by
-    #: tests/test_kernel_parity.py) and the field never enters spec
-    #: fingerprints, so results share cache entries across kernels.
-    #: Runs the kernels cannot express — event tracing on, pollution
-    #: recording, non-registry replacement policies — silently use the
-    #: object path regardless.
+    #: Hot-loop kernel, one of ``engine.config.KERNEL_CHOICES``: "auto"
+    #: defers to the engine config (REPRO_KERNEL / ``repro --kernel``,
+    #: itself defaulting to the compiled kernel when a C toolchain is
+    #: present and the object model otherwise); "compiled" forces the
+    #: generated-C twin, "object" the object model.  Both are bit-identical
+    #: (pinned by tests/test_kernel_parity.py) and the field never enters
+    #: spec fingerprints, so results share cache entries across kernels.
+    #: Runs the C twin cannot express — event tracing on, pollution
+    #: recording — use the object model regardless.
     kernel: str = "auto"
 
     @staticmethod
@@ -162,57 +157,45 @@ def _gc_paused():
 
 
 def _resolve_kernel(cfg):
-    """Concrete hot-loop engine for this run: "object", "py" or "compiled".
+    """Concrete hot-loop engine for this run: "object" or "compiled".
 
     Resolution: an explicit ``SystemConfig.kernel`` wins; "auto" defers to
-    the engine config (``repro run --kernel`` / ``REPRO_KERNEL``); a still
-    unresolved "auto" picks "compiled" when a toolchain is present and
-    "py" otherwise (never an error).  Runs the kernels cannot express —
-    tracing, pollution recording, generic replacement policies — fall back
-    to the object path whatever was selected; an *explicit* "compiled"
-    without a working toolchain raises (loud), while "auto" degrades to
-    "py" silently-but-gracefully.
+    the engine config (``repro --kernel`` / ``REPRO_KERNEL``); a still
+    unresolved "auto" picks "compiled" when the kernel builds and the
+    object model otherwise.  Runs the C twin cannot express — tracing,
+    pollution recording — use the object model whatever was selected.  An
+    *explicit* "compiled" without a working kernel raises; "auto" degrades
+    to the object model, quietly for a missing toolchain and with a
+    warning for a broken build.  Any other name raises.
     """
+    # Lazy import: repro.cpu must stay importable without the engine.
+    from repro.engine.config import KERNEL_CHOICES, current_config
+
     choice = cfg.kernel
+    if choice not in KERNEL_CHOICES:
+        raise ValueError(f"SystemConfig.kernel={choice!r} is not one of {KERNEL_CHOICES}")
     if choice == "auto":
-        # Lazy import: repro.cpu must stay importable without the engine.
-        from repro.engine.config import current_config
-
         choice = current_config().kernel
-    if choice == "object":
+    if choice == "object" or cfg.trace_prefetch or cfg.trace_cache or cfg.record_pollution_victims:
         return "object"
-    if cfg.trace_prefetch or cfg.trace_cache or cfg.record_pollution_victims:
-        return "object"
-    from repro.kernel.state import VICTIM_MODES
-
-    hier = cfg.hierarchy
-    for level in (hier.l1, hier.l2, hier.llc):
-        if level.replacement not in VICTIM_MODES:
-            return "object"
     from repro.kernel import kernel_available
     from repro.kernel.execution import kernel_unavailable_reason
 
-    if choice == "auto":
-        if kernel_available():
-            return "compiled"
-        kind, reason = kernel_unavailable_reason()
-        if kind == "build":
-            # A missing toolchain degrades quietly; a broken build is a
-            # bug and must not be mistaken for one.
-            _warn_kernel_degraded(reason)
-        return "py"
-    if choice == "compiled" and not kernel_available():
-        kind, reason = kernel_unavailable_reason()
+    if kernel_available():
+        return "compiled"
+    kind, reason = kernel_unavailable_reason()
+    if choice == "compiled":
         if kind == "toolchain":
             raise RuntimeError(
                 "kernel='compiled' requested but no C toolchain is available "
-                "(set kernel='py' or 'auto' to use the pure-Python kernel)"
+                "(set kernel='object' or 'auto' to run the object model)"
             )
-        raise RuntimeError(
-            f"kernel='compiled' requested but the kernel failed to build: "
-            f"{reason}"
-        )
-    return choice
+        raise RuntimeError(f"kernel='compiled' requested but the kernel failed to build: {reason}")
+    if kind == "build":
+        # A missing toolchain degrades quietly; a broken build is a bug
+        # and must not be mistaken for one.
+        _warn_kernel_degraded(reason)
+    return "object"
 
 
 _warned_kernel_degraded = False
@@ -226,8 +209,7 @@ def _warn_kernel_degraded(reason):
     import warnings
 
     warnings.warn(
-        f"compiled kernel unavailable, falling back to the pure-Python "
-        f"kernel: {reason}",
+        f"compiled kernel unavailable, falling back to the object model: {reason}",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -298,6 +280,90 @@ def _result_from(execution, hierarchy, dram):
     )
 
 
+def _simulate(cfg, traces, sinks):
+    """Run one trace per core over one LLC and DRAM; the only run driver.
+
+    Builds the DRAM model, one LLC, and a hierarchy plus
+    :class:`CoreExecution` per core (each with that core's sink), wraps
+    them in the compiled kernel when :func:`_resolve_kernel` picks it,
+    and schedules every core through :func:`interleave_two_level`.  Each
+    core crosses its own warmup boundary after ``warmup_frac`` of its
+    trace — before the first op when the warmup is zero ops; shared DRAM
+    stats reset when the first core crosses (per-core results use private
+    hierarchy counters, so the shared reset point is not critical).
+
+    Returns the per-core :class:`RunResult` list and the global measured
+    span (see :attr:`MultiProgramResult.global_cycles`).
+    """
+    kernel = _resolve_kernel(cfg) == "compiled"
+    dram = DramModel(cfg.dram)
+    llc = Cache(cfg.hierarchy.llc)
+    bandwidth = dram
+    if kernel:
+        from repro.kernel.execution import KernelBandwidth, KernelDomain, KernelExecution
+
+        domain = KernelDomain(llc, dram)
+        # Bandwidth-aware schemes must read the *live* monitor, which lives
+        # in the kernel domain while the run is active.
+        bandwidth = KernelBandwidth(dram)
+        bandwidth.attach(domain)
+    hierarchies = []
+    executions = []
+    for trace, sink in zip(traces, sinks):
+        l1_pf = PcStridePrefetcher() if cfg.l1_stride else None
+        l2_pf = build_prefetcher(cfg.l2_prefetcher, bandwidth)
+        hierarchy = _make_hierarchy(cfg, dram, llc, l1_pf, l2_pf, sink)
+        execution = CoreExecution(cfg.core, trace, hierarchy)
+        if kernel:
+            execution = KernelExecution(execution, trace, domain)
+        hierarchies.append(hierarchy)
+        executions.append(execution)
+    # Between pack and write-back the kernel's flat state is the truth, so
+    # the warmup-boundary resets act on it instead of on the objects.
+    if kernel:
+        reset_hierarchy = [kex.reset_hierarchy_stats for kex in executions]
+        reset_dram = domain.reset_dram_stats
+    else:
+        reset_hierarchy = [hierarchy.reset_stats for hierarchy in hierarchies]
+        reset_dram = dram.reset_stats
+
+    warmup_ops = [int(len(trace) * cfg.warmup_frac) for trace in traces]
+    stats_reset_time = None
+
+    def _cross_warmup(idx):
+        nonlocal stats_reset_time
+        ex = executions[idx]
+        ex.mark_stats_start()
+        reset_hierarchy[idx]()
+        if stats_reset_time is None:
+            stats_reset_time = ex.time
+            reset_dram(ex.time)
+
+    with _gc_paused():
+        interleave_two_level(executions, warmup_ops, _cross_warmup)
+
+    if kernel:
+        # The objects are locals of this run and the results read only
+        # counters, so skip rebuilding cache contents.
+        for kex in executions:
+            kex.write_back(contents=False)
+        domain.write_back(contents=False)
+        bandwidth.release()
+        executions = [kex.execution for kex in executions]
+    per_core = [_result_from(ex, hier, dram) for ex, hier in zip(executions, hierarchies)]
+    # End-of-run training drain, after stats capture: the drain's
+    # bandwidth-bucket queries at the final cycle must not perturb the
+    # reported residency.  Pages still resident in e.g. DSPatch's PB learn
+    # under the run-final bucket, leaving the prefetcher state consistent
+    # for post-run inspection.
+    for ex, hier in zip(executions, hierarchies):
+        if hier.l2_prefetcher is not None:
+            flush_training_with_cycle(hier.l2_prefetcher, int(ex.time))
+    end_time = max((ex.time for ex in executions), default=0.0)
+    global_cycles = max(end_time - (stats_reset_time or 0.0), 0.0)
+    return per_core, global_cycles
+
+
 class System:
     """Single-core trace-driven simulation.
 
@@ -313,78 +379,9 @@ class System:
 
     def run(self, trace):
         """Simulate ``trace`` end to end; returns a :class:`RunResult`."""
-        cfg = self.config
-        kind = _resolve_kernel(cfg)
-        if kind != "object":
-            return self._run_kernel(trace, kind)
-        dram = DramModel(cfg.dram)
-        l1_pf = PcStridePrefetcher() if cfg.l1_stride else None
-        l2_pf = build_prefetcher(cfg.l2_prefetcher, dram)
-        sink = _resolve_sink(cfg, self.sink)
-        hierarchy = _make_hierarchy(cfg, dram, None, l1_pf, l2_pf, sink)
-        execution = CoreExecution(cfg.core, trace, hierarchy)
-        warmup_ops = int(len(trace) * cfg.warmup_frac)
-        with _gc_paused():
-            execution.run_ops(warmup_ops)
-            execution.mark_stats_start()
-            hierarchy.reset_stats()
-            dram.reset_stats(execution.time)
-            execution.run_ops()
-        result = _result_from(execution, hierarchy, dram)
-        # End-of-run training drain (after stats capture: the drain's
-        # bandwidth-bucket queries at the final cycle must not perturb the
-        # reported residency).  Pages still resident in e.g. DSPatch's PB
-        # learn under the run-final bucket, leaving the prefetcher state
-        # consistent for post-run inspection.
-        if l2_pf is not None:
-            flush_training_with_cycle(l2_pf, int(execution.time))
-        return result
-
-    def _run_kernel(self, trace, kind):
-        """The same run over a flat kernel (bit-identical; see repro.kernel).
-
-        The object model is built exactly as the object path builds it,
-        packed into flat state, driven by the selected kernel, and written
-        back before results are assembled — so everything downstream of
-        the hot loop (stats assembly, training drain, post-run inspection)
-        reads the very objects it always read.
-        """
-        from repro.kernel.execution import KernelBandwidth, KernelDomain, KernelExecution
-
-        cfg = self.config
-        dram = DramModel(cfg.dram)
-        # Bandwidth-aware schemes must read the *live* monitor, which lives
-        # in the kernel working form while the run is active.
-        bandwidth = KernelBandwidth(dram)
-        l1_pf = PcStridePrefetcher() if cfg.l1_stride else None
-        l2_pf = build_prefetcher(cfg.l2_prefetcher, bandwidth)
-        hierarchy = MemoryHierarchy(
-            config=cfg.hierarchy,
-            dram=dram,
-            llc=None,
-            l1_prefetcher=l1_pf,
-            l2_prefetcher=l2_pf,
-        )
-        execution = CoreExecution(cfg.core, trace, hierarchy)
-        domain = KernelDomain(hierarchy.llc, dram, kind)
-        bandwidth.attach(domain)
-        kex = KernelExecution(execution, trace, domain)
-        warmup_ops = int(len(trace) * cfg.warmup_frac)
-        with _gc_paused():
-            kex.run_ops(warmup_ops)
-            kex.mark_stats_start()
-            kex.reset_hierarchy_stats()
-            kex.reset_dram_stats(kex.time)
-            kex.run_ops()
-        # The hierarchy/execution objects are locals of this method and the
-        # result reads only counters, so skip rebuilding cache contents.
-        kex.write_back(contents=False)
-        domain.write_back(contents=False)
-        bandwidth.release()
-        result = _result_from(execution, hierarchy, dram)
-        if l2_pf is not None:
-            flush_training_with_cycle(l2_pf, int(execution.time))
-        return result
+        sink = _resolve_sink(self.config, self.sink)
+        per_core, _ = _simulate(self.config, [trace], [sink])
+        return per_core[0]
 
 
 @dataclass
@@ -433,121 +430,7 @@ class MultiCoreSystem:
         """Simulate one trace per core; returns :class:`MultiProgramResult`."""
         if len(traces) != self.num_cores:
             raise ValueError(f"need exactly {self.num_cores} traces")
-        cfg = self.config
-        kind = _resolve_kernel(cfg)
-        if kind != "object":
-            return self._run_kernel(traces, kind)
-        dram = DramModel(cfg.dram)
-        shared_llc = Cache(cfg.hierarchy.llc)
-        sink = _resolve_sink(cfg, self.sink)
-        executions = []
-        hierarchies = []
-        for core_idx, trace in enumerate(traces):
-            l1_pf = PcStridePrefetcher() if cfg.l1_stride else None
-            l2_pf = build_prefetcher(cfg.l2_prefetcher, dram)
-            core_sink = None if sink is None else CoreScopedSink(sink, core_idx)
-            hierarchy = _make_hierarchy(cfg, dram, shared_llc, l1_pf, l2_pf, core_sink)
-            hierarchies.append(hierarchy)
-            executions.append(CoreExecution(cfg.core, trace, hierarchy))
-
-        # Advance cores in global time order through the batched interleave
-        # driver.  Each core crosses its own warmup boundary after
-        # warmup_frac of its trace — including *before the first op* when
-        # the warmup is zero ops, matching the single-core path; shared
-        # DRAM stats reset when the first core crosses (per-core results
-        # use private hierarchy counters, so the shared reset point is not
-        # critical).
-        warmup_ops = [int(len(trace) * cfg.warmup_frac) for trace in traces]
-        stats_reset_time = None
-
-        def _cross_warmup(idx):
-            nonlocal stats_reset_time
-            ex = executions[idx]
-            ex.mark_stats_start()
-            hierarchies[idx].reset_stats()
-            if stats_reset_time is None:
-                stats_reset_time = ex.time
-                dram.reset_stats(ex.time)
-
-        with _gc_paused():
-            interleave_batched(executions, warmup_ops, _cross_warmup)
-
-        per_core = [
-            _result_from(ex, hier, dram) for ex, hier in zip(executions, hierarchies)
-        ]
-        # End-of-run training drain, after stats capture (see System.run).
-        for ex, hier in zip(executions, hierarchies):
-            if hier.l2_prefetcher is not None:
-                flush_training_with_cycle(hier.l2_prefetcher, int(ex.time))
-        end_time = max((ex.time for ex in executions), default=0.0)
-        if stats_reset_time is None:
-            stats_reset_time = 0.0
-        global_cycles = max(end_time - stats_reset_time, 0.0)
-        return MultiProgramResult(per_core=per_core, global_cycles=global_cycles)
-
-    def _run_kernel(self, traces, kind):
-        """The same mix over flat kernels, scheduled by the public-API
-        batched driver (:func:`interleave_two_level` — parity-pinned
-        against :func:`interleave_batched`); bit-identical to the object
-        path.
-        """
-        from repro.kernel.execution import KernelBandwidth, KernelDomain, KernelExecution
-
-        cfg = self.config
-        dram = DramModel(cfg.dram)
-        shared_llc = Cache(cfg.hierarchy.llc)
-        domain = KernelDomain(shared_llc, dram, kind)
-        kernel_execs = []
-        hierarchies = []
-        bandwidths = []
-        for trace in traces:
-            l1_pf = PcStridePrefetcher() if cfg.l1_stride else None
-            bandwidth = KernelBandwidth(dram)
-            bandwidth.attach(domain)
-            bandwidths.append(bandwidth)
-            l2_pf = build_prefetcher(cfg.l2_prefetcher, bandwidth)
-            hierarchy = MemoryHierarchy(
-                config=cfg.hierarchy,
-                dram=dram,
-                llc=shared_llc,
-                l1_prefetcher=l1_pf,
-                l2_prefetcher=l2_pf,
-            )
-            hierarchies.append(hierarchy)
-            execution = CoreExecution(cfg.core, trace, hierarchy)
-            kernel_execs.append(KernelExecution(execution, trace, domain))
-
-        warmup_ops = [int(len(trace) * cfg.warmup_frac) for trace in traces]
-        stats_reset_time = None
-
-        def _cross_warmup(idx):
-            nonlocal stats_reset_time
-            kex = kernel_execs[idx]
-            kex.mark_stats_start()
-            kex.reset_hierarchy_stats()
-            if stats_reset_time is None:
-                stats_reset_time = kex.time
-                kex.reset_dram_stats(kex.time)
-
-        with _gc_paused():
-            interleave_two_level(kernel_execs, warmup_ops, _cross_warmup)
-
-        # Per-core objects are locals here and results read only counters,
-        # so skip rebuilding cache contents.
-        for kex in kernel_execs:
-            kex.write_back(contents=False)
-        domain.write_back(contents=False)
-        for bandwidth in bandwidths:
-            bandwidth.release()
-        per_core = [
-            _result_from(kex.execution, hier, dram)
-            for kex, hier in zip(kernel_execs, hierarchies)
-        ]
-        for kex, hier in zip(kernel_execs, hierarchies):
-            if hier.l2_prefetcher is not None:
-                flush_training_with_cycle(hier.l2_prefetcher, int(kex.time))
-        end_time = max((kex.time for kex in kernel_execs), default=0.0)
-        if stats_reset_time is None:
-            stats_reset_time = 0.0
-        global_cycles = max(end_time - stats_reset_time, 0.0)
+        sink = _resolve_sink(self.config, self.sink)
+        sinks = [None if sink is None else CoreScopedSink(sink, idx) for idx in range(len(traces))]
+        per_core, global_cycles = _simulate(self.config, traces, sinks)
         return MultiProgramResult(per_core=per_core, global_cycles=global_cycles)

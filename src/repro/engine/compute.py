@@ -53,10 +53,10 @@ def simulate_run(spec, trace):
 def simulate_mix(spec):
     """One multi-programmed run of the mix ``spec`` describes.
 
-    Executes through :class:`MultiCoreSystem`'s batched interleave driver
-    (``repro.cpu.core.interleave_batched``); the engine's code-version salt
-    covers ``cpu/``, so the driver change (and its warmup-boundary fixes)
-    invalidated previously cached mix results automatically.
+    Executes through :class:`MultiCoreSystem`, scheduled by
+    ``repro.cpu.core.interleave_two_level``; the engine's code-version salt
+    covers ``cpu/``, so any driver change invalidates previously cached
+    mix results automatically.
     """
     from repro.workloads.mixes import build_mix_traces
 

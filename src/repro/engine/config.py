@@ -45,7 +45,7 @@ _overrides = {
 }
 
 #: Valid hot-loop kernel selections (``repro run --kernel`` / REPRO_KERNEL).
-KERNEL_CHOICES = ("auto", "py", "compiled", "object")
+KERNEL_CHOICES = ("auto", "compiled", "object")
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,10 @@ class EngineConfig:
     #: self-signed deployment recipe.  ``None`` = system trust store.
     tls_ca: Optional[str] = None
     #: Hot-loop kernel for eligible runs: ``auto`` picks the compiled
-    #: kernel when a C toolchain is present and falls back to the pure
-    #: Python ``py`` kernel otherwise; ``object`` forces the original
-    #: object-model loop.  Deliberately NOT part of spec fingerprints —
-    #: all kernels are bit-identical, so results share cache entries.
+    #: kernel when a C toolchain is present and falls back to the object
+    #: model otherwise; ``object`` forces the object model.  Deliberately
+    #: NOT part of spec fingerprints — both are bit-identical, so results
+    #: share cache entries.
     kernel: str = "auto"
 
 

@@ -210,15 +210,11 @@ def bandwidth_signal_study(scale=None, session=None):
         )
         trace = session.trace(TraceSpec(workload, scale.trace_len))
         execution = CoreExecution(config.core, trace, hierarchy)
-        warmup_ops = int(len(trace) * config.warmup_frac)
-        for _ in range(warmup_ops):
-            if not execution.advance():
-                break
+        execution.run_ops(int(len(trace) * config.warmup_frac))
         execution.mark_stats_start()
         hierarchy.reset_stats()
         dram.reset_stats(execution.time)
-        while execution.advance():
-            pass
+        execution.run_ops()
         return execution.finalize().ipc
 
     live = api.speedup_ratios(session, "dspatch", workloads, scale.trace_len)

@@ -1,16 +1,19 @@
-"""Flat-state kernel core: packed hierarchy state + per-access kernels.
+"""Flat-state kernel: the compiled twin of the object model's per-op loop.
 
-``repro.kernel`` factors the per-op simulate loop out of the object model
-into a packed :class:`~repro.kernel.state.KernelState` of flat int arrays
-plus two interchangeable kernels that drive it:
+The object model (``MemoryHierarchy`` driven by
+``CoreExecution.run_ops_until``) is the simulator's one readable spec.
+``repro.kernel`` holds its one fast twin:
 
-- :mod:`repro.kernel.pykernel` — the pure-Python executable spec;
-- :mod:`repro.kernel.cgen`/:mod:`repro.kernel.cbuild` — a generated-C
-  twin compiled at runtime when a toolchain is available.
+- :mod:`repro.kernel.layout`/:mod:`repro.kernel.state` pack the freshly
+  built objects into a :class:`~repro.kernel.state.KernelState` of flat
+  int arrays (and restore them via ``KernelState.write_back``);
+- :mod:`repro.kernel.cgen`/:mod:`repro.kernel.cbuild` generate, compile
+  and drive a C transliteration of the object model's per-access path
+  over those arrays, when a toolchain is available.
 
-Both produce bit-identical results to the object path (pinned by
-``tests/test_kernel_parity.py``); the object model remains reconstructable
-from the packed state via ``KernelState.write_back``.
+The twin is bit-identical to the object model (pinned by
+``tests/test_kernel_parity.py``); without a toolchain the object model
+runs instead.
 """
 
 from repro.kernel.execution import (  # noqa: F401

@@ -3,9 +3,8 @@
 The C source from :mod:`repro.kernel.cgen` is compiled once per source
 digest into a shared library under ``<cache_dir>/ckernel/`` (atomic
 rename, so concurrent workers race benignly) and loaded with ctypes.
-``CShared``/``CRuntime`` present the exact driver surface of
-``PyShared``/``PyRuntime`` — :class:`repro.kernel.execution.KernelExecution`
-does not know which twin it is holding.
+``CShared`` (one per LLC/DRAM domain) and ``CRuntime`` (one per core)
+are what :class:`repro.kernel.execution.KernelExecution` drives.
 
 The crossing protocol: ``krun`` returns ``RC_TRAIN`` with one or more
 training records (cycle, pc, addr, hit) appended to ``train_buf``; the
@@ -171,8 +170,7 @@ def load_kernel():
 class CShared:
     """Shared LLC/DRAM domain, compiled form.
 
-    The compiled kernel mutates the shared flat arrays in place, so there
-    is no unpacked working copy: ``sync_to_state`` is a no-op and
+    The compiled kernel mutates the shared flat arrays in place, and
     ``bucket`` queries route to the C monitor (which advances/halves the
     same state ``krun`` updates).
     """
@@ -204,12 +202,9 @@ class CShared:
             si[SI64[name]] = 0
         si[SI64["dram_stats_start"]] = int(cycle)
 
-    def sync_to_state(self, contents=True):
-        pass
-
 
 #: Per-core stat slots zeroed at the warmup boundary (mirrors
-#: ``PyRuntime.reset_hierarchy_stats``).
+#: ``MemoryHierarchy.reset_stats``).
 _CORE_RESET_SLOTS = tuple(
     name
     for name in CI64
@@ -368,9 +363,3 @@ class CRuntime:
         si = self.shared.state.si64
         for name in _LLC_RESET_SLOTS:
             si[SI64[name]] = 0
-
-    def reset_dram_stats(self, cycle):
-        self.shared.reset_dram_stats(cycle)
-
-    def sync_to_state(self, contents=True):
-        """No-op: the compiled kernel works in the state arrays directly."""

@@ -1,10 +1,13 @@
 """C source generation for the compiled kernel twin.
 
-The emitted translation unit is a line-for-line transliteration of
-:mod:`repro.kernel.pykernel` (the executable spec) against the exact
-same flat arrays, laid out by :mod:`repro.kernel.layout` — the slot
-dictionaries are emitted as ``#define`` lines, so the two kernels can
-never disagree about where a counter lives.
+The emitted translation unit is a transliteration of the object model —
+the per-access path of :class:`repro.memory.hierarchy.MemoryHierarchy`
+(with its caches, MSHRs, DRAM model and bandwidth monitor) and the core
+timing loop of :meth:`repro.cpu.core.CoreExecution.run_ops_until`, the
+executable spec — against flat arrays laid out by
+:mod:`repro.kernel.layout`.  The slot dictionaries are emitted as
+``#define`` lines, so the C and the packing code can never disagree
+about where a counter lives.
 
 Exported symbols:
 

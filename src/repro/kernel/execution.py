@@ -1,27 +1,27 @@
-"""KernelExecution: the CoreExecution-compatible face of the flat kernels.
+"""KernelExecution: the CoreExecution-compatible face of the compiled kernel.
 
-This is the glue between the system drivers and the two kernels: it packs
-the freshly built object model into a :class:`~repro.kernel.state.KernelState`,
-selects a runtime (:class:`~repro.kernel.pykernel.PyRuntime` or the
-compiled twin from :mod:`repro.kernel.cbuild`), exposes the exact driver
-surface of :class:`repro.cpu.core.CoreExecution` (``run_ops``,
-``run_ops_until``, ``mark_stats_start``, ``done``/``time``/``ops``), and
-writes everything back into the objects at the end so result assembly,
-``flush_training`` and post-run inspection are unchanged.
+This is the glue between the system driver and the generated-C twin of
+the object model: it packs the freshly built objects into a
+:class:`~repro.kernel.state.KernelState`, drives them through the
+compiled runtime from :mod:`repro.kernel.cbuild`, exposes the
+scheduling surface of :class:`repro.cpu.core.CoreExecution`
+(``run_ops_until``, ``mark_stats_start``, ``done``/``time``/``ops``),
+and writes everything back into the objects at the end so result
+assembly, ``flush_training`` and post-run inspection are unchanged.
 
-Multi-programmed runs share one :class:`KernelDomain` (the LLC + DRAM +
-bandwidth-monitor working state) across all cores and are scheduled by the
-existing public-API driver :func:`repro.cpu.core.interleave_two_level`.
+Every core of a run shares one :class:`KernelDomain` (the LLC + DRAM +
+bandwidth-monitor working state), and the system driver schedules the
+cores through :func:`repro.cpu.core.interleave_two_level`, exactly as
+it schedules object-model executions.
 """
 
 import math
 
-from repro.kernel.pykernel import PyRuntime, PyShared
 from repro.kernel.state import KernelState, SharedState
 
 _INF = float("inf")
-#: Always-permissive horizon for plain ``run_ops`` batches (finite so the
-#: compiled kernel can keep the comparison in one double).
+#: The C loop keeps its horizon in one double, so an infinite horizon
+#: becomes the largest finite one.
 _MAX_FLOAT = math.nextafter(_INF, 0.0)
 
 
@@ -108,20 +108,18 @@ class KernelBandwidth:
 class KernelDomain:
     """One LLC/DRAM domain in kernel form, shared by every core in a run."""
 
-    def __init__(self, llc, dram, kind):
-        if kind not in ("py", "compiled"):
-            raise ValueError(f"unknown kernel kind {kind!r}")
-        self.kind = kind
-        self.shared_state = SharedState(llc, dram)
-        if kind == "py":
-            self.shared = PyShared(self.shared_state)
-        else:
-            from repro.kernel.cbuild import CShared
+    def __init__(self, llc, dram):
+        from repro.kernel.cbuild import CShared
 
-            self.shared = CShared(self.shared_state)
+        self.shared_state = SharedState(llc, dram)
+        self.shared = CShared(self.shared_state)
 
     def bucket(self, cycle):
         return self.shared.bucket(cycle)
+
+    def reset_dram_stats(self, cycle):
+        """The warmup-boundary ``DramModel.reset_stats``, on the live state."""
+        self.shared.reset_dram_stats(cycle)
 
     def write_back(self, contents=True):
         """Restore the shared LLC/DRAM objects (call once, after the run).
@@ -130,57 +128,34 @@ class KernelDomain:
         not the LLC's resident lines — for callers that only assemble
         counter-based results before discarding the objects.
         """
-        self.shared.sync_to_state(contents)
         self.shared_state.write_back(contents)
 
 
 class KernelExecution:
-    """Drop-in replacement for ``CoreExecution`` driving a flat kernel.
+    """Drop-in replacement for ``CoreExecution`` driving the compiled kernel.
 
     Wraps an already-built ``CoreExecution`` (which owns the trace and the
     hierarchy objects); between :meth:`__init__` and :meth:`write_back`
     the packed working form is the truth and the wrapped objects are
-    stale.  The driver surface (``run_ops``/``run_ops_until``/``done``/
-    ``time``/``ops``/``mark_stats_start``) matches ``CoreExecution``
-    exactly, so :func:`repro.cpu.core.interleave_two_level` schedules MP
-    mixes over these unchanged.
+    stale.  The scheduling surface (``run_ops_until``/``done``/``time``/
+    ``ops``/``mark_stats_start``) matches ``CoreExecution`` exactly, so
+    :func:`repro.cpu.core.interleave_two_level` schedules these unchanged.
     """
 
     def __init__(self, execution, trace, domain):
+        from repro.kernel.cbuild import CRuntime
+
         self.execution = execution
         self.domain = domain
-        hier = execution.hierarchy
-        l2_pf = hier.l2_prefetcher
-        train = None if l2_pf is None else l2_pf.train
-        note_useful = None if l2_pf is None else l2_pf.note_useful_prefetch
-        note_useless = None if l2_pf is None else l2_pf.note_useless_prefetch
-        # Only the compiled domain may substitute C training twins for the
-        # scheme objects; the py kernel trains the live objects directly,
-        # so packing them would clobber that work at write_back.
-        self.state = KernelState(
-            execution,
-            trace,
-            domain.shared_state,
-            compile_scheme=(domain.kind == "compiled"),
+        l2_pf = execution.hierarchy.l2_prefetcher
+        self.state = KernelState(execution, trace, domain.shared_state)
+        self.runtime = CRuntime(
+            self.state,
+            domain.shared,
+            train=None if l2_pf is None else l2_pf.train,
+            note_useful=None if l2_pf is None else l2_pf.note_useful_prefetch,
+            note_useless=None if l2_pf is None else l2_pf.note_useless_prefetch,
         )
-        if domain.kind == "py":
-            self.runtime = PyRuntime(
-                self.state,
-                domain.shared,
-                train=train,
-                note_useful=note_useful,
-                note_useless=note_useless,
-            )
-        else:
-            from repro.kernel.cbuild import CRuntime
-
-            self.runtime = CRuntime(
-                self.state,
-                domain.shared,
-                train=train,
-                note_useful=note_useful,
-                note_useless=note_useless,
-            )
         self._written_back = False
 
     # ----------------------------------------------------- CoreExecution API
@@ -196,13 +171,6 @@ class KernelExecution:
     @property
     def ops(self):
         return self.runtime.pos
-
-    def run_ops(self, max_ops=None):
-        runtime = self.runtime
-        pos = runtime.pos
-        n = runtime.n_ops
-        end = n if max_ops is None else min(n, pos + max_ops)
-        return runtime.run(end, _MAX_FLOAT, False)
 
     def run_ops_until(self, horizon, max_ops=None, strict=False):
         runtime = self.runtime
@@ -220,26 +188,18 @@ class KernelExecution:
     # ------------------------------------------------- warmup-boundary resets
 
     def reset_hierarchy_stats(self):
+        """The warmup-boundary ``MemoryHierarchy.reset_stats``, on the live state."""
         self.runtime.reset_hierarchy_stats()
-
-    def reset_dram_stats(self, cycle):
-        self.runtime.reset_dram_stats(cycle)
 
     # --------------------------------------------------------------- teardown
 
     def write_back(self, contents=True):
-        """Sync working form -> flat state -> objects (idempotent).
+        """Restore the core's objects from the flat state (idempotent).
 
         ``contents=False`` skips rebuilding cache line structures; every
         counter and execution scalar is still restored.
         """
         if self._written_back:
             return
-        self.runtime.sync_to_state(contents)
         self.state.write_back(contents)
         self._written_back = True
-
-    def finalize(self):
-        """Measured-region stats, via the restored object execution."""
-        self.write_back()
-        return self.execution.finalize()

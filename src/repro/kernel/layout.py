@@ -19,7 +19,8 @@ Three consumers read these dictionaries and therefore can never drift
 apart:
 
 - :mod:`repro.kernel.state` sizes and packs the arrays,
-- :mod:`repro.kernel.pykernel` (the executable spec) indexes them,
+- :mod:`repro.kernel.cbuild` reads and resets slots at the crossings and
+  warmup boundaries,
 - :mod:`repro.kernel.cgen` emits them as ``#define`` lines into the
   generated C source, so the compiled twin shares the exact layout.
 """

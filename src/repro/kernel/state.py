@@ -315,7 +315,7 @@ class SharedState:
 class KernelState:
     """Flat form of one core: execution + private L1/L2 + MSHRs + stride."""
 
-    def __init__(self, execution, trace, shared, compile_scheme=False):
+    def __init__(self, execution, trace, shared):
         self.execution = execution
         self.hierarchy = execution.hierarchy
         self.shared = shared
@@ -462,10 +462,8 @@ class KernelState:
         ci[CI64["cand_cap"]] = CAND_CAP0
 
         # Compiled scheme-training twin: pack the scheme's tables into flat
-        # arrays only for the C kernel (the py kernel trains the live
-        # objects directly — packing there would clobber them at
-        # write-back).
-        kind = _scheme_kind(l2_pf, shared.dram_obj) if compile_scheme else 0
+        # arrays when the scheme has one (write_back restores the objects).
+        kind = _scheme_kind(l2_pf, shared.dram_obj)
         self.scheme_kind = kind
         ci[CI64["scheme_kind"]] = kind
         for nm in _SP_I64_ARRAYS + _DP_I64_ARRAYS:

@@ -7,8 +7,11 @@ Two bug classes are pinned here:
   ``.so`` whose bytes happen to still sit at the old path;
 - a broken build must be reported as a broken build — never silently
   conflated with "no toolchain".  ``kernel='compiled'`` hard-fails with
-  the classified reason; ``auto`` degrades to the py kernel with a
+  the classified reason; ``auto`` degrades to the object model with a
   warning that names it.
+
+Kernel names outside ``KERNEL_CHOICES`` (including the retired ``py``)
+are rejected loudly on every surface.
 """
 
 import pytest
@@ -128,61 +131,86 @@ def test_explicit_compiled_hard_fails_without_toolchain(monkeypatch):
         System(SystemConfig.single_thread("spp", kernel="compiled")).run(trace)
 
 
-def test_auto_degrades_with_warning_on_build_failure(monkeypatch):
-    """auto + broken build -> py kernel, with a once-per-process warning
-    naming the build failure (a missing toolchain stays quiet)."""
-    import repro.cpu.system as system_mod
-    import repro.kernel.execution as kex
-    from repro.cpu.system import System, SystemConfig
-    from repro.workloads.catalog import build_trace
-
-    monkeypatch.setattr(kex, "_probe", (False, "build", "synthetic codegen bug"))
-    monkeypatch.setattr(system_mod, "_warned_kernel_degraded", False)
-    # Force the engine-level choice to auto regardless of REPRO_KERNEL.
+def _auto_with_probe(monkeypatch, probe):
+    """Pin the engine-level choice to auto (whatever REPRO_KERNEL says)
+    and the kernel probe to ``probe``; returns the system module."""
     import dataclasses
 
+    import repro.cpu.system as system_mod
+    import repro.kernel.execution as kex
     from repro.engine import config as engine_config
 
+    monkeypatch.setattr(kex, "_probe", probe)
+    monkeypatch.setattr(system_mod, "_warned_kernel_degraded", False)
     real_config = engine_config.current_config
     monkeypatch.setattr(
         engine_config,
         "current_config",
         lambda: dataclasses.replace(real_config(), kernel="auto"),
     )
-    trace = build_trace("ispec06.mcf", 300)
-    with pytest.warns(RuntimeWarning, match="synthetic codegen bug"):
-        result = System(SystemConfig.single_thread("spp", kernel="auto")).run(trace)
-    assert result.instructions > 0
-    # Second run: warn-once semantics.
+    return system_mod
+
+
+def test_auto_degrades_with_warning_on_build_failure(monkeypatch):
+    """auto + broken build -> the object model, with a once-per-process
+    warning naming the build failure (a missing toolchain stays quiet)."""
     import warnings
 
+    from repro.cpu.system import System, SystemConfig
+    from repro.workloads.catalog import build_trace
+
+    system_mod = _auto_with_probe(monkeypatch, (False, "build", "synthetic codegen bug"))
+    cfg = SystemConfig.single_thread("spp", kernel="auto")
+    with pytest.warns(RuntimeWarning, match="object model: synthetic codegen bug"):
+        assert system_mod._resolve_kernel(cfg) == "object"
+    # The run itself completes on the object model, and the warning is
+    # not repeated.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        System(SystemConfig.single_thread("spp", kernel="auto")).run(trace)
+        result = System(cfg).run(build_trace("ispec06.mcf", 300))
+    assert result.instructions > 0
 
 
 def test_auto_degrades_quietly_without_toolchain(monkeypatch):
-    import repro.cpu.system as system_mod
-    import repro.kernel.execution as kex
+    import warnings
+
     from repro.cpu.system import System, SystemConfig
     from repro.workloads.catalog import build_trace
 
-    monkeypatch.setattr(kex, "_probe", (False, "toolchain", "no C compiler on PATH"))
-    monkeypatch.setattr(system_mod, "_warned_kernel_degraded", False)
-    from repro.engine import config as engine_config
-
-    real_config = engine_config.current_config
-    import dataclasses
-
-    monkeypatch.setattr(
-        engine_config,
-        "current_config",
-        lambda: dataclasses.replace(real_config(), kernel="auto"),
-    )
-    trace = build_trace("ispec06.mcf", 300)
-    import warnings
-
+    system_mod = _auto_with_probe(monkeypatch, (False, "toolchain", "no C compiler on PATH"))
+    cfg = SystemConfig.single_thread("spp", kernel="auto")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = System(SystemConfig.single_thread("spp", kernel="auto")).run(trace)
+        assert system_mod._resolve_kernel(cfg) == "object"
+        result = System(cfg).run(build_trace("ispec06.mcf", 300))
     assert result.instructions > 0
+
+
+# ---------------------------------------------------- kernel-name validation
+
+
+def test_system_rejects_retired_and_unknown_kernel_names():
+    from repro.cpu.system import System, SystemConfig
+    from repro.workloads.catalog import build_trace
+
+    trace = build_trace("ispec06.mcf", 300)
+    for name in ("py", "compield"):
+        with pytest.raises(ValueError, match=r"'auto', 'compiled', 'object'"):
+            System(SystemConfig.single_thread("spp", kernel=name)).run(trace)
+
+
+def test_env_rejects_retired_kernel_name(monkeypatch):
+    from repro.engine import config as engine_config
+
+    monkeypatch.setitem(engine_config._overrides, "kernel", None)
+    monkeypatch.setenv("REPRO_KERNEL", "py")
+    with pytest.raises(ValueError, match="REPRO_KERNEL='py'"):
+        engine_config.current_config()
+
+
+def test_cli_rejects_retired_kernel_name(capsys):
+    from repro.cli import build_parser
+
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--kernel", "py", "list-workloads"])
+    assert "invalid choice: 'py'" in capsys.readouterr().err

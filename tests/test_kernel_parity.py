@@ -1,25 +1,25 @@
 """Randomized kernel-parity fuzz grid.
 
-The flat-state kernels (pure-Python ``py`` and the runtime-compiled C
-twin) are alternative *executions* of the same simulation, not
-alternative models: every counter, rate and log a run produces must be
-bit-for-bit identical to the original object-model loop.  That contract
-is what lets ``SystemConfig.kernel`` stay out of spec fingerprints (all
-kernels share cache entries) and what makes ``kernel_py`` an executable
-spec for the C twin.
+The compiled kernel (the runtime-compiled C twin) is an alternative
+*execution* of the object model, not an alternative model: every
+counter, rate and log a run produces must be bit-for-bit identical to
+the object-model loop.  That contract is what lets
+``SystemConfig.kernel`` stay out of spec fingerprints (both kernels
+share cache entries) and what keeps the object model the executable
+spec of the C twin.
 
 The grid here is randomized but *deterministic* (fixed seed): each case
 draws a workload, a registry scheme, a trace length, an LLC geometry
 (size and associativity) and a warmup fraction, then runs the identical
-trace through the object model and through each flat kernel and compares
-``RunResult.to_dict()`` field-for-field.  A multi-programmed section does
-the same through ``MultiCoreSystem`` (shared LLC, per-core warmup
-boundaries, global-time interleave) where the kernel crossing machinery
-is under the most scheduling pressure.
+trace through the object model and through the compiled kernel and
+compares ``RunResult.to_dict()`` field-for-field.  A multi-programmed
+section does the same through ``MultiCoreSystem`` (shared LLC, per-core
+warmup boundaries, global-time interleave) where the kernel crossing
+machinery is under the most scheduling pressure.
 
-The compiled kernel is exercised only when a C toolchain is present
-(``kernel_available()``); the pure-Python kernel always runs, so parity
-is pinned on every host.
+The parity tests need the compiled kernel and skip, with a reason, on
+hosts without a C toolchain (``kernel_available()``): there the object
+model is the only kernel, so there is nothing to compare.
 """
 
 import random
@@ -33,7 +33,11 @@ from repro.memory.dram import MP_DRAM, ST_DRAM
 from repro.memory.hierarchy import HierarchyConfig
 from repro.workloads.catalog import build_trace
 
-FLAT_KERNELS = ("py", "compiled") if kernel_available() else ("py",)
+needs_compiled = pytest.mark.skipif(
+    not kernel_available(),
+    reason="no C toolchain: the compiled kernel cannot be built, so there is "
+    "no twin to compare against the object model",
+)
 
 # Deterministic fuzz: same seed -> same grid on every run/host, so a
 # failure is always reproducible from the printed case id.
@@ -123,6 +127,7 @@ def _assert_same(baseline, candidate, label):
     raise AssertionError(f"{label}: kernel diverges from object model: {diff}")
 
 
+@needs_compiled
 @pytest.mark.parametrize(
     "scheme,workload,length,llc_geometry,warmup_frac",
     _fuzz_cases(14),
@@ -130,13 +135,12 @@ def _assert_same(baseline, candidate, label):
 )
 def test_single_thread_parity(scheme, workload, length, llc_geometry, warmup_frac):
     trace = build_trace(workload, length)
-    baseline = System(_config(scheme, llc_geometry, warmup_frac, "object")).run(trace)
-    base = baseline.to_dict()
-    for kernel in FLAT_KERNELS:
-        result = System(_config(scheme, llc_geometry, warmup_frac, kernel)).run(trace)
-        _assert_same(base, result.to_dict(), f"{scheme}/{workload}/{kernel}")
+    base = System(_config(scheme, llc_geometry, warmup_frac, "object")).run(trace)
+    got = System(_config(scheme, llc_geometry, warmup_frac, "compiled")).run(trace)
+    _assert_same(base.to_dict(), got.to_dict(), f"{scheme}/{workload}")
 
 
+@needs_compiled
 @pytest.mark.parametrize(
     "scheme,warmup_frac",
     [("dspatch", 0.25), ("spp", 0.1), ("bop", 0.0)],
@@ -155,11 +159,8 @@ def test_multi_programmed_parity(scheme, warmup_frac):
             {"global_cycles": mp.global_cycles}
         ]
 
-    baseline = run("object")
-    for kernel in FLAT_KERNELS:
-        candidate = run(kernel)
-        for core_idx, (base, cand) in enumerate(zip(baseline, candidate)):
-            _assert_same(base, cand, f"mp/{scheme}/{kernel}/core{core_idx}")
+    for core_idx, (base, cand) in enumerate(zip(run("object"), run("compiled"))):
+        _assert_same(base, cand, f"mp/{scheme}/core{core_idx}")
 
 
 def test_kernel_field_absent_from_fingerprints():
@@ -178,10 +179,10 @@ def test_unsupported_features_fall_back_to_object():
     from repro.observe.sinks import CollectingSink
 
     trace = build_trace("ispec06.mcf", 2000)
-    plain = System(SystemConfig.single_thread("dspatch", kernel="py")).run(trace)
+    plain = System(SystemConfig.single_thread("dspatch")).run(trace)
     sink = CollectingSink()
     traced = System(
-        SystemConfig.single_thread("dspatch", kernel="py", trace_prefetch=True),
+        SystemConfig.single_thread("dspatch", kernel="compiled", trace_prefetch=True),
         sink=sink,
     ).run(trace)
     assert plain.to_dict() == traced.to_dict()
@@ -244,6 +245,7 @@ _TRAINING_CASES = [
 ]
 
 
+@needs_compiled
 @pytest.mark.parametrize(
     "scheme,workload,length,dram",
     _TRAINING_CASES,
@@ -251,17 +253,17 @@ _TRAINING_CASES = [
 )
 def test_training_heavy_parity(scheme, workload, length, dram):
     trace = build_trace(workload, length)
+
+    def run(warmup_frac, kernel):
+        cfg = _config(scheme, _LLC_GEOMETRIES[1], warmup_frac, kernel, dram=dram)
+        return System(cfg).run(trace).to_dict()
+
     for warmup_frac in (0.0, 0.25):
-        base = System(
-            _config(scheme, _LLC_GEOMETRIES[1], warmup_frac, "object", dram=dram)
-        ).run(trace).to_dict()
-        for kernel in FLAT_KERNELS:
-            got = System(
-                _config(scheme, _LLC_GEOMETRIES[1], warmup_frac, kernel, dram=dram)
-            ).run(trace).to_dict()
-            _assert_same(base, got, f"train/{scheme}/{workload}/{warmup_frac}/{kernel}")
+        label = f"train/{scheme}/{workload}/{warmup_frac}"
+        _assert_same(run(warmup_frac, "object"), run(warmup_frac, "compiled"), label)
 
 
+@needs_compiled
 def test_batched_crossing_parity_non_compiled_scheme():
     """A scheme without a C twin crosses through the train_buf record
     buffer; results stay bit-identical to the object model."""
@@ -274,9 +276,8 @@ def test_batched_crossing_parity_non_compiled_scheme():
     assert _scheme_kind(build_prefetcher("sms", dram.monitor), dram) == layout.SCHEME_PY
     trace = build_trace("server.tpcc-1", 2400)
     base = System(_config("sms", _LLC_GEOMETRIES[0], 0.1, "object")).run(trace).to_dict()
-    for kernel in FLAT_KERNELS:
-        got = System(_config("sms", _LLC_GEOMETRIES[0], 0.1, kernel)).run(trace).to_dict()
-        _assert_same(base, got, f"batched/sms/{kernel}")
+    got = System(_config("sms", _LLC_GEOMETRIES[0], 0.1, "compiled")).run(trace).to_dict()
+    _assert_same(base, got, "batched/sms")
 
 
 def _training_state(pf):
@@ -318,6 +319,7 @@ def _training_state(pf):
     raise AssertionError(f"no fingerprint for {type(pf).__name__}")
 
 
+@needs_compiled
 @pytest.mark.parametrize("scheme", ("dspatch", "spp+dspatch"))
 def test_flush_training_sees_identical_residual_state(scheme, monkeypatch):
     """warmup_frac=0 boundary: the end-of-run drain must observe the same
@@ -337,10 +339,9 @@ def test_flush_training_sees_identical_residual_state(scheme, monkeypatch):
         current.append(("post", _training_state(pf)))
 
     monkeypatch.setattr(system_mod, "flush_training_with_cycle", capturing_flush)
-    for kernel in ("object",) + FLAT_KERNELS:
+    for kernel in ("object", "compiled"):
         current = []
         System(_config(scheme, _LLC_GEOMETRIES[0], 0.0, kernel)).run(trace)
         captured[kernel] = current
     assert captured["object"], "flush was never reached"
-    for kernel in FLAT_KERNELS:
-        assert captured[kernel] == captured["object"], f"flush state diverges ({kernel})"
+    assert captured["compiled"] == captured["object"], "flush state diverges"

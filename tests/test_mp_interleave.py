@@ -1,19 +1,24 @@
-"""Tests for the batched multi-core interleave driver and its bugfixes.
+"""Tests for the interleave scheduler, the shared run driver and its bugfixes.
 
-Pins three things:
+Pins four things:
 
-1. **Driver parity** — ``interleave_batched`` (the production driver),
-   ``interleave_two_level`` (its readable ``run_ops_until`` form) and
-   ``interleave_reference`` (the pre-batching per-op heap loop) produce
-   bit-identical results on real 4-core mixes, including warmup
-   boundaries, zero warmup, and uneven trace lengths.
+1. **Scheduler parity** — ``interleave_two_level`` (the scheduler every
+   run goes through) and ``interleave_reference`` (the per-op heap loop
+   defined here as the scheduling reference) produce bit-identical
+   results on real 4-core mixes, including warmup boundaries, zero
+   warmup, and uneven trace lengths.
 2. **Warmup boundary semantics** — the boundary fires exactly at the
    warmup op count (never stepped over by a batch) and fires before the
-   first op when the warmup is zero ops, matching single-core semantics.
-3. **The satellite bugfixes** — ``DSPatch.flush_training`` learns under
+   first op when the warmup is zero ops.
+3. **Single-thread runs are one-core schedules** — ``System.run`` equals
+   the hand-driven warmup-then-measure protocol field for field, on the
+   object model and on the compiled kernel.
+4. **The satellite bugfixes** — ``DSPatch.flush_training`` learns under
    the run-final bandwidth bucket, and ``MultiProgramResult`` reports a
    consistent global-time span.
 """
+
+import heapq
 
 import pytest
 
@@ -21,11 +26,11 @@ from repro.core.dspatch import DSPatch
 from repro.cpu.core import (
     CoreExecution,
     CoreModel,
-    interleave_batched,
-    interleave_reference,
+    _fire_met_checkpoints,
     interleave_two_level,
 )
 from repro.cpu.system import MultiCoreSystem, System, SystemConfig, _result_from
+from repro.kernel import kernel_available
 from repro.memory.cache import Cache
 from repro.memory.dram import DramModel, FixedBandwidth
 from repro.memory.hierarchy import MemoryHierarchy
@@ -34,11 +39,37 @@ from repro.prefetchers.stride import PcStridePrefetcher
 from repro.workloads.catalog import build_trace
 from repro.workloads.mixes import build_mix_traces
 
+
+def interleave_reference(executions, stop_ops=None, on_stop=None):
+    """Per-op heap interleave: the scheduling reference.
+
+    Advances whichever core has the smallest ``(time, index)`` by exactly
+    one op per heap pop, with the same warmup-checkpoint contract as
+    :func:`interleave_two_level`.
+    """
+    pending = _fire_met_checkpoints(executions, stop_ops, on_stop)
+    heap = [(ex.time, idx) for idx, ex in enumerate(executions) if not ex.done]
+    heapq.heapify(heap)
+    while heap:
+        _, idx = heapq.heappop(heap)
+        ex = executions[idx]
+        if ex.advance():
+            heapq.heappush(heap, (ex.time, idx))
+        target = pending[idx]
+        if target is not None and ex.ops >= target:
+            pending[idx] = None
+            if on_stop is not None:
+                on_stop(idx)
+
+
 DRIVERS = {
     "reference": interleave_reference,
     "two-level": interleave_two_level,
-    "batched": interleave_batched,
 }
+
+needs_compiled = pytest.mark.skipif(
+    not kernel_available(), reason="no C toolchain: the compiled kernel cannot be built"
+)
 
 #: RunResult fields compared exactly across drivers.
 _RESULT_FIELDS = (
@@ -101,7 +132,7 @@ def _assert_identical(results_a, results_b, context):
 
 
 class TestDriverParity:
-    """All three interleave drivers are bit-for-bit interchangeable."""
+    """The scheduler is bit-for-bit interchangeable with the reference."""
 
     @pytest.mark.parametrize("scheme", ["none", "dspatch", "spp+dspatch"])
     @pytest.mark.parametrize("warmup_frac", [0.25, 0.0])
@@ -113,11 +144,10 @@ class TestDriverParity:
         ref, ref_bounds, ref_times = _mp_run_with_driver(
             interleave_reference, cfg, traces
         )
-        for name in ("two-level", "batched"):
-            got, bounds, times = _mp_run_with_driver(DRIVERS[name], cfg, traces)
-            _assert_identical(ref, got, f"{name} scheme={scheme} warmup={warmup_frac}")
-            assert bounds == ref_bounds, f"{name}: boundary crossings diverged"
-            assert times == ref_times, f"{name}: final core times diverged"
+        got, bounds, times = _mp_run_with_driver(interleave_two_level, cfg, traces)
+        _assert_identical(ref, got, f"scheme={scheme} warmup={warmup_frac}")
+        assert bounds == ref_bounds, "boundary crossings diverged"
+        assert times == ref_times, "final core times diverged"
 
     def test_parity_uneven_trace_lengths(self):
         names = ["ispec06.mcf", "cloud.memcached", "hpc.npb-bt", "sysmark.excel"]
@@ -127,16 +157,15 @@ class TestDriverParity:
         ]
         cfg = SystemConfig.multi_programmed("dspatch")
         ref, ref_bounds, _ = _mp_run_with_driver(interleave_reference, cfg, traces)
-        for name in ("two-level", "batched"):
-            got, bounds, _ = _mp_run_with_driver(DRIVERS[name], cfg, traces)
-            _assert_identical(ref, got, f"{name} uneven lengths")
-            assert bounds == ref_bounds
+        got, bounds, _ = _mp_run_with_driver(interleave_two_level, cfg, traces)
+        _assert_identical(ref, got, "uneven lengths")
+        assert bounds == ref_bounds
 
     def test_system_run_uses_batched_driver_semantics(self):
-        """MultiCoreSystem.run matches the explicit batched rebuild."""
+        """MultiCoreSystem.run matches the explicit two-level rebuild."""
         traces = build_mix_traces(["ispec06.mcf"] * 4, 500)
         cfg = SystemConfig.multi_programmed("spp")
-        direct, _, _ = _mp_run_with_driver(interleave_batched, cfg, traces)
+        direct, _, _ = _mp_run_with_driver(interleave_two_level, cfg, traces)
         via_system = MultiCoreSystem(cfg).run(traces)
         _assert_identical(direct, via_system.per_core, "MultiCoreSystem.run")
 
@@ -146,7 +175,7 @@ class TestWarmupBoundary:
         """Batches cap at the boundary; it is never stepped over."""
         traces = build_mix_traces(["ispec06.mcf"] * 4, 600)
         cfg = SystemConfig.multi_programmed("none", warmup_frac=0.25)
-        _, bounds, _ = _mp_run_with_driver(interleave_batched, cfg, traces)
+        _, bounds, _ = _mp_run_with_driver(interleave_two_level, cfg, traces)
         assert len(bounds) == 4
         for idx, ops_at_fire, _time in bounds:
             assert ops_at_fire == int(len(traces[idx]) * 0.25)
@@ -154,7 +183,7 @@ class TestWarmupBoundary:
     def test_zero_warmup_fires_before_first_op(self):
         traces = build_mix_traces(["ispec06.mcf"] * 4, 300)
         cfg = SystemConfig.multi_programmed("none", warmup_frac=0.0)
-        _, bounds, _ = _mp_run_with_driver(interleave_batched, cfg, traces)
+        _, bounds, _ = _mp_run_with_driver(interleave_two_level, cfg, traces)
         # One crossing per core, all at zero executed ops and time zero.
         assert sorted(idx for idx, _, _ in bounds) == [0, 1, 2, 3]
         assert all(ops == 0 and time == 0.0 for _, ops, time in bounds)
@@ -173,7 +202,7 @@ class TestWarmupBoundary:
         assert st.instructions == traces[0].instructions
 
     def test_target_beyond_trace_never_fires(self):
-        """A stop target past the trace end is unreachable in every
+        """A stop target past the trace end is unreachable in either
         driver: the run completes, no boundary fires, no crash."""
         traces = build_mix_traces(["ispec06.mcf"] * 4, 200)
         cfg = SystemConfig.multi_programmed("none")
@@ -196,9 +225,42 @@ class TestWarmupBoundary:
         still fires the boundary (the pre-fix code skipped it)."""
         traces = build_mix_traces(["ispec06.mcf"] * 4, 3)
         cfg = SystemConfig.multi_programmed("none", warmup_frac=0.25)
-        _, bounds, _ = _mp_run_with_driver(interleave_batched, cfg, traces)
+        _, bounds, _ = _mp_run_with_driver(interleave_two_level, cfg, traces)
         assert len(bounds) == 4
         assert all(ops == 0 for _, ops, _ in bounds)
+
+
+def _st_hand_driven(cfg, trace):
+    """The single-thread warmup-then-measure protocol, driven by hand."""
+    dram = DramModel(cfg.dram)
+    hierarchy = MemoryHierarchy(
+        config=cfg.hierarchy,
+        dram=dram,
+        l1_prefetcher=PcStridePrefetcher() if cfg.l1_stride else None,
+        l2_prefetcher=build_prefetcher(cfg.l2_prefetcher, dram),
+    )
+    execution = CoreExecution(cfg.core, trace, hierarchy)
+    execution.run_ops(int(len(trace) * cfg.warmup_frac))
+    execution.mark_stats_start()
+    hierarchy.reset_stats()
+    dram.reset_stats(execution.time)
+    execution.run_ops()
+    return _result_from(execution, hierarchy, dram)
+
+
+class TestSingleThreadIsOneCoreSchedule:
+    """System.run goes through the shared driver as a one-core schedule;
+    it must equal the plain single-thread protocol field for field."""
+
+    @pytest.mark.parametrize("kernel", ["object", pytest.param("compiled", marks=needs_compiled)])
+    @pytest.mark.parametrize("warmup_frac", [0.0, 0.25, 1.0])
+    @pytest.mark.parametrize("scheme", ["dspatch", "bop"])
+    def test_system_run_matches_hand_driven_protocol(self, scheme, warmup_frac, kernel):
+        trace = build_trace("cloud.memcached", 1500)
+        cfg = SystemConfig.single_thread(scheme, warmup_frac=warmup_frac, kernel=kernel)
+        expected = _st_hand_driven(cfg, trace)
+        got = System(cfg).run(trace)
+        assert got.to_dict() == expected.to_dict()
 
 
 class TestRunOpsUntil:
@@ -290,7 +352,7 @@ class TestGlobalCycles:
             for name, length in zip(names, (1000, 300, 700, 500))
         ]
         cfg = SystemConfig.multi_programmed("none")
-        _, bounds, end_times = _mp_run_with_driver(interleave_batched, cfg, traces)
+        _, bounds, end_times = _mp_run_with_driver(interleave_two_level, cfg, traces)
         result = MultiCoreSystem(cfg).run(traces)
         first_reset_time = bounds[0][2]
         assert result.global_cycles == max(end_times) - first_reset_time
