@@ -12,7 +12,10 @@ comparison: 6 schemes x N workloads) under several regimes:
    C-twinned schemes (spp / dspatch / spp+dspatch) on one longer trace
    where training dominates, asserts bit-identity against the object
    model, and gates the twins' advantage with its own
-   ``--min-scheme-kernel-speedup`` floor;
+   ``--min-scheme-kernel-speedup`` floor.  A **multi-core leg** runs one
+   4-core ``spp+dspatch`` mix through ``MultiCoreSystem`` on both
+   kernels, where the compiled run schedules its cores in C, asserts
+   bit-identity, and gates the ratio with ``--min-mp-kernel-speedup``;
 2. **cold parallel** — empty disk cache, ``jobs=N``: the engine's
    process-pool fan-out (runs when ``--jobs`` > 1 is given explicitly,
    or by default on multicore hosts);
@@ -47,6 +50,9 @@ import time
 
 SCHEMES = 6  # fig12: none + bop/sms/spp/dspatch/spp+dspatch
 CATEGORIES = 9
+#: The multi-core leg: one heterogeneous 4-core mix, ops per core.
+MP_MIX = ("ispec06.mcf", "cloud.memcached", "hpc.npb-bt", "sysmark.excel")
+MP_TRACE_LEN = 6000
 
 
 def calibrate(n=2_000_000, repeats=3):
@@ -153,6 +159,33 @@ def run_bench(args):
         scheme_identical = scheme_results["object"] == scheme_results["compiled"]
         scheme_speedup = scheme_seconds["object"] / scheme_seconds["compiled"]
 
+    # --- 1c. multi-core leg (C scheduler + twins vs the object model) -----
+    # Exact global-time interleaving of four cores on a shared LLC/DRAM:
+    # with the scheme twinned, the compiled run is one scheduler call per
+    # warmup boundary, so this leg pins the C scheduler's advantage.
+    mp_seconds = {"object": None, "compiled": None}
+    mp_speedup = None
+    mp_identical = True
+    if headline_kernel == "compiled":
+        from repro.cpu.system import MultiCoreSystem, SystemConfig
+        from repro.workloads.mixes import build_mix_traces
+
+        mp_traces = build_mix_traces(MP_MIX, MP_TRACE_LEN)
+        mp_results = {}
+        for kind in ("object", "compiled"):
+            cfg = SystemConfig.multi_programmed("spp+dspatch", kernel=kind)
+            best = None
+            for _ in range(args.repeats):
+                t0 = time.perf_counter()
+                mp = MultiCoreSystem(cfg).run(mp_traces)
+                dt = time.perf_counter() - t0
+                mp_results[kind] = [core.to_dict() for core in mp.per_core] + [mp.global_cycles]
+                if best is None or dt < best:
+                    best = dt
+            mp_seconds[kind] = best
+        mp_identical = mp_results["object"] == mp_results["compiled"]
+        mp_speedup = mp_seconds["object"] / mp_seconds["compiled"]
+
     # --- 2. cold parallel (explicit --jobs > 1, or multicore hosts) -------
     t_cold_par = None
     rows_par = None
@@ -203,6 +236,9 @@ def run_bench(args):
         "scheme_object_seconds": scheme_seconds["object"],
         "scheme_compiled_seconds": scheme_seconds["compiled"],
         "scheme_kernel_speedup": scheme_speedup,
+        "mp_object_seconds": mp_seconds["object"],
+        "mp_compiled_seconds": mp_seconds["compiled"],
+        "mp_kernel_speedup": mp_speedup,
         "hot_path_score": hot_path_score,
         "kernel_speedup": kernel_speedup,
         "parallel_speedup": parallel_speedup,
@@ -223,6 +259,13 @@ def run_bench(args):
         failures.append(
             f"scheme-training speedup {scheme_speedup:.2f}x over the object "
             f"model is below the {args.min_scheme_kernel_speedup:.1f}x floor"
+        )
+    if not mp_identical:
+        failures.append("multi-core leg: the compiled run diverges from the object model")
+    if mp_speedup is not None and mp_speedup < args.min_mp_kernel_speedup:
+        failures.append(
+            f"multi-core speedup {mp_speedup:.2f}x over the object model is "
+            f"below the {args.min_mp_kernel_speedup:.1f}x floor"
         )
 
     if args.baseline and os.path.exists(args.baseline):
@@ -326,6 +369,12 @@ def run_bench(args):
             f"{scheme_seconds['object']:.2f}s object  ({scheme_speedup:.2f}x, "
             f"{args.scheme_trace_len} ops x 3 schemes)"
         )
+    if mp_speedup is not None:
+        print(
+            f"multi-core mix  : {mp_seconds['compiled']:8.2f}s vs "
+            f"{mp_seconds['object']:.2f}s object  ({mp_speedup:.2f}x, "
+            f"4 cores x {MP_TRACE_LEN} ops, spp+dspatch)"
+        )
     if t_cold_par is not None:
         print(f"cold parallel   : {t_cold_par:8.2f}s  ({parallel_speedup:.2f}x, jobs={jobs})")
     print(f"warm (disk)     : {t_warm:8.3f}s  ({warm_speedup:.0f}x)")
@@ -375,6 +424,13 @@ def main(argv=None):
         help="floor on the compiled training twins' speedup over the object "
         "model in the scheme-training leg (applies only when a C toolchain "
         "is present)",
+    )
+    parser.add_argument(
+        "--min-mp-kernel-speedup",
+        type=float,
+        default=12.0,
+        help="floor on the compiled kernel's speedup over the object model "
+        "in the multi-core leg (applies only when a C toolchain is present)",
     )
     return run_bench(parser.parse_args(argv))
 

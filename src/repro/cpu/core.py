@@ -80,6 +80,25 @@ class CoreStats:
         }
 
 
+def _fuse_ops(trace):
+    """One ``(gap, pc, addr, is_write, dep)`` tuple per op.
+
+    A single list index + tuple unpack per op instead of four list
+    indexes, with flag decoding hoisted out of the op loop into two
+    vectorized array passes.
+    """
+    flags = trace.flags
+    return list(
+        zip(
+            trace.gaps.tolist(),
+            trace.pcs.tolist(),
+            trace.addrs.tolist(),
+            (flags & FLAG_WRITE).astype(bool).tolist(),
+            (flags & FLAG_DEP).astype(bool).tolist(),
+        )
+    )
+
+
 class CoreExecution:
     """Steppable execution of one trace against one memory hierarchy.
 
@@ -92,6 +111,7 @@ class CoreExecution:
         "model",
         "hierarchy",
         "stats",
+        "_trace",
         "_ops",
         "_pos",
         "_n",
@@ -111,22 +131,12 @@ class CoreExecution:
         self.model = model
         self.hierarchy = hierarchy
         self.stats = CoreStats()
-        # One fused (gap, pc, addr, is_write, dep) tuple per op: a single
-        # list index + tuple unpack per op instead of four list
-        # indexes, with flag decoding hoisted out of the loop into two
-        # vectorized array passes here.
-        flags = trace.flags
-        self._ops = list(
-            zip(
-                trace.gaps.tolist(),
-                trace.pcs.tolist(),
-                trace.addrs.tolist(),
-                (flags & FLAG_WRITE).astype(bool).tolist(),
-                (flags & FLAG_DEP).astype(bool).tolist(),
-            )
-        )
+        self._trace = trace
+        # Fused op tuples, built on the first run_ops_until: a compiled
+        # run packs the trace arrays itself and never reads them.
+        self._ops = None
         self._pos = 0
-        self._n = len(self._ops)
+        self._n = len(trace)
         self._retire = 0.0
         self._instr = 0
         self._last_load_done = 0.0
@@ -194,6 +204,8 @@ class CoreExecution:
         if pos >= end:
             return 0
         ops = self._ops
+        if ops is None:
+            ops = self._ops = _fuse_ops(self._trace)
         width = self._width
         rob_size = self._rob_size
         retire_step = self._retire_step
@@ -299,7 +311,9 @@ class CoreExecution:
 # index)`` order, so shared-LLC/DRAM contention resolves exactly as a
 # per-op heap loop would (the parity tests in tests/test_mp_interleave.py
 # pin it against that reference).  A single-thread run is its one-core
-# case.
+# case.  It is the spec of the compiled runs' scheduler,
+# ``repro.kernel.execution.KernelDomain.interleave``, which runs the
+# same loop in C with the same contract.
 #
 # ``stop_ops``/``on_stop`` implement warmup boundaries: ``on_stop(idx)``
 # fires exactly once per core, at the moment core ``idx`` has executed

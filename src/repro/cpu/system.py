@@ -9,7 +9,8 @@ Mirrors the paper's two configurations (Section 4):
 Both run through one driver, :func:`_simulate`; a single-thread run is
 its one-core case.  It interleaves per-core executions in global time
 order (always advancing the core with the smallest retirement time, via
-:func:`repro.cpu.core.interleave_two_level`) so cores contend
+:func:`repro.cpu.core.interleave_two_level` or, on the compiled kernel,
+its C twin) so cores contend
 realistically for the shared LLC and DRAM — which is what makes the
 accuracy-biased pattern matter in Section 5.4.  Each core runs either on
 the object model (``MemoryHierarchy`` + ``CoreExecution``, the spec) or
@@ -286,7 +287,8 @@ def _simulate(cfg, traces, sinks):
     Builds the DRAM model, one LLC, and a hierarchy plus
     :class:`CoreExecution` per core (each with that core's sink), wraps
     them in the compiled kernel when :func:`_resolve_kernel` picks it,
-    and schedules every core through :func:`interleave_two_level`.  Each
+    and schedules every core through :func:`interleave_two_level` — or,
+    compiled, through its C twin ``KernelDomain.interleave``.  Each
     core crosses its own warmup boundary after ``warmup_frac`` of its
     trace — before the first op when the warmup is zero ops; shared DRAM
     stats reset when the first core crosses (per-core results use private
@@ -340,7 +342,10 @@ def _simulate(cfg, traces, sinks):
             reset_dram(ex.time)
 
     with _gc_paused():
-        interleave_two_level(executions, warmup_ops, _cross_warmup)
+        if kernel:
+            domain.interleave(executions, warmup_ops, _cross_warmup)
+        else:
+            interleave_two_level(executions, warmup_ops, _cross_warmup)
 
     if kernel:
         # The objects are locals of this run and the results read only

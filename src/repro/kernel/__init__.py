@@ -1,7 +1,8 @@
-"""Flat-state kernel: the compiled twin of the object model's per-op loop.
+"""Flat-state kernel: the compiled twin of the object model's run loop.
 
 The object model (``MemoryHierarchy`` driven by
-``CoreExecution.run_ops_until``) is the simulator's one readable spec.
+``CoreExecution.run_ops_until``, with the cores scheduled by
+``interleave_two_level``) is the simulator's one readable spec.
 ``repro.kernel`` holds its one fast twin:
 
 - :mod:`repro.kernel.layout`/:mod:`repro.kernel.state` pack the freshly
@@ -9,7 +10,12 @@ The object model (``MemoryHierarchy`` driven by
   int arrays (and restore them via ``KernelState.write_back``);
 - :mod:`repro.kernel.cgen`/:mod:`repro.kernel.cbuild` generate, compile
   and drive a C transliteration of the object model's per-access path
-  over those arrays, when a toolchain is available.
+  and of its multi-core scheduler over those arrays, when a toolchain
+  is available;
+- :mod:`repro.kernel.execution` is the system driver's entry:
+  ``KernelDomain.interleave`` runs a whole schedule in C and returns to
+  Python only for training crossings, usefulness notes and warmup
+  checkpoints.
 
 The twin is bit-identical to the object model (pinned by
 ``tests/test_kernel_parity.py``); without a toolchain the object model

@@ -3,21 +3,32 @@
 The C source from :mod:`repro.kernel.cgen` is compiled once per source
 digest into a shared library under ``<cache_dir>/ckernel/`` (atomic
 rename, so concurrent workers race benignly) and loaded with ctypes.
-``CShared`` (one per LLC/DRAM domain) and ``CRuntime`` (one per core)
-are what :class:`repro.kernel.execution.KernelExecution` drives.
+``CShared`` (one per LLC/DRAM domain) schedules the domain's cores and
+``CRuntime`` (one per core) holds a core's pointer table and serves its
+crossings; :mod:`repro.kernel.execution` drives both.
 
-The crossing protocol: ``krun`` returns ``RC_TRAIN`` with one or more
-training records (cycle, pc, addr, hit) appended to ``train_buf``; the
-driver first drains the queued usefulness notes (keeping every
-scheme-visible event in object-path order), then feeds the records to
-``scheme.train`` in arrival order, writes the *last* record's candidates
-into the ``cand_line``/``cand_lp`` arrays (grown on demand), and
-re-enters ``krun``, which resumes mid-op from the saved context.  The
-kernel may batch a record only when its candidates are not consumed by
-its own access — every current scheme's candidates are, so the kernel
+The crossing protocol: :meth:`CShared.interleave` calls ``ksched``,
+which runs the cores in C and returns to Python only when every core is
+done, or with the core in ``*who`` needing Python:
+
+- ``RC_TRAIN``: the core is suspended mid-op with one or more training
+  records (cycle, pc, addr, hit) appended to ``train_buf``.
+  :meth:`CRuntime.resume` first drains the queued usefulness notes
+  (keeping every scheme-visible event in object-path order), then feeds
+  the records to ``scheme.train`` in arrival order and writes the *last*
+  record's candidates into the ``cand_line``/``cand_lp`` arrays (grown on
+  demand, in place in the pointer table ``ksched`` holds).  The next
+  ``ksched`` call resumes that core mid-op from the saved context.
+- ``RC_YIELD``: the core stopped between ops with notes queued or at its
+  warmup checkpoint.  ``resume`` drains the notes; at the checkpoint the
+  driver's ``on_stop`` runs before any further op.
+
+The kernel may batch a record only when its candidates are not consumed
+by its own access — every current scheme's candidates are, so the kernel
 flushes at depth 1; the record-buffer ABI is what lets a future
 fire-and-forget scheme amortize the boundary.  Schemes with a compiled
-twin (``scheme_kind`` > 0) never cross at all.
+twin (``scheme_kind`` > 0) never cross and never queue notes, so their
+runs return only at warmup checkpoints and at the end.
 
 The build cache under ``<cache_dir>/ckernel/`` is keyed by a digest of
 the emitted C *and* the generator source, the compile flags and the
@@ -157,8 +168,8 @@ def load_kernel():
                 os.unlink(c_path)
     try:
         lib = ctypes.CDLL(str(so_path))
-        lib.krun.argtypes = [ctypes.POINTER(ctypes.c_void_p)]
-        lib.krun.restype = ctypes.c_long
+        lib.ksched.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
+        lib.ksched.restype = ctypes.c_long
         lib.kbucket.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong]
         lib.kbucket.restype = ctypes.c_long
     except (OSError, AttributeError) as exc:
@@ -172,7 +183,8 @@ class CShared:
 
     The compiled kernel mutates the shared flat arrays in place, and
     ``bucket`` queries route to the C monitor (which advances/halves the
-    same state ``krun`` updates).
+    same state ``krun`` updates).  :meth:`interleave` schedules the
+    domain's cores in C.
     """
 
     def __init__(self, shared_state):
@@ -183,6 +195,35 @@ class CShared:
 
     def bucket(self, cycle):
         return int(self._lib.kbucket(self._si, self._sf, int(cycle)))
+
+    def interleave(self, runtimes, pending, on_stop):
+        """Run ``ksched`` over ``runtimes`` until every core is done.
+
+        ``pending[i]`` is core ``i``'s warmup checkpoint in ops, or
+        ``None`` when it has none left.  Each ``ksched`` return is served
+        here: the core's :meth:`CRuntime.resume` drains its notes and
+        training records, and a core that stopped at its checkpoint fires
+        ``on_stop`` before the next ``ksched`` call runs another op.
+        """
+        n = len(runtimes)
+        tables = (ctypes.c_void_p * n)(*(ctypes.addressof(rt.table) for rt in runtimes))
+        stop = (ctypes.c_longlong * n)(*(-1 if t is None else t for t in pending))
+        who = ctypes.c_longlong(-1)
+        who_ref = ctypes.byref(who)
+        ksched = self._lib.ksched
+        rc_done = layout.RC_DONE
+        rc_yield = layout.RC_YIELD
+        while True:
+            rc = ksched(tables, n, stop, who_ref)
+            if rc == rc_done:
+                return
+            idx = who.value
+            runtime = runtimes[idx]
+            runtime.resume(rc)
+            if rc == rc_yield and 0 <= stop[idx] <= runtime.pos:
+                stop[idx] = -1
+                if on_stop is not None:
+                    on_stop(idx)
 
     def reset_dram_stats(self, cycle):
         si = self.state.si64
@@ -219,30 +260,34 @@ _LLC_RESET_SLOTS = tuple(
     for name in SI64
     if name.startswith("llc_") and name != "llc_tick"
 )
+_I_NOTE_LEN = CI64["note_len"]
+_I_TB_LEN = CI64["tb_len"]
 
 
 class CRuntime:
-    """One core's compiled kernel: drives ``krun`` and the crossings."""
+    """One core's compiled kernel: its pointer table and its crossings."""
 
     def __init__(self, state, shared, train=None, note_useful=None, note_useless=None):
         self.state = state
         self.shared = shared
-        self._lib = load_kernel()
         self._ci = state.ci64
         self._cf = state.cf64
         has_l2pf = bool(self._ci[CI64["has_l2pf"]])
         self._train = train if has_l2pf else None
         self._note_useful = note_useful if has_l2pf else None
         self._note_useless = note_useless if has_l2pf else None
+        #: The array pointers ``krun`` binds on every entry.  ``ksched``
+        #: holds this table's address for the whole run, so it is
+        #: allocated once and only ever updated in place.
+        self.table = (ctypes.c_void_p * len(layout.PTR_NAMES))()
         self._rebuild_table()
 
     def _rebuild_table(self):
         amap = self.state.array_map()
         self._arrays = amap  # hold references; the C side keeps raw pointers
-        tbl = (ctypes.c_void_p * len(layout.PTR_NAMES))()
+        tbl = self.table
         for name, i in PTR.items():
             tbl[i] = amap[name].ctypes.data
-        self._tbl = tbl
         # memoryviews return plain Python ints, bypassing numpy's boxed
         # scalars in the per-crossing hot loop; rebuilt here because the
         # candidate/note buffers can be reallocated on growth.
@@ -256,10 +301,6 @@ class CRuntime:
     @property
     def pos(self):
         return int(self._ci[CI64["pos"]])
-
-    @property
-    def n_ops(self):
-        return int(self._ci[CI64["n_ops"]])
 
     @property
     def time(self):
@@ -278,41 +319,33 @@ class CRuntime:
             ),
         )
 
-    # ---------------------------------------------------------------- driving
+    # -------------------------------------------------------------- crossings
 
-    def run(self, end, horizon, strict):
-        ci = self._ci
+    def resume(self, rc):
+        """Serve one ``ksched`` return for this core.
+
+        Drains the queued usefulness notes first, keeping every
+        scheme-visible event in object-path order; on ``RC_TRAIN`` it
+        then feeds the batched training records to the scheme in arrival
+        order and installs the *final* record's candidates.  Only that
+        one is installed because the kernel is suspended inside its
+        access, and it defers a record past its own access only when the
+        scheme's candidates are not consumed by it.  The next ``ksched``
+        call re-enters ``krun`` mid-op.
+        """
         mci = self._mci
-        start = mci[CI64["pos"]]
-        ci[CI64["end"]] = int(end)
-        ci[CI64["strict"]] = 1 if strict else 0
-        self._cf[CF64["horizon"]] = horizon
-        krun = self._lib.krun
+        if mci[_I_NOTE_LEN]:
+            self._drain_notes()
+        if rc != layout.RC_TRAIN:
+            return
         train = self._train
-        put = self._put_candidates
-        tbl = self._tbl
-        rc_train = layout.RC_TRAIN
-        i_note_len = CI64["note_len"]
-        i_tb_len = CI64["tb_len"]
         tb = self._mtb
-        while True:
-            rc = krun(tbl)
-            if mci[i_note_len]:
-                self._drain_notes()
-            if rc != rc_train:
-                break
-            # Drain the batched training records in arrival order.  Only
-            # the final record's candidates are installed: the kernel is
-            # suspended inside that record's access, and it only defers a
-            # record past its own access when the scheme's candidates are
-            # not consumed by it.
-            n = mci[i_tb_len]
-            cands = None
-            for i in range(0, 4 * n, 4):
-                cands = train(tb[i], tb[i + 1], tb[i + 2], bool(tb[i + 3]))
-            mci[i_tb_len] = 0
-            put(cands)
-        return mci[CI64["pos"]] - start
+        n = mci[_I_TB_LEN]
+        cands = None
+        for i in range(0, 4 * n, 4):
+            cands = train(tb[i], tb[i + 1], tb[i + 2], bool(tb[i + 3]))
+        mci[_I_TB_LEN] = 0
+        self._put_candidates(cands)
 
     def _drain_notes(self):
         mci = self._mci

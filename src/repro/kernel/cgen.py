@@ -2,23 +2,30 @@
 
 The emitted translation unit is a transliteration of the object model —
 the per-access path of :class:`repro.memory.hierarchy.MemoryHierarchy`
-(with its caches, MSHRs, DRAM model and bandwidth monitor) and the core
-timing loop of :meth:`repro.cpu.core.CoreExecution.run_ops_until`, the
-executable spec — against flat arrays laid out by
+(with its caches, MSHRs, DRAM model and bandwidth monitor), the core
+timing loop of :meth:`repro.cpu.core.CoreExecution.run_ops_until` and
+the multi-core scheduler :func:`repro.cpu.core.interleave_two_level`,
+the executable specs — against flat arrays laid out by
 :mod:`repro.kernel.layout`.  The slot dictionaries are emitted as
 ``#define`` lines, so the C and the packing code can never disagree
 about where a counter lives.
 
 Exported symbols:
 
-- ``long krun(void **ptrs)`` — run the current batch.  Returns
-  ``RC_DONE`` when the batch bound / horizon is reached, or
-  ``RC_TRAIN`` with training records appended to ``train_buf`` (the
-  Python driver drains them into the scheme, writes the candidates, and
-  re-enters; the kernel resumes mid-op from the saved context).  Schemes
-  with a compiled twin (``scheme_kind`` > 0: SPP, eSPP, DSPatch at their
-  default configs) never cross — their training loops run in C against
-  flat tables and fill the candidate buffers directly.
+- ``long ksched(void ***tables, long n_cores, long long *stop, long long
+  *who)`` — the twin of :func:`repro.cpu.core.interleave_two_level`:
+  picks the minimum-``(retire, core)`` core, sets its batch bounds and
+  runs the op body ``krun`` on it (one core's batch, over its pointer
+  table), over and over.  It returns only when every core is done
+  (``RC_DONE``), when core ``*who`` needs a Python training crossing
+  (``RC_TRAIN``: ``krun`` appended the records to ``train_buf`` and
+  saved its mid-op context; the Python driver drains them into the
+  scheme, writes the candidates and re-enters, which resumes the op),
+  or when that core stopped with usefulness notes queued or at its
+  warmup checkpoint (``RC_YIELD``).  Schemes with a compiled twin
+  (``scheme_kind`` > 0: SPP, eSPP, DSPatch at their default configs)
+  never cross — their training loops run in C against flat tables and
+  fill the candidate buffers directly.
 - ``long kbucket(long long *si, double *sf, long long cycle)`` — the
   bandwidth monitor's live 2-bit signal (advances the monitor exactly
   like ``BandwidthMonitor.bucket``).
@@ -45,6 +52,7 @@ def _defines():
     lines.append(f"#define PH_DEMAND_TRAIN {layout.PH_DEMAND_TRAIN}")
     lines.append(f"#define RC_DONE {layout.RC_DONE}")
     lines.append(f"#define RC_TRAIN {layout.RC_TRAIN}")
+    lines.append(f"#define RC_YIELD {layout.RC_YIELD}")
     lines.append(f"#define NOTE_USEFUL {layout.NOTE_USEFUL}")
     lines.append(f"#define NOTE_USELESS {layout.NOTE_USELESS}")
     lines.append(f"#define TB_CAP {layout.TB_CAP}")
@@ -92,6 +100,7 @@ def _scheme_defines():
 
 
 _BODY = r"""
+#include <float.h>
 #include <stdint.h>
 
 #define CI(n) ci[CI_##n]
@@ -1068,7 +1077,7 @@ static void bind(kctx_t *k, void **P) {
 
 /* ------------------------------------------------------------------ krun */
 
-long krun(void **P) {
+static long krun(void **P) {
     kctx_t k;
     bind(&k, P);
     int64_t *ci = k.ci;
@@ -1305,6 +1314,58 @@ resume_demand:
 
     SAVE_LOCALS;
     return RC_DONE;
+}
+
+/* ---------------------------------------------------------------- ksched */
+
+/* interleave_two_level (cpu/core.py) over the cores' pointer tables: run
+   the minimum-(retire, core) core through krun until its retirement time
+   passes the second-smallest entry (DBL_MAX for a lone core; strict when
+   that entry's core index is smaller) or it reaches stop[core], its
+   pending warmup checkpoint (-1 once fired), then re-select.  Returns
+   RC_DONE once every core is done.  Otherwise it sets *who and returns
+   RC_TRAIN (the core is suspended mid-op on a training crossing) or
+   RC_YIELD (the core stopped between ops with usefulness notes queued or
+   at its checkpoint).  Re-entered with *who suspended mid-op, it first
+   finishes that core's batch under the bounds it started with. */
+long ksched(void ***tables, long n_cores, long long *stop, long long *who) {
+    int64_t cur = *who;
+    if (cur >= 0 && ((int64_t *)tables[cur][P_ci64])[CI_phase] != PH_TOP)
+        goto resume;
+    for (;;) {
+        int64_t best = -1, second = -1;
+        double best_t = 0.0, second_t = 0.0;
+        for (int64_t i = 0; i < n_cores; i++) {
+            const int64_t *ci = (const int64_t *)tables[i][P_ci64];
+            if (CI(pos) >= CI(n_ops)) continue;
+            double t = ((const double *)tables[i][P_cf64])[CF_retire];
+            if (best < 0 || t < best_t) {
+                second = best; second_t = best_t;
+                best = i; best_t = t;
+            } else if (second < 0 || t < second_t) {
+                second = i; second_t = t;
+            }
+        }
+        if (best < 0) return RC_DONE;
+        {
+            int64_t *ci = (int64_t *)tables[best][P_ci64];
+            double *cf = (double *)tables[best][P_cf64];
+            int64_t end = CI(n_ops);
+            if (stop[best] >= 0 && stop[best] < end) end = stop[best];
+            CI(end) = end;
+            CI(strict) = second >= 0 && best > second;
+            CF(horizon) = second >= 0 ? second_t : DBL_MAX;
+        }
+        cur = best;
+resume:
+        {
+            long rc = krun(tables[cur]);
+            const int64_t *ci = (const int64_t *)tables[cur][P_ci64];
+            *who = cur;
+            if (rc == RC_TRAIN) return RC_TRAIN;
+            if (CI(note_len) || (stop[cur] >= 0 && CI(pos) >= stop[cur])) return RC_YIELD;
+        }
+    }
 }
 
 /* ---------------------------------------------------------------- kbucket */

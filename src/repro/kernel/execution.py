@@ -1,28 +1,24 @@
-"""KernelExecution: the CoreExecution-compatible face of the compiled kernel.
+"""KernelDomain/KernelExecution: the system driver's face of the compiled kernel.
 
 This is the glue between the system driver and the generated-C twin of
-the object model: it packs the freshly built objects into a
-:class:`~repro.kernel.state.KernelState`, drives them through the
-compiled runtime from :mod:`repro.kernel.cbuild`, exposes the
-scheduling surface of :class:`repro.cpu.core.CoreExecution`
-(``run_ops_until``, ``mark_stats_start``, ``done``/``time``/``ops``),
-and writes everything back into the objects at the end so result
-assembly, ``flush_training`` and post-run inspection are unchanged.
+the object model: :class:`KernelExecution` packs one core's freshly
+built objects into a :class:`~repro.kernel.state.KernelState` and
+exposes the state surface of :class:`repro.cpu.core.CoreExecution` that
+the warmup callback reads (``mark_stats_start``, ``time``, ``ops``); it
+writes everything back into the objects at the end so result assembly,
+``flush_training`` and post-run inspection are unchanged.
 
 Every core of a run shares one :class:`KernelDomain` (the LLC + DRAM +
-bandwidth-monitor working state), and the system driver schedules the
-cores through :func:`repro.cpu.core.interleave_two_level`, exactly as
-it schedules object-model executions.
+bandwidth-monitor working state), and :meth:`KernelDomain.interleave`
+schedules the cores: it is the compiled twin of
+:func:`repro.cpu.core.interleave_two_level`, with the same signature and
+contract, running the whole schedule in C (``ksched``) and returning to
+Python only for training crossings, queued usefulness notes and warmup
+checkpoints.  ``KernelExecution`` has no per-batch entry point.
 """
 
-import math
-
+from repro.cpu.core import _fire_met_checkpoints
 from repro.kernel.state import KernelState, SharedState
-
-_INF = float("inf")
-#: The C loop keeps its horizon in one double, so an infinite horizon
-#: becomes the largest finite one.
-_MAX_FLOAT = math.nextafter(_INF, 0.0)
 
 
 #: Memoized probe result: ``(ok, kind, reason)`` where ``kind`` is
@@ -121,6 +117,19 @@ class KernelDomain:
         """The warmup-boundary ``DramModel.reset_stats``, on the live state."""
         self.shared.reset_dram_stats(cycle)
 
+    def interleave(self, executions, stop_ops=None, on_stop=None):
+        """:func:`repro.cpu.core.interleave_two_level` for this domain's cores.
+
+        ``executions`` are the domain's :class:`KernelExecution` objects;
+        ``stop_ops``/``on_stop`` follow the scheduler's warmup-checkpoint
+        contract exactly (``on_stop(idx)`` fires once per core, before any
+        further op, and before the first op for a checkpoint met at
+        entry).  The execution order is the object scheduler's, op for op
+        (pinned by ``tests/test_mp_interleave.py``).
+        """
+        pending = _fire_met_checkpoints(executions, stop_ops, on_stop)
+        self.shared.interleave([kex.runtime for kex in executions], pending, on_stop)
+
     def write_back(self, contents=True):
         """Restore the shared LLC/DRAM objects (call once, after the run).
 
@@ -132,14 +141,14 @@ class KernelDomain:
 
 
 class KernelExecution:
-    """Drop-in replacement for ``CoreExecution`` driving the compiled kernel.
+    """One core of a compiled run, in place of its ``CoreExecution``.
 
     Wraps an already-built ``CoreExecution`` (which owns the trace and the
     hierarchy objects); between :meth:`__init__` and :meth:`write_back`
     the packed working form is the truth and the wrapped objects are
-    stale.  The scheduling surface (``run_ops_until``/``done``/``time``/
-    ``ops``/``mark_stats_start``) matches ``CoreExecution`` exactly, so
-    :func:`repro.cpu.core.interleave_two_level` schedules these unchanged.
+    stale.  ``time``/``ops``/``mark_stats_start`` match
+    ``CoreExecution``; running ops is :meth:`KernelDomain.interleave`'s
+    job.
     """
 
     def __init__(self, execution, trace, domain):
@@ -161,25 +170,12 @@ class KernelExecution:
     # ----------------------------------------------------- CoreExecution API
 
     @property
-    def done(self):
-        return self.runtime.pos >= self.runtime.n_ops
-
-    @property
     def time(self):
         return self.runtime.time
 
     @property
     def ops(self):
         return self.runtime.pos
-
-    def run_ops_until(self, horizon, max_ops=None, strict=False):
-        runtime = self.runtime
-        pos = runtime.pos
-        n = runtime.n_ops
-        end = n if max_ops is None else min(n, pos + max_ops)
-        if horizon == _INF:
-            horizon = _MAX_FLOAT
-        return runtime.run(end, horizon, strict)
 
     def mark_stats_start(self):
         """Set the measured-region floor from the live working state."""

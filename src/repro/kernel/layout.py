@@ -129,9 +129,11 @@ PH_TOP = 0          # between ops
 PH_L1PF_TRAIN = 1   # waiting on l2_pf.train for an L1-stride prefetch issue
 PH_DEMAND_TRAIN = 2  # waiting on l2_pf.train for the demand L1 miss
 
-#: ``krun`` return codes.
-RC_DONE = 0         # batch finished (end / horizon / trace exhausted)
+#: ``krun`` and ``ksched`` return codes.
+RC_DONE = 0         # krun: batch finished (end / horizon); ksched: every core done
 RC_TRAIN = 1        # scheme train requested; train_buf holds the records
+RC_YIELD = 2        # ksched: a core stopped between ops with notes queued or
+                    # at its warmup checkpoint
 
 #: Note-queue record kinds (triples of ``kind, cycle, line``).
 NOTE_USEFUL = 0

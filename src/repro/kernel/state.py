@@ -144,8 +144,12 @@ def _pack_cache(cache):
     """Flatten one Cache's sets into slot arrays (slot = set*ways + way)."""
     ways = cache.ways
     arrs = {f: _i64(cache.num_sets * ways) for f in _CACHE_FIELDS}
+    sets = cache._sets
+    if not any(sets):
+        # A freshly built cache: every slot stays zero (invalid).
+        return arrs
     shift = cache._tag_shift
-    for set_idx, lines in enumerate(cache._sets):
+    for set_idx, lines in enumerate(sets):
         base = set_idx * ways
         for way, (tag, cl) in enumerate(lines.items()):
             slot = base + way

@@ -140,16 +140,43 @@ def test_single_thread_parity(scheme, workload, length, llc_geometry, warmup_fra
     _assert_same(base.to_dict(), got.to_dict(), f"{scheme}/{workload}")
 
 
+def _mp_draw(scheme, warmup_frac):
+    """The (workload, length) of each core of one MP parity case.
+
+    Seeded from a string, which ``random`` hashes the same in every
+    process (``hash()`` of a str is salted per process), so a case id
+    always reproduces its traces.
+    """
+    rng = random.Random(f"{_SEED}:{scheme}:{warmup_frac}")
+    return [(rng.choice(_WORKLOADS), rng.randrange(900, 1600)) for _ in range(4)]
+
+
+def test_mp_draw_is_stable_across_processes():
+    """Regression: the draw once mixed in ``hash((scheme, warmup_frac))``,
+    so every process fuzzed different MP traces."""
+    import os
+    import subprocess
+    import sys
+
+    code = "import test_kernel_parity as t; print(t._mp_draw('dspatch', 0.25))"
+    path = os.pathsep.join(filter(None, (os.path.dirname(__file__), os.environ.get("PYTHONPATH"))))
+    outputs = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.add(proc.stdout)
+    assert outputs == {f"{_mp_draw('dspatch', 0.25)}\n"}
+
+
 @needs_compiled
 @pytest.mark.parametrize(
     "scheme,warmup_frac",
     [("dspatch", 0.25), ("spp", 0.1), ("bop", 0.0)],
 )
 def test_multi_programmed_parity(scheme, warmup_frac):
-    rng = random.Random(_SEED ^ hash((scheme, warmup_frac)) & 0xFFFF)
-    traces = [
-        build_trace(rng.choice(_WORKLOADS), rng.randrange(900, 1600)) for _ in range(4)
-    ]
+    traces = [build_trace(name, length) for name, length in _mp_draw(scheme, warmup_frac)]
     geometry = (2 * 1024 * 1024, 16)  # shared LLC; per-core pressure is the point
 
     def run(kernel):

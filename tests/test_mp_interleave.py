@@ -2,11 +2,14 @@
 
 Pins four things:
 
-1. **Scheduler parity** — ``interleave_two_level`` (the scheduler every
-   run goes through) and ``interleave_reference`` (the per-op heap loop
+1. **Scheduler parity** — ``interleave_two_level`` (the object-model
+   scheduler), its C twin ``KernelDomain.interleave`` (the compiled
+   runs' scheduler) and ``interleave_reference`` (the per-op heap loop
    defined here as the scheduling reference) produce bit-identical
-   results on real 4-core mixes, including warmup boundaries, zero
-   warmup, and uneven trace lengths.
+   results, warmup-boundary logs and final core times on real 4-core
+   mixes, including zero warmup, uneven and 3-op trace lengths,
+   unreachable stop targets and Python training crossings that
+   interrupt the C schedule.
 2. **Warmup boundary semantics** — the boundary fires exactly at the
    warmup op count (never stepped over by a batch) and fires before the
    first op when the warmup is zero ops.
@@ -31,9 +34,12 @@ from repro.cpu.core import (
 )
 from repro.cpu.system import MultiCoreSystem, System, SystemConfig, _result_from
 from repro.kernel import kernel_available
+from repro.kernel.execution import KernelBandwidth, KernelDomain, KernelExecution
+from repro.kernel.layout import CAND_CAP0
 from repro.memory.cache import Cache
 from repro.memory.dram import DramModel, FixedBandwidth
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.prefetchers.base import PrefetchCandidate
 from repro.prefetchers.registry import build_prefetcher
 from repro.prefetchers.stride import PcStridePrefetcher
 from repro.workloads.catalog import build_trace
@@ -62,6 +68,8 @@ def interleave_reference(executions, stop_ops=None, on_stop=None):
                 on_stop(idx)
 
 
+#: Object-model schedulers by name; ``"compiled"`` names the C twin,
+#: which schedules kernel cores instead (see ``_mp_run_with_driver``).
 DRIVERS = {
     "reference": interleave_reference,
     "two-level": interleave_two_level,
@@ -70,6 +78,9 @@ DRIVERS = {
 needs_compiled = pytest.mark.skipif(
     not kernel_available(), reason="no C toolchain: the compiled kernel cannot be built"
 )
+
+#: The schedulers pinned to the reference.
+SCHEDULERS = ["two-level", pytest.param("compiled", marks=needs_compiled)]
 
 #: RunResult fields compared exactly across drivers.
 _RESULT_FIELDS = (
@@ -90,33 +101,84 @@ _RESULT_FIELDS = (
 )
 
 
-def _mp_run_with_driver(driver, cfg, traces):
-    """MultiCoreSystem.run rebuilt around an explicit interleave driver."""
+def _log_scheme_calls(idx, pf, events):
+    """Append every train/note call ``pf`` receives to ``events``.
+
+    Instance attributes shadow the methods before the hierarchy or the
+    kernel binds them, so both paths call through the log.
+    """
+    for name in ("train", "note_useful_prefetch", "note_useless_prefetch"):
+        method = getattr(pf, name)
+
+        def logged(*args, _name=name, _method=method):
+            events.append((idx, _name, args))
+            return _method(*args)
+
+        setattr(pf, name, logged)
+
+
+def _mp_run_with_driver(driver, cfg, traces, stop_ops=None, events=None, scheme_hook=None):
+    """MultiCoreSystem.run rebuilt around an explicit interleave driver.
+
+    ``driver`` names an object-model scheduler in :data:`DRIVERS`, or is
+    ``"compiled"``: the cores then run on the compiled kernel and
+    ``KernelDomain.interleave`` schedules them.  ``stop_ops`` overrides
+    the warmup checkpoints; ``scheme_hook(idx, pf)``, when given, may
+    patch each core's L2 scheme, and ``events`` collects every scheme
+    train/note call of every core in call order.  Returns the
+    per-core results, the boundary log ``(idx, ops, time)`` and the
+    final core times.
+    """
+    compiled = driver == "compiled"
     dram = DramModel(cfg.dram)
     shared_llc = Cache(cfg.hierarchy.llc)
+    bandwidth = dram
+    if compiled:
+        domain = KernelDomain(shared_llc, dram)
+        bandwidth = KernelBandwidth(dram)
+        bandwidth.attach(domain)
     executions, hierarchies = [], []
-    for trace in traces:
+    for idx, trace in enumerate(traces):
+        l2_pf = build_prefetcher(cfg.l2_prefetcher, bandwidth)
+        if scheme_hook is not None:
+            scheme_hook(idx, l2_pf)
+        if events is not None:
+            _log_scheme_calls(idx, l2_pf, events)
         hierarchy = MemoryHierarchy(
             config=cfg.hierarchy,
             dram=dram,
             llc=shared_llc,
             l1_prefetcher=PcStridePrefetcher() if cfg.l1_stride else None,
-            l2_prefetcher=build_prefetcher(cfg.l2_prefetcher, dram),
+            l2_prefetcher=l2_pf,
         )
         hierarchies.append(hierarchy)
-        executions.append(CoreExecution(cfg.core, trace, hierarchy))
-    warmup_ops = [int(len(trace) * cfg.warmup_frac) for trace in traces]
+        execution = CoreExecution(cfg.core, trace, hierarchy)
+        executions.append(KernelExecution(execution, trace, domain) if compiled else execution)
+    if stop_ops is None:
+        stop_ops = [int(len(trace) * cfg.warmup_frac) for trace in traces]
     boundary_log = []
 
     def _cross(idx):
         ex = executions[idx]
         boundary_log.append((idx, ex.ops, ex.time))
         ex.mark_stats_start()
-        hierarchies[idx].reset_stats()
+        if compiled:
+            ex.reset_hierarchy_stats()
+        else:
+            hierarchies[idx].reset_stats()
         if len(boundary_log) == 1:
-            dram.reset_stats(ex.time)
+            (domain.reset_dram_stats if compiled else dram.reset_stats)(ex.time)
 
-    driver(executions, warmup_ops, _cross)
+    if compiled:
+        domain.interleave(executions, stop_ops, _cross)
+        for kex in executions:
+            kex.write_back(contents=False)
+        domain.write_back(contents=False)
+        bandwidth.release()
+        executions = [kex.execution for kex in executions]
+    else:
+        DRIVERS[driver](executions, stop_ops, _cross)
+    assert all(ex.done for ex in executions)
     results = [
         _result_from(ex, hier, dram) for ex, hier in zip(executions, hierarchies)
     ]
@@ -131,59 +193,116 @@ def _assert_identical(results_a, results_b, context):
             )
 
 
-class TestDriverParity:
-    """The scheduler is bit-for-bit interchangeable with the reference."""
+def _assert_matches_reference(
+    driver, cfg, traces, context, stop_ops=None, events=None, scheme_hook=None
+):
+    """``driver`` equals the per-op reference on results, boundaries and
+    times; with an ``events`` list, also on the global order of every
+    core's scheme train/note calls (the reference's calls land in it)."""
+    got_events = None if events is None else []
+    ref, ref_bounds, ref_times = _mp_run_with_driver(
+        "reference", cfg, traces, stop_ops, events, scheme_hook
+    )
+    got, bounds, times = _mp_run_with_driver(
+        driver, cfg, traces, stop_ops, got_events, scheme_hook
+    )
+    _assert_identical(ref, got, f"{driver}: {context}")
+    assert bounds == ref_bounds, f"{driver}: {context}: boundary crossings diverged"
+    assert times == ref_times, f"{driver}: {context}: final core times diverged"
+    assert got_events == events, f"{driver}: {context}: scheme calls diverged"
+    return bounds
 
+
+_MIX = ["ispec06.mcf", "cloud.memcached", "hpc.npb-bt", "sysmark.excel"]
+
+
+class TestDriverParity:
+    """Both schedulers are bit-for-bit interchangeable with the reference."""
+
+    @pytest.mark.parametrize("driver", SCHEDULERS)
     @pytest.mark.parametrize("scheme", ["none", "dspatch", "spp+dspatch"])
     @pytest.mark.parametrize("warmup_frac", [0.25, 0.0])
-    def test_parity_on_mix_grid(self, scheme, warmup_frac):
-        traces = build_mix_traces(
-            ["ispec06.mcf", "cloud.memcached", "hpc.npb-bt", "sysmark.excel"], 800
-        )
+    def test_parity_on_mix_grid(self, scheme, warmup_frac, driver):
+        traces = build_mix_traces(_MIX, 800)
         cfg = SystemConfig.multi_programmed(scheme, warmup_frac=warmup_frac)
-        ref, ref_bounds, ref_times = _mp_run_with_driver(
-            interleave_reference, cfg, traces
-        )
-        got, bounds, times = _mp_run_with_driver(interleave_two_level, cfg, traces)
-        _assert_identical(ref, got, f"scheme={scheme} warmup={warmup_frac}")
-        assert bounds == ref_bounds, "boundary crossings diverged"
-        assert times == ref_times, "final core times diverged"
+        _assert_matches_reference(driver, cfg, traces, f"scheme={scheme} warmup={warmup_frac}")
 
-    def test_parity_uneven_trace_lengths(self):
-        names = ["ispec06.mcf", "cloud.memcached", "hpc.npb-bt", "sysmark.excel"]
-        traces = [
-            build_trace(name, length)
-            for name, length in zip(names, (1200, 400, 900, 50))
-        ]
+    @pytest.mark.parametrize("driver", SCHEDULERS)
+    def test_parity_uneven_trace_lengths(self, driver):
+        traces = [build_trace(name, length) for name, length in zip(_MIX, (1200, 400, 900, 50))]
         cfg = SystemConfig.multi_programmed("dspatch")
-        ref, ref_bounds, _ = _mp_run_with_driver(interleave_reference, cfg, traces)
-        got, bounds, _ = _mp_run_with_driver(interleave_two_level, cfg, traces)
-        _assert_identical(ref, got, "uneven lengths")
-        assert bounds == ref_bounds
+        _assert_matches_reference(driver, cfg, traces, "uneven lengths")
+
+    @pytest.mark.parametrize("driver", SCHEDULERS)
+    @pytest.mark.parametrize("scheme", ["ebop", "spp+bop"])
+    def test_parity_with_training_crossings(self, scheme, driver):
+        """Schemes without a C twin train in Python: every training
+        access returns from the C schedule mid-batch, and queued
+        usefulness notes return at the batch end.  Every core's train
+        and note calls must reach the schemes in the reference's global
+        order (eBOP also reads the shared bandwidth monitor from Python
+        while the other cores' state is live in C)."""
+        from repro.kernel import layout
+        from repro.kernel.state import _scheme_kind
+
+        dram = DramModel(SystemConfig.multi_programmed().dram)
+        assert _scheme_kind(build_prefetcher(scheme, dram), dram) == layout.SCHEME_PY
+        traces = build_mix_traces(_MIX, 800)
+        cfg = SystemConfig.multi_programmed(scheme)
+        events = []
+        _assert_matches_reference(driver, cfg, traces, f"crossings/{scheme}", events=events)
+        assert any(name.startswith("note") for _, name, _ in events)
+
+    @needs_compiled
+    def test_candidate_buffer_growth_mid_schedule(self):
+        """A train returning more candidates than the kernel's buffers
+        hold makes it grow them mid-run.  The C scheduler keeps each
+        core's pointer table for the whole schedule, so the growth must
+        land in that same table."""
+
+        def burst(idx, pf):
+            train = pf.train
+            calls = []
+
+            def bursting(cycle, pc, addr, hit):
+                calls.append(cycle)
+                cands = list(train(cycle, pc, addr, hit))
+                if len(calls) % 97 == 0:
+                    far = (addr >> 6) + (1 << 24) * (idx + 1)
+                    cands += [PrefetchCandidate(far + i) for i in range(CAND_CAP0 + 50)]
+                return cands
+
+            pf.train = bursting
+
+        traces = build_mix_traces(_MIX, 600)
+        cfg = SystemConfig.multi_programmed("bop")
+        _assert_matches_reference("compiled", cfg, traces, "candidate growth", scheme_hook=burst)
 
     def test_system_run_uses_batched_driver_semantics(self):
         """MultiCoreSystem.run matches the explicit two-level rebuild."""
         traces = build_mix_traces(["ispec06.mcf"] * 4, 500)
         cfg = SystemConfig.multi_programmed("spp")
-        direct, _, _ = _mp_run_with_driver(interleave_two_level, cfg, traces)
+        direct, _, _ = _mp_run_with_driver("two-level", cfg, traces)
         via_system = MultiCoreSystem(cfg).run(traces)
         _assert_identical(direct, via_system.per_core, "MultiCoreSystem.run")
 
 
 class TestWarmupBoundary:
-    def test_boundary_fires_exactly_at_warmup_ops(self):
+    @pytest.mark.parametrize("driver", SCHEDULERS)
+    def test_boundary_fires_exactly_at_warmup_ops(self, driver):
         """Batches cap at the boundary; it is never stepped over."""
         traces = build_mix_traces(["ispec06.mcf"] * 4, 600)
         cfg = SystemConfig.multi_programmed("none", warmup_frac=0.25)
-        _, bounds, _ = _mp_run_with_driver(interleave_two_level, cfg, traces)
+        _, bounds, _ = _mp_run_with_driver(driver, cfg, traces)
         assert len(bounds) == 4
         for idx, ops_at_fire, _time in bounds:
             assert ops_at_fire == int(len(traces[idx]) * 0.25)
 
-    def test_zero_warmup_fires_before_first_op(self):
+    @pytest.mark.parametrize("driver", SCHEDULERS)
+    def test_zero_warmup_fires_before_first_op(self, driver):
         traces = build_mix_traces(["ispec06.mcf"] * 4, 300)
         cfg = SystemConfig.multi_programmed("none", warmup_frac=0.0)
-        _, bounds, _ = _mp_run_with_driver(interleave_two_level, cfg, traces)
+        _, bounds, _ = _mp_run_with_driver(driver, cfg, traces)
         # One crossing per core, all at zero executed ops and time zero.
         assert sorted(idx for idx, _, _ in bounds) == [0, 1, 2, 3]
         assert all(ops == 0 and time == 0.0 for _, ops, time in bounds)
@@ -201,31 +320,24 @@ class TestWarmupBoundary:
         ).run(traces[0])
         assert st.instructions == traces[0].instructions
 
-    def test_target_beyond_trace_never_fires(self):
-        """A stop target past the trace end is unreachable in either
-        driver: the run completes, no boundary fires, no crash."""
-        traces = build_mix_traces(["ispec06.mcf"] * 4, 200)
-        cfg = SystemConfig.multi_programmed("none")
-        for name, driver in DRIVERS.items():
-            dram = DramModel(cfg.dram)
-            shared_llc = Cache(cfg.hierarchy.llc)
-            executions = []
-            for trace in traces:
-                hierarchy = MemoryHierarchy(
-                    config=cfg.hierarchy, dram=dram, llc=shared_llc
-                )
-                executions.append(CoreExecution(cfg.core, trace, hierarchy))
-            fired = []
-            driver(executions, [len(t) + 10 for t in traces], fired.append)
-            assert fired == [], name
-            assert all(ex.done for ex in executions), name
+    @pytest.mark.parametrize("driver", SCHEDULERS)
+    def test_target_beyond_trace_never_fires(self, driver):
+        """A stop target past the trace end is unreachable: the run
+        completes (the driver asserts every core done) and no boundary
+        fires, in either scheduler and in the reference."""
+        traces = build_mix_traces(_MIX, 200)
+        cfg = SystemConfig.multi_programmed("dspatch")
+        stops = [len(t) + 10 for t in traces]
+        bounds = _assert_matches_reference(driver, cfg, traces, "stop past end", stops)
+        assert bounds == []
 
-    def test_very_short_trace_warmup_rounds_to_zero(self):
+    @pytest.mark.parametrize("driver", SCHEDULERS)
+    def test_very_short_trace_warmup_rounds_to_zero(self, driver):
         """len(trace) * warmup_frac < 1 rounds to a zero-op warmup and
         still fires the boundary (the pre-fix code skipped it)."""
         traces = build_mix_traces(["ispec06.mcf"] * 4, 3)
-        cfg = SystemConfig.multi_programmed("none", warmup_frac=0.25)
-        _, bounds, _ = _mp_run_with_driver(interleave_two_level, cfg, traces)
+        cfg = SystemConfig.multi_programmed("spp+dspatch", warmup_frac=0.25)
+        bounds = _assert_matches_reference(driver, cfg, traces, "3-op traces")
         assert len(bounds) == 4
         assert all(ops == 0 for _, ops, _ in bounds)
 
@@ -352,7 +464,7 @@ class TestGlobalCycles:
             for name, length in zip(names, (1000, 300, 700, 500))
         ]
         cfg = SystemConfig.multi_programmed("none")
-        _, bounds, end_times = _mp_run_with_driver(interleave_two_level, cfg, traces)
+        _, bounds, end_times = _mp_run_with_driver("two-level", cfg, traces)
         result = MultiCoreSystem(cfg).run(traces)
         first_reset_time = bounds[0][2]
         assert result.global_cycles == max(end_times) - first_reset_time
