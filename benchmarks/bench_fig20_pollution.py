@@ -11,6 +11,10 @@ from repro.experiments.figures import fig20_pollution
 
 def test_fig20_pollution(figure):
     fig = figure(fig20_pollution)
+    # Validity before shape: a row without data (no victim classified at
+    # that LLC size) is an invalid measurement, not 0% of anything.
+    empty = [llc for llc, row in fig.rows.items() if None in row.values()]
+    assert not empty, f"fig20 rows with no data (no victims classified): {empty}"
     for llc in ("8MB", "4MB", "2MB"):
         row = fig.rows[llc]
         assert row["NoReuse"] > 50.0, (llc, row)

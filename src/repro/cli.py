@@ -14,27 +14,14 @@ Subcommands:
   size-bounded LRU eviction) or scrub (``cache verify [--repair]``,
   quarantining corrupt entries to ``corrupt/``) the engine's on-disk
   result/trace store.
-- ``serve`` — publish a cache directory as an HTTP cache server that
-  other machines reach via ``--remote-cache URL``; doubles as the
-  sweep-farm coordinator (``--max-mb`` keeps it size-bounded,
-  ``--auth-token`` adds shared-secret auth, ``--tls-cert/--tls-key``
-  put the wire behind TLS so the token is safe off-LAN).
-- ``work`` — join a sweep farm: lease specs from a coordinator's work
-  queue, compute them locally, publish the results back
-  (``--spec-timeout S`` bounds each leased spec's wall clock).
 
 Global engine flags (before the subcommand): ``--jobs N`` fans
-independent runs across N worker processes, ``--cache-dir PATH``
-relocates the persistent store, ``--no-cache`` disables the disk layer
-for this invocation, ``--shared-cache PATH`` layers a read-only
-shared store (e.g. a network mount another host populated) under the
-local one — hits are promoted into the local tier — and
-``--remote-cache URL`` layers a ``repro serve`` server above that
-(read-through with local promotion, write-through publication).
-``--s3-cache URL`` adds an S3-compatible object store as the outermost
-durable tier, and ``--tls-ca PEM`` pins the certificate both network
-tiers verify ``https`` peers against (the self-signed recipe in
-docs/engine.md).
+independent runs across N worker processes, ``--kernel`` picks the
+hot-loop kernel, ``--cache-dir PATH`` relocates the persistent store,
+``--no-cache`` disables the disk layer for this invocation, and
+``--shared-cache PATH`` layers a read-only shared store (e.g. a network
+mount another host populated) under the local one — hits are promoted
+into the local tier.
 
 Simulation commands batch their runs through the default engine
 :class:`~repro.engine.session.Session`, so ``--jobs`` parallelism
@@ -226,82 +213,6 @@ def _cmd_sweep(args):
     return 0
 
 
-def _cmd_serve(args):
-    import os
-    import ssl
-
-    from repro.engine import current_config, make_server
-
-    cache_dir = args.serve_cache_dir or current_config().cache_dir
-    auth_token = args.auth_token or os.environ.get("REPRO_CACHE_TOKEN") or None
-    if args.serve_max_mb is not None and args.serve_max_mb < 0:
-        raise SystemExit(f"--max-mb must be non-negative, got {args.serve_max_mb:g}")
-    try:
-        server = make_server(
-            cache_dir,
-            host=args.host,
-            port=args.port,
-            read_only=args.read_only,
-            verbose=args.verbose,
-            auth_token=auth_token,
-            gc_max_bytes=(
-                None
-                if args.serve_max_mb is None
-                else int(args.serve_max_mb * 1024 * 1024)
-            ),
-            gc_interval=args.gc_interval,
-            tls_cert=args.tls_cert,
-            tls_key=args.tls_key,
-        )
-    except ValueError as exc:
-        # --tls-key without --tls-cert (and friends): a config error.
-        raise SystemExit(str(exc)) from None
-    except (OSError, ssl.SSLError) as exc:
-        raise SystemExit(
-            f"cannot serve on {args.host}:{args.port}: {exc}"
-        ) from None
-    mode = " (read-only)" if args.read_only else ""
-    if auth_token:
-        mode += " (token auth)"
-    if args.tls_cert:
-        mode += " (tls)"
-    # The exact "serving ... on <url>" line is the machine-readable
-    # readiness signal scripts parse to discover an ephemeral port.
-    print(f"serving {cache_dir} on {server.url}{mode}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-    return 0
-
-
-def _cmd_work(args):
-    from repro.engine import Session
-    from repro.engine.workqueue import run_worker
-
-    session = Session(remote_cache_url=args.url)
-    # Readiness line for farm scripts (mirrors serve's "serving ..." line).
-    print(f"working for {args.url}", flush=True)
-    tally = run_worker(
-        args.url,
-        session=session,
-        poll_interval=args.poll_interval,
-        ttl=args.ttl,
-        max_tasks=args.max_tasks,
-        once=args.once,
-        verbose=args.verbose,
-        spec_timeout=args.spec_timeout,
-    )
-    print(
-        f"worker {tally['worker']}: {tally['completed']} completed, "
-        f"{tally['failed']} failed, {tally['released']} released",
-        flush=True,
-    )
-    return 0
-
-
 def _cmd_cache(args):
     from repro.engine import active_store, code_salt, current_config
 
@@ -358,42 +269,15 @@ def _cmd_cache(args):
     print(f"disk cache {'enabled' if cfg.disk_cache else 'disabled'}")
     if cfg.shared_cache_dir is not None:
         print(f"shared     {cfg.shared_cache_dir} (read-only tier)")
-    if cfg.remote_cache_url is not None:
-        print(f"remote     {cfg.remote_cache_url} (write-through tier)")
-    if cfg.s3_cache_url is not None:
-        print(f"s3         {cfg.s3_cache_url} (durable write-through tier)")
     print(f"jobs       {cfg.jobs}")
     print(f"code salt  {code_salt()}")
     if store is not None:
-        from repro.engine.backends import TieredBackend
-
-        # Peel the network tiers (remote server, object store) off the
-        # outside so the local stats are one directory walk and each
-        # network peer is queried exactly once.
-        local_store = store
-        network_tiers = []
-        while isinstance(local_store, TieredBackend) and hasattr(
-            local_store.shared, "_request"
-        ):
-            network_tiers.append(local_store.shared)
-            local_store = local_store.local
-        stats = local_store.stats()
+        stats = store.stats()
         print(f"results    {stats['results']}")
         print(f"traces     {stats['traces']}")
         print(f"size       {stats['bytes'] / 1024:.1f} KB")
         if "shared_results" in stats:
             print(f"shared     {stats['shared_results']} results, {stats['shared_traces']} traces")
-        for client in reversed(network_tiers):  # innermost (remote) first
-            label = "s3" if hasattr(client, "bucket") else "remote"
-            tier = client.stats()
-            if tier.get("reachable", True):
-                suffix = " [read-only]" if tier.get("read_only") else ""
-                print(
-                    f"{label:<10} {tier['results']} results, "
-                    f"{tier['traces']} traces{suffix}"
-                )
-            else:
-                print(f"{label:<10} unreachable")
     return 0
 
 
@@ -428,8 +312,8 @@ def build_parser():
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="disable the whole persistent store for this invocation "
-        "(including any --shared-cache / REPRO_SHARED_CACHE tier)",
+        help="disable the persistent store, local and shared tiers alike, "
+        "for this invocation",
     )
     parser.add_argument(
         "--shared-cache",
@@ -437,32 +321,6 @@ def build_parser():
         help="read-only shared store layered under the local cache "
         "(read-through; e.g. a network mount another host populated; "
         "default: REPRO_SHARED_CACHE; ignored under --no-cache)",
-    )
-    parser.add_argument(
-        "--remote-cache",
-        default=None,
-        metavar="URL",
-        help="remote cache server (repro serve) layered under everything: "
-        "read-through with local promotion, write-through publication "
-        "(default: REPRO_REMOTE_CACHE; ignored under --no-cache)",
-    )
-    parser.add_argument(
-        "--s3-cache",
-        default=None,
-        metavar="URL",
-        help="S3-compatible object store as the outermost durable tier: "
-        "http(s)://host[:port]/bucket[/prefix], credentials from "
-        "AWS_ACCESS_KEY_ID/AWS_SECRET_ACCESS_KEY or REPRO_S3_ACCESS_KEY/"
-        "REPRO_S3_SECRET_KEY (default: REPRO_S3_CACHE; ignored under "
-        "--no-cache)",
-    )
-    parser.add_argument(
-        "--tls-ca",
-        default=None,
-        metavar="PEM",
-        help="CA bundle (or self-signed certificate) to verify https "
-        "cache/S3 peers against, instead of the system trust store "
-        "(default: REPRO_TLS_CA)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -536,103 +394,6 @@ def build_parser():
         "become honest recomputable misses",
     )
 
-    serve = sub.add_parser(
-        "serve",
-        help="publish a cache directory as an HTTP cache server (--remote-cache on clients)",
-    )
-    # dest avoids the subparser default clobbering the global --cache-dir
-    # value already parsed into the namespace.
-    serve.add_argument(
-        "--cache-dir",
-        dest="serve_cache_dir",
-        default=None,
-        help="directory to serve (default: the engine cache dir)",
-    )
-    serve.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
-    serve.add_argument(
-        "--port", type=int, default=8787, help="TCP port; 0 picks an ephemeral one (default 8787)"
-    )
-    serve.add_argument(
-        "--read-only",
-        action="store_true",
-        help="reject PUT/DELETE: clients read this store but cannot grow it",
-    )
-    serve.add_argument("--verbose", action="store_true", help="log every request to stderr")
-    serve.add_argument(
-        "--max-mb",
-        dest="serve_max_mb",
-        type=float,
-        default=None,
-        help="keep the served store LRU-evicted to this size bound "
-        "(periodic server-side gc; default: unbounded)",
-    )
-    serve.add_argument(
-        "--gc-interval",
-        type=float,
-        default=60.0,
-        help="seconds between server-side gc passes under --max-mb (default 60)",
-    )
-    serve.add_argument(
-        "--auth-token",
-        default=None,
-        help="require this shared secret (X-Repro-Token) on every request "
-        "(default: REPRO_CACHE_TOKEN if set, else no auth)",
-    )
-    serve.add_argument(
-        "--tls-cert",
-        default=None,
-        metavar="PEM",
-        help="serve over TLS with this certificate chain; clients use "
-        "https:// URLs (and --tls-ca to pin a self-signed cert)",
-    )
-    serve.add_argument(
-        "--tls-key",
-        default=None,
-        metavar="PEM",
-        help="private key for --tls-cert (omit if the key is in the cert file)",
-    )
-
-    work = sub.add_parser(
-        "work",
-        help="join a sweep farm: lease specs from a coordinator's work "
-        "queue, compute them, publish the results",
-    )
-    work.add_argument("url", help="coordinator URL (a repro serve instance)")
-    work.add_argument(
-        "--poll-interval",
-        type=float,
-        default=0.5,
-        help="seconds between lease attempts when the queue is idle (default 0.5)",
-    )
-    work.add_argument(
-        "--ttl",
-        type=float,
-        default=300.0,
-        help="lease time-to-live in seconds; a spec not completed within "
-        "its TTL is re-leased to another worker (default 300)",
-    )
-    work.add_argument(
-        "--max-tasks",
-        type=int,
-        default=1,
-        help="specs to lease per round trip (default 1)",
-    )
-    work.add_argument(
-        "--once",
-        action="store_true",
-        help="exit as soon as the queue has nothing to lease (drain mode)",
-    )
-    work.add_argument(
-        "--spec-timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="per-spec wall-clock watchdog: a leased spec exceeding S "
-        "seconds is failed back to the queue (counting toward "
-        "quarantine) instead of hanging this worker (default: none)",
-    )
-    work.add_argument("--verbose", action="store_true", help="log each spec to stderr")
-
     return parser
 
 
@@ -645,8 +406,6 @@ _HANDLERS = {
     "sweep": _cmd_sweep,
     "report": _cmd_report,
     "cache": _cmd_cache,
-    "serve": _cmd_serve,
-    "work": _cmd_work,
 }
 
 
@@ -657,9 +416,6 @@ def main(argv=None):
         or args.cache_dir is not None
         or args.no_cache
         or args.shared_cache is not None
-        or args.remote_cache is not None
-        or args.s3_cache is not None
-        or args.tls_ca is not None
         or args.kernel is not None
     ):
         from repro.engine import configure
@@ -669,9 +425,6 @@ def main(argv=None):
             cache_dir=args.cache_dir,
             disk_cache=False if args.no_cache else None,
             shared_cache_dir=args.shared_cache,
-            remote_cache_url=args.remote_cache,
-            s3_cache_url=args.s3_cache,
-            tls_ca=args.tls_ca,
             kernel=args.kernel,
         )
     return _HANDLERS[args.command](args)

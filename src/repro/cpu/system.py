@@ -403,16 +403,6 @@ class MultiProgramResult:
     #: DRAM bandwidth should be divided by).
     global_cycles: float
 
-    @property
-    def total_cycles(self):
-        """Deprecated alias for :attr:`global_cycles`.
-
-        The pre-batching driver reported ``max(core.cycles)``, which mixed
-        per-core measured-region spans starting at different warmup
-        boundaries; the field now aliases the consistent global span.
-        """
-        return self.global_cycles
-
     def weighted_speedup(self, alone_ipcs):
         """Sum of per-core IPC over the same workload's alone-IPC."""
         if len(alone_ipcs) != len(self.per_core):

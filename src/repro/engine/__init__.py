@@ -12,16 +12,9 @@ surface is the **session API**:
   executes any batch with deterministic input-order merge and optional
   process-pool fan-out;
 - :class:`LocalDirBackend` / :class:`InMemoryBackend` /
-  :class:`TieredBackend` / :class:`RemoteBackend` / :class:`S3Backend`
-  — store backends (on-disk, ephemeral, read-through
-  local-over-shared, an HTTP(S) client for a ``repro serve`` cache
-  server, and a stdlib-only SigV4 client for any S3-compatible object
-  store);
-- the **sweep farm** (:class:`WorkQueue` / :class:`QueueClient` /
-  :func:`run_worker`) — ``Session.run(specs, distributed=True)`` offers
-  a batch to ``repro work`` peers through the cache server's
-  lease-based work queue, and transparently finishes locally whatever
-  the farm never delivers.
+  :class:`TieredBackend` — store backends (on-disk, ephemeral, and
+  read-through local-over-shared for a mounted ``--shared-cache``
+  directory).
 
 Quick tour::
 
@@ -34,9 +27,9 @@ Quick tour::
     ])
     print(res.ipc / base.ipc)
 
-The pre-session functional API (``produce_*``, ``execute_specs``,
-``configure``/``active_store``) remains available and executes through
-the default session.  See ``docs/api.md`` for the migration table and
+The process-global knobs (``configure``/``current_config``/
+``active_store``) back the default session, which the CLI and the
+figure drivers use.  See ``docs/api.md`` for the API and
 ``docs/engine.md`` for cache layout and determinism guarantees.
 """
 
@@ -54,7 +47,6 @@ from repro.engine.config import (
     current_config,
     reset_config,
 )
-from repro.engine.compute import produce_mix, produce_run, produce_trace
 from repro.engine.fingerprint import (
     code_salt,
     fingerprint,
@@ -62,57 +54,28 @@ from repro.engine.fingerprint import (
     run_fingerprint,
     trace_fingerprint,
 )
-from repro.engine.parallel import execute_spec, execute_specs, mix_spec, run_spec
-from repro.engine.remote import CacheServer, RemoteBackend, make_server, serve_background
-from repro.engine.s3 import S3Backend
 from repro.engine.session import Session, default_session
 from repro.engine.specs import MixSpec, RunSpec, TraceSpec
-from repro.engine.store import ResultStore
-from repro.engine.workqueue import (
-    QueueClient,
-    WorkQueue,
-    run_worker,
-    spec_from_wire,
-    spec_to_wire,
-)
 
 __all__ = [
-    "CacheServer",
     "EngineConfig",
     "InMemoryBackend",
     "LocalDirBackend",
     "MixSpec",
-    "QueueClient",
-    "RemoteBackend",
-    "ResultStore",
     "RunSpec",
-    "S3Backend",
     "Session",
     "StoreBackend",
     "TieredBackend",
     "TraceSpec",
-    "WorkQueue",
     "active_store",
     "backend_for",
     "code_salt",
     "configure",
     "current_config",
     "default_session",
-    "execute_spec",
-    "execute_specs",
     "fingerprint",
-    "make_server",
     "mix_fingerprint",
-    "mix_spec",
-    "produce_mix",
-    "produce_run",
-    "produce_trace",
     "reset_config",
     "run_fingerprint",
-    "run_spec",
-    "run_worker",
-    "serve_background",
-    "spec_from_wire",
-    "spec_to_wire",
     "trace_fingerprint",
 ]

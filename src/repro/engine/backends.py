@@ -9,15 +9,13 @@ can be plugged in via ``Session(backend=...)``.
 
 Three implementations ship here:
 
-- :class:`LocalDirBackend` — the on-disk directory store (what
-  ``engine/store.py`` historically called ``ResultStore``);
+- :class:`LocalDirBackend` — the on-disk directory store;
 - :class:`InMemoryBackend` — a process-local store that round-trips
   artifacts through ``pickle`` bytes, for hermetic tests and ephemeral
   sessions;
 - :class:`TieredBackend` — a read-through pair: a writable local backend
-  over a read-only shared one (a network mount, a CI artifact dir), the
-  first step toward host-portable shared caches — the content-addressed
-  keys already make entries portable.
+  over a read-only shared one (a network mount, a CI artifact dir); the
+  content-addressed keys make entries portable across hosts.
 """
 
 import os
@@ -483,22 +481,15 @@ class TieredBackend:
     Loads consult ``local`` first, then ``shared``; a shared hit is
     promoted into ``local`` — exactly once, since the promoted copy
     serves every later load — so subsequent loads (and gc recency) are
-    local.  ``clear`` and ``gc`` touch **only** the local tier.
-
-    By default (``write_through=False``) saves also touch only the local
-    tier: the shared tier is read-only by contract (a network mount, a
-    CI-published artifact directory, another host's cache) and must
-    never be written.  ``write_through=True`` additionally pushes every
-    save to the shared tier — the composition the engine builds for a
-    *remote* shared store (``--remote-cache``), where publishing fresh
-    results is the whole point and the remote backend handles its own
-    read-only/offline degradation.
+    local.  Saves, ``clear`` and ``gc`` touch **only** the local tier:
+    the shared tier is read-only by contract (a network mount, a
+    CI-published artifact directory, another host's cache) and is never
+    written.
     """
 
-    def __init__(self, local, shared, write_through=False):
+    def __init__(self, local, shared):
         self.local = local
         self.shared = shared
-        self.write_through = write_through
 
     @property
     def shared_across_processes(self):
@@ -514,16 +505,11 @@ class TieredBackend:
             return result
         result = self.shared.load_result(digest)
         if result is not None:
-            # Promotion targets the local tier directly (never through
-            # write_through): the artifact came *from* the shared tier,
-            # so pushing it back would be a pointless redundant write.
             self.local.save_result(digest, result, meta={"promoted": True})
         return result
 
     def save_result(self, digest, result, meta=None):
         self.local.save_result(digest, result, meta=meta)
-        if self.write_through:
-            self.shared.save_result(digest, result, meta=meta)
 
     def load_trace(self, digest):
         trace = self.local.load_trace(digest)
@@ -536,8 +522,6 @@ class TieredBackend:
 
     def save_trace(self, digest, trace):
         self.local.save_trace(digest, trace)
-        if self.write_through:
-            self.shared.save_trace(digest, trace)
 
     def clear(self):
         self.local.clear()
@@ -554,9 +538,7 @@ class TieredBackend:
     def stats(self):
         """Local-tier stats plus the shared tier's entry counts.
 
-        ``setdefault`` so nesting (local-over-shared-dir, all over a
-        remote tier) keeps the innermost shared counts — the outer
-        (remote) tier reports through its own backend's ``stats``.
+        ``setdefault`` so a nested stack keeps the innermost shared counts.
         """
         out = dict(self.local.stats())
         try:
@@ -565,9 +547,4 @@ class TieredBackend:
             shared = {}
         out.setdefault("shared_results", shared.get("results", 0))
         out.setdefault("shared_traces", shared.get("traces", 0))
-        # A remote shared tier counts the round trips its /v1/has batch
-        # probes avoided; surface it so `repro cache` can show the win.
-        savings = getattr(self.shared, "probe_savings", None)
-        if savings is not None:
-            out.setdefault("probe_round_trips_saved", savings)
         return out

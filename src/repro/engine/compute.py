@@ -13,18 +13,13 @@ Two levels live here, both spec-driven:
   content-addressed fingerprint, compute on a miss, write the fresh
   artifact back.  These are what :class:`repro.engine.session.Session`
   (and its pool workers) execute.
-
-The legacy positional-argument entry points (``produce_trace``,
-``produce_run``, ``produce_mix``) remain as thin delegates to the
-default session so pre-session callers keep working unchanged.
 """
 
 from repro.cpu.system import MultiCoreSystem, System, SystemConfig
 from repro.engine.specs import MixSpec, RunSpec, TraceSpec
 
 #: In-process trace memo of the **default session** (kept at module level
-#: so every path — direct engine calls, the session API, forked
-#: pool workers — shares one dict, exactly as before the session API).
+#: so forked pool workers inherit the traces the parent already built).
 #: Explicit sessions own private memos instead.
 TRACE_MEMO = {}
 
@@ -151,30 +146,3 @@ def produce_mix_with(spec, backend):
     save_artifact(spec, result, backend)
     return result
 
-
-# -- legacy positional entry points ----------------------------------------
-
-
-def produce_trace(workload, length):
-    """Legacy entry point: the default session's trace production."""
-    from repro.engine.session import default_session
-
-    return default_session().trace(TraceSpec(workload, length))
-
-
-def produce_run(workload, scheme, length, dram, llc_bytes, record_pollution):
-    """Legacy entry point: one single-core run via the default session."""
-    from repro.engine.session import default_session
-
-    return default_session().run(
-        RunSpec(workload, scheme, length, dram, llc_bytes, record_pollution)
-    )
-
-
-def produce_mix(mix_name, workload_names, scheme, length_per_core, dram):
-    """Legacy entry point: one mix via the default session."""
-    from repro.engine.session import default_session
-
-    return default_session().run(
-        MixSpec(mix_name, tuple(workload_names), scheme, length_per_core, dram)
-    )

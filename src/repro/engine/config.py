@@ -4,14 +4,9 @@ Resolution order for every knob:
 
 1. an explicit :func:`configure` call (the CLI flags land here);
 2. environment variables (``REPRO_JOBS``, ``REPRO_CACHE_DIR``,
-   ``REPRO_NO_CACHE``, ``REPRO_SHARED_CACHE``, ``REPRO_REMOTE_CACHE``,
-   ``REPRO_S3_CACHE``, ``REPRO_TLS_CA``; ``REPRO_CACHE_TOKEN`` rides
-   along as the remote store's shared secret, and
-   ``REPRO_S3_ACCESS_KEY``/``REPRO_S3_SECRET_KEY``/``REPRO_S3_REGION``
-   — or their standard ``AWS_*`` equivalents — as the object store's
-   credentials);
+   ``REPRO_NO_CACHE``, ``REPRO_SHARED_CACHE``, ``REPRO_KERNEL``);
 3. built-in defaults (sequential, ``~/.cache/dspatch-repro``, disk cache
-   enabled, no shared tier, no remote store, no object store).
+   enabled, no shared tier, ``auto`` kernel).
 
 Environment variables are read lazily at each :func:`current_config`
 call (not at import), so test fixtures can repoint the cache directory
@@ -22,7 +17,8 @@ figure drivers).  Explicitly constructed
 :class:`repro.engine.session.Session` objects can override any of them
 per session — including plugging in a whole
 :class:`repro.engine.backends.StoreBackend` — without touching this
-module.
+module.  Where artifacts live is decided in one place,
+:func:`backend_for`.
 """
 
 import os
@@ -38,9 +34,6 @@ _overrides = {
     "cache_dir": None,
     "disk_cache": None,
     "shared_cache_dir": None,
-    "remote_cache_url": None,
-    "s3_cache_url": None,
-    "tls_ca": None,
     "kernel": None,
 }
 
@@ -61,17 +54,6 @@ class EngineConfig:
     #: Optional read-only shared store root layered under the local one
     #: (read-through: shared hits are promoted into the local tier).
     shared_cache_dir: Optional[Path] = None
-    #: Optional remote cache-server URL (``repro serve``), layered as a
-    #: read-through/write-through tier above the local store.
-    remote_cache_url: Optional[str] = None
-    #: Optional S3-compatible endpoint (``http(s)://host[:port]/bucket
-    #: [/prefix]``): the outermost, durable tier — it outlives every
-    #: coordinator host, so it sits above even the remote cache server.
-    s3_cache_url: Optional[str] = None
-    #: Optional CA bundle (PEM path) pinning the TLS certificates of
-    #: both the remote cache server and the S3 endpoint — the
-    #: self-signed deployment recipe.  ``None`` = system trust store.
-    tls_ca: Optional[str] = None
     #: Hot-loop kernel for eligible runs: ``auto`` picks the compiled
     #: kernel when a C toolchain is present and falls back to the object
     #: model otherwise; ``object`` forces the object model.  Deliberately
@@ -100,15 +82,6 @@ def current_config():
     if shared is None:
         env_shared = os.environ.get("REPRO_SHARED_CACHE")
         shared = Path(env_shared) if env_shared else None
-    remote = _overrides["remote_cache_url"]
-    if remote is None:
-        remote = os.environ.get("REPRO_REMOTE_CACHE") or None
-    s3 = _overrides["s3_cache_url"]
-    if s3 is None:
-        s3 = os.environ.get("REPRO_S3_CACHE") or None
-    tls_ca = _overrides["tls_ca"]
-    if tls_ca is None:
-        tls_ca = os.environ.get("REPRO_TLS_CA") or None
     kernel = _overrides["kernel"]
     if kernel is None:
         kernel = os.environ.get("REPRO_KERNEL") or "auto"
@@ -121,9 +94,6 @@ def current_config():
         cache_dir=Path(cache_dir),
         disk_cache=disk_cache,
         shared_cache_dir=shared,
-        remote_cache_url=remote,
-        s3_cache_url=s3,
-        tls_ca=tls_ca,
         kernel=kernel,
     )
 
@@ -133,9 +103,6 @@ def configure(
     cache_dir=None,
     disk_cache=None,
     shared_cache_dir=None,
-    remote_cache_url=None,
-    s3_cache_url=None,
-    tls_ca=None,
     kernel=None,
 ):
     """Set explicit engine overrides; ``None`` leaves a knob untouched."""
@@ -151,12 +118,6 @@ def configure(
         _overrides["disk_cache"] = bool(disk_cache)
     if shared_cache_dir is not None:
         _overrides["shared_cache_dir"] = Path(shared_cache_dir)
-    if remote_cache_url is not None:
-        _overrides["remote_cache_url"] = str(remote_cache_url)
-    if s3_cache_url is not None:
-        _overrides["s3_cache_url"] = str(s3_cache_url)
-    if tls_ca is not None:
-        _overrides["tls_ca"] = str(tls_ca)
 
 
 def reset_config():
@@ -165,60 +126,15 @@ def reset_config():
         _overrides[key] = None
 
 
-#: One client (and connection pool) per URL per process: a fresh backend
-#: per ``Session.store`` access would open a new connection for every
-#: artifact.  A client built with a different CA pin is rebuilt (the
-#: pin is effectively process-global, so this only happens when tests
-#: repoint it).
-_REMOTE_CLIENTS = {}
-_S3_CLIENTS = {}
-
-
-def _remote_client(url, ca_file=None):
-    ca_file = str(ca_file) if ca_file else None
-    client = _REMOTE_CLIENTS.get(url)
-    if client is None or getattr(client, "ca_file", None) != ca_file:
-        from repro.engine.remote import RemoteBackend
-
-        # REPRO_CACHE_TOKEN is the client half of `repro serve
-        # --auth-token`; absent, the header is simply not sent.
-        client = _REMOTE_CLIENTS[url] = RemoteBackend(
-            url,
-            token=os.environ.get("REPRO_CACHE_TOKEN") or None,
-            ca_file=ca_file,
-        )
-    return client
-
-
-def _s3_client(url, ca_file=None):
-    ca_file = str(ca_file) if ca_file else None
-    client = _S3_CLIENTS.get(url)
-    if client is None or getattr(client, "ca_file", None) != ca_file:
-        from repro.engine.s3 import S3Backend
-
-        # Credentials resolve from the environment inside S3Backend;
-        # missing credentials raise there (a configuration error the
-        # operator must see, not a silent all-miss tier).
-        client = _S3_CLIENTS[url] = S3Backend(url, ca_file=ca_file)
-    return client
-
-
 def backend_for(config):
     """Build the :class:`StoreBackend` a resolved config describes.
 
     ``None`` when the disk layer is disabled; a plain
     :class:`LocalDirBackend` normally; a read-through
     :class:`TieredBackend` (local over shared) when a shared tier is
-    configured.  The remote cache server and the S3 object store, when
-    configured, stack above that — each read-through with local
-    promotion and **write-through** so every fresh result publishes
-    outward.  S3 is the *outermost* tier: it is the durable one, so it
-    must see every artifact even when the faster middle tiers are
-    down (composition: ``((local over shared-dir) over remote) over
-    s3``).  ``disk_cache=False`` wins over everything — it disables the
-    *whole* persistent layer, shared/remote/S3 tiers included (there is
-    no local tier to promote into, and the contract of ``--no-cache`` is
-    "this invocation touches no store at all").
+    configured.  ``disk_cache=False`` wins over the shared tier too: the
+    contract of ``--no-cache`` is "this invocation touches no store at
+    all", and there would be no local tier to promote into.
     """
     if not config.disk_cache:
         return None
@@ -228,18 +144,6 @@ def backend_for(config):
         # shared mount (its owner's LRU eviction order is not ours).
         shared = LocalDirBackend(config.shared_cache_dir, touch_on_load=False)
         store = TieredBackend(store, shared)
-    if config.remote_cache_url is not None:
-        store = TieredBackend(
-            store,
-            _remote_client(config.remote_cache_url, ca_file=config.tls_ca),
-            write_through=True,
-        )
-    if config.s3_cache_url is not None:
-        store = TieredBackend(
-            store,
-            _s3_client(config.s3_cache_url, ca_file=config.tls_ca),
-            write_through=True,
-        )
     return store
 
 

@@ -18,14 +18,14 @@ Results are bit-for-bit identical across all three paths (memo hit,
 backend hit, fresh compute) and across sequential/parallel execution.
 
 Two sessions never share memo state; they share persisted artifacts only
-if their backends point at the same store.  The **default session**
-(:func:`default_session`) is the compatibility anchor: it resolves its
-configuration dynamically from :mod:`repro.engine.config` (env vars,
-``configure()``, CLI flags) and backs the CLI and figure drivers.
+if their backends point at the same store (a local directory, or a
+mounted ``shared_cache_dir`` another host populated).  The **default
+session** (:func:`default_session`) resolves its configuration
+dynamically from :mod:`repro.engine.config` (env vars, ``configure()``,
+CLI flags) and backs the CLI and figure drivers.
 """
 
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -34,10 +34,6 @@ from repro.engine import compute
 from repro.engine import config as _config
 from repro.engine.config import EngineConfig, backend_for
 from repro.engine.specs import SPEC_TYPES, MixSpec, RunSpec, TraceSpec
-
-#: Wall-clock budget for a distributed sweep before the session stops
-#: waiting on the farm and computes the stragglers itself.
-DEFAULT_DISTRIBUTED_TIMEOUT = 600.0
 
 
 class Session:
@@ -59,9 +55,6 @@ class Session:
         cache_dir=None,
         disk_cache=None,
         shared_cache_dir=None,
-        remote_cache_url=None,
-        s3_cache_url=None,
-        tls_ca=None,
         backend=None,
         trace_memo=None,
     ):
@@ -71,22 +64,10 @@ class Session:
         self._shared_cache_dir = (
             None if shared_cache_dir is None else Path(shared_cache_dir)
         )
-        self._remote_cache_url = (
-            None if remote_cache_url is None else str(remote_cache_url)
-        )
-        self._s3_cache_url = None if s3_cache_url is None else str(s3_cache_url)
-        self._tls_ca = None if tls_ca is None else str(tls_ca)
         self._explicit_backend = backend
         self._trace_memo = {} if trace_memo is None else trace_memo
         self._run_memo = {}
         self._mix_memo = {}
-        #: Messages already warned by the distributed path (once per
-        #: session per condition, not once per poll iteration).
-        self._farm_warned = set()
-        #: Outcome accounting of the most recent ``run(distributed=True)``:
-        #: disjoint counts (prefetched/remote/local/quarantined) summing
-        #: to the deduplicated spec count.  ``None`` until one runs.
-        self.last_distributed = None
 
     # -- configuration -------------------------------------------------------
 
@@ -104,17 +85,7 @@ class Session:
                 if self._shared_cache_dir is not None
                 else base.shared_cache_dir
             ),
-            remote_cache_url=(
-                self._remote_cache_url
-                if self._remote_cache_url is not None
-                else base.remote_cache_url
-            ),
-            s3_cache_url=(
-                self._s3_cache_url
-                if self._s3_cache_url is not None
-                else base.s3_cache_url
-            ),
-            tls_ca=self._tls_ca if self._tls_ca is not None else base.tls_ca,
+            kernel=base.kernel,
         )
 
     @property
@@ -132,7 +103,7 @@ class Session:
             spec = TraceSpec(spec, length)
         return compute.produce_trace_with(spec, self.store, self._trace_memo)
 
-    def run(self, specs, jobs=None, *, distributed=False, timeout=None):
+    def run(self, specs, jobs=None):
         """Execute specs; returns results in input order.
 
         Accepts one spec (returns its result) or any iterable mixing
@@ -141,19 +112,6 @@ class Session:
         deduplicated and executed — across a process pool when ``jobs``
         (or the session's configured ``jobs``) exceeds 1 — then merged
         back deterministically in input order.
-
-        ``distributed=True`` additionally offers the deduplicated misses
-        to the sweep farm behind this session's remote cache (see
-        :mod:`repro.engine.workqueue`): specs are submitted to the
-        coordinator's work queue, ``repro work`` peers compute and
-        publish them, and the session polls the store — anything the
-        farm has not delivered within ``timeout`` seconds (default
-        ``DEFAULT_DISTRIBUTED_TIMEOUT``), plus anything quarantined or
-        stranded by a dead coordinator, is computed locally.  Results
-        are bit-identical to a purely local run by construction
-        (content-addressed artifacts), and no farm failure mode can
-        raise out of ``run`` — the worst case is local compute with a
-        warning.  Outcome counts land in :attr:`last_distributed`.
         """
         single = isinstance(specs, SPEC_TYPES)
         spec_list = [specs] if single else list(specs)
@@ -177,10 +135,7 @@ class Session:
                 if key not in positions:
                     positions[key] = len(unique_specs)
                     unique_specs.append(spec_list[i])
-            if distributed:
-                computed = self._execute_distributed(unique_specs, jobs, timeout)
-            else:
-                computed = self._execute(unique_specs, jobs)
+            computed = self._execute(unique_specs, jobs)
             for i in miss_indices:
                 memo, key = slots[i]
                 result = computed[positions[key]]
@@ -281,185 +236,6 @@ class Session:
         fresh = iter(computed)
         return [hit if hit is not None else next(fresh) for hit in results]
 
-    # -- distributed execution -----------------------------------------------
-
-    def _farm_warn(self, message):
-        if message not in self._farm_warned:
-            self._farm_warned.add(message)
-            print(f"warning: {message}", file=sys.stderr)
-
-    def _execute_distributed(self, specs, jobs, timeout):
-        """Offer deduplicated miss specs to the sweep farm; poll; finish
-        locally.
-
-        The farm is an optimization with the same contract as the remote
-        cache itself: every failure mode (unreachable or restarted
-        coordinator, quarantined specs, slow or absent workers, probe
-        protocol errors) degrades to local compute with a warning, never
-        an exception and never a hang beyond ``timeout``.
-        """
-        from repro.engine.workqueue import QueueClient, spec_to_wire
-
-        report = {
-            "specs": len(specs),
-            "prefetched": 0,
-            "remote": 0,
-            "local": 0,
-            "quarantined": 0,
-            "resubmitted": 0,
-            "submitted": 0,
-        }
-        self.last_distributed = report
-        cfg = self.config()
-        url = cfg.remote_cache_url
-        store = self.store
-        if url is None or store is None:
-            self._farm_warn(
-                "distributed=True needs a remote cache "
-                "(remote_cache_url / --remote-cache); computing locally"
-            )
-            report["local"] = len(specs)
-            return self._execute(specs, jobs)
-        client = QueueClient(_config._remote_client(url, ca_file=cfg.tls_ca))
-
-        results = [None] * len(specs)
-        wire = {}
-        local_indices = []  # never leave this machine
-        outstanding = []  # waiting on the farm
-        quarantined_indices = []
-        for i, spec in enumerate(specs):
-            try:
-                wire[i] = spec_to_wire(spec)
-            except TypeError:
-                # Not wire-encodable (exotic dram model): local only.
-                local_indices.append(i)
-            else:
-                outstanding.append(i)
-
-        def _probe(indices):
-            """One /v1/has round trip for these indices; None degrades."""
-            want = {"results": [], "traces": []}
-            for i in indices:
-                kind = "traces" if wire[i]["kind"] == "trace" else "results"
-                want[kind].append(wire[i]["digest"])
-            return client.backend.has_batch(
-                results=want["results"], traces=want["traces"]
-            )
-
-        def _collect(indices, hits):
-            """Pull delivered artifacts through the tiered store (which
-            promotes them locally); returns the still-missing indices."""
-            missing = []
-            for i in indices:
-                kind = "traces" if wire[i]["kind"] == "trace" else "results"
-                if (hits.get(kind) or {}).get(wire[i]["digest"]):
-                    loaded = compute.load_artifact(specs[i], store)
-                    if loaded is not None:
-                        results[i] = loaded
-                        continue
-                missing.append(i)
-            return missing
-
-        farm_alive = True
-        if outstanding:
-            # Pre-submission probe: anything the store already has is a
-            # plain cache hit, not farm work — one round trip for all.
-            hits = _probe(outstanding)
-            if hits is not None:
-                before = len(outstanding)
-                outstanding = _collect(outstanding, hits)
-                report["prefetched"] = before - len(outstanding)
-
-        epoch = None
-        if outstanding:
-            submitted = client.submit([wire[i] for i in outstanding])
-            if submitted is None:
-                self._farm_warn(
-                    f"sweep-farm coordinator at {url} is unavailable; "
-                    "computing locally"
-                )
-                farm_alive = False
-            else:
-                epoch = submitted.get("epoch")
-                report["submitted"] = len(outstanding)
-
-        if outstanding and farm_alive:
-            budget = DEFAULT_DISTRIBUTED_TIMEOUT if timeout is None else float(timeout)
-            deadline = time.monotonic() + max(0.0, budget)
-            delay = 0.05
-            resubmits = 0
-            while outstanding and time.monotonic() < deadline:
-                time.sleep(delay)
-                delay = min(delay * 2, 1.0)
-                stats = client.stats()
-                if stats is None:
-                    self._farm_warn(
-                        f"sweep-farm coordinator at {url} stopped responding; "
-                        "finishing the sweep locally"
-                    )
-                    break
-                if epoch is not None and stats.get("epoch") != epoch:
-                    # The coordinator restarted with an empty in-memory
-                    # queue; the store survived, so resubmit what's left.
-                    if resubmits >= 2:
-                        self._farm_warn(
-                            "sweep-farm coordinator keeps restarting; "
-                            "finishing the sweep locally"
-                        )
-                        break
-                    resub = client.submit([wire[i] for i in outstanding])
-                    if resub is None:
-                        break
-                    epoch = resub.get("epoch")
-                    resubmits += 1
-                    report["resubmitted"] += len(outstanding)
-                    continue
-                poison = stats.get("quarantined_digests") or {}
-                if poison:
-                    still = []
-                    for i in outstanding:
-                        digest = wire[i]["digest"]
-                        if digest in poison:
-                            self._farm_warn(
-                                f"farm quarantined spec {digest[:12]} "
-                                f"({poison[digest]}); computing it locally"
-                            )
-                            quarantined_indices.append(i)
-                        else:
-                            still.append(i)
-                    outstanding = still
-                    if not outstanding:
-                        break
-                hits = _probe(outstanding)
-                if hits is None:
-                    self._farm_warn(
-                        f"sweep-farm coordinator at {url} stopped responding; "
-                        "finishing the sweep locally"
-                    )
-                    break
-                before = len(outstanding)
-                outstanding = _collect(outstanding, hits)
-                report["remote"] += before - len(outstanding)
-                if outstanding:
-                    delay = 0.05 if before != len(outstanding) else delay
-            if outstanding and time.monotonic() >= deadline:
-                self._farm_warn(
-                    f"sweep farm did not deliver {len(outstanding)} spec(s) "
-                    f"within {budget:.0f}s; computing them locally"
-                )
-
-        # Everything the farm never delivered: the normal local path
-        # (pooled when jobs > 1, write-through publishes to the store so
-        # late workers become duplicate completions, not divergences).
-        leftovers = sorted(local_indices + outstanding + quarantined_indices)
-        if leftovers:
-            computed = self._execute([specs[i] for i in leftovers], jobs)
-            for i, result in zip(leftovers, computed):
-                results[i] = result
-        report["quarantined"] = len(quarantined_indices)
-        report["local"] = len(leftovers) - len(quarantined_indices)
-        return results
-
     # -- maintenance ---------------------------------------------------------
 
     def clear(self, memory=True, disk=True):
@@ -506,9 +282,6 @@ def _init_worker(cfg, explicit_backend, no_store=False):
         cache_dir=cfg.cache_dir,
         disk_cache=cfg.disk_cache,
         shared_cache_dir=cfg.shared_cache_dir,
-        remote_cache_url=cfg.remote_cache_url,
-        s3_cache_url=cfg.s3_cache_url,
-        tls_ca=cfg.tls_ca,
         kernel=cfg.kernel,
     )
     _WORKER_SESSION = Session(
@@ -530,13 +303,12 @@ _DEFAULT_SESSION = None
 
 
 def default_session():
-    """The process-wide session backing the legacy API and the CLI.
+    """The process-wide session backing the CLI and the figure drivers.
 
     Created lazily; resolves jobs/cache/backend dynamically from the
     global configuration on every use, so ``engine.configure()``, CLI
-    flags and env changes keep working exactly as they did before the
-    session API.  Its trace memo *is* ``compute.TRACE_MEMO``, preserving
-    the historical sharing between direct engine calls and the session.
+    flags and env changes take effect on the next call.  Its trace memo
+    *is* ``compute.TRACE_MEMO``, which forked pool workers inherit.
     """
     global _DEFAULT_SESSION
     if _DEFAULT_SESSION is None:

@@ -581,7 +581,9 @@ def fig20_pollution(scale=None, reuse_window_fraction=0.5, session=None):
     At reduced scale the traces cannot fill a multi-megabyte LLC, so the
     three capacities are scaled down 8:1 with their 4:2:1 ratio preserved
     (true sizes under ``REPRO_FULL=1``) — pollution is a capacity-pressure
-    phenomenon and the ratio is what shapes the trend.
+    phenomenon and the ratio is what shapes the trend.  An LLC size whose
+    runs classify no victim at all gets a row of ``None`` (rendered ``-``)
+    and a note: a measurement that was never made, not 0%.
     """
     scale = _scale(scale)
     session = resolve_session(session)
@@ -629,10 +631,14 @@ def fig20_pollution(scale=None, reuse_window_fraction=0.5, session=None):
             totals["PrefetchedBeforeUse"] += breakdown.prefetched_before_use
             totals["BadPollution"] += breakdown.bad_pollution
         grand = sum(totals.values())
-        fig.add_row(
-            label,
-            {c: 100.0 * totals.get(c, 0) / grand if grand else 0.0 for c in fig.columns},
-        )
+        if grand:
+            fig.add_row(label, {c: 100.0 * totals[c] / grand for c in fig.columns})
+        else:
+            fig.add_row(label, dict.fromkeys(fig.columns))
+            fig.notes.append(
+                f"{label} row: no data (no prefetch victim classified at "
+                f"LLC {size >> 10} KB, trace_len {trace_len})"
+            )
     return fig
 
 

@@ -12,28 +12,13 @@ provides the real signal; :class:`repro.memory.dram.FixedBandwidth` provides
 a constant one for tests and ablations.
 """
 
-import inspect
 from typing import Protocol
 
 
 def flush_training_with_cycle(prefetcher, cycle):
-    """Call ``prefetcher.flush_training(cycle)`` if the hook exists.
-
-    Tolerates the legacy zero-argument signature, decided by
-    introspection rather than by catching ``TypeError`` — a ``TypeError``
-    raised *inside* a flush must propagate, not silently trigger a second
-    (partially re-executed) zero-argument call.
-    """
+    """Call ``prefetcher.flush_training(cycle)`` if the hook exists."""
     flush = getattr(prefetcher, "flush_training", None)
-    if flush is None:
-        return
-    try:
-        params = inspect.signature(flush).parameters
-    except (TypeError, ValueError):
-        params = None  # C-implemented or otherwise unsignaturable
-    if params is not None and not params:
-        flush()
-    else:
+    if flush is not None:
         flush(cycle)
 
 

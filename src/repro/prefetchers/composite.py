@@ -84,8 +84,7 @@ class CompositePrefetcher(Prefetcher):
         """Forward end-of-run learning to components that support it.
 
         ``cycle`` (the run's final cycle) is forwarded so bandwidth-aware
-        components (DSPatch) learn under the correct bucket; components
-        written against the pre-cycle zero-argument interface still work.
+        components (DSPatch) learn under the correct bucket.
         """
         for component in self.components:
             flush_training_with_cycle(component, cycle)

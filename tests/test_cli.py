@@ -37,19 +37,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             _parse_dram("1ch-9999")
 
-    def test_serve_defaults(self):
-        args = build_parser().parse_args(["serve"])
-        assert args.host == "127.0.0.1"
-        assert args.port == 8787
-        assert args.read_only is False
-        assert args.serve_cache_dir is None
-
-    def test_serve_cache_dir_does_not_clobber_global_flag(self):
-        args = build_parser().parse_args(["--cache-dir", "/tmp/global", "serve"])
-        assert args.cache_dir == "/tmp/global"
-        assert args.serve_cache_dir is None
-        args = build_parser().parse_args(["serve", "--cache-dir", "/tmp/served"])
-        assert args.serve_cache_dir == "/tmp/served"
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve"],
+            ["work", "http://127.0.0.1:8787"],
+            ["--remote-cache", "http://127.0.0.1:8787", "cache"],
+            ["--s3-cache", "http://127.0.0.1:9000/bucket", "cache"],
+            ["--tls-ca", "ca.pem", "cache"],
+        ],
+        ids=["serve", "work", "remote-cache", "s3-cache", "tls-ca"],
+    )
+    def test_unknown_store_commands_and_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -258,32 +261,6 @@ class TestEngineFlags:
         assert main(["cache", "gc", "--max-mb", "512"]) == 0
         assert active_store().stats()["results"] == 1
 
-    def test_remote_cache_flag_configures_engine(self, capsys, tmp_path):
-        from repro.engine import current_config
-        from repro.engine.remote import serve_background
-
-        server, thread = serve_background(tmp_path / "served")
-        try:
-            assert main(["--remote-cache", server.url, "cache"]) == 0
-            assert current_config().remote_cache_url == server.url
-            out = capsys.readouterr().out
-            assert server.url in out
-            assert "0 results, 0 traces" in out
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5.0)
-
-    def test_cache_show_reports_unreachable_remote(self, capsys):
-        from repro.engine.remote import RemoteBackend
-
-        RemoteBackend._warned_unreachable.clear()
-        url = "http://127.0.0.1:9"  # discard port: nothing listens
-        assert main(["--remote-cache", url, "cache"]) == 0
-        out = capsys.readouterr().out
-        assert url in out
-        assert "unreachable" in out
-
     def test_cache_verify_clean_store(self, capsys):
         _clear_cache()
         _run_workload("ispec06.hmmer", "none", 400)
@@ -314,35 +291,3 @@ class TestEngineFlags:
     def test_cache_verify_no_disk_cache(self, capsys):
         assert main(["--no-cache", "cache", "verify"]) == 0
         assert "nothing to verify" in capsys.readouterr().out
-
-    def test_s3_cache_flag_configures_engine(self, capsys, monkeypatch, tmp_path):
-        from repro.engine import current_config
-        from repro.engine.fakes3 import serve_fake_s3
-
-        server = serve_fake_s3()
-        try:
-            monkeypatch.setenv("REPRO_S3_ACCESS_KEY", server.access_key)
-            monkeypatch.setenv("REPRO_S3_SECRET_KEY", server.secret_key)
-            monkeypatch.setenv("REPRO_S3_REGION", server.region)
-            assert main(["--s3-cache", server.endpoint, "cache"]) == 0
-            assert current_config().s3_cache_url == server.endpoint
-            out = capsys.readouterr().out
-            assert server.endpoint in out
-            assert "durable write-through tier" in out
-        finally:
-            server.shutdown()
-            server.server_close()
-
-    def test_tls_flags_parse(self):
-        args = build_parser().parse_args(
-            ["--tls-ca", "/tmp/ca.pem", "serve",
-             "--tls-cert", "/tmp/cert.pem", "--tls-key", "/tmp/key.pem"]
-        )
-        assert args.tls_ca == "/tmp/ca.pem"
-        assert args.tls_cert == "/tmp/cert.pem"
-        assert args.tls_key == "/tmp/key.pem"
-
-    def test_serve_rejects_key_without_cert(self, capsys, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["serve", "--cache-dir", str(tmp_path), "--port", "0",
-                  "--tls-key", "/tmp/key.pem"])

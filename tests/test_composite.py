@@ -106,18 +106,6 @@ class TestCallbacks:
         combo.flush_training(12345)
         assert recorder.flush_cycle == 12345
 
-    def test_flush_tolerates_zero_arg_components(self):
-        """Components written against the pre-cycle interface still flush."""
-
-        class LegacyFlush(Recorder):
-            def flush_training(self):
-                self.flushed += 1
-
-        legacy = LegacyFlush("legacy")
-        combo = CompositePrefetcher([legacy])
-        combo.flush_training(99)
-        assert legacy.flushed == 1
-
     def test_reset_broadcast(self):
         parts = [Recorder("a"), Recorder("b")]
         combo = CompositePrefetcher(parts)

@@ -14,6 +14,7 @@ import pytest
 from repro.experiments import figures as F
 from repro.engine.session import default_session
 from repro.experiments.scale import Scale
+from repro.metrics.pollution import PollutionBreakdown
 
 TINY = Scale.tiny()
 
@@ -95,6 +96,22 @@ class TestAppendixAndRender:
         for row in fig.rows.values():
             total = sum(v for v in row.values() if isinstance(v, (int, float)))
             assert total == pytest.approx(100.0, abs=1.0)
+
+    def test_fig20_row_without_victims_is_no_data(self, monkeypatch):
+        """An LLC size that classifies no victim reports no data, not 0%.
+
+        Runs after the test above, so the grid comes from the session memo.
+        """
+        monkeypatch.setattr(F, "classify_pollution", lambda *args: PollutionBreakdown())
+        fig = F.fig20_pollution(TINY)
+        assert set(fig.rows) == {"8MB", "4MB", "2MB"}
+        for label, row in fig.rows.items():
+            assert row == dict.fromkeys(fig.columns), label
+            assert any(label in note and "trace_len" in note for note in fig.notes)
+        lines = fig.render().splitlines()
+        for label in fig.rows:
+            row_line = next(line for line in lines if line.strip().startswith(label))
+            assert row_line.split()[1:] == ["-"] * len(fig.columns)
 
     def test_every_driver_renders(self):
         # Quick render sanity over the static drivers.

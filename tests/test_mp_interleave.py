@@ -472,8 +472,3 @@ class TestGlobalCycles:
         # so the global span bounds them all.
         for core in result.per_core:
             assert core.cycles <= result.global_cycles + 1e-9
-
-    def test_total_cycles_is_compat_alias(self):
-        traces = build_mix_traces(["ispec06.mcf"] * 4, 300)
-        result = MultiCoreSystem(SystemConfig.multi_programmed("none")).run(traces)
-        assert result.total_cycles == result.global_cycles

@@ -4,8 +4,8 @@
 suite pins its two failure legs:
 
 - a worker that **raises** propagates the exception out of
-  ``Session.run`` / ``execute_specs`` unchanged (a clear error, not a
-  hang, not a silent partial result);
+  ``Session.run`` unchanged (a clear error, not a hang, not a silent
+  partial result);
 - a worker **process that dies** (``os._exit``, modeling an OOM kill or
   segfault) surfaces as ``BrokenProcessPool`` inside ``_execute``, which
   recomputes the batch sequentially with a warning — the caller still
@@ -22,7 +22,7 @@ import pickle
 
 import pytest
 
-from repro.engine import RunSpec, Session, execute_specs
+from repro.engine import RunSpec, Session
 
 WORKLOAD = "fspec06.bwaves"
 
@@ -55,11 +55,6 @@ class TestRaisingWorker:
         ]
         with pytest.raises(KeyError, match="no.such-workload"):
             session.run(bad)
-
-    def test_legacy_execute_specs_propagates_too(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        with pytest.raises(KeyError):
-            execute_specs([RunSpec("no.such-workload", "none", 2000)], jobs=2)
 
     def test_one_bad_spec_does_not_hang_a_mixed_batch(self, tmp_path):
         session = Session(cache_dir=tmp_path, jobs=2)
