@@ -9,7 +9,7 @@ comparison: 6 schemes x N workloads) under several regimes:
    or the object model on a host without a toolchain, is the headline
    ``cold sequential`` leg.  When the compiled kernel is
    available, a dedicated **scheme-training leg** additionally times the
-   C-twinned schemes (spp / dspatch / spp+dspatch) on one longer trace
+   C-twinned schemes (:data:`TWINNED_SCHEMES`) on one longer trace
    where training dominates, asserts bit-identity against the object
    model, and gates the twins' advantage with its own
    ``--min-scheme-kernel-speedup`` floor.  A **multi-core leg** runs one
@@ -50,6 +50,8 @@ import time
 
 SCHEMES = 6  # fig12: none + bop/sms/spp/dspatch/spp+dspatch
 CATEGORIES = 9
+#: The scheme-training leg: every scheme with a C training twin.
+TWINNED_SCHEMES = ("spp", "dspatch", "spp+dspatch", "bop", "ebop", "sms")
 #: The multi-core leg: one heterogeneous 4-core mix, ops per core.
 MP_MIX = ("ispec06.mcf", "cloud.memcached", "hpc.npb-bt", "sysmark.excel")
 MP_TRACE_LEN = 6000
@@ -146,7 +148,7 @@ def run_bench(args):
             for _ in range(args.repeats):
                 t0 = time.perf_counter()
                 out = []
-                for scheme in ("spp", "dspatch", "spp+dspatch"):
+                for scheme in TWINNED_SCHEMES:
                     res = System(
                         SystemConfig.single_thread(scheme, kernel=kind)
                     ).run(scheme_trace)
@@ -367,7 +369,7 @@ def run_bench(args):
         print(
             f"scheme training : {scheme_seconds['compiled']:8.2f}s vs "
             f"{scheme_seconds['object']:.2f}s object  ({scheme_speedup:.2f}x, "
-            f"{args.scheme_trace_len} ops x 3 schemes)"
+            f"{args.scheme_trace_len} ops x {len(TWINNED_SCHEMES)} schemes)"
         )
     if mp_speedup is not None:
         print(

@@ -14,8 +14,8 @@ The object model (``MemoryHierarchy`` driven by
   is available;
 - :mod:`repro.kernel.execution` is the system driver's entry:
   ``KernelDomain.interleave`` runs a whole schedule in C and returns to
-  Python only for training crossings, usefulness notes and warmup
-  checkpoints.
+  Python only for training crossings, usefulness notes, warmup
+  checkpoints and the rare growth of BOP's pending-fill ring.
 
 The twin is bit-identical to the object model (pinned by
 ``tests/test_kernel_parity.py``); without a toolchain the object model

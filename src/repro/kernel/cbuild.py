@@ -22,13 +22,20 @@ done, or with the core in ``*who`` needing Python:
 - ``RC_YIELD``: the core stopped between ops with notes queued or at its
   warmup checkpoint.  ``resume`` drains the notes; at the checkpoint the
   driver's ``on_stop`` runs before any further op.
+- ``RC_GROW``: the core stopped between ops because BOP's pending-fill
+  ring (unbounded in the spec) lacks room for the next op's trainings.
+  ``resume`` re-lays the ring at a larger capacity and updates the
+  pointer table in place; the schedule then continues unchanged.
 
 The kernel may batch a record only when its candidates are not consumed
 by its own access — every current scheme's candidates are, so the kernel
 flushes at depth 1; the record-buffer ABI is what lets a future
 fire-and-forget scheme amortize the boundary.  Schemes with a compiled
 twin (``scheme_kind`` > 0) never cross and never queue notes, so their
-runs return only at warmup checkpoints and at the end.
+runs return only at warmup checkpoints, ring growths and the end.  Nor
+are notes queued for a crossing scheme whose note hooks are
+``Prefetcher``'s inherited no-ops (slot ``l2pf_notes``): nothing would
+read them.
 
 The build cache under ``<cache_dir>/ckernel/`` is keyed by a digest of
 the emitted C *and* the generator source, the compile flags and the
@@ -45,7 +52,6 @@ import shutil
 import subprocess
 import tempfile
 
-import numpy as np
 
 from repro.kernel import layout
 from repro.kernel.layout import CF64, CI64, PTR, SF64, SI64
@@ -336,6 +342,10 @@ class CRuntime:
         mci = self._mci
         if mci[_I_NOTE_LEN]:
             self._drain_notes()
+        if rc == layout.RC_GROW:
+            self.state.grow_pending_ring()
+            self._rebuild_table()
+            return
         if rc != layout.RC_TRAIN:
             return
         train = self._train
@@ -371,15 +381,7 @@ class CRuntime:
         cl = cands if isinstance(cands, (list, tuple)) else list(cands)
         n = len(cl)
         if n > mci[CI64["cand_cap"]]:
-            state = self.state
-            new_cap = mci[CI64["cand_cap"]]
-            while new_cap < n:
-                new_cap *= 2
-            state.cand_line = np.zeros(new_cap, dtype=np.int64)
-            state.cand_lp = np.zeros(new_cap, dtype=np.int64)
-            state.note_buf = np.zeros(3 * (new_cap + 16), dtype=np.int64)
-            self._ci[CI64["cand_cap"]] = new_cap
-            self._ci[CI64["note_cap"]] = new_cap + 16
+            self.state.grow_candidates(n)
             self._rebuild_table()
         cand_line = self._mcand_line
         cand_lp = self._mcand_lp

@@ -22,10 +22,16 @@ Exported symbols:
   saved its mid-op context; the Python driver drains them into the
   scheme, writes the candidates and re-enters, which resumes the op),
   or when that core stopped with usefulness notes queued or at its
-  warmup checkpoint (``RC_YIELD``).  Schemes with a compiled twin
-  (``scheme_kind`` > 0: SPP, eSPP, DSPatch at their default configs)
-  never cross — their training loops run in C against flat tables and
-  fill the candidate buffers directly.
+  warmup checkpoint (``RC_YIELD``), or between ops because BOP's
+  pending-fill ring needs room for the next op (``RC_GROW``).  Schemes
+  with a compiled twin (``scheme_kind`` > 0: SPP, eSPP and DSPatch at
+  their default configs, the SPP+DSPatch composite, and BOP, eBOP and
+  SMS at any config the gate admits) never cross — their training
+  loops run in C against flat tables and fill the candidate buffers
+  directly.  The SPP and DSPatch twins take their config constants as
+  ``#define``s; the BOP and SMS twins read every size and threshold
+  from flat-state slots and packed arrays, so one twin per class
+  serves ``bop``/``bop1``/``ebop`` and every ``sms-*`` PHT size.
 - ``long kbucket(long long *si, double *sf, long long cycle)`` — the
   bandwidth monitor's live 2-bit signal (advances the monitor exactly
   like ``BandwidthMonitor.bucket``).
@@ -53,20 +59,24 @@ def _defines():
     lines.append(f"#define RC_DONE {layout.RC_DONE}")
     lines.append(f"#define RC_TRAIN {layout.RC_TRAIN}")
     lines.append(f"#define RC_YIELD {layout.RC_YIELD}")
+    lines.append(f"#define RC_GROW {layout.RC_GROW}")
     lines.append(f"#define NOTE_USEFUL {layout.NOTE_USEFUL}")
     lines.append(f"#define NOTE_USELESS {layout.NOTE_USELESS}")
     lines.append(f"#define TB_CAP {layout.TB_CAP}")
+    lines.append(f"#define SM_REC {layout.SM_REC}")
+    lines.append(f"#define SM_PHT_REC {layout.SM_PHT_REC}")
     return "\n".join(lines)
 
 
 def _scheme_defines():
-    """Scheme-twin constants, emitted from the Python defaults.
+    """Scheme-kind ids and the SPP/DSPatch twins' constants.
 
-    The compiled twins run only for schemes at their stock configs
+    The SPP and DSPatch twins run only at their stock configs
     (:func:`repro.kernel.state._scheme_kind` gates on config equality),
-    so the constants are baked in as ``#define``s sourced from the live
-    dataclass defaults — the C can never drift from the spec without
-    the emitted source (and hence the build digest) changing too.
+    so their constants are baked in as ``#define``s sourced from the
+    live dataclass defaults — the C can never drift from the spec without
+    the emitted source (and hence the build digest) changing too.  The
+    BOP and SMS twins read their configs from slots and have none here.
     """
     from repro.core.dspatch import DSPatchConfig
     from repro.core.spt import COUNTER_MAX
@@ -80,6 +90,9 @@ def _scheme_defines():
         f"#define SCHEME_ESPP {layout.SCHEME_ESPP}",
         f"#define SCHEME_DSPATCH {layout.SCHEME_DSPATCH}",
         f"#define SCHEME_SPP_DSPATCH {layout.SCHEME_SPP_DSPATCH}",
+        f"#define SCHEME_BOP {layout.SCHEME_BOP}",
+        f"#define SCHEME_EBOP {layout.SCHEME_EBOP}",
+        f"#define SCHEME_SMS {layout.SCHEME_SMS}",
         f"#define SPP_ST_MASK {sp.st_entries - 1}",
         f"#define SPP_PT_MASK {sp.pt_entries - 1}",
         f"#define SPP_SLOTS {sp.delta_slots}",
@@ -140,6 +153,8 @@ typedef struct {
     int64_t *dp_pb_page, *dp_pb_trig_sig, *dp_pb_trig_off;
     uint64_t *dp_pb_pattern;
     int64_t *dp_spt_cov, *dp_spt_acc, *dp_spt_mcov, *dp_spt_or, *dp_spt_macc;
+    int64_t *bp_rr, *bp_offsets, *bp_scores, *bp_active, *bp_pend;
+    int64_t *sm_at, *sm_ft, *sm_pht;
 } kctx_t;
 
 /* ---------------------------------------------------------------- cache */
@@ -398,17 +413,17 @@ static void infl_sweep(kctx_t *k, int64_t cycle) {
 /* ------------------------------------------------- scheme note queue */
 
 static void note_push(kctx_t *k, int64_t kind, int64_t cycle, int64_t line) {
-    if (!k->ci[CI_has_l2pf]) return;
-    int64_t sk = k->ci[CI_scheme_kind];
-    if (sk) {
-        /* Compiled twins consume notes inline.  SPP's note hooks are
-           pure feedback-counter increments (never read by train), so
-           immediate counting matches the deferred queue drain exactly;
-           DSPatch's note hooks are no-ops. */
-        if (sk != SCHEME_DSPATCH) {
-            if (kind == NOTE_USEFUL) k->ci[CI_sp_fb_useful]++;
-            else k->ci[CI_sp_fb_issued]++;
-        }
+    /* l2pf_notes is 0 when no scheme is attached or its note hooks are
+       Prefetcher's inherited no-ops (DSPatch, BOP, SMS, ampm, ...):
+       nothing would read the note. */
+    if (!k->ci[CI_l2pf_notes]) return;
+    if (k->ci[CI_scheme_kind]) {
+        /* Of the compiled twins only the SPP family reads notes.  SPP's
+           note hooks are pure feedback-counter increments (never read by
+           train), so immediate counting matches the deferred queue drain
+           exactly. */
+        if (kind == NOTE_USEFUL) k->ci[CI_sp_fb_useful]++;
+        else k->ci[CI_sp_fb_issued]++;
         return;
     }
     int64_t n = k->ci[CI_note_len];
@@ -835,8 +850,241 @@ static void dp_train(kctx_t *k, int64_t cycle, int64_t pc, int64_t addr) {
     k->dp_pb_pattern[slot] |= 1ull << line_off;
 }
 
+/* --- BOP / eBOP (prefetchers/bop.py).  Every BopConfig value is read
+       from the bp_ slots and the offset list from bp_offsets, so one twin
+       serves any config with unique offsets.  The RR table, the score
+       table (offset-list order) and the ranked active offsets are flat
+       arrays; _pending_fills is a ring of (ready, line) pairs that krun
+       keeps room in (RC_GROW) before each op. --- */
+
+static int64_t bop_rr_index(const int64_t *ci, int64_t line) {
+    return (line ^ (line >> 8)) & ci[CI_bp_rr_mask];
+}
+
+/* BOP._finish_phase.  sorted() by -score is stable, so the ranking takes
+   the first maximal score not yet taken (INT64_MIN marks a taken score;
+   the table is zeroed right after); the bad-score filter stops at the
+   first score at or below BadScore, since every later one is too. */
+static void bop_finish_phase(kctx_t *k) {
+    int64_t *ci = k->ci;
+    int64_t *sc = k->bp_scores;
+    int64_t n = ci[CI_bp_n_off];
+    int64_t keep = ci[CI_bp_degree] > 4 ? ci[CI_bp_degree] : 4;
+    if (keep > n) keep = n;
+    int64_t len = 0;
+    for (int64_t j = 0; j < keep; j++) {
+        int64_t best = -1;
+        for (int64_t i = 0; i < n; i++)
+            if (sc[i] != INT64_MIN && (best < 0 || sc[i] > sc[best])) best = i;
+        if (sc[best] <= ci[CI_bp_bad_score]) break;
+        k->bp_active[len++] = k->bp_offsets[best];
+        sc[best] = INT64_MIN;
+    }
+    ci[CI_bp_active_len] = len;
+    for (int64_t i = 0; i < n; i++) sc[i] = 0;
+    ci[CI_bp_test_pos] = 0;
+    ci[CI_bp_round] = 0;
+    ci[CI_bp_phases]++;
+}
+
+static void bop_train(kctx_t *k, int64_t sk, int64_t cycle, int64_t addr) {
+    int64_t *ci = k->ci;
+    ci[CI_bp_trainings]++;
+    ci[CI_cand_len] = 0;
+    int64_t line = addr >> LINE_SHIFT;
+    int64_t offset_in_page = line & 63;
+    /* _drain_pending: fills that completed by now enter the RR table */
+    int64_t *pend = k->bp_pend;
+    int64_t ring_mask = ci[CI_bp_pend_cap] - 1;
+    int64_t head = ci[CI_bp_pend_head], plen = ci[CI_bp_pend_len];
+    while (plen && pend[2 * head] <= cycle) {
+        int64_t filled = pend[2 * head + 1];
+        k->bp_rr[bop_rr_index(ci, filled)] = filled;
+        head = (head + 1) & ring_mask;
+        plen--;
+    }
+    int64_t pos = ci[CI_bp_test_pos];
+    int64_t test_offset = k->bp_offsets[pos];
+    int64_t base_offset = offset_in_page - test_offset;
+    if (base_offset >= 0 && base_offset < 64) {
+        int64_t probe = line - test_offset;
+        if (k->bp_rr[bop_rr_index(ci, probe)] == probe) {
+            int64_t score = k->bp_scores[pos] + 1;
+            k->bp_scores[pos] = score;
+            if (score >= ci[CI_bp_max_score]) bop_finish_phase(k);
+        }
+    }
+    /* _test_pos += 1 after a possible mid-train _finish_phase */
+    pos = ci[CI_bp_test_pos] + 1;
+    ci[CI_bp_test_pos] = pos;
+    if (pos >= ci[CI_bp_n_off]) {
+        ci[CI_bp_test_pos] = 0;
+        ci[CI_bp_round]++;
+        if (ci[CI_bp_round] >= ci[CI_bp_max_round]) bop_finish_phase(k);
+    }
+    /* never full here: krun reserved room for this op's trainings */
+    int64_t tail = (head + plen) & ring_mask;
+    pend[2 * tail] = cycle + ci[CI_bp_fill_delay];
+    pend[2 * tail + 1] = line;
+    ci[CI_bp_pend_head] = head;
+    ci[CI_bp_pend_len] = plen + 1;
+    /* _generate: no bucket read without active offsets */
+    int64_t n_active = ci[CI_bp_active_len];
+    if (!n_active) return;
+    int64_t degree;
+    if (sk == SCHEME_EBOP) {
+        int64_t bucket = k_bucket(k, cycle);   /* EBOP._degree */
+        degree = bucket <= 1 ? 4 : (bucket == 2 ? 2 : 1);
+    } else degree = ci[CI_bp_degree];
+    if (degree > n_active) degree = n_active;
+    int64_t n = 0;
+    for (int64_t i = 0; i < degree; i++) {
+        int64_t off = k->bp_active[i];
+        int64_t target_offset = offset_in_page + off;
+        if (target_offset >= 0 && target_offset < 64) {
+            k->cand_line[n] = line + off;
+            k->cand_lp[n] = 0;
+            n++;
+        }
+    }
+    ci[CI_cand_len] = n;
+}
+
+/* --- SMS (prefetchers/sms.py).  Geometry from the sm_ slots.  The AT, FT
+       and PHT are stamped record tables (layout.SM_REC / SM_PHT_REC):
+       every insert or LRU refresh takes a fresh stamp from sm_clock, so
+       ascending stamps reproduce the AT's and each PHT set's LRU order
+       and the FT's insertion order. --- */
+
+static int64_t sms_signature(int64_t pc, int64_t offset) {
+    /* ((pc << 5) ^ (pc >> 11) ^ offset) & 0xFFFFFFFF over Python's
+       unbounded ints: the low 32 bits of each term agree. */
+    return (int64_t)((((uint64_t)pc << 5) ^ (uint64_t)(pc >> 11)
+                      ^ (uint64_t)offset) & 0xFFFFFFFFull);
+}
+
+/* The PHT set of `signature`: its first way's record; *tag gets the tag. */
+static int64_t *sms_pht_set(kctx_t *k, int64_t signature, int64_t *tag) {
+    const int64_t *ci = k->ci;
+    *tag = signature >> ci[CI_sm_set_bits];
+    int64_t set = signature & (ci[CI_sm_pht_sets] - 1);
+    return k->sm_pht + set * ci[CI_sm_pht_ways] * SM_PHT_REC;
+}
+
+/* SMS._pht_store of one AT record. */
+static void sms_pht_store(kctx_t *k, const int64_t *entry) {
+    if (__builtin_popcountll((uint64_t)entry[1]) < 2) return;
+    int64_t *ci = k->ci;
+    int64_t tag;
+    int64_t *row = sms_pht_set(k, sms_signature(entry[2], entry[3]), &tag);
+    int64_t ways = ci[CI_sm_pht_ways];
+    int64_t slot = -1, free_slot = -1, oldest = -1;
+    for (int64_t w = 0; w < ways; w++) {
+        const int64_t *r = row + SM_PHT_REC * w;
+        if (!r[2]) { if (free_slot < 0) free_slot = w; continue; }
+        if (r[0] == tag) { slot = w; break; }
+        if (oldest < 0 || r[2] < row[SM_PHT_REC * oldest + 2]) oldest = w;
+    }
+    /* refresh in place, else a free way, else evict the set's LRU way */
+    if (slot < 0) slot = free_slot >= 0 ? free_slot : oldest;
+    int64_t *r = row + SM_PHT_REC * slot;
+    r[0] = tag;
+    r[1] = entry[1];
+    r[2] = ++ci[CI_sm_clock];
+    ci[CI_sm_pht_stores]++;
+}
+
+/* Find `region` in an AT/FT record table: the hit's index, or -1 with
+   *ins set to where an insert goes (the first free entry, else the
+   oldest, which the insert evicts). */
+static int64_t sms_find(const int64_t *table, int64_t cap, int64_t region,
+                        int64_t *ins) {
+    int64_t free_slot = -1, oldest = -1;
+    for (int64_t i = 0; i < cap; i++) {
+        const int64_t *e = table + SM_REC * i;
+        if (!e[4]) { if (free_slot < 0) free_slot = i; continue; }
+        if (e[0] == region) return i;
+        if (oldest < 0 || e[4] < table[SM_REC * oldest + 4]) oldest = i;
+    }
+    *ins = free_slot >= 0 ? free_slot : oldest;
+    return -1;
+}
+
+static void sms_train(kctx_t *k, int64_t pc, int64_t addr) {
+    int64_t *ci = k->ci;
+    ci[CI_sm_trainings]++;
+    ci[CI_cand_len] = 0;
+    int64_t line = addr >> LINE_SHIFT;
+    int64_t region = addr >> ci[CI_sm_region_shift];
+    int64_t offset = line & ci[CI_sm_off_mask];
+    uint64_t bit = 1ull << offset;
+
+    int64_t at_ins = -1;
+    int64_t hit = sms_find(k->sm_at, ci[CI_sm_at_cap], region, &at_ins);
+    if (hit >= 0) {
+        int64_t *e = k->sm_at + SM_REC * hit;
+        e[1] = (int64_t)((uint64_t)e[1] | bit);
+        e[4] = ++ci[CI_sm_clock];           /* refresh LRU position */
+        return;
+    }
+
+    int64_t ft_ins = -1;
+    hit = sms_find(k->sm_ft, ci[CI_sm_ft_cap], region, &ft_ins);
+    if (hit >= 0) {
+        /* pop from the FT, _promote into the AT */
+        int64_t *f = k->sm_ft + SM_REC * hit;
+        f[4] = 0;
+        int64_t *e = k->sm_at + SM_REC * at_ins;
+        if (e[4]) sms_pht_store(k, e);      /* AT full: evict its LRU entry */
+        e[0] = region;
+        e[1] = (int64_t)((uint64_t)f[1] | bit);
+        e[2] = f[2];
+        e[3] = f[3];
+        e[4] = ++ci[CI_sm_clock];
+        return;
+    }
+
+    /* Trigger access to a fresh region: _predict, then _ft_insert. */
+    int64_t tag;
+    int64_t *row = sms_pht_set(k, sms_signature(pc, offset), &tag);
+    int64_t ways = ci[CI_sm_pht_ways];
+    for (int64_t w = 0; w < ways; w++) {
+        int64_t *r = row + SM_PHT_REC * w;
+        if (!r[2] || r[0] != tag) continue;
+        r[2] = ++ci[CI_sm_clock];           /* refresh LRU position */
+        ci[CI_sm_pht_hits]++;
+        int64_t lines = ci[CI_sm_off_mask] + 1;
+        uint64_t p = (uint64_t)r[1] & ~bit;
+        if (lines < 64) p &= (1ull << lines) - 1;
+        int64_t base_line = region << (ci[CI_sm_region_shift] - LINE_SHIFT);
+        int64_t n = 0;
+        while (p) {
+            k->cand_line[n] = base_line + __builtin_ctzll(p);
+            k->cand_lp[n] = 0;
+            n++;
+            p &= p - 1;
+        }
+        ci[CI_cand_len] = n;
+        break;
+    }
+    int64_t *f = k->sm_ft + SM_REC * ft_ins;   /* FT full: drops its oldest */
+    f[0] = region;
+    f[1] = (int64_t)bit;
+    f[2] = pc;
+    f[3] = offset;
+    f[4] = ++ci[CI_sm_clock];
+}
+
 static void scheme_train(kctx_t *k, int64_t sk, int64_t cycle, int64_t pc,
                          int64_t addr) {
+    if (sk == SCHEME_BOP || sk == SCHEME_EBOP) {
+        bop_train(k, sk, cycle, addr);
+        return;
+    }
+    if (sk == SCHEME_SMS) {
+        sms_train(k, pc, addr);
+        return;
+    }
     if (sk == SCHEME_SPP_DSPATCH) {
         /* Section 5.1 adjunct composite: SPP trains first (arbitration
            priority), DSPatch appends with the merge dedup in dp_predict. */
@@ -1073,6 +1321,14 @@ static void bind(kctx_t *k, void **P) {
     k->dp_spt_mcov = (int64_t *)P[P_dp_spt_mcov];
     k->dp_spt_or = (int64_t *)P[P_dp_spt_or];
     k->dp_spt_macc = (int64_t *)P[P_dp_spt_macc];
+    k->bp_rr = (int64_t *)P[P_bp_rr];
+    k->bp_offsets = (int64_t *)P[P_bp_offsets];
+    k->bp_scores = (int64_t *)P[P_bp_scores];
+    k->bp_active = (int64_t *)P[P_bp_active];
+    k->bp_pend = (int64_t *)P[P_bp_pend];
+    k->sm_at = (int64_t *)P[P_sm_at];
+    k->sm_ft = (int64_t *)P[P_sm_ft];
+    k->sm_pht = (int64_t *)P[P_sm_pht];
 }
 
 /* ------------------------------------------------------------------ krun */
@@ -1114,6 +1370,11 @@ static long krun(void **P) {
     int64_t s_cthr = CI(stride_conf_threshold);
     int64_t s_cmax = CI(stride_conf_max);
     int64_t s_degree = CI(stride_degree);
+    /* BOP's pending-fill ring must hold one more entry per training the
+       next op can make: its demand access and each stride prefetch. */
+    int64_t bop_room = (sk == SCHEME_BOP || sk == SCHEME_EBOP)
+                     ? 1 + (has_l1pf ? s_degree : 0) : 0;
+    long rc = RC_DONE;
 
     /* per-op state (restored from ctx slots on a resume) */
     int64_t cycle = 0, pc = 0, addr = 0, is_write = 0, idx = 0;
@@ -1145,6 +1406,10 @@ static long krun(void **P) {
 
     while (pos < end) {
         if (retire > horizon || (strict && retire == horizon)) break;
+        if (bop_room && CI(bp_pend_len) + bop_room > CI(bp_pend_cap)) {
+            rc = RC_GROW;
+            break;
+        }
         {
             int64_t gap = op_gap[pos];
             pc = op_pc[pos];
@@ -1313,7 +1578,7 @@ resume_demand:
     }
 
     SAVE_LOCALS;
-    return RC_DONE;
+    return rc;
 }
 
 /* ---------------------------------------------------------------- ksched */
@@ -1362,7 +1627,7 @@ resume:
             long rc = krun(tables[cur]);
             const int64_t *ci = (const int64_t *)tables[cur][P_ci64];
             *who = cur;
-            if (rc == RC_TRAIN) return RC_TRAIN;
+            if (rc != RC_DONE) return rc;
             if (CI(note_len) || (stop[cur] >= 0 && CI(pos) >= stop[cur])) return RC_YIELD;
         }
     }

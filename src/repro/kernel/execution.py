@@ -13,8 +13,9 @@ bandwidth-monitor working state), and :meth:`KernelDomain.interleave`
 schedules the cores: it is the compiled twin of
 :func:`repro.cpu.core.interleave_two_level`, with the same signature and
 contract, running the whole schedule in C (``ksched``) and returning to
-Python only for training crossings, queued usefulness notes and warmup
-checkpoints.  ``KernelExecution`` has no per-batch entry point.
+Python only for training crossings, queued usefulness notes, warmup
+checkpoints and growths of BOP's pending-fill ring.  ``KernelExecution``
+has no per-batch entry point.
 """
 
 from repro.cpu.core import _fire_met_checkpoints

@@ -73,6 +73,7 @@ CI64_NAMES = (
     "stride_conf_threshold", "stride_conf_max", "stride_trainings",
     # -- crossing machinery ----------------------------------------------------
     "scheme_kind",      # SCHEME_*: which compiled training twin drives l2_pf
+    "l2pf_notes",       # 1 when l2_pf's note hooks are not Prefetcher's no-ops
     "tb_len",           # queued training records in train_buf
     "note_len", "note_cap",                         # queued usefulness notes
     "cand_len", "cand_cap",                         # scheme candidates (in)
@@ -86,6 +87,15 @@ CI64_NAMES = (
     "sp_ghr_len",
     "dp_pb_len", "dp_pb_evictions", "dp_trainings", "dp_triggers",
     "dp_pred_covp", "dp_pred_accp", "dp_pred_supp",
+    # BOP/eBOP: counters and learning state, then the BopConfig values
+    "bp_trainings", "bp_phases", "bp_test_pos", "bp_round", "bp_active_len",
+    "bp_pend_head", "bp_pend_len", "bp_pend_cap",   # pending-fill FIFO ring
+    "bp_n_off", "bp_rr_mask", "bp_max_round", "bp_max_score", "bp_bad_score",
+    "bp_degree", "bp_fill_delay",
+    # SMS: counters, the age-stamp clock, then the SmsConfig geometry
+    "sm_trainings", "sm_pht_stores", "sm_pht_hits", "sm_clock",
+    "sm_region_shift", "sm_off_mask", "sm_at_cap", "sm_ft_cap",
+    "sm_pht_sets", "sm_pht_ways", "sm_set_bits",
 )
 
 #: Per-core float64 slot names.
@@ -134,6 +144,8 @@ RC_DONE = 0         # krun: batch finished (end / horizon); ksched: every core d
 RC_TRAIN = 1        # scheme train requested; train_buf holds the records
 RC_YIELD = 2        # ksched: a core stopped between ops with notes queued or
                     # at its warmup checkpoint
+RC_GROW = 3         # a core stopped between ops because BOP's pending-fill
+                    # ring lacks room for the next op's trainings
 
 #: Note-queue record kinds (triples of ``kind, cycle, line``).
 NOTE_USEFUL = 0
@@ -165,6 +177,8 @@ PTR_NAMES = (
     "sp_flt",
     "dp_pb_page", "dp_pb_pattern", "dp_pb_trig_sig", "dp_pb_trig_off",
     "dp_spt_cov", "dp_spt_acc", "dp_spt_mcov", "dp_spt_or", "dp_spt_macc",
+    "bp_rr", "bp_offsets", "bp_scores", "bp_active", "bp_pend",
+    "sm_at", "sm_ft", "sm_pht",
 )
 PTR = _index(PTR_NAMES)
 
@@ -182,6 +196,17 @@ SCHEME_SPP = 1
 SCHEME_ESPP = 2
 SCHEME_DSPATCH = 3
 SCHEME_SPP_DSPATCH = 4  # the Section 5.1 adjunct composite: SPP + DSPatch
+SCHEME_BOP = 5
+SCHEME_EBOP = 6
+SCHEME_SMS = 7
+
+#: SMS table records, int64 fields per entry.  AT/FT entries are
+#: (region, pattern, trigger pc, trigger offset, stamp), PHT entries
+#: (tag, pattern, stamp); stamp 0 marks a free entry, and ascending
+#: stamps give each table's dict order.  Patterns hold the 64-bit
+#: pattern's two's-complement bits.
+SM_REC = 5
+SM_PHT_REC = 3
 
 #: Capacity (in records) of the batched training-crossing buffer.  Each
 #: record is four int64 slots: cycle, pc, addr, hit.

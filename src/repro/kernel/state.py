@@ -25,9 +25,9 @@ from collections import OrderedDict, deque
 import numpy as np
 
 from repro.kernel import layout
-from repro.kernel.layout import CAND_CAP0, CF64, CI64, PF_BUF_CAP, SF64, SI64
+from repro.kernel.layout import CAND_CAP0, CF64, CI64, PF_BUF_CAP, SF64, SI64, SM_PHT_REC, SM_REC
 from repro.memory.cache import CacheLine
-from repro.prefetchers.base import NullPrefetcher
+from repro.prefetchers.base import NullPrefetcher, Prefetcher
 from repro.prefetchers.stride import PcStridePrefetcher, _StrideEntry
 
 _CACHE_FIELDS = ("valid", "line", "dirty", "pref", "used", "touch", "ready")
@@ -68,6 +68,27 @@ _DP_I64_ARRAYS = (
     "dp_pb_page", "dp_pb_trig_sig", "dp_pb_trig_off",
     "dp_spt_cov", "dp_spt_acc", "dp_spt_mcov", "dp_spt_or", "dp_spt_macc",
 )
+_BP_I64_ARRAYS = ("bp_rr", "bp_offsets", "bp_scores", "bp_active", "bp_pend")
+_SM_I64_ARRAYS = ("sm_at", "sm_ft", "sm_pht")
+_SCHEME_I64_ARRAYS = _SP_I64_ARRAYS + _DP_I64_ARRAYS + _BP_I64_ARRAYS + _SM_I64_ARRAYS
+
+#: The scheme methods the kernel calls: a twin would never call an
+#: instance-level replacement of one of them.
+_SCHEME_HOOKS = ("train", "note_useful_prefetch", "note_useless_prefetch")
+_NOTE_HOOKS = _SCHEME_HOOKS[1:]
+
+_U64 = (1 << 64) - 1
+
+
+def _s64(pattern):
+    """A 64-bit pattern as the int64 with the same bits (for packing)."""
+    return pattern - (1 << 64) if pattern >> 63 else pattern
+
+
+def _ring_cap(need):
+    """Power-of-two capacity of a BOP pending-fill ring that must hold
+    ``need`` entries: twice that, so growths stay rare."""
+    return _next_pow2(max(256, 2 * need))
 
 
 def _bandwidth_is_packed(bw, dram_obj):
@@ -87,22 +108,49 @@ def _bandwidth_is_packed(bw, dram_obj):
     return isinstance(bw, KernelBandwidth) and bw._dram is dram_obj
 
 
+def _reads_notes(pf):
+    """False when ``pf``'s bound note hooks are Prefetcher's no-ops."""
+    return any(
+        getattr(getattr(pf, name), "__func__", None) is not getattr(Prefetcher, name)
+        for name in _NOTE_HOOKS
+    )
+
+
 def _scheme_kind(l2_pf, dram_obj):
     """SCHEME_* id when ``l2_pf`` has a compiled training twin.
 
-    Only the stock registry shapes qualify: the exact class (subclass
-    variants override hooks the C twin hardcodes) with its default config
-    (the generated C bakes those constants in as ``#define``s), no event
-    tracing, and — for the bandwidth-aware schemes — the packed DRAM
-    monitor as the bandwidth source.  Everything else keeps the
+    The gate takes the exact class (subclass variants override hooks the
+    C twin hardcodes), with no event tracing and none of the kernel's
+    hooks (``train`` and the two note hooks) replaced on the instance —
+    a twin would never call them; a composite's components are held to
+    the same rule.  Bandwidth-aware schemes must read the packed DRAM
+    monitor.  SPP and DSPatch need their default configs (the generated
+    C bakes those in as ``#define``s); BOP, eBOP and SMS read every
+    config value from flat-state slots, so any config qualifies within
+    the C's structural limits: unique BOP offsets, and SMS regions of at
+    most 64 lines with non-empty AT and FT.  Everything else keeps the
     ``train_buf`` Python crossing.
     """
     if l2_pf is None or getattr(l2_pf, "trace_emit", None) is not None:
         return layout.SCHEME_PY
+    if any(name in getattr(l2_pf, "__dict__", ()) for name in _SCHEME_HOOKS):
+        return layout.SCHEME_PY
     from repro.core.dspatch import DSPatch, DSPatchConfig
+    from repro.prefetchers.bop import BOP, EBOP
+    from repro.prefetchers.sms import SMS
     from repro.prefetchers.spp import ESPP, SPP, SppConfig
 
     cls = type(l2_pf)
+    if cls is BOP or (cls is EBOP and _bandwidth_is_packed(l2_pf.bandwidth, dram_obj)):
+        offsets = l2_pf.config.offsets
+        if offsets and len(set(offsets)) == len(offsets):
+            return layout.SCHEME_BOP if cls is BOP else layout.SCHEME_EBOP
+        return layout.SCHEME_PY
+    if cls is SMS:
+        cfg = l2_pf.config
+        if 1 <= cfg.lines_per_region <= 64 and cfg.at_entries >= 1 and cfg.ft_entries >= 1:
+            return layout.SCHEME_SMS
+        return layout.SCHEME_PY
     if cls is SPP and l2_pf.config == SppConfig():
         return layout.SCHEME_SPP
     if (
@@ -430,7 +478,9 @@ class KernelState:
         if l1_pf is not None and type(l1_pf) is not PcStridePrefetcher:
             raise ValueError("kernel supports only the stock PC-stride L1 prefetcher")
         ci[CI64["has_l1pf"]] = 0 if l1_pf is None else 1
-        ci[CI64["has_l2pf"]] = 0 if (l2_pf is None or type(l2_pf) is NullPrefetcher) else 1
+        has_l2pf = not (l2_pf is None or type(l2_pf) is NullPrefetcher)
+        ci[CI64["has_l2pf"]] = 1 if has_l2pf else 0
+        ci[CI64["l2pf_notes"]] = 1 if has_l2pf and _reads_notes(l2_pf) else 0
         entries = l1_pf.table_entries if l1_pf is not None else 1
         degree = l1_pf.degree if l1_pf is not None else 1
         if degree > PF_BUF_CAP:
@@ -470,7 +520,7 @@ class KernelState:
         kind = _scheme_kind(l2_pf, shared.dram_obj)
         self.scheme_kind = kind
         ci[CI64["scheme_kind"]] = kind
-        for nm in _SP_I64_ARRAYS + _DP_I64_ARRAYS:
+        for nm in _SCHEME_I64_ARRAYS:
             setattr(self, nm, _i64(1))
         self.sp_ghr_conf = np.zeros(1, dtype=np.float64)
         self.dp_pb_pattern = np.zeros(1, dtype=np.uint64)
@@ -481,6 +531,10 @@ class KernelState:
         elif kind == layout.SCHEME_SPP_DSPATCH:
             self._pack_spp(l2_pf.components[0], ci)
             self._pack_dspatch(l2_pf.components[1], ci)
+        elif kind in (layout.SCHEME_BOP, layout.SCHEME_EBOP):
+            self._pack_bop(l2_pf, ci)
+        elif kind == layout.SCHEME_SMS:
+            self._pack_sms(l2_pf, ci)
 
     # --------------------------------------------- compiled scheme training
 
@@ -563,6 +617,144 @@ class KernelState:
         ci[CI64["dp_pred_accp"]] = pf.predictions_accp
         ci[CI64["dp_pred_supp"]] = pf.predictions_suppressed
 
+    def _pack_bop(self, pf, ci):
+        cfg = pf.config
+        offsets = cfg.offsets
+        ci[CI64["bp_n_off"]] = len(offsets)
+        ci[CI64["bp_rr_mask"]] = cfg.rr_entries - 1
+        ci[CI64["bp_max_round"]] = cfg.max_round
+        ci[CI64["bp_max_score"]] = cfg.max_score
+        ci[CI64["bp_bad_score"]] = cfg.bad_score
+        ci[CI64["bp_degree"]] = cfg.degree
+        ci[CI64["bp_fill_delay"]] = cfg.fill_delay_cycles
+        self.bp_rr = np.array(pf._rr, dtype=np.int64)
+        self.bp_offsets = np.array(offsets, dtype=np.int64)
+        self.bp_scores = np.array([pf._scores[off] for off in offsets], dtype=np.int64)
+        # A phase keeps at most max(degree, 4) offsets (and every one
+        # can become a candidate).
+        active = pf.active_offsets
+        cap = max(min(max(cfg.degree, 4), len(offsets)), len(active), 1)
+        self.bp_active = _i64(cap)
+        self.bp_active[: len(active)] = active
+        if cap > int(ci[CI64["cand_cap"]]):
+            self.grow_candidates(cap)
+        ci[CI64["bp_active_len"]] = len(active)
+        ci[CI64["bp_test_pos"]] = pf._test_pos
+        ci[CI64["bp_round"]] = pf._round
+        ci[CI64["bp_trainings"]] = pf.trainings
+        ci[CI64["bp_phases"]] = pf.learning_phases
+        self._pack_pending(list(pf._pending_fills))
+
+    def _pack_pending(self, pending):
+        """Lay BOP's pending (ready, line) fills out from slot 0 of a ring
+        with room for them and the trainings of one more op, doubled."""
+        ci = self.ci64
+        cap = _ring_cap(len(pending) + 1 + int(ci[CI64["stride_degree"]]))
+        ring = _i64(2 * cap)
+        if pending:
+            ring[: 2 * len(pending)] = np.array(pending, dtype=np.int64).ravel()
+        self.bp_pend = ring
+        ci[CI64["bp_pend_head"]] = 0
+        ci[CI64["bp_pend_len"]] = len(pending)
+        ci[CI64["bp_pend_cap"]] = cap
+
+    def _pending_list(self):
+        """BOP's pending fills, oldest first, as (ready, line) tuples."""
+        ci = self.ci64
+        cap = int(ci[CI64["bp_pend_cap"]])
+        order = (int(ci[CI64["bp_pend_head"]]) + np.arange(int(ci[CI64["bp_pend_len"]]))) & (cap - 1)
+        return [tuple(pair) for pair in self.bp_pend.reshape(-1, 2)[order].tolist()]
+
+    def grow_pending_ring(self):
+        """Serve ``RC_GROW``: re-lay BOP's full pending-fill ring larger.
+        It is never truncated; the caller rebuilds the pointer table."""
+        self._pack_pending(self._pending_list())
+
+    def _pack_sms(self, pf, ci):
+        cfg = pf.config
+        sets = cfg.pht_sets
+        ci[CI64["sm_region_shift"]] = pf._region_shift
+        ci[CI64["sm_off_mask"]] = pf._offset_mask
+        ci[CI64["sm_at_cap"]] = cfg.at_entries
+        ci[CI64["sm_ft_cap"]] = cfg.ft_entries
+        ci[CI64["sm_pht_sets"]] = sets
+        ci[CI64["sm_pht_ways"]] = cfg.pht_ways
+        ci[CI64["sm_set_bits"]] = (sets - 1).bit_length()
+        ci[CI64["sm_trainings"]] = pf.trainings
+        ci[CI64["sm_pht_stores"]] = pf.pht_stores
+        ci[CI64["sm_pht_hits"]] = pf.pht_hits
+        # Stamps follow dict order (oldest first) within every table.
+        stamp = 0
+        for name, table, cap in (("sm_at", pf._at, cfg.at_entries), ("sm_ft", pf._ft, cfg.ft_entries)):
+            arr = _i64(SM_REC * cap)
+            for i, (region, e) in enumerate(table.items()):
+                stamp += 1
+                arr[SM_REC * i : SM_REC * (i + 1)] = (
+                    region, _s64(e.pattern), e.trigger_pc, e.trigger_offset, stamp
+                )
+            setattr(self, name, arr)
+        ways = cfg.pht_ways
+        pht = _i64(SM_PHT_REC * sets * ways)
+        # Only the sets holding patterns cost anything (a fresh SMS has
+        # none).
+        self._sm_packed_sets = []
+        if any(pf._pht):
+            for set_idx, pht_set in enumerate(pf._pht):
+                if not pht_set:
+                    continue
+                self._sm_packed_sets.append(set_idx)
+                for way, (tag, pattern) in enumerate(pht_set.items()):
+                    stamp += 1
+                    base = SM_PHT_REC * (set_idx * ways + way)
+                    pht[base : base + SM_PHT_REC] = (tag, _s64(pattern), stamp)
+        self.sm_pht = pht
+        ci[CI64["sm_clock"]] = stamp
+
+    def _write_back_bop(self, pf, ci):
+        pf.trainings = int(ci[CI64["bp_trainings"]])
+        pf.learning_phases = int(ci[CI64["bp_phases"]])
+        pf._test_pos = int(ci[CI64["bp_test_pos"]])
+        pf._round = int(ci[CI64["bp_round"]])
+        pf._rr = self.bp_rr.tolist()
+        pf._scores = dict(zip(pf.config.offsets, self.bp_scores.tolist()))
+        pf.active_offsets = self.bp_active[: int(ci[CI64["bp_active_len"]])].tolist()
+        pf._pending_fills = deque(self._pending_list())
+
+    def _write_back_sms(self, pf, ci):
+        from repro.prefetchers.sms import _RegionEntry
+
+        pf.trainings = int(ci[CI64["sm_trainings"]])
+        pf.pht_stores = int(ci[CI64["sm_pht_stores"]])
+        pf.pht_hits = int(ci[CI64["sm_pht_hits"]])
+        for name, attr in (("sm_at", "_at"), ("sm_ft", "_ft")):
+            records = getattr(self, name).reshape(-1, SM_REC).tolist()
+            table = {}
+            for region, pattern, pc, offset, _ in sorted(
+                (r for r in records if r[4]), key=lambda r: r[4]
+            ):
+                entry = _RegionEntry(pc, offset)
+                entry.pattern = pattern & _U64
+                table[region] = entry
+            setattr(pf, attr, table)
+        # Only the sets that held patterns at pack time or hold some now
+        # are rebuilt, each in ascending-stamp (LRU) order.
+        rec = self.sm_pht.reshape(-1, SM_PHT_REC)
+        occupied = np.flatnonzero(rec[:, 2])
+        set_of = occupied // pf.config.pht_ways
+        order = np.lexsort((rec[occupied, 2], set_of))
+        occupied = occupied[order]
+        pht = pf._pht
+        for set_idx in self._sm_packed_sets:
+            pht[set_idx] = {}
+        prev = -1
+        for set_idx, tag, pattern in zip(
+            set_of[order].tolist(), rec[occupied, 0].tolist(), rec[occupied, 1].tolist()
+        ):
+            if set_idx != prev:
+                pht_set = pht[set_idx] = {}
+                prev = set_idx
+            pht_set[tag] = pattern & _U64
+
     def _write_back_spp(self, pf, ci):
         from repro.prefetchers.spp import _GhrEntry, _StEntry
 
@@ -632,6 +824,20 @@ class KernelState:
 
     # ------------------------------------------------------------- plumbing
 
+    def grow_candidates(self, n):
+        """Reallocate the (empty) candidate and note buffers, doubling
+        their capacity until ``n`` candidates fit; the caller rebuilds
+        any pointer table that held the old ones."""
+        ci = self.ci64
+        cap = int(ci[CI64["cand_cap"]])
+        while cap < n:
+            cap *= 2
+        self.cand_line = _i64(cap)
+        self.cand_lp = _i64(cap)
+        self.note_buf = _i64(3 * (cap + 16))
+        ci[CI64["cand_cap"]] = cap
+        ci[CI64["note_cap"]] = cap + 16
+
     def array_map(self):
         """Every kernel array by its :data:`layout.PTR` name."""
         shared = self.shared
@@ -670,7 +876,7 @@ class KernelState:
             "sp_ghr_conf": self.sp_ghr_conf,
             "dp_pb_pattern": self.dp_pb_pattern,
         }
-        for nm in _SP_I64_ARRAYS + _DP_I64_ARRAYS:
+        for nm in _SCHEME_I64_ARRAYS:
             m[nm] = getattr(self, nm)
         for lvl in ("l1", "l2"):
             for f in _CACHE_FIELDS:
@@ -768,5 +974,9 @@ class KernelState:
             elif self.scheme_kind == layout.SCHEME_SPP_DSPATCH:
                 self._write_back_spp(l2_pf.components[0], ci)
                 self._write_back_dspatch(l2_pf.components[1], ci)
+            elif self.scheme_kind in (layout.SCHEME_BOP, layout.SCHEME_EBOP):
+                self._write_back_bop(l2_pf, ci)
+            elif self.scheme_kind == layout.SCHEME_SMS:
+                self._write_back_sms(l2_pf, ci)
             else:
                 self._write_back_spp(l2_pf, ci)

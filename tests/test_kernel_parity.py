@@ -116,6 +116,17 @@ def _config(scheme, llc_geometry, warmup_frac, kernel, dram=ST_DRAM):
     )
 
 
+def _assert_crosses(scheme):
+    """``scheme`` has no C twin: its training crosses into Python."""
+    from repro.kernel import layout
+    from repro.kernel.state import _scheme_kind
+    from repro.memory.dram import DramModel
+    from repro.prefetchers.registry import build_prefetcher
+
+    dram = DramModel(ST_DRAM)
+    assert _scheme_kind(build_prefetcher(scheme, dram.monitor), dram) == layout.SCHEME_PY
+
+
 def _assert_same(baseline, candidate, label):
     if baseline == candidate:
         return
@@ -173,7 +184,8 @@ def test_mp_draw_is_stable_across_processes():
 @needs_compiled
 @pytest.mark.parametrize(
     "scheme,warmup_frac",
-    [("dspatch", 0.25), ("spp", 0.1), ("bop", 0.0)],
+    # bop runs its C twin; ampm keeps the Python training crossing.
+    [("dspatch", 0.25), ("spp", 0.1), ("bop", 0.0), ("ampm", 0.0)],
 )
 def test_multi_programmed_parity(scheme, warmup_frac):
     traces = [build_trace(name, length) for name, length in _mp_draw(scheme, warmup_frac)]
@@ -186,6 +198,8 @@ def test_multi_programmed_parity(scheme, warmup_frac):
             {"global_cycles": mp.global_cycles}
         ]
 
+    if scheme == "ampm":
+        _assert_crosses(scheme)
     for core_idx, (base, cand) in enumerate(zip(run("object"), run("compiled"))):
         _assert_same(base, cand, f"mp/{scheme}/core{core_idx}")
 
@@ -218,16 +232,18 @@ def test_unsupported_features_fall_back_to_object():
 
 # ---------------------------------------------------------------------------
 # Compiled scheme training (SPP / eSPP / DSPatch / the Section 5.1
-# composite get C twins; everything else batches through train_buf).
+# composite / BOP / eBOP / SMS get C twins; everything else batches
+# through train_buf).
 
 
 def test_scheme_kind_detection():
-    """Exactly the stock registry shapes get a compiled twin; variants,
-    non-default configs, wrappers and unrelated schemes keep the Python
-    crossing."""
+    """The twinned registry shapes get their compiled twin; variants,
+    non-default SPP/DSPatch configs, wrappers, traced or instance-hooked
+    schemes and unrelated schemes keep the Python crossing."""
     from repro.kernel import layout
     from repro.kernel.state import _scheme_kind
     from repro.memory.dram import DramModel
+    from repro.prefetchers.bop import BOP
     from repro.prefetchers.registry import build_prefetcher
 
     dram = DramModel(ST_DRAM)
@@ -236,22 +252,59 @@ def test_scheme_kind_detection():
         "espp": layout.SCHEME_ESPP,
         "dspatch": layout.SCHEME_DSPATCH,
         "spp+dspatch": layout.SCHEME_SPP_DSPATCH,
+        # BOP and SMS read their configs from slots: every size twins
+        "bop": layout.SCHEME_BOP,
+        "bop1": layout.SCHEME_BOP,
+        "ebop": layout.SCHEME_EBOP,
+        "sms": layout.SCHEME_SMS,
+        "sms-4k": layout.SCHEME_SMS,
+        "sms-1k": layout.SCHEME_SMS,
+        "sms-256": layout.SCHEME_SMS,
         # no C twin: crossing path
-        "bop": layout.SCHEME_PY,
-        "sms": layout.SCHEME_PY,
         "dspatch-spt128": layout.SCHEME_PY,  # non-default config
         "alwayscovp": layout.SCHEME_PY,      # subclass variant
         "fdp:spp": layout.SCHEME_PY,         # throttle wrapper
+        "fdp:bop": layout.SCHEME_PY,
         "spp+bop": layout.SCHEME_PY,         # composite without twin pair
+        "spp+sms-256": layout.SCHEME_PY,
+        "ampm": layout.SCHEME_PY,
         "none": layout.SCHEME_PY,
     }
     for name, expected in expectations.items():
         pf = build_prefetcher(name, dram.monitor)
         assert _scheme_kind(pf, dram) == expected, name
     # A traced scheme must stay on the object-visible path.
-    pf = build_prefetcher("spp", dram.monitor)
-    pf.attach_trace(lambda *a: None)
-    assert _scheme_kind(pf, dram) == layout.SCHEME_PY
+    for name in ("spp", "sms"):
+        pf = build_prefetcher(name, dram.monitor)
+        pf.attach_trace(lambda *a: None)
+        assert _scheme_kind(pf, dram) == layout.SCHEME_PY, f"traced {name}"
+
+    # A subclass may override anything the twin hardcodes.
+    class TunedBop(BOP):
+        pass
+
+    assert _scheme_kind(TunedBop(), dram) == layout.SCHEME_PY
+    # A hook replaced on the instance would never be called by a twin;
+    # a composite is declined when any component is hooked.
+    for name, hooked, attr in (
+        ("spp", "spp", "note_useful_prefetch"),
+        ("bop", "bop", "train"),
+        ("sms", "sms", "note_useless_prefetch"),
+        ("spp+dspatch", "dspatch", "train"),
+    ):
+        pf = build_prefetcher(name, dram.monitor)
+        target = pf
+        if "+" in name:
+            target = next(c for c in pf.components if c.name == hooked)
+        setattr(target, attr, getattr(target, attr))
+        assert _scheme_kind(pf, dram) == layout.SCHEME_PY, f"{name}: hooked {attr}"
+    # Structural limits the C relies on.
+    from repro.prefetchers.bop import BopConfig
+    from repro.prefetchers.sms import SMS, SmsConfig
+
+    assert _scheme_kind(BOP(BopConfig(offsets=(1, 2, 1))), dram) == layout.SCHEME_PY
+    assert _scheme_kind(SMS(SmsConfig(region_bytes=8192)), dram) == layout.SCHEME_PY
+    assert _scheme_kind(SMS(SmsConfig(region_bytes=4096)), dram) == layout.SCHEME_SMS
 
 
 _TRAINING_CASES = [
@@ -269,6 +322,16 @@ _TRAINING_CASES = [
     ("spp+dspatch", "cloud.memcached", 2400, ST_DRAM),
     ("spp+dspatch", "hpc.npb-cg", 2400, MP_DRAM),
     ("spp+bop", "ispec06.mcf", 2000, ST_DRAM),
+    # BOP offset scoring (a phase ends by MaxScore within this trace) and
+    # its degree-1 config; eBOP under the narrow MP DRAM, where the bucket
+    # crosses all three of eBOP's degree thresholds mid-run.
+    ("bop", "fspec06.libquantum", 2600, ST_DRAM),
+    ("bop1", "cloud.memcached", 2400, ST_DRAM),
+    ("ebop", "hpc.npb-cg", 2600, MP_DRAM),
+    # SMS at the paper's 16K-entry PHT and at 256 entries (16 sets), where
+    # PHT stores evict.
+    ("sms", "server.tpcc-1", 2400, ST_DRAM),
+    ("sms-256", "ispec06.mcf", 2600, ST_DRAM),
 ]
 
 
@@ -294,25 +357,43 @@ def test_training_heavy_parity(scheme, workload, length, dram):
 def test_batched_crossing_parity_non_compiled_scheme():
     """A scheme without a C twin crosses through the train_buf record
     buffer; results stay bit-identical to the object model."""
-    from repro.kernel import layout
-    from repro.kernel.state import _scheme_kind
-    from repro.memory.dram import DramModel
-    from repro.prefetchers.registry import build_prefetcher
-
-    dram = DramModel(ST_DRAM)
-    assert _scheme_kind(build_prefetcher("sms", dram.monitor), dram) == layout.SCHEME_PY
+    _assert_crosses("ampm")
     trace = build_trace("server.tpcc-1", 2400)
-    base = System(_config("sms", _LLC_GEOMETRIES[0], 0.1, "object")).run(trace).to_dict()
-    got = System(_config("sms", _LLC_GEOMETRIES[0], 0.1, "compiled")).run(trace).to_dict()
-    _assert_same(base, got, "batched/sms")
+    base = System(_config("ampm", _LLC_GEOMETRIES[0], 0.1, "object")).run(trace).to_dict()
+    got = System(_config("ampm", _LLC_GEOMETRIES[0], 0.1, "compiled")).run(trace).to_dict()
+    _assert_same(base, got, "batched/ampm")
 
 
 def _training_state(pf):
     """Structural fingerprint of a scheme's training tables and counters."""
     from repro.core.dspatch import DSPatch
+    from repro.prefetchers.bop import BOP
     from repro.prefetchers.composite import CompositePrefetcher
+    from repro.prefetchers.sms import SMS
     from repro.prefetchers.spp import SPP
 
+    if isinstance(pf, BOP):  # covers EBOP
+        return (
+            list(pf._rr),
+            list(pf._pending_fills),
+            list(pf._scores.items()),
+            (pf._test_pos, pf._round),
+            list(pf.active_offsets),
+            (pf.learning_phases, pf.trainings),
+        )
+    if isinstance(pf, SMS):
+        def region_table(table):
+            return [
+                (region, e.pattern, e.trigger_pc, e.trigger_offset)
+                for region, e in table.items()
+            ]
+
+        return (
+            region_table(pf._at),
+            region_table(pf._ft),
+            [list(pht_set.items()) for pht_set in pf._pht],
+            (pf.trainings, pf.pht_stores, pf.pht_hits),
+        )
     if isinstance(pf, CompositePrefetcher):
         return [_training_state(c) for c in pf.components]
     if isinstance(pf, SPP):  # covers ESPP
@@ -347,12 +428,13 @@ def _training_state(pf):
 
 
 @needs_compiled
-@pytest.mark.parametrize("scheme", ("dspatch", "spp+dspatch"))
+@pytest.mark.parametrize("scheme", ("dspatch", "spp+dspatch", "bop", "sms"))
 def test_flush_training_sees_identical_residual_state(scheme, monkeypatch):
     """warmup_frac=0 boundary: the end-of-run drain must observe the same
     residual training state — and the same run-final cycle, which sets
     DSPatch's bandwidth bucket for the drained pages — whether training
-    ran in generated C or in Python."""
+    ran in generated C or in Python.  SMS's drain stores its whole AT
+    into the PHT, so the written-back AT and PHT order both matter."""
     import repro.cpu.system as system_mod
 
     trace = build_trace("cloud.memcached", 2000)
@@ -372,3 +454,211 @@ def test_flush_training_sees_identical_residual_state(scheme, monkeypatch):
         captured[kernel] = current
     assert captured["object"], "flush was never reached"
     assert captured["compiled"] == captured["object"], "flush state diverges"
+
+
+def _run_capturing_scheme(monkeypatch, scheme, trace, kernel, dram=ST_DRAM, build=None):
+    """``System.run`` result plus the scheme's state at the end-of-run
+    drain (on the compiled kernel: the written-back object), and the
+    scheme object itself.  ``build``, when given, replaces the registry
+    builder, so any config can run."""
+    import repro.cpu.system as system_mod
+
+    real_flush = system_mod.flush_training_with_cycle
+    seen = []
+
+    def capturing_flush(pf, cycle):
+        seen.append((pf, _training_state(pf)))
+        real_flush(pf, cycle)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(system_mod, "flush_training_with_cycle", capturing_flush)
+        if build is not None:
+            patch.setattr(system_mod, "build_prefetcher", lambda name, bw: build(bw))
+        result = System(_config(scheme, _LLC_GEOMETRIES[1], 0.0, kernel, dram=dram)).run(trace)
+    (pf, state), = seen
+    return result.to_dict(), state, pf
+
+
+@needs_compiled
+@pytest.mark.parametrize(
+    "workload,length,ending",
+    # A phase ends when an offset reaches MaxScore (regular strides score
+    # fast) or after MaxRound rounds (irregular accesses rarely score).
+    [("fspec06.libquantum", 2600, "max_score"), ("server.tpcc-1", 6000, "max_round")],
+)
+def test_bop_learning_phases_end_alike(workload, length, ending, monkeypatch):
+    """BOP's learning phase ends mid-train (MaxScore) or at a round
+    boundary (MaxRound); the twin ranks the offsets like the spec's
+    stable sort and writes the learned state back exactly."""
+    from repro.prefetchers.bop import BOP
+
+    trace = build_trace(workload, length)
+    endings = []
+    real_finish = BOP._finish_phase
+
+    def spying_finish(self):
+        endings.append("max_round" if self._round >= self.config.max_round else "max_score")
+        real_finish(self)
+
+    monkeypatch.setattr(BOP, "_finish_phase", spying_finish)
+    base, base_state, _ = _run_capturing_scheme(monkeypatch, "bop", trace, "object")
+    assert ending in endings
+    got, got_state, pf = _run_capturing_scheme(monkeypatch, "bop", trace, "compiled")
+    _assert_same(base, got, f"bop-phases/{workload}")
+    assert got_state == base_state
+    assert pf.learning_phases > 0
+
+
+def _small_bop(bw):
+    from repro.prefetchers.bop import BopConfig, EBOP
+
+    cfg = BopConfig(
+        rr_entries=64,
+        max_round=3,
+        max_score=6,
+        bad_score=2,
+        degree=3,
+        offsets=(1, 2, 3, 4, -1, -2, 6, 8, 12, -4, 16),
+        fill_delay_cycles=120,
+    )
+    return EBOP(bw, cfg)
+
+
+def _wide_sms(bw):
+    from repro.prefetchers.sms import SMS, SmsConfig
+
+    # 64-line regions put bit 63 in patterns; a tiny PHT keeps evicting.
+    return SMS(SmsConfig(region_bytes=4096, at_entries=8, ft_entries=4, pht_entries=64, pht_ways=4))
+
+
+def _narrow_sms(bw):
+    from repro.prefetchers.sms import SMS, SmsConfig
+
+    return SMS(SmsConfig(region_bytes=512, at_entries=16, ft_entries=8, pht_entries=512, pht_ways=8))
+
+
+@needs_compiled
+@pytest.mark.parametrize("build", (_small_bop, _wide_sms, _narrow_sms), ids=lambda f: f.__name__)
+@pytest.mark.parametrize("workload", ("hpc.npb-cg", "ispec06.mcf"))
+def test_non_default_configs_twin_from_slots(build, workload, monkeypatch):
+    """BOP and SMS twins read every config value from flat-state slots:
+    sizes and thresholds other than the registry's run compiled and
+    stay bit-identical, state included."""
+    from repro.kernel import layout
+    from repro.kernel.state import _scheme_kind
+    from repro.memory.dram import DramModel
+
+    dram = DramModel(MP_DRAM)
+    assert _scheme_kind(build(dram), dram) != layout.SCHEME_PY
+    trace = build_trace(workload, 2600)
+    base, base_state, _ = _run_capturing_scheme(
+        monkeypatch, "custom", trace, "object", dram=MP_DRAM, build=build
+    )
+    got, got_state, _ = _run_capturing_scheme(
+        monkeypatch, "custom", trace, "compiled", dram=MP_DRAM, build=build
+    )
+    _assert_same(base, got, f"slots/{build.__name__}/{workload}")
+    assert got_state == base_state
+
+
+@needs_compiled
+@pytest.mark.parametrize("scheme", ("bop", "ebop"))
+def test_bop_pending_ring_grows_never_truncates(scheme, monkeypatch):
+    """BOP's pending-fill FIFO is unbounded in the spec.  Started at the
+    smallest ring, the twin stops between ops to grow it (RC_GROW) many
+    times; results and the written-back queue stay exact."""
+    import repro.kernel.state as state_mod
+
+    trace = build_trace("hpc.npb-cg", 2600)
+    base, base_state, _ = _run_capturing_scheme(monkeypatch, scheme, trace, "object", dram=MP_DRAM)
+    grows = []
+    real_grow = state_mod.KernelState.grow_pending_ring
+
+    def counting_grow(self):
+        grows.append(1)
+        real_grow(self)
+
+    monkeypatch.setattr(state_mod, "_ring_cap", state_mod._next_pow2)
+    monkeypatch.setattr(state_mod.KernelState, "grow_pending_ring", counting_grow)
+    got, got_state, _ = _run_capturing_scheme(monkeypatch, scheme, trace, "compiled", dram=MP_DRAM)
+    assert len(grows) >= 3
+    _assert_same(base, got, f"ring/{scheme}")
+    assert got_state == base_state
+
+
+@needs_compiled
+@pytest.mark.parametrize(
+    "scheme,workload,switch_at",
+    # At the switch, BOP has ended a phase (learned active offsets) with
+    # fills pending; SMS has a full AT, a part-filled FT and PHT entries
+    # in many sets (all 16 sets of sms-256).
+    [
+        ("bop", "fspec06.libquantum", 2000),
+        ("ebop", "fspec06.libquantum", 2000),
+        ("sms", "server.tpcc-1", 1500),
+        ("sms-256", "server.tpcc-1", 1500),
+    ],
+)
+def test_mid_run_pack_carries_scheme_state(scheme, workload, switch_at):
+    """Packing a scheme that already trained — non-empty RR table,
+    pending fills, scores and active offsets; filled AT, FT and PHT sets
+    — and finishing the run compiled equals running the object model
+    throughout, state included."""
+    from repro.cpu.core import CoreExecution
+    from repro.cpu.system import _result_from
+    from repro.kernel.execution import KernelDomain, KernelExecution
+    from repro.memory.dram import DramModel
+    from repro.memory.hierarchy import MemoryHierarchy
+    from repro.prefetchers.registry import build_prefetcher
+    from repro.prefetchers.stride import PcStridePrefetcher
+
+    trace = build_trace(workload, 3000)
+    cfg = SystemConfig.single_thread(scheme, dram=MP_DRAM)
+
+    def run(switch_at):
+        dram = DramModel(cfg.dram)
+        pf = build_prefetcher(scheme, dram)
+        hierarchy = MemoryHierarchy(
+            config=cfg.hierarchy, dram=dram, l1_prefetcher=PcStridePrefetcher(), l2_prefetcher=pf
+        )
+        execution = CoreExecution(cfg.core, trace, hierarchy)
+        execution.run_ops(switch_at)
+        if switch_at < len(trace):
+            domain = KernelDomain(hierarchy.llc, dram)
+            kex = KernelExecution(execution, trace, domain)
+            domain.interleave([kex])
+            kex.write_back()
+            domain.write_back()
+        return _result_from(execution, hierarchy, dram).to_dict(), _training_state(pf)
+
+    base_result, base_state = run(len(trace))
+    got_result, got_state = run(switch_at)
+    _assert_same(base_result, got_result, f"mid-run/{scheme}")
+    assert got_state == base_state
+
+
+@needs_compiled
+@pytest.mark.parametrize(
+    "scheme,delivered",
+    # ampm and streamer inherit Prefetcher's no-op note hooks; a
+    # composite and the fdp: throttle read their notes.
+    [("ampm", False), ("streamer", False), ("spp+bop", True), ("fdp:ampm", True)],
+)
+def test_notes_queue_only_for_schemes_that_read_them(scheme, delivered, monkeypatch):
+    """A crossing scheme whose note hooks are the base no-ops gets no
+    usefulness notes queued or drained; results stay bit-identical."""
+    from repro.kernel.cbuild import CRuntime
+
+    drained = []
+    real_drain = CRuntime._drain_notes
+
+    def counting_drain(self):
+        drained.append(1)
+        real_drain(self)
+
+    trace = build_trace("server.tpcc-1", 2400)
+    base = System(_config(scheme, _LLC_GEOMETRIES[0], 0.1, "object")).run(trace).to_dict()
+    monkeypatch.setattr(CRuntime, "_drain_notes", counting_drain)
+    got = System(_config(scheme, _LLC_GEOMETRIES[0], 0.1, "compiled")).run(trace).to_dict()
+    _assert_same(base, got, f"notes/{scheme}")
+    assert bool(drained) == delivered

@@ -220,7 +220,7 @@ class TestDriverParity:
     """Both schedulers are bit-for-bit interchangeable with the reference."""
 
     @pytest.mark.parametrize("driver", SCHEDULERS)
-    @pytest.mark.parametrize("scheme", ["none", "dspatch", "spp+dspatch"])
+    @pytest.mark.parametrize("scheme", ["none", "dspatch", "spp+dspatch", "ebop"])
     @pytest.mark.parametrize("warmup_frac", [0.25, 0.0])
     def test_parity_on_mix_grid(self, scheme, warmup_frac, driver):
         traces = build_mix_traces(_MIX, 800)
@@ -234,14 +234,14 @@ class TestDriverParity:
         _assert_matches_reference(driver, cfg, traces, "uneven lengths")
 
     @pytest.mark.parametrize("driver", SCHEDULERS)
-    @pytest.mark.parametrize("scheme", ["ebop", "spp+bop"])
+    @pytest.mark.parametrize("scheme", ["alwayscovp", "spp+bop"])
     def test_parity_with_training_crossings(self, scheme, driver):
         """Schemes without a C twin train in Python: every training
         access returns from the C schedule mid-batch, and queued
         usefulness notes return at the batch end.  Every core's train
         and note calls must reach the schemes in the reference's global
-        order (eBOP also reads the shared bandwidth monitor from Python
-        while the other cores' state is live in C)."""
+        order (AlwaysCovP also reads the shared bandwidth monitor from
+        Python while the other cores' state is live in C)."""
         from repro.kernel import layout
         from repro.kernel.state import _scheme_kind
 
@@ -274,9 +274,27 @@ class TestDriverParity:
 
             pf.train = bursting
 
+        from repro.kernel import layout
+        from repro.kernel.state import _scheme_kind
+
+        dram = DramModel(SystemConfig.multi_programmed().dram)
+        assert _scheme_kind(build_prefetcher("ampm", dram), dram) == layout.SCHEME_PY
         traces = build_mix_traces(_MIX, 600)
-        cfg = SystemConfig.multi_programmed("bop")
+        cfg = SystemConfig.multi_programmed("ampm")
         _assert_matches_reference("compiled", cfg, traces, "candidate growth", scheme_hook=burst)
+
+    @pytest.mark.parametrize("driver", SCHEDULERS)
+    def test_instance_hooked_twin_scheme_keeps_its_calls(self, driver):
+        """Regression: a scheme whose train/note hooks are replaced on the
+        instance ran its C twin anyway, so the hooks were never called
+        (0 calls on the compiled driver, 2,185 on the others, for this
+        mix).  The gate now declines the twin and the calls cross."""
+        traces = build_mix_traces(_MIX, 400)
+        cfg = SystemConfig.multi_programmed("spp")
+        events = []
+        _assert_matches_reference(driver, cfg, traces, "hooked spp", events=events)
+        assert any(name == "train" for _, name, _ in events)
+        assert any(name.startswith("note") for _, name, _ in events)
 
     def test_system_run_uses_batched_driver_semantics(self):
         """MultiCoreSystem.run matches the explicit two-level rebuild."""
@@ -366,8 +384,15 @@ class TestSingleThreadIsOneCoreSchedule:
 
     @pytest.mark.parametrize("kernel", ["object", pytest.param("compiled", marks=needs_compiled)])
     @pytest.mark.parametrize("warmup_frac", [0.0, 0.25, 1.0])
-    @pytest.mark.parametrize("scheme", ["dspatch", "bop"])
+    @pytest.mark.parametrize("scheme", ["dspatch", "bop", "ampm"])
     def test_system_run_matches_hand_driven_protocol(self, scheme, warmup_frac, kernel):
+        from repro.kernel import layout
+        from repro.kernel.state import _scheme_kind
+
+        # Two C twins and one scheme that crosses into Python per train.
+        kinds = {"dspatch": layout.SCHEME_DSPATCH, "bop": layout.SCHEME_BOP, "ampm": layout.SCHEME_PY}
+        dram = DramModel()
+        assert _scheme_kind(build_prefetcher(scheme, dram), dram) == kinds[scheme]
         trace = build_trace("cloud.memcached", 1500)
         cfg = SystemConfig.single_thread(scheme, warmup_frac=warmup_frac, kernel=kernel)
         expected = _st_hand_driven(cfg, trace)
