@@ -9,9 +9,10 @@ comparison: 6 schemes x N workloads) under several regimes:
    or the object model on a host without a toolchain, is the headline
    ``cold sequential`` leg.  When the compiled kernel is
    available, a dedicated **scheme-training leg** additionally times the
-   C-twinned schemes (:data:`TWINNED_SCHEMES`) on one longer trace
-   where training dominates, asserts bit-identity against the object
-   model, and gates the twins' advantage with its own
+   C-twinned schemes (:data:`TWINNED_SCHEMES`, plus Figure 20's
+   pollution-recording streamer run) on one longer trace where training
+   dominates, asserts bit-identity against the object model (the
+   pollution logs included), and gates the twins' advantage with its own
    ``--min-scheme-kernel-speedup`` floor.  A **multi-core leg** runs one
    4-core ``spp+dspatch`` mix through ``MultiCoreSystem`` on both
    kernels, where the compiled run schedules its cores in C, asserts
@@ -51,7 +52,10 @@ import time
 SCHEMES = 6  # fig12: none + bop/sms/spp/dspatch/spp+dspatch
 CATEGORIES = 9
 #: The scheme-training leg: every scheme with a C training twin.
-TWINNED_SCHEMES = ("spp", "dspatch", "spp+dspatch", "bop", "ebop", "sms")
+TWINNED_SCHEMES = ("spp", "dspatch", "spp+dspatch", "bop", "ebop", "sms", "streamer")
+#: The leg's runs, ``(scheme, record_pollution_victims)``: each twin, then
+#: Figure 20's streamer run with its pollution logs recorded in C.
+SCHEME_LEG_RUNS = tuple((scheme, False) for scheme in TWINNED_SCHEMES) + (("streamer", True),)
 #: The multi-core leg: one heterogeneous 4-core mix, ops per core.
 MP_MIX = ("ispec06.mcf", "cloud.memcached", "hpc.npb-bt", "sysmark.excel")
 MP_TRACE_LEN = 6000
@@ -132,8 +136,9 @@ def run_bench(args):
     # The fig12 smoke grid dilutes training across six schemes and nine
     # categories, so a broken training twin barely moves the headline
     # number.  This leg isolates the C-twinned schemes on one longer trace
-    # where training dominates, asserts bit-identical results, and holds
-    # the twins to their own speedup floor.
+    # where training dominates, asserts bit-identical results (and, for
+    # the pollution-recording run, identical logs), and holds the twins
+    # to their own speedup floor.
     scheme_seconds = {"object": None, "compiled": None}
     scheme_speedup = None
     scheme_identical = True
@@ -148,11 +153,19 @@ def run_bench(args):
             for _ in range(args.repeats):
                 t0 = time.perf_counter()
                 out = []
-                for scheme in TWINNED_SCHEMES:
+                for scheme, record in SCHEME_LEG_RUNS:
                     res = System(
-                        SystemConfig.single_thread(scheme, kernel=kind)
+                        SystemConfig.single_thread(
+                            scheme, kernel=kind, record_pollution_victims=record
+                        )
                     ).run(scheme_trace)
-                    out.append(res.to_dict())
+                    # repr keeps the logs' element types in the comparison
+                    out.append((
+                        res.to_dict(),
+                        repr(res.demand_log),
+                        repr(res.prefetch_fill_log),
+                        repr(res.pollution_events),
+                    ))
                 dt = time.perf_counter() - t0
                 scheme_results[kind] = out
                 if best is None or dt < best:
@@ -369,7 +382,7 @@ def run_bench(args):
         print(
             f"scheme training : {scheme_seconds['compiled']:8.2f}s vs "
             f"{scheme_seconds['object']:.2f}s object  ({scheme_speedup:.2f}x, "
-            f"{args.scheme_trace_len} ops x {len(TWINNED_SCHEMES)} schemes)"
+            f"{args.scheme_trace_len} ops x {len(SCHEME_LEG_RUNS)} runs)"
         )
     if mp_speedup is not None:
         print(

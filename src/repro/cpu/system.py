@@ -63,8 +63,9 @@ class SystemConfig:
     #: generated-C twin, "object" the object model.  Both are bit-identical
     #: (pinned by tests/test_kernel_parity.py) and the field never enters
     #: spec fingerprints, so results share cache entries across kernels.
-    #: Runs the C twin cannot express — event tracing on, pollution
-    #: recording — use the object model regardless.
+    #: Event-traced runs (``trace_prefetch``/``trace_cache``) use the
+    #: object model regardless; pollution recording runs compiled too,
+    #: the kernel recording the same logs.
     kernel: str = "auto"
 
     @staticmethod
@@ -163,11 +164,13 @@ def _resolve_kernel(cfg):
     Resolution: an explicit ``SystemConfig.kernel`` wins; "auto" defers to
     the engine config (``repro --kernel`` / ``REPRO_KERNEL``); a still
     unresolved "auto" picks "compiled" when the kernel builds and the
-    object model otherwise.  Runs the C twin cannot express — tracing,
-    pollution recording — use the object model whatever was selected.  An
-    *explicit* "compiled" without a working kernel raises; "auto" degrades
-    to the object model, quietly for a missing toolchain and with a
-    warning for a broken build.  Any other name raises.
+    object model otherwise.  Event-traced runs use the object model
+    whatever was selected: their event stream exists only there.
+    Pollution recording does not force it, since the kernel records the
+    same three logs.  An *explicit* "compiled" without a working kernel
+    raises; "auto" degrades to the object model, quietly for a missing
+    toolchain and with a warning for a broken build.  Any other name
+    raises.
     """
     # Lazy import: repro.cpu must stay importable without the engine.
     from repro.engine.config import KERNEL_CHOICES, current_config
@@ -177,7 +180,7 @@ def _resolve_kernel(cfg):
         raise ValueError(f"SystemConfig.kernel={choice!r} is not one of {KERNEL_CHOICES}")
     if choice == "auto":
         choice = current_config().kernel
-    if choice == "object" or cfg.trace_prefetch or cfg.trace_cache or cfg.record_pollution_victims:
+    if choice == "object" or cfg.trace_prefetch or cfg.trace_cache:
         return "object"
     from repro.kernel import kernel_available
     from repro.kernel.execution import kernel_unavailable_reason
@@ -227,15 +230,18 @@ def _resolve_sink(cfg, sink):
     return LineSink(sys.stderr)
 
 
-def _make_hierarchy(cfg, dram, llc, l1_pf, l2_pf, sink):
+def _make_hierarchy(cfg, dram, llc, l1_pf, l2_pf, sink, compiled=False):
     """Build the hierarchy for one core: plain when nothing observes it.
 
     The split class is the no-overhead guarantee: with tracing off and no
     pollution recording this returns the exact pre-instrumentation
     :class:`MemoryHierarchy`, so the hot path carries zero new branches
-    (asserted by ``benchmarks/bench_observe_overhead.py``).
+    (asserted by ``benchmarks/bench_observe_overhead.py``).  A
+    ``compiled`` run records pollution in the kernel, so it gets the
+    plain class too: an :class:`ObservedHierarchy` would attach a scheme
+    trace hook, and the twin gate declines every traced scheme.
     """
-    if sink is None and not cfg.record_pollution_victims:
+    if sink is None and (compiled or not cfg.record_pollution_victims):
         return MemoryHierarchy(
             config=cfg.hierarchy,
             dram=dram,
@@ -256,7 +262,13 @@ def _make_hierarchy(cfg, dram, llc, l1_pf, l2_pf, sink):
     )
 
 
-def _result_from(execution, hierarchy, dram):
+def _result_from(execution, hierarchy, dram, logs=None):
+    """One core's :class:`RunResult`.  ``logs`` are the kernel's
+    ``(demand_log, prefetch_fill_log, pollution_events)``; by default the
+    hierarchy's own views (empty on the plain class)."""
+    if logs is None:
+        logs = (hierarchy.demand_log, hierarchy.prefetch_fill_log, hierarchy.pollution_events)
+    demand_log, fill_log, victims = logs
     stats = execution.finalize()
     coverage, accuracy, _base = hierarchy.coverage_accuracy()
     pf = hierarchy.pf_stats
@@ -275,9 +287,9 @@ def _result_from(execution, hierarchy, dram):
         bw_utilization_residency=dram.monitor.bucket_residency(),
         achieved_gbps=dram.achieved_gbps(stats.cycles),
         level_hits=dict(stats.level_hits),
-        pollution_events=list(hierarchy.pollution_events),
-        demand_log=list(hierarchy.demand_log),
-        prefetch_fill_log=list(hierarchy.prefetch_fill_log),
+        pollution_events=list(victims),
+        demand_log=list(demand_log),
+        prefetch_fill_log=list(fill_log),
     )
 
 
@@ -314,10 +326,12 @@ def _simulate(cfg, traces, sinks):
     for trace, sink in zip(traces, sinks):
         l1_pf = PcStridePrefetcher() if cfg.l1_stride else None
         l2_pf = build_prefetcher(cfg.l2_prefetcher, bandwidth)
-        hierarchy = _make_hierarchy(cfg, dram, llc, l1_pf, l2_pf, sink)
+        hierarchy = _make_hierarchy(cfg, dram, llc, l1_pf, l2_pf, sink, compiled=kernel)
         execution = CoreExecution(cfg.core, trace, hierarchy)
         if kernel:
-            execution = KernelExecution(execution, trace, domain)
+            execution = KernelExecution(
+                execution, trace, domain, record_pollution=cfg.record_pollution_victims
+            )
         hierarchies.append(hierarchy)
         executions.append(execution)
     # Between pack and write-back the kernel's flat state is the truth, so
@@ -347,7 +361,9 @@ def _simulate(cfg, traces, sinks):
         else:
             interleave_two_level(executions, warmup_ops, _cross_warmup)
 
+    logs = [None] * len(executions)
     if kernel:
+        logs = [kex.pollution_logs() for kex in executions]
         # The objects are locals of this run and the results read only
         # counters, so skip rebuilding cache contents.
         for kex in executions:
@@ -355,7 +371,10 @@ def _simulate(cfg, traces, sinks):
         domain.write_back(contents=False)
         bandwidth.release()
         executions = [kex.execution for kex in executions]
-    per_core = [_result_from(ex, hier, dram) for ex, hier in zip(executions, hierarchies)]
+    per_core = [
+        _result_from(ex, hier, dram, log)
+        for ex, hier, log in zip(executions, hierarchies, logs)
+    ]
     # End-of-run training drain, after stats capture: the drain's
     # bandwidth-bucket queries at the final cycle must not perturb the
     # reported residency.  Pages still resident in e.g. DSPatch's PB learn

@@ -23,17 +23,18 @@ done, or with the core in ``*who`` needing Python:
   warmup checkpoint.  ``resume`` drains the notes; at the checkpoint the
   driver's ``on_stop`` runs before any further op.
 - ``RC_GROW``: the core stopped between ops because BOP's pending-fill
-  ring (unbounded in the spec) lacks room for the next op's trainings.
-  ``resume`` re-lays the ring at a larger capacity and updates the
-  pointer table in place; the schedule then continues unchanged.
+  ring or one of the pollution logs (both unbounded in the spec) lacks
+  room for the next op.  ``resume`` re-lays what is short at a larger
+  capacity, copying every entry, and updates the pointer table in
+  place; the schedule then continues unchanged.
 
 The kernel may batch a record only when its candidates are not consumed
 by its own access — every current scheme's candidates are, so the kernel
 flushes at depth 1; the record-buffer ABI is what lets a future
 fire-and-forget scheme amortize the boundary.  Schemes with a compiled
 twin (``scheme_kind`` > 0) never cross and never queue notes, so their
-runs return only at warmup checkpoints, ring growths and the end.  Nor
-are notes queued for a crossing scheme whose note hooks are
+runs return only at warmup checkpoints, ring or log growths and the
+end.  Nor are notes queued for a crossing scheme whose note hooks are
 ``Prefetcher``'s inherited no-ops (slot ``l2pf_notes``): nothing would
 read them.
 
@@ -250,8 +251,9 @@ class CShared:
         si[SI64["dram_stats_start"]] = int(cycle)
 
 
-#: Per-core stat slots zeroed at the warmup boundary (mirrors
-#: ``MemoryHierarchy.reset_stats``).
+#: Per-core slots zeroed at the warmup boundary (mirrors
+#: ``MemoryHierarchy.reset_stats``, plus the pollution logs, which
+#: ``PollutionCollector`` clears on the boundary's ``RESET`` events).
 _CORE_RESET_SLOTS = tuple(
     name
     for name in CI64
@@ -260,6 +262,7 @@ _CORE_RESET_SLOTS = tuple(
                         "l2_demand", "l2_prefetch_probe", "l2_useful", "l2_late",
                         "l2_useless", "l2_writebacks", "pf_"))
     or name.endswith(("_allocations", "_stall"))
+    or name in ("pl_dem_len", "pl_fill_len", "pl_vic_len")
 )
 _LLC_RESET_SLOTS = tuple(
     name
@@ -343,7 +346,7 @@ class CRuntime:
         if mci[_I_NOTE_LEN]:
             self._drain_notes()
         if rc == layout.RC_GROW:
-            self.state.grow_pending_ring()
+            self.state.grow()
             self._rebuild_table()
             return
         if rc != layout.RC_TRAIN:

@@ -23,15 +23,20 @@ Exported symbols:
   scheme, writes the candidates and re-enters, which resumes the op),
   or when that core stopped with usefulness notes queued or at its
   warmup checkpoint (``RC_YIELD``), or between ops because BOP's
-  pending-fill ring needs room for the next op (``RC_GROW``).  Schemes
-  with a compiled twin (``scheme_kind`` > 0: SPP, eSPP and DSPatch at
-  their default configs, the SPP+DSPatch composite, and BOP, eBOP and
-  SMS at any config the gate admits) never cross — their training
-  loops run in C against flat tables and fill the candidate buffers
-  directly.  The SPP and DSPatch twins take their config constants as
-  ``#define``s; the BOP and SMS twins read every size and threshold
-  from flat-state slots and packed arrays, so one twin per class
-  serves ``bop``/``bop1``/``ebop`` and every ``sms-*`` PHT size.
+  pending-fill ring or a pollution log needs room for the next op
+  (``RC_GROW``).  Schemes with a compiled twin (``scheme_kind`` > 0:
+  SPP, eSPP and DSPatch at their default configs, the SPP+DSPatch
+  composite, and BOP, eBOP, SMS and the streamer at any config the gate
+  admits) never cross — their training loops run in C against flat
+  tables and fill the candidate buffers directly.  The SPP and DSPatch
+  twins take their config constants as ``#define``s; the BOP, SMS and
+  streamer twins read every size and threshold from flat-state slots
+  and packed arrays, so one twin per class serves
+  ``bop``/``bop1``/``ebop``, every ``sms-*`` PHT size and any
+  ``StreamPrefetcher(tracked_pages, degree)``.  With the ``pl_on`` slot
+  set, ``krun`` also records the three pollution logs of
+  :class:`repro.observe.sinks.PollutionCollector` (the spec) into
+  per-core ``(ordinal, line)`` arrays.
 - ``long kbucket(long long *si, double *sf, long long cycle)`` — the
   bandwidth monitor's live 2-bit signal (advances the monitor exactly
   like ``BandwidthMonitor.bucket``).
@@ -65,6 +70,7 @@ def _defines():
     lines.append(f"#define TB_CAP {layout.TB_CAP}")
     lines.append(f"#define SM_REC {layout.SM_REC}")
     lines.append(f"#define SM_PHT_REC {layout.SM_PHT_REC}")
+    lines.append(f"#define ST_REC {layout.ST_REC}")
     return "\n".join(lines)
 
 
@@ -76,7 +82,8 @@ def _scheme_defines():
     so their constants are baked in as ``#define``s sourced from the
     live dataclass defaults — the C can never drift from the spec without
     the emitted source (and hence the build digest) changing too.  The
-    BOP and SMS twins read their configs from slots and have none here.
+    BOP, SMS and streamer twins read their configs from slots and have
+    none here.
     """
     from repro.core.dspatch import DSPatchConfig
     from repro.core.spt import COUNTER_MAX
@@ -93,6 +100,7 @@ def _scheme_defines():
         f"#define SCHEME_BOP {layout.SCHEME_BOP}",
         f"#define SCHEME_EBOP {layout.SCHEME_EBOP}",
         f"#define SCHEME_SMS {layout.SCHEME_SMS}",
+        f"#define SCHEME_STREAMER {layout.SCHEME_STREAMER}",
         f"#define SPP_ST_MASK {sp.st_entries - 1}",
         f"#define SPP_PT_MASK {sp.pt_entries - 1}",
         f"#define SPP_SLOTS {sp.delta_slots}",
@@ -155,6 +163,9 @@ typedef struct {
     int64_t *dp_spt_cov, *dp_spt_acc, *dp_spt_mcov, *dp_spt_or, *dp_spt_macc;
     int64_t *bp_rr, *bp_offsets, *bp_scores, *bp_active, *bp_pend;
     int64_t *sm_at, *sm_ft, *sm_pht;
+    int64_t *st_tab;
+    /* pollution logs, (ordinal, line) pairs (dummies when pl_on == 0) */
+    int64_t *pl_dem, *pl_fill, *pl_vic;
 } kctx_t;
 
 /* ---------------------------------------------------------------- cache */
@@ -444,6 +455,18 @@ static void note_use(kctx_t *k, int64_t cycle, int64_t line, int64_t ready) {
     notify_useful(k, cycle, line);
 }
 
+/* ------------------------------------------------------ pollution logs
+   PollutionCollector's three views (observe/sinks.py), recorded where
+   ObservedHierarchy emits the events it derives them from.  krun stops
+   between ops (RC_GROW) until every log has room for a whole op, so an
+   append never overflows. */
+
+static void pl_push(int64_t *ci, int64_t *log, int64_t len_slot, int64_t line) {
+    int64_t n = ci[len_slot]++;
+    log[2 * n] = ci[CI_demand_accesses];
+    log[2 * n + 1] = line;
+}
+
 static void fill_llc_acct(kctx_t *k, int64_t line, int64_t prefetched,
                           int64_t ready, int64_t lp, int64_t cycle) {
     int64_t vline, vpref, vused;
@@ -452,6 +475,8 @@ static void fill_llc_acct(kctx_t *k, int64_t line, int64_t prefetched,
             k->ci[CI_pf_useless]++;
             note_push(k, NOTE_USELESS, cycle, vline);
         }
+        /* POLLUTING: an LLC victim of a prefetch fill */
+        if (prefetched && k->ci[CI_pl_on]) pl_push(k->ci, k->pl_vic, CI_pl_vic_len, vline);
     }
 }
 
@@ -994,17 +1019,18 @@ static void sms_pht_store(kctx_t *k, const int64_t *entry) {
     ci[CI_sm_pht_stores]++;
 }
 
-/* Find `region` in an AT/FT record table: the hit's index, or -1 with
-   *ins set to where an insert goes (the first free entry, else the
-   oldest, which the insert evicts). */
-static int64_t sms_find(const int64_t *table, int64_t cap, int64_t region,
-                        int64_t *ins) {
+/* Find `key` in a stamped table of `cap` records of `rec` fields (key
+   first, stamp last): the hit's index, or -1 with *ins set to where an
+   insert goes (the first free entry, else the oldest, which the insert
+   evicts).  SMS's AT and FT and the streamer's page table use it. */
+static int64_t stamp_find(const int64_t *table, int64_t rec, int64_t cap,
+                          int64_t key, int64_t *ins) {
     int64_t free_slot = -1, oldest = -1;
     for (int64_t i = 0; i < cap; i++) {
-        const int64_t *e = table + SM_REC * i;
-        if (!e[4]) { if (free_slot < 0) free_slot = i; continue; }
-        if (e[0] == region) return i;
-        if (oldest < 0 || e[4] < table[SM_REC * oldest + 4]) oldest = i;
+        const int64_t *e = table + rec * i;
+        if (!e[rec - 1]) { if (free_slot < 0) free_slot = i; continue; }
+        if (e[0] == key) return i;
+        if (oldest < 0 || e[rec - 1] < table[rec * oldest + rec - 1]) oldest = i;
     }
     *ins = free_slot >= 0 ? free_slot : oldest;
     return -1;
@@ -1020,7 +1046,7 @@ static void sms_train(kctx_t *k, int64_t pc, int64_t addr) {
     uint64_t bit = 1ull << offset;
 
     int64_t at_ins = -1;
-    int64_t hit = sms_find(k->sm_at, ci[CI_sm_at_cap], region, &at_ins);
+    int64_t hit = stamp_find(k->sm_at, SM_REC, ci[CI_sm_at_cap], region, &at_ins);
     if (hit >= 0) {
         int64_t *e = k->sm_at + SM_REC * hit;
         e[1] = (int64_t)((uint64_t)e[1] | bit);
@@ -1029,7 +1055,7 @@ static void sms_train(kctx_t *k, int64_t pc, int64_t addr) {
     }
 
     int64_t ft_ins = -1;
-    hit = sms_find(k->sm_ft, ci[CI_sm_ft_cap], region, &ft_ins);
+    hit = stamp_find(k->sm_ft, SM_REC, ci[CI_sm_ft_cap], region, &ft_ins);
     if (hit >= 0) {
         /* pop from the FT, _promote into the AT */
         int64_t *f = k->sm_ft + SM_REC * hit;
@@ -1075,8 +1101,59 @@ static void sms_train(kctx_t *k, int64_t pc, int64_t addr) {
     f[4] = ++ci[CI_sm_clock];
 }
 
+/* --- Streamer (prefetchers/streamer.py).  tracked_pages and degree from
+       the st_ slots.  The page table is a stamped record table
+       (layout.ST_REC, capacity tracked_pages): every insert or refresh
+       takes a fresh stamp from st_clock, so ascending stamps reproduce
+       the dict's LRU order. --- */
+
+static void streamer_train(kctx_t *k, int64_t addr) {
+    int64_t *ci = k->ci;
+    ci[CI_st_trainings]++;
+    ci[CI_cand_len] = 0;
+    int64_t page = addr >> (LINE_SHIFT + PG_SHIFT);
+    int64_t offset = (addr >> LINE_SHIFT) & 63;
+    int64_t line = addr >> LINE_SHIFT;
+    int64_t ins = -1;
+    int64_t hit = stamp_find(k->st_tab, ST_REC, ci[CI_st_tracked], page, &ins);
+    if (hit < 0) {
+        /* a full table drops its oldest page for the new one */
+        int64_t *e = k->st_tab + ST_REC * ins;
+        e[0] = page;
+        e[1] = offset;
+        e[2] = 0;
+        e[3] = 0;
+        e[4] = ++ci[CI_st_clock];
+        return;
+    }
+    int64_t *e = k->st_tab + ST_REC * hit;
+    int64_t direction = offset > e[1] ? 1 : (offset < e[1] ? -1 : 0);
+    if (direction && direction == e[2]) e[3] = e[3] + 1 < 3 ? e[3] + 1 : 3;
+    else if (direction) {
+        e[2] = direction;
+        e[3] = 1;
+    }
+    e[1] = offset;
+    e[4] = ++ci[CI_st_clock];           /* re-inserted: the newest page */
+    if (e[3] < 1 || e[2] == 0) return;
+    int64_t degree = ci[CI_st_degree];
+    int64_t n = 0;
+    for (int64_t dist = 1; dist <= degree; dist++) {
+        int64_t target = offset + e[2] * dist;
+        if (target < 0 || target >= 64) break;
+        k->cand_line[n] = line + e[2] * dist;
+        k->cand_lp[n] = 0;
+        n++;
+    }
+    ci[CI_cand_len] = n;
+}
+
 static void scheme_train(kctx_t *k, int64_t sk, int64_t cycle, int64_t pc,
                          int64_t addr) {
+    if (sk == SCHEME_STREAMER) {
+        streamer_train(k, addr);
+        return;
+    }
     if (sk == SCHEME_BOP || sk == SCHEME_EBOP) {
         bop_train(k, sk, cycle, addr);
         return;
@@ -1163,6 +1240,8 @@ static void issue_prefetches(kctx_t *k, int64_t cycle) {
         if (lp) ci[CI_pf_issued_low_priority]++;
         int64_t ready = cycle + llc->hit_lat + dl;
         ci[CI_pf_filled_from_dram]++;
+        /* FILL from DRAM */
+        if (ci[CI_pl_on]) pl_push(ci, k->pl_fill, CI_pl_fill_len, line);
         int64_t m = ci[CI_inflight_len]++;
         k->infl_line[m] = line;
         k->infl_ready[m] = ready;
@@ -1329,6 +1408,10 @@ static void bind(kctx_t *k, void **P) {
     k->sm_at = (int64_t *)P[P_sm_at];
     k->sm_ft = (int64_t *)P[P_sm_ft];
     k->sm_pht = (int64_t *)P[P_sm_pht];
+    k->st_tab = (int64_t *)P[P_st_tab];
+    k->pl_dem = (int64_t *)P[P_pl_dem];
+    k->pl_fill = (int64_t *)P[P_pl_fill];
+    k->pl_vic = (int64_t *)P[P_pl_vic];
 }
 
 /* ------------------------------------------------------------------ krun */
@@ -1370,10 +1453,15 @@ static long krun(void **P) {
     int64_t s_cthr = CI(stride_conf_threshold);
     int64_t s_cmax = CI(stride_conf_max);
     int64_t s_degree = CI(stride_degree);
-    /* BOP's pending-fill ring must hold one more entry per training the
-       next op can make: its demand access and each stride prefetch. */
-    int64_t bop_room = (sk == SCHEME_BOP || sk == SCHEME_EBOP)
-                     ? 1 + (has_l1pf ? s_degree : 0) : 0;
+    /* Below-L1 lookups the next op can make: its demand access and each
+       stride prefetch.  BOP's pending-fill ring must hold one more entry
+       per lookup (each trains); each pollution log must hold what the
+       op can append: one pair per lookup, and per lookup a fill and a
+       victim per candidate (KernelState._log_room). */
+    int64_t lookups = 1 + (has_l1pf ? s_degree : 0);
+    int64_t bop_room = (sk == SCHEME_BOP || sk == SCHEME_EBOP) ? lookups : 0;
+    int64_t rec = CI(pl_on);
+    int64_t pl_cands = lookups * CI(cand_cap);
     long rc = RC_DONE;
 
     /* per-op state (restored from ctx slots on a resume) */
@@ -1407,6 +1495,12 @@ static long krun(void **P) {
     while (pos < end) {
         if (retire > horizon || (strict && retire == horizon)) break;
         if (bop_room && CI(bp_pend_len) + bop_room > CI(bp_pend_cap)) {
+            rc = RC_GROW;
+            break;
+        }
+        if (rec && (CI(pl_dem_len) + lookups > CI(pl_dem_cap)
+                    || CI(pl_fill_len) + pl_cands > CI(pl_fill_cap)
+                    || CI(pl_vic_len) + pl_cands > CI(pl_vic_cap))) {
             rc = RC_GROW;
             break;
         }
@@ -1524,6 +1618,7 @@ pf_loop:
             } else CI(cand_len) = 0;
 resume_l1pf:
             latency = below_l1_post(&k, cycle, 0, &lvl);
+            if (rec) pl_push(ci, k.pl_dem, CI_pl_dem_len, CI(b_line));
             mshr_allocate(&k.l1m, cycle, cycle + latency);
             c_fill(&k.l1, CI(b_line), 1, 0, cycle + latency, 0, 0, 0);
             pf_i++;
@@ -1553,6 +1648,7 @@ resume_l1pf:
             } else CI(cand_len) = 0;
 resume_demand:
             latency = below_l1_post(&k, cycle, is_write, &lvl);
+            if (rec) pl_push(ci, k.pl_dem, CI_pl_dem_len, CI(b_line));
             latency += mshr_allocate(&k.l1m, cycle, cycle + latency);
             c_fill(&k.l1, addr >> LINE_SHIFT, 0, 0, cycle + latency, 0, 0, 0);
         }

@@ -14,8 +14,8 @@ schedules the cores: it is the compiled twin of
 :func:`repro.cpu.core.interleave_two_level`, with the same signature and
 contract, running the whole schedule in C (``ksched``) and returning to
 Python only for training crossings, queued usefulness notes, warmup
-checkpoints and growths of BOP's pending-fill ring.  ``KernelExecution``
-has no per-batch entry point.
+checkpoints and growths of BOP's pending-fill ring or of the pollution
+logs.  ``KernelExecution`` has no per-batch entry point.
 """
 
 from repro.cpu.core import _fire_met_checkpoints
@@ -149,16 +149,17 @@ class KernelExecution:
     the packed working form is the truth and the wrapped objects are
     stale.  ``time``/``ops``/``mark_stats_start`` match
     ``CoreExecution``; running ops is :meth:`KernelDomain.interleave`'s
-    job.
+    job.  With ``record_pollution`` the kernel records the pollution
+    logs, read back by :meth:`pollution_logs`.
     """
 
-    def __init__(self, execution, trace, domain):
+    def __init__(self, execution, trace, domain, record_pollution=False):
         from repro.kernel.cbuild import CRuntime
 
         self.execution = execution
         self.domain = domain
         l2_pf = execution.hierarchy.l2_prefetcher
-        self.state = KernelState(execution, trace, domain.shared_state)
+        self.state = KernelState(execution, trace, domain.shared_state, record_pollution)
         self.runtime = CRuntime(
             self.state,
             domain.shared,
@@ -187,6 +188,11 @@ class KernelExecution:
     def reset_hierarchy_stats(self):
         """The warmup-boundary ``MemoryHierarchy.reset_stats``, on the live state."""
         self.runtime.reset_hierarchy_stats()
+
+    def pollution_logs(self):
+        """``(demand_log, prefetch_fill_log, pollution_events)`` of the run
+        so far, as the object path's ``PollutionCollector`` views."""
+        return self.state.pollution_logs()
 
     # --------------------------------------------------------------- teardown
 

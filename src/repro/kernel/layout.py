@@ -12,8 +12,9 @@ DRAM queue state, the bandwidth monitor — in four flat arrays:
   bandwidth monitor live here).
 
 Bulk state (cache line arrays, MSHR heaps, the ROB checkpoint ring, the
-stride table, DRAM bank arrays, the crossing buffers) lives in separate
-named arrays, indexed by the pointer-table constants (:data:`PTR`).
+stride table, DRAM bank arrays, the crossing buffers, the scheme tables,
+the pollution logs) lives in separate named arrays, indexed by the
+pointer-table constants (:data:`PTR`).
 
 Three consumers read these dictionaries and therefore can never drift
 apart:
@@ -96,6 +97,13 @@ CI64_NAMES = (
     "sm_trainings", "sm_pht_stores", "sm_pht_hits", "sm_clock",
     "sm_region_shift", "sm_off_mask", "sm_at_cap", "sm_ft_cap",
     "sm_pht_sets", "sm_pht_ways", "sm_set_bits",
+    # streamer: counter, the age-stamp clock, then the two config values
+    "st_trainings", "st_clock", "st_tracked", "st_degree",
+    # -- pollution recording (live only when pl_on) --------------------------
+    "pl_on",
+    "pl_dem_len", "pl_dem_cap",     # (ordinal, line) per below-L1 lookup
+    "pl_fill_len", "pl_fill_cap",   # (ordinal, line) per DRAM prefetch fill
+    "pl_vic_len", "pl_vic_cap",     # (ordinal, victim) per prefetch-fill eviction
 )
 
 #: Per-core float64 slot names.
@@ -145,7 +153,7 @@ RC_TRAIN = 1        # scheme train requested; train_buf holds the records
 RC_YIELD = 2        # ksched: a core stopped between ops with notes queued or
                     # at its warmup checkpoint
 RC_GROW = 3         # a core stopped between ops because BOP's pending-fill
-                    # ring lacks room for the next op's trainings
+                    # ring or a pollution log lacks room for the next op
 
 #: Note-queue record kinds (triples of ``kind, cycle, line``).
 NOTE_USEFUL = 0
@@ -179,6 +187,9 @@ PTR_NAMES = (
     "dp_spt_cov", "dp_spt_acc", "dp_spt_mcov", "dp_spt_or", "dp_spt_macc",
     "bp_rr", "bp_offsets", "bp_scores", "bp_active", "bp_pend",
     "sm_at", "sm_ft", "sm_pht",
+    "st_tab",
+    # pollution logs, (ordinal, line) pairs (1-element dummies when pl_on == 0)
+    "pl_dem", "pl_fill", "pl_vic",
 )
 PTR = _index(PTR_NAMES)
 
@@ -199,6 +210,7 @@ SCHEME_SPP_DSPATCH = 4  # the Section 5.1 adjunct composite: SPP + DSPatch
 SCHEME_BOP = 5
 SCHEME_EBOP = 6
 SCHEME_SMS = 7
+SCHEME_STREAMER = 8
 
 #: SMS table records, int64 fields per entry.  AT/FT entries are
 #: (region, pattern, trigger pc, trigger offset, stamp), PHT entries
@@ -207,6 +219,11 @@ SCHEME_SMS = 7
 #: pattern's two's-complement bits.
 SM_REC = 5
 SM_PHT_REC = 3
+
+#: Streamer page-table records, int64 fields per entry: (page, last
+#: offset, direction, confidence, stamp); stamp 0 marks a free entry, and
+#: ascending stamps give the table's dict (LRU) order.
+ST_REC = 5
 
 #: Capacity (in records) of the batched training-crossing buffer.  Each
 #: record is four int64 slots: cycle, pc, addr, hit.

@@ -25,8 +25,19 @@ from collections import OrderedDict, deque
 import numpy as np
 
 from repro.kernel import layout
-from repro.kernel.layout import CAND_CAP0, CF64, CI64, PF_BUF_CAP, SF64, SI64, SM_PHT_REC, SM_REC
+from repro.kernel.layout import (
+    CAND_CAP0,
+    CF64,
+    CI64,
+    PF_BUF_CAP,
+    SF64,
+    SI64,
+    SM_PHT_REC,
+    SM_REC,
+    ST_REC,
+)
 from repro.memory.cache import CacheLine
+from repro.memory.hierarchy import PollutionEvent
 from repro.prefetchers.base import NullPrefetcher, Prefetcher
 from repro.prefetchers.stride import PcStridePrefetcher, _StrideEntry
 
@@ -70,7 +81,14 @@ _DP_I64_ARRAYS = (
 )
 _BP_I64_ARRAYS = ("bp_rr", "bp_offsets", "bp_scores", "bp_active", "bp_pend")
 _SM_I64_ARRAYS = ("sm_at", "sm_ft", "sm_pht")
-_SCHEME_I64_ARRAYS = _SP_I64_ARRAYS + _DP_I64_ARRAYS + _BP_I64_ARRAYS + _SM_I64_ARRAYS
+_SCHEME_I64_ARRAYS = (
+    _SP_I64_ARRAYS + _DP_I64_ARRAYS + _BP_I64_ARRAYS + _SM_I64_ARRAYS + ("st_tab",)
+)
+#: The pollution logs, in the order of ``RunResult``'s three log fields
+#: (``demand_log``, ``prefetch_fill_log``, ``pollution_events``).
+_LOGS = ("pl_dem", "pl_fill", "pl_vic")
+#: Initial capacity of each pollution log, in (ordinal, line) pairs.
+LOG_CAP0 = 1024
 
 #: The scheme methods the kernel calls: a twin would never call an
 #: instance-level replacement of one of them.
@@ -89,6 +107,15 @@ def _ring_cap(need):
     """Power-of-two capacity of a BOP pending-fill ring that must hold
     ``need`` entries: twice that, so growths stay rare."""
     return _next_pow2(max(256, 2 * need))
+
+
+def _log_cap(cap, need):
+    """Capacity of a pollution log of capacity ``cap`` that must hold
+    ``need`` pairs: ``cap`` doubled until they fit."""
+    cap = max(cap, 1)
+    while cap < need:
+        cap *= 2
+    return cap
 
 
 def _bandwidth_is_packed(bw, dram_obj):
@@ -125,11 +152,13 @@ def _scheme_kind(l2_pf, dram_obj):
     a twin would never call them; a composite's components are held to
     the same rule.  Bandwidth-aware schemes must read the packed DRAM
     monitor.  SPP and DSPatch need their default configs (the generated
-    C bakes those in as ``#define``s); BOP, eBOP and SMS read every
-    config value from flat-state slots, so any config qualifies within
-    the C's structural limits: unique BOP offsets, and SMS regions of at
-    most 64 lines with non-empty AT and FT.  Everything else keeps the
-    ``train_buf`` Python crossing.
+    C bakes those in as ``#define``s); BOP, eBOP, SMS and the streamer
+    read every config value from flat-state slots, so any config
+    qualifies within the C's structural limits: unique BOP offsets, SMS
+    regions of at most 64 lines with non-empty AT and FT, and a streamer
+    tracking at least one page and holding no more than it tracks.
+    Everything else (``fdp:`` wrappers, ``ampm``, user subclasses, other
+    composites) keeps the ``train_buf`` Python crossing.
     """
     if l2_pf is None or getattr(l2_pf, "trace_emit", None) is not None:
         return layout.SCHEME_PY
@@ -139,8 +168,13 @@ def _scheme_kind(l2_pf, dram_obj):
     from repro.prefetchers.bop import BOP, EBOP
     from repro.prefetchers.sms import SMS
     from repro.prefetchers.spp import ESPP, SPP, SppConfig
+    from repro.prefetchers.streamer import StreamPrefetcher
 
     cls = type(l2_pf)
+    if cls is StreamPrefetcher:
+        if 1 <= l2_pf.tracked_pages and len(l2_pf._streams) <= l2_pf.tracked_pages:
+            return layout.SCHEME_STREAMER
+        return layout.SCHEME_PY
     if cls is BOP or (cls is EBOP and _bandwidth_is_packed(l2_pf.bandwidth, dram_obj)):
         offsets = l2_pf.config.offsets
         if offsets and len(set(offsets)) == len(offsets):
@@ -365,9 +399,14 @@ class SharedState:
 
 
 class KernelState:
-    """Flat form of one core: execution + private L1/L2 + MSHRs + stride."""
+    """Flat form of one core: execution + private L1/L2 + MSHRs + stride.
 
-    def __init__(self, execution, trace, shared):
+    With ``record_pollution`` the kernel also records the three logs
+    :class:`repro.observe.sinks.PollutionCollector` derives on the object
+    path (see :meth:`pollution_logs`).
+    """
+
+    def __init__(self, execution, trace, shared, record_pollution=False):
         self.execution = execution
         self.hierarchy = execution.hierarchy
         self.shared = shared
@@ -515,6 +554,15 @@ class KernelState:
         ci[CI64["note_cap"]] = CAND_CAP0 + 16
         ci[CI64["cand_cap"]] = CAND_CAP0
 
+        # Pollution logs: empty at LOG_CAP0 pairs when recording (krun
+        # stops to grow them before an op they lack room for), else
+        # dummies the C never touches.
+        ci[CI64["pl_on"]] = 1 if record_pollution else 0
+        cap = LOG_CAP0 if record_pollution else 0
+        for name in _LOGS:
+            setattr(self, name, _i64(max(2 * cap, 1)))
+            ci[CI64[name + "_cap"]] = cap
+
         # Compiled scheme-training twin: pack the scheme's tables into flat
         # arrays when the scheme has one (write_back restores the objects).
         kind = _scheme_kind(l2_pf, shared.dram_obj)
@@ -535,6 +583,8 @@ class KernelState:
             self._pack_bop(l2_pf, ci)
         elif kind == layout.SCHEME_SMS:
             self._pack_sms(l2_pf, ci)
+        elif kind == layout.SCHEME_STREAMER:
+            self._pack_streamer(l2_pf, ci)
 
     # --------------------------------------------- compiled scheme training
 
@@ -666,9 +716,69 @@ class KernelState:
         return [tuple(pair) for pair in self.bp_pend.reshape(-1, 2)[order].tolist()]
 
     def grow_pending_ring(self):
-        """Serve ``RC_GROW``: re-lay BOP's full pending-fill ring larger.
-        It is never truncated; the caller rebuilds the pointer table."""
+        """Re-lay BOP's full pending-fill ring larger.  It is never
+        truncated; the caller rebuilds the pointer table."""
         self._pack_pending(self._pending_list())
+
+    def grow(self):
+        """Serve ``RC_GROW``: grow whichever of BOP's pending-fill ring
+        and the pollution logs lacks room for the next op, never
+        truncating; the caller rebuilds the pointer table."""
+        ci = self.ci64
+        if self.scheme_kind in (layout.SCHEME_BOP, layout.SCHEME_EBOP):
+            # one BOP training per below-L1 lookup
+            if ci[CI64["bp_pend_len"]] + self._lookups_per_op() > ci[CI64["bp_pend_cap"]]:
+                self.grow_pending_ring()
+        self.reserve_logs()
+
+    def _lookups_per_op(self):
+        """Below-L1 lookups one op can make: its L1 miss and each stride
+        prefetch (``krun``'s bound for the ring and the logs)."""
+        ci = self.ci64
+        return 1 + (int(ci[CI64["stride_degree"]]) if ci[CI64["has_l1pf"]] else 0)
+
+    # ------------------------------------------------------ pollution logs
+
+    def _log_room(self):
+        """Pairs one op can append to each log: one per below-L1 lookup,
+        and per lookup at most one fill and one victim per candidate."""
+        lookups = self._lookups_per_op()
+        cands = lookups * int(self.ci64[CI64["cand_cap"]])
+        return {"pl_dem": lookups, "pl_fill": cands, "pl_vic": cands}
+
+    def reserve_logs(self):
+        """Grow each recording log that lacks room for one more op,
+        copying every pair; the caller rebuilds any pointer table."""
+        ci = self.ci64
+        if not ci[CI64["pl_on"]]:
+            return
+        for name, room in self._log_room().items():
+            n = int(ci[CI64[name + "_len"]])
+            cap = int(ci[CI64[name + "_cap"]])
+            if n + room <= cap:
+                continue
+            cap = _log_cap(cap, n + room)
+            log = _i64(2 * cap)
+            log[: 2 * n] = getattr(self, name)[: 2 * n]
+            setattr(self, name, log)
+            ci[CI64[name + "_cap"]] = cap
+
+    def pollution_logs(self):
+        """``(demand_log, prefetch_fill_log, pollution_events)`` as an
+        object run with ``record_pollution_victims`` reports them:
+        ``(ordinal, line)`` tuples of plain ints, and
+        :class:`~repro.memory.hierarchy.PollutionEvent` victims.  Empty
+        when not recording."""
+        ci = self.ci64
+        demands, fills, victims = (
+            self._pairs(getattr(self, name), int(ci[CI64[name + "_len"]])) for name in _LOGS
+        )
+        return demands, fills, [PollutionEvent(o, v) for o, v in victims]
+
+    @staticmethod
+    def _pairs(log, n):
+        flat = log[: 2 * n].tolist()
+        return list(zip(flat[0::2], flat[1::2]))
 
     def _pack_sms(self, pf, ci):
         cfg = pf.config
@@ -709,6 +819,34 @@ class KernelState:
                     pht[base : base + SM_PHT_REC] = (tag, _s64(pattern), stamp)
         self.sm_pht = pht
         ci[CI64["sm_clock"]] = stamp
+
+    def _pack_streamer(self, pf, ci):
+        ci[CI64["st_tracked"]] = pf.tracked_pages
+        ci[CI64["st_degree"]] = pf.degree
+        ci[CI64["st_trainings"]] = pf.trainings
+        # Stamps follow dict order (oldest first).
+        tab = _i64(ST_REC * pf.tracked_pages)
+        for i, (page, e) in enumerate(pf._streams.items()):
+            tab[ST_REC * i : ST_REC * (i + 1)] = (
+                page, e.last_offset, e.direction, e.confidence, i + 1
+            )
+        self.st_tab = tab
+        ci[CI64["st_clock"]] = len(pf._streams)
+
+    def _write_back_streamer(self, pf, ci):
+        from repro.prefetchers.streamer import _StreamEntry
+
+        pf.trainings = int(ci[CI64["st_trainings"]])
+        records = self.st_tab.reshape(-1, ST_REC).tolist()
+        streams = {}
+        for page, offset, direction, confidence, _ in sorted(
+            (r for r in records if r[4]), key=lambda r: r[4]
+        ):
+            entry = _StreamEntry(offset)
+            entry.direction = direction
+            entry.confidence = confidence
+            streams[page] = entry
+        pf._streams = streams
 
     def _write_back_bop(self, pf, ci):
         pf.trainings = int(ci[CI64["bp_trainings"]])
@@ -837,6 +975,8 @@ class KernelState:
         self.note_buf = _i64(3 * (cap + 16))
         ci[CI64["cand_cap"]] = cap
         ci[CI64["note_cap"]] = cap + 16
+        # More candidates per lookup: the logs need more room per op.
+        self.reserve_logs()
 
     def array_map(self):
         """Every kernel array by its :data:`layout.PTR` name."""
@@ -876,7 +1016,7 @@ class KernelState:
             "sp_ghr_conf": self.sp_ghr_conf,
             "dp_pb_pattern": self.dp_pb_pattern,
         }
-        for nm in _SCHEME_I64_ARRAYS:
+        for nm in _SCHEME_I64_ARRAYS + _LOGS:
             m[nm] = getattr(self, nm)
         for lvl in ("l1", "l2"):
             for f in _CACHE_FIELDS:
@@ -978,5 +1118,7 @@ class KernelState:
                 self._write_back_bop(l2_pf, ci)
             elif self.scheme_kind == layout.SCHEME_SMS:
                 self._write_back_sms(l2_pf, ci)
+            elif self.scheme_kind == layout.SCHEME_STREAMER:
+                self._write_back_streamer(l2_pf, ci)
             else:
                 self._write_back_spp(l2_pf, ci)

@@ -23,7 +23,11 @@ goal; tracing-off throughput is (see ``benchmarks/bench_observe_overhead.py``).
 ``record_pollution_victims`` rides the same event stream: a
 :class:`repro.observe.sinks.PollutionCollector` subscribes internally
 and derives the classic ``demand_log`` / ``prefetch_fill_log`` /
-``pollution_events`` views, exposed here as properties.
+``pollution_events`` views, exposed here as properties.  This is the
+spec of those logs and the path of object-model runs (no toolchain,
+``kernel="object"``, or tracing on); compiled runs record the same logs
+in the generated C over the plain hierarchy (docs/engine.md,
+"Pollution logs").
 """
 
 from repro.constants import LINE_SHIFT

@@ -215,19 +215,30 @@ def test_kernel_field_absent_from_fingerprints():
 
 
 def test_unsupported_features_fall_back_to_object():
-    """Tracing-on runs silently use the object path (scheme events and
-    cache events only exist there) and still produce identical results."""
+    """Tracing-on runs use the object path (scheme events and cache
+    events only exist there), even with pollution recording on, and
+    still produce identical results.  Pollution recording alone does
+    not fall back: the kernel records the logs itself."""
+    from repro.cpu.system import _resolve_kernel
     from repro.observe.sinks import CollectingSink
 
     trace = build_trace("ispec06.mcf", 2000)
     plain = System(SystemConfig.single_thread("dspatch")).run(trace)
-    sink = CollectingSink()
-    traced = System(
-        SystemConfig.single_thread("dspatch", kernel="compiled", trace_prefetch=True),
-        sink=sink,
-    ).run(trace)
-    assert plain.to_dict() == traced.to_dict()
-    assert sink.events  # tracing actually happened on the fallback path
+    for flags in (
+        {"trace_prefetch": True},
+        {"trace_cache": True},
+        {"trace_prefetch": True, "record_pollution_victims": True},
+    ):
+        cfg = SystemConfig.single_thread("dspatch", kernel="compiled", **flags)
+        assert _resolve_kernel(cfg) == "object", flags
+        sink = CollectingSink()
+        traced = System(cfg, sink=sink).run(trace)
+        assert plain.to_dict() == traced.to_dict(), flags
+        assert sink.events, flags  # tracing actually happened on the fallback path
+    recording = SystemConfig.single_thread(
+        "dspatch", kernel="compiled", record_pollution_victims=True
+    )
+    assert _resolve_kernel(recording) == ("compiled" if kernel_available() else "object")
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +271,14 @@ def test_scheme_kind_detection():
         "sms-4k": layout.SCHEME_SMS,
         "sms-1k": layout.SCHEME_SMS,
         "sms-256": layout.SCHEME_SMS,
+        # the streamer reads tracked_pages and degree from slots
+        "streamer": layout.SCHEME_STREAMER,
         # no C twin: crossing path
         "dspatch-spt128": layout.SCHEME_PY,  # non-default config
         "alwayscovp": layout.SCHEME_PY,      # subclass variant
         "fdp:spp": layout.SCHEME_PY,         # throttle wrapper
         "fdp:bop": layout.SCHEME_PY,
+        "fdp:streamer": layout.SCHEME_PY,
         "spp+bop": layout.SCHEME_PY,         # composite without twin pair
         "spp+sms-256": layout.SCHEME_PY,
         "ampm": layout.SCHEME_PY,
@@ -280,16 +294,27 @@ def test_scheme_kind_detection():
         assert _scheme_kind(pf, dram) == layout.SCHEME_PY, f"traced {name}"
 
     # A subclass may override anything the twin hardcodes.
+    from repro.prefetchers.streamer import StreamPrefetcher
+
     class TunedBop(BOP):
         pass
 
+    class TunedStreamer(StreamPrefetcher):
+        pass
+
     assert _scheme_kind(TunedBop(), dram) == layout.SCHEME_PY
+    assert _scheme_kind(TunedStreamer(), dram) == layout.SCHEME_PY
+    assert (
+        _scheme_kind(StreamPrefetcher(tracked_pages=4, degree=2), dram)
+        == layout.SCHEME_STREAMER
+    )
     # A hook replaced on the instance would never be called by a twin;
     # a composite is declined when any component is hooked.
     for name, hooked, attr in (
         ("spp", "spp", "note_useful_prefetch"),
         ("bop", "bop", "train"),
         ("sms", "sms", "note_useless_prefetch"),
+        ("streamer", "streamer", "train"),
         ("spp+dspatch", "dspatch", "train"),
     ):
         pf = build_prefetcher(name, dram.monitor)
@@ -305,6 +330,7 @@ def test_scheme_kind_detection():
     assert _scheme_kind(BOP(BopConfig(offsets=(1, 2, 1))), dram) == layout.SCHEME_PY
     assert _scheme_kind(SMS(SmsConfig(region_bytes=8192)), dram) == layout.SCHEME_PY
     assert _scheme_kind(SMS(SmsConfig(region_bytes=4096)), dram) == layout.SCHEME_SMS
+    assert _scheme_kind(StreamPrefetcher(tracked_pages=0), dram) == layout.SCHEME_PY
 
 
 _TRAINING_CASES = [
@@ -332,6 +358,10 @@ _TRAINING_CASES = [
     # PHT stores evict.
     ("sms", "server.tpcc-1", 2400, ST_DRAM),
     ("sms-256", "ispec06.mcf", 2600, ST_DRAM),
+    # The streamer: dense streams arm it and keep it firing; irregular
+    # pages churn its 16-page table, whose LRU entry every new page evicts.
+    ("streamer", "fspec06.libquantum", 2600, ST_DRAM),
+    ("streamer", "server.tpcc-1", 2400, MP_DRAM),
 ]
 
 
@@ -371,7 +401,17 @@ def _training_state(pf):
     from repro.prefetchers.composite import CompositePrefetcher
     from repro.prefetchers.sms import SMS
     from repro.prefetchers.spp import SPP
+    from repro.prefetchers.streamer import StreamPrefetcher
 
+    if isinstance(pf, StreamPrefetcher):
+        # dict order is the page table's LRU order
+        return (
+            [
+                (page, e.last_offset, e.direction, e.confidence)
+                for page, e in pf._streams.items()
+            ],
+            pf.trainings,
+        )
     if isinstance(pf, BOP):  # covers EBOP
         return (
             list(pf._rr),
@@ -428,13 +468,14 @@ def _training_state(pf):
 
 
 @needs_compiled
-@pytest.mark.parametrize("scheme", ("dspatch", "spp+dspatch", "bop", "sms"))
+@pytest.mark.parametrize("scheme", ("dspatch", "spp+dspatch", "bop", "sms", "streamer"))
 def test_flush_training_sees_identical_residual_state(scheme, monkeypatch):
     """warmup_frac=0 boundary: the end-of-run drain must observe the same
     residual training state — and the same run-final cycle, which sets
     DSPatch's bandwidth bucket for the drained pages — whether training
     ran in generated C or in Python.  SMS's drain stores its whole AT
-    into the PHT, so the written-back AT and PHT order both matter."""
+    into the PHT, so the written-back AT and PHT order both matter; the
+    streamer's page table is written back in its dict (LRU) order."""
     import repro.cpu.system as system_mod
 
     trace = build_trace("cloud.memcached", 2000)
@@ -662,3 +703,119 @@ def test_notes_queue_only_for_schemes_that_read_them(scheme, delivered, monkeypa
     got = System(_config(scheme, _LLC_GEOMETRIES[0], 0.1, "compiled")).run(trace).to_dict()
     _assert_same(base, got, f"notes/{scheme}")
     assert bool(drained) == delivered
+
+
+# ---------------------------------------------------------------------------
+# Pollution recording: the kernel records the three logs PollutionCollector
+# derives on the object path (the spec), into per-core arrays.
+
+_LOGS = ("demand_log", "prefetch_fill_log", "pollution_events")
+
+
+def _assert_same_logs(base, got, label):
+    """Equal logs, element types included: perfbench's sim_digest hashes
+    their ``repr``, and results pickle them."""
+    for name in _LOGS:
+        want, have = getattr(base, name), getattr(got, name)
+        assert type(have) is type(want), f"{label}: {name} container"
+        assert have == want, f"{label}: {name} diverges ({len(want)} vs {len(have)} entries)"
+        assert repr(have) == repr(want), f"{label}: {name} element types"
+        for entry in have[:1]:
+            fields = entry if isinstance(entry, tuple) else (entry.ordinal, entry.victim_line)
+            assert all(type(v) is int for v in fields), f"{label}: {name} {entry!r}"
+
+
+def _recording(scheme, llc_geometry, warmup_frac, kernel, dram=ST_DRAM):
+    import dataclasses
+
+    cfg = _config(scheme, llc_geometry, warmup_frac, kernel, dram=dram)
+    return dataclasses.replace(cfg, record_pollution_victims=True)
+
+
+@needs_compiled
+@pytest.mark.parametrize("warmup_frac", (0.0, 0.25))
+@pytest.mark.parametrize("llc_geometry", ((256 * 1024, 8), (1024 * 1024, 16)), ids=("256KB", "1MB"))
+@pytest.mark.parametrize(
+    "scheme,workload",
+    # the streamer twin (Figure 20's scheme), a crossing scheme and the
+    # SPP+DSPatch twin
+    [("streamer", "ispec06.mcf"), ("ampm", "server.tpcc-1"), ("spp+dspatch", "hpc.npb-cg")],
+)
+def test_pollution_logs_parity(scheme, workload, llc_geometry, warmup_frac):
+    """Compiled pollution runs record the object run's logs exactly."""
+    if scheme == "ampm":
+        _assert_crosses(scheme)
+    trace = build_trace(workload, 2400)
+    base = System(_recording(scheme, llc_geometry, warmup_frac, "object")).run(trace)
+    got = System(_recording(scheme, llc_geometry, warmup_frac, "compiled")).run(trace)
+    label = f"logs/{scheme}/{llc_geometry[0]}/{warmup_frac}"
+    _assert_same(base.to_dict(), got.to_dict(), label)
+    _assert_same_logs(base, got, label)
+    assert base.demand_log and base.prefetch_fill_log
+    if llc_geometry[0] == 256 * 1024:
+        assert base.pollution_events  # a small LLC makes prefetch fills evict
+
+
+@needs_compiled
+def test_pollution_logs_parity_multi_programmed():
+    """Four cores over one shared LLC: each core logs its own ordinals,
+    and a victim belongs to the core whose prefetch fill evicted it."""
+    traces = [build_trace(name, length) for name, length in _mp_draw("streamer", 0.25)]
+
+    def run(kernel):
+        cfg = _recording("streamer", (512 * 1024, 16), 0.25, kernel, dram=MP_DRAM)
+        return MultiCoreSystem(cfg, num_cores=4).run(traces)
+
+    base, got = run("object"), run("compiled")
+    assert base.global_cycles == got.global_cycles
+    for core, (want, have) in enumerate(zip(base.per_core, got.per_core)):
+        label = f"mp-logs/core{core}"
+        _assert_same(want.to_dict(), have.to_dict(), label)
+        _assert_same_logs(want, have, label)
+    assert sum(len(core.pollution_events) for core in base.per_core)
+
+
+@needs_compiled
+def test_pollution_logs_grow_never_truncate(monkeypatch):
+    """The logs are unbounded in the spec.  Started two pairs long, they
+    grow at many RC_GROW stops between ops; every entry survives every
+    growth."""
+    import repro.kernel.state as state_mod
+
+    trace = build_trace("ispec06.mcf", 3000)
+    geometry = (256 * 1024, 8)
+    base = System(_recording("streamer", geometry, 0.0, "object")).run(trace)
+    grows = []
+    real_grow = state_mod.KernelState.grow
+
+    def counting_grow(self):
+        grows.append(1)
+        real_grow(self)
+
+    monkeypatch.setattr(state_mod, "LOG_CAP0", 2)
+    monkeypatch.setattr(state_mod.KernelState, "grow", counting_grow)
+    got = System(_recording("streamer", geometry, 0.0, "compiled")).run(trace)
+    assert len(grows) >= 3
+    _assert_same(base.to_dict(), got.to_dict(), "grow")
+    _assert_same_logs(base, got, "grow")
+    assert len(base.demand_log) > 1000 and len(base.pollution_events) > 1000
+
+
+@needs_compiled
+def test_pollution_recording_runs_compiled(monkeypatch):
+    """A compiled pollution run never enters the object model's op loop,
+    and the streamer trains in its C twin (no Python train call)."""
+    from repro.cpu.core import CoreExecution
+    from repro.prefetchers.streamer import StreamPrefetcher
+
+    def object_loop(self, *args, **kwargs):
+        raise AssertionError("pollution run took the object path")
+
+    def python_train(self, *args):
+        raise AssertionError("the streamer crossed into Python")
+
+    trace = build_trace("ispec06.mcf", 2000)
+    monkeypatch.setattr(CoreExecution, "run_ops_until", object_loop)
+    monkeypatch.setattr(StreamPrefetcher, "train", python_train)
+    result = System(_recording("streamer", (256 * 1024, 8), 0.25, "compiled")).run(trace)
+    assert result.demand_log and result.pollution_events
