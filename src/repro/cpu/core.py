@@ -284,25 +284,33 @@ class CoreExecution:
         Idempotent: the raw per-level hit counters stay untouched inside
         the execution; each call recomputes the measured-region view.
         """
-        hits = self._hits
-        floor = self._stats_floor
-        if floor is None:
-            stats = self.stats
-            stats.instructions = self._instr
-            stats.memory_ops = self._pos
-            stats.cycles = max(self._retire, 1e-9)
-            stats.l1_hits, stats.l2_hits, stats.llc_hits, stats.dram_hits = hits
-            return stats
-        floor_instr, floor_retire, floor_hits = floor
-        return CoreStats(
-            instructions=self._instr - floor_instr,
-            memory_ops=self._pos,
-            cycles=max(self._retire - floor_retire, 1e-9),
-            l1_hits=hits[0] - floor_hits[0],
-            l2_hits=hits[1] - floor_hits[1],
-            llc_hits=hits[2] - floor_hits[2],
-            dram_hits=hits[3] - floor_hits[3],
-        )
+        stats = measured_stats(self._instr, self._pos, self._retire, self._hits, self._stats_floor)
+        if self._stats_floor is None:
+            self.stats = stats
+        return stats
+
+
+def measured_stats(instr, ops, retire, hits, floor=None):
+    """:class:`CoreStats` of a core's measured region.
+
+    ``instr``/``ops``/``retire``/``hits`` are the core's running counters
+    (instructions, memory ops, retirement time, per-level hits) and
+    ``floor`` their ``(instr, retire, hits)`` at the warmup boundary
+    (:meth:`CoreExecution.mark_stats_start`), or ``None`` to measure the
+    whole run.  The one definition both kernels report through.
+    """
+    if floor is None:
+        floor = (0, 0.0, (0, 0, 0, 0))
+    floor_instr, floor_retire, floor_hits = floor
+    return CoreStats(
+        instructions=instr - floor_instr,
+        memory_ops=ops,
+        cycles=max(retire - floor_retire, 1e-9),
+        l1_hits=hits[0] - floor_hits[0],
+        l2_hits=hits[1] - floor_hits[1],
+        llc_hits=hits[2] - floor_hits[2],
+        dram_hits=hits[3] - floor_hits[3],
+    )
 
 
 # -- the scheduler ------------------------------------------------------------

@@ -24,8 +24,15 @@ from dataclasses import dataclass, field
 from repro.cpu.core import CoreExecution, CoreModel, interleave_two_level
 from repro.memory.cache import Cache
 from repro.constants import MP_LLC_BYTES, ST_LLC_BYTES
-from repro.memory.dram import MP_DRAM, ST_DRAM, DramConfig, DramModel
-from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.memory.dram import (
+    MP_DRAM,
+    ST_DRAM,
+    DramConfig,
+    DramModel,
+    achieved_gbps,
+    bucket_residency,
+)
+from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy, coverage_accuracy
 from repro.memory.observed import ObservedHierarchy
 from repro.observe.sinks import CoreScopedSink, LineSink
 from repro.prefetchers.base import flush_training_with_cycle
@@ -65,7 +72,9 @@ class SystemConfig:
     #: spec fingerprints, so results share cache entries across kernels.
     #: Event-traced runs (``trace_prefetch``/``trace_cache``) use the
     #: object model regardless; pollution recording runs compiled too,
-    #: the kernel recording the same logs.
+    #: the kernel recording the same logs.  A compiled run lays its state
+    #: out from this config, builds only the L2 scheme object and reads
+    #: its results from the kernel's counters.
     kernel: str = "auto"
 
     @staticmethod
@@ -230,18 +239,16 @@ def _resolve_sink(cfg, sink):
     return LineSink(sys.stderr)
 
 
-def _make_hierarchy(cfg, dram, llc, l1_pf, l2_pf, sink, compiled=False):
-    """Build the hierarchy for one core: plain when nothing observes it.
+def _make_hierarchy(cfg, dram, llc, l1_pf, l2_pf, sink):
+    """Build the object model's hierarchy for one core: plain when
+    nothing observes it.
 
     The split class is the no-overhead guarantee: with tracing off and no
     pollution recording this returns the exact pre-instrumentation
     :class:`MemoryHierarchy`, so the hot path carries zero new branches
-    (asserted by ``benchmarks/bench_observe_overhead.py``).  A
-    ``compiled`` run records pollution in the kernel, so it gets the
-    plain class too: an :class:`ObservedHierarchy` would attach a scheme
-    trace hook, and the twin gate declines every traced scheme.
+    (asserted by ``benchmarks/bench_observe_overhead.py``).
     """
-    if sink is None and (compiled or not cfg.record_pollution_victims):
+    if sink is None and not cfg.record_pollution_victims:
         return MemoryHierarchy(
             config=cfg.hierarchy,
             dram=dram,
@@ -262,16 +269,20 @@ def _make_hierarchy(cfg, dram, llc, l1_pf, l2_pf, sink, compiled=False):
     )
 
 
-def _result_from(execution, hierarchy, dram, logs=None):
-    """One core's :class:`RunResult`.  ``logs`` are the kernel's
-    ``(demand_log, prefetch_fill_log, pollution_events)``; by default the
-    hierarchy's own views (empty on the plain class)."""
-    if logs is None:
-        logs = (hierarchy.demand_log, hierarchy.prefetch_fill_log, hierarchy.pollution_events)
+def _run_result(stats, pf, l2_demand_misses, logs, dram_config, dram):
+    """One core's :class:`RunResult` from its counters, whichever kernel ran.
+
+    ``stats`` is the core's measured-region
+    :class:`~repro.cpu.core.CoreStats`, ``pf`` its
+    :class:`~repro.memory.hierarchy.PrefetchStats`, ``logs`` its
+    ``(demand_log, prefetch_fill_log, pollution_events)`` and ``dram`` the
+    run's :class:`~repro.memory.dram.DramCounters`.  The object path
+    feeds it from its objects (:func:`_result_from`), the compiled path
+    from the kernel's flat counters, so coverage/accuracy, residency and
+    achieved bandwidth each have one definition.
+    """
+    coverage, accuracy, _base = coverage_accuracy(pf, l2_demand_misses)
     demand_log, fill_log, victims = logs
-    stats = execution.finalize()
-    coverage, accuracy, _base = hierarchy.coverage_accuracy()
-    pf = hierarchy.pf_stats
     return RunResult(
         ipc=stats.ipc,
         instructions=stats.instructions,
@@ -282,10 +293,10 @@ def _result_from(execution, hierarchy, dram, logs=None):
         pf_useful=pf.useful,
         pf_late=pf.late,
         pf_useless=pf.useless,
-        l2_demand_misses=hierarchy.l2.demand_misses,
+        l2_demand_misses=l2_demand_misses,
         dram_reads=dram.reads,
-        bw_utilization_residency=dram.monitor.bucket_residency(),
-        achieved_gbps=dram.achieved_gbps(stats.cycles),
+        bw_utilization_residency=bucket_residency(dram.bucket_cycles),
+        achieved_gbps=achieved_gbps(dram_config, dram, stats.cycles),
         level_hits=dict(stats.level_hits),
         pollution_events=list(victims),
         demand_log=list(demand_log),
@@ -293,55 +304,80 @@ def _result_from(execution, hierarchy, dram, logs=None):
     )
 
 
+def _result_from(execution, hierarchy, dram):
+    """One object-model core's :class:`RunResult` (see :func:`_run_result`)."""
+    logs = (hierarchy.demand_log, hierarchy.prefetch_fill_log, hierarchy.pollution_events)
+    return _run_result(
+        execution.finalize(),
+        hierarchy.pf_stats,
+        hierarchy.l2.demand_misses,
+        logs,
+        dram.config,
+        dram.counters(),
+    )
+
+
 def _simulate(cfg, traces, sinks):
     """Run one trace per core over one LLC and DRAM; the only run driver.
 
-    Builds the DRAM model, one LLC, and a hierarchy plus
-    :class:`CoreExecution` per core (each with that core's sink), wraps
-    them in the compiled kernel when :func:`_resolve_kernel` picks it,
-    and schedules every core through :func:`interleave_two_level` — or,
-    compiled, through its C twin ``KernelDomain.interleave``.  Each
-    core crosses its own warmup boundary after ``warmup_frac`` of its
-    trace — before the first op when the warmup is zero ops; shared DRAM
-    stats reset when the first core crosses (per-core results use private
-    hierarchy counters, so the shared reset point is not critical).
+    Builds the DRAM model and, per :func:`_resolve_kernel`, either the
+    object model — one LLC, and a hierarchy plus :class:`CoreExecution`
+    per core (each with that core's sink) — or its compiled twin, laid out
+    straight from the config (one :class:`KernelDomain` and a
+    :class:`KernelExecution` per core; only each core's L2 scheme object
+    is built).  It schedules every core through
+    :func:`interleave_two_level` — or, compiled, through its C twin
+    ``KernelDomain.interleave``.  Each core crosses its own warmup
+    boundary after ``warmup_frac`` of its trace — before the first op
+    when the warmup is zero ops; shared DRAM stats reset when the first
+    core crosses (per-core results use private hierarchy counters, so the
+    shared reset point is not critical).  Results come from the objects'
+    or the kernel's counters through one function (:func:`_run_result`).
+    The object path then drains each core's residual training
+    (``flush_training``); a compiled run neither drains nor writes back,
+    since nothing can read its scheme state after it returns.
 
     Returns the per-core :class:`RunResult` list and the global measured
     span (see :attr:`MultiProgramResult.global_cycles`).
     """
     kernel = _resolve_kernel(cfg) == "compiled"
     dram = DramModel(cfg.dram)
-    llc = Cache(cfg.hierarchy.llc)
-    bandwidth = dram
     if kernel:
         from repro.kernel.execution import KernelBandwidth, KernelDomain, KernelExecution
 
-        domain = KernelDomain(llc, dram)
+        domain = KernelDomain(cfg.hierarchy.llc, dram)
         # Bandwidth-aware schemes must read the *live* monitor, which lives
-        # in the kernel domain while the run is active.
+        # in the kernel domain for the whole run.
         bandwidth = KernelBandwidth(dram)
         bandwidth.attach(domain)
-    hierarchies = []
-    executions = []
-    for trace, sink in zip(traces, sinks):
-        l1_pf = PcStridePrefetcher() if cfg.l1_stride else None
-        l2_pf = build_prefetcher(cfg.l2_prefetcher, bandwidth)
-        hierarchy = _make_hierarchy(cfg, dram, llc, l1_pf, l2_pf, sink, compiled=kernel)
-        execution = CoreExecution(cfg.core, trace, hierarchy)
-        if kernel:
-            execution = KernelExecution(
-                execution, trace, domain, record_pollution=cfg.record_pollution_victims
+        executions = [
+            KernelExecution(
+                cfg,
+                trace,
+                domain,
+                record_pollution=cfg.record_pollution_victims,
+                l2_prefetcher=build_prefetcher(cfg.l2_prefetcher, bandwidth),
             )
-        hierarchies.append(hierarchy)
-        executions.append(execution)
-    # Between pack and write-back the kernel's flat state is the truth, so
-    # the warmup-boundary resets act on it instead of on the objects.
-    if kernel:
+            for trace in traces
+        ]
+        # The kernel's flat state is the truth, so the warmup-boundary
+        # resets act on it.
         reset_hierarchy = [kex.reset_hierarchy_stats for kex in executions]
         reset_dram = domain.reset_dram_stats
+        interleave = domain.interleave
     else:
+        llc = Cache(cfg.hierarchy.llc)
+        hierarchies = []
+        executions = []
+        for trace, sink in zip(traces, sinks):
+            l1_pf = PcStridePrefetcher() if cfg.l1_stride else None
+            l2_pf = build_prefetcher(cfg.l2_prefetcher, dram)
+            hierarchy = _make_hierarchy(cfg, dram, llc, l1_pf, l2_pf, sink)
+            hierarchies.append(hierarchy)
+            executions.append(CoreExecution(cfg.core, trace, hierarchy))
         reset_hierarchy = [hierarchy.reset_stats for hierarchy in hierarchies]
         reset_dram = dram.reset_stats
+        interleave = interleave_two_level
 
     warmup_ops = [int(len(trace) * cfg.warmup_frac) for trace in traces]
     stats_reset_time = None
@@ -356,33 +392,25 @@ def _simulate(cfg, traces, sinks):
             reset_dram(ex.time)
 
     with _gc_paused():
-        if kernel:
-            domain.interleave(executions, warmup_ops, _cross_warmup)
-        else:
-            interleave_two_level(executions, warmup_ops, _cross_warmup)
+        interleave(executions, warmup_ops, _cross_warmup)
 
-    logs = [None] * len(executions)
     if kernel:
-        logs = [kex.pollution_logs() for kex in executions]
-        # The objects are locals of this run and the results read only
-        # counters, so skip rebuilding cache contents.
-        for kex in executions:
-            kex.write_back(contents=False)
-        domain.write_back(contents=False)
-        bandwidth.release()
-        executions = [kex.execution for kex in executions]
-    per_core = [
-        _result_from(ex, hier, dram, log)
-        for ex, hier, log in zip(executions, hierarchies, logs)
-    ]
-    # End-of-run training drain, after stats capture: the drain's
-    # bandwidth-bucket queries at the final cycle must not perturb the
-    # reported residency.  Pages still resident in e.g. DSPatch's PB learn
-    # under the run-final bucket, leaving the prefetcher state consistent
-    # for post-run inspection.
-    for ex, hier in zip(executions, hierarchies):
-        if hier.l2_prefetcher is not None:
-            flush_training_with_cycle(hier.l2_prefetcher, int(ex.time))
+        # Nothing can read a compiled run's scheme state once it returns,
+        # so it skips the object path's end-of-run drain and writes
+        # nothing back.
+        dram_counters = domain.dram_counters()
+        per_core = [
+            _run_result(*kex.counters(), dram.config, dram_counters) for kex in executions
+        ]
+    else:
+        per_core = [_result_from(ex, hier, dram) for ex, hier in zip(executions, hierarchies)]
+        # End-of-run training drain, after stats capture: the drain's
+        # bandwidth-bucket queries at the final cycle must not perturb the
+        # reported residency.  Pages still resident in e.g. DSPatch's PB
+        # learn under the run-final bucket, each core in index order.
+        for ex, hier in zip(executions, hierarchies):
+            if hier.l2_prefetcher is not None:
+                flush_training_with_cycle(hier.l2_prefetcher, int(ex.time))
     end_time = max((ex.time for ex in executions), default=0.0)
     global_cycles = max(end_time - (stats_reset_time or 0.0), 0.0)
     return per_core, global_cycles

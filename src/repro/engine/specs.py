@@ -35,20 +35,44 @@ from repro.memory.dram import MP_DRAM, ST_DRAM, DramConfig
 DEFAULT_LLC_BYTES = ST_LLC_BYTES
 
 
+class _Fingerprinted:
+    """Memoizes a spec's :meth:`fingerprint` on the instance.
+
+    A cold run asks for one spec's digest several times (memo slot,
+    store lookup, save, read-back), and each computation hashes the
+    canonical config.  The digest is kept in the instance ``__dict__``
+    outside the dataclass fields, so equality and hashing never see it,
+    and :meth:`__getstate__` leaves it out, so pickles are unchanged.
+    """
+
+    _DIGEST = "_fingerprint"
+
+    def fingerprint(self):
+        """Content digest keying this spec in any store backend."""
+        digest = self.__dict__.get(self._DIGEST)
+        if digest is None:
+            digest = self.__dict__[self._DIGEST] = self._fingerprint_fields()
+        return digest
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop(self._DIGEST, None)
+        return state
+
+
 @dataclass(frozen=True)
-class TraceSpec:
+class TraceSpec(_Fingerprinted):
     """One generated workload trace: catalog name × memory-op count."""
 
     workload: str
     length: int
 
-    def fingerprint(self):
-        """Content digest keying this trace in any store backend."""
+    def _fingerprint_fields(self):
         return trace_fingerprint(self.workload, self.length)
 
 
 @dataclass(frozen=True)
-class RunSpec:
+class RunSpec(_Fingerprinted):
     """One single-core simulation on the paper's ST machine."""
 
     workload: str
@@ -67,8 +91,7 @@ class RunSpec:
         """The trace this run consumes."""
         return TraceSpec(self.workload, self.length)
 
-    def fingerprint(self):
-        """Content digest keying this run in any store backend."""
+    def _fingerprint_fields(self):
         return run_fingerprint(
             self.workload,
             self.scheme,
@@ -91,7 +114,7 @@ class RunSpec:
 
 
 @dataclass(frozen=True)
-class MixSpec:
+class MixSpec(_Fingerprinted):
     """One multi-programmed simulation on the paper's MP machine.
 
     ``workloads`` holds one catalog name per core (the paper runs four);
@@ -115,8 +138,7 @@ class MixSpec:
         """Core count — one per mixed workload."""
         return len(self.workloads)
 
-    def fingerprint(self):
-        """Content digest keying this mix in any store backend."""
+    def _fingerprint_fields(self):
         return mix_fingerprint(
             self.mix_name,
             self.workloads,

@@ -1,12 +1,17 @@
 """KernelDomain/KernelExecution: the system driver's face of the compiled kernel.
 
 This is the glue between the system driver and the generated-C twin of
-the object model: :class:`KernelExecution` packs one core's freshly
-built objects into a :class:`~repro.kernel.state.KernelState` and
-exposes the state surface of :class:`repro.cpu.core.CoreExecution` that
-the warmup callback reads (``mark_stats_start``, ``time``, ``ops``); it
-writes everything back into the objects at the end so result assembly,
-``flush_training`` and post-run inspection are unchanged.
+the object model: :class:`KernelExecution` lays one core out as a
+:class:`~repro.kernel.state.KernelState` — straight from the
+``SystemConfig`` on a compiled run, or packed from built objects as the
+tests' reference — and exposes the state surface of
+:class:`repro.cpu.core.CoreExecution` that the warmup callback reads
+(``mark_stats_start``, ``time``, ``ops``).  After the run the driver
+reads each core's result inputs from the flat counters
+(:meth:`KernelExecution.counters`) and writes nothing back; a packed
+core's objects are restored only when a test asks
+(:meth:`KernelExecution.write_back`), which is how tests read the twin's
+state.
 
 Every core of a run shares one :class:`KernelDomain` (the LLC + DRAM +
 bandwidth-monitor working state), and :meth:`KernelDomain.interleave`
@@ -18,7 +23,7 @@ checkpoints and growths of BOP's pending-fill ring or of the pollution
 logs.  ``KernelExecution`` has no per-batch entry point.
 """
 
-from repro.cpu.core import _fire_met_checkpoints
+from repro.cpu.core import CoreExecution, _fire_met_checkpoints
 from repro.kernel.state import KernelState, SharedState
 
 
@@ -77,10 +82,9 @@ class KernelBandwidth:
     """Bandwidth signal that follows the state wherever it currently lives.
 
     Bandwidth-aware schemes hold this object and call ``bucket(cycle)``
-    during training.  While a kernel run is active the live monitor state
-    is in the kernel domain's working form, so queries route there; before
-    attach and after release (post write-back — e.g. the end-of-run
-    ``flush_training`` drain) they route to the DRAM object.
+    during training.  Once a kernel domain is attached the live monitor
+    state is in its working form, so queries route there; before attach
+    they route to the DRAM object.
     """
 
     __slots__ = ("_dram", "_domain")
@@ -92,9 +96,6 @@ class KernelBandwidth:
     def attach(self, domain):
         self._domain = domain
 
-    def release(self):
-        self._domain = None
-
     def bucket(self, cycle):
         domain = self._domain
         if domain is not None:
@@ -103,7 +104,13 @@ class KernelBandwidth:
 
 
 class KernelDomain:
-    """One LLC/DRAM domain in kernel form, shared by every core in a run."""
+    """One LLC/DRAM domain in kernel form, shared by every core in a run.
+
+    ``llc`` is the :class:`~repro.memory.cache.CacheConfig` of a fresh
+    LLC, laid out empty with no object built, or, in tests, a built
+    :class:`~repro.memory.cache.Cache` to pack, which :meth:`write_back`
+    restores; ``dram`` is the run's ``DramModel``.
+    """
 
     def __init__(self, llc, dram):
         from repro.kernel.cbuild import CShared
@@ -118,6 +125,11 @@ class KernelDomain:
         """The warmup-boundary ``DramModel.reset_stats``, on the live state."""
         self.shared.reset_dram_stats(cycle)
 
+    def dram_counters(self):
+        """The run's :class:`~repro.memory.dram.DramCounters`, from the
+        live state."""
+        return self.shared_state.dram_counters()
+
     def interleave(self, executions, stop_ops=None, on_stop=None):
         """:func:`repro.cpu.core.interleave_two_level` for this domain's cores.
 
@@ -131,35 +143,42 @@ class KernelDomain:
         pending = _fire_met_checkpoints(executions, stop_ops, on_stop)
         self.shared.interleave([kex.runtime for kex in executions], pending, on_stop)
 
-    def write_back(self, contents=True):
-        """Restore the shared LLC/DRAM objects (call once, after the run).
-
-        ``contents=False`` restores counters and DRAM/monitor state but
-        not the LLC's resident lines — for callers that only assemble
-        counter-based results before discarding the objects.
-        """
-        self.shared_state.write_back(contents)
+    def write_back(self):
+        """Restore the shared LLC/DRAM objects of a packed domain (only on
+        request: a run reads its results from the live counters)."""
+        self.shared_state.write_back()
 
 
 class KernelExecution:
     """One core of a compiled run, in place of its ``CoreExecution``.
 
-    Wraps an already-built ``CoreExecution`` (which owns the trace and the
-    hierarchy objects); between :meth:`__init__` and :meth:`write_back`
-    the packed working form is the truth and the wrapped objects are
-    stale.  ``time``/``ops``/``mark_stats_start`` match
-    ``CoreExecution``; running ops is :meth:`KernelDomain.interleave`'s
-    job.  With ``record_pollution`` the kernel records the pollution
-    logs, read back by :meth:`pollution_logs`.
+    ``source`` is the run's ``SystemConfig`` — a fresh core laid out
+    straight from it, with ``l2_prefetcher`` as its L2 scheme and no
+    object built — or, in tests, a built ``CoreExecution`` (which owns
+    the trace and the hierarchy objects) to pack.  Either way the flat
+    state is the truth from :meth:`__init__` on: results come from
+    :meth:`counters`, and a packed core's objects are stale until a test
+    asks for :meth:`write_back`.  ``time``/``ops``/``mark_stats_start``
+    match ``CoreExecution``; running ops is
+    :meth:`KernelDomain.interleave`'s job.  With ``record_pollution`` the
+    kernel records the pollution logs, read back with the counters.
     """
 
-    def __init__(self, execution, trace, domain, record_pollution=False):
+    def __init__(self, source, trace, domain, record_pollution=False, l2_prefetcher=None):
         from repro.kernel.cbuild import CRuntime
 
-        self.execution = execution
         self.domain = domain
-        l2_pf = execution.hierarchy.l2_prefetcher
-        self.state = KernelState(execution, trace, domain.shared_state, record_pollution)
+        if isinstance(source, CoreExecution):
+            self.execution = source
+            l2_pf = source.hierarchy.l2_prefetcher
+            self.state = KernelState(source, trace, domain.shared_state, record_pollution)
+        else:
+            self.execution = None
+            l2_pf = l2_prefetcher
+            self.state = KernelState.from_config(
+                source, l2_pf, trace, domain.shared_state, record_pollution
+            )
+        self.l2_prefetcher = l2_pf
         self.runtime = CRuntime(
             self.state,
             domain.shared,
@@ -167,7 +186,7 @@ class KernelExecution:
             note_useful=None if l2_pf is None else l2_pf.note_useful_prefetch,
             note_useless=None if l2_pf is None else l2_pf.note_useless_prefetch,
         )
-        self._written_back = False
+        self._stats_floor = None
 
     # ----------------------------------------------------- CoreExecution API
 
@@ -181,7 +200,9 @@ class KernelExecution:
 
     def mark_stats_start(self):
         """Set the measured-region floor from the live working state."""
-        self.execution._stats_floor = self.runtime.snapshot()
+        self._stats_floor = self.runtime.snapshot()
+        if self.execution is not None:
+            self.execution._stats_floor = self._stats_floor
 
     # ------------------------------------------------- warmup-boundary resets
 
@@ -189,20 +210,18 @@ class KernelExecution:
         """The warmup-boundary ``MemoryHierarchy.reset_stats``, on the live state."""
         self.runtime.reset_hierarchy_stats()
 
-    def pollution_logs(self):
-        """``(demand_log, prefetch_fill_log, pollution_events)`` of the run
-        so far, as the object path's ``PollutionCollector`` views."""
-        return self.state.pollution_logs()
+    # ------------------------------------------------------------- results
+
+    def counters(self):
+        """This core's result inputs, from the live state:
+        ``(CoreStats, PrefetchStats, L2 demand misses, pollution logs)``,
+        the stats measured from the warmup boundary — what the object path
+        reads from its execution and hierarchy."""
+        return self.state.core_counters(self._stats_floor)
 
     # --------------------------------------------------------------- teardown
 
-    def write_back(self, contents=True):
-        """Restore the core's objects from the flat state (idempotent).
-
-        ``contents=False`` skips rebuilding cache line structures; every
-        counter and execution scalar is still restored.
-        """
-        if self._written_back:
-            return
-        self.state.write_back(contents)
-        self._written_back = True
+    def write_back(self):
+        """Restore a packed core's objects — execution, hierarchy, cache
+        lines, scheme tables — from the flat state (only on request)."""
+        self.state.write_back()

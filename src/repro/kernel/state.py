@@ -7,13 +7,22 @@ and bus state, the bandwidth monitor, core retirement state — packed
 into flat ``int64``/``float64`` NumPy arrays laid out by
 :mod:`repro.kernel.layout`.
 
-The object model is the source of truth at the boundaries:
-:meth:`KernelState.from_objects` packs a freshly built (or mid-run)
-``CoreExecution`` + ``MemoryHierarchy`` + ``DramModel``, and
-:meth:`KernelState.write_back` reconstructs them — OrderedDict sets in
-exact recency order, heap lists, ``CacheLine``/``_StrideEntry`` objects —
-so stats assembly, ``flush_training``, pollution views and every existing
-consumer keep reading the objects they always read.
+A compiled run lays its state out straight from the ``SystemConfig``
+(:meth:`KernelState.from_config`, and :class:`SharedState` given the
+LLC's ``CacheConfig``): every array is allocated zeroed in bulk, only
+the constants are set, and the one object it reads is the L2 scheme
+(its tables, when it has a compiled twin, are converted whole).  The
+run's results come from the flat counters (:meth:`KernelState.core_counters`,
+:meth:`SharedState.dram_counters`) and nothing is written back.
+
+Packing objects is the test reference: ``KernelState(execution, ...)``
+and ``SharedState(cache, dram)`` pack a built (fresh or mid-run)
+``CoreExecution`` + ``MemoryHierarchy`` + ``Cache`` + ``DramModel`` —
+the state the config-built layout is tested against — and
+:meth:`KernelState.write_back` reconstructs them on request, which is
+how tests read the twin's state: OrderedDict sets in exact recency
+order, heap lists, ``CacheLine``/``_StrideEntry`` objects, the scheme's
+tables.
 
 Shared state (the LLC, DRAM, and bandwidth monitor of a multi-programmed
 mix) lives in a :class:`SharedState` that all per-core states reference,
@@ -21,6 +30,7 @@ mirroring how the object model shares one ``Cache``/``DramModel``.
 """
 
 from collections import OrderedDict, deque
+from itertools import chain
 
 import numpy as np
 
@@ -36,8 +46,10 @@ from repro.kernel.layout import (
     SM_REC,
     ST_REC,
 )
-from repro.memory.cache import CacheLine
-from repro.memory.hierarchy import PollutionEvent
+from repro.cpu.core import measured_stats
+from repro.memory.cache import Cache, CacheLine
+from repro.memory.dram import DramCounters
+from repro.memory.hierarchy import PREFETCH_QUEUE_SIZE, PollutionEvent, PrefetchStats
 from repro.prefetchers.base import NullPrefetcher, Prefetcher
 from repro.prefetchers.stride import PcStridePrefetcher, _StrideEntry
 
@@ -222,14 +234,46 @@ def _i64(n):
     return np.zeros(n, dtype=np.int64)
 
 
-def _pack_cache(cache):
-    """Flatten one Cache's sets into slot arrays (slot = set*ways + way)."""
-    ways = cache.ways
-    arrs = {f: _i64(cache.num_sets * ways) for f in _CACHE_FIELDS}
+def _carve(sizes):
+    """Zeroed int64 arrays of ``sizes`` (name -> length), carved as
+    contiguous views out of one block: one allocation, not one each."""
+    block = _i64(sum(sizes.values()))
+    out = {}
+    off = 0
+    for name, n in sizes.items():
+        out[name] = block[off : off + n]
+        off += n
+    return out
+
+
+def _cache_arrays(config):
+    """One cache level's empty slot columns (slot = set*ways + way), the
+    rows of one zeroed block; only the replacement policies the kernel
+    implements qualify."""
+    if config.replacement not in VICTIM_MODES:
+        raise ValueError(
+            f"kernel supports only lru/pf-dead-block replacement "
+            f"({config.name} uses {config.replacement!r})"
+        )
+    block = np.zeros((len(_CACHE_FIELDS), config.num_sets * config.ways), dtype=np.int64)
+    return dict(zip(_CACHE_FIELDS, block))
+
+
+def _cache_geometry(ci, prefix, config):
+    """A cache level's geometry slots, from its config."""
+    ci[CI64[prefix + "ways"]] = config.ways
+    ci[CI64[prefix + "set_mask"]] = config.num_sets - 1
+    ci[CI64[prefix + "hit_latency"]] = config.hit_latency
+    ci[CI64[prefix + "victim_mode"]] = VICTIM_MODES[config.replacement]
+
+
+def _pack_cache(cache, arrs):
+    """Lay one Cache's resident lines into its empty slot arrays."""
     sets = cache._sets
     if not any(sets):
         # A freshly built cache: every slot stays zero (invalid).
-        return arrs
+        return
+    ways = cache.ways
     shift = cache._tag_shift
     for set_idx, lines in enumerate(sets):
         base = set_idx * ways
@@ -242,7 +286,6 @@ def _pack_cache(cache):
             arrs["used"][slot] = 1 if cl.used else 0
             arrs["touch"][slot] = cl.last_touch
             arrs["ready"][slot] = cl.ready
-    return arrs
 
 
 def _unpack_cache(cache, arrs, tick):
@@ -292,18 +335,29 @@ def _cache_stats_from(ci, prefix, cache, slots):
 
 
 class SharedState:
-    """Flat form of the state one LLC/DRAM domain shares across cores."""
+    """Flat form of the state one LLC/DRAM domain shares across cores.
+
+    ``llc`` is, for a run, the LLC's
+    :class:`~repro.memory.cache.CacheConfig`: the LLC is then laid out
+    empty straight from the config and no object is built.  Tests pass a
+    built :class:`~repro.memory.cache.Cache` instead, packed as their
+    reference and restored by :meth:`write_back`.  The
+    DRAM model is always an object — it owns the DRAM timing constants.
+    """
 
     def __init__(self, llc, dram):
-        self.llc_obj = llc
+        self.llc_obj = llc if isinstance(llc, Cache) else None
+        self.llc_config = llc.config if self.llc_obj is not None else llc
         self.dram_obj = dram
         si = _i64(len(SI64))
         sf = np.zeros(len(SF64), dtype=np.float64)
         self.si64 = si
         self.sf64 = sf
-        self.llc = _pack_cache(llc)
-        si[SI64["llc_tick"]] = llc._tick
-        _cache_stats_to(si, "llc_", llc, SI64)
+        self.llc = _cache_arrays(self.llc_config)
+        if self.llc_obj is not None:
+            _pack_cache(llc, self.llc)
+            si[SI64["llc_tick"]] = llc._tick
+            _cache_stats_to(si, "llc_", llc, SI64)
         # DRAM constants
         si[SI64["tCL"]] = dram.tCL
         si[SI64["tRCD"]] = dram.tRCD
@@ -328,22 +382,15 @@ class SharedState:
         si[SI64["dram_prefetches_dropped"]] = dram.prefetches_dropped
         si[SI64["dram_last_data_done"]] = dram._last_data_done
         si[SI64["dram_stats_start"]] = dram._stats_start_cycle
-        # Bank and channel queue state
-        n_ch = len(dram._channels)
-        n_banks = dram.config.banks_per_channel
-        self.bank_open = _i64(n_ch * n_banks)
-        self.bank_nextact = _i64(n_ch * n_banks)
-        self.bank_rowready = _i64(n_ch * n_banks)
-        self.ch_busfree = _i64(n_ch)
-        self.ch_demandfree = _i64(n_ch)
-        for c, channel in enumerate(dram._channels):
-            self.ch_busfree[c] = channel.bus_free_cycle
-            self.ch_demandfree[c] = channel.demand_bus_free_cycle
-            for b, bank in enumerate(channel.banks):
-                idx = c * n_banks + b
-                self.bank_open[idx] = bank.open_row
-                self.bank_nextact[idx] = bank.next_activate_cycle
-                self.bank_rowready[idx] = bank.row_ready_cycle
+        # Bank and channel queue state, bank-major within each channel
+        banks = [bank for channel in dram._channels for bank in channel.banks]
+        self.bank_open = np.array([b.open_row for b in banks], dtype=np.int64)
+        self.bank_nextact = np.array([b.next_activate_cycle for b in banks], dtype=np.int64)
+        self.bank_rowready = np.array([b.row_ready_cycle for b in banks], dtype=np.int64)
+        self.ch_busfree = np.array([c.bus_free_cycle for c in dram._channels], dtype=np.int64)
+        self.ch_demandfree = np.array(
+            [c.demand_bus_free_cycle for c in dram._channels], dtype=np.int64
+        )
         # Bandwidth monitor
         mon = dram.monitor
         si[SI64["mon_window_cycles"]] = mon.window_cycles
@@ -358,20 +405,27 @@ class SharedState:
         sf[SF64["mon_thr_mid"]] = mid
         sf[SF64["mon_thr_hi"]] = hi
 
-    def write_back(self, contents=True):
-        """Restore the shared LLC and DRAM objects from the flat form.
+    def dram_counters(self):
+        """The run's :class:`~repro.memory.dram.DramCounters`, read from the
+        live slots (what :meth:`DramModel.counters` reads after write-back)."""
+        si = self.si64
+        return DramCounters(
+            int(si[SI64["dram_reads"]]),
+            int(si[SI64["dram_writes"]]),
+            int(si[SI64["dram_last_data_done"]]),
+            int(si[SI64["dram_stats_start"]]),
+            tuple(int(si[SI64[f"mon_bucket{i}"]]) for i in range(4)),
+        )
 
-        ``contents=False`` skips rebuilding the LLC's line structures
-        (counters, DRAM and monitor state are always restored) — for
-        callers that assemble results from counters and then discard the
-        objects, reconstructing every resident line is pure overhead.
-        """
+    def write_back(self):
+        """Restore the packed LLC and the DRAM object from the flat form."""
+        llc = self.llc_obj
+        if llc is None:
+            raise RuntimeError("an LLC laid out from its config has no object to restore")
         si = self.si64
         sf = self.sf64
-        llc = self.llc_obj
         dram = self.dram_obj
-        if contents:
-            _unpack_cache(llc, self.llc, int(si[SI64["llc_tick"]]))
+        _unpack_cache(llc, self.llc, int(si[SI64["llc_tick"]]))
         _cache_stats_from(si, "llc_", llc, SI64)
         dram.reads = int(si[SI64["dram_reads"]])
         dram.writes = int(si[SI64["dram_writes"]])
@@ -398,21 +452,149 @@ class SharedState:
         mon._counter = float(sf[SF64["mon_counter"]])
 
 
+#: The L1 stride prefetcher's table geometry as ``(entries, degree,
+#: confidence threshold, confidence max)``: the stock one a config-built
+#: core uses, and the dummy slots of a core without one.
+_STRIDE_STOCK = (
+    PcStridePrefetcher.TABLE_ENTRIES,
+    PcStridePrefetcher.DEGREE,
+    PcStridePrefetcher.CONFIDENCE_THRESHOLD,
+    PcStridePrefetcher.CONFIDENCE_MAX,
+)
+_STRIDE_NONE = (1, 1, 2, 3)
+_STRIDE_FIELDS = ("stride_valid", "stride_tag", "stride_last", "stride_stride", "stride_conf")
+_MSHRS = ("mshr_l1", "mshr_l2", "mshr_llc")
+
+
 class KernelState:
     """Flat form of one core: execution + private L1/L2 + MSHRs + stride.
 
-    With ``record_pollution`` the kernel also records the three logs
+    ``KernelState(execution, trace, shared)`` packs a built
+    ``CoreExecution`` and its hierarchy, fresh or mid-run, and
+    :meth:`write_back` restores them; :meth:`from_config` lays a fresh
+    core out straight from a ``SystemConfig`` with no object built — the
+    state packing a freshly built execution gives, slot for slot.  With
+    ``record_pollution`` the kernel also records the three logs
     :class:`repro.observe.sinks.PollutionCollector` derives on the object
     path (see :meth:`pollution_logs`).
     """
 
     def __init__(self, execution, trace, shared, record_pollution=False):
+        hier = execution.hierarchy
         self.execution = execution
-        self.hierarchy = execution.hierarchy
-        self.shared = shared
-        hier = self.hierarchy
-        model = execution.model
+        self.hierarchy = hier
+        l1_pf = hier.l1_prefetcher
+        if l1_pf is not None and type(l1_pf) is not PcStridePrefetcher:
+            raise ValueError("kernel supports only the stock PC-stride L1 prefetcher")
+        stride = None
+        if l1_pf is not None:
+            stride = (
+                l1_pf.table_entries,
+                l1_pf.degree,
+                l1_pf.CONFIDENCE_THRESHOLD,
+                l1_pf.CONFIDENCE_MAX,
+            )
+        self._allocate(
+            execution.model,
+            hier.config,
+            trace,
+            shared,
+            stride,
+            hier.prefetch_queue_size,
+            hier._merge_bound,
+            record_pollution,
+        )
+        ci = self.ci64
+        cf = self.cf64
 
+        # Core execution state
+        ci[CI64["pos"]] = execution._pos
+        ci[CI64["end"]] = execution._pos
+        ci[CI64["instr"]] = execution._instr
+        hits = execution._hits
+        ci[CI64["hit_l1"]] = hits[0]
+        ci[CI64["hit_l2"]] = hits[1]
+        ci[CI64["hit_llc"]] = hits[2]
+        ci[CI64["hit_dram"]] = hits[3]
+        cf[CF64["retire"]] = execution._retire
+        cf[CF64["last_load_done"]] = execution._last_load_done
+        window = execution._window
+        if len(window) >= len(self.win_idx):
+            raise ValueError("ROB checkpoint window exceeds kernel ring capacity")
+        for i, (idx, ret) in enumerate(window):
+            self.win_idx[i] = idx
+            self.win_ret[i] = ret
+        ci[CI64["win_len"]] = len(window)
+
+        # Private caches
+        for name, cache in (("l1", hier.l1), ("l2", hier.l2)):
+            _pack_cache(cache, {f: getattr(self, f"{name}_{f}") for f in _CACHE_FIELDS})
+            ci[CI64[f"{name}_tick"]] = cache._tick
+            _cache_stats_to(ci, f"{name}_", cache, CI64)
+
+        # MSHRs (heap arrays sized to capacity: the allocate rule never
+        # lets the heap outgrow it)
+        for name, mshr in zip(_MSHRS, (hier.l1_mshr, hier.l2_mshr, hier.llc_mshr)):
+            heap = sorted(mshr._ready_heap)
+            getattr(self, name)[: len(heap)] = heap
+            ci[CI64[f"{name}_len"]] = len(heap)
+            ci[CI64[f"{name}_allocations"]] = mshr.allocations
+            ci[CI64[f"{name}_stall"]] = mshr.stall_cycles
+
+        # Hierarchy bookkeeping
+        ci[CI64["demand_accesses"]] = hier.demand_accesses
+        for i, (ln, ready) in enumerate(hier._in_flight.items()):
+            self.infl_line[i] = ln
+            self.infl_ready[i] = ready
+        ci[CI64["inflight_len"]] = len(hier._in_flight)
+        pf = hier.pf_stats
+        for field in _PF_STATS:
+            ci[CI64["pf_" + field]] = getattr(pf, field)
+
+        # L1 stride prefetcher
+        if l1_pf is not None:
+            ci[CI64["stride_trainings"]] = l1_pf.trainings
+            for i, entry in enumerate(l1_pf._table):
+                if entry is not None:
+                    self.stride_valid[i] = 1
+                    self.stride_tag[i] = entry.tag
+                    self.stride_last[i] = entry.last_line
+                    self.stride_stride[i] = entry.stride
+                    self.stride_conf[i] = entry.confidence
+
+        self._pack_scheme(hier.l2_prefetcher)
+
+    @classmethod
+    def from_config(cls, config, l2_pf, trace, shared, record_pollution=False):
+        """A fresh core laid out straight from ``config`` (a
+        ``SystemConfig``) with ``l2_pf`` as its L2 scheme: no cache,
+        hierarchy, execution or L1 prefetcher object is built, and there
+        is nothing to write back."""
+        self = cls.__new__(cls)
+        self.execution = None
+        self.hierarchy = None
+        hier = config.hierarchy
+        self._allocate(
+            config.core,
+            hier,
+            trace,
+            shared,
+            _STRIDE_STOCK if config.l1_stride else None,
+            PREFETCH_QUEUE_SIZE,
+            shared.dram_obj.demand_merge_bound(),
+            record_pollution,
+        )
+        self._pack_scheme(l2_pf)
+        return self
+
+    def _allocate(
+        self, model, hier_cfg, trace, shared, stride, queue_size, merge_bound, record_pollution
+    ):
+        """Every array and slot of a fresh core: constants set, state
+        empty.  ``stride`` is the L1 stride prefetcher's geometry, or
+        ``None`` without one.  The per-core int64 arrays are carved from
+        one block and each cache level is one block."""
+        self.shared = shared
         ci = _i64(len(CI64))
         cf = np.zeros(len(CF64), dtype=np.float64)
         self.ci64 = ci
@@ -430,148 +612,75 @@ class KernelState:
         self.op_write = ((flags & FLAG_WRITE) != 0).astype(np.int64)
         self.op_dep = ((flags & FLAG_DEP) != 0).astype(np.int64)
 
-        # Core execution state
-        ci[CI64["pos"]] = execution._pos
-        ci[CI64["end"]] = execution._pos
-        ci[CI64["n_ops"]] = execution._n
-        ci[CI64["instr"]] = execution._instr
-        hits = execution._hits
-        ci[CI64["hit_l1"]] = hits[0]
-        ci[CI64["hit_l2"]] = hits[1]
-        ci[CI64["hit_llc"]] = hits[2]
-        ci[CI64["hit_dram"]] = hits[3]
-        ci[CI64["width"]] = model.width
-        ci[CI64["rob_size"]] = model.rob_size
-        cf[CF64["retire"]] = execution._retire
-        cf[CF64["last_load_done"]] = execution._last_load_done
-        cf[CF64["retire_step"]] = execution._retire_step
-        win_cap = _next_pow2(model.rob_size + 16)
-        self.win_idx = _i64(win_cap)
-        self.win_ret = np.zeros(win_cap, dtype=np.float64)
-        window = execution._window
-        if len(window) >= win_cap:
-            raise ValueError("ROB checkpoint window exceeds kernel ring capacity")
-        for i, (idx, ret) in enumerate(window):
-            self.win_idx[i] = idx
-            self.win_ret[i] = ret
-        ci[CI64["win_head"]] = 0
-        ci[CI64["win_len"]] = len(window)
-        ci[CI64["win_cap"]] = win_cap
-
-        # Private caches
-        for cache in (hier.l1, hier.l2, hier.llc):
-            if cache._victim_mode not in (0, 1):
-                raise ValueError(
-                    f"kernel supports only lru/pf-dead-block replacement "
-                    f"({cache.name} uses {cache.config.replacement!r})"
-                )
-        for name, cache in (("l1", hier.l1), ("l2", hier.l2)):
-            arrs = _pack_cache(cache)
-            for f in _CACHE_FIELDS:
-                setattr(self, f"{name}_{f}", arrs[f])
-            ci[CI64[f"{name}_ways"]] = cache.ways
-            ci[CI64[f"{name}_set_mask"]] = cache._set_mask
-            ci[CI64[f"{name}_hit_latency"]] = cache.hit_latency
-            ci[CI64[f"{name}_victim_mode"]] = cache._victim_mode
-            ci[CI64[f"{name}_tick"]] = cache._tick
-            _cache_stats_to(ci, f"{name}_", cache, CI64)
-        llc = hier.llc
-        ci[CI64["llc_ways"]] = llc.ways
-        ci[CI64["llc_set_mask"]] = llc._set_mask
-        ci[CI64["llc_hit_latency"]] = llc.hit_latency
-        ci[CI64["llc_victim_mode"]] = llc._victim_mode
-
-        # MSHRs (heap arrays sized to capacity: the allocate rule never
-        # lets the heap outgrow it)
-        for name, mshr in (
-            ("mshr_l1", hier.l1_mshr),
-            ("mshr_l2", hier.l2_mshr),
-            ("mshr_llc", hier.llc_mshr),
-        ):
-            heap = sorted(mshr._ready_heap)
-            arr = _i64(mshr.capacity)
-            arr[: len(heap)] = heap
-            setattr(self, name, arr)
-            ci[CI64[f"{name}_cap"]] = mshr.capacity
-            ci[CI64[f"{name}_len"]] = len(heap)
-            ci[CI64[f"{name}_allocations"]] = mshr.allocations
-            ci[CI64[f"{name}_stall"]] = mshr.stall_cycles
-
-        # Hierarchy bookkeeping
-        ci[CI64["demand_accesses"]] = hier.demand_accesses
-        ci[CI64["queue_size"]] = hier.prefetch_queue_size
-        ci[CI64["merge_bound"]] = hier._merge_bound
-        self.infl_line = _i64(hier.prefetch_queue_size)
-        self.infl_ready = _i64(hier.prefetch_queue_size)
-        for i, (ln, ready) in enumerate(hier._in_flight.items()):
-            self.infl_line[i] = ln
-            self.infl_ready[i] = ready
-        ci[CI64["inflight_len"]] = len(hier._in_flight)
-        pf = hier.pf_stats
-        for field in _PF_STATS:
-            ci[CI64["pf_" + field]] = getattr(pf, field)
-
-        # Prefetchers
-        l1_pf = hier.l1_prefetcher
-        l2_pf = hier.l2_prefetcher
-        if l1_pf is not None and type(l1_pf) is not PcStridePrefetcher:
-            raise ValueError("kernel supports only the stock PC-stride L1 prefetcher")
-        ci[CI64["has_l1pf"]] = 0 if l1_pf is None else 1
-        has_l2pf = not (l2_pf is None or type(l2_pf) is NullPrefetcher)
-        ci[CI64["has_l2pf"]] = 1 if has_l2pf else 0
-        ci[CI64["l2pf_notes"]] = 1 if has_l2pf and _reads_notes(l2_pf) else 0
-        entries = l1_pf.table_entries if l1_pf is not None else 1
-        degree = l1_pf.degree if l1_pf is not None else 1
+        entries, degree, conf_threshold, conf_max = stride or _STRIDE_NONE
         if degree > PF_BUF_CAP:
             raise ValueError("stride degree exceeds kernel scratch capacity")
-        ci[CI64["stride_degree"]] = degree
-        ci[CI64["stride_mask"]] = entries - 1
-        ci[CI64["stride_conf_threshold"]] = (
-            l1_pf.CONFIDENCE_THRESHOLD if l1_pf is not None else 2
+        win_cap = _next_pow2(model.rob_size + 16)
+        mshr_caps = (hier_cfg.l1.mshrs, hier_cfg.l2.mshrs, hier_cfg.llc.mshrs)
+        log_cap = LOG_CAP0 if record_pollution else 0
+        sizes = {"win_idx": win_cap}
+        sizes.update(zip(_MSHRS, mshr_caps))
+        sizes.update(infl_line=queue_size, infl_ready=queue_size)
+        sizes.update(dict.fromkeys(_STRIDE_FIELDS, entries))
+        sizes.update(
+            note_buf=3 * (CAND_CAP0 + 16),
+            cand_line=CAND_CAP0,
+            cand_lp=CAND_CAP0,
+            pf_buf=PF_BUF_CAP,
+            train_buf=4 * layout.TB_CAP,
         )
-        ci[CI64["stride_conf_max"]] = l1_pf.CONFIDENCE_MAX if l1_pf is not None else 3
-        ci[CI64["stride_trainings"]] = l1_pf.trainings if l1_pf is not None else 0
-        self.stride_valid = _i64(entries)
-        self.stride_tag = _i64(entries)
-        self.stride_last = _i64(entries)
-        self.stride_stride = _i64(entries)
-        self.stride_conf = _i64(entries)
-        if l1_pf is not None:
-            for i, entry in enumerate(l1_pf._table):
-                if entry is not None:
-                    self.stride_valid[i] = 1
-                    self.stride_tag[i] = entry.tag
-                    self.stride_last[i] = entry.last_line
-                    self.stride_stride[i] = entry.stride
-                    self.stride_conf[i] = entry.confidence
-
-        # Crossing buffers
-        self.note_buf = _i64(3 * (CAND_CAP0 + 16))
-        self.cand_line = _i64(CAND_CAP0)
-        self.cand_lp = _i64(CAND_CAP0)
-        self.pf_buf = _i64(PF_BUF_CAP)
-        self.train_buf = _i64(4 * layout.TB_CAP)
-        ci[CI64["note_cap"]] = CAND_CAP0 + 16
-        ci[CI64["cand_cap"]] = CAND_CAP0
-
         # Pollution logs: empty at LOG_CAP0 pairs when recording (krun
         # stops to grow them before an op they lack room for), else
         # dummies the C never touches.
-        ci[CI64["pl_on"]] = 1 if record_pollution else 0
-        cap = LOG_CAP0 if record_pollution else 0
-        for name in _LOGS:
-            setattr(self, name, _i64(max(2 * cap, 1)))
-            ci[CI64[name + "_cap"]] = cap
-
-        # Compiled scheme-training twin: pack the scheme's tables into flat
-        # arrays when the scheme has one (write_back restores the objects).
-        kind = _scheme_kind(l2_pf, shared.dram_obj)
-        self.scheme_kind = kind
-        ci[CI64["scheme_kind"]] = kind
-        for nm in _SCHEME_I64_ARRAYS:
-            setattr(self, nm, _i64(1))
+        sizes.update(dict.fromkeys(_LOGS, max(2 * log_cap, 1)))
+        # Scheme tables: dummies until _pack_scheme lays out a twin's.
+        sizes.update(dict.fromkeys(_SCHEME_I64_ARRAYS, 1))
+        for name, arr in _carve(sizes).items():
+            setattr(self, name, arr)
+        self.win_ret = np.zeros(win_cap, dtype=np.float64)
         self.sp_ghr_conf = np.zeros(1, dtype=np.float64)
         self.dp_pb_pattern = np.zeros(1, dtype=np.uint64)
+
+        # Core execution constants
+        ci[CI64["n_ops"]] = len(trace)
+        ci[CI64["width"]] = model.width
+        ci[CI64["rob_size"]] = model.rob_size
+        cf[CF64["retire_step"]] = 1.0 / model.width
+        ci[CI64["win_cap"]] = win_cap
+
+        # Caches: private L1/L2, and the shared LLC's geometry
+        for name, config in (("l1", hier_cfg.l1), ("l2", hier_cfg.l2)):
+            for f, arr in _cache_arrays(config).items():
+                setattr(self, f"{name}_{f}", arr)
+            _cache_geometry(ci, name + "_", config)
+        _cache_geometry(ci, "llc_", shared.llc_config)
+        for name, cap in zip(_MSHRS, mshr_caps):
+            ci[CI64[f"{name}_cap"]] = cap
+
+        ci[CI64["queue_size"]] = queue_size
+        ci[CI64["merge_bound"]] = merge_bound
+        ci[CI64["has_l1pf"]] = 0 if stride is None else 1
+        ci[CI64["stride_degree"]] = degree
+        ci[CI64["stride_mask"]] = entries - 1
+        ci[CI64["stride_conf_threshold"]] = conf_threshold
+        ci[CI64["stride_conf_max"]] = conf_max
+
+        ci[CI64["note_cap"]] = CAND_CAP0 + 16
+        ci[CI64["cand_cap"]] = CAND_CAP0
+        ci[CI64["pl_on"]] = 1 if record_pollution else 0
+        for name in _LOGS:
+            ci[CI64[name + "_cap"]] = log_cap
+
+    def _pack_scheme(self, l2_pf):
+        """Flag the L2 scheme and, when it has a compiled training twin,
+        lay its tables out (:meth:`write_back` restores the object)."""
+        ci = self.ci64
+        has_l2pf = not (l2_pf is None or type(l2_pf) is NullPrefetcher)
+        ci[CI64["has_l2pf"]] = 1 if has_l2pf else 0
+        ci[CI64["l2pf_notes"]] = 1 if has_l2pf and _reads_notes(l2_pf) else 0
+        kind = _scheme_kind(l2_pf, self.shared.dram_obj)
+        self.scheme_kind = kind
+        ci[CI64["scheme_kind"]] = kind
         if kind in (layout.SCHEME_SPP, layout.SCHEME_ESPP):
             self._pack_spp(l2_pf, ci)
         elif kind == layout.SCHEME_DSPATCH:
@@ -586,41 +695,68 @@ class KernelState:
         elif kind == layout.SCHEME_STREAMER:
             self._pack_streamer(l2_pf, ci)
 
+    def core_counters(self, floor):
+        """This core's result inputs, read from the live slots:
+        ``(CoreStats, PrefetchStats, L2 demand misses, pollution logs)``
+        with the stats measured from ``floor`` (see
+        :func:`repro.cpu.core.measured_stats`)."""
+        ci = self.ci64
+        hits = (
+            int(ci[CI64["hit_l1"]]),
+            int(ci[CI64["hit_l2"]]),
+            int(ci[CI64["hit_llc"]]),
+            int(ci[CI64["hit_dram"]]),
+        )
+        stats = measured_stats(
+            int(ci[CI64["instr"]]),
+            int(ci[CI64["pos"]]),
+            float(self.cf64[CF64["retire"]]),
+            hits,
+            floor,
+        )
+        pf = PrefetchStats(**{field: int(ci[CI64["pf_" + field]]) for field in _PF_STATS})
+        return stats, pf, int(ci[CI64["l2_demand_misses"]]), self.pollution_logs()
+
     # --------------------------------------------- compiled scheme training
 
     def _pack_spp(self, pf, ci):
         cfg = pf.config
         n_st = cfg.st_entries
-        slots = cfg.delta_slots
         self.sp_st_tag = np.full(n_st, -1, dtype=np.int64)
         self.sp_st_loff = _i64(n_st)
         self.sp_st_sig = _i64(n_st)
-        for i, e in enumerate(pf._st):
-            if e is not None:
-                self.sp_st_tag[i] = e.tag
-                self.sp_st_loff[i] = e.last_offset
-                self.sp_st_sig[i] = e.signature
-        self.sp_pt_csig = np.asarray(pf._pt_c_sig, dtype=np.int64)
-        delta = _i64(cfg.pt_entries * slots)
-        cdelta = _i64(cfg.pt_entries * slots)
-        for i, row in enumerate(pf._pt_slots):
-            base = i * slots
-            for j, (d, c) in enumerate(row):
-                delta[base + j] = d
-                cdelta[base + j] = c
-        self.sp_pt_delta = delta
-        self.sp_pt_cdelta = cdelta
-        self.sp_ghr_sig = _i64(cfg.ghr_entries)
-        self.sp_ghr_conf = np.zeros(cfg.ghr_entries, dtype=np.float64)
-        self.sp_ghr_loff = _i64(cfg.ghr_entries)
-        self.sp_ghr_delta = _i64(cfg.ghr_entries)
-        for i, g in enumerate(pf._ghr):
-            self.sp_ghr_sig[i] = g.signature
-            self.sp_ghr_conf[i] = g.confidence
-            self.sp_ghr_loff[i] = g.last_offset
-            self.sp_ghr_delta[i] = g.delta
-        ci[CI64["sp_ghr_len"]] = len(pf._ghr)
-        self.sp_flt = np.asarray(pf._filter, dtype=np.int64)
+        live = [
+            (i, e.tag, e.last_offset, e.signature)
+            for i, e in enumerate(pf._st)
+            if e is not None
+        ]
+        if live:
+            idx, tags, loffs, sigs = np.array(live, dtype=np.int64).T
+            self.sp_st_tag[idx] = tags
+            self.sp_st_loff[idx] = loffs
+            self.sp_st_sig[idx] = sigs
+        self.sp_pt_csig = np.array(pf._pt_c_sig, dtype=np.int64)
+        # Every row's (delta, c_delta) slot pairs, in one flat conversion.
+        n_slots = cfg.pt_entries * cfg.delta_slots
+        pairs = np.fromiter(
+            chain.from_iterable(chain.from_iterable(pf._pt_slots)), np.int64, 2 * n_slots
+        ).reshape(n_slots, 2)
+        self.sp_pt_delta = np.ascontiguousarray(pairs[:, 0])
+        self.sp_pt_cdelta = np.ascontiguousarray(pairs[:, 1])
+        n_ghr = cfg.ghr_entries
+        ghr = pf._ghr
+        self.sp_ghr_sig = _i64(n_ghr)
+        self.sp_ghr_conf = np.zeros(n_ghr, dtype=np.float64)
+        self.sp_ghr_loff = _i64(n_ghr)
+        self.sp_ghr_delta = _i64(n_ghr)
+        if ghr:
+            n = len(ghr)
+            self.sp_ghr_sig[:n] = [g.signature for g in ghr]
+            self.sp_ghr_conf[:n] = [g.confidence for g in ghr]
+            self.sp_ghr_loff[:n] = [g.last_offset for g in ghr]
+            self.sp_ghr_delta[:n] = [g.delta for g in ghr]
+        ci[CI64["sp_ghr_len"]] = len(ghr)
+        self.sp_flt = np.array(pf._filter, dtype=np.int64)
         ci[CI64["sp_trainings"]] = pf.trainings
         ci[CI64["sp_filtered"]] = pf.filtered
         ci[CI64["sp_fb_issued"]] = pf.feedback_issued
@@ -636,31 +772,36 @@ class KernelState:
         self.dp_pb_pattern = np.zeros(n_pb, dtype=np.uint64)
         self.dp_pb_trig_sig = np.full(2 * n_pb, -1, dtype=np.int64)
         self.dp_pb_trig_off = _i64(2 * n_pb)
-        pages = pf.page_buffer._pages
         # Dict order is LRU order (oldest first); the C side keeps the same
         # invariant over the packed arrays.
-        for i, entry in enumerate(pages.values()):
-            self.dp_pb_page[i] = entry.page
-            self.dp_pb_pattern[i] = entry.pattern
-            for seg in (0, 1):
-                trig = entry.triggers[seg]
-                if trig is not None:
-                    self.dp_pb_trig_sig[2 * i + seg] = trig[0]
-                    self.dp_pb_trig_off[2 * i + seg] = trig[1]
-        ci[CI64["dp_pb_len"]] = len(pages)
+        entries = list(pf.page_buffer._pages.values())
+        n = len(entries)
+        if n:
+            self.dp_pb_page[:n] = [e.page for e in entries]
+            self.dp_pb_pattern[:n] = [e.pattern for e in entries]
+            triggers = [(2 * i + seg, t) for i, e in enumerate(entries)
+                        for seg, t in enumerate(e.triggers) if t is not None]
+            if triggers:
+                slots, pairs = zip(*triggers)
+                sig_off = np.array(pairs, dtype=np.int64)
+                self.dp_pb_trig_sig[list(slots)] = sig_off[:, 0]
+                self.dp_pb_trig_off[list(slots)] = sig_off[:, 1]
+        ci[CI64["dp_pb_len"]] = n
         ci[CI64["dp_pb_evictions"]] = pf.page_buffer.evictions
-        self.dp_spt_cov = _i64(n_spt)
-        self.dp_spt_acc = _i64(n_spt)
-        self.dp_spt_mcov = _i64(2 * n_spt)
-        self.dp_spt_or = _i64(2 * n_spt)
-        self.dp_spt_macc = _i64(2 * n_spt)
-        for i, e in enumerate(pf.spt._table):
-            self.dp_spt_cov[i] = e.covp
-            self.dp_spt_acc[i] = e.accp
-            for h in (0, 1):
-                self.dp_spt_mcov[2 * i + h] = e.measure_covp[h]
-                self.dp_spt_or[2 * i + h] = e.or_count[h]
-                self.dp_spt_macc[2 * i + h] = e.measure_accp[h]
+        # One row per SPT entry: the patterns, then each counter pair.
+        spt = np.array(
+            [
+                (e.covp, e.accp, *e.measure_covp, *e.or_count, *e.measure_accp)
+                for e in pf.spt._table
+            ],
+            dtype=np.int64,
+        )
+        self.dp_spt_cov = np.ascontiguousarray(spt[:, 0])
+        self.dp_spt_acc = np.ascontiguousarray(spt[:, 1])
+        # Per entry, the two halves' counters side by side.
+        self.dp_spt_mcov = spt[:, 2:4].flatten()
+        self.dp_spt_or = spt[:, 4:6].flatten()
+        self.dp_spt_macc = spt[:, 6:8].flatten()
         ci[CI64["dp_trainings"]] = pf.trainings
         ci[CI64["dp_triggers"]] = pf.triggers
         ci[CI64["dp_pred_covp"]] = pf.predictions_covp
@@ -1028,17 +1169,17 @@ class KernelState:
 
     # ------------------------------------------------------------ write-back
 
-    def write_back(self, contents=True):
+    def write_back(self):
         """Restore the core's objects (execution, hierarchy) from flat form.
 
         Shared state (LLC/DRAM) is restored separately via
         :meth:`SharedState.write_back` — once per domain, not per core.
-        ``contents=False`` skips rebuilding L1/L2 line structures (all
-        counters and execution state are always restored).
         """
+        ex = self.execution
+        if ex is None:
+            raise RuntimeError("a core laid out from its config has no objects to restore")
         ci = self.ci64
         cf = self.cf64
-        ex = self.execution
         hier = self.hierarchy
 
         ex._pos = int(ci[CI64["pos"]])
@@ -1063,9 +1204,8 @@ class KernelState:
         ex._window = window
 
         for name, cache in (("l1", hier.l1), ("l2", hier.l2)):
-            if contents:
-                arrs = {f: getattr(self, f"{name}_{f}") for f in _CACHE_FIELDS}
-                _unpack_cache(cache, arrs, int(ci[CI64[f"{name}_tick"]]))
+            arrs = {f: getattr(self, f"{name}_{f}") for f in _CACHE_FIELDS}
+            _unpack_cache(cache, arrs, int(ci[CI64[f"{name}_tick"]]))
             _cache_stats_from(ci, f"{name}_", cache, CI64)
 
         for name, mshr in (
@@ -1104,9 +1244,7 @@ class KernelState:
                     table[i] = entry
             l1_pf._table = table
 
-        # Compiled scheme training: restore the scheme objects
-        # unconditionally (even with contents=False) — flush_training and
-        # post-run inspection read them right after write-back.
+        # Compiled scheme training: restore the scheme objects.
         if self.scheme_kind:
             l2_pf = hier.l2_prefetcher
             if self.scheme_kind == layout.SCHEME_DSPATCH:

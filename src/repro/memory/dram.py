@@ -17,6 +17,7 @@ exported as a 2-bit value that the prefetchers read.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Simulated core frequency (Table 2: 4 GHz x86 cores).
 CORE_GHZ = 4.0
@@ -92,6 +93,46 @@ class DramConfig:
     def label(self):
         """Human-readable name, e.g. ``'2ch-2400'`` as in Figure 15."""
         return f"{self.channels}ch-{self.speed_grade}"
+
+
+class DramCounters(NamedTuple):
+    """The DRAM statistics a run's result reads.
+
+    :meth:`DramModel.counters` takes them from the objects and the
+    compiled kernel from its flat slots; :func:`bucket_residency` and
+    :func:`achieved_gbps` are the one definition of what each side reports.
+    """
+
+    reads: int
+    writes: int
+    #: Completion cycle of the last burst.
+    last_data_done: int
+    #: Cycle the measured region started (the warmup-boundary reset).
+    stats_start: int
+    #: Sampled cycles per bandwidth-utilization quartile bucket.
+    bucket_cycles: tuple
+
+
+def bucket_residency(bucket_cycles):
+    """Fraction of sampled time spent in each quartile bucket."""
+    total = sum(bucket_cycles)
+    if total == 0:
+        return [1.0, 0.0, 0.0, 0.0]
+    return [c / total for c in bucket_cycles]
+
+
+def achieved_gbps(config, counters, total_cycles):
+    """Average delivered bandwidth over ``total_cycles`` of measurement.
+
+    Clamped to the completion time of the last burst, so a backlogged
+    run cannot report more than the physical peak.
+    """
+    span = max(total_cycles, counters.last_data_done - counters.stats_start)
+    if span <= 0:
+        return 0.0
+    bytes_moved = (counters.reads + counters.writes) * config.line_size
+    seconds = span / (config.core_ghz * 1e9)
+    return bytes_moved / seconds / 1e9
 
 
 class BandwidthMonitor:
@@ -185,10 +226,7 @@ class BandwidthMonitor:
 
     def bucket_residency(self):
         """Fraction of sampled time spent in each quartile bucket."""
-        total = sum(self._bucket_cycles)
-        if total == 0:
-            return [1.0, 0.0, 0.0, 0.0]
-        return [c / total for c in self._bucket_cycles]
+        return bucket_residency(self._bucket_cycles)
 
     def reset_stats(self):
         """Zero accumulated statistics; the live counter state survives."""
@@ -456,17 +494,18 @@ class DramModel:
         return self.monitor.utilization(cycle)
 
     def achieved_gbps(self, total_cycles):
-        """Average delivered bandwidth over ``total_cycles`` of measurement.
+        """Average delivered bandwidth over ``total_cycles`` of measurement."""
+        return achieved_gbps(self.config, self.counters(), total_cycles)
 
-        Clamped to the completion time of the last burst, so a backlogged
-        run cannot report more than the physical peak.
-        """
-        span = max(total_cycles, self._last_data_done - self._stats_start_cycle)
-        if span <= 0:
-            return 0.0
-        bytes_moved = (self.reads + self.writes) * self.config.line_size
-        seconds = span / (self.config.core_ghz * 1e9)
-        return bytes_moved / seconds / 1e9
+    def counters(self):
+        """The statistics a run's result reads, as :class:`DramCounters`."""
+        return DramCounters(
+            self.reads,
+            self.writes,
+            self._last_data_done,
+            self._stats_start_cycle,
+            tuple(self.monitor._bucket_cycles),
+        )
 
     def reset_stats(self, cycle=0):
         """Zero statistics at the warmup boundary; queue state survives."""

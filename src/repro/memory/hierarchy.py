@@ -40,6 +40,14 @@ L1, L2, LLC, DRAM = 0, 1, 2, 3
 #: Display names, indexed by level code.
 HIT_LEVEL_NAMES = ("L1", "L2", "LLC", "DRAM")
 
+#: Default bound on outstanding prefetches to DRAM (the prefetch queue).
+#: Under bandwidth saturation fills take longer to complete, so the queue
+#: stays full longer and more prefetches get dropped — the natural
+#: negative feedback of a real memory controller.  Sized to hold a
+#: full-page spatial burst (DSPatch segment-0 triggers can emit up to 62
+#: lines) plus a steady delta-prefetcher stream.
+PREFETCH_QUEUE_SIZE = 128
+
 
 @dataclass(frozen=True)
 class HierarchyConfig:
@@ -91,6 +99,20 @@ class PrefetchStats:
     def accuracy(self):
         """Fraction of issued prefetches that saw a demand use."""
         return self.useful / self.issued if self.issued else 0.0
+
+
+def coverage_accuracy(pf_stats, uncovered):
+    """Return (coverage, accuracy, base_misses) per Figure 16 semantics.
+
+    ``coverage`` is useful prefetches over the no-prefetch miss count
+    (useful + ``uncovered``, the remaining demand misses below L2);
+    ``accuracy`` is useful over issued.  Both kernels report through this
+    one definition.
+    """
+    useful = pf_stats.useful
+    base = useful + uncovered
+    coverage = useful / base if base else 0.0
+    return coverage, pf_stats.accuracy(), base
 
 
 class AccessResult(NamedTuple):
@@ -183,12 +205,7 @@ class MemoryHierarchy:
         self.pf_stats = PrefetchStats()
         self._in_flight = {}  # line_addr -> ready cycle of an outstanding prefetch
         #: Bound on outstanding prefetches to DRAM (the prefetch queue).
-        #: Under bandwidth saturation fills take longer to complete, so the
-        #: queue stays full longer and more prefetches get dropped — the
-        #: natural negative feedback of a real memory controller.  Sized to
-        #: hold a full-page spatial burst (DSPatch segment-0 triggers can
-        #: emit up to 62 lines) plus a steady delta-prefetcher stream.
-        self.prefetch_queue_size = 128
+        self.prefetch_queue_size = PREFETCH_QUEUE_SIZE
         self.demand_accesses = 0
         # Hot-path bound methods (the targets never change after init) and
         # the demand-merge latency bound, a pure function of DRAM timings.
@@ -509,18 +526,8 @@ class MemoryHierarchy:
         self.llc_mshr.reset_stats()
 
     def coverage_accuracy(self):
-        """Return (coverage, accuracy, base_misses) per Figure 16 semantics.
-
-        ``coverage`` is useful prefetches over the no-prefetch miss count
-        (useful + remaining demand misses below L2); ``accuracy`` is useful
-        over issued.
-        """
-        useful = self.pf_stats.useful
-        uncovered = self.l2.demand_misses
-        base = useful + uncovered
-        coverage = useful / base if base else 0.0
-        accuracy = self.pf_stats.accuracy()
-        return coverage, accuracy, base
+        """Return (coverage, accuracy, base_misses) per Figure 16 semantics."""
+        return coverage_accuracy(self.pf_stats, self.l2.demand_misses)
 
     def stats(self):
         return HierarchyStats(

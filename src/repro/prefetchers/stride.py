@@ -29,8 +29,11 @@ class PcStridePrefetcher(Prefetcher):
     CONFIDENCE_THRESHOLD = 2
     #: Saturating confidence ceiling (2-bit counter).
     CONFIDENCE_MAX = 3
+    #: Default table size (Table 2: 64 PCs) and prefetch degree.
+    TABLE_ENTRIES = 64
+    DEGREE = 1
 
-    def __init__(self, table_entries=64, degree=1):
+    def __init__(self, table_entries=TABLE_ENTRIES, degree=DEGREE):
         if table_entries <= 0 or table_entries & (table_entries - 1):
             raise ValueError("table size must be a power of two")
         self.table_entries = table_entries

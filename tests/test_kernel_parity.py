@@ -467,57 +467,143 @@ def _training_state(pf):
     raise AssertionError(f"no fingerprint for {type(pf).__name__}")
 
 
-@needs_compiled
-@pytest.mark.parametrize("scheme", ("dspatch", "spp+dspatch", "bop", "sms", "streamer"))
-def test_flush_training_sees_identical_residual_state(scheme, monkeypatch):
-    """warmup_frac=0 boundary: the end-of-run drain must observe the same
-    residual training state — and the same run-final cycle, which sets
-    DSPatch's bandwidth bucket for the drained pages — whether training
-    ran in generated C or in Python.  SMS's drain stores its whole AT
-    into the PHT, so the written-back AT and PHT order both matter; the
-    streamer's page table is written back in its dict (LRU) order."""
-    import repro.cpu.system as system_mod
+def _monitor_state(dram):
+    mon = dram.monitor
+    return (
+        mon._counter,
+        mon._window_end,
+        mon.total_cas,
+        list(mon._bucket_cycles),
+        mon._last_sample_cycle,
+    )
 
-    trace = build_trace("cloud.memcached", 2000)
+
+def _drained_run(monkeypatch, cfg, traces, build=None):
+    """One ``System``/``MultiCoreSystem`` run of ``cfg`` on ``cfg.kernel``:
+    its per-core results, each core's L2 scheme with its end-of-run
+    drain ``(cycle, state before, state after)``, and the DRAM monitor's
+    state after the drain.
+
+    The object kernel is observed at its ``flush_training_with_cycle``.
+    A compiled run keeps its state in flat form, writes nothing back and
+    has no drain, so here its LLC and cores are packed from freshly
+    built objects instead (the state
+    ``test_config_built_state_equals_object_pack`` pins equal to the
+    config-built one); after the run the test asks for the full
+    write-back and drains each restored scheme at its core's final
+    cycle, in core order, as the object path does.  ``build``, when
+    given, replaces the registry builder, so any config can run.
+    """
+    import repro.cpu.system as system_mod
+    from repro.cpu.core import CoreExecution
+    from repro.kernel import execution as kexec
+    from repro.memory.cache import Cache
+    from repro.memory.hierarchy import MemoryHierarchy
+    from repro.prefetchers.stride import PcStridePrefetcher
+
+    drams, flushed, domains, cores = [], [], [], []
     real_flush = system_mod.flush_training_with_cycle
-    captured = {}
-    current = []
+    real_dram = system_mod.DramModel
+
+    def recording_dram(config):
+        drams.append(real_dram(config))
+        return drams[-1]
 
     def capturing_flush(pf, cycle):
-        current.append((cycle, _training_state(pf)))
+        before = _training_state(pf)
         real_flush(pf, cycle)
-        current.append(("post", _training_state(pf)))
+        flushed.append((pf, (cycle, before, _training_state(pf))))
 
-    monkeypatch.setattr(system_mod, "flush_training_with_cycle", capturing_flush)
-    for kernel in ("object", "compiled"):
-        current = []
-        System(_config(scheme, _LLC_GEOMETRIES[0], 0.0, kernel)).run(trace)
-        captured[kernel] = current
-    assert captured["object"], "flush was never reached"
-    assert captured["compiled"] == captured["object"], "flush state diverges"
+    class PackedDomain(kexec.KernelDomain):
+        def __init__(self, llc_config, dram):
+            super().__init__(Cache(llc_config), dram)
+            domains.append(self)
 
-
-def _run_capturing_scheme(monkeypatch, scheme, trace, kernel, dram=ST_DRAM, build=None):
-    """``System.run`` result plus the scheme's state at the end-of-run
-    drain (on the compiled kernel: the written-back object), and the
-    scheme object itself.  ``build``, when given, replaces the registry
-    builder, so any config can run."""
-    import repro.cpu.system as system_mod
-
-    real_flush = system_mod.flush_training_with_cycle
-    seen = []
-
-    def capturing_flush(pf, cycle):
-        seen.append((pf, _training_state(pf)))
-        real_flush(pf, cycle)
+    class PackedExecution(kexec.KernelExecution):
+        def __init__(self, cfg, trace, domain, record_pollution=False, l2_prefetcher=None):
+            shared = domain.shared_state
+            hierarchy = MemoryHierarchy(
+                config=cfg.hierarchy,
+                dram=shared.dram_obj,
+                llc=shared.llc_obj,
+                l1_prefetcher=PcStridePrefetcher() if cfg.l1_stride else None,
+                l2_prefetcher=l2_prefetcher,
+            )
+            execution = CoreExecution(cfg.core, trace, hierarchy)
+            super().__init__(execution, trace, domain, record_pollution)
+            cores.append(self)
 
     with monkeypatch.context() as patch:
         patch.setattr(system_mod, "flush_training_with_cycle", capturing_flush)
+        patch.setattr(system_mod, "DramModel", recording_dram)
+        patch.setattr(kexec, "KernelDomain", PackedDomain)
+        patch.setattr(kexec, "KernelExecution", PackedExecution)
         if build is not None:
             patch.setattr(system_mod, "build_prefetcher", lambda name, bw: build(bw))
-        result = System(_config(scheme, _LLC_GEOMETRIES[1], 0.0, kernel, dram=dram)).run(trace)
-    (pf, state), = seen
-    return result.to_dict(), state, pf
+        if len(traces) == 1:
+            results = [System(cfg).run(traces[0])]
+        else:
+            results = MultiCoreSystem(cfg, num_cores=len(traces)).run(traces).per_core
+        if cfg.kernel == "compiled":
+            assert not flushed, "a compiled run drained its scheme"
+            assert len(cores) == len(traces)
+            for kex in cores:
+                kex.write_back()
+            # The scheme still reads the kernel domain's live monitor, so
+            # the domain is written back after the drain.
+            for kex in cores:
+                capturing_flush(kex.l2_prefetcher, int(kex.time))
+            (domain,) = domains
+            domain.write_back()
+    (dram,) = drams
+    pfs, states = zip(*flushed)
+    return [r.to_dict() for r in results], list(states), _monitor_state(dram), list(pfs)
+
+
+@needs_compiled
+@pytest.mark.parametrize("cores", (1, 4), ids=("st", "mp"))
+@pytest.mark.parametrize("warmup_frac", (0.0, 0.25))
+@pytest.mark.parametrize("scheme", ("dspatch", "spp+dspatch", "sms", "bop", "streamer", "spp"))
+def test_flush_training_sees_identical_residual_state(scheme, warmup_frac, cores, monkeypatch):
+    """The end-of-run drain must observe the same residual training state
+    — and the same run-final cycle, which sets DSPatch's bandwidth bucket
+    for the drained pages — whether training ran in generated C or in
+    Python, and leave the same state and DRAM monitor behind.  A
+    compiled run has no drain, so its state is written back on request
+    and drained there (see :func:`_drained_run`).  The state before the
+    drain covers DSPatch's page buffer (pages and LRU order) and SMS's
+    AT and FT; SMS's drain stores its whole AT into the PHT, so the AT
+    and PHT order both matter; the streamer's page table is written
+    back in its dict (LRU) order."""
+    if cores == 1:
+        traces = [build_trace("cloud.memcached", 2000)]
+        dram = ST_DRAM
+    else:
+        traces = [build_trace(name, length) for name, length in _mp_draw(scheme, warmup_frac)]
+        dram = MP_DRAM
+
+    def run(kernel):
+        cfg = _config(scheme, _LLC_GEOMETRIES[0], warmup_frac, kernel, dram=dram)
+        return _drained_run(monkeypatch, cfg, traces)[:3]
+
+    base_results, base_states, base_monitor = run("object")
+    got_results, got_states, got_monitor = run("compiled")
+    for core, (want, have) in enumerate(zip(base_results, got_results)):
+        _assert_same(want, have, f"drain/{scheme}/core{core}")
+    assert len(got_states) == len(traces)
+    for core, (want, have) in enumerate(zip(base_states, got_states)):
+        assert have[:2] == want[:2], f"state before the drain diverges on core {core}"
+        assert have[2] == want[2], f"drained state diverges on core {core}"
+    assert got_monitor == base_monitor, "DRAM monitor diverges after the drain"
+
+
+def _run_capturing_scheme(monkeypatch, scheme, trace, kernel, dram=ST_DRAM, build=None):
+    """``System.run`` result plus the scheme's end-of-run drain ``(cycle,
+    state before, state after)`` (see :func:`_drained_run`), and the
+    scheme object itself."""
+    cfg = _config(scheme, _LLC_GEOMETRIES[1], 0.0, kernel, dram=dram)
+    (result,), (state,), _monitor, (pf,) = _drained_run(monkeypatch, cfg, [trace], build)
+    return result, state, pf
 
 
 @needs_compiled

@@ -32,7 +32,13 @@ from repro.cpu.core import (
     _fire_met_checkpoints,
     interleave_two_level,
 )
-from repro.cpu.system import MultiCoreSystem, System, SystemConfig, _result_from
+from repro.cpu.system import (
+    MultiCoreSystem,
+    System,
+    SystemConfig,
+    _result_from,
+    _run_result,
+)
 from repro.kernel import kernel_available
 from repro.kernel.execution import KernelBandwidth, KernelDomain, KernelExecution
 from repro.kernel.layout import CAND_CAP0
@@ -121,7 +127,8 @@ def _mp_run_with_driver(driver, cfg, traces, stop_ops=None, events=None, scheme_
     """MultiCoreSystem.run rebuilt around an explicit interleave driver.
 
     ``driver`` names an object-model scheduler in :data:`DRIVERS`, or is
-    ``"compiled"``: the cores then run on the compiled kernel and
+    ``"compiled"``: the cores are then laid out on the compiled kernel
+    straight from ``cfg``, as the compiled driver lays them out, and
     ``KernelDomain.interleave`` schedules them.  ``stop_ops`` overrides
     the warmup checkpoints; ``scheme_hook(idx, pf)``, when given, may
     patch each core's L2 scheme, and ``events`` collects every scheme
@@ -131,12 +138,13 @@ def _mp_run_with_driver(driver, cfg, traces, stop_ops=None, events=None, scheme_
     """
     compiled = driver == "compiled"
     dram = DramModel(cfg.dram)
-    shared_llc = Cache(cfg.hierarchy.llc)
     bandwidth = dram
     if compiled:
-        domain = KernelDomain(shared_llc, dram)
+        domain = KernelDomain(cfg.hierarchy.llc, dram)
         bandwidth = KernelBandwidth(dram)
         bandwidth.attach(domain)
+    else:
+        shared_llc = Cache(cfg.hierarchy.llc)
     executions, hierarchies = [], []
     for idx, trace in enumerate(traces):
         l2_pf = build_prefetcher(cfg.l2_prefetcher, bandwidth)
@@ -144,6 +152,9 @@ def _mp_run_with_driver(driver, cfg, traces, stop_ops=None, events=None, scheme_
             scheme_hook(idx, l2_pf)
         if events is not None:
             _log_scheme_calls(idx, l2_pf, events)
+        if compiled:
+            executions.append(KernelExecution(cfg, trace, domain, l2_prefetcher=l2_pf))
+            continue
         hierarchy = MemoryHierarchy(
             config=cfg.hierarchy,
             dram=dram,
@@ -152,8 +163,7 @@ def _mp_run_with_driver(driver, cfg, traces, stop_ops=None, events=None, scheme_
             l2_prefetcher=l2_pf,
         )
         hierarchies.append(hierarchy)
-        execution = CoreExecution(cfg.core, trace, hierarchy)
-        executions.append(KernelExecution(execution, trace, domain) if compiled else execution)
+        executions.append(CoreExecution(cfg.core, trace, hierarchy))
     if stop_ops is None:
         stop_ops = [int(len(trace) * cfg.warmup_frac) for trace in traces]
     boundary_log = []
@@ -170,18 +180,18 @@ def _mp_run_with_driver(driver, cfg, traces, stop_ops=None, events=None, scheme_
             (domain.reset_dram_stats if compiled else dram.reset_stats)(ex.time)
 
     if compiled:
+        # Results from the live flat counters, as the compiled driver
+        # reads them: nothing is written back.
         domain.interleave(executions, stop_ops, _cross)
-        for kex in executions:
-            kex.write_back(contents=False)
-        domain.write_back(contents=False)
-        bandwidth.release()
-        executions = [kex.execution for kex in executions]
+        assert all(kex.ops == len(trace) for kex, trace in zip(executions, traces))
+        dram_counters = domain.dram_counters()
+        results = [_run_result(*kex.counters(), cfg.dram, dram_counters) for kex in executions]
     else:
         DRIVERS[driver](executions, stop_ops, _cross)
-    assert all(ex.done for ex in executions)
-    results = [
-        _result_from(ex, hier, dram) for ex, hier in zip(executions, hierarchies)
-    ]
+        assert all(ex.done for ex in executions)
+        results = [
+            _result_from(ex, hier, dram) for ex, hier in zip(executions, hierarchies)
+        ]
     return results, boundary_log, [ex.time for ex in executions]
 
 

@@ -65,15 +65,13 @@ class TestConstruction:
         assert type(h) is ObservedHierarchy
 
     def test_pollution_recording_builds_observed_hierarchy(self):
-        """The object path derives the logs from the event stream; the
-        compiled kernel records them itself over the plain hierarchy."""
+        """The object path derives the logs from the event stream (a
+        compiled run builds no hierarchy: the kernel records the logs)."""
         from repro.cpu.system import _make_hierarchy
 
         cfg = SystemConfig.single_thread("none", record_pollution_victims=True)
         h = _make_hierarchy(cfg, None, None, None, None, sink=None)
         assert type(h) is ObservedHierarchy
-        h = _make_hierarchy(cfg, None, None, None, None, sink=None, compiled=True)
-        assert type(h) is MemoryHierarchy
 
     def test_trace_flags_not_in_run_fingerprints(self):
         from repro.engine import RunSpec

@@ -54,6 +54,56 @@ class TestSpecs:
         assert spec.dram == DramConfig(speed_grade=2133, channels=2)
         assert spec.llc_bytes == 8 * 1024 * 1024
 
+    def test_fingerprint_memo_leaves_equality_hash_and_pickle(self):
+        import pickle
+
+        for make in (
+            lambda: RunSpec("w", "spp", 100),
+            lambda: MixSpec("m", ("a", "b"), "spp", 100),
+            lambda: TraceSpec("w", 100),
+        ):
+            fresh, memoized = make(), make()
+            digest = memoized.fingerprint()
+            assert memoized.fingerprint() == digest == fresh.fingerprint()
+            assert memoized == fresh and hash(memoized) == hash(fresh)
+            assert pickle.dumps(memoized) == pickle.dumps(make())
+            assert pickle.loads(pickle.dumps(memoized)).fingerprint() == digest
+
+    def test_cold_run_grid_fingerprints_each_spec_once(self, tmp_path, monkeypatch):
+        """A cold grid asks for each spec's digest at several stages
+        (memo slot, store lookup, save, read-back); the canonical config
+        is hashed at most once per spec instance."""
+        import importlib
+
+        from repro.engine import specs as specs_mod
+        from repro.experiments import api
+
+        # ``repro.engine.fingerprint`` the package attribute is the function.
+        fingerprint_mod = importlib.import_module("repro.engine.fingerprint")
+
+        hashed = []
+        asked = {}
+        real_fingerprint = fingerprint_mod.fingerprint
+        real_method = specs_mod._Fingerprinted.fingerprint
+
+        def counting(kind, **fields):
+            hashed.append(kind)
+            return real_fingerprint(kind, **fields)
+
+        def tracking(spec):
+            asked[id(spec)] = spec  # held, so no id is reused
+            return real_method(spec)
+
+        monkeypatch.setattr(fingerprint_mod, "fingerprint", counting)
+        monkeypatch.setattr(specs_mod._Fingerprinted, "fingerprint", tracking)
+        session = Session(jobs=1, cache_dir=tmp_path / "store")
+        workloads, schemes = ["ispec06.mcf", "hpc.npb-cg"], ["none", "spp"]
+        grid = api.run_grid(session, workloads, schemes, 300)
+        for (workload, scheme), result in grid.items():
+            assert session.run(RunSpec(workload, scheme, 300)) is result
+        assert hashed.count("run") == 2 * len(grid)  # the grid's specs, then the read-back's
+        assert len(hashed) <= len(asked)
+
     def test_mix_fingerprint_sensitive_to_llc(self):
         spec = MixSpec("m", ("a", "b"), "spp", 100)
         smaller = MixSpec("m", ("a", "b"), "spp", 100, llc_bytes=1 << 20)

@@ -3,9 +3,35 @@
 import pytest
 
 from repro.cpu.system import MultiCoreSystem, System, SystemConfig
+from repro.kernel import kernel_available
 from repro.memory.dram import DramConfig
 from repro.workloads.catalog import build_trace
 from repro.workloads.mixes import build_mix_traces
+
+#: Both kernels; the compiled one needs a C toolchain.
+KERNELS = [
+    "object",
+    pytest.param(
+        "compiled",
+        marks=pytest.mark.skipif(not kernel_available(), reason="no C toolchain"),
+    ),
+]
+
+
+def _record_flush(monkeypatch):
+    """Record a run's end-of-run training drain: ``(prefetcher, cycle)``
+    per ``flush_training`` call."""
+    import repro.cpu.system as system_mod
+
+    calls = []
+    real_flush = system_mod.flush_training_with_cycle
+
+    def recording_flush(prefetcher, cycle):
+        calls.append((prefetcher, cycle))
+        real_flush(prefetcher, cycle)
+
+    monkeypatch.setattr(system_mod, "flush_training_with_cycle", recording_flush)
+    return calls
 
 
 class TestSystemConfig:
@@ -83,22 +109,19 @@ class TestSingleCoreRun:
         assert res.demand_log
         assert res.prefetch_fill_log
 
-    def test_run_drains_training_at_final_cycle(self, monkeypatch):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_run_drains_training_at_final_cycle(self, kernel, monkeypatch):
         """End of run flushes the L2 prefetcher's residual training under
         the run-final cycle (after stats capture), draining e.g. DSPatch's
-        page buffer."""
-        import repro.cpu.system as system_mod
-
-        calls = []
-        real = system_mod.flush_training_with_cycle
-
-        def recording(prefetcher, cycle):
-            calls.append((prefetcher, cycle))
-            real(prefetcher, cycle)
-
-        monkeypatch.setattr(system_mod, "flush_training_with_cycle", recording)
+        page buffer.  A compiled run reads its results first too and
+        nothing reads its scheme afterwards, so it has no drain
+        (``tests/test_kernel_parity.py`` drains its written-back state)."""
+        calls = _record_flush(monkeypatch)
         trace = build_trace("cloud.bigbench", 1500)
-        res = System(SystemConfig.single_thread("dspatch")).run(trace)
+        res = System(SystemConfig.single_thread("dspatch", kernel=kernel)).run(trace)
+        if kernel == "compiled":
+            assert not calls
+            return
         assert len(calls) == 1
         prefetcher, cycle = calls[0]
         assert cycle >= int(res.cycles)  # final cycle includes warmup
@@ -139,19 +162,14 @@ class TestMultiCore:
         mean_shared_ipc = sum(c.ipc for c in mp.per_core) / 4
         assert mean_shared_ipc <= alone.ipc * 1.05
 
-    def test_mp_run_drains_training_per_core(self, monkeypatch):
-        import repro.cpu.system as system_mod
-
-        calls = []
-        real = system_mod.flush_training_with_cycle
-
-        def recording(prefetcher, cycle):
-            calls.append((prefetcher, cycle))
-            real(prefetcher, cycle)
-
-        monkeypatch.setattr(system_mod, "flush_training_with_cycle", recording)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_mp_run_drains_training_per_core(self, kernel, monkeypatch):
+        calls = _record_flush(monkeypatch)
         traces = build_mix_traces(["ispec06.mcf"] * 4, 400)
-        MultiCoreSystem(SystemConfig.multi_programmed("dspatch")).run(traces)
+        MultiCoreSystem(SystemConfig.multi_programmed("dspatch", kernel=kernel)).run(traces)
+        if kernel == "compiled":
+            assert not calls  # no drain (see the single-core test)
+            return
         assert len(calls) == 4
         assert len({id(pf) for pf, _ in calls}) == 4  # one flush per core
         assert all(cycle > 0 for _, cycle in calls)
