@@ -10,17 +10,18 @@ workloads, the statistics the paper's design decisions rest on:
 - page density, footprint, and the compression-induced misprediction
   rate (Figure 11b).
 
-Traces come from a :class:`repro.Session` with an
-:class:`repro.InMemoryBackend` — a store backend that lives and dies
-with the process, so this analysis never touches the on-disk cache.
-Also demonstrates the text trace format for interop with external tools.
+Traces come from ``Session.trace``, which memoizes each trace in the
+process and rebuilds it, never stores it; the session is built with
+``disk_cache=False`` because this script asks for no simulation results
+that a store could keep.  Also demonstrates the text trace format for
+interop with external tools.
 """
 
 import os
 import tempfile
 from pathlib import Path
 
-from repro import InMemoryBackend, Session, TraceSpec
+from repro import Session, TraceSpec
 from repro.cpu.trace_io import load_text, save_text
 from repro.workloads.analysis import analyze_trace
 
@@ -29,7 +30,7 @@ LENGTH = int(os.environ.get("REPRO_EXAMPLE_LENGTH", "8000"))
 
 
 def main():
-    session = Session(backend=InMemoryBackend())
+    session = Session(disk_cache=False)
     for name in WORKLOADS:
         trace = session.trace(TraceSpec(name, LENGTH))
         print(analyze_trace(trace, name).render())

@@ -13,7 +13,7 @@ Subcommands:
 - ``cache`` — inspect, clear, garbage-collect (``cache gc --max-mb N``,
   size-bounded LRU eviction) or scrub (``cache verify [--repair]``,
   quarantining corrupt entries to ``corrupt/``) the engine's on-disk
-  result/trace store.
+  result store.
 
 Global engine flags (before the subcommand): ``--jobs N`` fans
 independent runs across N worker processes, ``--kernel`` picks the
@@ -274,10 +274,9 @@ def _cmd_cache(args):
     if store is not None:
         stats = store.stats()
         print(f"results    {stats['results']}")
-        print(f"traces     {stats['traces']}")
         print(f"size       {stats['bytes'] / 1024:.1f} KB")
         if "shared_results" in stats:
-            print(f"shared     {stats['shared_results']} results, {stats['shared_traces']} traces")
+            print(f"shared     {stats['shared_results']} results")
     return 0
 
 

@@ -343,20 +343,18 @@ def _simulate(cfg, traces, sinks):
     kernel = _resolve_kernel(cfg) == "compiled"
     dram = DramModel(cfg.dram)
     if kernel:
-        from repro.kernel.execution import KernelBandwidth, KernelDomain, KernelExecution
+        from repro.kernel.execution import KernelDomain, KernelExecution
 
         domain = KernelDomain(cfg.hierarchy.llc, dram)
         # Bandwidth-aware schemes must read the *live* monitor, which lives
         # in the kernel domain for the whole run.
-        bandwidth = KernelBandwidth(dram)
-        bandwidth.attach(domain)
         executions = [
             KernelExecution(
                 cfg,
                 trace,
                 domain,
                 record_pollution=cfg.record_pollution_victims,
-                l2_prefetcher=build_prefetcher(cfg.l2_prefetcher, bandwidth),
+                l2_prefetcher=build_prefetcher(cfg.l2_prefetcher, domain),
             )
             for trace in traces
         ]

@@ -11,8 +11,10 @@ A trace is a sequence of memory operations, each annotated with:
   whose address depends on the previous load (pointer chasing); dependent
   loads cannot overlap with their producer in the core model.
 
-Traces are stored as parallel numpy arrays for compact generation and fast
-iteration, and can round-trip through ``.npz`` files.
+Traces are held as parallel numpy arrays for compact generation and fast
+iteration.  They live in memory only: the engine memoizes each one in
+the process and rebuilds it from its seed rather than storing it, and
+:mod:`repro.cpu.trace_io` writes and reads a text form for interop.
 """
 
 import numpy as np
@@ -30,9 +32,9 @@ class Trace:
         self.addrs = np.asarray(addrs, dtype=np.int64)
         flags = np.asarray(flags)
         if flags.dtype != np.uint8:
-            # Compatibility: traces written before the uint8 narrowing
-            # carry int64 flags; accept any integer encoding whose values
-            # fit, and reject (rather than silently wrap) anything else.
+            # Callers pass Python lists, int64 arrays and the like: accept
+            # any integer encoding whose values fit, and reject (rather
+            # than silently wrap) anything else.
             if flags.size and (
                 (flags < 0) | (flags > np.iinfo(np.uint8).max)
             ).any():
@@ -103,23 +105,6 @@ class Trace:
         distinct processes would have.
         """
         return Trace(self.gaps, self.pcs, self.addrs + int(byte_offset), self.flags)
-
-    def save(self, path):
-        """Persist to an ``.npz`` file."""
-        np.savez_compressed(
-            path, gaps=self.gaps, pcs=self.pcs, addrs=self.addrs, flags=self.flags
-        )
-
-    @classmethod
-    def load(cls, path):
-        """Load a trace previously written by :meth:`save`.
-
-        Files written before flags narrowed to ``uint8`` carry int64
-        flags; the constructor converts them (and rejects values that do
-        not fit) so old ``.npz`` archives keep loading.
-        """
-        with np.load(path) as data:
-            return cls(data["gaps"], data["pcs"], data["addrs"], data["flags"])
 
 
 class TraceBuilder:

@@ -1,8 +1,9 @@
 """Text trace interchange format.
 
-The binary ``.npz`` round-trip lives on :class:`~repro.cpu.trace.Trace`
-itself; this module adds a line-oriented text format for interop with
-external tools (spreadsheets, awk, other simulators' converters):
+The only on-disk form a :class:`~repro.cpu.trace.Trace` has: the engine
+keeps traces in memory (memoized in the process, rebuilt, never stored),
+and this module writes and reads a line-oriented text format for interop
+with external tools (spreadsheets, awk, other simulators' converters):
 
     # repro-trace v1
     # gap pc addr flags

@@ -4,15 +4,18 @@ The engine sits between the figure drivers (``repro.experiments``) and
 the raw simulators (``repro.cpu`` / ``repro.memory``).  Its public
 surface is the **session API**:
 
-- :class:`TraceSpec` / :class:`RunSpec` / :class:`MixSpec` — immutable
-  specs that canonicalize one experiment and own its content-addressed
-  fingerprint (workload/scheme/config + a source-code salt);
+- :class:`RunSpec` / :class:`MixSpec` — immutable specs that
+  canonicalize one experiment and own its content-addressed fingerprint
+  (workload/scheme/config + a source-code salt); :class:`TraceSpec`
+  names one generated trace;
 - :class:`Session` — owns an engine configuration, the in-process memo
   layers and a pluggable :class:`StoreBackend`; ``Session.run(specs)``
-  executes any batch with deterministic input-order merge and optional
-  process-pool fan-out;
+  executes any batch of run and mix specs with deterministic
+  input-order merge and optional process-pool fan-out, and
+  ``Session.trace(spec)`` memoizes a trace in the process (traces are
+  rebuilt, never stored);
 - :class:`LocalDirBackend` / :class:`InMemoryBackend` /
-  :class:`TieredBackend` — store backends (on-disk, ephemeral, and
+  :class:`TieredBackend` — result stores (on-disk, ephemeral, and
   read-through local-over-shared for a mounted ``--shared-cache``
   directory).
 
@@ -52,7 +55,6 @@ from repro.engine.fingerprint import (
     fingerprint,
     mix_fingerprint,
     run_fingerprint,
-    trace_fingerprint,
 )
 from repro.engine.session import Session, default_session
 from repro.engine.specs import MixSpec, RunSpec, TraceSpec
@@ -77,5 +79,4 @@ __all__ = [
     "mix_fingerprint",
     "reset_config",
     "run_fingerprint",
-    "trace_fingerprint",
 ]

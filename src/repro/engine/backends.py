@@ -1,8 +1,10 @@
-"""Pluggable store backends for simulation artifacts.
+"""Pluggable store backends for simulation results.
 
-A backend persists two artifact kinds under content-addressed digests
-(see :mod:`repro.engine.fingerprint`): pickled *results* (``RunResult`` /
-``MultiProgramResult``) and ``.npz``-encoded *traces*.  The
+A backend persists pickled *results* (``RunResult`` /
+``MultiProgramResult``) under content-addressed digests (see
+:mod:`repro.engine.fingerprint`).  Traces are inputs, not artifacts: a
+seeded build is cheaper than loading a stored copy, so sessions memoize
+them in the process and rebuild them, never store them.  The
 :class:`StoreBackend` protocol is the full surface a
 :class:`repro.engine.session.Session` needs; anything implementing it
 can be plugged in via ``Session(backend=...)``.
@@ -27,8 +29,6 @@ import tempfile
 import time
 from pathlib import Path
 from typing import Protocol, runtime_checkable
-
-from repro.cpu.trace import Trace
 
 #: Shape of a valid store key: the spec fingerprint, 64 lowercase hex.
 _DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
@@ -59,11 +59,11 @@ def _fsync_directory(path):
 
 @runtime_checkable
 class StoreBackend(Protocol):
-    """What a session-pluggable artifact store must implement.
+    """What a session-pluggable result store must implement.
 
-    ``load_*`` return ``None`` on a miss; ``save_*`` are best-effort
-    (a failing backend must degrade to no-persistence, never fail the
-    simulation that produced the artifact).
+    ``load_result`` returns ``None`` on a miss; ``save_result`` is
+    best-effort (a failing backend must degrade to no-persistence, never
+    fail the simulation that produced the result).
     """
 
     #: Whether writes made in one process are visible from another (true
@@ -74,10 +74,6 @@ class StoreBackend(Protocol):
     def load_result(self, digest): ...
 
     def save_result(self, digest, result, meta=None): ...
-
-    def load_trace(self, digest): ...
-
-    def save_trace(self, digest, trace): ...
 
     def clear(self): ...
 
@@ -90,7 +86,6 @@ class LocalDirBackend:
     Layout (under ``root``)::
 
         results/<aa>/<digest>.pkl   # pickled {"meta": ..., "result": ...}
-        traces/<aa>/<digest>.npz    # Trace round-trip (Trace.save/load)
 
     ``<aa>`` is the first two hex digits of the digest (fan-out so a
     large cache does not put tens of thousands of files in one
@@ -140,9 +135,6 @@ class LocalDirBackend:
 
     def _result_path(self, digest):
         return self.root / "results" / digest[:2] / f"{digest}.pkl"
-
-    def _trace_path(self, digest):
-        return self.root / "traces" / digest[:2] / f"{digest}.npz"
 
     @staticmethod
     def _atomic_write(path, writer):
@@ -209,60 +201,13 @@ class LocalDirBackend:
         except OSError as exc:
             self._write_failed(exc)
 
-    # -- traces --------------------------------------------------------------
-
-    def load_trace(self, digest):
-        """Return the stored :class:`Trace` for ``digest`` or ``None``."""
-        path = self._trace_path(digest)
-        try:
-            trace = Trace.load(path)
-        except Exception:
-            # A truncated .npz raises zipfile.BadZipFile (not an OSError),
-            # corrupt arrays raise ValueError/KeyError; all of it is a miss.
-            return None
-        if self.touch_on_load:
-            self._touch(path)
-        return trace
-
-    def save_trace(self, digest, trace):
-        """Persist ``trace`` under ``digest`` (atomic, best-effort)."""
-        path = self._trace_path(digest)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".npz")
-        except OSError as exc:
-            self._write_failed(exc)
-            return
-        os.close(fd)
-        try:
-            trace.save(tmp)
-            # Same durability contract as _atomic_write: the .npz was
-            # written (and closed) by numpy, so reopen to sync its bytes
-            # before the rename publishes the name.
-            sync_fd = os.open(tmp, os.O_RDONLY)
-            try:
-                os.fsync(sync_fd)
-            finally:
-                os.close(sync_fd)
-            os.replace(tmp, path)
-            _fsync_directory(path.parent)
-        except OSError as exc:
-            self._write_failed(exc)
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
     # -- maintenance ---------------------------------------------------------
 
     def clear(self):
-        """Delete every cached artifact (results and traces)."""
+        """Delete every cached result."""
+        # ``traces/`` is swept too: a store written while traces were still
+        # persisted holds a trace tree that nothing reads any more, and
+        # ``repro cache clear`` must still empty it.
         for sub in ("results", "traces"):
             shutil.rmtree(self.root / sub, ignore_errors=True)
 
@@ -271,38 +216,37 @@ class LocalDirBackend:
     #: ordinary eviction candidates so gc can reclaim their bytes.
     _TMP_GRACE_SECONDS = 3600.0
 
+    def _files(self):
+        """Every file under ``results/`` (empty when it does not exist)."""
+        base = self.root / "results"
+        return [p for p in base.rglob("*") if p.is_file()] if base.is_dir() else []
+
     def _artifacts(self):
-        """All (mtime, size, path) triples under results/ and traces/."""
+        """All (mtime, size, path) triples under results/."""
         entries = []
         now = time.time()
-        for sub in ("results", "traces"):
-            base = self.root / sub
-            if not base.is_dir():
+        for path in self._files():
+            try:
+                st = path.stat()
+            except OSError:
+                continue  # racing writer/evictor; skip
+            if (
+                path.name.startswith(".tmp-")
+                and now - st.st_mtime < self._TMP_GRACE_SECONDS
+            ):
+                # In-progress _atomic_write temp file: deleting it
+                # would yank it out from under a live writer.
                 continue
-            for path in base.rglob("*"):
-                if not path.is_file():
-                    continue
-                try:
-                    st = path.stat()
-                except OSError:
-                    continue  # racing writer/evictor; skip
-                if (
-                    path.name.startswith(".tmp-")
-                    and now - st.st_mtime < self._TMP_GRACE_SECONDS
-                ):
-                    # In-progress _atomic_write temp file: deleting it
-                    # would yank it out from under a live writer.
-                    continue
-                entries.append((st.st_mtime, st.st_size, path))
+            entries.append((st.st_mtime, st.st_size, path))
         return entries
 
     def gc(self, max_bytes):
         """Size-bounded eviction: keep the store at or below ``max_bytes``.
 
-        Artifacts are evicted least-recently-used first (mtime order —
+        Results are evicted least-recently-used first (mtime order —
         loads refresh mtimes, so this is true LRU for anything read
-        through the store), across results and traces together.  Returns
-        a summary dict for the CLI: removed/kept counts and byte totals.
+        through the store).  Returns a summary dict for the CLI:
+        removed/kept counts and byte totals.
         Deletions are best-effort; a file that vanishes or resists
         unlinking is skipped, never fatal.
         """
@@ -324,7 +268,7 @@ class LocalDirBackend:
                 freed += size
                 removed += 1
                 # Empty <aa>/ shard directories are left in place: there
-                # are at most 256 per kind, and removing one can race a
+                # are at most 256, and removing one can race a
                 # concurrent writer between its mkdir and mkstemp.
         return {
             "removed": removed,
@@ -334,28 +278,19 @@ class LocalDirBackend:
         }
 
     def stats(self):
-        """Entry counts and total bytes, for ``repro cache`` / tests."""
-        out = {}
-        total_bytes = 0
-        for sub in ("results", "traces"):
-            base = self.root / sub
-            files = [p for p in base.rglob("*") if p.is_file()] if base.is_dir() else []
-            out[sub] = len(files)
-            total_bytes += sum(p.stat().st_size for p in files)
-        out["bytes"] = total_bytes
-        return out
+        """Entry count and total bytes, for ``repro cache`` / tests."""
+        files = self._files()
+        return {"results": len(files), "bytes": sum(p.stat().st_size for p in files)}
 
-    def _decodable(self, kind, path):
-        """Can this artifact actually be loaded?  (The scrub's oracle —
+    @staticmethod
+    def _decodable(path):
+        """Can this result actually be loaded?  (The scrub's oracle —
         the same decode the hot path performs, so anything verify passes
         the cache will serve.)"""
         try:
-            if kind == "results":
-                with open(path, "rb") as f:
-                    payload = pickle.load(f)
-                return isinstance(payload, dict) and "result" in payload
-            Trace.load(path)
-            return True
+            with open(path, "rb") as f:
+                payload = pickle.load(f)
+            return isinstance(payload, dict) and "result" in payload
         except Exception:
             return False
 
@@ -366,13 +301,12 @@ class LocalDirBackend:
         The load paths deliberately treat corrupt entries as misses so a
         torn file can never crash a run — but that also makes them
         *silent permanent* misses.  ``verify`` is the loud counterpart:
-        it walks ``results/`` and ``traces/``, re-decodes every
-        artifact, and reports entries that are corrupt (undecodable) or
-        foreign (name is not a ``<digest 64-hex><right suffix>`` under
-        its own ``<aa>`` shard).  With ``repair=True`` both kinds are
-        moved to ``corrupt/`` under the store root — non-destructive
-        quarantine, so the bytes stay inspectable while the key becomes
-        an honest recomputable miss.
+        it walks ``results/``, re-decodes every entry, and reports
+        entries that are corrupt (undecodable) or foreign (name is not a
+        ``<digest 64-hex>.pkl`` under its own ``<aa>`` shard).  With
+        ``repair=True`` both kinds are moved to ``corrupt/`` under the
+        store root — non-destructive quarantine, so the bytes stay
+        inspectable while the key becomes an honest recomputable miss.
 
         Returns a report dict: counts plus ``entries`` — a list of
         ``(reason, path)`` pairs (reason in ``"corrupt"``/``"foreign"``).
@@ -386,33 +320,29 @@ class LocalDirBackend:
             "quarantined": 0,
             "entries": [],
         }
-        suffixes = {"results": ".pkl", "traces": ".npz"}
-        for kind in ("results", "traces"):
-            base = self.root / kind
-            if not base.is_dir():
+        base = self.root / "results"
+        for path in sorted(self._files()):
+            if path.name.startswith(".tmp-"):
                 continue
-            for path in sorted(p for p in base.rglob("*") if p.is_file()):
-                if path.name.startswith(".tmp-"):
-                    continue
-                report["checked"] += 1
-                digest = path.stem
-                well_named = (
-                    _DIGEST_RE.match(digest) is not None
-                    and path.suffix == suffixes[kind]
-                    and path.parent.name == digest[:2]
-                    and path.parent.parent == base
-                )
-                if not well_named:
-                    reason = "foreign"
-                elif not self._decodable(kind, path):
-                    reason = "corrupt"
-                else:
-                    report["ok"] += 1
-                    continue
-                report[reason] += 1
-                report["entries"].append((reason, str(path)))
-                if repair and self._quarantine(path):
-                    report["quarantined"] += 1
+            report["checked"] += 1
+            digest = path.stem
+            well_named = (
+                _DIGEST_RE.match(digest) is not None
+                and path.suffix == ".pkl"
+                and path.parent.name == digest[:2]
+                and path.parent.parent == base
+            )
+            if not well_named:
+                reason = "foreign"
+            elif not self._decodable(path):
+                reason = "corrupt"
+            else:
+                report["ok"] += 1
+                continue
+            report[reason] += 1
+            report["entries"].append((reason, str(path)))
+            if repair and self._quarantine(path):
+                report["quarantined"] += 1
         return report
 
     def _quarantine(self, path):
@@ -433,20 +363,18 @@ class LocalDirBackend:
 
 
 class InMemoryBackend:
-    """Process-local store holding artifacts as ``pickle`` bytes.
+    """Process-local store holding results as ``pickle`` bytes.
 
-    Artifacts are serialized on save and deserialized on load, so a hit
+    Results are serialized on save and deserialized on load, so a hit
     returns a *distinct* object with a bit-identical payload — the same
     observable behaviour as the disk store, which is what makes this
-    backend a faithful stand-in for tests.  Traces round-trip the same
-    way (``Trace`` pickles its arrays losslessly).
+    backend a faithful stand-in for tests.
     """
 
     shared_across_processes = False
 
     def __init__(self):
         self._results = {}
-        self._traces = {}
 
     def load_result(self, digest):
         blob = self._results.get(digest)
@@ -455,23 +383,13 @@ class InMemoryBackend:
     def save_result(self, digest, result, meta=None):
         self._results[digest] = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
 
-    def load_trace(self, digest):
-        blob = self._traces.get(digest)
-        return None if blob is None else pickle.loads(blob)
-
-    def save_trace(self, digest, trace):
-        self._traces[digest] = pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL)
-
     def clear(self):
         self._results.clear()
-        self._traces.clear()
 
     def stats(self):
         return {
             "results": len(self._results),
-            "traces": len(self._traces),
-            "bytes": sum(len(b) for b in self._results.values())
-            + sum(len(b) for b in self._traces.values()),
+            "bytes": sum(len(b) for b in self._results.values()),
         }
 
 
@@ -511,18 +429,6 @@ class TieredBackend:
     def save_result(self, digest, result, meta=None):
         self.local.save_result(digest, result, meta=meta)
 
-    def load_trace(self, digest):
-        trace = self.local.load_trace(digest)
-        if trace is not None:
-            return trace
-        trace = self.shared.load_trace(digest)
-        if trace is not None:
-            self.local.save_trace(digest, trace)
-        return trace
-
-    def save_trace(self, digest, trace):
-        self.local.save_trace(digest, trace)
-
     def clear(self):
         self.local.clear()
 
@@ -536,9 +442,9 @@ class TieredBackend:
         return None
 
     def stats(self):
-        """Local-tier stats plus the shared tier's entry counts.
+        """Local-tier stats plus the shared tier's entry count.
 
-        ``setdefault`` so a nested stack keeps the innermost shared counts.
+        ``setdefault`` so a nested stack keeps the innermost shared count.
         """
         out = dict(self.local.stats())
         try:
@@ -546,5 +452,4 @@ class TieredBackend:
         except OSError:
             shared = {}
         out.setdefault("shared_results", shared.get("results", 0))
-        out.setdefault("shared_traces", shared.get("traces", 0))
         return out

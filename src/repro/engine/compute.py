@@ -1,4 +1,4 @@
-"""Computation layer: pure simulation plus backend-aware production.
+"""Computation layer: pure simulation plus store-aware production.
 
 Two levels live here, both spec-driven:
 
@@ -7,16 +7,20 @@ Two levels live here, both spec-driven:
   (same construction order, same arithmetic), no caching.  Results are
   bit-for-bit identical whether computed in-process, by a pool worker,
   or loaded back from any store backend;
-- **backend-aware production** (:func:`produce_trace_with`,
-  :func:`produce_run_with`, :func:`produce_mix_with`) — consult a
+- **store-aware production** (:func:`produce_run_with`,
+  :func:`produce_mix_with`) — consult a
   :class:`~repro.engine.backends.StoreBackend` under the spec's
   content-addressed fingerprint, compute on a miss, write the fresh
-  artifact back.  These are what :class:`repro.engine.session.Session`
+  result back.  These are what :class:`repro.engine.session.Session`
   (and its pool workers) execute.
+
+A trace is an input, not a stored artifact: :func:`produce_trace_with`
+serves it from an in-process memo or builds it, and no backend ever
+sees it.  A seeded build costs less than loading a stored copy would.
 """
 
 from repro.cpu.system import MultiCoreSystem, System, SystemConfig
-from repro.engine.specs import MixSpec, RunSpec, TraceSpec
+from repro.engine.specs import RunSpec
 
 #: In-process trace memo of the **default session** (kept at module level
 #: so forked pool workers inherit the traces the parent already built).
@@ -62,87 +66,57 @@ def simulate_mix(spec):
     return MultiCoreSystem(config).run(traces)
 
 
-# -- backend-aware production ----------------------------------------------
+# -- store-aware production ------------------------------------------------
 
 
 def load_artifact(spec, backend):
-    """Probe ``backend`` for one spec's artifact; ``None`` on a miss."""
-    if backend is None:
-        return None
-    if isinstance(spec, TraceSpec):
-        return backend.load_trace(spec.fingerprint())
-    return backend.load_result(spec.fingerprint())
+    """Probe ``backend`` for one spec's result; ``None`` on a miss."""
+    return None if backend is None else backend.load_result(spec.fingerprint())
 
 
 def save_artifact(spec, result, backend):
-    """Persist one computed artifact under its spec's fingerprint."""
+    """Persist one computed result under its spec's fingerprint."""
     if backend is None:
         return
-    if isinstance(spec, TraceSpec):
-        backend.save_trace(spec.fingerprint(), result)
-    elif isinstance(spec, RunSpec):
-        backend.save_result(
-            spec.fingerprint(),
-            result,
-            meta={
-                "kind": "run",
-                "workload": spec.workload,
-                "scheme": spec.scheme,
-                "length": spec.length,
-            },
-        )
-    elif isinstance(spec, MixSpec):
-        backend.save_result(
-            spec.fingerprint(),
-            result,
-            meta={
-                "kind": "mix",
-                "mix": spec.mix_name,
-                "scheme": spec.scheme,
-                "length": spec.length_per_core,
-            },
-        )
+    if isinstance(spec, RunSpec):
+        meta = {
+            "kind": "run",
+            "workload": spec.workload,
+            "scheme": spec.scheme,
+            "length": spec.length,
+        }
+    else:
+        meta = {
+            "kind": "mix",
+            "mix": spec.mix_name,
+            "scheme": spec.scheme,
+            "length": spec.length_per_core,
+        }
+    backend.save_result(spec.fingerprint(), result, meta=meta)
 
 
-def produce_trace_with(spec, backend, memo):
-    """Memoized load-or-build of one trace through ``backend``."""
+def produce_trace_with(spec, memo):
+    """One trace: the memo's copy, else a fresh build, memoized."""
     key = (spec.workload, spec.length)
     trace = memo.get(key)
-    if trace is not None:
-        return trace
-    if backend is not None:
-        digest = spec.fingerprint()
-        trace = backend.load_trace(digest)
-        if trace is not None:
-            memo[key] = trace
-            return trace
-    trace = build_trace_artifact(spec)
-    save_artifact(spec, trace, backend)
-    memo[key] = trace
+    if trace is None:
+        trace = memo[key] = build_trace_artifact(spec)
     return trace
 
 
 def produce_run_with(spec, backend, trace_memo):
     """Load-or-compute one single-core run; returns a ``RunResult``."""
-    digest = spec.fingerprint()
-    if backend is not None:
-        result = backend.load_result(digest)
-        if result is not None:
-            return result
-    trace = produce_trace_with(spec.trace_spec, backend, trace_memo)
-    result = simulate_run(spec, trace)
-    save_artifact(spec, result, backend)
+    result = load_artifact(spec, backend)
+    if result is None:
+        result = simulate_run(spec, produce_trace_with(spec.trace_spec, trace_memo))
+        save_artifact(spec, result, backend)
     return result
 
 
 def produce_mix_with(spec, backend):
     """Load-or-compute one mix; returns a ``MultiProgramResult``."""
-    digest = spec.fingerprint()
-    if backend is not None:
-        result = backend.load_result(digest)
-        if result is not None:
-            return result
-    result = simulate_mix(spec)
-    save_artifact(spec, result, backend)
+    result = load_artifact(spec, backend)
+    if result is None:
+        result = simulate_mix(spec)
+        save_artifact(spec, result, backend)
     return result
-

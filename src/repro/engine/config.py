@@ -47,7 +47,7 @@ class EngineConfig:
 
     #: Worker processes for independent runs; 1 = in-process sequential.
     jobs: int
-    #: Root directory of the on-disk result/trace store.
+    #: Root directory of the on-disk result store.
     cache_dir: Path
     #: Whether the disk layer is consulted/written at all.
     disk_cache: bool

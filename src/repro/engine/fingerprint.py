@@ -1,10 +1,11 @@
-"""Content-addressed cache keys for simulation artifacts.
+"""Content-addressed cache keys for simulation results.
 
-Every persistent artifact (a generated trace, a single-core run, a
-multi-programmed run) is stored under a fingerprint: the SHA-256 of a
-canonical JSON description of *everything that determines the result* —
-the workload, scheme, trace length, DRAM/LLC/core configuration — plus a
-**code-version salt** derived from the simulator sources themselves.
+Every persistent result (a single-core run, a multi-programmed run) is
+stored under a fingerprint: the SHA-256 of a canonical JSON description
+of *everything that determines the result* — the workload, scheme, trace
+length, DRAM/LLC/core configuration — plus a **code-version salt**
+derived from the simulator sources themselves.  Traces have no key:
+they are memoized in the process and rebuilt, never stored.
 
 The salt makes invalidation automatic: any edit to a module that can
 change simulation results (cpu/, memory/, core/, prefetchers/,
@@ -74,11 +75,6 @@ def fingerprint(kind, **fields):
         separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def trace_fingerprint(workload, length):
-    """Key for a generated workload trace."""
-    return fingerprint("trace", workload=workload, length=length)
 
 
 def run_fingerprint(workload, scheme, length, dram, llc_bytes, record_pollution):

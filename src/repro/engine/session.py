@@ -7,17 +7,19 @@ A :class:`Session` is the one object an experiment needs: it owns
 - the in-process memo layers (traces, runs, mixes — identity-stable:
   asking twice returns the *same* object), and
 - a pluggable :class:`~repro.engine.backends.StoreBackend` for
-  persistence.
+  persisting results.
 
-Everything executes through :meth:`Session.run`: give it any mix of
+Simulations execute through :meth:`Session.run`: give it any mix of
 :class:`~repro.engine.specs.RunSpec` / :class:`~repro.engine.specs.MixSpec`
-/ :class:`~repro.engine.specs.TraceSpec` objects and it returns their
-results **in input order**, computing only the misses — in parallel over
-a process pool when ``jobs > 1``, sequentially in-process otherwise.
-Results are bit-for-bit identical across all three paths (memo hit,
-backend hit, fresh compute) and across sequential/parallel execution.
+objects and it returns their results **in input order**, computing only
+the misses — in parallel over a process pool when ``jobs > 1``,
+sequentially in-process otherwise.  Results are bit-for-bit identical
+across all three paths (memo hit, backend hit, fresh compute) and across
+sequential/parallel execution.  :meth:`Session.trace` is the one way to
+get a trace: it is memoized in the process and rebuilt on a memo miss,
+never stored.
 
-Two sessions never share memo state; they share persisted artifacts only
+Two sessions never share memo state; they share persisted results only
 if their backends point at the same store (a local directory, or a
 mounted ``shared_cache_dir`` another host populated).  The **default
 session** (:func:`default_session`) resolves its configuration
@@ -33,7 +35,7 @@ from pathlib import Path
 from repro.engine import compute
 from repro.engine import config as _config
 from repro.engine.config import EngineConfig, backend_for
-from repro.engine.specs import SPEC_TYPES, MixSpec, RunSpec, TraceSpec
+from repro.engine.specs import SPEC_TYPES, RunSpec, TraceSpec
 
 
 class Session:
@@ -98,22 +100,26 @@ class Session:
     # -- execution -----------------------------------------------------------
 
     def trace(self, spec, length=None):
-        """The trace for a :class:`TraceSpec` (or ``workload, length``)."""
+        """The trace for a :class:`TraceSpec` (or ``workload, length``):
+        the memo's copy, else a fresh build.  No store is consulted."""
         if not isinstance(spec, TraceSpec):
             spec = TraceSpec(spec, length)
-        return compute.produce_trace_with(spec, self.store, self._trace_memo)
+        return compute.produce_trace_with(spec, self._trace_memo)
 
     def run(self, specs, jobs=None):
         """Execute specs; returns results in input order.
 
         Accepts one spec (returns its result) or any iterable mixing
-        :class:`RunSpec`, :class:`MixSpec` and :class:`TraceSpec`
-        (returns a list).  Memo hits are served immediately; misses are
+        :class:`RunSpec` and :class:`MixSpec` (returns a list); a
+        :class:`TraceSpec` is a ``TypeError`` (traces come from
+        :meth:`trace`).  Memo hits are served immediately; misses are
         deduplicated and executed — across a process pool when ``jobs``
         (or the session's configured ``jobs``) exceeds 1 — then merged
         back deterministically in input order.
         """
-        single = isinstance(specs, SPEC_TYPES)
+        # A lone TraceSpec counts as one spec, so its TypeError names
+        # Session.trace instead of complaining that it is not iterable.
+        single = isinstance(specs, (*SPEC_TYPES, TraceSpec))
         spec_list = [specs] if single else list(specs)
         # Resolve each spec's (memo, key) slot once; fingerprints hash the
         # canonical config, so recomputing them per loop would be waste.
@@ -145,27 +151,19 @@ class Session:
 
     def _memo_slot(self, spec):
         """(memo dict, key) pair for one spec."""
-        if isinstance(spec, TraceSpec):
-            return self._trace_memo, (spec.workload, spec.length)
-        if isinstance(spec, RunSpec):
-            return self._run_memo, spec.fingerprint()
-        if isinstance(spec, MixSpec):
-            return self._mix_memo, spec.fingerprint()
-        raise TypeError(
-            f"Session.run expects TraceSpec/RunSpec/MixSpec, got {type(spec).__name__}"
-        )
+        if not isinstance(spec, SPEC_TYPES):
+            hint = "; ask Session.trace for a trace" if isinstance(spec, TraceSpec) else ""
+            raise TypeError(
+                f"Session.run expects RunSpec/MixSpec, got {type(spec).__name__}{hint}"
+            )
+        memo = self._run_memo if isinstance(spec, RunSpec) else self._mix_memo
+        return memo, spec.fingerprint()
 
     def _produce(self, spec):
         """Compute one spec through this session's backend (no memo)."""
-        if isinstance(spec, TraceSpec):
-            return compute.produce_trace_with(spec, self.store, self._trace_memo)
         if isinstance(spec, RunSpec):
             return compute.produce_run_with(spec, self.store, self._trace_memo)
-        if isinstance(spec, MixSpec):
-            return compute.produce_mix_with(spec, self.store)
-        raise TypeError(
-            f"Session.run expects TraceSpec/RunSpec/MixSpec, got {type(spec).__name__}"
-        )
+        return compute.produce_mix_with(spec, self.store)
 
     def _execute(self, specs, jobs):
         """Execute deduplicated miss specs; sequential or pooled."""
@@ -180,9 +178,7 @@ class Session:
         # config-derived store.  A process-local backend (e.g.
         # InMemoryBackend) would only be pickled into throwaway copies,
         # so keep it out of the pool and persist the returned results
-        # here instead; the round-trip behaviour matches sequential
-        # execution (traces built implicitly inside worker runs are not
-        # returned, so only explicitly requested TraceSpecs persist).
+        # here instead, as sequential execution would.
         backend_is_shared = backend is not None and bool(
             getattr(backend, "shared_across_processes", False)
         )

@@ -1,14 +1,16 @@
 """First-class, immutable experiment specs.
 
 A *spec* canonicalizes everything that determines one simulation
-artifact — and nothing else.  Specs are frozen dataclasses, so they are
-hashable, comparable, picklable (they cross process-pool boundaries),
-and safe to share between sessions.  Each spec owns its
-content-addressed fingerprint (see :mod:`repro.engine.fingerprint`);
+input or result — and nothing else.  Specs are frozen dataclasses, so
+they are hashable, comparable, picklable (they cross process-pool
+boundaries), and safe to share between sessions.  Each result spec owns
+its content-addressed fingerprint (see :mod:`repro.engine.fingerprint`);
 two specs describing the same experiment produce the same digest, in
 this process or on another host.
 
-- :class:`TraceSpec` — one generated workload trace;
+- :class:`TraceSpec` — one generated workload trace, served by
+  ``Session.trace``: memoized in the process and rebuilt, never
+  stored, so it has no fingerprint;
 - :class:`RunSpec` — one single-core run (workload × scheme × length ×
   DRAM × LLC × pollution recording);
 - :class:`MixSpec` — one multi-programmed run (one workload per core on
@@ -24,7 +26,7 @@ equal regardless of how the caller spelled the default.
 from dataclasses import dataclass
 
 from repro.constants import MP_LLC_BYTES, ST_LLC_BYTES
-from repro.engine.fingerprint import mix_fingerprint, run_fingerprint, trace_fingerprint
+from repro.engine.fingerprint import mix_fingerprint, run_fingerprint
 from repro.memory.dram import MP_DRAM, ST_DRAM, DramConfig
 
 #: The paper's ST-machine LLC capacity (Table 2); the MP machine's
@@ -61,14 +63,11 @@ class _Fingerprinted:
 
 
 @dataclass(frozen=True)
-class TraceSpec(_Fingerprinted):
+class TraceSpec:
     """One generated workload trace: catalog name × memory-op count."""
 
     workload: str
     length: int
-
-    def _fingerprint_fields(self):
-        return trace_fingerprint(self.workload, self.length)
 
 
 @dataclass(frozen=True)
@@ -161,4 +160,4 @@ class MixSpec(_Fingerprinted):
 
 
 #: Every spec kind `Session.run` accepts.
-SPEC_TYPES = (TraceSpec, RunSpec, MixSpec)
+SPEC_TYPES = (RunSpec, MixSpec)

@@ -78,31 +78,6 @@ def kernel_unavailable_reason():
     return None if ok else (kind, reason)
 
 
-class KernelBandwidth:
-    """Bandwidth signal that follows the state wherever it currently lives.
-
-    Bandwidth-aware schemes hold this object and call ``bucket(cycle)``
-    during training.  Once a kernel domain is attached the live monitor
-    state is in its working form, so queries route there; before attach
-    they route to the DRAM object.
-    """
-
-    __slots__ = ("_dram", "_domain")
-
-    def __init__(self, dram):
-        self._dram = dram
-        self._domain = None
-
-    def attach(self, domain):
-        self._domain = domain
-
-    def bucket(self, cycle):
-        domain = self._domain
-        if domain is not None:
-            return domain.bucket(cycle)
-        return self._dram.bucket(cycle)
-
-
 class KernelDomain:
     """One LLC/DRAM domain in kernel form, shared by every core in a run.
 
@@ -110,6 +85,10 @@ class KernelDomain:
     LLC, laid out empty with no object built, or, in tests, a built
     :class:`~repro.memory.cache.Cache` to pack, which :meth:`write_back`
     restores; ``dram`` is the run's ``DramModel``.
+
+    The domain is also its schemes' bandwidth source: the live monitor
+    state sits here for the whole run, so bandwidth-aware schemes are
+    built over the domain itself and :meth:`bucket` reads that state.
     """
 
     def __init__(self, llc, dram):

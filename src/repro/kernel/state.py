@@ -133,18 +133,18 @@ def _log_cap(cap, need):
 def _bandwidth_is_packed(bw, dram_obj):
     """True when ``bw`` reads the monitor state packed into this domain.
 
-    Schemes built by the system drivers hold a
-    :class:`~repro.kernel.execution.KernelBandwidth` wrapper around the
-    DRAM model; during a kernel run its queries hit the same flat monitor
-    slots the generated C mutates, so the C twin's inline bucket reads
-    are equivalent.  A scheme wired to some *other* monitor must keep the
-    Python crossing.
+    Schemes built by the compiled driver hold the run's
+    :class:`~repro.kernel.execution.KernelDomain` itself — the domain
+    whose shared state packs ``dram_obj`` — and its ``bucket`` queries hit
+    the same flat monitor slots the generated C mutates, so the C twin's
+    inline bucket reads are equivalent.  A scheme wired to some *other*
+    monitor must keep the Python crossing.
     """
     if bw is dram_obj.monitor or bw is dram_obj:
         return True
-    from repro.kernel.execution import KernelBandwidth
+    from repro.kernel.execution import KernelDomain
 
-    return isinstance(bw, KernelBandwidth) and bw._dram is dram_obj
+    return isinstance(bw, KernelDomain) and bw.shared_state.dram_obj is dram_obj
 
 
 def _reads_notes(pf):

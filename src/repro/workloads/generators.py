@@ -21,7 +21,8 @@ from its name alone — in-process and across processes.  Batched draws
 consume the seeded stream in a different order than the retired scalar
 loops did, so traces differ from pre-vectorization ones while keeping
 the same access structure; the engine's source-code salt invalidates
-previously cached traces automatically (see ``docs/workloads.md``).
+results cached from earlier traces automatically (see
+``docs/workloads.md``).
 """
 
 import numpy as np

@@ -18,10 +18,11 @@ backends and the two ways :class:`TieredBackend` composes them:
 The contract under test: put/get round-trips preserve payloads
 bit-for-bit, unknown keys are honest ``None`` misses, overwrites are
 last-write-wins, keys are isolated, a hit is a private copy, and every
-artifact type a spec can produce (``RunResult``, ``MultiProgramResult``,
-``Trace``) survives the round trip — a hit must be indistinguishable
-from a fresh computation, and a session served by a hit computes
-nothing.
+result type a spec can produce (``RunResult``, ``MultiProgramResult``)
+survives the round trip — a hit must be indistinguishable from a fresh
+computation, and a session served by a hit computes nothing.  Traces
+are not artifacts: sessions build them in memory, and the only calls a
+backend ever sees are for results.
 """
 
 import math
@@ -31,7 +32,6 @@ import struct
 import numpy as np
 import pytest
 
-from repro.cpu.trace import Trace
 from repro.engine import compute
 from repro.engine import (
     InMemoryBackend,
@@ -49,15 +49,6 @@ DIGEST_A = "aa" + "0" * 62
 DIGEST_B = "bb" + "0" * 62
 
 BACKENDS = ("local", "memory", "tiered", "tiered-memory", "tiered-nested")
-
-
-def _tiny_trace():
-    return Trace(
-        np.array([5, 7, 11], dtype=np.int64),
-        np.array([0x400000, 0x400004, 0x400008], dtype=np.int64),
-        np.array([0x1000, 0x1040, 0x1080], dtype=np.int64),
-        np.array([0, 1, 2], dtype=np.uint8),
-    )
 
 
 def _bits(x):
@@ -88,6 +79,47 @@ def backend(request, tmp_path):
     )
 
 
+class _Recording:
+    """StoreBackend wrapper logging every call a session makes on it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    @property
+    def shared_across_processes(self):
+        return self.inner.shared_across_processes
+
+    def load_result(self, digest):
+        self.calls.append(("load_result", digest))
+        return self.inner.load_result(digest)
+
+    def save_result(self, digest, result, meta=None):
+        self.calls.append(("save_result", digest))
+        return self.inner.save_result(digest, result, meta=meta)
+
+    def clear(self):
+        self.calls.append(("clear", None))
+        return self.inner.clear()
+
+    def stats(self):
+        self.calls.append(("stats", None))
+        return self.inner.stats()
+
+
+def _count_builds(monkeypatch):
+    """Log every trace build; returns the list of specs built."""
+    builds = []
+    build = compute.build_trace_artifact
+
+    def counting(spec):
+        builds.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(compute, "build_trace_artifact", counting)
+    return builds
+
+
 def _refuse_compute(monkeypatch):
     """Make every simulation entry point fail: only store hits succeed."""
 
@@ -109,7 +141,6 @@ class TestProtocolConformance:
 
     def test_unknown_key_is_a_none_miss(self, backend):
         assert backend.load_result(DIGEST_A) is None
-        assert backend.load_trace(DIGEST_A) is None
 
     def test_overwrite_is_last_write_wins(self, backend):
         backend.save_result(DIGEST_A, {"v": 1})
@@ -128,34 +159,17 @@ class TestProtocolConformance:
         assert backend.load_result(DIGEST_A) == {"who": "a"}
         assert backend.load_result(DIGEST_B) == {"who": "b"}
 
-    def test_results_and_traces_are_separate_namespaces(self, backend):
-        backend.save_result(DIGEST_A, {"kind": "result"})
-        backend.save_trace(DIGEST_A, _tiny_trace())
-        assert backend.load_result(DIGEST_A) == {"kind": "result"}
-        assert list(backend.load_trace(DIGEST_A)) == list(_tiny_trace())
-
-    def test_trace_round_trip_preserves_arrays(self, backend):
-        trace = _tiny_trace()
-        backend.save_trace(DIGEST_A, trace)
-        back = backend.load_trace(DIGEST_A)
-        assert list(back) == list(trace)
-        assert back.flags.dtype == trace.flags.dtype
-
     def test_clear_empties_the_writable_store(self, backend):
         backend.save_result(DIGEST_A, {"v": 1})
-        backend.save_trace(DIGEST_B, _tiny_trace())
         backend.clear()
         assert backend.load_result(DIGEST_A) is None
-        assert backend.load_trace(DIGEST_B) is None
 
     def test_stats_counts_entries(self, backend):
         empty = backend.stats()
-        assert empty["results"] == 0 and empty["traces"] == 0
+        assert empty["results"] == 0
         backend.save_result(DIGEST_A, {"v": 1})
-        backend.save_trace(DIGEST_B, _tiny_trace())
         stats = backend.stats()
         assert stats["results"] == 1
-        assert stats["traces"] == 1
         assert stats["bytes"] > 0
 
     def test_float_payloads_survive_bit_for_bit(self, backend):
@@ -206,26 +220,6 @@ class TestProtocolConformance:
             assert back[name].dtype == array.dtype
             assert back[name].tobytes() == array.tobytes()
 
-    def test_trace_overwrite_is_last_write_wins(self, backend):
-        backend.save_trace(DIGEST_A, _tiny_trace())
-        shorter = _tiny_trace()[:1]
-        backend.save_trace(DIGEST_A, shorter)
-        assert list(backend.load_trace(DIGEST_A)) == list(shorter)
-
-    def test_empty_trace_round_trips(self, backend):
-        empty = Trace.from_records([])
-        backend.save_trace(DIGEST_A, empty)
-        back = backend.load_trace(DIGEST_A)
-        assert back is not None
-        assert len(back) == 0
-        assert back.flags.dtype == np.uint8
-
-    def test_loaded_trace_is_a_private_copy(self, backend):
-        backend.save_trace(DIGEST_A, _tiny_trace())
-        first = backend.load_trace(DIGEST_A)
-        first.addrs[:] = 0
-        assert list(backend.load_trace(DIGEST_A)) == list(_tiny_trace())
-
     def test_keys_fan_out_across_shards(self, backend):
         digests = [f"{i:02x}" + f"{i:062x}" for i in range(0, 256, 8)]
         for i, digest in enumerate(digests):
@@ -239,15 +233,12 @@ class TestProtocolConformance:
         backend.save_result(DIGEST_A, {"v": 1})
         backend.clear()
         backend.save_result(DIGEST_A, {"v": 2})
-        backend.save_trace(DIGEST_B, _tiny_trace())
         assert backend.load_result(DIGEST_A) == {"v": 2}
-        assert list(backend.load_trace(DIGEST_B)) == list(_tiny_trace())
 
     def test_clear_on_an_empty_store_is_a_noop(self, backend):
         backend.clear()
         backend.clear()
-        stats = backend.stats()
-        assert stats["results"] == 0 and stats["traces"] == 0
+        assert backend.stats()["results"] == 0
 
     def test_stats_bytes_grow_with_the_payload(self, backend):
         backend.save_result(DIGEST_A, {"blob": b"x" * 16})
@@ -257,12 +248,12 @@ class TestProtocolConformance:
 
 
 class TestSessionResultTypes:
-    """Every artifact type a spec produces must survive the round trip.
+    """Every result type a spec produces must survive the round trip.
 
     A backend hit has to be bit-for-bit indistinguishable from the fresh
-    computation, for ``RunResult`` (RunSpec), ``MultiProgramResult``
-    (MixSpec) and ``Trace`` (TraceSpec) alike — this is the pickle-safety
-    contract of the whole cache.
+    computation, for ``RunResult`` (RunSpec) and ``MultiProgramResult``
+    (MixSpec) alike — this is the pickle-safety contract of the whole
+    cache.
     """
 
     def test_run_result_round_trips_bitwise(self, backend):
@@ -285,15 +276,6 @@ class TestSessionResultTypes:
         assert [c.to_dict() for c in reloaded.per_core] == [
             c.to_dict() for c in fresh.per_core
         ]
-
-    def test_trace_round_trips_bitwise(self, backend):
-        session = Session(backend=backend)
-        spec = TraceSpec("ispec06.mcf", 250)
-        fresh = session.trace(spec)
-        session.clear(disk=False)
-        reloaded = session.trace(spec)
-        assert reloaded is not fresh
-        assert list(reloaded) == list(fresh)
 
     def test_pollution_logs_round_trip_bitwise(self, backend):
         session = Session(backend=backend)
@@ -323,11 +305,66 @@ class TestSessionResultTypes:
         reloaded = Session(backend=backend).run(spec)
         assert pickle.dumps(reloaded) == pickle.dumps(fresh)
 
-    def test_second_session_is_served_a_trace_without_rebuilding(
-        self, backend, monkeypatch
-    ):
-        spec = TraceSpec("ispec06.mcf", 250)
-        fresh = Session(backend=backend).trace(spec)
-        _refuse_compute(monkeypatch)
-        reloaded = Session(backend=backend).trace(spec)
-        assert list(reloaded) == list(fresh)
+
+class TestTracesStayInMemory:
+    """Traces are inputs, not artifacts: over every backend a session
+    builds them in memory, and the store is asked about results only."""
+
+    TRACE = TraceSpec("ispec06.mcf", 250)
+    RUN = RunSpec("ispec06.mcf", "none", 250)
+    MIX = MixSpec("m0", ("ispec06.mcf",) * 4, "none", 150)
+
+    def test_trace_makes_no_store_call(self, backend):
+        store = _Recording(backend)
+        trace = Session(backend=store).trace(self.TRACE)
+        assert len(trace) == self.TRACE.length
+        assert store.calls == []
+
+    def test_run_refuses_a_trace_spec_without_a_store_call(self, backend):
+        store = _Recording(backend)
+        with pytest.raises(TypeError, match=r"Session\.trace"):
+            Session(backend=store).run(self.TRACE)
+        assert store.calls == []
+
+    def test_cold_run_probes_and_saves_its_result_only(self, backend):
+        store = _Recording(backend)
+        Session(backend=store).run(self.RUN)
+        digest = self.RUN.fingerprint()
+        assert store.calls == [("load_result", digest), ("save_result", digest)]
+        assert backend.stats()["results"] == 1
+
+    def test_cold_mix_probes_and_saves_its_result_only(self, backend):
+        store = _Recording(backend)
+        Session(backend=store).run(self.MIX)
+        digest = self.MIX.fingerprint()
+        assert store.calls == [("load_result", digest), ("save_result", digest)]
+        assert backend.stats()["results"] == 1
+
+    def test_warm_run_is_one_probe_and_builds_no_trace(self, backend, monkeypatch):
+        Session(backend=backend).run(self.RUN)
+        builds = _count_builds(monkeypatch)
+        store = _Recording(backend)
+        session = Session(backend=store)
+        session.run(self.RUN)
+        assert store.calls == [("load_result", self.RUN.fingerprint())]
+        assert builds == []
+        assert session.memo_stats()["traces"] == 0
+
+    def test_second_session_rebuilds_an_identical_trace(self, backend, monkeypatch):
+        first = Session(backend=backend).trace(self.TRACE)
+        builds = _count_builds(monkeypatch)
+        second = Session(backend=backend).trace(self.TRACE)
+        assert builds == [self.TRACE]
+        assert second is not first
+        assert list(second) == list(first)
+        assert second.flags.dtype == first.flags.dtype == np.uint8
+
+    def test_clearing_the_store_keeps_the_trace_memo(self, backend, monkeypatch):
+        session = Session(backend=backend)
+        trace = session.trace(self.TRACE)
+        session.run(self.RUN)
+        session.clear(memory=False)
+        assert backend.stats()["results"] == 0
+        builds = _count_builds(monkeypatch)
+        assert session.trace(self.TRACE) is trace
+        assert builds == []

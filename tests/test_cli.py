@@ -252,7 +252,7 @@ class TestEngineFlags:
         out = capsys.readouterr().out
         assert "evicted" in out
         after = active_store().stats()
-        assert after["results"] == 0 and after["traces"] == 0
+        assert after["results"] == 0
 
     def test_cache_gc_noop_when_small(self, capsys):
         from repro.engine import active_store
@@ -266,7 +266,7 @@ class TestEngineFlags:
         _run_workload("ispec06.hmmer", "none", 400)
         assert main(["cache", "verify"]) == 0
         out = capsys.readouterr().out
-        assert "checked 2 artifacts: 2 ok, 0 corrupt, 0 foreign" in out
+        assert "checked 1 artifacts: 1 ok, 0 corrupt, 0 foreign" in out
 
     def test_cache_verify_reports_and_repairs_corruption(self, capsys):
         from repro.engine import active_store

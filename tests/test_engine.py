@@ -21,7 +21,6 @@ import pickle
 import pytest
 
 from repro import engine
-from repro.cpu.trace import Trace
 from repro.engine import (
     EngineConfig,
     InMemoryBackend,
@@ -64,9 +63,7 @@ def _refuse_compute(monkeypatch):
 
 
 def _same_artifact(a, b):
-    """Bit-identity for any artifact kind (traces compare by records)."""
-    if isinstance(a, Trace):
-        return list(a) == list(b) and a.flags.dtype == b.flags.dtype
+    """Bit-identity of two results."""
     return pickle.dumps(a) == pickle.dumps(b)
 
 
@@ -137,11 +134,10 @@ class TestFingerprint:
     @pytest.mark.parametrize(
         "spec",
         [
-            TraceSpec("ispec06.mcf", 300),
             RunSpec("ispec06.mcf", "dspatch", 300),
             MixSpec("m0", ("ispec06.mcf",) * 4, "dspatch", 150),
         ],
-        ids=["trace", "run", "mix"],
+        ids=["run", "mix"],
     )
     def test_spec_fingerprints_are_valid_store_keys(self, spec, tmp_path):
         """Every digest a spec produces is a key the store layout accepts:
@@ -192,16 +188,6 @@ class TestFingerprint:
         b = MixSpec("m0", ("hpc.linpack", "ispec06.mcf"), "none", 150)
         assert a.fingerprint() != b.fingerprint()
 
-    @pytest.mark.parametrize("field, value", [("workload", "hpc.linpack"), ("length", 301)])
-    def test_trace_spec_fingerprint_covers_every_field(self, field, value):
-        base = TraceSpec("ispec06.mcf", 300)
-        changed = dataclasses.replace(base, **{field: value})
-        assert changed.fingerprint() != base.fingerprint()
-
-    def test_artifact_kinds_never_share_keys(self):
-        """A run and the trace it consumes never collide on a digest."""
-        run = RunSpec("ispec06.mcf", "none", 300)
-        assert run.trace_spec.fingerprint() != run.fingerprint()
 
 
 class TestLocalDirBackend:
@@ -222,13 +208,6 @@ class TestLocalDirBackend:
         path.write_bytes(b"not a pickle")
         assert store.load_result(digest) is None
 
-    def test_trace_round_trip(self, tmp_path):
-        store = LocalDirBackend(tmp_path / "s")
-        trace = Trace([1, 2], [3, 4], [64, 128], [0, 1])
-        store.save_trace("ee" + "0" * 62, trace)
-        back = store.load_trace("ee" + "0" * 62)
-        assert list(back) == list(trace)
-
     def test_unwritable_store_degrades_to_no_persist(self, tmp_path, capsys):
         """A broken cache location must never fail the simulation that
         produced the result — saves warn once and become no-ops."""
@@ -237,19 +216,89 @@ class TestLocalDirBackend:
         store = LocalDirBackend(blocker)
         store.save_result("ab" + "0" * 62, 1)
         store.save_result("ab" + "0" * 62, 1)  # second save: no second warning
-        store.save_trace("cd" + "0" * 62, Trace([0], [1], [64], [0]))
         assert store.load_result("ab" + "0" * 62) is None
         assert capsys.readouterr().err.count("not writable") == 1
 
     def test_clear_and_stats(self, tmp_path):
         store = LocalDirBackend(tmp_path / "s")
         store.save_result("ab" + "0" * 62, 1)
-        store.save_trace("cd" + "0" * 62, Trace([0], [1], [64], [0]))
         stats = store.stats()
-        assert stats["results"] == 1 and stats["traces"] == 1 and stats["bytes"] > 0
+        assert stats["results"] == 1 and stats["bytes"] > 0
         store.clear()
         stats = store.stats()
-        assert stats["results"] == 0 and stats["traces"] == 0
+        assert stats["results"] == 0
+
+
+class TestStoreWrittenWithTraces:
+    """A store written while traces were still persisted holds a
+    ``traces/`` tree that nothing reads any more."""
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        store = LocalDirBackend(tmp_path / "s")
+        store.save_result(DIGEST, {"v": 1})
+        legacy = store.root / "traces" / DIGEST[:2] / f"{DIGEST}.npz"
+        legacy.parent.mkdir(parents=True)
+        legacy.write_bytes(b"PK\x03\x04 an old trace archive")
+        return store
+
+    def test_clear_empties_the_trace_tree_too(self, store):
+        store.clear()
+        for sub in ("traces", "results"):
+            assert not [p for p in (store.root / sub).rglob("*") if p.is_file()]
+
+    def test_stats_gc_and_verify_walk_results_only(self, store):
+        assert store.stats()["results"] == 1
+        report = store.verify()
+        assert report["checked"] == report["ok"] == 1 and report["entries"] == []
+        assert store.gc(0)["removed"] == 1
+        assert list((store.root / "traces").rglob("*.npz"))
+
+
+class TestTracesStayInMemory:
+    """Traces are inputs held in memory: the store keeps results only,
+    and ``Session.trace`` is the one way to get a trace."""
+
+    @staticmethod
+    def _trees(root):
+        """Top-level directories under ``root`` that hold files."""
+        return {p.relative_to(root).parts[0] for p in root.rglob("*") if p.is_file()}
+
+    def test_cold_runs_write_results_only(self, tmp_path):
+        store = LocalDirBackend(tmp_path / "s")
+        Session(backend=store).run(
+            [
+                RunSpec("ispec06.mcf", "dspatch", 300),
+                MixSpec("m0", ("ispec06.mcf",) * 4, "dspatch", 150),
+            ]
+        )
+        assert self._trees(tmp_path / "s") == {"results"}
+        assert store.stats()["results"] == 2
+
+    def test_tiered_session_leaves_no_traces_on_either_tier(self, tmp_path):
+        Session(cache_dir=tmp_path / "shared").run(RunSpec("ispec06.mcf", "none", 300))
+        session = Session(cache_dir=tmp_path / "local", shared_cache_dir=tmp_path / "shared")
+        session.run([RunSpec("ispec06.mcf", "none", 300), RunSpec("hpc.linpack", "none", 300)])
+        assert isinstance(session.store, TieredBackend)
+        assert self._trees(tmp_path / "shared") == {"results"}
+        assert self._trees(tmp_path / "local") == {"results"}
+
+    def test_trace_makes_no_store_call(self, tmp_path):
+        spec = TraceSpec("ispec06.mcf", 300)
+        earlier = Session(cache_dir=tmp_path / "s")
+        earlier.run(RunSpec("ispec06.mcf", "none", 300))
+        built = earlier.trace(spec)
+        store = _Counting(LocalDirBackend(tmp_path / "s"))
+        trace = Session(backend=store).trace(spec)
+        assert store.calls == {}
+        assert trace is not built
+        assert list(trace) == list(built) and trace.flags.dtype == built.flags.dtype
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+    def test_run_refuses_a_trace_spec(self, batch):
+        spec = TraceSpec("ispec06.mcf", 300)
+        with pytest.raises(TypeError, match=r"Session\.trace"):
+            Session(disk_cache=False).run([spec] if batch else spec)
 
 
 class TestGarbageCollection:
@@ -296,15 +345,6 @@ class TestGarbageCollection:
         assert store.load_result(self._digest(0)) is not None
         assert store.load_result(self._digest(1)) is None
         assert store.load_result(self._digest(2)) is None
-
-    def test_covers_traces_too(self, tmp_path):
-        store = LocalDirBackend(tmp_path / "s")
-        store.save_trace(self._digest(7), Trace([0], [1], [64], [0]))
-        path = store._trace_path(self._digest(7))
-        os.utime(path, (1000, 1000))
-        summary = store.gc(0)
-        assert summary["removed"] == 1
-        assert store.load_trace(self._digest(7)) is None
 
     def test_zero_bound_empties_store(self, tmp_path):
         store = LocalDirBackend(tmp_path / "s")
@@ -360,26 +400,6 @@ class TestDiskCorruption:
         backend._result_path(DIGEST).write_bytes(b"\x80\x05garbage")
         assert backend.load_result(DIGEST) is None
 
-    def test_truncated_npz_is_a_miss(self, tmp_path):
-        # A truncated .npz raises zipfile.BadZipFile — which is not an
-        # OSError; the load must swallow it as a miss, not crash.
-        session = Session(backend=LocalDirBackend(tmp_path))
-        spec = TraceSpec("ispec06.mcf", 250)
-        fresh = session.trace(spec)
-        path = session.store._trace_path(spec.fingerprint())
-        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-        assert session.store.load_trace(spec.fingerprint()) is None
-        # ...and the session recomputes right through it.
-        session.clear(disk=False)
-        assert list(session.trace(spec)) == list(fresh)
-
-    def test_garbage_npz_is_a_miss(self, tmp_path):
-        backend = LocalDirBackend(tmp_path)
-        path = backend._trace_path(DIGEST)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(b"PK\x03\x04 but not really a zip")
-        assert backend.load_trace(DIGEST) is None
-
     def test_corrupt_result_is_recomputed_bitwise(self, tmp_path):
         session = Session(backend=LocalDirBackend(tmp_path))
         spec = RunSpec("ispec06.mcf", "none", 300)
@@ -412,14 +432,6 @@ class _Counting:
         self._count("save_result")
         return self.inner.save_result(digest, result, meta=meta)
 
-    def load_trace(self, digest):
-        self._count("load_trace")
-        return self.inner.load_trace(digest)
-
-    def save_trace(self, digest, trace):
-        self._count("save_trace")
-        return self.inner.save_trace(digest, trace)
-
     def clear(self):
         self._count("clear")
         return self.inner.clear()
@@ -451,7 +463,6 @@ class TestTieredPromotion:
         tiered.save_result("cd" + "0" * 62, {"v": 2})  # ordinary save
         tiered.clear()
         assert "save_result" not in shared.calls
-        assert "save_trace" not in shared.calls
         assert "clear" not in shared.calls
 
     def test_promotion_survives_failing_local_tier(self, tmp_path):
@@ -516,7 +527,6 @@ class TestSessionClearInvalidation:
         _SESSION.clear()
         assert not _RUN_CACHE and not _TRACE_CACHE and not _MP_CACHE
         assert store.stats()["results"] == 0
-        assert store.stats()["traces"] == 0
 
     def test_memory_only_clear_preserves_disk(self):
         _run_workload("ispec06.mcf", "none", 400)
@@ -756,23 +766,6 @@ class TestVerifyScrub:
         report = store.verify()
         assert report["checked"] == 2 and report["ok"] == 2
 
-    def test_trace_entries_are_scrubbed_too(self, store, tmp_path):
-        import numpy as np
-
-        from repro.cpu.trace import Trace as _Trace
-
-        trace = _Trace(
-            np.array([1], dtype=np.int64),
-            np.array([0x400000], dtype=np.int64),
-            np.array([0x1000], dtype=np.int64),
-            np.array([0], dtype=np.uint8),
-        )
-        store.save_trace(self.DIGEST, trace)
-        assert store.verify()["ok"] == 3
-        store._trace_path(self.DIGEST).write_bytes(b"not an npz")
-        report = store.verify(repair=True)
-        assert report["corrupt"] == 1 and report["quarantined"] == 1
-
     OTHER = "ef" + "1" * 62
 
     FOREIGN_PATHS = {
@@ -780,7 +773,6 @@ class TestVerifyScrub:
         "short-digest": "results/ef/ef11.pkl",
         "non-hex-digest": "results/zz/zz" + "1" * 62 + ".pkl",
         "trace-suffix-under-results": "results/ef/" + OTHER + ".npz",
-        "result-suffix-under-traces": "traces/ef/" + OTHER + ".pkl",
         "wrong-shard": "results/ab/" + OTHER + ".pkl",
         "nested-shard": "results/ef/ef/" + OTHER + ".pkl",
         "unsharded": "results/" + OTHER + ".pkl",
@@ -862,41 +854,13 @@ class TestAtomicWrites:
         assert store.stats()["results"] == 0
         assert _tmp_files(store.root) == []
 
-    @staticmethod
-    def _disk_full_save(trace, path):
-        with open(path, "wb") as f:
-            f.write(b"PK\x03\x04partial")
-        raise OSError(28, "No space left on device")
 
-    def test_failed_trace_write_keeps_the_previous_entry(self, tmp_path, monkeypatch):
-        store = LocalDirBackend(tmp_path / "s")
-        old = Trace([1, 2], [3, 4], [64, 128], [0, 1])
-        store.save_trace(DIGEST, old)
-        monkeypatch.setattr(Trace, "save", self._disk_full_save)
-        store.save_trace(DIGEST, Trace([9], [9], [9 * 64], [0]))
-        monkeypatch.undo()
-        assert list(store.load_trace(DIGEST)) == list(old)
-        assert _tmp_files(store.root) == []
-
-    def test_failed_first_trace_write_publishes_nothing(self, tmp_path, monkeypatch):
-        store = LocalDirBackend(tmp_path / "s")
-        monkeypatch.setattr(Trace, "save", self._disk_full_save)
-        store.save_trace(DIGEST, Trace([1], [3], [64], [0]))
-        monkeypatch.undo()
-        assert store.load_trace(DIGEST) is None
-        assert store.stats()["traces"] == 0
-        assert _tmp_files(store.root) == []
-
-
-#: Ways a shared tier's entry can be broken: (artifact kind, mangler).
+#: Ways a shared tier's result entry can be broken: fault -> mangler.
 SHARED_FAULTS = {
-    "empty-result": ("results", lambda data: b""),
-    "truncated-result": ("results", lambda data: data[: len(data) // 2]),
-    "garbage-result": ("results", lambda data: b"\x80\x05garbage"),
-    "result-without-payload": ("results", lambda data: pickle.dumps({"meta": {}})),
-    "empty-trace": ("traces", lambda data: b""),
-    "truncated-trace": ("traces", lambda data: data[: len(data) // 2]),
-    "garbage-trace": ("traces", lambda data: b"PK\x03\x04garbage"),
+    "empty-result": lambda data: b"",
+    "truncated-result": lambda data: data[: len(data) // 2],
+    "garbage-result": lambda data: b"\x80\x05garbage",
+    "result-without-payload": lambda data: pickle.dumps({"meta": {}}),
 }
 
 
@@ -907,17 +871,13 @@ class TestSharedTierFaults:
     def test_corrupt_shared_entry_degrades_to_bit_identical_compute(
         self, tmp_path, fault
     ):
-        kind, mangle = SHARED_FAULTS[fault]
-        if kind == "results":
-            spec = RunSpec("ispec06.mcf", "none", 300)
-        else:
-            spec = TraceSpec("ispec06.mcf", 300)
+        spec = RunSpec("ispec06.mcf", "none", 300)
         reference = Session(disk_cache=False).run(spec)
         owner = LocalDirBackend(tmp_path / "shared")
         Session(backend=owner).run(spec)
         digest = spec.fingerprint()
-        path = owner._result_path(digest) if kind == "results" else owner._trace_path(digest)
-        path.write_bytes(mangle(path.read_bytes()))
+        path = owner._result_path(digest)
+        path.write_bytes(SHARED_FAULTS[fault](path.read_bytes()))
         broken = path.read_bytes()
 
         reader = Session(cache_dir=tmp_path / "local", shared_cache_dir=tmp_path / "shared")
@@ -925,9 +885,7 @@ class TestSharedTierFaults:
         # The reader never repairs (or otherwise writes) the shared tier;
         # the recomputed artifact lands in its own local tier.
         assert path.read_bytes() == broken
-        local = reader.store.local
-        load = local.load_result if kind == "results" else local.load_trace
-        assert _same_artifact(load(digest), reference)
+        assert _same_artifact(reader.store.local.load_result(digest), reference)
 
     def test_missing_shared_root_is_an_empty_tier(self, tmp_path):
         spec = RunSpec("ispec06.mcf", "none", 300)
@@ -961,7 +919,6 @@ class TestSharedDirectoryAcrossHosts:
     SPECS = {
         "run": RunSpec("ispec06.mcf", "dspatch", 300),
         "mix": MixSpec("m0", ("ispec06.mcf",) * 4, "dspatch", 150),
-        "trace": TraceSpec("ispec06.mcf", 300),
     }
 
     @staticmethod

@@ -25,7 +25,7 @@ import pytest
 from repro.cpu.core import CoreExecution
 from repro.cpu.system import MultiCoreSystem, System, SystemConfig
 from repro.kernel import kernel_available, layout
-from repro.kernel.execution import KernelBandwidth, KernelDomain, KernelExecution
+from repro.kernel.execution import KernelDomain, KernelExecution
 from repro.memory.cache import Cache
 from repro.memory.dram import DramModel
 from repro.memory.hierarchy import MemoryHierarchy
@@ -62,15 +62,13 @@ def _fresh(cfg, trace, cores=1):
     """``cores`` cores laid out from ``cfg``, as the compiled driver does."""
     dram = DramModel(cfg.dram)
     domain = KernelDomain(cfg.hierarchy.llc, dram)
-    bandwidth = KernelBandwidth(dram)
-    bandwidth.attach(domain)
     return [
         KernelExecution(
             cfg,
             trace,
             domain,
             record_pollution=cfg.record_pollution_victims,
-            l2_prefetcher=build_prefetcher(cfg.l2_prefetcher, bandwidth),
+            l2_prefetcher=build_prefetcher(cfg.l2_prefetcher, domain),
         )
         for _ in range(cores)
     ]
@@ -82,8 +80,6 @@ def _packed(cfg, trace, cores=1):
     dram = DramModel(cfg.dram)
     llc = Cache(cfg.hierarchy.llc)
     domain = KernelDomain(llc, dram)
-    bandwidth = KernelBandwidth(dram)
-    bandwidth.attach(domain)
     kexes = []
     for _ in range(cores):
         hierarchy = MemoryHierarchy(
@@ -91,7 +87,7 @@ def _packed(cfg, trace, cores=1):
             dram=dram,
             llc=llc,
             l1_prefetcher=PcStridePrefetcher() if cfg.l1_stride else None,
-            l2_prefetcher=build_prefetcher(cfg.l2_prefetcher, bandwidth),
+            l2_prefetcher=build_prefetcher(cfg.l2_prefetcher, domain),
         )
         execution = CoreExecution(cfg.core, trace, hierarchy)
         kexes.append(

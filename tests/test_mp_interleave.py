@@ -40,7 +40,7 @@ from repro.cpu.system import (
     _run_result,
 )
 from repro.kernel import kernel_available
-from repro.kernel.execution import KernelBandwidth, KernelDomain, KernelExecution
+from repro.kernel.execution import KernelDomain, KernelExecution
 from repro.kernel.layout import CAND_CAP0
 from repro.memory.cache import Cache
 from repro.memory.dram import DramModel, FixedBandwidth
@@ -141,8 +141,7 @@ def _mp_run_with_driver(driver, cfg, traces, stop_ops=None, events=None, scheme_
     bandwidth = dram
     if compiled:
         domain = KernelDomain(cfg.hierarchy.llc, dram)
-        bandwidth = KernelBandwidth(dram)
-        bandwidth.attach(domain)
+        bandwidth = domain
     else:
         shared_llc = Cache(cfg.hierarchy.llc)
     executions, hierarchies = [], []

@@ -6,12 +6,13 @@ results to the process default session on a small workload × scheme
 grid — no hidden state may leak through the memo or store layers.
 """
 
+import dataclasses
 import os
 
 import pytest
 
 from repro import engine
-from repro.cpu.trace import Trace
+from repro.engine import compute
 from repro.engine import (
     InMemoryBackend,
     LocalDirBackend,
@@ -60,7 +61,6 @@ class TestSpecs:
         for make in (
             lambda: RunSpec("w", "spp", 100),
             lambda: MixSpec("m", ("a", "b"), "spp", 100),
-            lambda: TraceSpec("w", 100),
         ):
             fresh, memoized = make(), make()
             digest = memoized.fingerprint()
@@ -123,7 +123,6 @@ class TestSpecs:
         )
         mix = MixSpec("m", ("a", "b"), "spp", 50, dram)
         assert mix.fingerprint() == engine.mix_fingerprint("m", ["a", "b"], "spp", 50, dram)
-        assert TraceSpec("w", 100).fingerprint() == engine.trace_fingerprint("w", 100)
 
     def test_with_scheme_preserves_machine(self):
         spec = RunSpec("w", "spp", 100, llc_bytes=1 << 20)
@@ -155,14 +154,12 @@ class TestSessionRun:
 
     def test_mixed_kinds_in_one_batch(self):
         session = Session(disk_cache=False)
-        trace, run, mix = session.run(
+        run, mix = session.run(
             [
-                TraceSpec("ispec06.mcf", 300),
                 RunSpec("ispec06.mcf", "none", 300),
                 MixSpec("m0", ("ispec06.mcf",) * 4, "none", 200),
             ]
         )
-        assert len(trace) == 300
         assert run.ipc > 0
         assert len(mix.per_core) == 4
 
@@ -181,6 +178,44 @@ class TestSessionRun:
     def test_bad_spec_type_rejected(self):
         with pytest.raises(TypeError):
             Session(disk_cache=False).run(["not a spec"])
+
+
+class TestSessionTrace:
+    """``Session.trace`` serves traces from the session's memo, else
+    builds them; no store is involved."""
+
+    def test_workload_and_length_form_shares_the_memo(self):
+        session = Session(disk_cache=False)
+        trace = session.trace(TraceSpec("ispec06.mcf", 300))
+        assert session.trace("ispec06.mcf", 300) is trace
+
+    @pytest.mark.parametrize("field, value", [("workload", "hpc.linpack"), ("length", 301)])
+    def test_memo_keys_on_every_field(self, field, value):
+        session = Session(disk_cache=False)
+        base = TraceSpec("ispec06.mcf", 300)
+        changed = dataclasses.replace(base, **{field: value})
+        first = session.trace(base)
+        other = session.trace(changed)
+        assert other is not first
+        assert list(other) == list(compute.build_trace_artifact(changed))
+        assert session.memo_stats()["traces"] == 2
+
+    def test_run_leaves_its_trace_in_the_memo(self, monkeypatch):
+        session = Session(disk_cache=False)
+        spec = RunSpec("ispec06.mcf", "none", 300)
+        session.run(spec)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run already built this trace")
+
+        monkeypatch.setattr(compute, "build_trace_artifact", refuse)
+        assert len(session.trace(spec.trace_spec)) == spec.length
+
+    def test_default_session_builds_into_the_module_memo(self):
+        """Forked pool workers inherit ``compute.TRACE_MEMO``, so the
+        default session's traces must land there."""
+        trace = default_session().trace(TraceSpec("hpc.linpack", 280))
+        assert any(t is trace for t in compute.TRACE_MEMO.values())
 
 
 class TestSessionIsolation:
@@ -260,9 +295,8 @@ class TestInMemoryBackend:
     def test_clear_and_stats(self):
         backend = InMemoryBackend()
         backend.save_result("ab", {"x": 1})
-        backend.save_trace("cd", Trace([0], [1], [64], [0]))
         stats = backend.stats()
-        assert stats["results"] == 1 and stats["traces"] == 1 and stats["bytes"] > 0
+        assert stats["results"] == 1 and stats["bytes"] > 0
         backend.clear()
         assert backend.load_result("ab") is None
         assert backend.stats()["results"] == 0
@@ -344,15 +378,6 @@ class TestTieredBackend:
         session.clear()
         assert local.stats()["results"] == 0
         assert shared.stats()["results"] == 1
-
-    def test_trace_reads_through(self, tmp_path):
-        shared = LocalDirBackend(tmp_path / "shared")
-        origin = Session(backend=shared).trace(TraceSpec("ispec06.mcf", 300))
-        local = LocalDirBackend(tmp_path / "local")
-        session = Session(backend=TieredBackend(local, shared))
-        back = session.trace(TraceSpec("ispec06.mcf", 300))
-        assert list(back) == list(origin)
-        assert local.stats()["traces"] == 1
 
     def test_shared_tier_loads_do_not_touch_mtimes(self, tmp_path):
         """Readers must not rewrite mtimes on the read-only shared mount

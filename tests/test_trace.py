@@ -61,13 +61,6 @@ class TestTrace:
         assert shifted[0] == (1, 2, 64 + (1 << 40), FLAG_WRITE)
         assert trace[0][2] == 64  # original untouched
 
-    def test_save_load_roundtrip(self, tmp_path):
-        trace = Trace.from_records([(1, 2, 64, 0), (3, 4, 128, FLAG_DEP)])
-        path = tmp_path / "trace.npz"
-        trace.save(path)
-        loaded = Trace.load(path)
-        assert list(loaded) == list(trace)
-
 
 class TestBuilder:
     def test_append(self):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.cpu.trace import FLAG_DEP, FLAG_WRITE, Trace
 from repro.cpu.trace_io import TraceFormatError, load_text, save_text
+from repro.workloads.catalog import CATEGORIES, build_trace, workloads_in_category
 
 
 def make_trace(records):
@@ -60,14 +61,36 @@ class TestRoundTrip:
         assert list(back) == list(trace)
 
     def test_generated_workload_roundtrips(self, tmp_path):
-        from repro.workloads.catalog import build_trace
-
         trace = build_trace("ispec06.mcf", 500)
         path = tmp_path / "mcf.trace"
         save_text(trace, path)
         back = load_text(path)
         assert list(back) == list(trace)
         assert back.instructions == trace.instructions
+
+    # The text file is the only on-disk form a trace has (the engine
+    # rebuilds traces, it never stores them), so every generator
+    # category's PC, address and flag ranges must survive it exactly.
+    @pytest.mark.parametrize("category", CATEGORIES)
+    def test_every_category_roundtrips_bitwise(self, tmp_path, category):
+        trace = build_trace(workloads_in_category(category)[0], 400)
+        path = tmp_path / "w.trace"
+        save_text(trace, path)
+        back = load_text(path)
+        for column in ("gaps", "pcs", "addrs", "flags"):
+            mine, theirs = getattr(back, column), getattr(trace, column)
+            assert mine.dtype == theirs.dtype
+            assert mine.tobytes() == theirs.tobytes()
+
+    def test_rebased_mix_core_roundtrips(self, tmp_path):
+        """A mix's last core runs 3 TiB up the address space."""
+        from repro.workloads.mixes import CORE_ADDRESS_STRIDE, build_mix_traces
+
+        trace = build_mix_traces(["ispec06.mcf"] * 4, 300)[-1]
+        assert int(trace.addrs.min()) >= 3 * CORE_ADDRESS_STRIDE
+        path = tmp_path / "core3.trace"
+        save_text(trace, path)
+        assert list(load_text(path)) == list(trace)
 
 
 class TestFlagCombinations:

@@ -3,15 +3,14 @@
 Covers the guarantees the vectorization must not break:
 
 - **determinism** — every catalog workload builds byte-identically twice
-  in-process and identically again in a fresh subprocess (the engine's
-  content-addressed trace store depends on this);
+  in-process and identically again in a fresh subprocess (the engine
+  rebuilds traces instead of storing them, so every build must agree);
 - **structure** — per-category MPKI/footprint invariants survive the
   switch from scalar to batched RNG draws;
 - **builder** — ``TraceBuilder`` keeps bulk emissions as NumPy chunks
   (no per-element Python round-trip) and interleaves scalar appends in
   order;
-- **flags** — ``Trace.flags`` is uint8 end-to-end, with old int64
-  ``.npz`` archives still loading.
+- **flags** — ``Trace.flags`` is uint8 end-to-end.
 """
 
 import hashlib
@@ -205,29 +204,32 @@ class TestFlagsCompatibility:
         trace = Trace([1], [2], [64], [FLAG_WRITE | FLAG_DEP])
         assert trace.flags.dtype == np.uint8
 
-    def test_old_int64_npz_still_loads(self, tmp_path):
-        """Archives written before the uint8 narrowing carry int64
-        columns; ``Trace.load`` must keep accepting them."""
-        path = tmp_path / "old.npz"
-        np.savez_compressed(
-            path,
-            gaps=np.array([3, 0], dtype=np.int64),
-            pcs=np.array([10, 11], dtype=np.int64),
-            addrs=np.array([64, 128], dtype=np.int64),
-            flags=np.array([FLAG_WRITE, 0], dtype=np.int64),
-        )
-        loaded = Trace.load(path)
-        assert loaded.flags.dtype == np.uint8
-        assert loaded.flags.tolist() == [FLAG_WRITE, 0]
-
     def test_out_of_range_flags_rejected(self):
         with pytest.raises(ValueError):
             Trace([0], [1], [64], [4096])
 
-    def test_roundtrip_preserves_uint8(self, tmp_path):
-        trace = build_trace("ispec06.mcf", 300)
-        path = tmp_path / "t.npz"
-        trace.save(path)
-        loaded = Trace.load(path)
-        assert loaded.flags.dtype == np.uint8
-        assert trace_sha(loaded) == trace_sha(trace)
+    @pytest.mark.parametrize(
+        "dtype",
+        [np.int8, np.int16, np.int32, np.int64, np.uint16, np.uint32, np.uint64],
+    )
+    def test_integer_flag_columns_are_narrowed(self, dtype):
+        """Any integer encoding whose values fit is accepted as uint8."""
+        top = min(int(np.iinfo(dtype).max), int(np.iinfo(np.uint8).max))
+        values = [0, FLAG_WRITE, FLAG_DEP, FLAG_WRITE | FLAG_DEP, top]
+        trace = Trace([0] * 5, [1] * 5, [64] * 5, np.array(values, dtype=dtype))
+        assert trace.flags.dtype == np.uint8
+        assert trace.flags.tolist() == values
+
+    @pytest.mark.parametrize(
+        "dtype, value",
+        [
+            (np.int8, -1),
+            (np.int64, -1),
+            (np.int16, 256),
+            (np.uint16, 256),
+            (np.uint64, 2**63),
+        ],
+    )
+    def test_values_outside_uint8_are_rejected_not_wrapped(self, dtype, value):
+        with pytest.raises(ValueError, match="uint8"):
+            Trace([0, 0], [1, 1], [64, 128], np.array([0, value], dtype=dtype))
