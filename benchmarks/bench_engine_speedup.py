@@ -51,8 +51,13 @@ import time
 
 SCHEMES = 6  # fig12: none + bop/sms/spp/dspatch/spp+dspatch
 CATEGORIES = 9
-#: The scheme-training leg: every scheme with a C training twin.
-TWINNED_SCHEMES = ("spp", "dspatch", "spp+dspatch", "bop", "ebop", "sms", "streamer")
+#: The scheme-training leg: every twinned scheme shape, the Section 5.1
+#: composites as component lists and a DSPatch config read from slots.
+TWINNED_SCHEMES = (
+    "spp", "dspatch", "spp+dspatch", "bop", "ebop", "sms", "streamer",
+    "spp+bop", "spp+ebop", "spp+sms-256", "spp+bop+dspatch",
+    "dspatch-spt128", "dspatch-noreset",
+)
 #: The leg's runs, ``(scheme, record_pollution_victims)``: each twin, then
 #: Figure 20's streamer run with its pollution logs recorded in C.
 SCHEME_LEG_RUNS = tuple((scheme, False) for scheme in TWINNED_SCHEMES) + (("streamer", True),)

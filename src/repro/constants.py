@@ -30,11 +30,6 @@ ST_LLC_BYTES = 2 * 1024 * 1024
 MP_LLC_BYTES = 8 * 1024 * 1024
 
 
-def line_address(addr):
-    """Return the cache-line address (byte address >> 6) of ``addr``."""
-    return addr >> LINE_SHIFT
-
-
 def page_number(addr):
     """Return the 4KB physical page number of byte address ``addr``."""
     return addr >> PAGE_SHIFT

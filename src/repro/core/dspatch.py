@@ -32,12 +32,15 @@ Design-choice knobs (the ablation benches exercise these):
 
 This class is also the *executable spec* for a compiled training twin:
 :mod:`repro.kernel.cgen` emits a C transliteration of ``train`` (PB
-insert/evict, SPT dual-pattern update, bandwidth-bucketed pattern select),
-selected at run time by ``kernel/state.py:_scheme_kind`` for
-default-config instances — alone or as the second component of the
-``spp+dspatch`` composite — and pinned bit-identical by
-``tests/test_kernel_parity.py``.  Behavioral edits here must be mirrored
-in the C twin.
+insert/evict, SPT dual-pattern update, bandwidth-bucketed pattern select)
+that reads the PB and SPT sizes, the candidate cap,
+``pc_signature_bits`` and ``covp_reset`` from flat-state slots.  It is
+selected at run time by ``kernel/state.py:_scheme_kind`` for instances
+of the exact class with compressed patterns, alone or as a component of
+a twinned composite (``spp+dspatch``, ``spp+bop+dspatch``), and pinned
+bit-identical by ``tests/test_kernel_parity.py`` and
+``tests/test_twin_fuzz.py``.  The variants subclass it and keep the
+Python crossing.  Behavioral edits here must be mirrored in the C twin.
 """
 
 from dataclasses import dataclass

@@ -11,14 +11,16 @@ The crossing protocol: :meth:`CShared.interleave` calls ``ksched``,
 which runs the cores in C and returns to Python only when every core is
 done, or with the core in ``*who`` needing Python:
 
-- ``RC_TRAIN``: the core is suspended mid-op with one or more training
-  records (cycle, pc, addr, hit) appended to ``train_buf``.
-  :meth:`CRuntime.resume` first drains the queued usefulness notes
-  (keeping every scheme-visible event in object-path order), then feeds
-  the records to ``scheme.train`` in arrival order and writes the *last*
-  record's candidates into the ``cand_line``/``cand_lp`` arrays (grown on
-  demand, in place in the pointer table ``ksched`` holds).  The next
-  ``ksched`` call resumes that core mid-op from the saved context.
+- ``RC_TRAIN``: the core is suspended mid-op inside a below-L1 lookup
+  whose scheme has no compiled twin.  :meth:`CRuntime.resume` first
+  drains the queued usefulness notes (keeping every scheme-visible event
+  in object-path order), then calls ``scheme.train`` on the lookup read
+  from the saved context (cycle ``ctx_cycle``, pc ``ctx_pc``, the demand
+  address ``ctx_addr`` or the stride prefetch's line ``b_line``, hit
+  when ``b_slot`` holds the L2 slot) and writes its candidates into the
+  ``cand_line``/``cand_lp`` arrays (grown on demand, in place in the
+  pointer table ``ksched`` holds).  The next ``ksched`` call resumes that
+  core mid-op from the saved context.
 - ``RC_YIELD``: the core stopped between ops with notes queued or at its
   warmup checkpoint.  ``resume`` drains the notes; at the checkpoint the
   driver's ``on_stop`` runs before any further op.
@@ -28,15 +30,12 @@ done, or with the core in ``*who`` needing Python:
   capacity, copying every entry, and updates the pointer table in
   place; the schedule then continues unchanged.
 
-The kernel may batch a record only when its candidates are not consumed
-by its own access — every current scheme's candidates are, so the kernel
-flushes at depth 1; the record-buffer ABI is what lets a future
-fire-and-forget scheme amortize the boundary.  Schemes with a compiled
-twin (``scheme_kind`` > 0) never cross and never queue notes, so their
-runs return only at warmup checkpoints, ring or log growths and the
-end.  Nor are notes queued for a crossing scheme whose note hooks are
-``Prefetcher``'s inherited no-ops (slot ``l2pf_notes``): nothing would
-read them.
+Every crossing serves one train call: the lookup's candidates are
+consumed by its own access.  Schemes with compiled twins (``scheme_len``
+> 0) never cross and never queue notes, so their runs return only at
+warmup checkpoints, ring or log growths and the end.  Nor are notes
+queued for a crossing scheme whose note hooks are ``Prefetcher``'s
+inherited no-ops (slot ``l2pf_notes``): nothing would read them.
 
 The build cache under ``<cache_dir>/ckernel/`` is keyed by a digest of
 the emitted C *and* the generator source, the compile flags and the
@@ -54,6 +53,7 @@ import subprocess
 import tempfile
 
 
+from repro.constants import LINE_SHIFT
 from repro.kernel import layout
 from repro.kernel.layout import CF64, CI64, PTR, SF64, SI64
 
@@ -209,7 +209,7 @@ class CShared:
         ``pending[i]`` is core ``i``'s warmup checkpoint in ops, or
         ``None`` when it has none left.  Each ``ksched`` return is served
         here: the core's :meth:`CRuntime.resume` drains its notes and
-        training records, and a core that stopped at its checkpoint fires
+        training crossing, and a core that stopped at its checkpoint fires
         ``on_stop`` before the next ``ksched`` call runs another op.
         """
         n = len(runtimes)
@@ -270,7 +270,6 @@ _LLC_RESET_SLOTS = tuple(
     if name.startswith("llc_") and name != "llc_tick"
 )
 _I_NOTE_LEN = CI64["note_len"]
-_I_TB_LEN = CI64["tb_len"]
 
 
 class CRuntime:
@@ -303,7 +302,6 @@ class CRuntime:
         self._mci = memoryview(self._ci)
         self._mcand_line = memoryview(self.state.cand_line)
         self._mcand_lp = memoryview(self.state.cand_lp)
-        self._mtb = memoryview(self.state.train_buf)
 
     # ------------------------------------------------------------ properties
 
@@ -335,11 +333,8 @@ class CRuntime:
 
         Drains the queued usefulness notes first, keeping every
         scheme-visible event in object-path order; on ``RC_TRAIN`` it
-        then feeds the batched training records to the scheme in arrival
-        order and installs the *final* record's candidates.  Only that
-        one is installed because the kernel is suspended inside its
-        access, and it defers a record past its own access only when the
-        scheme's candidates are not consumed by it.  The next ``ksched``
+        then trains the scheme on the suspended lookup, read from the
+        saved context, and installs its candidates.  The next ``ksched``
         call re-enters ``krun`` mid-op.
         """
         mci = self._mci
@@ -351,14 +346,12 @@ class CRuntime:
             return
         if rc != layout.RC_TRAIN:
             return
-        train = self._train
-        tb = self._mtb
-        n = mci[_I_TB_LEN]
-        cands = None
-        for i in range(0, 4 * n, 4):
-            cands = train(tb[i], tb[i + 1], tb[i + 2], bool(tb[i + 3]))
-        mci[_I_TB_LEN] = 0
-        self._put_candidates(cands)
+        if mci[CI64["phase"]] == layout.PH_DEMAND_TRAIN:
+            addr = mci[CI64["ctx_addr"]]
+        else:
+            addr = mci[CI64["b_line"]] << LINE_SHIFT
+        hit = mci[CI64["b_slot"]] >= 0
+        self._put_candidates(self._train(mci[CI64["ctx_cycle"]], mci[CI64["ctx_pc"]], addr, hit))
 
     def _drain_notes(self):
         mci = self._mci

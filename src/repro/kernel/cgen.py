@@ -18,23 +18,20 @@ Exported symbols:
   runs the op body ``krun`` on it (one core's batch, over its pointer
   table), over and over.  It returns only when every core is done
   (``RC_DONE``), when core ``*who`` needs a Python training crossing
-  (``RC_TRAIN``: ``krun`` appended the records to ``train_buf`` and
-  saved its mid-op context; the Python driver drains them into the
-  scheme, writes the candidates and re-enters, which resumes the op),
-  or when that core stopped with usefulness notes queued or at its
-  warmup checkpoint (``RC_YIELD``), or between ops because BOP's
-  pending-fill ring or a pollution log needs room for the next op
-  (``RC_GROW``).  Schemes with a compiled twin (``scheme_kind`` > 0:
-  SPP, eSPP and DSPatch at their default configs, the SPP+DSPatch
-  composite, and BOP, eBOP, SMS and the streamer at any config the gate
-  admits) never cross — their training loops run in C against flat
-  tables and fill the candidate buffers directly.  The SPP and DSPatch
-  twins take their config constants as ``#define``s; the BOP, SMS and
-  streamer twins read every size and threshold from flat-state slots
-  and packed arrays, so one twin per class serves
-  ``bop``/``bop1``/``ebop``, every ``sms-*`` PHT size and any
-  ``StreamPrefetcher(tracked_pages, degree)``.  With the ``pl_on`` slot
-  set, ``krun`` also records the three pollution logs of
+  (``RC_TRAIN``: ``krun`` saved its mid-op context, which holds the
+  train call's arguments; the Python driver trains the scheme on them,
+  writes the candidates and re-enters, which resumes the op), or when
+  that core stopped with usefulness notes queued or at its warmup
+  checkpoint (``RC_YIELD``), or between ops because BOP's pending-fill
+  ring or a pollution log needs room for the next op (``RC_GROW``).  A
+  scheme with compiled twins (slot ``scheme_len`` > 0) never crosses:
+  its training runs in C against flat tables and fills the candidate
+  buffers directly.  Every twin (SPP, eSPP, DSPatch, BOP, eBOP, SMS and
+  the streamer) reads its config from flat-state slots and sizes its
+  tables from them, so one twin per class serves every config the gate
+  admits, and a composite is the list of its components' twins, trained
+  in arbitration order with ``CompositePrefetcher``'s merge.  With the
+  ``pl_on`` slot set, ``krun`` also records the three pollution logs of
   :class:`repro.observe.sinks.PollutionCollector` (the spec) into
   per-core ``(ordinal, line)`` arrays.
 - ``long kbucket(long long *si, double *sf, long long cycle)`` — the
@@ -47,6 +44,7 @@ happen in the same order with no contraction — build with
 """
 
 from repro.constants import LINE_SHIFT, PAGE_SHIFT
+from repro.core.spt import COUNTER_MAX
 from repro.kernel import layout
 from repro.kernel.layout import CF64, CI64, PTR, SF64, SI64
 
@@ -67,56 +65,15 @@ def _defines():
     lines.append(f"#define RC_GROW {layout.RC_GROW}")
     lines.append(f"#define NOTE_USEFUL {layout.NOTE_USEFUL}")
     lines.append(f"#define NOTE_USELESS {layout.NOTE_USELESS}")
-    lines.append(f"#define TB_CAP {layout.TB_CAP}")
     lines.append(f"#define SM_REC {layout.SM_REC}")
     lines.append(f"#define SM_PHT_REC {layout.SM_PHT_REC}")
     lines.append(f"#define ST_REC {layout.ST_REC}")
-    return "\n".join(lines)
-
-
-def _scheme_defines():
-    """Scheme-kind ids and the SPP/DSPatch twins' constants.
-
-    The SPP and DSPatch twins run only at their stock configs
-    (:func:`repro.kernel.state._scheme_kind` gates on config equality),
-    so their constants are baked in as ``#define``s sourced from the
-    live dataclass defaults — the C can never drift from the spec without
-    the emitted source (and hence the build digest) changing too.  The
-    BOP, SMS and streamer twins read their configs from slots and have
-    none here.
-    """
-    from repro.core.dspatch import DSPatchConfig
-    from repro.core.spt import COUNTER_MAX
-    from repro.prefetchers.spp import SppConfig
-
-    sp = SppConfig()
-    dp = DSPatchConfig()
-    assert dp.compressed and dp.covp_reset, "C twin hardcodes the stock geometry"
-    lines = [
-        f"#define SCHEME_SPP {layout.SCHEME_SPP}",
-        f"#define SCHEME_ESPP {layout.SCHEME_ESPP}",
-        f"#define SCHEME_DSPATCH {layout.SCHEME_DSPATCH}",
-        f"#define SCHEME_SPP_DSPATCH {layout.SCHEME_SPP_DSPATCH}",
-        f"#define SCHEME_BOP {layout.SCHEME_BOP}",
-        f"#define SCHEME_EBOP {layout.SCHEME_EBOP}",
-        f"#define SCHEME_SMS {layout.SCHEME_SMS}",
-        f"#define SCHEME_STREAMER {layout.SCHEME_STREAMER}",
-        f"#define SPP_ST_MASK {sp.st_entries - 1}",
-        f"#define SPP_PT_MASK {sp.pt_entries - 1}",
-        f"#define SPP_SLOTS {sp.delta_slots}",
-        f"#define SPP_CMAX {sp.counter_max}",
-        f"#define SPP_GHR {sp.ghr_entries}",
-        f"#define SPP_FLT_MASK {sp.filter_entries - 1}",
-        f"#define SPP_DEPTH {sp.max_lookahead_depth}",
-        f"#define SPP_MAXC {sp.max_candidates_per_train}",
-        f"#define SPP_THR_PF {sp.prefetch_threshold!r}",
-        f"#define SPP_THR_LA {sp.lookahead_threshold!r}",
-        f"#define SPP_THR_RELAX {sp.relaxed_threshold!r}",
-        f"#define DP_SPT_MASK {dp.spt_entries - 1}",
-        f"#define DP_PB {dp.pb_entries}",
-        f"#define DP_CMAX {COUNTER_MAX}",
-        f"#define DP_MAXC {dp.max_candidates_per_trigger}",
-    ]
+    for name, value in vars(layout).items():
+        if name.startswith("SCHEME_") and isinstance(value, int):
+            lines.append(f"#define {name} {value}")
+    # The SPT's 2-bit counter ceiling: a constant of the spec, not a
+    # config value.
+    lines.append(f"#define DP_CMAX {COUNTER_MAX}")
     return "\n".join(lines)
 
 
@@ -151,8 +108,8 @@ typedef struct {
     int64_t *bank_open, *bank_nextact, *bank_rowready;
     int64_t *ch_busfree, *ch_demandfree;
     int64_t *infl_line, *infl_ready;
-    int64_t *note_buf, *cand_line, *cand_lp, *train_buf;
-    /* compiled scheme-training state (dummies when scheme_kind == 0) */
+    int64_t *note_buf, *cand_line, *cand_lp;
+    /* compiled scheme-training state (dummies unless a twin is listed) */
     int64_t *sp_st_tag, *sp_st_loff, *sp_st_sig;
     int64_t *sp_pt_csig, *sp_pt_delta, *sp_pt_cdelta;
     int64_t *sp_ghr_sig, *sp_ghr_loff, *sp_ghr_delta;
@@ -428,7 +385,7 @@ static void note_push(kctx_t *k, int64_t kind, int64_t cycle, int64_t line) {
        Prefetcher's inherited no-ops (DSPatch, BOP, SMS, ampm, ...):
        nothing would read the note. */
     if (!k->ci[CI_l2pf_notes]) return;
-    if (k->ci[CI_scheme_kind]) {
+    if (k->ci[CI_scheme_len]) {
         /* Of the compiled twins only the SPP family reads notes.  SPP's
            note hooks are pure feedback-counter increments (never read by
            train), so immediate counting matches the deferred queue drain
@@ -481,9 +438,11 @@ static void fill_llc_acct(kctx_t *k, int64_t line, int64_t prefetched,
 }
 
 /* --------------------------------- compiled scheme-training twins
-   Line-for-line transliterations of prefetchers/spp.py and
-   core/dspatch.py (the executable specs) against the flat sp_ and dp_
-   arrays.  Bandwidth-bucket reads happen at exactly the same points as
+   Line-for-line transliterations of the schemes' train methods (the
+   executable specs) against their flat tables, each reading its config
+   from its own slots.  Each appends its candidates to the buffer from
+   cand_len on, so scheme_train can run a composite's components in
+   turn.  Bandwidth-bucket reads happen at exactly the same points as
    the Python (the monitor mutates on every read), and every double op
    keeps CPython's evaluation order. */
 
@@ -493,7 +452,8 @@ static int64_t k_bucket(kctx_t *k, int64_t cycle) {
     return mon_instant(k->si, k->sf, cycle);
 }
 
-/* --- SPP / eSPP --- */
+/* --- SPP / eSPP (prefetchers/spp.py).  Every SppConfig value is read
+       from the sp_ slots, the three thresholds from CF64. --- */
 
 static int64_t spp_advance_sig(int64_t sig, int64_t delta) {
     int64_t mag = (delta >= 0 ? delta : -delta) & 0x3F;
@@ -504,7 +464,7 @@ static int64_t spp_advance_sig(int64_t sig, int64_t delta) {
 static void spp_ghr_insert(kctx_t *k, int64_t sig, double conf,
                            int64_t loff, int64_t delta) {
     int64_t len = k->ci[CI_sp_ghr_len];
-    if (len < SPP_GHR) len++;
+    if (len < k->ci[CI_sp_ghr_cap]) len++;
     for (int64_t i = len - 1; i > 0; i--) {
         k->sp_ghr_sig[i] = k->sp_ghr_sig[i - 1];
         k->sp_ghr_conf[i] = k->sp_ghr_conf[i - 1];
@@ -530,20 +490,22 @@ static int64_t spp_ghr_bootstrap(kctx_t *k, int64_t offset) {
 }
 
 static void spp_pt_update(kctx_t *k, int64_t sig, int64_t delta) {
-    int64_t idx = (sig ^ (sig >> 6)) & SPP_PT_MASK;
-    int64_t *dl = k->sp_pt_delta + idx * SPP_SLOTS;
-    int64_t *cl = k->sp_pt_cdelta + idx * SPP_SLOTS;
+    const int64_t *ci = k->ci;
+    int64_t slots = ci[CI_sp_slots], cmax = ci[CI_sp_cmax];
+    int64_t idx = (sig ^ (sig >> 6)) & ci[CI_sp_pt_mask];
+    int64_t *dl = k->sp_pt_delta + idx * slots;
+    int64_t *cl = k->sp_pt_cdelta + idx * slots;
     int64_t c_sig = k->sp_pt_csig[idx];
-    if (c_sig >= SPP_CMAX) {
+    if (c_sig >= cmax) {
         c_sig >>= 1;
-        for (int64_t i = 0; i < SPP_SLOTS; i++) cl[i] >>= 1;
+        for (int64_t i = 0; i < slots; i++) cl[i] >>= 1;
     }
     k->sp_pt_csig[idx] = c_sig + 1;
     int64_t victim = 0, victim_count = -1;
-    for (int64_t i = 0; i < SPP_SLOTS; i++) {
+    for (int64_t i = 0; i < slots; i++) {
         if (dl[i] == delta) {
             int64_t count = cl[i] + 1;
-            cl[i] = count < SPP_CMAX ? count : SPP_CMAX;
+            cl[i] = count < cmax ? count : cmax;
             return;
         }
         if (victim_count < 0 || cl[i] < victim_count) {
@@ -555,18 +517,17 @@ static void spp_pt_update(kctx_t *k, int64_t sig, int64_t delta) {
 }
 
 static double spp_threshold(kctx_t *k, int64_t sk, int64_t cycle) {
-    if (sk == SCHEME_ESPP && k_bucket(k, cycle) <= 1) return SPP_THR_RELAX;
-    return SPP_THR_PF;
+    if (sk == SCHEME_ESPP && k_bucket(k, cycle) <= 1) return k->cf[CF_sp_thr_relax];
+    return k->cf[CF_sp_thr_pf];
 }
 
 static void spp_train(kctx_t *k, int64_t sk, int64_t cycle, int64_t pc,
                       int64_t addr) {
     int64_t *ci = k->ci;
     ci[CI_sp_trainings]++;
-    ci[CI_cand_len] = 0;
     int64_t page = addr >> (LINE_SHIFT + PG_SHIFT);
     int64_t offset = (addr >> LINE_SHIFT) & 63;
-    int64_t sidx = page & SPP_ST_MASK;
+    int64_t sidx = page & ci[CI_sp_st_mask];
     int64_t tag = (page >> 8) & 0xFFFF;
     int64_t signature;
     if (k->sp_st_tag[sidx] >= 0 && k->sp_st_tag[sidx] == tag) {
@@ -586,20 +547,24 @@ static void spp_train(kctx_t *k, int64_t sk, int64_t cycle, int64_t pc,
     /* _lookahead: the confidence-cascaded walk.  The confidence product
        is computed in CPython's left-associative order. */
     double threshold = spp_threshold(k, sk, cycle);
+    double la_threshold = k->cf[CF_sp_thr_la];
+    int64_t pt_mask = ci[CI_sp_pt_mask], slots = ci[CI_sp_slots];
+    int64_t flt_mask = ci[CI_sp_flt_mask], maxc = ci[CI_sp_maxc];
+    int64_t max_depth = ci[CI_sp_depth];
     int64_t page_base = page << PG_SHIFT;
     uint64_t seen = 1ull << offset;   /* in-page lines as an offset bitmap */
     double confidence = 1.0;
     int64_t off = offset;
-    int64_t n_cands = 0, n_filtered = 0;
-    for (int64_t depth = 0; depth < SPP_DEPTH; depth++) {
-        int64_t idx = (signature ^ (signature >> 6)) & SPP_PT_MASK;
+    int64_t base = ci[CI_cand_len], n_cands = 0, n_filtered = 0;
+    for (int64_t depth = 0; depth < max_depth; depth++) {
+        int64_t idx = (signature ^ (signature >> 6)) & pt_mask;
         int64_t c_sig = k->sp_pt_csig[idx];
         if (c_sig == 0) break;
-        int64_t *dl = k->sp_pt_delta + idx * SPP_SLOTS;
-        int64_t *cl = k->sp_pt_cdelta + idx * SPP_SLOTS;
+        int64_t *dl = k->sp_pt_delta + idx * slots;
+        int64_t *cl = k->sp_pt_cdelta + idx * slots;
         double best_conf = 0.0;
         int64_t best_delta = 0;
-        for (int64_t s = 0; s < SPP_SLOTS; s++) {
+        for (int64_t s = 0; s < slots; s++) {
             int64_t c_delta = cl[s];
             if (c_delta == 0) continue;
             int64_t delta = dl[s];
@@ -611,13 +576,13 @@ static void spp_train(kctx_t *k, int64_t sk, int64_t cycle, int64_t pc,
                 int64_t line = page_base + target;
                 if (!((seen >> target) & 1)) {
                     /* inlined prefetch filter */
-                    int64_t fidx = (line ^ (line >> 10)) & SPP_FLT_MASK;
+                    int64_t fidx = (line ^ (line >> 10)) & flt_mask;
                     if (k->sp_flt[fidx] == line) n_filtered++;
                     else {
                         k->sp_flt[fidx] = line;
                         seen |= 1ull << target;
-                        k->cand_line[n_cands] = line;
-                        k->cand_lp[n_cands] = 0;
+                        k->cand_line[base + n_cands] = line;
+                        k->cand_lp[base + n_cands] = 0;
                         n_cands++;
                     }
                 }
@@ -625,13 +590,13 @@ static void spp_train(kctx_t *k, int64_t sk, int64_t cycle, int64_t pc,
                 /* crossing the page: remember for cross-page bootstrap */
                 spp_ghr_insert(k, signature, conf, off, delta);
             }
-            if (n_cands >= SPP_MAXC) {
+            if (n_cands >= maxc) {
                 ci[CI_sp_filtered] += n_filtered;
-                ci[CI_cand_len] = n_cands;
+                ci[CI_cand_len] = base + n_cands;
                 return;
             }
         }
-        if (best_delta == 0 || best_conf < SPP_THR_LA) break;
+        if (best_delta == 0 || best_conf < la_threshold) break;
         int64_t next_off = off + best_delta;
         if (next_off < 0 || next_off >= 64) break;
         signature = spp_advance_sig(signature, best_delta);
@@ -639,16 +604,18 @@ static void spp_train(kctx_t *k, int64_t sk, int64_t cycle, int64_t pc,
         confidence = best_conf;
     }
     ci[CI_sp_filtered] += n_filtered;
-    ci[CI_cand_len] = n_cands;
+    ci[CI_cand_len] = base + n_cands;
 }
 
-/* --- DSPatch (stock compressed geometry: 32-bit patterns, 16-bit
-       halves, one stored bit per 128B line pair) --- */
+/* --- DSPatch (core/dspatch.py) at the compressed geometry: 32-bit
+       patterns, 16-bit halves, one stored bit per 128B line pair.  Every
+       other DSPatchConfig value is read from the dp_ slots. --- */
 
-static int64_t dp_fold8(int64_t pc) {
+/* fold_xor_hash down to `bits` bits (1..63, the gate's bound). */
+static int64_t dp_fold(int64_t pc, int64_t bits) {
     uint64_t v = (uint64_t)pc;
-    uint64_t out = 0;
-    while (v) { out ^= v & 0xFF; v >>= 8; }
+    uint64_t mask = (1ull << bits) - 1, out = 0;
+    while (v) { out ^= v & mask; v >>= bits; }
     return (int64_t)out;
 }
 
@@ -675,7 +642,7 @@ static uint32_t dp_compress(uint64_t p) {
 }
 
 /* SptEntry.update_half (Section 3.6 order: measure, then CovP, then
-   AccP).  allow_reset is hardcoded true — the stock config. */
+   AccP); allow_reset is the dp_covp_reset slot. */
 static void dp_update_half(kctx_t *k, int64_t e, int64_t half,
                            int64_t program_half, int64_t bw_bucket) {
     int64_t shift = half * 16;
@@ -696,7 +663,8 @@ static void dp_update_half(kctx_t *k, int64_t e, int64_t half,
     if (c_acc <= 0 || 4 * c_acc_acc < 2 * c_acc) {
         if (k->dp_spt_macc[m] < DP_CMAX) k->dp_spt_macc[m]++;
     } else if (k->dp_spt_macc[m] > 0) k->dp_spt_macc[m]--;
-    if (k->dp_spt_mcov[m] >= DP_CMAX && (bw_bucket == 3 || coverage_bad)) {
+    if (k->ci[CI_dp_covp_reset] && k->dp_spt_mcov[m] >= DP_CMAX
+        && (bw_bucket == 3 || coverage_bad)) {
         cov = program_half;          /* relearn from scratch */
         k->dp_spt_or[m] = 0;
         k->dp_spt_mcov[m] = 0;
@@ -719,7 +687,7 @@ static void dp_learn(kctx_t *k, int64_t cycle, uint64_t pattern,
     for (int64_t segment = 0; segment < 2; segment++) {
         if (trig_sig[segment] < 0) continue;
         uint32_t anchored = dp_rotr32(program, trig_off[segment] >> 1);
-        int64_t e = trig_sig[segment] & DP_SPT_MASK;
+        int64_t e = trig_sig[segment] & k->ci[CI_dp_spt_mask];
         int64_t nhalves = segment == 0 ? 2 : 1;
         for (int64_t half = 0; half < nhalves; half++)
             dp_update_half(k, e, half,
@@ -734,10 +702,7 @@ static void dp_learn(kctx_t *k, int64_t cycle, uint64_t pattern,
 static int64_t dp_predict(kctx_t *k, int64_t cycle, int64_t sig,
                           int64_t page, int64_t trig_off, int64_t segment) {
     int64_t *ci = k->ci;
-    /* Candidates append after whatever an earlier composite component
-       already emitted (base == 0 for standalone DSPatch). */
-    int64_t base = ci[CI_cand_len];
-    int64_t e = sig & DP_SPT_MASK;
+    int64_t e = sig & ci[CI_dp_spt_mask];
     int64_t trigger_bit = trig_off >> 1;
     int64_t nhalves = segment == 0 ? 2 : 1;
     uint32_t anchored = 0;
@@ -767,30 +732,19 @@ static int64_t dp_predict(kctx_t *k, int64_t cycle, int64_t sig,
         }
         anchored |= (uint32_t)chunk << (half * 16);
     }
-    if (!anchored) return base;
+    int64_t base = ci[CI_cand_len], n = base, maxc = ci[CI_dp_maxc];
+    if (!anchored) return n;
     uint32_t p = dp_rotl32(anchored, trigger_bit);
     int64_t base_line = page << PG_SHIFT;
-    int64_t n = base, emitted = 0;
     while (p) {
         int64_t first_line = (int64_t)__builtin_ctz(p) << 1;
         p &= p - 1;
         for (int64_t lo = first_line; lo < first_line + 2; lo++) {
             if (lo == trig_off) continue;
-            int64_t line = base_line + lo;
-            /* Composite merge: earlier components take precedence, so a
-               line already emitted (by SPP, at cand 0..base) is dropped —
-               but it still counts toward DSPatch's own per-trigger cap,
-               which the Python applies before the merge dedup. */
-            int dup = 0;
-            for (int64_t j = 0; j < base; j++)
-                if (k->cand_line[j] == line) { dup = 1; break; }
-            if (!dup) {
-                k->cand_line[n] = line;
-                k->cand_lp[n] = low_priority;
-                n++;
-            }
-            emitted++;
-            if (emitted >= DP_MAXC) return n;
+            k->cand_line[n] = base_line + lo;
+            k->cand_lp[n] = low_priority;
+            n++;
+            if (n - base >= maxc) return n;
         }
     }
     return n;
@@ -836,7 +790,7 @@ static void dp_train(kctx_t *k, int64_t cycle, int64_t pc, int64_t addr) {
         int64_t ev_sig[2] = {-1, -1};
         int64_t ev_off[2] = {0, 0};
         int evicted = 0;
-        if (len >= DP_PB) {
+        if (len >= ci[CI_dp_pb_cap]) {
             ev_pat = k->dp_pb_pattern[0];
             ev_sig[0] = k->dp_pb_trig_sig[0];
             ev_sig[1] = k->dp_pb_trig_sig[1];
@@ -866,7 +820,7 @@ static void dp_train(kctx_t *k, int64_t cycle, int64_t pc, int64_t addr) {
         if (evicted) dp_learn(k, cycle, ev_pat, ev_sig, ev_off);
     }
     if (k->dp_pb_trig_sig[2 * slot + segment] < 0) {
-        int64_t signature = dp_fold8(pc);
+        int64_t signature = dp_fold(pc, ci[CI_dp_sig_bits]);
         k->dp_pb_trig_sig[2 * slot + segment] = signature;
         k->dp_pb_trig_off[2 * slot + segment] = line_off;
         ci[CI_dp_triggers]++;
@@ -915,7 +869,6 @@ static void bop_finish_phase(kctx_t *k) {
 static void bop_train(kctx_t *k, int64_t sk, int64_t cycle, int64_t addr) {
     int64_t *ci = k->ci;
     ci[CI_bp_trainings]++;
-    ci[CI_cand_len] = 0;
     int64_t line = addr >> LINE_SHIFT;
     int64_t offset_in_page = line & 63;
     /* _drain_pending: fills that completed by now enter the RR table */
@@ -962,7 +915,7 @@ static void bop_train(kctx_t *k, int64_t sk, int64_t cycle, int64_t addr) {
         degree = bucket <= 1 ? 4 : (bucket == 2 ? 2 : 1);
     } else degree = ci[CI_bp_degree];
     if (degree > n_active) degree = n_active;
-    int64_t n = 0;
+    int64_t n = ci[CI_cand_len];
     for (int64_t i = 0; i < degree; i++) {
         int64_t off = k->bp_active[i];
         int64_t target_offset = offset_in_page + off;
@@ -1039,7 +992,6 @@ static int64_t stamp_find(const int64_t *table, int64_t rec, int64_t cap,
 static void sms_train(kctx_t *k, int64_t pc, int64_t addr) {
     int64_t *ci = k->ci;
     ci[CI_sm_trainings]++;
-    ci[CI_cand_len] = 0;
     int64_t line = addr >> LINE_SHIFT;
     int64_t region = addr >> ci[CI_sm_region_shift];
     int64_t offset = line & ci[CI_sm_off_mask];
@@ -1083,7 +1035,7 @@ static void sms_train(kctx_t *k, int64_t pc, int64_t addr) {
         uint64_t p = (uint64_t)r[1] & ~bit;
         if (lines < 64) p &= (1ull << lines) - 1;
         int64_t base_line = region << (ci[CI_sm_region_shift] - LINE_SHIFT);
-        int64_t n = 0;
+        int64_t n = ci[CI_cand_len];
         while (p) {
             k->cand_line[n] = base_line + __builtin_ctzll(p);
             k->cand_lp[n] = 0;
@@ -1110,7 +1062,6 @@ static void sms_train(kctx_t *k, int64_t pc, int64_t addr) {
 static void streamer_train(kctx_t *k, int64_t addr) {
     int64_t *ci = k->ci;
     ci[CI_st_trainings]++;
-    ci[CI_cand_len] = 0;
     int64_t page = addr >> (LINE_SHIFT + PG_SHIFT);
     int64_t offset = (addr >> LINE_SHIFT) & 63;
     int64_t line = addr >> LINE_SHIFT;
@@ -1137,7 +1088,7 @@ static void streamer_train(kctx_t *k, int64_t addr) {
     e[4] = ++ci[CI_st_clock];           /* re-inserted: the newest page */
     if (e[3] < 1 || e[2] == 0) return;
     int64_t degree = ci[CI_st_degree];
-    int64_t n = 0;
+    int64_t n = ci[CI_cand_len];
     for (int64_t dist = 1; dist <= degree; dist++) {
         int64_t target = offset + e[2] * dist;
         if (target < 0 || target >= 64) break;
@@ -1148,30 +1099,40 @@ static void streamer_train(kctx_t *k, int64_t addr) {
     ci[CI_cand_len] = n;
 }
 
-static void scheme_train(kctx_t *k, int64_t sk, int64_t cycle, int64_t pc,
-                         int64_t addr) {
-    if (sk == SCHEME_STREAMER) {
-        streamer_train(k, addr);
-        return;
+/* CompositePrefetcher.train's merge: earlier components take precedence,
+   so the candidates a component appended from `base` on drop each line an
+   earlier one emitted, keeping their order (no twin repeats a line within
+   its own list). */
+static void cand_merge(kctx_t *k, int64_t base) {
+    int64_t n = base;
+    for (int64_t i = base; i < k->ci[CI_cand_len]; i++) {
+        int64_t line = k->cand_line[i];
+        int64_t j = 0;
+        while (j < base && k->cand_line[j] != line) j++;
+        if (j < base) continue;
+        k->cand_line[n] = line;
+        k->cand_lp[n] = k->cand_lp[i];
+        n++;
     }
-    if (sk == SCHEME_BOP || sk == SCHEME_EBOP) {
-        bop_train(k, sk, cycle, addr);
-        return;
-    }
-    if (sk == SCHEME_SMS) {
-        sms_train(k, pc, addr);
-        return;
-    }
-    if (sk == SCHEME_SPP_DSPATCH) {
-        /* Section 5.1 adjunct composite: SPP trains first (arbitration
-           priority), DSPatch appends with the merge dedup in dp_predict. */
-        spp_train(k, SCHEME_SPP, cycle, pc, addr);
-        dp_train(k, cycle, pc, addr);
-    } else if (sk == SCHEME_DSPATCH) {
-        k->ci[CI_cand_len] = 0;
-        dp_train(k, cycle, pc, addr);
-    } else {
-        spp_train(k, sk, cycle, pc, addr);
+    k->ci[CI_cand_len] = n;
+}
+
+/* The twinned scheme's train: its listed components (one for a plain
+   scheme) in arbitration order, each appending to the candidates. */
+static void scheme_train(kctx_t *k, int64_t cycle, int64_t pc, int64_t addr) {
+    int64_t *ci = k->ci;
+    ci[CI_cand_len] = 0;
+    for (int64_t c = 0; c < ci[CI_scheme_len]; c++) {
+        int64_t sk = ci[CI_scheme_0 + c];
+        int64_t base = ci[CI_cand_len];
+        switch (sk) {
+        case SCHEME_SPP: case SCHEME_ESPP: spp_train(k, sk, cycle, pc, addr); break;
+        case SCHEME_DSPATCH: dp_train(k, cycle, pc, addr); break;
+        case SCHEME_BOP: case SCHEME_EBOP: bop_train(k, sk, cycle, addr); break;
+        case SCHEME_SMS: sms_train(k, pc, addr); break;
+        case SCHEME_STREAMER: streamer_train(k, addr); break;
+        }
+        cand_merge(k, base);
     }
 }
 
@@ -1179,8 +1140,8 @@ static void scheme_train(kctx_t *k, int64_t sk, int64_t cycle, int64_t pc,
 
 /* Pre-crossing half: the L2 lookup.  Saves the lookup outcome in the
    b_* slots; returns nonzero when the scheme must be trained (the
-   caller runs the compiled twin, or appends a train_buf record and
-   returns RC_TRAIN). */
+   caller runs the compiled twins, or saves its context and returns
+   RC_TRAIN). */
 static int below_l1_pre(kctx_t *k, int64_t cycle, int64_t addr, int64_t is_write) {
     int64_t *ci = k->ci;
     int64_t line = addr >> LINE_SHIFT;
@@ -1378,7 +1339,6 @@ static void bind(kctx_t *k, void **P) {
     k->note_buf = (int64_t *)P[P_note_buf];
     k->cand_line = (int64_t *)P[P_cand_line];
     k->cand_lp = (int64_t *)P[P_cand_lp];
-    k->train_buf = (int64_t *)P[P_train_buf];
 
     k->sp_st_tag = (int64_t *)P[P_sp_st_tag];
     k->sp_st_loff = (int64_t *)P[P_sp_st_loff];
@@ -1448,18 +1408,18 @@ static long krun(void **P) {
     double retire = CF(retire);
     double last_load_done = CF(last_load_done);
     int64_t has_l1pf = CI(has_l1pf);
-    int64_t sk = CI(scheme_kind);
+    int64_t twinned = CI(scheme_len);
     int64_t s_mask = CI(stride_mask);
     int64_t s_cthr = CI(stride_conf_threshold);
     int64_t s_cmax = CI(stride_conf_max);
     int64_t s_degree = CI(stride_degree);
     /* Below-L1 lookups the next op can make: its demand access and each
-       stride prefetch.  BOP's pending-fill ring must hold one more entry
-       per lookup (each trains); each pollution log must hold what the
-       op can append: one pair per lookup, and per lookup a fill and a
-       victim per candidate (KernelState._log_room). */
+       stride prefetch.  A packed BOP pending-fill ring (bp_pend_cap > 0)
+       must hold one more entry per lookup (each trains); each pollution
+       log must hold what the op can append: one pair per lookup, and per
+       lookup a fill and a victim per candidate (KernelState._log_room). */
     int64_t lookups = 1 + (has_l1pf ? s_degree : 0);
-    int64_t bop_room = (sk == SCHEME_BOP || sk == SCHEME_EBOP) ? lookups : 0;
+    int64_t bop_room = CI(bp_pend_cap) ? lookups : 0;
     int64_t rec = CI(pl_on);
     int64_t pl_cands = lookups * CI(cand_cap);
     long rc = RC_DONE;
@@ -1602,15 +1562,11 @@ pf_loop:
             mshr_drain(&k.l1m, cycle);
             if (*k.l1m.len >= k.l1m.cap) { pf_i++; continue; }
             if (below_l1_pre(&k, cycle, cand << LINE_SHIFT, 0)) {
-                if (sk) scheme_train(&k, sk, cycle, pc, cand << LINE_SHIFT);
+                if (twinned) scheme_train(&k, cycle, pc, cand << LINE_SHIFT);
                 else {
+                    /* Python trains on (ctx_cycle, ctx_pc, b_line's
+                       address, b_slot >= 0) and resumes here. */
                     SAVE_CTX;
-                    int64_t n = CI(tb_len);
-                    int64_t *tb = k.train_buf + 4 * n;
-                    tb[0] = cycle; tb[1] = pc;
-                    tb[2] = cand << LINE_SHIFT;
-                    tb[3] = CI(b_slot) >= 0;
-                    CI(tb_len) = n + 1;
                     CI(phase) = PH_L1PF_TRAIN;
                     SAVE_LOCALS;
                     return RC_TRAIN;
@@ -1633,14 +1589,11 @@ resume_l1pf:
             lvl = 0;
         } else {
             if (below_l1_pre(&k, cycle, addr, is_write)) {
-                if (sk) scheme_train(&k, sk, cycle, pc, addr);
+                if (twinned) scheme_train(&k, cycle, pc, addr);
                 else {
+                    /* Python trains on (ctx_cycle, ctx_pc, ctx_addr,
+                       b_slot >= 0) and resumes here. */
                     SAVE_CTX;
-                    int64_t n = CI(tb_len);
-                    int64_t *tb = k.train_buf + 4 * n;
-                    tb[0] = cycle; tb[1] = pc; tb[2] = addr;
-                    tb[3] = CI(b_slot) >= 0;
-                    CI(tb_len) = n + 1;
                     CI(phase) = PH_DEMAND_TRAIN;
                     SAVE_LOCALS;
                     return RC_TRAIN;
@@ -1741,4 +1694,4 @@ long kbucket(long long *si_, double *sf, long long cycle) {
 
 def generate_source():
     """The complete C translation unit for the compiled kernel."""
-    return _defines() + "\n" + _scheme_defines() + "\n" + _BODY
+    return _defines() + "\n" + _BODY

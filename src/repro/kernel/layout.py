@@ -31,6 +31,36 @@ def _index(names):
     return {name: idx for idx, name in enumerate(names)}
 
 
+#: Compiled scheme-training twins.  A twinned L2 scheme is the tuple of
+#: its components' kinds in arbitration order, a plain scheme a tuple of
+#: one (slots ``scheme_len`` and ``scheme_0``...).  ``SCHEME_PY``, the
+#: empty tuple, means "no C twin": training crosses back into Python.
+SCHEME_PY = ()
+SCHEME_SPP = 1
+SCHEME_ESPP = 2
+SCHEME_DSPATCH = 3
+SCHEME_BOP = 4
+SCHEME_EBOP = 5
+SCHEME_SMS = 6
+SCHEME_STREAMER = 7
+
+#: Each twin kind's table family, named after the scheme whose flat
+#: tables it trains (and whose ``KernelState`` pack and write-back serve
+#: it).  Two kinds of one family would share those tables, so a twinned
+#: scheme lists at most one kind per family.
+SCHEME_FAMILY = {
+    SCHEME_SPP: "spp",
+    SCHEME_ESPP: "spp",
+    SCHEME_DSPATCH: "dspatch",
+    SCHEME_BOP: "bop",
+    SCHEME_EBOP: "bop",
+    SCHEME_SMS: "sms",
+    SCHEME_STREAMER: "streamer",
+}
+#: The most components a twinned scheme lists: one per family.
+MAX_TWINS = len(set(SCHEME_FAMILY.values()))
+
+
 #: Per-core int64 slot names, grouped by subsystem.  Mutable state and
 #: immutable per-run constants share the array — the constants simply
 #: never change after packing, which keeps the pointer plumbing to four
@@ -73,9 +103,9 @@ CI64_NAMES = (
     "has_l1pf", "has_l2pf", "stride_degree", "stride_mask",
     "stride_conf_threshold", "stride_conf_max", "stride_trainings",
     # -- crossing machinery ----------------------------------------------------
-    "scheme_kind",      # SCHEME_*: which compiled training twin drives l2_pf
-    "l2pf_notes",       # 1 when l2_pf's note hooks are not Prefetcher's no-ops
-    "tb_len",           # queued training records in train_buf
+    # the kinds of l2_pf's compiled twins, in arbitration order (none: it crosses)
+    "scheme_len", *(f"scheme_{i}" for i in range(MAX_TWINS)),
+    "l2pf_notes",       # 1 when l2_pf's (or a twin's) note hooks read notes
     "note_len", "note_cap",                         # queued usefulness notes
     "cand_len", "cand_cap",                         # scheme candidates (in)
     # saved per-op context across a crossing
@@ -83,14 +113,20 @@ CI64_NAMES = (
     "ctx_line", "ctx_l1_slot", "ctx_pf_i", "ctx_pf_n",
     # saved below-L1 context (the half-finished lookup)
     "b_line", "b_slot", "b_first_use",
-    # -- compiled scheme training (live only when scheme_kind > 0) -----------
+    # -- compiled scheme training (live only for a listed twin) --------------
+    # SPP/eSPP: counters, then the SppConfig values (thresholds are CF64)
     "sp_trainings", "sp_filtered", "sp_fb_issued", "sp_fb_useful",
     "sp_ghr_len",
+    "sp_st_mask", "sp_pt_mask", "sp_slots", "sp_cmax", "sp_ghr_cap",
+    "sp_flt_mask", "sp_depth", "sp_maxc",
+    # DSPatch: counters, then the DSPatchConfig values
     "dp_pb_len", "dp_pb_evictions", "dp_trainings", "dp_triggers",
     "dp_pred_covp", "dp_pred_accp", "dp_pred_supp",
+    "dp_pb_cap", "dp_spt_mask", "dp_maxc", "dp_sig_bits", "dp_covp_reset",
     # BOP/eBOP: counters and learning state, then the BopConfig values
     "bp_trainings", "bp_phases", "bp_test_pos", "bp_round", "bp_active_len",
-    "bp_pend_head", "bp_pend_len", "bp_pend_cap",   # pending-fill FIFO ring
+    "bp_pend_head", "bp_pend_len",
+    "bp_pend_cap",      # pending-fill FIFO ring capacity, 0 when none is packed
     "bp_n_off", "bp_rr_mask", "bp_max_round", "bp_max_score", "bp_bad_score",
     "bp_degree", "bp_fill_delay",
     # SMS: counters, the age-stamp clock, then the SmsConfig geometry
@@ -109,6 +145,7 @@ CI64_NAMES = (
 #: Per-core float64 slot names.
 CF64_NAMES = (
     "retire", "last_load_done", "horizon", "retire_step", "ctx_enter",
+    "sp_thr_pf", "sp_thr_la", "sp_thr_relax",   # SppConfig's three thresholds
 )
 
 #: Shared int64 slots (one copy per LLC/DRAM domain).
@@ -149,7 +186,8 @@ PH_DEMAND_TRAIN = 2  # waiting on l2_pf.train for the demand L1 miss
 
 #: ``krun`` and ``ksched`` return codes.
 RC_DONE = 0         # krun: batch finished (end / horizon); ksched: every core done
-RC_TRAIN = 1        # scheme train requested; train_buf holds the records
+RC_TRAIN = 1        # scheme train requested; the ctx_/b_ slots hold its
+                    # arguments
 RC_YIELD = 2        # ksched: a core stopped between ops with notes queued or
                     # at its warmup checkpoint
 RC_GROW = 3         # a core stopped between ops because BOP's pending-fill
@@ -177,8 +215,8 @@ PTR_NAMES = (
     "bank_open", "bank_nextact", "bank_rowready",
     "ch_busfree", "ch_demandfree",
     "infl_line", "infl_ready",
-    "note_buf", "cand_line", "cand_lp", "pf_buf", "train_buf",
-    # compiled scheme training state (1-element dummies when scheme_kind == 0)
+    "note_buf", "cand_line", "cand_lp", "pf_buf",
+    # compiled scheme training state (1-element dummies unless a twin is listed)
     "sp_st_tag", "sp_st_loff", "sp_st_sig",
     "sp_pt_csig", "sp_pt_delta", "sp_pt_cdelta",
     "sp_ghr_sig", "sp_ghr_conf", "sp_ghr_loff", "sp_ghr_delta",
@@ -200,18 +238,6 @@ PF_BUF_CAP = 64
 #: Initial capacity of the crossing buffers; grown on demand.
 CAND_CAP0 = 256
 
-#: Compiled scheme-training twins (slot ``scheme_kind``).  ``SCHEME_PY``
-#: means "no C twin": training crosses back into Python via ``train_buf``.
-SCHEME_PY = 0
-SCHEME_SPP = 1
-SCHEME_ESPP = 2
-SCHEME_DSPATCH = 3
-SCHEME_SPP_DSPATCH = 4  # the Section 5.1 adjunct composite: SPP + DSPatch
-SCHEME_BOP = 5
-SCHEME_EBOP = 6
-SCHEME_SMS = 7
-SCHEME_STREAMER = 8
-
 #: SMS table records, int64 fields per entry.  AT/FT entries are
 #: (region, pattern, trigger pc, trigger offset, stamp), PHT entries
 #: (tag, pattern, stamp); stamp 0 marks a free entry, and ascending
@@ -224,7 +250,3 @@ SM_PHT_REC = 3
 #: offset, direction, confidence, stamp); stamp 0 marks a free entry, and
 #: ascending stamps give the table's dict (LRU) order.
 ST_REC = 5
-
-#: Capacity (in records) of the batched training-crossing buffer.  Each
-#: record is four int64 slots: cycle, pc, addr, hit.
-TB_CAP = 16

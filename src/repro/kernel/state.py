@@ -34,12 +34,14 @@ from itertools import chain
 
 import numpy as np
 
+from repro.constants import LINES_PER_PAGE
 from repro.kernel import layout
 from repro.kernel.layout import (
     CAND_CAP0,
     CF64,
     CI64,
     PF_BUF_CAP,
+    SCHEME_FAMILY,
     SF64,
     SI64,
     SM_PHT_REC,
@@ -51,6 +53,7 @@ from repro.memory.cache import Cache, CacheLine
 from repro.memory.dram import DramCounters
 from repro.memory.hierarchy import PREFETCH_QUEUE_SIZE, PollutionEvent, PrefetchStats
 from repro.prefetchers.base import NullPrefetcher, Prefetcher
+from repro.prefetchers.composite import CompositePrefetcher
 from repro.prefetchers.stride import PcStridePrefetcher, _StrideEntry
 
 _CACHE_FIELDS = ("valid", "line", "dirty", "pref", "used", "touch", "ready")
@@ -155,72 +158,84 @@ def _reads_notes(pf):
     )
 
 
-def _scheme_kind(l2_pf, dram_obj):
-    """SCHEME_* id when ``l2_pf`` has a compiled training twin.
+def _components(l2_pf):
+    """The schemes a composite runs, in arbitration order, or ``l2_pf``
+    alone."""
+    return l2_pf.components if type(l2_pf) is CompositePrefetcher else (l2_pf,)
 
-    The gate takes the exact class (subclass variants override hooks the
-    C twin hardcodes), with no event tracing and none of the kernel's
-    hooks (``train`` and the two note hooks) replaced on the instance —
-    a twin would never call them; a composite's components are held to
-    the same rule.  Bandwidth-aware schemes must read the packed DRAM
-    monitor.  SPP and DSPatch need their default configs (the generated
-    C bakes those in as ``#define``s); BOP, eBOP, SMS and the streamer
-    read every config value from flat-state slots, so any config
-    qualifies within the C's structural limits: unique BOP offsets, SMS
-    regions of at most 64 lines with non-empty AT and FT, and a streamer
-    tracking at least one page and holding no more than it tracks.
-    Everything else (``fdp:`` wrappers, ``ampm``, user subclasses, other
-    composites) keeps the ``train_buf`` Python crossing.
-    """
-    if l2_pf is None or getattr(l2_pf, "trace_emit", None) is not None:
-        return layout.SCHEME_PY
-    if any(name in getattr(l2_pf, "__dict__", ()) for name in _SCHEME_HOOKS):
-        return layout.SCHEME_PY
-    from repro.core.dspatch import DSPatch, DSPatchConfig
+
+def _unhooked(pf):
+    """No event tracing on ``pf`` and none of the kernel's hooks replaced
+    on the instance: a twin would never call them."""
+    return getattr(pf, "trace_emit", None) is None and not any(
+        name in getattr(pf, "__dict__", ()) for name in _SCHEME_HOOKS
+    )
+
+
+def _twin_kind(pf, dram_obj):
+    """The SCHEME_* kind of ``pf``'s compiled training twin, or 0."""
+    from repro.core.dspatch import DSPatch
     from repro.prefetchers.bop import BOP, EBOP
     from repro.prefetchers.sms import SMS
-    from repro.prefetchers.spp import ESPP, SPP, SppConfig
+    from repro.prefetchers.spp import ESPP, SPP
     from repro.prefetchers.streamer import StreamPrefetcher
 
-    cls = type(l2_pf)
+    cls = type(pf)
+    if not _unhooked(pf):
+        return 0
+    if cls in (ESPP, DSPatch, EBOP) and not _bandwidth_is_packed(pf.bandwidth, dram_obj):
+        return 0
     if cls is StreamPrefetcher:
-        if 1 <= l2_pf.tracked_pages and len(l2_pf._streams) <= l2_pf.tracked_pages:
-            return layout.SCHEME_STREAMER
-        return layout.SCHEME_PY
-    if cls is BOP or (cls is EBOP and _bandwidth_is_packed(l2_pf.bandwidth, dram_obj)):
-        offsets = l2_pf.config.offsets
-        if offsets and len(set(offsets)) == len(offsets):
-            return layout.SCHEME_BOP if cls is BOP else layout.SCHEME_EBOP
-        return layout.SCHEME_PY
+        fits = 1 <= pf.tracked_pages and len(pf._streams) <= pf.tracked_pages
+        return layout.SCHEME_STREAMER if fits else 0
+    if cls in (BOP, EBOP):
+        offsets = pf.config.offsets
+        fits = offsets and len(set(offsets)) == len(offsets)
+        return (layout.SCHEME_BOP if cls is BOP else layout.SCHEME_EBOP) if fits else 0
     if cls is SMS:
-        cfg = l2_pf.config
-        if 1 <= cfg.lines_per_region <= 64 and cfg.at_entries >= 1 and cfg.ft_entries >= 1:
-            return layout.SCHEME_SMS
-        return layout.SCHEME_PY
-    if cls is SPP and l2_pf.config == SppConfig():
-        return layout.SCHEME_SPP
-    if (
-        cls is ESPP
-        and l2_pf.config == SppConfig()
-        and _bandwidth_is_packed(l2_pf.bandwidth, dram_obj)
-    ):
-        return layout.SCHEME_ESPP
-    if (
-        cls is DSPatch
-        and l2_pf.config == DSPatchConfig()
-        and _bandwidth_is_packed(l2_pf.bandwidth, dram_obj)
-    ):
-        return layout.SCHEME_DSPATCH
-    from repro.prefetchers.composite import CompositePrefetcher
+        cfg = pf.config
+        fits = 1 <= cfg.lines_per_region <= 64 and cfg.at_entries >= 1 and cfg.ft_entries >= 1
+        return layout.SCHEME_SMS if fits else 0
+    if cls in (SPP, ESPP):
+        cfg = pf.config
+        fits = min(cfg.st_entries, cfg.pt_entries, cfg.delta_slots, cfg.ghr_entries,
+                   cfg.filter_entries) >= 1
+        return (layout.SCHEME_SPP if cls is SPP else layout.SCHEME_ESPP) if fits else 0
+    if cls is DSPatch:
+        cfg = pf.config
+        fits = cfg.compressed and 1 <= cfg.pc_signature_bits <= 63
+        return layout.SCHEME_DSPATCH if fits else 0
+    return 0
 
-    if cls is CompositePrefetcher and len(l2_pf.components) == 2:
-        a, b = l2_pf.components
-        if (
-            _scheme_kind(a, dram_obj) == layout.SCHEME_SPP
-            and _scheme_kind(b, dram_obj) == layout.SCHEME_DSPATCH
-        ):
-            return layout.SCHEME_SPP_DSPATCH
-    return layout.SCHEME_PY
+
+def _scheme_kind(l2_pf, dram_obj):
+    """The kinds of ``l2_pf``'s compiled training twins, in arbitration
+    order: one for a plain scheme, one per component for a composite, or
+    ``SCHEME_PY`` (the empty tuple) when it crosses into Python.
+
+    Each scheme, the composite and every component alike, must be of
+    the exact class (subclass variants override hooks the twins
+    hardcode), with no event tracing and none of the kernel's hooks
+    (``train`` and the two note hooks) replaced on the instance — a twin
+    would never call them.  Bandwidth-aware schemes must read the packed
+    DRAM monitor.  Every twin reads its config from flat-state slots, so
+    any config qualifies that the C can hold: unique BOP offsets, SMS
+    regions of at most 64 lines with non-empty AT and FT, a streamer
+    tracking at least one page and holding no more than it tracks, SPP
+    tables of at least one entry each, and compressed DSPatch patterns
+    with a PC signature of 1 to 63 bits.  A composite twins when every
+    component does and no two components share a table family
+    (:data:`~repro.kernel.layout.SCHEME_FAMILY`: SPP/eSPP, BOP/eBOP).
+    Everything else (``fdp:`` wrappers, ``ampm``, the DSPatch variants,
+    user subclasses) crosses into Python on every L2 training access.
+    """
+    if l2_pf is None or (type(l2_pf) is CompositePrefetcher and not _unhooked(l2_pf)):
+        return layout.SCHEME_PY
+    kinds = tuple(_twin_kind(pf, dram_obj) for pf in _components(l2_pf))
+    families = {SCHEME_FAMILY.get(kind) for kind in kinds}
+    if 0 in kinds or len(families) < len(kinds):
+        return layout.SCHEME_PY
+    return kinds
 
 
 def _next_pow2(n):
@@ -627,7 +642,6 @@ class KernelState:
             cand_line=CAND_CAP0,
             cand_lp=CAND_CAP0,
             pf_buf=PF_BUF_CAP,
-            train_buf=4 * layout.TB_CAP,
         )
         # Pollution logs: empty at LOG_CAP0 pairs when recording (krun
         # stops to grow them before an op they lack room for), else
@@ -672,28 +686,24 @@ class KernelState:
             ci[CI64[name + "_cap"]] = log_cap
 
     def _pack_scheme(self, l2_pf):
-        """Flag the L2 scheme and, when it has a compiled training twin,
-        lay its tables out (:meth:`write_back` restores the object)."""
+        """Flag the L2 scheme and, when it has compiled training twins,
+        list them and lay each one's tables out (:meth:`write_back`
+        restores the objects)."""
         ci = self.ci64
         has_l2pf = not (l2_pf is None or type(l2_pf) is NullPrefetcher)
+        kinds = _scheme_kind(l2_pf, self.shared.dram_obj)
+        # A twinned scheme's notes matter only to twins that read them.
+        notes = _components(l2_pf) if kinds else (l2_pf,)
         ci[CI64["has_l2pf"]] = 1 if has_l2pf else 0
-        ci[CI64["l2pf_notes"]] = 1 if has_l2pf and _reads_notes(l2_pf) else 0
-        kind = _scheme_kind(l2_pf, self.shared.dram_obj)
-        self.scheme_kind = kind
-        ci[CI64["scheme_kind"]] = kind
-        if kind in (layout.SCHEME_SPP, layout.SCHEME_ESPP):
-            self._pack_spp(l2_pf, ci)
-        elif kind == layout.SCHEME_DSPATCH:
-            self._pack_dspatch(l2_pf, ci)
-        elif kind == layout.SCHEME_SPP_DSPATCH:
-            self._pack_spp(l2_pf.components[0], ci)
-            self._pack_dspatch(l2_pf.components[1], ci)
-        elif kind in (layout.SCHEME_BOP, layout.SCHEME_EBOP):
-            self._pack_bop(l2_pf, ci)
-        elif kind == layout.SCHEME_SMS:
-            self._pack_sms(l2_pf, ci)
-        elif kind == layout.SCHEME_STREAMER:
-            self._pack_streamer(l2_pf, ci)
+        ci[CI64["l2pf_notes"]] = 1 if has_l2pf and any(map(_reads_notes, notes)) else 0
+        self.scheme_kind = kinds
+        ci[CI64["scheme_len"]] = len(kinds)
+        for i, (kind, pf) in enumerate(zip(kinds, _components(l2_pf))):
+            ci[CI64[f"scheme_{i}"]] = kind
+            getattr(self, "_pack_" + SCHEME_FAMILY[kind])(pf, ci)
+        # Each twin appends at most one candidate per line of the page.
+        if LINES_PER_PAGE * len(kinds) > ci[CI64["cand_cap"]]:
+            self.grow_candidates(LINES_PER_PAGE * len(kinds))
 
     def core_counters(self, floor):
         """This core's result inputs, read from the live slots:
@@ -721,6 +731,18 @@ class KernelState:
 
     def _pack_spp(self, pf, ci):
         cfg = pf.config
+        ci[CI64["sp_st_mask"]] = cfg.st_entries - 1
+        ci[CI64["sp_pt_mask"]] = cfg.pt_entries - 1
+        ci[CI64["sp_slots"]] = cfg.delta_slots
+        ci[CI64["sp_cmax"]] = cfg.counter_max
+        ci[CI64["sp_ghr_cap"]] = cfg.ghr_entries
+        ci[CI64["sp_flt_mask"]] = cfg.filter_entries - 1
+        ci[CI64["sp_depth"]] = cfg.max_lookahead_depth
+        ci[CI64["sp_maxc"]] = cfg.max_candidates_per_train
+        cf = self.cf64
+        cf[CF64["sp_thr_pf"]] = cfg.prefetch_threshold
+        cf[CF64["sp_thr_la"]] = cfg.lookahead_threshold
+        cf[CF64["sp_thr_relax"]] = cfg.relaxed_threshold
         n_st = cfg.st_entries
         self.sp_st_tag = np.full(n_st, -1, dtype=np.int64)
         self.sp_st_loff = _i64(n_st)
@@ -765,7 +787,11 @@ class KernelState:
     def _pack_dspatch(self, pf, ci):
         cfg = pf.config
         n_pb = cfg.pb_entries
-        n_spt = cfg.spt_entries
+        ci[CI64["dp_pb_cap"]] = n_pb
+        ci[CI64["dp_spt_mask"]] = cfg.spt_entries - 1
+        ci[CI64["dp_maxc"]] = cfg.max_candidates_per_trigger
+        ci[CI64["dp_sig_bits"]] = cfg.pc_signature_bits
+        ci[CI64["dp_covp_reset"]] = 1 if cfg.covp_reset else 0
         self.dp_pb_page = _i64(n_pb)
         # Patterns are 64-bit with bit 63 reachable (line offset 63), so
         # they live in uint64 — int64 would overflow on pack.
@@ -821,14 +847,11 @@ class KernelState:
         self.bp_rr = np.array(pf._rr, dtype=np.int64)
         self.bp_offsets = np.array(offsets, dtype=np.int64)
         self.bp_scores = np.array([pf._scores[off] for off in offsets], dtype=np.int64)
-        # A phase keeps at most max(degree, 4) offsets (and every one
-        # can become a candidate).
+        # A phase keeps at most max(degree, 4) offsets.
         active = pf.active_offsets
         cap = max(min(max(cfg.degree, 4), len(offsets)), len(active), 1)
         self.bp_active = _i64(cap)
         self.bp_active[: len(active)] = active
-        if cap > int(ci[CI64["cand_cap"]]):
-            self.grow_candidates(cap)
         ci[CI64["bp_active_len"]] = len(active)
         ci[CI64["bp_test_pos"]] = pf._test_pos
         ci[CI64["bp_round"]] = pf._round
@@ -866,10 +889,10 @@ class KernelState:
         and the pollution logs lacks room for the next op, never
         truncating; the caller rebuilds the pointer table."""
         ci = self.ci64
-        if self.scheme_kind in (layout.SCHEME_BOP, layout.SCHEME_EBOP):
-            # one BOP training per below-L1 lookup
-            if ci[CI64["bp_pend_len"]] + self._lookups_per_op() > ci[CI64["bp_pend_cap"]]:
-                self.grow_pending_ring()
+        # one BOP training per below-L1 lookup (no ring packed: cap 0)
+        cap = ci[CI64["bp_pend_cap"]]
+        if cap and ci[CI64["bp_pend_len"]] + self._lookups_per_op() > cap:
+            self.grow_pending_ring()
         self.reserve_logs()
 
     def _lookups_per_op(self):
@@ -1153,7 +1176,6 @@ class KernelState:
             "cand_line": self.cand_line,
             "cand_lp": self.cand_lp,
             "pf_buf": self.pf_buf,
-            "train_buf": self.train_buf,
             "sp_ghr_conf": self.sp_ghr_conf,
             "dp_pb_pattern": self.dp_pb_pattern,
         }
@@ -1245,18 +1267,5 @@ class KernelState:
             l1_pf._table = table
 
         # Compiled scheme training: restore the scheme objects.
-        if self.scheme_kind:
-            l2_pf = hier.l2_prefetcher
-            if self.scheme_kind == layout.SCHEME_DSPATCH:
-                self._write_back_dspatch(l2_pf, ci)
-            elif self.scheme_kind == layout.SCHEME_SPP_DSPATCH:
-                self._write_back_spp(l2_pf.components[0], ci)
-                self._write_back_dspatch(l2_pf.components[1], ci)
-            elif self.scheme_kind in (layout.SCHEME_BOP, layout.SCHEME_EBOP):
-                self._write_back_bop(l2_pf, ci)
-            elif self.scheme_kind == layout.SCHEME_SMS:
-                self._write_back_sms(l2_pf, ci)
-            elif self.scheme_kind == layout.SCHEME_STREAMER:
-                self._write_back_streamer(l2_pf, ci)
-            else:
-                self._write_back_spp(l2_pf, ci)
+        for kind, pf in zip(self.scheme_kind, _components(hier.l2_prefetcher)):
+            getattr(self, "_write_back_" + SCHEME_FAMILY[kind])(pf, ci)

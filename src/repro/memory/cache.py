@@ -171,15 +171,6 @@ class Cache:
         self.useless_evictions = 0
         self.writebacks = 0
 
-    # -- addressing ---------------------------------------------------------
-
-    def _locate(self, line_addr):
-        set_idx = line_addr & self._set_mask
-        return self._sets[set_idx], line_addr >> self._tag_shift
-
-    def _line_addr_of(self, set_idx, tag):
-        return (tag << self._tag_shift) | set_idx
-
     # -- queries -------------------------------------------------------------
 
     def probe(self, line_addr):

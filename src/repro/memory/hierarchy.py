@@ -463,10 +463,6 @@ class MemoryHierarchy:
             self._fill_llc(line, cycle, prefetched=True, ready=ready, low_priority=cand.low_priority)
             l2_fill(line, cycle, True, cand.low_priority, ready, False)
 
-    def _issue_one(self, cycle, cand):
-        """Issue a single candidate (non-batch convenience wrapper)."""
-        self._issue_prefetches(cycle, (cand,))
-
     def _prune_in_flight(self, cycle):
         in_flight = self._in_flight
         done = self._prune_scratch

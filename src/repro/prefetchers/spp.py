@@ -19,9 +19,12 @@ bandwidth-aware tuning of SPP, shown in Figure 6 to scale poorly.
 
 This module is also the *executable spec* for the compiled training twin:
 :mod:`repro.kernel.cgen` emits a C transliteration of ``train`` (including
-``_lookahead``'s float arithmetic in this exact operation order), selected
-at run time by ``kernel/state.py:_scheme_kind`` for default-config
-instances and pinned bit-identical by ``tests/test_kernel_parity.py``.
+``_lookahead``'s float arithmetic in this exact operation order) that
+reads every ``SppConfig`` value from flat-state slots.  It is selected at
+run time by ``kernel/state.py:_scheme_kind`` for SPP and eSPP instances
+of any config with tables of at least one entry, alone or as a component
+of a twinned composite, and pinned bit-identical by
+``tests/test_kernel_parity.py`` and ``tests/test_twin_fuzz.py``.
 Behavioral edits here must be mirrored in the C twin.
 """
 
@@ -121,9 +124,6 @@ class SPP(Prefetcher):
         return self.config.prefetch_threshold
 
     # -- table plumbing --------------------------------------------------------
-
-    def _pt_index(self, signature):
-        return (signature ^ (signature >> 6)) & (self.config.pt_entries - 1)
 
     def _pt_update(self, signature, delta):
         cfg = self.config

@@ -115,12 +115,6 @@ class GenContext:
         addr = (page << PAGE_SHIFT) | (line_offset << 6)
         self.builder.append(self.gap() if gap is None else gap, pc, addr, write, dep)
 
-    def emit_line(self, pc, line_addr, write=False, dep=False, gap=None):
-        """Append one access to an absolute line address."""
-        self.builder.append(
-            self.gap() if gap is None else gap, pc, int(line_addr) << 6, write, dep
-        )
-
     def emit_block(self, pcs, lines, writes=None, deps=None, gaps=None):
         """Bulk-append accesses to absolute line addresses.
 

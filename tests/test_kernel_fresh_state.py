@@ -42,6 +42,9 @@ pytestmark = pytest.mark.skipif(
 #: scheme (its object stays live; only its flags are packed).
 SCHEMES = (
     "spp", "espp", "dspatch", "spp+dspatch",
+    "spp+bop", "spp+ebop", "spp+sms-256", "spp+bop+dspatch",
+    "dspatch-noreset", "dspatch-spt512", "dspatch-spt128", "dspatch-spt64",
+    "dspatch-pb128", "dspatch-pb32",
     "bop", "bop1", "ebop",
     "sms", "sms-4k", "sms-1k", "sms-256",
     "streamer",

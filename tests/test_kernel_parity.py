@@ -242,53 +242,86 @@ def test_unsupported_features_fall_back_to_object():
 
 
 # ---------------------------------------------------------------------------
-# Compiled scheme training (SPP / eSPP / DSPatch / the Section 5.1
-# composite / BOP / eBOP / SMS get C twins; everything else batches
-# through train_buf).
+# Compiled scheme training (SPP / eSPP / DSPatch / BOP / eBOP / SMS / the
+# streamer get C twins, and a composite of twins is their list; everything
+# else crosses into Python on every training access).
 
 
 def test_scheme_kind_detection():
-    """The twinned registry shapes get their compiled twin; variants,
-    non-default SPP/DSPatch configs, wrappers, traced or instance-hooked
-    schemes and unrelated schemes keep the Python crossing."""
+    """The gate lists each twinned registry scheme's component twins in
+    arbitration order; variants, uncompressed DSPatch, composites with
+    two components of one table family or one without a twin, wrappers,
+    configs the C cannot hold, traced or instance-hooked schemes and
+    unrelated schemes keep the Python crossing."""
+    from repro.core.dspatch import DSPatch, DSPatchConfig
     from repro.kernel import layout
     from repro.kernel.state import _scheme_kind
     from repro.memory.dram import DramModel
     from repro.prefetchers.bop import BOP
     from repro.prefetchers.registry import build_prefetcher
+    from repro.prefetchers.spp import ESPP, SPP, SppConfig
 
+    SPP_, ESPP_, DP, BOP_, EBOP_, SMS_, ST = (
+        layout.SCHEME_SPP,
+        layout.SCHEME_ESPP,
+        layout.SCHEME_DSPATCH,
+        layout.SCHEME_BOP,
+        layout.SCHEME_EBOP,
+        layout.SCHEME_SMS,
+        layout.SCHEME_STREAMER,
+    )
     dram = DramModel(ST_DRAM)
     expectations = {
-        "spp": layout.SCHEME_SPP,
-        "espp": layout.SCHEME_ESPP,
-        "dspatch": layout.SCHEME_DSPATCH,
-        "spp+dspatch": layout.SCHEME_SPP_DSPATCH,
-        # BOP and SMS read their configs from slots: every size twins
-        "bop": layout.SCHEME_BOP,
-        "bop1": layout.SCHEME_BOP,
-        "ebop": layout.SCHEME_EBOP,
-        "sms": layout.SCHEME_SMS,
-        "sms-4k": layout.SCHEME_SMS,
-        "sms-1k": layout.SCHEME_SMS,
-        "sms-256": layout.SCHEME_SMS,
-        # the streamer reads tracked_pages and degree from slots
-        "streamer": layout.SCHEME_STREAMER,
+        "spp": (SPP_,),
+        "espp": (ESPP_,),
+        "dspatch": (DP,),
+        # a composite twins as the list of its components' twins
+        "spp+dspatch": (SPP_, DP),
+        "spp+bop": (SPP_, BOP_),
+        "spp+ebop": (SPP_, EBOP_),
+        "spp+sms-256": (SPP_, SMS_),
+        "spp+bop+dspatch": (SPP_, BOP_, DP),
+        # every twin reads its config from slots: every size twins
+        "dspatch-noreset": (DP,),
+        "dspatch-spt512": (DP,),
+        "dspatch-spt128": (DP,),
+        "dspatch-spt64": (DP,),
+        "dspatch-pb128": (DP,),
+        "dspatch-pb32": (DP,),
+        "bop": (BOP_,),
+        "bop1": (BOP_,),
+        "ebop": (EBOP_,),
+        "sms": (SMS_,),
+        "sms-4k": (SMS_,),
+        "sms-1k": (SMS_,),
+        "sms-256": (SMS_,),
+        "streamer": (ST,),
         # no C twin: crossing path
-        "dspatch-spt128": layout.SCHEME_PY,  # non-default config
-        "alwayscovp": layout.SCHEME_PY,      # subclass variant
-        "fdp:spp": layout.SCHEME_PY,         # throttle wrapper
+        "alwayscovp": layout.SCHEME_PY,        # subclass variants
+        "modcovp": layout.SCHEME_PY,
+        "dspatch-noanchor": layout.SCHEME_PY,
+        "dspatch-1trigger": layout.SCHEME_PY,
+        "dspatch-64b": layout.SCHEME_PY,       # uncompressed patterns
+        "spp+alwayscovp": layout.SCHEME_PY,    # a component without a twin
+        "spp+modcovp": layout.SCHEME_PY,
+        "spp+espp": layout.SCHEME_PY,          # two of one table family
+        "bop+ebop": layout.SCHEME_PY,
+        "fdp:spp": layout.SCHEME_PY,           # throttle wrapper
         "fdp:bop": layout.SCHEME_PY,
         "fdp:streamer": layout.SCHEME_PY,
-        "spp+bop": layout.SCHEME_PY,         # composite without twin pair
-        "spp+sms-256": layout.SCHEME_PY,
         "ampm": layout.SCHEME_PY,
+        "vldp": layout.SCHEME_PY,
+        "bingo": layout.SCHEME_PY,
+        "markov": layout.SCHEME_PY,
+        "nextline": layout.SCHEME_PY,
+        "nextline-4": layout.SCHEME_PY,
         "none": layout.SCHEME_PY,
     }
     for name, expected in expectations.items():
         pf = build_prefetcher(name, dram.monitor)
         assert _scheme_kind(pf, dram) == expected, name
     # A traced scheme must stay on the object-visible path.
-    for name in ("spp", "sms"):
+    for name in ("spp", "sms", "spp+bop"):
         pf = build_prefetcher(name, dram.monitor)
         pf.attach_trace(lambda *a: None)
         assert _scheme_kind(pf, dram) == layout.SCHEME_PY, f"traced {name}"
@@ -304,33 +337,41 @@ def test_scheme_kind_detection():
 
     assert _scheme_kind(TunedBop(), dram) == layout.SCHEME_PY
     assert _scheme_kind(TunedStreamer(), dram) == layout.SCHEME_PY
-    assert (
-        _scheme_kind(StreamPrefetcher(tracked_pages=4, degree=2), dram)
-        == layout.SCHEME_STREAMER
-    )
+    assert _scheme_kind(StreamPrefetcher(tracked_pages=4, degree=2), dram) == (ST,)
     # A hook replaced on the instance would never be called by a twin;
-    # a composite is declined when any component is hooked.
+    # a composite is declined when it or any component is hooked.
     for name, hooked, attr in (
         ("spp", "spp", "note_useful_prefetch"),
         ("bop", "bop", "train"),
         ("sms", "sms", "note_useless_prefetch"),
         ("streamer", "streamer", "train"),
         ("spp+dspatch", "dspatch", "train"),
+        ("spp+bop", "spp+bop", "note_useless_prefetch"),
     ):
         pf = build_prefetcher(name, dram.monitor)
-        target = pf
-        if "+" in name:
-            target = next(c for c in pf.components if c.name == hooked)
+        target = pf if hooked == name else next(c for c in pf.components if c.name == hooked)
         setattr(target, attr, getattr(target, attr))
         assert _scheme_kind(pf, dram) == layout.SCHEME_PY, f"{name}: hooked {attr}"
-    # Structural limits the C relies on.
+    # Structural limits the C relies on, one row each.
     from repro.prefetchers.bop import BopConfig
     from repro.prefetchers.sms import SMS, SmsConfig
 
     assert _scheme_kind(BOP(BopConfig(offsets=(1, 2, 1))), dram) == layout.SCHEME_PY
     assert _scheme_kind(SMS(SmsConfig(region_bytes=8192)), dram) == layout.SCHEME_PY
-    assert _scheme_kind(SMS(SmsConfig(region_bytes=4096)), dram) == layout.SCHEME_SMS
+    assert _scheme_kind(SMS(SmsConfig(region_bytes=4096)), dram) == (SMS_,)
     assert _scheme_kind(StreamPrefetcher(tracked_pages=0), dram) == layout.SCHEME_PY
+    # SPP and DSPatch sizes the C would index out of bounds with.
+    for field in ("st_entries", "pt_entries", "delta_slots", "ghr_entries", "filter_entries"):
+        cfg = SppConfig(**{field: 0})
+        assert _scheme_kind(SPP(cfg), dram) == layout.SCHEME_PY, field
+        assert _scheme_kind(ESPP(dram, cfg), dram) == layout.SCHEME_PY, field
+    for bits in (0, 64):
+        pf = DSPatch(dram, DSPatchConfig(pc_signature_bits=bits))
+        assert _scheme_kind(pf, dram) == layout.SCHEME_PY, f"pc_signature_bits={bits}"
+    for bits in (1, 63):
+        pf = DSPatch(dram, DSPatchConfig(pc_signature_bits=bits))
+        assert _scheme_kind(pf, dram) == (DP,), f"pc_signature_bits={bits}"
+    assert _scheme_kind(SPP(SppConfig(st_entries=1, delta_slots=1)), dram) == (SPP_,)
 
 
 _TRAINING_CASES = [
@@ -343,11 +384,12 @@ _TRAINING_CASES = [
     ("dspatch", "ispec06.mcf", 2600, ST_DRAM),
     ("dspatch", "hpc.npb-cg", 2600, MP_DRAM),
     ("espp", "server.tpcc-1", 2200, MP_DRAM),
-    # Composite wrappers: the compiled SPP+DSPatch pair (merge dedup in
-    # C) and a pair without a twin (batched train_buf crossing).
+    # Composite wrappers: twinned component lists (merge dedup in C) and
+    # a pair with a component without a twin (Python crossing).
     ("spp+dspatch", "cloud.memcached", 2400, ST_DRAM),
     ("spp+dspatch", "hpc.npb-cg", 2400, MP_DRAM),
     ("spp+bop", "ispec06.mcf", 2000, ST_DRAM),
+    ("spp+alwayscovp", "ispec06.mcf", 2000, ST_DRAM),
     # BOP offset scoring (a phase ends by MaxScore within this trace) and
     # its degree-1 config; eBOP under the narrow MP DRAM, where the bucket
     # crosses all three of eBOP's degree thresholds mid-run.
@@ -385,8 +427,8 @@ def test_training_heavy_parity(scheme, workload, length, dram):
 
 @needs_compiled
 def test_batched_crossing_parity_non_compiled_scheme():
-    """A scheme without a C twin crosses through the train_buf record
-    buffer; results stay bit-identical to the object model."""
+    """A scheme without a C twin crosses into Python on every training
+    access; results stay bit-identical to the object model."""
     _assert_crosses("ampm")
     trace = build_trace("server.tpcc-1", 2400)
     base = System(_config("ampm", _LLC_GEOMETRIES[0], 0.1, "object")).run(trace).to_dict()
@@ -480,9 +522,11 @@ def _monitor_state(dram):
 
 def _drained_run(monkeypatch, cfg, traces, build=None):
     """One ``System``/``MultiCoreSystem`` run of ``cfg`` on ``cfg.kernel``:
-    its per-core results, each core's L2 scheme with its end-of-run
-    drain ``(cycle, state before, state after)``, and the DRAM monitor's
-    state after the drain.
+    its per-core results, each with every counter of the core's
+    ``PrefetchStats`` (the drop reasons the results leave out included:
+    a candidate issued twice shows only as ``dropped_resident``), each
+    core's L2 scheme with its end-of-run drain ``(cycle, state before,
+    state after)``, and the DRAM monitor's state after the drain.
 
     The object kernel is observed at its ``flush_training_with_cycle``.
     A compiled run keeps its state in flat form, writes nothing back and
@@ -494,6 +538,8 @@ def _drained_run(monkeypatch, cfg, traces, build=None):
     cycle, in core order, as the object path does.  ``build``, when
     given, replaces the registry builder, so any config can run.
     """
+    import dataclasses
+
     import repro.cpu.system as system_mod
     from repro.cpu.core import CoreExecution
     from repro.kernel import execution as kexec
@@ -501,13 +547,18 @@ def _drained_run(monkeypatch, cfg, traces, build=None):
     from repro.memory.hierarchy import MemoryHierarchy
     from repro.prefetchers.stride import PcStridePrefetcher
 
-    drams, flushed, domains, cores = [], [], [], []
+    drams, flushed, domains, cores, hierarchies = [], [], [], [], []
     real_flush = system_mod.flush_training_with_cycle
     real_dram = system_mod.DramModel
+    real_hierarchy = system_mod._make_hierarchy
 
     def recording_dram(config):
         drams.append(real_dram(config))
         return drams[-1]
+
+    def recording_hierarchy(*args):
+        hierarchies.append(real_hierarchy(*args))
+        return hierarchies[-1]
 
     def capturing_flush(pf, cycle):
         before = _training_state(pf)
@@ -536,6 +587,7 @@ def _drained_run(monkeypatch, cfg, traces, build=None):
     with monkeypatch.context() as patch:
         patch.setattr(system_mod, "flush_training_with_cycle", capturing_flush)
         patch.setattr(system_mod, "DramModel", recording_dram)
+        patch.setattr(system_mod, "_make_hierarchy", recording_hierarchy)
         patch.setattr(kexec, "KernelDomain", PackedDomain)
         patch.setattr(kexec, "KernelExecution", PackedExecution)
         if build is not None:
@@ -555,15 +607,22 @@ def _drained_run(monkeypatch, cfg, traces, build=None):
                 capturing_flush(kex.l2_prefetcher, int(kex.time))
             (domain,) = domains
             domain.write_back()
+            hierarchies = [kex.execution.hierarchy for kex in cores]
     (dram,) = drams
     pfs, states = zip(*flushed)
-    return [r.to_dict() for r in results], list(states), _monitor_state(dram), list(pfs)
+    per_core = [
+        dict(r.to_dict(), pf_stats=dataclasses.asdict(h.pf_stats))
+        for r, h in zip(results, hierarchies)
+    ]
+    return per_core, list(states), _monitor_state(dram), list(pfs)
 
 
 @needs_compiled
 @pytest.mark.parametrize("cores", (1, 4), ids=("st", "mp"))
 @pytest.mark.parametrize("warmup_frac", (0.0, 0.25))
-@pytest.mark.parametrize("scheme", ("dspatch", "spp+dspatch", "sms", "bop", "streamer", "spp"))
+@pytest.mark.parametrize(
+    "scheme", ("dspatch", "spp+dspatch", "sms", "bop", "streamer", "spp", "spp+bop+dspatch")
+)
 def test_flush_training_sees_identical_residual_state(scheme, warmup_frac, cores, monkeypatch):
     """The end-of-run drain must observe the same residual training state
     — and the same run-final cycle, which sets DSPatch's bandwidth bucket
@@ -577,14 +636,21 @@ def test_flush_training_sees_identical_residual_state(scheme, warmup_frac, cores
     back in its dict (LRU) order."""
     if cores == 1:
         traces = [build_trace("cloud.memcached", 2000)]
-        dram = ST_DRAM
     else:
         traces = [build_trace(name, length) for name, length in _mp_draw(scheme, warmup_frac)]
-        dram = MP_DRAM
+    _assert_drained_parity(monkeypatch, scheme, warmup_frac, traces)
+
+
+def _assert_drained_parity(monkeypatch, scheme, warmup_frac, traces, build=None):
+    """Object and compiled runs of ``traces`` (the ST machine for one,
+    four cores under ``MP_DRAM`` for more) agree on every result, on
+    each core's scheme state before and after the end-of-run drain
+    (each component's, for a composite) and on the DRAM monitor."""
+    dram = ST_DRAM if len(traces) == 1 else MP_DRAM
 
     def run(kernel):
         cfg = _config(scheme, _LLC_GEOMETRIES[0], warmup_frac, kernel, dram=dram)
-        return _drained_run(monkeypatch, cfg, traces)[:3]
+        return _drained_run(monkeypatch, cfg, traces, build)[:3]
 
     base_results, base_states, base_monitor = run("object")
     got_results, got_states, got_monitor = run("compiled")
@@ -595,6 +661,48 @@ def test_flush_training_sees_identical_residual_state(scheme, warmup_frac, cores
         assert have[:2] == want[:2], f"state before the drain diverges on core {core}"
         assert have[2] == want[2], f"drained state diverges on core {core}"
     assert got_monitor == base_monitor, "DRAM monitor diverges after the drain"
+
+
+def _assert_twins(scheme):
+    """``scheme`` trains in C: it has a twin for every component."""
+    from repro.kernel import layout
+    from repro.kernel.state import _scheme_kind
+    from repro.memory.dram import DramModel
+    from repro.prefetchers.registry import build_prefetcher
+
+    dram = DramModel(ST_DRAM)
+    assert _scheme_kind(build_prefetcher(scheme, dram.monitor), dram) != layout.SCHEME_PY
+
+
+@needs_compiled
+@pytest.mark.parametrize("warmup_frac", (0.0, 0.25))
+@pytest.mark.parametrize(
+    "scheme,cores",
+    # The registry entries that twin as component lists or through the
+    # SPP/DSPatch config slots (spp+bop+dspatch runs in the drain test
+    # above), plus a 4-core mix of the Figure 15 composite.
+    [
+        ("spp+bop", 1),
+        ("spp+ebop", 1),
+        ("spp+sms-256", 1),
+        ("dspatch-noreset", 1),
+        ("dspatch-spt512", 1),
+        ("dspatch-spt128", 1),
+        ("dspatch-spt64", 1),
+        ("dspatch-pb128", 1),
+        ("dspatch-pb32", 1),
+        ("spp+ebop", 4),
+    ],
+)
+def test_slot_and_composite_twins_match_the_object_model(scheme, cores, warmup_frac, monkeypatch):
+    """Results and each component's written-back state are bit-identical
+    to the object model for the schemes these twins newly cover."""
+    _assert_twins(scheme)
+    if cores == 1:
+        traces = [build_trace("hpc.npb-cg", 2400)]
+    else:
+        traces = [build_trace(name, length) for name, length in _mp_draw(scheme, warmup_frac)]
+    _assert_drained_parity(monkeypatch, scheme, warmup_frac, traces)
 
 
 def _run_capturing_scheme(monkeypatch, scheme, trace, kernel, dram=ST_DRAM, build=None):
@@ -769,7 +877,7 @@ def test_mid_run_pack_carries_scheme_state(scheme, workload, switch_at):
     "scheme,delivered",
     # ampm and streamer inherit Prefetcher's no-op note hooks; a
     # composite and the fdp: throttle read their notes.
-    [("ampm", False), ("streamer", False), ("spp+bop", True), ("fdp:ampm", True)],
+    [("ampm", False), ("streamer", False), ("spp+alwayscovp", True), ("fdp:ampm", True)],
 )
 def test_notes_queue_only_for_schemes_that_read_them(scheme, delivered, monkeypatch):
     """A crossing scheme whose note hooks are the base no-ops gets no

@@ -243,7 +243,7 @@ class TestDriverParity:
         _assert_matches_reference(driver, cfg, traces, "uneven lengths")
 
     @pytest.mark.parametrize("driver", SCHEDULERS)
-    @pytest.mark.parametrize("scheme", ["alwayscovp", "spp+bop"])
+    @pytest.mark.parametrize("scheme", ["alwayscovp", "spp+alwayscovp"])
     def test_parity_with_training_crossings(self, scheme, driver):
         """Schemes without a C twin train in Python: every training
         access returns from the C schedule mid-batch, and queued
@@ -399,7 +399,11 @@ class TestSingleThreadIsOneCoreSchedule:
         from repro.kernel.state import _scheme_kind
 
         # Two C twins and one scheme that crosses into Python per train.
-        kinds = {"dspatch": layout.SCHEME_DSPATCH, "bop": layout.SCHEME_BOP, "ampm": layout.SCHEME_PY}
+        kinds = {
+            "dspatch": (layout.SCHEME_DSPATCH,),
+            "bop": (layout.SCHEME_BOP,),
+            "ampm": layout.SCHEME_PY,
+        }
         dram = DramModel()
         assert _scheme_kind(build_prefetcher(scheme, dram), dram) == kinds[scheme]
         trace = build_trace("cloud.memcached", 1500)

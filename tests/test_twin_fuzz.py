@@ -1,0 +1,138 @@
+"""Differential fuzzing of the compiled training twins over the gate's domain.
+
+Every twin reads its config from flat-state slots, and a twinned scheme
+is the ordered list of its components' twins, so the domain the fixed
+parity grids sample is much larger than the registry.  Here hypothesis
+draws schemes from it: 1 to 5 components in any arbitration order, one
+per table family (SPP/eSPP, DSPatch, BOP/eBOP, SMS, the streamer), each
+with a small random config; a warmup of 0 or 0.25; one core or a 4-core
+mix; catalog workloads of 300 to 1,200 ops.  Each drawn case runs on the
+object model (the spec) and the compiled kernel, which must agree on
+every result and prefetch counter, on each component's written-back
+state before and after the end-of-run drain, and on the DRAM monitor.
+
+The examples are derandomized (a fixed sequence, no example database),
+so the test is deterministic, and few, to keep it cheap; a failure
+shrinks to a minimal scheme and trace.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from test_kernel_parity import _WORKLOADS, _assert_drained_parity, needs_compiled
+
+from repro.core.dspatch import DSPatch, DSPatchConfig
+from repro.kernel.state import _scheme_kind
+from repro.memory.dram import DramModel, ST_DRAM
+from repro.prefetchers.bop import BOP, EBOP, BopConfig
+from repro.prefetchers.composite import CompositePrefetcher
+from repro.prefetchers.sms import SMS, SmsConfig
+from repro.prefetchers.spp import ESPP, SPP, SppConfig
+from repro.prefetchers.streamer import StreamPrefetcher
+from repro.workloads.catalog import build_trace
+
+
+def _pow2(*exponents):
+    return st.sampled_from([1 << e for e in exponents])
+
+
+@st.composite
+def _spp(draw):
+    cfg = SppConfig(
+        st_entries=draw(_pow2(0, 2, 4, 8)),
+        pt_entries=draw(_pow2(0, 3, 6, 9)),
+        ghr_entries=draw(st.integers(1, 8)),
+        delta_slots=draw(st.integers(1, 6)),
+        counter_max=draw(st.sampled_from([3, 7, 15])),
+        prefetch_threshold=draw(st.sampled_from([0.05, 0.125, 0.25, 0.5])),
+        lookahead_threshold=draw(st.sampled_from([0.05, 0.25, 0.5])),
+        relaxed_threshold=draw(st.sampled_from([0.0625, 0.125, 0.3])),
+        max_lookahead_depth=draw(st.sampled_from([1, 3, 64])),
+        max_candidates_per_train=draw(st.sampled_from([1, 6, 24])),
+        filter_entries=draw(st.sampled_from([1, 37, 1024])),
+    )
+    if draw(st.booleans()):
+        return lambda bw: ESPP(bw, cfg)
+    return lambda bw: SPP(cfg)
+
+
+@st.composite
+def _dspatch(draw):
+    cfg = DSPatchConfig(
+        spt_entries=draw(_pow2(0, 2, 6, 8, 9)),
+        pb_entries=draw(st.sampled_from([1, 2, 8, 64, 128])),
+        max_candidates_per_trigger=draw(st.sampled_from([1, 5, 62])),
+        pc_signature_bits=draw(st.sampled_from([1, 3, 8, 12, 63])),
+        covp_reset=draw(st.booleans()),
+    )
+    return lambda bw: DSPatch(bw, cfg)
+
+
+@st.composite
+def _bop(draw):
+    cfg = BopConfig(
+        degree=draw(st.integers(1, 6)),
+        offsets=tuple(draw(st.lists(st.integers(-70, 70), min_size=1, max_size=12, unique=True))),
+        max_round=draw(st.sampled_from([2, 5, 100])),
+        max_score=draw(st.sampled_from([3, 31])),
+    )
+    if draw(st.booleans()):
+        return lambda bw: EBOP(bw, cfg)
+    return lambda bw: BOP(cfg)
+
+
+@st.composite
+def _sms(draw):
+    entries = draw(_pow2(2, 4, 6, 8, 10))
+    ways = draw(st.sampled_from([w for w in (1, 4, 16) if w <= entries]))
+    cfg = SmsConfig(pht_entries=entries, pht_ways=ways)
+    return lambda bw: SMS(cfg)
+
+
+@st.composite
+def _streamer(draw):
+    tracked, degree = draw(st.integers(1, 16)), draw(st.integers(1, 8))
+    return lambda bw: StreamPrefetcher(tracked_pages=tracked, degree=degree)
+
+
+#: One config strategy per table family: a twinned scheme holds at most
+#: one component of each.
+_FAMILIES = (_spp, _dspatch, _bop, _sms, _streamer)
+
+
+@st.composite
+def _twinned_scheme(draw):
+    """A builder of fresh scheme instances over a bandwidth source: one
+    component, or a composite of 2 to 5 in a drawn arbitration order."""
+    families = draw(st.permutations(_FAMILIES))[: draw(st.integers(1, len(_FAMILIES)))]
+    parts = [draw(family()) for family in families]
+    if len(parts) == 1:
+        return parts[0]
+    return lambda bw: CompositePrefetcher([part(bw) for part in parts])
+
+
+@needs_compiled
+@settings(
+    max_examples=30,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    build=_twinned_scheme(),
+    warmup_frac=st.sampled_from([0.0, 0.25]),
+    workloads=st.sampled_from(_WORKLOADS).map(lambda w: [w]) | st.lists(
+        st.sampled_from(_WORKLOADS), min_size=4, max_size=4
+    ),
+    length=st.integers(300, 1200),
+)
+def test_twins_match_the_object_model(build, warmup_frac, workloads, length):
+    dram = DramModel(ST_DRAM)
+    scheme = build(dram.monitor)
+    components = scheme.components if isinstance(scheme, CompositePrefetcher) else [scheme]
+    assert len(_scheme_kind(scheme, dram)) == len(components), "the drawn scheme crosses"
+    traces = [build_trace(name, length) for name in workloads]
+    with pytest.MonkeyPatch.context() as patch:
+        _assert_drained_parity(patch, "custom", warmup_frac, traces, build)
