@@ -51,7 +51,6 @@ from repro.memory.dram import DramModel
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.observed import ObservedHierarchy
 from repro.observe.sinks import CollectingSink
-from repro.prefetchers.base import flush_training_with_cycle
 from repro.prefetchers.registry import build_prefetcher
 from repro.prefetchers.stride import PcStridePrefetcher
 
@@ -93,10 +92,7 @@ def _direct_drive(cfg, trace):
     hierarchy.reset_stats()
     dram.reset_stats(execution.time)
     execution.run_ops()
-    result = _result_from(execution, hierarchy, dram)
-    if l2_pf is not None:
-        flush_training_with_cycle(l2_pf, int(execution.time))
-    return result
+    return _result_from(execution, hierarchy, dram)
 
 
 def run_bench(args):

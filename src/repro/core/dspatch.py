@@ -96,6 +96,9 @@ class DSPatch(Prefetcher):
         # prefetchers is safe only while DSPatchConfig stays frozen — a
         # mutable-default trap for any future field, so avoid the pattern.
         config = config if config is not None else DSPatchConfig()
+        if config.pc_signature_bits < 1:
+            # fold_xor_hash folds the PC by this many bits per step.
+            raise ValueError("pc_signature_bits must be at least 1")
         self.config = config
         self.bandwidth = bandwidth
         # Pattern geometry: one stored bit covers 2 lines (128B) in the
@@ -260,18 +263,6 @@ class DSPatch(Prefetcher):
             for half in halves:
                 program_half = (anchored >> (half * self._half_bits)) & self._half_mask
                 spt_entry.update_half(half, program_half, bw_bucket)
-
-    def flush_training(self, cycle=0):
-        """Learn from every page still resident in the PB (end of run).
-
-        ``cycle`` should be the run's final cycle: the Measure counters
-        update under the bandwidth bucket broadcast at learn time
-        (Section 3.6), so draining with the default ``cycle=0`` would read
-        the bucket at the *start* of the run.  The default stays for
-        callers that use a constant bandwidth source.
-        """
-        for entry in self.page_buffer.drain():
-            self._learn(cycle, entry)
 
     # -------------------------------------------------------------- storage
 

@@ -76,13 +76,6 @@ class PageBuffer:
         self._pages[page] = entry
         return entry, evicted
 
-    def drain(self):
-        """Evict everything (end-of-run learning flush); yields entries."""
-        entries = list(self._pages.values())
-        self._pages.clear()
-        self.evictions += len(entries)
-        return entries
-
     def storage_bits(self):
         """Table 1's stated budget: 158 bits per entry, 64 entries.
 

@@ -35,7 +35,6 @@ from repro.memory.dram import (
 from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy, coverage_accuracy
 from repro.memory.observed import ObservedHierarchy
 from repro.observe.sinks import CoreScopedSink, LineSink
-from repro.prefetchers.base import flush_training_with_cycle
 from repro.prefetchers.registry import build_prefetcher
 from repro.prefetchers.stride import PcStridePrefetcher
 
@@ -332,10 +331,10 @@ def _simulate(cfg, traces, sinks):
     when the warmup is zero ops; shared DRAM stats reset when the first
     core crosses (per-core results use private hierarchy counters, so the
     shared reset point is not critical).  Results come from the objects'
-    or the kernel's counters through one function (:func:`_run_result`).
-    The object path then drains each core's residual training
-    (``flush_training``); a compiled run neither drains nor writes back,
-    since nothing can read its scheme state after it returns.
+    or the kernel's counters through one function (:func:`_run_result`),
+    and both paths end there: no scheme learns from what it still holds
+    (DSPatch's page buffer, SMS's accumulation table), and a compiled run
+    writes nothing back.
 
     Returns the per-core :class:`RunResult` list and the global measured
     span (see :attr:`MultiProgramResult.global_cycles`).
@@ -394,21 +393,13 @@ def _simulate(cfg, traces, sinks):
 
     if kernel:
         # Nothing can read a compiled run's scheme state once it returns,
-        # so it skips the object path's end-of-run drain and writes
-        # nothing back.
+        # so it writes nothing back.
         dram_counters = domain.dram_counters()
         per_core = [
             _run_result(*kex.counters(), dram.config, dram_counters) for kex in executions
         ]
     else:
         per_core = [_result_from(ex, hier, dram) for ex, hier in zip(executions, hierarchies)]
-        # End-of-run training drain, after stats capture: the drain's
-        # bandwidth-bucket queries at the final cycle must not perturb the
-        # reported residency.  Pages still resident in e.g. DSPatch's PB
-        # learn under the run-final bucket, each core in index order.
-        for ex, hier in zip(executions, hierarchies):
-            if hier.l2_prefetcher is not None:
-                flush_training_with_cycle(hier.l2_prefetcher, int(ex.time))
     end_time = max((ex.time for ex in executions), default=0.0)
     global_cycles = max(end_time - (stats_reset_time or 0.0), 0.0)
     return per_core, global_cycles

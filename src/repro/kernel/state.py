@@ -49,7 +49,7 @@ from repro.kernel.layout import (
     ST_REC,
 )
 from repro.cpu.core import measured_stats
-from repro.memory.cache import Cache, CacheLine
+from repro.memory.cache import Cache, CacheLine, victim_mode
 from repro.memory.dram import DramCounters
 from repro.memory.hierarchy import PREFETCH_QUEUE_SIZE, PollutionEvent, PrefetchStats
 from repro.prefetchers.base import NullPrefetcher, Prefetcher
@@ -79,9 +79,6 @@ _PF_STATS = (
     "dropped_in_flight",
     "dropped_bandwidth",
 )
-#: Replacement-policy name -> fast victim mode (matches Cache._victim_mode).
-VICTIM_MODES = {"lru": 0, "pf-dead-block": 1}
-
 #: Scheme arrays that exist even when no compiled twin is active (the
 #: pointer table is fixed, so inactive schemes get 1-element dummies).
 _SP_I64_ARRAYS = (
@@ -197,13 +194,12 @@ def _twin_kind(pf, dram_obj):
         fits = 1 <= cfg.lines_per_region <= 64 and cfg.at_entries >= 1 and cfg.ft_entries >= 1
         return layout.SCHEME_SMS if fits else 0
     if cls in (SPP, ESPP):
-        cfg = pf.config
-        fits = min(cfg.st_entries, cfg.pt_entries, cfg.delta_slots, cfg.ghr_entries,
-                   cfg.filter_entries) >= 1
+        # The spec rejects empty tables but runs without a GHR; the C needs one.
+        fits = pf.config.ghr_entries >= 1
         return (layout.SCHEME_SPP if cls is SPP else layout.SCHEME_ESPP) if fits else 0
     if cls is DSPatch:
         cfg = pf.config
-        fits = cfg.compressed and 1 <= cfg.pc_signature_bits <= 63
+        fits = cfg.compressed and cfg.pc_signature_bits <= 63
         return layout.SCHEME_DSPATCH if fits else 0
     return 0
 
@@ -221,10 +217,11 @@ def _scheme_kind(l2_pf, dram_obj):
     DRAM monitor.  Every twin reads its config from flat-state slots, so
     any config qualifies that the C can hold: unique BOP offsets, SMS
     regions of at most 64 lines with non-empty AT and FT, a streamer
-    tracking at least one page and holding no more than it tracks, SPP
-    tables of at least one entry each, and compressed DSPatch patterns
-    with a PC signature of 1 to 63 bits.  A composite twins when every
-    component does and no two components share a table family
+    tracking at least one page and holding no more than it tracks, an
+    SPP with a GHR entry, and compressed DSPatch patterns with a PC
+    signature of at most 63 bits (the specs reject empty SPP tables and
+    signatures under 1 bit).  A composite twins when every component
+    does and no two components share a table family
     (:data:`~repro.kernel.layout.SCHEME_FAMILY`: SPP/eSPP, BOP/eBOP).
     Everything else (``fdp:`` wrappers, ``ampm``, the DSPatch variants,
     user subclasses) crosses into Python on every L2 training access.
@@ -263,23 +260,18 @@ def _carve(sizes):
 
 def _cache_arrays(config):
     """One cache level's empty slot columns (slot = set*ways + way), the
-    rows of one zeroed block; only the replacement policies the kernel
-    implements qualify."""
-    if config.replacement not in VICTIM_MODES:
-        raise ValueError(
-            f"kernel supports only lru/pf-dead-block replacement "
-            f"({config.name} uses {config.replacement!r})"
-        )
+    rows of one zeroed block."""
     block = np.zeros((len(_CACHE_FIELDS), config.num_sets * config.ways), dtype=np.int64)
     return dict(zip(_CACHE_FIELDS, block))
 
 
 def _cache_geometry(ci, prefix, config):
-    """A cache level's geometry slots, from its config."""
+    """A cache level's geometry slots, from its config (an unknown
+    replacement policy raises :class:`Cache`'s ``ValueError``)."""
     ci[CI64[prefix + "ways"]] = config.ways
     ci[CI64[prefix + "set_mask"]] = config.num_sets - 1
     ci[CI64[prefix + "hit_latency"]] = config.hit_latency
-    ci[CI64[prefix + "victim_mode"]] = VICTIM_MODES[config.replacement]
+    ci[CI64[prefix + "victim_mode"]] = victim_mode(config.replacement)
 
 
 def _pack_cache(cache, arrs):

@@ -1,9 +1,10 @@
 """Memory-system substrate: caches, MSHRs, DRAM, and the full hierarchy.
 
 This package implements the simulated machine of Table 2: three levels of
-set-associative caches with MSHRs and prefetch-aware replacement, plus a
-banked DDR4 DRAM model whose bandwidth monitor provides the 2-bit
-utilization signal DSPatch consumes (Section 3.2).
+set-associative caches with MSHRs and prefetch-aware replacement (both
+policies live in :class:`~repro.memory.cache.Cache`), plus a banked DDR4
+DRAM model whose bandwidth monitor provides the 2-bit utilization signal
+DSPatch consumes (Section 3.2).
 """
 
 from repro.memory.cache import Cache, CacheConfig, CacheLine, EvictionInfo
@@ -21,11 +22,6 @@ from repro.memory.hierarchy import (
     PrefetchStats,
 )
 from repro.memory.mshr import MshrFile
-from repro.memory.replacement import (
-    LruPolicy,
-    PrefetchAwareDeadBlock,
-    make_replacement_policy,
-)
 
 __all__ = [
     "AccessResult",
@@ -39,10 +35,7 @@ __all__ = [
     "EvictionInfo",
     "FixedBandwidth",
     "HierarchyConfig",
-    "LruPolicy",
     "MemoryHierarchy",
     "MshrFile",
-    "PrefetchAwareDeadBlock",
     "PrefetchStats",
-    "make_replacement_policy",
 ]

@@ -11,31 +11,38 @@ as *useful* on its first demand hit and as *useless* if it leaves the cache
 untouched — the raw ingredients of the paper's coverage / misprediction
 accounting (Figure 16).
 
-``access``/``fill``/``probe`` run once or more per simulated memory op, so
-set lookup is inlined (mask + shift; set counts are powers of two) and the
-recency-update rule — identical across both registered replacement
-policies, which differ only in victim selection — is applied directly
-instead of through a per-access policy call.
-
-Each set is an ``OrderedDict`` kept in exact recency order (front = LRU):
-hits ``move_to_end``, normal fills append, low-priority fills move to the
-front.  Because every recency event consumes a unique tick, this order is
-identical to sorting by ``last_touch`` (which is still maintained on every
-line), so the two registered policies reduce to O(1)/first-match scans —
-plain LRU evicts the front line, the prefetch-aware dead-block policy
-evicts the first never-demanded prefetched line in recency order (the
-oldest such line) and falls back to the front.  Unknown policies would go
-through the generic ``victim()`` walk.
+This class is the one statement of the lookup and replacement rules:
+:class:`repro.memory.hierarchy.MemoryHierarchy` calls :meth:`Cache.access`
+at every level it probes, and :meth:`Cache.fill` picks every victim.  Set
+lookup is mask + shift (set counts are powers of two).  Each set is an
+``OrderedDict`` kept in exact recency order (front = LRU): hits
+``move_to_end``, normal fills append, low-priority fills move to the
+front (Section 3.6's near-LRU insertion).  Every recency event consumes
+a unique tick, kept as the line's ``last_touch``, so this order equals
+sorting by ``last_touch``.  Two replacement policies exist, named by
+:data:`VICTIM_MODES` (Table 2): ``"lru"`` (L1, L2) evicts the front
+line; ``"pf-dead-block"`` (LLC, a sampling-free take on the
+prefetch-aware dead-block predictor the paper cites) evicts the first
+never-demanded prefetched line in recency order, the oldest dead one,
+and falls back to the front.
 """
 
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.memory.replacement import (
-    LruPolicy,
-    PrefetchAwareDeadBlock,
-    make_replacement_policy,
-)
+#: Replacement-policy name -> victim mode, shared by :class:`Cache` and
+#: the compiled kernel's layout: 0 evicts the front (LRU) line, 1 the
+#: oldest never-demanded prefetched line, else the front.
+VICTIM_MODES = {"lru": 0, "pf-dead-block": 1}
+
+
+def victim_mode(name):
+    """The victim mode of replacement policy ``name``; unknown names raise."""
+    try:
+        return VICTIM_MODES[name]
+    except KeyError:
+        known = ", ".join(sorted(VICTIM_MODES))
+        raise ValueError(f"unknown replacement policy {name!r} (known: {known})") from None
 
 
 class CacheLine:
@@ -115,8 +122,6 @@ class Cache:
         "_sets",
         "_set_mask",
         "_tag_shift",
-        "_policy",
-        "_victim",
         "_victim_mode",
         "_tick",
         "last_access_first_use",
@@ -138,19 +143,10 @@ class Cache:
         self._sets = [OrderedDict() for _ in range(self.num_sets)]
         self._set_mask = self.num_sets - 1
         self._tag_shift = self.num_sets.bit_length() - 1
-        self._policy = make_replacement_policy(config.replacement)
-        self._victim = self._policy.victim
-        # Recency-order fast paths (see module docstring): 0 = front-LRU,
-        # 1 = first-dead-else-front, 2 = generic victim() walk.
-        if type(self._policy) is LruPolicy:
-            self._victim_mode = 0
-        elif type(self._policy) is PrefetchAwareDeadBlock:
-            self._victim_mode = 1
-        else:
-            self._victim_mode = 2
+        self._victim_mode = victim_mode(config.replacement)
         self._tick = 0
         #: True when the most recent :meth:`access` was the first demand use
-        #: of a prefetched line (read by the hierarchy for accounting).
+        #: of a prefetched line (the hierarchy reads it at L2 and LLC).
         self.last_access_first_use = False
         # Statistics
         self.demand_hits = 0
@@ -251,22 +247,17 @@ class Cache:
             return None
         evicted = None
         if len(lines) >= self.ways:
-            mode = self._victim_mode
-            if mode == 0:
-                # LRU: recency order makes the front line the victim.
-                victim = next(iter(lines.values()))
-            elif mode == 1:
-                # Dead-block: first never-demanded prefetched line in
-                # recency order is the oldest one; front line otherwise.
-                victim = None
+            victim = None
+            if self._victim_mode == 1:
+                # Dead-block: the first never-demanded prefetched line in
+                # recency order is the oldest one.
                 for cand in lines.values():
                     if cand.prefetched and not cand.used:
                         victim = cand
                         break
-                if victim is None:
-                    victim = next(iter(lines.values()))
-            else:
-                victim = self._victim(lines.values())
+            if victim is None:
+                # LRU: recency order makes the front line the victim.
+                victim = next(iter(lines.values()))
             if victim.prefetched and not victim.used:
                 self.useless_evictions += 1
             if victim.dirty:
@@ -318,14 +309,3 @@ class Cache:
     def occupancy(self):
         """Total number of resident lines."""
         return sum(len(s) for s in self._sets)
-
-    def stats(self):
-        """Return a dict snapshot of counters for reporting."""
-        return {
-            "demand_hits": self.demand_hits,
-            "demand_misses": self.demand_misses,
-            "useful_prefetches": self.useful_prefetches,
-            "late_useful_prefetches": self.late_useful_prefetches,
-            "useless_evictions": self.useless_evictions,
-            "writebacks": self.writebacks,
-        }

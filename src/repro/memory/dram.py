@@ -518,15 +518,6 @@ class DramModel:
         self._stats_start_cycle = int(cycle)
         self.monitor.reset_stats()
 
-    def stats(self):
-        return {
-            "reads": self.reads,
-            "writes": self.writes,
-            "row_hits": self.row_hits,
-            "row_misses": self.row_misses,
-            "total_cas": self.monitor.total_cas,
-        }
-
 
 #: The six DRAM configurations of Figures 1, 6 and 15, in peak-GB/s order.
 #: The paper's Table 2 machine DRAM configurations (frozen, shared

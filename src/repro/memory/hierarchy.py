@@ -27,7 +27,7 @@ object per access.  :class:`AccessResult` remains available as a
 named-tuple view for callers that want attribute access.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.constants import LINE_SHIFT
@@ -140,17 +140,6 @@ class PollutionEvent:
     victim_line: int
 
 
-@dataclass
-class HierarchyStats:
-    """Aggregated statistics exported after a run."""
-
-    l1: dict = field(default_factory=dict)
-    l2: dict = field(default_factory=dict)
-    llc: dict = field(default_factory=dict)
-    prefetch: PrefetchStats = field(default_factory=PrefetchStats)
-    dram: dict = field(default_factory=dict)
-
-
 class MemoryHierarchy:
     """One core's L1/L2 plus a (possibly shared) LLC and DRAM."""
 
@@ -219,35 +208,12 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------ API
 
     def access(self, cycle, pc, addr, is_write=False):
-        """Run one demand access; returns ``(latency, level_code)``.
-
-        The L1 lookup is inlined (one call per simulated memory op); the
-        inlined block mirrors :meth:`repro.memory.cache.Cache.access`
-        exactly, including stats and recency bookkeeping.
-        """
+        """Run one demand access; returns ``(latency, level_code)``."""
         cycle = int(cycle)
         self.demand_accesses += 1
         line = addr >> LINE_SHIFT
-
         l1 = self.l1
-        lines = l1._sets[line & l1._set_mask]
-        tag = line >> l1._tag_shift
-        l1_line = lines.get(tag)
-        tick = l1._tick + 1
-        l1._tick = tick
-        if l1_line is None:
-            l1.demand_misses += 1
-        else:
-            l1.demand_hits += 1
-            l1_line.last_touch = tick
-            lines.move_to_end(tag)
-            if is_write:
-                l1_line.dirty = True
-            if l1_line.prefetched and not l1_line.used:
-                l1.useful_prefetches += 1
-                if l1_line.ready > cycle:
-                    l1.late_useful_prefetches += 1
-                l1_line.used = True
+        l1_line = l1.access(line, cycle, is_write)
         l1_pf = self.l1_prefetcher
         if l1_pf is not None:
             for cand in l1_pf.train(cycle, pc, addr, l1_line is not None):
@@ -268,32 +234,13 @@ class MemoryHierarchy:
         return latency, level
 
     def _below_l1(self, cycle, pc, addr, is_write):
-        """Demand path below the L1 (inlined L2/LLC lookups — this runs
-        once per L1 miss and mirrors ``Cache.access`` exactly, including
-        first-use accounting via the caches' stats counters)."""
+        """Demand path below the L1 (once per L1 miss): the L2, then an
+        in-flight prefetch to merge with, then the LLC, then DRAM."""
         line = addr >> LINE_SHIFT
         candidates = ()
         l2 = self.l2
-        l2_lines = l2._sets[line & l2._set_mask]
-        l2_tag = line >> l2._tag_shift
-        l2_line = l2_lines.get(l2_tag)
-        tick = l2._tick + 1
-        l2._tick = tick
-        first_use = False
-        if l2_line is None:
-            l2.demand_misses += 1
-        else:
-            l2.demand_hits += 1
-            l2_line.last_touch = tick
-            l2_lines.move_to_end(l2_tag)
-            if is_write:
-                l2_line.dirty = True
-            if l2_line.prefetched and not l2_line.used:
-                l2.useful_prefetches += 1
-                first_use = True
-                if l2_line.ready > cycle:
-                    l2.late_useful_prefetches += 1
-                l2_line.used = True
+        l2_line = l2.access(line, cycle, is_write)
+        first_use = l2.last_access_first_use
         if self._l2_train is not None:
             candidates = self._l2_train(cycle, pc, addr, l2_line is not None)
         if l2_line is not None:
@@ -324,24 +271,9 @@ class MemoryHierarchy:
             return latency, LLC
 
         llc = self.llc
-        llc_lines = llc._sets[line & llc._set_mask]
-        llc_tag = line >> llc._tag_shift
-        llc_line = llc_lines.get(llc_tag)
-        tick = llc._tick + 1
-        llc._tick = tick
-        if llc_line is None:
-            llc.demand_misses += 1
-        else:
-            llc.demand_hits += 1
-            llc_line.last_touch = tick
-            llc_lines.move_to_end(llc_tag)
-            if is_write:
-                llc_line.dirty = True
-            if llc_line.prefetched and not llc_line.used:
-                llc.useful_prefetches += 1
-                if llc_line.ready > cycle:
-                    llc.late_useful_prefetches += 1
-                llc_line.used = True
+        llc_line = llc.access(line, cycle, is_write)
+        if llc_line is not None:
+            if llc.last_access_first_use:
                 self._note_use(cycle, line, llc_line)
             latency = llc.hit_latency + self._residual(cycle, llc_line)
             l2.fill(line, cycle, False, False, cycle + latency, False)
@@ -476,23 +408,23 @@ class MemoryHierarchy:
     # ---------------------------------------------------------- fill helpers
 
     def _fill_llc(self, line, cycle, prefetched, ready, low_priority=False):
+        """Fill the LLC; an evicted never-used prefetch counts useless.
+
+        Returns the :class:`~repro.memory.cache.EvictionInfo` or ``None``.
+        """
         evicted = self.llc.fill(
             line, cycle, prefetched=prefetched, low_priority=low_priority, ready=ready
         )
-        if evicted is None:
-            return
-        if evicted.was_prefetched and not evicted.was_used:
+        if evicted is not None and evicted.was_prefetched and not evicted.was_used:
             self.pf_stats.useless += 1
             if self.l2_prefetcher is not None:
                 self.l2_prefetcher.note_useless_prefetch(cycle, evicted.line_addr)
+        return evicted
 
     def _note_use(self, cycle, line, cache_line):
-        """First demand use of a prefetched line: propagate + notify.
-
-        The owning cache has already flagged this access as a first use
-        (``last_access_first_use``); hierarchy-level accounting and the
-        cross-level used-bit propagation happen here.
-        """
+        """First demand use of a prefetched line at L2 or LLC (the cache's
+        ``last_access_first_use``): count it useful, late when its fill
+        had not arrived, and propagate."""
         self.pf_stats.useful += 1
         if cache_line.ready > cycle:
             self.pf_stats.late += 1
@@ -524,12 +456,3 @@ class MemoryHierarchy:
     def coverage_accuracy(self):
         """Return (coverage, accuracy, base_misses) per Figure 16 semantics."""
         return coverage_accuracy(self.pf_stats, self.l2.demand_misses)
-
-    def stats(self):
-        return HierarchyStats(
-            l1=self.l1.stats(),
-            l2=self.l2.stats(),
-            llc=self.llc.stats(),
-            prefetch=self.pf_stats,
-            dram=self.dram.stats(),
-        )

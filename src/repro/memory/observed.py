@@ -16,9 +16,11 @@ logic.  The split is deliberate:
 Instead of duplicating the aggressively inlined issue loop, the
 override replays it one candidate at a time through the parent and
 classifies the outcome from the stats deltas — each candidate resolves
-to exactly one of {issue+fill, drop} — which keeps a single source of
-truth for the simulation semantics.  Tracing-on throughput is not a
-goal; tracing-off throughput is (see ``benchmarks/bench_observe_overhead.py``).
+to exactly one of {issue+fill, drop}; the LLC fill override calls the
+parent's, which returns the victim, and only adds its two events.  The
+simulation semantics keep a single source of truth.  Tracing-on
+throughput is not a goal; tracing-off throughput is (see
+``benchmarks/bench_observe_overhead.py``).
 
 ``record_pollution_victims`` rides the same event stream: a
 :class:`repro.observe.sinks.PollutionCollector` subscribes internally
@@ -185,22 +187,13 @@ class ObservedHierarchy(MemoryHierarchy):
                     emit((DROP, ord_, cyc, line, "bandwidth"))
 
     def _fill_llc(self, line, cycle, prefetched, ready, low_priority=False):
+        evicted = MemoryHierarchy._fill_llc(self, line, cycle, prefetched, ready, low_priority)
         subs = self._pf_subs
-        if not subs:
-            MemoryHierarchy._fill_llc(self, line, cycle, prefetched, ready, low_priority)
-            return
-        # Mirrors the parent body exactly, with victim events added.
-        evicted = self.llc.fill(
-            line, cycle, prefetched=prefetched, low_priority=low_priority, ready=ready
-        )
-        if evicted is None:
-            return
+        if evicted is None or not subs:
+            return evicted
         ord_ = self.demand_accesses
         cyc = int(cycle)
         if evicted.was_prefetched and not evicted.was_used:
-            self.pf_stats.useless += 1
-            if self.l2_prefetcher is not None:
-                self.l2_prefetcher.note_useless_prefetch(cycle, evicted.line_addr)
             ev = (EVICTED_UNUSED, ord_, cyc, evicted.line_addr)
             for emit in subs:
                 emit(ev)
@@ -208,6 +201,7 @@ class ObservedHierarchy(MemoryHierarchy):
             ev = (POLLUTING, ord_, cyc, line, evicted.line_addr)
             for emit in subs:
                 emit(ev)
+        return evicted
 
     def _notify_useful(self, cycle, line):
         subs = self._pf_subs

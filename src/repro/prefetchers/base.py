@@ -15,13 +15,6 @@ a constant one for tests and ablations.
 from typing import Protocol
 
 
-def flush_training_with_cycle(prefetcher, cycle):
-    """Call ``prefetcher.flush_training(cycle)`` if the hook exists."""
-    flush = getattr(prefetcher, "flush_training", None)
-    if flush is not None:
-        flush(cycle)
-
-
 class BandwidthSource(Protocol):
     """Anything that can report the 2-bit DRAM bandwidth-utilization value."""
 

@@ -169,16 +169,6 @@ class Bingo(Prefetcher):
             if bit != offset and (pattern >> bit) & 1
         ]
 
-    def flush_training(self, cycle=0):
-        """Store every live AT entry (end-of-run convenience).
-
-        ``cycle`` is accepted for interface uniformity (composites forward
-        the run's final cycle); Bingo learning is bandwidth-oblivious.
-        """
-        for entry in list(self._at.values()):
-            self._store(entry)
-        self._at.clear()
-
     # -- storage --------------------------------------------------------------------
 
     def storage_breakdown(self):

@@ -10,7 +10,7 @@ once — earlier components take precedence, matching a fixed arbitration
 priority in hardware.
 """
 
-from repro.prefetchers.base import Prefetcher, flush_training_with_cycle
+from repro.prefetchers.base import Prefetcher
 
 
 class CompositePrefetcher(Prefetcher):
@@ -79,15 +79,6 @@ class CompositePrefetcher(Prefetcher):
                 seen.add(line)
                 merged.append(cand)
         return merged, seen
-
-    def flush_training(self, cycle=0):
-        """Forward end-of-run learning to components that support it.
-
-        ``cycle`` (the run's final cycle) is forwarded so bandwidth-aware
-        components (DSPatch) learn under the correct bucket.
-        """
-        for component in self.components:
-            flush_training_with_cycle(component, cycle)
 
     def note_useful_prefetch(self, cycle, line_addr):
         for component in self.components:

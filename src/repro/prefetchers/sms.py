@@ -167,16 +167,6 @@ class SMS(Prefetcher):
                 out.append(PrefetchCandidate(region_base_line + bit))
         return out
 
-    def flush_training(self, cycle=0):
-        """Store every live AT entry to the PHT (end-of-run convenience).
-
-        ``cycle`` is accepted for interface uniformity (composites forward
-        the run's final cycle); SMS learning is bandwidth-oblivious.
-        """
-        for entry in self._at.values():
-            self._pht_store(entry)
-        self._at.clear()
-
     # -- storage ---------------------------------------------------------------------
 
     def storage_breakdown(self):

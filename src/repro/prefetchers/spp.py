@@ -98,10 +98,11 @@ class SPP(Prefetcher):
     name = "spp"
 
     def __init__(self, config: SppConfig = SppConfig()):
-        if config.st_entries & (config.st_entries - 1) or config.pt_entries & (
-            config.pt_entries - 1
-        ):
-            raise ValueError("ST and PT entry counts must be powers of two")
+        tables = (config.st_entries, config.pt_entries)
+        if min(tables) < 1 or any(n & (n - 1) for n in tables):
+            raise ValueError("ST and PT entry counts must be positive powers of two")
+        if config.delta_slots < 1 or config.filter_entries < 1:
+            raise ValueError("SPP needs at least one delta slot and one filter entry")
         self.config = config
         self._st = [None] * config.st_entries
         # Pattern table: per entry a ``c_sig`` counter (flat list) plus a

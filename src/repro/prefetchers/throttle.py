@@ -20,7 +20,7 @@ the wrapped prefetcher unchanged.
 
 from dataclasses import dataclass
 
-from repro.prefetchers.base import Prefetcher, flush_training_with_cycle
+from repro.prefetchers.base import Prefetcher
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,6 @@ class FeedbackThrottle(Prefetcher):
         """Propagate the scheme-event hook to the wrapped prefetcher."""
         self.trace_emit = emit
         self.inner.attach_trace(emit)
-
-    def flush_training(self, cycle=0):
-        flush_training_with_cycle(self.inner, cycle)
 
     def reset(self):
         self.inner.reset()

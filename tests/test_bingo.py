@@ -15,10 +15,11 @@ def visit_region(pf, region, offsets, pc=0x400, start=0):
 
 
 def teach(pf, offsets, pc=0x400, regions=range(0x100, 0x160)):
-    """Train the same layout across many regions so patterns get stored."""
+    """Train the same layout across more regions than the AT holds, so
+    AT evictions store patterns."""
+    assert len(regions) > pf.config.at_entries
     for region in regions:
         visit_region(pf, region, offsets, pc=pc)
-    pf.flush_training()
 
 
 class TestConfig:
@@ -46,7 +47,7 @@ class TestPrediction:
 
     def test_long_event_hits_on_revisited_region(self):
         pf = Bingo()
-        teach(pf, self.LAYOUT, regions=range(0x100, 0x140))
+        teach(pf, self.LAYOUT, regions=range(0x100, 0x180))
         # Revisit a trained region: the long (PC+address) event matches.
         before = pf.long_hits
         cands = pf.train(10**6, 0x400, (0x100 << 11) | (3 << 6), hit=False)
@@ -61,9 +62,8 @@ class TestPrediction:
 
     def test_single_access_regions_not_stored(self):
         pf = Bingo()
-        for region in range(0x100, 0x180):
+        for region in range(0x100, 0x180):  # twice the AT: 64 evictions
             visit_region(pf, region, [5])
-        pf.flush_training()
         assert pf.train(10**6, 0x400, (0x9999 << 11) | (5 << 6), hit=False) == ()
 
     def test_unknown_pc_predicts_nothing(self):

@@ -1,15 +1,12 @@
-"""Tests for the set-associative cache and replacement policies."""
+"""Tests for the set-associative cache and its two replacement policies."""
+
+import dataclasses
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.memory.cache import Cache, CacheConfig
-from repro.memory.replacement import (
-    LruPolicy,
-    PrefetchAwareDeadBlock,
-    make_replacement_policy,
-)
 
 
 def small_cache(ways=2, sets=4, replacement="lru"):
@@ -176,13 +173,14 @@ class TestPrefetchAccounting:
 
 
 class TestReplacementPolicies:
-    def test_factory_known_names(self):
-        assert isinstance(make_replacement_policy("lru"), LruPolicy)
-        assert isinstance(make_replacement_policy("pf-dead-block"), PrefetchAwareDeadBlock)
-
-    def test_factory_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            make_replacement_policy("rrip")
+    def test_hit_refreshes_recency(self):
+        c = small_cache(ways=2, sets=1)
+        c.fill(0, 0)
+        c.fill(1, 1)
+        touched = c.probe(0).last_touch
+        c.access(0, 2)
+        assert c.probe(0).last_touch > c.probe(1).last_touch > touched
+        assert c.fill(2, 3).line_addr == 1
 
     def test_dead_block_prefers_unused_prefetch(self):
         c = small_cache(ways=2, sets=1, replacement="pf-dead-block")
@@ -191,6 +189,14 @@ class TestReplacementPolicies:
         c.fill(1, 2, prefetched=True)  # newer but dead
         evicted = c.fill(2, 3)
         assert evicted.line_addr == 1
+
+    def test_older_of_two_dead_lines_goes_first(self):
+        c = small_cache(ways=3, sets=1, replacement="pf-dead-block")
+        c.fill(0, 0)
+        c.fill(1, 1, prefetched=True)
+        c.fill(2, 2, prefetched=True)
+        assert c.fill(3, 3).line_addr == 1
+        assert c.fill(4, 4).line_addr == 2
 
     def test_dead_block_falls_back_to_lru(self):
         c = small_cache(ways=2, sets=1, replacement="pf-dead-block")
@@ -213,3 +219,21 @@ class TestReplacementPolicies:
         c.fill(1, 1, low_priority=True)
         evicted = c.fill(2, 2)
         assert evicted.line_addr == 1
+
+    def test_cache_rejects_unknown_policy(self):
+        with pytest.raises(ValueError, match="unknown replacement policy 'rrip'"):
+            small_cache(replacement="rrip")
+
+    def test_kernel_layout_rejects_unknown_policy(self):
+        """The config-built kernel layout reads the same name -> mode map."""
+        from repro.cpu.system import SystemConfig
+        from repro.kernel.state import KernelState, SharedState
+        from repro.memory.dram import DramModel
+        from repro.workloads.catalog import build_trace
+
+        cfg = SystemConfig.single_thread("none")
+        llc = dataclasses.replace(cfg.hierarchy.llc, replacement="rrip")
+        cfg = dataclasses.replace(cfg, hierarchy=dataclasses.replace(cfg.hierarchy, llc=llc))
+        shared = SharedState(llc, DramModel(cfg.dram))
+        with pytest.raises(ValueError, match="unknown replacement policy 'rrip'"):
+            KernelState.from_config(cfg, None, build_trace("ispec06.mcf", 10), shared)

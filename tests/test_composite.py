@@ -16,7 +16,6 @@ class Recorder(Prefetcher):
         self.trained = 0
         self.useful = []
         self.useless = []
-        self.flushed = 0
         self.resets = 0
 
     def train(self, cycle, pc, addr, hit):
@@ -28,10 +27,6 @@ class Recorder(Prefetcher):
 
     def note_useless_prefetch(self, cycle, line_addr):
         self.useless.append(line_addr)
-
-    def flush_training(self, cycle=0):
-        self.flushed += 1
-        self.flush_cycle = cycle
 
     def reset(self):
         self.resets += 1
@@ -87,24 +82,6 @@ class TestCallbacks:
         combo.note_useless_prefetch(0, 9)
         for p in parts:
             assert p.useful == [7] and p.useless == [9]
-
-    def test_flush_forwarded_where_supported(self):
-        class NoFlush(Prefetcher):
-            name = "noflush"
-
-            def train(self, cycle, pc, addr, hit):
-                return ()
-
-        recorder = Recorder("a")
-        combo = CompositePrefetcher([recorder, NoFlush()])
-        combo.flush_training()  # must not raise on the flush-less one
-        assert recorder.flushed == 1
-
-    def test_flush_forwards_final_cycle(self):
-        recorder = Recorder("a")
-        combo = CompositePrefetcher([recorder])
-        combo.flush_training(12345)
-        assert recorder.flush_cycle == 12345
 
     def test_reset_broadcast(self):
         parts = [Recorder("a"), Recorder("b")]

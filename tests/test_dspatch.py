@@ -121,15 +121,6 @@ class TestLearningAndPrediction:
         assert sorted(c.line_addr & 63 for c in a) == [1, 10, 11]
         assert sorted(c.line_addr & 63 for c in b) == [1, 30, 31]
 
-    def test_flush_training_learns_resident_pages(self):
-        pf = DSPatch(FixedBandwidth(0))
-        for i in range(10):  # fewer than PB capacity: no natural evictions
-            visit_page(pf, 0x1000 + i, LAYOUT)
-        assert not pf.train(0, TRIGGER_PC, 0x9000 << 12 | (4 << 6), hit=False)
-        pf.flush_training()
-        cands = pf.train(0, TRIGGER_PC, 0x9500 << 12 | (4 << 6), hit=False)
-        assert cands
-
 
 class TestBandwidthAdaptation:
     def _trained(self, bw):
@@ -154,9 +145,12 @@ class TestBandwidthAdaptation:
     def test_high_bw_with_bad_accp_suppresses(self):
         bw = FixedBandwidth(0)
         pf = self._trained(bw)
-        # Drain the PB so the upcoming train() does not trigger eviction
-        # learning that would decrement the counters we saturate here.
-        pf.flush_training()
+        # Evict every taught page through the PB (learning it) with pages
+        # another PC triggers, so the upcoming train() evicts no page that
+        # would update the counters saturated here.
+        other_pc = 0x40104
+        assert fold_xor_hash(other_pc) != fold_xor_hash(TRIGGER_PC)
+        teach(pf, LAYOUT, pages=pf.config.pb_entries, pc=other_pc, base_page=0x5000)
         entry = pf.spt.lookup(TRIGGER_PC)
         entry.measure_accp[0] = 3
         entry.measure_accp[1] = 3
@@ -192,6 +186,20 @@ class TestSegmentRules:
         cands = pf.train(0, TRIGGER_PC, (0x9000 << 12) | (4 << 6), hit=False)
         offsets = {c.line_addr & 63 for c in cands}
         assert 40 in offsets  # segment-1 bits predicted too
+
+
+class TestConfig:
+    @pytest.mark.parametrize("bits", (0, -1))
+    def test_rejects_signature_under_one_bit(self, bits):
+        """Folding a PC by 0 bits never ends; by -1 it cannot shift."""
+        with pytest.raises(ValueError, match="pc_signature_bits"):
+            DSPatch(FixedBandwidth(0), DSPatchConfig(pc_signature_bits=bits))
+
+    @pytest.mark.parametrize("bits", (1, 64))
+    def test_any_positive_signature_width_trains(self, bits):
+        pf = DSPatch(FixedBandwidth(0), DSPatchConfig(pc_signature_bits=bits))
+        teach(pf, LAYOUT)
+        assert pf.train(0, TRIGGER_PC, (0x9000 << 12) | (4 << 6), hit=False)
 
 
 class TestStorage:

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.memory.cache import CacheConfig
+from repro.memory.cache import Cache, CacheConfig
 from repro.memory.dram import DramConfig, DramModel
 from repro.memory.hierarchy import (
     DRAM,
+    HIT_LEVEL_NAMES,
     L1,
     L2,
     LLC,
@@ -90,6 +91,27 @@ class TestDemandPath:
         assert h.l1.contains(line)
         assert h.l2.contains(line)
         assert h.llc.contains(line)
+
+    @pytest.mark.parametrize("level", (L1, L2, LLC, DRAM), ids=HIT_LEVEL_NAMES)
+    def test_each_probed_level_is_one_cache_access(self, level, monkeypatch):
+        """A demand reaches ``Cache.access`` once per level it probes, so
+        the cache states its hit/miss, recency and first-use rules once."""
+        h = make_hierarchy()
+        h.access(0, 0x400, ADDR)  # resident at every level
+        line = ADDR >> 6
+        for cache in (h.l1, h.l2, h.llc)[:level]:
+            cache.invalidate(line)
+        probed = []
+        real_access = Cache.access
+
+        def recording_access(cache, line_addr, cycle, is_write=False):
+            probed.append(cache)
+            return real_access(cache, line_addr, cycle, is_write)
+
+        monkeypatch.setattr(Cache, "access", recording_access)
+        _latency, hit_level = h.access(10_000, 0x400, ADDR)
+        assert hit_level == level
+        assert probed == [h.l1, h.l2, h.llc][: min(level, LLC) + 1]
 
 
 class TestTrainingRules:

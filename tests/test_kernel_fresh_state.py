@@ -4,12 +4,12 @@ A compiled ``System.run``/``MultiCoreSystem.run`` builds no cache,
 hierarchy, execution or L1 prefetcher object: ``KernelDomain`` and
 ``KernelExecution`` lay the state out straight from the
 ``SystemConfig`` (only the L2 scheme object is built), results come from
-the flat counters, and nothing is drained or written back.  The
+the flat counters, and nothing is written back.  The
 from-objects pack and the full write-back remain as the reference these
 tests compare against and as the way tests read the twin's state:
 
 1. a compiled run constructs none of those objects and calls no
-   write-back, no cache unpack and no ``flush_training``;
+   write-back and no cache unpack;
 2. the config-built state equals the from-objects pack of freshly built
    objects, slot for slot and array for array, for every twinned
    registry scheme (plus the baseline and a crossing scheme) at the ST
@@ -148,12 +148,9 @@ def test_config_built_state_without_l1_prefetcher():
 
 
 def _forbid_object_round_trip(monkeypatch):
-    """Make every object build, write-back, cache unpack and drain of a
+    """Make every object build, write-back and cache unpack of a
     compiled run raise."""
     import repro.kernel.state as state_mod
-    from repro.core.dspatch import DSPatch
-    from repro.prefetchers.composite import CompositePrefetcher
-    from repro.prefetchers.sms import SMS
 
     def forbidden(what):
         def fail(*args, **kwargs):
@@ -168,8 +165,6 @@ def _forbid_object_round_trip(monkeypatch):
     for name in write_backs:
         monkeypatch.setattr(state_mod.KernelState, name, forbidden(name))
     monkeypatch.setattr(state_mod, "_unpack_cache", forbidden("_unpack_cache"))
-    for cls in (DSPatch, SMS, CompositePrefetcher):
-        monkeypatch.setattr(cls, "flush_training", forbidden(f"{cls.__name__}.flush_training"))
 
 
 def test_compiled_single_thread_run_skips_the_object_model(monkeypatch):

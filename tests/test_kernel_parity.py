@@ -12,10 +12,11 @@ The grid here is randomized but *deterministic* (fixed seed): each case
 draws a workload, a registry scheme, a trace length, an LLC geometry
 (size and associativity) and a warmup fraction, then runs the identical
 trace through the object model and through the compiled kernel and
-compares ``RunResult.to_dict()`` field-for-field.  A multi-programmed
-section does the same through ``MultiCoreSystem`` (shared LLC, per-core
-warmup boundaries, global-time interleave) where the kernel crossing
-machinery is under the most scheduling pressure.
+compares ``RunResult.to_dict()`` and every ``PrefetchStats`` counter
+field-for-field.  A multi-programmed section does the same through
+``MultiCoreSystem`` (shared LLC, per-core warmup boundaries, global-time
+interleave) where the kernel crossing machinery is under the most
+scheduling pressure.
 
 The parity tests need the compiled kernel and skip, with a reason, on
 hosts without a C toolchain (``kernel_available()``): there the object
@@ -127,6 +128,36 @@ def _assert_crosses(scheme):
     assert _scheme_kind(build_prefetcher(scheme, dram.monitor), dram) == layout.SCHEME_PY
 
 
+def _reporting(monkeypatch, run):
+    """``run()``'s value plus each core's ``PrefetchStats`` as a dict,
+    recorded at ``_run_result``, the one function both kernels report
+    through: ``to_dict()`` has no drop reason and no
+    ``issued_low_priority``, so a candidate issued twice shows only
+    here, as ``dropped_resident``."""
+    import dataclasses
+
+    import repro.cpu.system as system_mod
+
+    reported = []
+    real_run_result = system_mod._run_result
+
+    def recording_run_result(stats, pf, *rest):
+        reported.append(dataclasses.asdict(pf))
+        return real_run_result(stats, pf, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(system_mod, "_run_result", recording_run_result)
+        value = run()
+    return value, reported
+
+
+def _st_result(monkeypatch, cfg, trace):
+    """``System(cfg).run(trace)``'s ``to_dict()`` with every prefetch
+    counter (see :func:`_reporting`)."""
+    result, (pf,) = _reporting(monkeypatch, lambda: System(cfg).run(trace))
+    return dict(result.to_dict(), pf_stats=pf)
+
+
 def _assert_same(baseline, candidate, label):
     if baseline == candidate:
         return
@@ -144,11 +175,11 @@ def _assert_same(baseline, candidate, label):
     _fuzz_cases(14),
     ids=lambda v: str(v).replace(" ", ""),
 )
-def test_single_thread_parity(scheme, workload, length, llc_geometry, warmup_frac):
+def test_single_thread_parity(scheme, workload, length, llc_geometry, warmup_frac, monkeypatch):
     trace = build_trace(workload, length)
-    base = System(_config(scheme, llc_geometry, warmup_frac, "object")).run(trace)
-    got = System(_config(scheme, llc_geometry, warmup_frac, "compiled")).run(trace)
-    _assert_same(base.to_dict(), got.to_dict(), f"{scheme}/{workload}")
+    base = _st_result(monkeypatch, _config(scheme, llc_geometry, warmup_frac, "object"), trace)
+    got = _st_result(monkeypatch, _config(scheme, llc_geometry, warmup_frac, "compiled"), trace)
+    _assert_same(base, got, f"{scheme}/{workload}")
 
 
 def _mp_draw(scheme, warmup_frac):
@@ -187,14 +218,14 @@ def test_mp_draw_is_stable_across_processes():
     # bop runs its C twin; ampm keeps the Python training crossing.
     [("dspatch", 0.25), ("spp", 0.1), ("bop", 0.0), ("ampm", 0.0)],
 )
-def test_multi_programmed_parity(scheme, warmup_frac):
+def test_multi_programmed_parity(scheme, warmup_frac, monkeypatch):
     traces = [build_trace(name, length) for name, length in _mp_draw(scheme, warmup_frac)]
     geometry = (2 * 1024 * 1024, 16)  # shared LLC; per-core pressure is the point
 
     def run(kernel):
         cfg = _config(scheme, geometry, warmup_frac, kernel, dram=MP_DRAM)
-        mp = MultiCoreSystem(cfg, num_cores=4).run(traces)
-        return [core.to_dict() for core in mp.per_core] + [
+        mp, pfs = _reporting(monkeypatch, lambda: MultiCoreSystem(cfg, num_cores=4).run(traces))
+        return [dict(core.to_dict(), pf_stats=pf) for core, pf in zip(mp.per_core, pfs)] + [
             {"global_cycles": mp.global_cycles}
         ]
 
@@ -360,14 +391,13 @@ def test_scheme_kind_detection():
     assert _scheme_kind(SMS(SmsConfig(region_bytes=8192)), dram) == layout.SCHEME_PY
     assert _scheme_kind(SMS(SmsConfig(region_bytes=4096)), dram) == (SMS_,)
     assert _scheme_kind(StreamPrefetcher(tracked_pages=0), dram) == layout.SCHEME_PY
-    # SPP and DSPatch sizes the C would index out of bounds with.
-    for field in ("st_entries", "pt_entries", "delta_slots", "ghr_entries", "filter_entries"):
-        cfg = SppConfig(**{field: 0})
-        assert _scheme_kind(SPP(cfg), dram) == layout.SCHEME_PY, field
-        assert _scheme_kind(ESPP(dram, cfg), dram) == layout.SCHEME_PY, field
-    for bits in (0, 64):
-        pf = DSPatch(dram, DSPatchConfig(pc_signature_bits=bits))
-        assert _scheme_kind(pf, dram) == layout.SCHEME_PY, f"pc_signature_bits={bits}"
+    # Configs the spec runs and the C cannot hold (the specs reject the
+    # rest at construction: tests/test_spp.py, tests/test_dspatch.py).
+    cfg = SppConfig(ghr_entries=0)
+    assert _scheme_kind(SPP(cfg), dram) == layout.SCHEME_PY
+    assert _scheme_kind(ESPP(dram, cfg), dram) == layout.SCHEME_PY
+    pf = DSPatch(dram, DSPatchConfig(pc_signature_bits=64))
+    assert _scheme_kind(pf, dram) == layout.SCHEME_PY, "pc_signature_bits=64"
     for bits in (1, 63):
         pf = DSPatch(dram, DSPatchConfig(pc_signature_bits=bits))
         assert _scheme_kind(pf, dram) == (DP,), f"pc_signature_bits={bits}"
@@ -413,12 +443,12 @@ _TRAINING_CASES = [
     _TRAINING_CASES,
     ids=lambda v: getattr(v, "speed_grade", None) and "dram" or str(v),
 )
-def test_training_heavy_parity(scheme, workload, length, dram):
+def test_training_heavy_parity(scheme, workload, length, dram, monkeypatch):
     trace = build_trace(workload, length)
 
     def run(warmup_frac, kernel):
         cfg = _config(scheme, _LLC_GEOMETRIES[1], warmup_frac, kernel, dram=dram)
-        return System(cfg).run(trace).to_dict()
+        return _st_result(monkeypatch, cfg, trace)
 
     for warmup_frac in (0.0, 0.25):
         label = f"train/{scheme}/{workload}/{warmup_frac}"
@@ -520,23 +550,21 @@ def _monitor_state(dram):
     )
 
 
-def _drained_run(monkeypatch, cfg, traces, build=None):
+def _end_state_run(monkeypatch, cfg, traces, build=None):
     """One ``System``/``MultiCoreSystem`` run of ``cfg`` on ``cfg.kernel``:
     its per-core results, each with every counter of the core's
     ``PrefetchStats`` (the drop reasons the results leave out included:
     a candidate issued twice shows only as ``dropped_resident``), each
-    core's L2 scheme with its end-of-run drain ``(cycle, state before,
-    state after)``, and the DRAM monitor's state after the drain.
+    core's L2 scheme state at the end of the run, the DRAM monitor's
+    state and the schemes themselves.
 
-    The object kernel is observed at its ``flush_training_with_cycle``.
-    A compiled run keeps its state in flat form, writes nothing back and
-    has no drain, so here its LLC and cores are packed from freshly
-    built objects instead (the state
-    ``test_config_built_state_equals_object_pack`` pins equal to the
-    config-built one); after the run the test asks for the full
-    write-back and drains each restored scheme at its core's final
-    cycle, in core order, as the object path does.  ``build``, when
-    given, replaces the registry builder, so any config can run.
+    Each core's scheme is recorded when the run builds it.  A compiled
+    run keeps its state in flat form and writes nothing back, so here its
+    LLC and cores are packed from freshly built objects instead (the
+    state ``test_config_built_state_equals_object_pack`` pins equal to
+    the config-built one), and after the run the test asks for the full
+    write-back.  ``build``, when given, replaces the registry builder,
+    so any config can run.
     """
     import dataclasses
 
@@ -547,10 +575,14 @@ def _drained_run(monkeypatch, cfg, traces, build=None):
     from repro.memory.hierarchy import MemoryHierarchy
     from repro.prefetchers.stride import PcStridePrefetcher
 
-    drams, flushed, domains, cores, hierarchies = [], [], [], [], []
-    real_flush = system_mod.flush_training_with_cycle
+    drams, schemes, domains, cores, hierarchies = [], [], [], [], []
+    real_build = system_mod.build_prefetcher
     real_dram = system_mod.DramModel
     real_hierarchy = system_mod._make_hierarchy
+
+    def recording_build(name, bandwidth):
+        schemes.append(real_build(name, bandwidth) if build is None else build(bandwidth))
+        return schemes[-1]
 
     def recording_dram(config):
         drams.append(real_dram(config))
@@ -559,11 +591,6 @@ def _drained_run(monkeypatch, cfg, traces, build=None):
     def recording_hierarchy(*args):
         hierarchies.append(real_hierarchy(*args))
         return hierarchies[-1]
-
-    def capturing_flush(pf, cycle):
-        before = _training_state(pf)
-        real_flush(pf, cycle)
-        flushed.append((pf, (cycle, before, _training_state(pf))))
 
     class PackedDomain(kexec.KernelDomain):
         def __init__(self, llc_config, dram):
@@ -585,36 +612,29 @@ def _drained_run(monkeypatch, cfg, traces, build=None):
             cores.append(self)
 
     with monkeypatch.context() as patch:
-        patch.setattr(system_mod, "flush_training_with_cycle", capturing_flush)
+        patch.setattr(system_mod, "build_prefetcher", recording_build)
         patch.setattr(system_mod, "DramModel", recording_dram)
         patch.setattr(system_mod, "_make_hierarchy", recording_hierarchy)
         patch.setattr(kexec, "KernelDomain", PackedDomain)
         patch.setattr(kexec, "KernelExecution", PackedExecution)
-        if build is not None:
-            patch.setattr(system_mod, "build_prefetcher", lambda name, bw: build(bw))
         if len(traces) == 1:
             results = [System(cfg).run(traces[0])]
         else:
             results = MultiCoreSystem(cfg, num_cores=len(traces)).run(traces).per_core
         if cfg.kernel == "compiled":
-            assert not flushed, "a compiled run drained its scheme"
             assert len(cores) == len(traces)
             for kex in cores:
                 kex.write_back()
-            # The scheme still reads the kernel domain's live monitor, so
-            # the domain is written back after the drain.
-            for kex in cores:
-                capturing_flush(kex.l2_prefetcher, int(kex.time))
             (domain,) = domains
             domain.write_back()
             hierarchies = [kex.execution.hierarchy for kex in cores]
     (dram,) = drams
-    pfs, states = zip(*flushed)
+    assert len(schemes) == len(traces)
     per_core = [
         dict(r.to_dict(), pf_stats=dataclasses.asdict(h.pf_stats))
         for r, h in zip(results, hierarchies)
     ]
-    return per_core, list(states), _monitor_state(dram), list(pfs)
+    return per_core, [_training_state(pf) for pf in schemes], _monitor_state(dram), schemes
 
 
 @needs_compiled
@@ -623,44 +643,40 @@ def _drained_run(monkeypatch, cfg, traces, build=None):
 @pytest.mark.parametrize(
     "scheme", ("dspatch", "spp+dspatch", "sms", "bop", "streamer", "spp", "spp+bop+dspatch")
 )
-def test_flush_training_sees_identical_residual_state(scheme, warmup_frac, cores, monkeypatch):
-    """The end-of-run drain must observe the same residual training state
-    — and the same run-final cycle, which sets DSPatch's bandwidth bucket
-    for the drained pages — whether training ran in generated C or in
-    Python, and leave the same state and DRAM monitor behind.  A
-    compiled run has no drain, so its state is written back on request
-    and drained there (see :func:`_drained_run`).  The state before the
-    drain covers DSPatch's page buffer (pages and LRU order) and SMS's
-    AT and FT; SMS's drain stores its whole AT into the PHT, so the AT
-    and PHT order both matter; the streamer's page table is written
-    back in its dict (LRU) order."""
+def test_end_of_run_state_is_identical(scheme, warmup_frac, cores, monkeypatch):
+    """Object and compiled runs end in the same state, whether training
+    ran in generated C or in Python: what DSPatch's page buffer still
+    holds (pages and LRU order), SMS's AT, FT and PHT order, the
+    streamer's page table in its dict (LRU) order, and so on for each
+    component, plus every prefetch counter and the DRAM monitor.  A
+    compiled run's state is written back on request (see
+    :func:`_end_state_run`)."""
     if cores == 1:
         traces = [build_trace("cloud.memcached", 2000)]
     else:
         traces = [build_trace(name, length) for name, length in _mp_draw(scheme, warmup_frac)]
-    _assert_drained_parity(monkeypatch, scheme, warmup_frac, traces)
+    _assert_end_state_parity(monkeypatch, scheme, warmup_frac, traces)
 
 
-def _assert_drained_parity(monkeypatch, scheme, warmup_frac, traces, build=None):
+def _assert_end_state_parity(monkeypatch, scheme, warmup_frac, traces, build=None):
     """Object and compiled runs of ``traces`` (the ST machine for one,
     four cores under ``MP_DRAM`` for more) agree on every result, on
-    each core's scheme state before and after the end-of-run drain
-    (each component's, for a composite) and on the DRAM monitor."""
+    each core's scheme state at the end of the run (each component's,
+    for a composite) and on the DRAM monitor."""
     dram = ST_DRAM if len(traces) == 1 else MP_DRAM
 
     def run(kernel):
         cfg = _config(scheme, _LLC_GEOMETRIES[0], warmup_frac, kernel, dram=dram)
-        return _drained_run(monkeypatch, cfg, traces, build)[:3]
+        return _end_state_run(monkeypatch, cfg, traces, build)[:3]
 
     base_results, base_states, base_monitor = run("object")
     got_results, got_states, got_monitor = run("compiled")
     for core, (want, have) in enumerate(zip(base_results, got_results)):
-        _assert_same(want, have, f"drain/{scheme}/core{core}")
+        _assert_same(want, have, f"end/{scheme}/core{core}")
     assert len(got_states) == len(traces)
     for core, (want, have) in enumerate(zip(base_states, got_states)):
-        assert have[:2] == want[:2], f"state before the drain diverges on core {core}"
-        assert have[2] == want[2], f"drained state diverges on core {core}"
-    assert got_monitor == base_monitor, "DRAM monitor diverges after the drain"
+        assert have == want, f"end-of-run scheme state diverges on core {core}"
+    assert got_monitor == base_monitor, "DRAM monitor diverges at the end of the run"
 
 
 def _assert_twins(scheme):
@@ -679,8 +695,8 @@ def _assert_twins(scheme):
 @pytest.mark.parametrize(
     "scheme,cores",
     # The registry entries that twin as component lists or through the
-    # SPP/DSPatch config slots (spp+bop+dspatch runs in the drain test
-    # above), plus a 4-core mix of the Figure 15 composite.
+    # SPP/DSPatch config slots (spp+bop+dspatch runs in the end-state
+    # test above), plus a 4-core mix of the Figure 15 composite.
     [
         ("spp+bop", 1),
         ("spp+ebop", 1),
@@ -702,15 +718,14 @@ def test_slot_and_composite_twins_match_the_object_model(scheme, cores, warmup_f
         traces = [build_trace("hpc.npb-cg", 2400)]
     else:
         traces = [build_trace(name, length) for name, length in _mp_draw(scheme, warmup_frac)]
-    _assert_drained_parity(monkeypatch, scheme, warmup_frac, traces)
+    _assert_end_state_parity(monkeypatch, scheme, warmup_frac, traces)
 
 
 def _run_capturing_scheme(monkeypatch, scheme, trace, kernel, dram=ST_DRAM, build=None):
-    """``System.run`` result plus the scheme's end-of-run drain ``(cycle,
-    state before, state after)`` (see :func:`_drained_run`), and the
-    scheme object itself."""
+    """``System.run`` result plus the scheme's state at the end of the
+    run (see :func:`_end_state_run`), and the scheme object itself."""
     cfg = _config(scheme, _LLC_GEOMETRIES[1], 0.0, kernel, dram=dram)
-    (result,), (state,), _monitor, (pf,) = _drained_run(monkeypatch, cfg, [trace], build)
+    (result,), (state,), _monitor, (pf,) = _end_state_run(monkeypatch, cfg, [trace], build)
     return result, state, pf
 
 

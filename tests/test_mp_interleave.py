@@ -16,16 +16,14 @@ Pins four things:
 3. **Single-thread runs are one-core schedules** — ``System.run`` equals
    the hand-driven warmup-then-measure protocol field for field, on the
    object model and on the compiled kernel.
-4. **The satellite bugfixes** — ``DSPatch.flush_training`` learns under
-   the run-final bandwidth bucket, and ``MultiProgramResult`` reports a
-   consistent global-time span.
+4. **The global-time span** — ``MultiProgramResult`` reports one
+   consistent global-time span for the whole mix.
 """
 
 import heapq
 
 import pytest
 
-from repro.core.dspatch import DSPatch
 from repro.cpu.core import (
     CoreExecution,
     CoreModel,
@@ -43,7 +41,7 @@ from repro.kernel import kernel_available
 from repro.kernel.execution import KernelDomain, KernelExecution
 from repro.kernel.layout import CAND_CAP0
 from repro.memory.cache import Cache
-from repro.memory.dram import DramModel, FixedBandwidth
+from repro.memory.dram import DramModel
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.prefetchers.base import PrefetchCandidate
 from repro.prefetchers.registry import build_prefetcher
@@ -457,38 +455,6 @@ class TestRunOpsUntil:
         ex = self._fresh(length=20)
         ex.run_ops()
         assert ex.run_ops_until(float("inf")) == 0
-
-
-class TestFlushTrainingCycle:
-    class _RecordingBandwidth(FixedBandwidth):
-        """FixedBandwidth that records every queried cycle."""
-
-        def __init__(self, bucket_value=0):
-            super().__init__(bucket_value)
-            self.queried = []
-
-        def bucket(self, cycle):
-            self.queried.append(cycle)
-            return super().bucket(cycle)
-
-    def test_flush_reads_bucket_at_final_cycle(self):
-        """Regression: the end-of-run PB drain learns under the bandwidth
-        bucket of the run's final cycle, not cycle 0."""
-        bw = self._RecordingBandwidth(0)
-        pf = DSPatch(bw)
-        pf.train(10, 0x40100, (0x1000 << 12) | (4 << 6), hit=False)
-        bw.queried.clear()
-        pf.flush_training(98765)
-        assert bw.queried, "flush with resident pages must consult the bucket"
-        assert all(cycle == 98765 for cycle in bw.queried)
-
-    def test_flush_default_cycle_is_zero(self):
-        bw = self._RecordingBandwidth(0)
-        pf = DSPatch(bw)
-        pf.train(10, 0x40100, (0x1000 << 12) | (4 << 6), hit=False)
-        bw.queried.clear()
-        pf.flush_training()  # compat: defaulted signature still works
-        assert all(cycle == 0 for cycle in bw.queried)
 
 
 class TestGlobalCycles:

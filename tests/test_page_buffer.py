@@ -77,14 +77,6 @@ class TestBuffer:
             pb.insert(page)
         assert pb.evictions == 3
 
-    def test_drain_returns_everything(self):
-        pb = PageBuffer(entries=4)
-        for page in range(3):
-            pb.insert(page)
-        entries = pb.drain()
-        assert sorted(e.page for e in entries) == [0, 1, 2]
-        assert len(pb) == 0
-
     def test_contains(self):
         pb = PageBuffer(entries=4)
         pb.insert(0x5)

@@ -1,79 +1,7 @@
-"""Tests for the cache replacement policies (LRU and prefetch-aware dead-block)."""
+"""End-to-end check of the LLC's prefetch-aware dead-block replacement.
 
-import pytest
-
-from repro.memory.cache import CacheLine
-from repro.memory.replacement import (
-    LruPolicy,
-    PrefetchAwareDeadBlock,
-    make_replacement_policy,
-)
-
-
-def line(tag, touch, prefetched=False, used=True):
-    out = CacheLine(tag=tag, tick=touch, prefetched=prefetched)
-    out.used = used
-    out.last_touch = touch
-    return out
-
-
-class TestLru:
-    def test_oldest_is_victim(self):
-        lines = [line(1, 10), line(2, 5), line(3, 20)]
-        assert LruPolicy().victim(lines).tag == 2
-
-    def test_hit_refreshes(self):
-        policy = LruPolicy()
-        ln = line(1, 1)
-        policy.on_hit(ln, 99)
-        assert ln.last_touch == 99
-
-    def test_low_priority_fill_inserts_near_lru(self):
-        policy = LruPolicy()
-        low = line(1, 0)
-        policy.on_fill(low, 50, low_priority=True)
-        normal = line(2, 0)
-        policy.on_fill(normal, 50, low_priority=False)
-        assert low.last_touch < normal.last_touch
-        # The low-priority line is the next victim.
-        assert LruPolicy().victim([low, normal]) is low
-
-
-class TestDeadBlock:
-    def test_unused_prefetch_evicted_first(self):
-        policy = PrefetchAwareDeadBlock()
-        live_old = line(1, 1)
-        dead_new = line(2, 100, prefetched=True, used=False)
-        assert policy.victim([live_old, dead_new]) is dead_new
-
-    def test_used_prefetch_is_live(self):
-        policy = PrefetchAwareDeadBlock()
-        old = line(1, 1)
-        used_pf = line(2, 100, prefetched=True, used=True)
-        assert policy.victim([old, used_pf]) is old
-
-    def test_oldest_dead_first(self):
-        policy = PrefetchAwareDeadBlock()
-        dead_a = line(1, 10, prefetched=True, used=False)
-        dead_b = line(2, 5, prefetched=True, used=False)
-        assert policy.victim([dead_a, dead_b]) is dead_b
-
-    def test_falls_back_to_lru(self):
-        policy = PrefetchAwareDeadBlock()
-        lines = [line(1, 10), line(2, 5)]
-        assert policy.victim(lines).tag == 2
-
-
-class TestFactory:
-    def test_known_policies(self):
-        assert isinstance(make_replacement_policy("lru"), LruPolicy)
-        assert isinstance(
-            make_replacement_policy("pf-dead-block"), PrefetchAwareDeadBlock
-        )
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            make_replacement_policy("belady")
+The policies themselves are tested at the cache level (tests/test_cache.py).
+"""
 
 
 class TestEndToEndPollution:

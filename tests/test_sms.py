@@ -11,11 +11,17 @@ def access(pf, pc, region, offset, cycle=0):
 
 
 def teach_layout(pf, pc, regions, offsets):
-    """Visit regions with a fixed layout, forcing AT evictions to the PHT."""
+    """Visit regions with a fixed layout, then promote as many fresh
+    regions of another PC as the AT holds: each taught region leaves the
+    AT through the spec's own eviction, which stores it in the PHT."""
     for region in regions:
         for off in offsets:
             access(pf, pc, region, off)
-    pf.flush_training()
+    other_pc = pc ^ 0xF000
+    first = max(regions) + 1
+    for region in range(first, first + pf.config.at_entries):
+        access(pf, other_pc, region, 0)
+        access(pf, other_pc, region, 1)
 
 
 class TestTables:
@@ -58,9 +64,10 @@ class TestTables:
         assert pf.pht_stores > 0
 
     def test_single_access_regions_not_stored(self):
-        pf = SMS()
-        access(pf, 0x400, 0x10, 1)
-        pf.flush_training()
+        pf = SMS(SmsConfig(at_entries=2))
+        for region in range(8):
+            access(pf, 0x400, region, 1)
+            access(pf, 0x400, region, 1)  # promoted, still one line touched
         assert pf.pht_stores == 0
 
 
@@ -106,9 +113,14 @@ class TestCapacity:
         big = sms_with_pht_entries(16384)
         num_sigs = 2000
         for pf in (small, big):
+            # Each signature triggers one region (its first region is the
+            # previous one's second, still in the AT); AT evictions store
+            # all but the last at_entries of them.
             for sig_id in range(num_sigs):
                 pc = 0x1000 + 8 * sig_id
-                teach_layout(pf, pc, (0x100 + sig_id, 0x100 + sig_id + 1), offsets=[1, 4])
+                for region in (0x100 + sig_id, 0x100 + sig_id + 1):
+                    access(pf, pc, region, 1)
+                    access(pf, pc, region, 4)
         hits_small = sum(
             1 for sig_id in range(num_sigs) if access(small, 0x1000 + 8 * sig_id, 0x9000 + sig_id, 1)
         )

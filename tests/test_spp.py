@@ -152,6 +152,19 @@ class TestStorage:
         with pytest.raises(ValueError):
             SPP(SppConfig(st_entries=100))
 
+    @pytest.mark.parametrize("field", ("st_entries", "pt_entries", "delta_slots", "filter_entries"))
+    @pytest.mark.parametrize("espp", (False, True), ids=("spp", "espp"))
+    def test_rejects_empty_tables(self, field, espp):
+        """An empty table would raise ``IndexError`` on the first train."""
+        cfg = SppConfig(**{field: 0})
+        with pytest.raises(ValueError):
+            ESPP(FixedBandwidth(0), cfg) if espp else SPP(cfg)
+
+    def test_runs_without_a_ghr(self):
+        pf = SPP(SppConfig(ghr_entries=0))
+        train_offsets(pf, 0x10, range(0, 40, 2))
+        assert pf.trainings == 20
+
 
 class TestESPP:
     def test_threshold_relaxes_at_low_utilization(self):

@@ -2,36 +2,41 @@
 
 import pytest
 
+from repro.constants import PAGE_SHIFT
+from repro.core.dspatch import DSPatch
 from repro.cpu.system import MultiCoreSystem, System, SystemConfig
-from repro.kernel import kernel_available
 from repro.memory.dram import DramConfig
 from repro.workloads.catalog import build_trace
 from repro.workloads.mixes import build_mix_traces
 
-#: Both kernels; the compiled one needs a C toolchain.
-KERNELS = [
-    "object",
-    pytest.param(
-        "compiled",
-        marks=pytest.mark.skipif(not kernel_available(), reason="no C toolchain"),
-    ),
-]
+
+def _record_dspatch_training(monkeypatch):
+    """Each DSPatch a run trains, mapped to the pages it trained on, in
+    order (hooked on the class, which the object kernel's hierarchy
+    binds ``train`` from when it is built)."""
+    pages = {}
+    real_train = DSPatch.train
+
+    def recording_train(self, cycle, pc, addr, hit):
+        pages.setdefault(self, []).append(addr >> PAGE_SHIFT)
+        return real_train(self, cycle, pc, addr, hit)
+
+    monkeypatch.setattr(DSPatch, "train", recording_train)
+    return pages
 
 
-def _record_flush(monkeypatch):
-    """Record a run's end-of-run training drain: ``(prefetcher, cycle)``
-    per ``flush_training`` call."""
-    import repro.cpu.system as system_mod
-
-    calls = []
-    real_flush = system_mod.flush_training_with_cycle
-
-    def recording_flush(prefetcher, cycle):
-        calls.append((prefetcher, cycle))
-        real_flush(prefetcher, cycle)
-
-    monkeypatch.setattr(system_mod, "flush_training_with_cycle", recording_flush)
-    return calls
+def _assert_page_buffers_as_left(pages, cores):
+    """Each core's DSPatch still holds, in LRU order, the last distinct
+    pages it trained on: nothing learned from its page buffer after the
+    run's last access."""
+    assert len(pages) == cores
+    for pf, trained in pages.items():
+        recent = []
+        for page in reversed(trained):
+            if page not in recent:
+                recent.append(page)
+        want = recent[: pf.config.pb_entries][::-1]
+        assert want and list(pf.page_buffer._pages) == want
 
 
 class TestSystemConfig:
@@ -109,23 +114,15 @@ class TestSingleCoreRun:
         assert res.demand_log
         assert res.prefetch_fill_log
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_run_drains_training_at_final_cycle(self, kernel, monkeypatch):
-        """End of run flushes the L2 prefetcher's residual training under
-        the run-final cycle (after stats capture), draining e.g. DSPatch's
-        page buffer.  A compiled run reads its results first too and
-        nothing reads its scheme afterwards, so it has no drain
-        (``tests/test_kernel_parity.py`` drains its written-back state)."""
-        calls = _record_flush(monkeypatch)
+    @pytest.mark.parametrize("scheme", ("dspatch", "spp+dspatch"))
+    def test_run_leaves_page_buffer_as_trained(self, scheme, monkeypatch):
+        """A run ends at its last access, as a compiled run does: DSPatch
+        keeps the page-buffer pages its last accesses left, unlearned
+        (``tests/test_kernel_parity.py`` pins the compiled end state)."""
+        pages = _record_dspatch_training(monkeypatch)
         trace = build_trace("cloud.bigbench", 1500)
-        res = System(SystemConfig.single_thread("dspatch", kernel=kernel)).run(trace)
-        if kernel == "compiled":
-            assert not calls
-            return
-        assert len(calls) == 1
-        prefetcher, cycle = calls[0]
-        assert cycle >= int(res.cycles)  # final cycle includes warmup
-        assert not prefetcher.page_buffer._pages  # PB drained
+        System(SystemConfig.single_thread(scheme, kernel="object")).run(trace)
+        _assert_page_buffers_as_left(pages, cores=1)
 
 
 class TestMultiCore:
@@ -162,17 +159,13 @@ class TestMultiCore:
         mean_shared_ipc = sum(c.ipc for c in mp.per_core) / 4
         assert mean_shared_ipc <= alone.ipc * 1.05
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_mp_run_drains_training_per_core(self, kernel, monkeypatch):
-        calls = _record_flush(monkeypatch)
+    @pytest.mark.parametrize("scheme", ("dspatch", "spp+dspatch"))
+    def test_mp_run_leaves_each_page_buffer_as_trained(self, scheme, monkeypatch):
+        pages = _record_dspatch_training(monkeypatch)
         traces = build_mix_traces(["ispec06.mcf"] * 4, 400)
-        MultiCoreSystem(SystemConfig.multi_programmed("dspatch", kernel=kernel)).run(traces)
-        if kernel == "compiled":
-            assert not calls  # no drain (see the single-core test)
-            return
-        assert len(calls) == 4
-        assert len({id(pf) for pf, _ in calls}) == 4  # one flush per core
-        assert all(cycle > 0 for _, cycle in calls)
+        cfg = SystemConfig.multi_programmed(scheme, kernel="object")
+        MultiCoreSystem(cfg).run(traces)
+        _assert_page_buffers_as_left(pages, cores=4)
 
     def test_prefetching_helps_mixes(self):
         traces = build_mix_traces(["sysmark.excel"] * 4, 500)
