@@ -8,10 +8,10 @@ derived from the simulator sources themselves.  Traces have no key:
 they are memoized in the process and rebuilt, never stored.
 
 The salt makes invalidation automatic: any edit to a module that can
-change simulation results (cpu/, memory/, core/, prefetchers/,
-workloads/, constants.py, or the engine itself) produces a new salt, so
-stale results are unreachable rather than merely unlikely.  There is no
-manual version number to forget to bump.
+change simulation results (cpu/, memory/, core/, kernel/ and its C in
+kernel/c/, prefetchers/, workloads/, constants.py, or the engine itself)
+produces a new salt, so stale results are unreachable rather than merely
+unlikely.  There is no manual version number to forget to bump.
 """
 
 import hashlib
@@ -33,6 +33,10 @@ _SALTED_SOURCES = (
     "engine",
 )
 
+#: The source files of a salted sub-tree: its Python, and the compiled
+#: kernel's C (``kernel/c/*.c``), which results depend on as much.
+_SALTED_SUFFIXES = ("*.py", "*.c")
+
 _code_salt = None
 
 
@@ -40,18 +44,25 @@ def code_salt():
     """Hex digest covering the simulator's source code (memoized)."""
     global _code_salt
     if _code_salt is None:
-        h = hashlib.sha256()
-        root = Path(__file__).resolve().parent.parent
-        for name in _SALTED_SOURCES:
-            path = root / name
-            files = [path] if path.is_file() else sorted(path.rglob("*.py"))
-            for f in files:
-                h.update(str(f.relative_to(root)).encode())
-                h.update(b"\0")
-                h.update(f.read_bytes())
-                h.update(b"\0")
-        _code_salt = h.hexdigest()[:16]
+        _code_salt = _salt_of(Path(__file__).resolve().parent.parent)
     return _code_salt
+
+
+def _salt_of(root):
+    """The salt of the package tree at ``root``."""
+    h = hashlib.sha256()
+    for name in _SALTED_SOURCES:
+        path = root / name
+        if path.is_file():
+            files = [path]
+        else:
+            files = sorted(f for pattern in _SALTED_SUFFIXES for f in path.rglob(pattern))
+        for f in files:
+            h.update(str(f.relative_to(root)).encode())
+            h.update(b"\0")
+            h.update(f.read_bytes())
+            h.update(b"\0")
+    return h.hexdigest()[:16]
 
 
 def _canonical(value):

@@ -14,9 +14,12 @@ touching a developer's cache.
 """
 
 import dataclasses
+import importlib
 import multiprocessing
 import os
 import pickle
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +124,19 @@ class TestFingerprint:
         # The salt covers simulator sources; same process -> same salt.
         assert engine.code_salt() == engine.code_salt()
         assert len(engine.code_salt()) == 16
+
+    def test_salt_covers_the_kernel_c(self, tmp_path):
+        """The compiled kernel's C determines results as much as the
+        Python does: editing one C file must change the salt, or the
+        store would serve results of the old C."""
+        # the module, which the package's ``fingerprint`` function shadows
+        fingerprint = importlib.import_module("repro.engine.fingerprint")
+        root = tmp_path / "repro"
+        shutil.copytree(Path(fingerprint.__file__).resolve().parent.parent, root)
+        assert fingerprint._salt_of(root) == engine.code_salt()
+        c_file = root / "kernel" / "c" / "spp.c"
+        c_file.write_bytes(c_file.read_bytes() + b"\n")
+        assert fingerprint._salt_of(root) != engine.code_salt()
 
     def test_field_order_does_not_matter(self):
         assert engine.fingerprint("k", a=1, b=[2, 3]) == engine.fingerprint(
