@@ -31,14 +31,16 @@ Design-choice knobs (the ablation benches exercise these):
   trigger per 4KB page (the Section 3.7 claim).
 
 This class is also the *executable spec* for a compiled training twin:
-:mod:`repro.kernel.cgen` emits a C transliteration of ``train`` (PB
+``kernel/c/dspatch.c`` is a C transliteration of ``train`` (PB
 insert/evict, SPT dual-pattern update, bandwidth-bucketed pattern select)
 that reads the PB and SPT sizes, the candidate cap,
-``pc_signature_bits`` and ``covp_reset`` from flat-state slots.  It is
-selected at run time by ``kernel/state.py:_scheme_kind`` for instances
-of the exact class with compressed patterns, alone or as a component of
-a twinned composite (``spp+dspatch``, ``spp+bop+dspatch``), and pinned
-bit-identical by ``tests/test_kernel_parity.py`` and
+``pc_signature_bits`` and ``covp_reset`` from flat-state slots, declared
+with the twin's tables by the DSPatch record in
+:mod:`repro.kernel.layout`.  It is selected at run time by
+``kernel/state.py:_scheme_kind`` for instances of the exact class with
+compressed patterns, alone or as a component of a twinned composite
+(``spp+dspatch``, ``spp+bop+dspatch``), and pinned bit-identical by
+``tests/test_kernel_parity.py`` and
 ``tests/test_twin_fuzz.py``.  The variants subclass it and keep the
 Python crossing.  Behavioral edits here must be mirrored in the C twin.
 """

@@ -35,7 +35,7 @@ _SALTED_SOURCES = (
 
 #: The source files of a salted sub-tree: its Python, and the compiled
 #: kernel's C (``kernel/c/*.c``), which results depend on as much.
-_SALTED_SUFFIXES = ("*.py", "*.c")
+_SALTED_PATTERNS = ("*.py", "*.c")
 
 _code_salt = None
 
@@ -56,7 +56,7 @@ def _salt_of(root):
         if path.is_file():
             files = [path]
         else:
-            files = sorted(f for pattern in _SALTED_SUFFIXES for f in path.rglob(pattern))
+            files = sorted(f for pattern in _SALTED_PATTERNS for f in path.rglob(pattern))
         for f in files:
             h.update(str(f.relative_to(root)).encode())
             h.update(b"\0")

@@ -8,11 +8,12 @@ The object model (``MemoryHierarchy`` driven by
 - :mod:`repro.kernel.layout`/:mod:`repro.kernel.state` lay a run's
   state out as a :class:`~repro.kernel.state.KernelState` of flat int
   arrays straight from its ``SystemConfig`` (or pack built objects, and
-  restore them on request via ``KernelState.write_back``);
+  restore them on request via ``KernelState.write_back``); each
+  training twin is declared once, by its records in ``layout``;
 - :mod:`repro.kernel.cgen`/:mod:`repro.kernel.cbuild` generate, compile
-  and drive a C transliteration of the object model's per-access path
-  and of its multi-core scheduler over those arrays, when a toolchain
-  is available;
+  and drive the C under ``kernel/c/``, a transliteration of the object
+  model's per-access path and of its multi-core scheduler over those
+  arrays, when a toolchain is available;
 - :mod:`repro.kernel.execution` is the system driver's entry:
   ``KernelDomain.interleave`` runs a whole schedule in C and returns to
   Python only for training crossings, usefulness notes, warmup

@@ -29,18 +29,10 @@ typedef struct {
     int64_t *ch_busfree, *ch_demandfree;
     int64_t *infl_line, *infl_ready;
     int64_t *note_buf, *cand_line, *cand_lp;
-    /* compiled scheme-training state (dummies unless a twin is listed) */
-    int64_t *sp_st_tag, *sp_st_loff, *sp_st_sig;
-    int64_t *sp_pt_csig, *sp_pt_delta, *sp_pt_cdelta;
-    int64_t *sp_ghr_sig, *sp_ghr_loff, *sp_ghr_delta;
-    double *sp_ghr_conf;
-    int64_t *sp_flt;
-    int64_t *dp_pb_page, *dp_pb_trig_sig, *dp_pb_trig_off;
-    uint64_t *dp_pb_pattern;
-    int64_t *dp_spt_cov, *dp_spt_acc, *dp_spt_mcov, *dp_spt_or, *dp_spt_macc;
-    int64_t *bp_rr, *bp_offsets, *bp_scores, *bp_active, *bp_pend;
-    int64_t *sm_at, *sm_ft, *sm_pht;
-    int64_t *st_tab;
+    /* compiled scheme-training state (dummies unless a twin is listed):
+       every table of layout.FAMILIES */
+#define TWIN_FIELD(type, name) type *name;
+    TWIN_ARRAYS(TWIN_FIELD)
     /* pollution logs, (ordinal, line) pairs (dummies when pl_on == 0) */
     int64_t *pl_dem, *pl_fill, *pl_vic;
 } kctx_t;

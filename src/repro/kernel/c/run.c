@@ -202,35 +202,8 @@ static void bind(kctx_t *k, void **P) {
     k->cand_line = (int64_t *)P[P_cand_line];
     k->cand_lp = (int64_t *)P[P_cand_lp];
 
-    k->sp_st_tag = (int64_t *)P[P_sp_st_tag];
-    k->sp_st_loff = (int64_t *)P[P_sp_st_loff];
-    k->sp_st_sig = (int64_t *)P[P_sp_st_sig];
-    k->sp_pt_csig = (int64_t *)P[P_sp_pt_csig];
-    k->sp_pt_delta = (int64_t *)P[P_sp_pt_delta];
-    k->sp_pt_cdelta = (int64_t *)P[P_sp_pt_cdelta];
-    k->sp_ghr_sig = (int64_t *)P[P_sp_ghr_sig];
-    k->sp_ghr_conf = (double *)P[P_sp_ghr_conf];
-    k->sp_ghr_loff = (int64_t *)P[P_sp_ghr_loff];
-    k->sp_ghr_delta = (int64_t *)P[P_sp_ghr_delta];
-    k->sp_flt = (int64_t *)P[P_sp_flt];
-    k->dp_pb_page = (int64_t *)P[P_dp_pb_page];
-    k->dp_pb_pattern = (uint64_t *)P[P_dp_pb_pattern];
-    k->dp_pb_trig_sig = (int64_t *)P[P_dp_pb_trig_sig];
-    k->dp_pb_trig_off = (int64_t *)P[P_dp_pb_trig_off];
-    k->dp_spt_cov = (int64_t *)P[P_dp_spt_cov];
-    k->dp_spt_acc = (int64_t *)P[P_dp_spt_acc];
-    k->dp_spt_mcov = (int64_t *)P[P_dp_spt_mcov];
-    k->dp_spt_or = (int64_t *)P[P_dp_spt_or];
-    k->dp_spt_macc = (int64_t *)P[P_dp_spt_macc];
-    k->bp_rr = (int64_t *)P[P_bp_rr];
-    k->bp_offsets = (int64_t *)P[P_bp_offsets];
-    k->bp_scores = (int64_t *)P[P_bp_scores];
-    k->bp_active = (int64_t *)P[P_bp_active];
-    k->bp_pend = (int64_t *)P[P_bp_pend];
-    k->sm_at = (int64_t *)P[P_sm_at];
-    k->sm_ft = (int64_t *)P[P_sm_ft];
-    k->sm_pht = (int64_t *)P[P_sm_pht];
-    k->st_tab = (int64_t *)P[P_st_tab];
+#define TWIN_BIND(type, name) k->name = (type *)P[P_##name];
+    TWIN_ARRAYS(TWIN_BIND)
     k->pl_dem = (int64_t *)P[P_pl_dem];
     k->pl_fill = (int64_t *)P[P_pl_fill];
     k->pl_vic = (int64_t *)P[P_pl_vic];
@@ -417,7 +390,6 @@ static long krun(void **P) {
         }
 
         /* _issue_l1_prefetch for each stride candidate */
-pf_loop:
         while (pf_i < pf_n) {
             int64_t cand = pf_buf[pf_i];
             if (c_find(&k.l1, cand) >= 0) { pf_i++; continue; }

@@ -25,7 +25,7 @@ static void scheme_train(kctx_t *k, int64_t cycle, int64_t pc, int64_t addr) {
         int64_t sk = ci[CI_scheme_0 + c];
         int64_t base = ci[CI_cand_len];
         switch (sk) {
-        case SCHEME_SPP: case SCHEME_ESPP: spp_train(k, sk, cycle, pc, addr); break;
+        case SCHEME_SPP: case SCHEME_ESPP: spp_train(k, sk, cycle, addr); break;
         case SCHEME_DSPATCH: dp_train(k, cycle, pc, addr); break;
         case SCHEME_BOP: case SCHEME_EBOP: bop_train(k, sk, cycle, addr); break;
         case SCHEME_SMS: sms_train(k, pc, addr); break;

@@ -67,8 +67,7 @@ static double spp_threshold(kctx_t *k, int64_t sk, int64_t cycle) {
     return k->cf[CF_sp_thr_pf];
 }
 
-static void spp_train(kctx_t *k, int64_t sk, int64_t cycle, int64_t pc,
-                      int64_t addr) {
+static void spp_train(kctx_t *k, int64_t sk, int64_t cycle, int64_t addr) {
     int64_t *ci = k->ci;
     ci[CI_sp_trainings]++;
     int64_t page = addr >> (LINE_SHIFT + PG_SHIFT);

@@ -1,7 +1,8 @@
 """Build and drive the compiled kernel twin.
 
-The C source from :mod:`repro.kernel.cgen` is compiled once per source
-digest into a shared library under ``<cache_dir>/ckernel/`` (atomic
+The C source from :mod:`repro.kernel.cgen` (its ``#define`` lines and
+the C files under ``kernel/c/``) is compiled once per source digest
+into a shared library under ``<cache_dir>/ckernel/`` (atomic
 rename, so concurrent workers race benignly) and loaded with ctypes.
 ``CShared`` (one per LLC/DRAM domain) schedules the domain's cores and
 ``CRuntime`` (one per core) holds a core's pointer table and serves its
@@ -38,9 +39,9 @@ queued for a crossing scheme whose note hooks are ``Prefetcher``'s
 inherited no-ops (slot ``l2pf_notes``): nothing would read them.
 
 The build cache under ``<cache_dir>/ckernel/`` is keyed by a digest of
-the emitted C *and* the generator source, the compile flags and the
-compiler — editing :mod:`repro.kernel.cgen` can never load a stale
-``.so``.  Failures past the toolchain probe raise
+what is built: the emitted C, the compile flags and the compiler —
+editing a C file or the layout it is generated from can never load a
+stale ``.so``.  Failures past the toolchain probe raise
 :class:`KernelBuildError` so callers can tell "no compiler" from "the
 kernel is broken".
 """
@@ -55,7 +56,7 @@ import tempfile
 
 from repro.constants import LINE_SHIFT
 from repro.kernel import layout
-from repro.kernel.layout import CF64, CI64, PTR, SF64, SI64
+from repro.kernel.layout import CF64, CI64, HITS, PTR, SI64
 
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math")
 
@@ -102,21 +103,14 @@ def _build_dir():
 def _build_digest(source, cc):
     """Cache key for the built artifact.
 
-    Covers the emitted C, the generator module's own source, the compile
-    flags and the compiler path — any edit to :mod:`repro.kernel.cgen`
-    (including ones that only change how constants are derived), a flag
-    change or a compiler switch forces a rebuild instead of loading a
-    stale ``.so`` whose bytes happen to sit at the old path.
+    Covers everything the ``.so`` is built from: the emitted C, the
+    compile flags and the compiler path — any change to the C a build
+    would compile, a flag change or a compiler switch forces a rebuild
+    instead of loading a stale ``.so`` whose bytes happen to sit at the
+    old path.
     """
-    from repro.kernel import cgen
-
     h = hashlib.sha256()
     h.update(source.encode())
-    try:
-        with open(cgen.__file__, "rb") as fh:
-            h.update(fh.read())
-    except OSError:
-        pass
     h.update(repr(_CFLAGS).encode())
     h.update((cc or "").encode())
     return h.hexdigest()[:16]
@@ -318,12 +312,7 @@ class CRuntime:
         return (
             int(ci[CI64["instr"]]),
             float(self._cf[CF64["retire"]]),
-            (
-                int(ci[CI64["hit_l1"]]),
-                int(ci[CI64["hit_l2"]]),
-                int(ci[CI64["hit_llc"]]),
-                int(ci[CI64["hit_dram"]]),
-            ),
+            tuple(ci[HITS].tolist()),
         )
 
     # -------------------------------------------------------------- crossings

@@ -27,11 +27,11 @@ Exported symbols:
   ring or a pollution log needs room for the next op (``RC_GROW``).  A
   scheme with compiled twins (slot ``scheme_len`` > 0) never crosses:
   its training runs in C against flat tables and fills the candidate
-  buffers directly.  Every twin (SPP, eSPP, DSPatch, BOP, eBOP, SMS and
-  the streamer) reads its config from flat-state slots and sizes its
-  tables from them, so one twin per class serves every config the gate
-  admits, and a composite is the list of its components' twins, trained
-  in arbitration order with ``CompositePrefetcher``'s merge.  With the
+  buffers directly.  Every twin (one per record of ``layout.TWINS``)
+  reads its config from flat-state slots and sizes its tables from
+  them, so one twin per class serves every config the gate admits, and
+  a composite is the list of its components' twins, trained in
+  arbitration order with ``CompositePrefetcher``'s merge.  With the
   ``pl_on`` slot set, ``krun`` also records the three pollution logs of
   :class:`repro.observe.sinks.PollutionCollector` (the spec) into
   per-core ``(ordinal, line)`` arrays.
@@ -47,7 +47,6 @@ happen in the same order with no contraction — build with
 from pathlib import Path
 
 from repro.constants import LINE_SHIFT, PAGE_SHIFT
-from repro.core.spt import COUNTER_MAX
 from repro.kernel import layout
 from repro.kernel.layout import CF64, CI64, PTR, SF64, SI64
 
@@ -59,41 +58,33 @@ def _defines():
             lines.append(f"#define {prefix}{name} {idx}")
     lines.append(f"#define LINE_SHIFT {LINE_SHIFT}")
     lines.append(f"#define PG_SHIFT {PAGE_SHIFT - LINE_SHIFT}")
-    lines.append(f"#define PH_TOP {layout.PH_TOP}")
-    lines.append(f"#define PH_L1PF_TRAIN {layout.PH_L1PF_TRAIN}")
-    lines.append(f"#define PH_DEMAND_TRAIN {layout.PH_DEMAND_TRAIN}")
-    lines.append(f"#define RC_DONE {layout.RC_DONE}")
-    lines.append(f"#define RC_TRAIN {layout.RC_TRAIN}")
-    lines.append(f"#define RC_YIELD {layout.RC_YIELD}")
-    lines.append(f"#define RC_GROW {layout.RC_GROW}")
-    lines.append(f"#define NOTE_USEFUL {layout.NOTE_USEFUL}")
-    lines.append(f"#define NOTE_USELESS {layout.NOTE_USELESS}")
-    lines.append(f"#define SM_REC {layout.SM_REC}")
-    lines.append(f"#define SM_PHT_REC {layout.SM_PHT_REC}")
-    lines.append(f"#define ST_REC {layout.ST_REC}")
-    for name, value in vars(layout).items():
-        if name.startswith("SCHEME_") and isinstance(value, int):
-            lines.append(f"#define {name} {value}")
-    # The SPT's 2-bit counter ceiling: a constant of the spec, not a
-    # config value.
-    lines.append(f"#define DP_CMAX {COUNTER_MAX}")
+
+    def group(prefix):
+        return [(k, v) for k, v in vars(layout).items() if k.startswith(prefix) and isinstance(v, int)]
+
+    constants = (
+        *group("PH_"),
+        *group("RC_"),
+        *group("NOTE_"),
+        *(define for family in layout.FAMILIES for define in family.defines),
+        *group("SCHEME_"),
+    )
+    lines.extend(f"#define {name} {value}" for name, value in constants)
+    # Every twin table as X(C type, name): kctx_t's fields and bind's
+    # lines expand it.
+    lines.append("#define TWIN_ARRAYS(X)" + "".join(
+        f" \\\n    X({_C_TYPES[table.dtype]}, {table.name})" for table in layout.TWIN_ARRAYS
+    ))
     return "\n".join(lines)
 
+
+_C_TYPES = {"int64": "int64_t", "uint64": "uint64_t", "float64": "double"}
 
 #: The kernel's C, in the order the translation unit joins it: the
 #: machine, one file per twin's table family, the scheme dispatch and
 #: the run loop.  They are one unit, not separate ones: each file uses
 #: the ``#define`` lines and what the files before it declare.
-C_FILES = (
-    "machine.c",
-    "spp.c",
-    "dspatch.c",
-    "bop.c",
-    "sms.c",
-    "streamer.c",
-    "scheme.c",
-    "run.c",
-)
+C_FILES = ("machine.c", *(family.c_file for family in layout.FAMILIES), "scheme.c", "run.c")
 C_DIR = Path(__file__).with_name("c")
 
 

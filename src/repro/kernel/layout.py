@@ -16,15 +16,29 @@ stride table, DRAM bank arrays, the crossing buffers, the scheme tables,
 the pollution logs) lives in separate named arrays, indexed by the
 pointer-table constants (:data:`PTR`).
 
+Each compiled training twin is declared once, by the records
+:data:`TWINS` (one per twinned class) and :data:`FAMILIES` (one per
+table family), from which its slots and pointer-table entries derive.
+
 Three consumers read these dictionaries and therefore can never drift
 apart:
 
-- :mod:`repro.kernel.state` sizes and packs the arrays,
+- :mod:`repro.kernel.state` sizes and packs the arrays (and gates and
+  packs each twin by its records),
 - :mod:`repro.kernel.cbuild` reads and resets slots at the crossings and
   warmup boundaries,
 - :mod:`repro.kernel.cgen` emits them as ``#define`` lines into the
   generated C source, so the compiled twin shares the exact layout.
 """
+
+from typing import Callable, NamedTuple
+
+from repro.core.dspatch import DSPatch
+from repro.core.spt import COUNTER_MAX
+from repro.prefetchers.bop import BOP, EBOP
+from repro.prefetchers.sms import SMS
+from repro.prefetchers.spp import ESPP, SPP
+from repro.prefetchers.streamer import StreamPrefetcher
 
 
 def _index(names):
@@ -44,21 +58,197 @@ SCHEME_EBOP = 5
 SCHEME_SMS = 6
 SCHEME_STREAMER = 7
 
-#: Each twin kind's table family, named after the scheme whose flat
-#: tables it trains (and whose ``KernelState`` pack and write-back serve
-#: it).  Two kinds of one family would share those tables, so a twinned
-#: scheme lists at most one kind per family.
-SCHEME_FAMILY = {
-    SCHEME_SPP: "spp",
-    SCHEME_ESPP: "spp",
-    SCHEME_DSPATCH: "dspatch",
-    SCHEME_BOP: "bop",
-    SCHEME_EBOP: "bop",
-    SCHEME_SMS: "sms",
-    SCHEME_STREAMER: "streamer",
-}
+
+class Table(NamedTuple):
+    """A twin table: its pointer-table name, its dtype and, if it copies
+    a list attribute of the scheme, that attribute."""
+
+    name: str
+    dtype: str = "int64"
+    attr: str = None
+
+
+class Family(NamedTuple):
+    """The flat state one C file under ``kernel/c/`` trains (SPP and eSPP
+    share a family, BOP and eBOP one).  Each int slot, in layout order,
+    names its source: the scheme attribute it mirrors (a ``str``, packed
+    and written back), a function of the scheme computing it at pack, or
+    ``None`` when the family's table packer sets it.  ``fconfig`` are
+    float64 slots computed at pack; ``defines`` C constants its C and
+    its packer share."""
+
+    name: str
+    c_file: str
+    slots: tuple
+    arrays: tuple
+    fconfig: tuple = ()
+    defines: tuple = ()
+
+
+class Twin(NamedTuple):
+    """A class with a compiled training twin (subclasses cross): its kind,
+    its family, whether the C can hold an instance's config, and whether
+    it reads the bandwidth monitor (which must be the packed one)."""
+
+    cls: type
+    kind: int
+    family: Family
+    fits: Callable
+    bandwidth: bool = False
+
+
+SPP_TABLES = Family(
+    "spp", "spp.c",
+    slots=(
+        ("sp_trainings", "trainings"), ("sp_filtered", "filtered"),
+        ("sp_fb_issued", "feedback_issued"), ("sp_fb_useful", "feedback_useful"),
+        ("sp_ghr_len", None),
+        ("sp_st_mask", lambda pf: pf.config.st_entries - 1),
+        ("sp_pt_mask", lambda pf: pf.config.pt_entries - 1),
+        ("sp_slots", lambda pf: pf.config.delta_slots),
+        ("sp_cmax", lambda pf: pf.config.counter_max),
+        ("sp_ghr_cap", lambda pf: pf.config.ghr_entries),
+        ("sp_flt_mask", lambda pf: pf.config.filter_entries - 1),
+        ("sp_depth", lambda pf: pf.config.max_lookahead_depth),
+        ("sp_maxc", lambda pf: pf.config.max_candidates_per_train),
+    ),
+    fconfig=(
+        ("sp_thr_pf", lambda pf: pf.config.prefetch_threshold),
+        ("sp_thr_la", lambda pf: pf.config.lookahead_threshold),
+        ("sp_thr_relax", lambda pf: pf.config.relaxed_threshold),
+    ),
+    arrays=(
+        Table("sp_st_tag"), Table("sp_st_loff"), Table("sp_st_sig"),
+        Table("sp_pt_csig", attr="_pt_c_sig"), Table("sp_pt_delta"), Table("sp_pt_cdelta"),
+        Table("sp_ghr_sig"), Table("sp_ghr_conf", "float64"),
+        Table("sp_ghr_loff"), Table("sp_ghr_delta"),
+        Table("sp_flt", attr="_filter"),
+    ),
+)
+
+DSPATCH_TABLES = Family(
+    "dspatch", "dspatch.c",
+    slots=(
+        ("dp_pb_len", None), ("dp_pb_evictions", None),
+        ("dp_trainings", "trainings"), ("dp_triggers", "triggers"),
+        ("dp_pred_covp", "predictions_covp"), ("dp_pred_accp", "predictions_accp"),
+        ("dp_pred_supp", "predictions_suppressed"),
+        ("dp_pb_cap", lambda pf: pf.config.pb_entries),
+        ("dp_spt_mask", lambda pf: pf.config.spt_entries - 1),
+        ("dp_maxc", lambda pf: pf.config.max_candidates_per_trigger),
+        ("dp_sig_bits", lambda pf: pf.config.pc_signature_bits),
+        ("dp_covp_reset", lambda pf: 1 if pf.config.covp_reset else 0),
+    ),
+    arrays=(
+        # Patterns are 64-bit with bit 63 reachable (line offset 63), so
+        # they live in uint64 — int64 would overflow on pack.
+        Table("dp_pb_page"), Table("dp_pb_pattern", "uint64"),
+        Table("dp_pb_trig_sig"), Table("dp_pb_trig_off"),
+        Table("dp_spt_cov"), Table("dp_spt_acc"),
+        Table("dp_spt_mcov"), Table("dp_spt_or"), Table("dp_spt_macc"),
+    ),
+    # The SPT's 2-bit counter ceiling: a constant of the spec, not a
+    # config value.
+    defines=(("DP_CMAX", COUNTER_MAX),),
+)
+
+BOP_TABLES = Family(
+    "bop", "bop.c",
+    slots=(
+        ("bp_trainings", "trainings"), ("bp_phases", "learning_phases"),
+        ("bp_test_pos", "_test_pos"), ("bp_round", "_round"),
+        ("bp_active_len", None), ("bp_pend_head", None), ("bp_pend_len", None),
+        ("bp_pend_cap", None),      # pending-fill ring capacity, 0 when none is packed
+        ("bp_n_off", lambda pf: len(pf.config.offsets)),
+        ("bp_rr_mask", lambda pf: pf.config.rr_entries - 1),
+        ("bp_max_round", lambda pf: pf.config.max_round),
+        ("bp_max_score", lambda pf: pf.config.max_score),
+        ("bp_bad_score", lambda pf: pf.config.bad_score),
+        ("bp_degree", lambda pf: pf.config.degree),
+        ("bp_fill_delay", lambda pf: pf.config.fill_delay_cycles),
+    ),
+    arrays=(
+        Table("bp_rr", attr="_rr"), Table("bp_offsets"), Table("bp_scores"),
+        Table("bp_active"), Table("bp_pend"),
+    ),
+)
+
+#: SMS table records, int64 fields per entry.  AT/FT entries are
+#: (region, pattern, trigger pc, trigger offset, stamp), PHT entries
+#: (tag, pattern, stamp); stamp 0 marks a free entry, and ascending
+#: stamps give each table's dict order.  Patterns hold the 64-bit
+#: pattern's two's-complement bits.
+SM_REC = 5
+SM_PHT_REC = 3
+
+SMS_TABLES = Family(
+    "sms", "sms.c",
+    slots=(
+        ("sm_trainings", "trainings"), ("sm_pht_stores", "pht_stores"),
+        ("sm_pht_hits", "pht_hits"), ("sm_clock", None),
+        ("sm_region_shift", lambda pf: pf._region_shift),
+        ("sm_off_mask", lambda pf: pf._offset_mask),
+        ("sm_at_cap", lambda pf: pf.config.at_entries),
+        ("sm_ft_cap", lambda pf: pf.config.ft_entries),
+        ("sm_pht_sets", lambda pf: pf.config.pht_sets),
+        ("sm_pht_ways", lambda pf: pf.config.pht_ways),
+        ("sm_set_bits", lambda pf: (pf.config.pht_sets - 1).bit_length()),
+    ),
+    arrays=(Table("sm_at"), Table("sm_ft"), Table("sm_pht")),
+    defines=(("SM_REC", SM_REC), ("SM_PHT_REC", SM_PHT_REC)),
+)
+
+#: Streamer page-table records, int64 fields per entry: (page, last
+#: offset, direction, confidence, stamp); stamp 0 marks a free entry, and
+#: ascending stamps give the table's dict (LRU) order.
+ST_REC = 5
+
+STREAMER_TABLES = Family(
+    "streamer", "streamer.c",
+    slots=(
+        ("st_trainings", "trainings"), ("st_clock", None),
+        ("st_tracked", lambda pf: pf.tracked_pages), ("st_degree", lambda pf: pf.degree),
+    ),
+    arrays=(Table("st_tab"),),
+    defines=(("ST_REC", ST_REC),),
+)
+
+#: Every table family, in the order the kernel's C joins their files
+#: (the streamer's C uses SMS's stamped-table search).
+FAMILIES = (SPP_TABLES, DSPATCH_TABLES, BOP_TABLES, SMS_TABLES, STREAMER_TABLES)
+
+
+def _spp_fits(pf):
+    # The spec rejects empty tables but runs without a GHR; the C needs one.
+    return pf.config.ghr_entries >= 1
+
+
+def _bop_fits(pf):
+    offsets = pf.config.offsets
+    return offsets and len(set(offsets)) == len(offsets)
+
+
+TWINS = (
+    Twin(SPP, SCHEME_SPP, SPP_TABLES, _spp_fits),
+    Twin(ESPP, SCHEME_ESPP, SPP_TABLES, _spp_fits, bandwidth=True),
+    Twin(DSPatch, SCHEME_DSPATCH, DSPATCH_TABLES,
+         lambda pf: pf.config.compressed and pf.config.pc_signature_bits <= 63, bandwidth=True),
+    Twin(BOP, SCHEME_BOP, BOP_TABLES, _bop_fits),
+    Twin(EBOP, SCHEME_EBOP, BOP_TABLES, _bop_fits, bandwidth=True),
+    Twin(SMS, SCHEME_SMS, SMS_TABLES,
+         lambda pf: 1 <= pf.config.lines_per_region <= 64
+         and pf.config.at_entries >= 1 and pf.config.ft_entries >= 1),
+    Twin(StreamPrefetcher, SCHEME_STREAMER, STREAMER_TABLES,
+         lambda pf: 1 <= pf.tracked_pages and len(pf._streams) <= pf.tracked_pages),
+)
+
+#: Each twin kind's table family.  Two kinds of one family would share
+#: its tables, so a twinned scheme lists at most one kind per family.
+SCHEME_FAMILY = {twin.kind: twin.family for twin in TWINS}
 #: The most components a twinned scheme lists: one per family.
-MAX_TWINS = len(set(SCHEME_FAMILY.values()))
+MAX_TWINS = len(FAMILIES)
+#: Every twin table, family by family.
+TWIN_ARRAYS = tuple(table for family in FAMILIES for table in family.arrays)
 
 
 #: Per-core int64 slot names, grouped by subsystem.  Mutable state and
@@ -114,27 +304,7 @@ CI64_NAMES = (
     # saved below-L1 context (the half-finished lookup)
     "b_line", "b_slot", "b_first_use",
     # -- compiled scheme training (live only for a listed twin) --------------
-    # SPP/eSPP: counters, then the SppConfig values (thresholds are CF64)
-    "sp_trainings", "sp_filtered", "sp_fb_issued", "sp_fb_useful",
-    "sp_ghr_len",
-    "sp_st_mask", "sp_pt_mask", "sp_slots", "sp_cmax", "sp_ghr_cap",
-    "sp_flt_mask", "sp_depth", "sp_maxc",
-    # DSPatch: counters, then the DSPatchConfig values
-    "dp_pb_len", "dp_pb_evictions", "dp_trainings", "dp_triggers",
-    "dp_pred_covp", "dp_pred_accp", "dp_pred_supp",
-    "dp_pb_cap", "dp_spt_mask", "dp_maxc", "dp_sig_bits", "dp_covp_reset",
-    # BOP/eBOP: counters and learning state, then the BopConfig values
-    "bp_trainings", "bp_phases", "bp_test_pos", "bp_round", "bp_active_len",
-    "bp_pend_head", "bp_pend_len",
-    "bp_pend_cap",      # pending-fill FIFO ring capacity, 0 when none is packed
-    "bp_n_off", "bp_rr_mask", "bp_max_round", "bp_max_score", "bp_bad_score",
-    "bp_degree", "bp_fill_delay",
-    # SMS: counters, the age-stamp clock, then the SmsConfig geometry
-    "sm_trainings", "sm_pht_stores", "sm_pht_hits", "sm_clock",
-    "sm_region_shift", "sm_off_mask", "sm_at_cap", "sm_ft_cap",
-    "sm_pht_sets", "sm_pht_ways", "sm_set_bits",
-    # streamer: counter, the age-stamp clock, then the two config values
-    "st_trainings", "st_clock", "st_tracked", "st_degree",
+    *(slot for family in FAMILIES for slot, _ in family.slots),
     # -- pollution recording (live only when pl_on) --------------------------
     "pl_on",
     "pl_dem_len", "pl_dem_cap",     # (ordinal, line) per below-L1 lookup
@@ -145,7 +315,8 @@ CI64_NAMES = (
 #: Per-core float64 slot names.
 CF64_NAMES = (
     "retire", "last_load_done", "horizon", "retire_step", "ctx_enter",
-    "sp_thr_pf", "sp_thr_la", "sp_thr_relax",   # SppConfig's three thresholds
+    # compiled scheme training: the families' float config values
+    *(slot for family in FAMILIES for slot, _ in family.fconfig),
 )
 
 #: Shared int64 slots (one copy per LLC/DRAM domain).
@@ -178,6 +349,9 @@ CI64 = _index(CI64_NAMES)
 CF64 = _index(CF64_NAMES)
 SI64 = _index(SI64_NAMES)
 SF64 = _index(SF64_NAMES)
+#: The per-level hit counters, ``CoreExecution._hits`` in order (the C
+#: counts into ``ci[CI_hit_l1 + level]``).
+HITS = slice(CI64["hit_l1"], CI64["hit_dram"] + 1)
 
 #: Crossing state machine phases (slot ``phase``).
 PH_TOP = 0          # between ops
@@ -197,9 +371,6 @@ RC_GROW = 3         # a core stopped between ops because BOP's pending-fill
 NOTE_USEFUL = 0
 NOTE_USELESS = 1
 
-#: Hit-level codes, mirroring :mod:`repro.memory.hierarchy`.
-LV_L1, LV_L2, LV_LLC, LV_DRAM = 0, 1, 2, 3
-
 #: Pointer-table entries for the compiled kernel: every array the C side
 #: touches, by name.  The Python side fills an ``int64`` table with the
 #: arrays' base addresses in exactly this order.
@@ -217,15 +388,7 @@ PTR_NAMES = (
     "infl_line", "infl_ready",
     "note_buf", "cand_line", "cand_lp", "pf_buf",
     # compiled scheme training state (1-element dummies unless a twin is listed)
-    "sp_st_tag", "sp_st_loff", "sp_st_sig",
-    "sp_pt_csig", "sp_pt_delta", "sp_pt_cdelta",
-    "sp_ghr_sig", "sp_ghr_conf", "sp_ghr_loff", "sp_ghr_delta",
-    "sp_flt",
-    "dp_pb_page", "dp_pb_pattern", "dp_pb_trig_sig", "dp_pb_trig_off",
-    "dp_spt_cov", "dp_spt_acc", "dp_spt_mcov", "dp_spt_or", "dp_spt_macc",
-    "bp_rr", "bp_offsets", "bp_scores", "bp_active", "bp_pend",
-    "sm_at", "sm_ft", "sm_pht",
-    "st_tab",
+    *(table.name for table in TWIN_ARRAYS),
     # pollution logs, (ordinal, line) pairs (1-element dummies when pl_on == 0)
     "pl_dem", "pl_fill", "pl_vic",
 )
@@ -237,16 +400,3 @@ PF_BUF_CAP = 64
 
 #: Initial capacity of the crossing buffers; grown on demand.
 CAND_CAP0 = 256
-
-#: SMS table records, int64 fields per entry.  AT/FT entries are
-#: (region, pattern, trigger pc, trigger offset, stamp), PHT entries
-#: (tag, pattern, stamp); stamp 0 marks a free entry, and ascending
-#: stamps give each table's dict order.  Patterns hold the 64-bit
-#: pattern's two's-complement bits.
-SM_REC = 5
-SM_PHT_REC = 3
-
-#: Streamer page-table records, int64 fields per entry: (page, last
-#: offset, direction, confidence, stamp); stamp 0 marks a free entry, and
-#: ascending stamps give the table's dict (LRU) order.
-ST_REC = 5

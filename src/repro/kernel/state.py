@@ -40,6 +40,7 @@ from repro.kernel.layout import (
     CAND_CAP0,
     CF64,
     CI64,
+    HITS,
     PF_BUF_CAP,
     SCHEME_FAMILY,
     SF64,
@@ -47,6 +48,8 @@ from repro.kernel.layout import (
     SM_PHT_REC,
     SM_REC,
     ST_REC,
+    TWIN_ARRAYS,
+    TWINS,
 )
 from repro.cpu.core import measured_stats
 from repro.memory.cache import Cache, CacheLine, victim_mode
@@ -79,23 +82,6 @@ _PF_STATS = (
     "dropped_in_flight",
     "dropped_bandwidth",
 )
-#: Scheme arrays that exist even when no compiled twin is active (the
-#: pointer table is fixed, so inactive schemes get 1-element dummies).
-_SP_I64_ARRAYS = (
-    "sp_st_tag", "sp_st_loff", "sp_st_sig",
-    "sp_pt_csig", "sp_pt_delta", "sp_pt_cdelta",
-    "sp_ghr_sig", "sp_ghr_loff", "sp_ghr_delta",
-    "sp_flt",
-)
-_DP_I64_ARRAYS = (
-    "dp_pb_page", "dp_pb_trig_sig", "dp_pb_trig_off",
-    "dp_spt_cov", "dp_spt_acc", "dp_spt_mcov", "dp_spt_or", "dp_spt_macc",
-)
-_BP_I64_ARRAYS = ("bp_rr", "bp_offsets", "bp_scores", "bp_active", "bp_pend")
-_SM_I64_ARRAYS = ("sm_at", "sm_ft", "sm_pht")
-_SCHEME_I64_ARRAYS = (
-    _SP_I64_ARRAYS + _DP_I64_ARRAYS + _BP_I64_ARRAYS + _SM_I64_ARRAYS + ("st_tab",)
-)
 #: The pollution logs, in the order of ``RunResult``'s three log fields
 #: (``demand_log``, ``prefetch_fill_log``, ``pollution_events``).
 _LOGS = ("pl_dem", "pl_fill", "pl_vic")
@@ -113,6 +99,24 @@ _U64 = (1 << 64) - 1
 def _s64(pattern):
     """A 64-bit pattern as the int64 with the same bits (for packing)."""
     return pattern - (1 << 64) if pattern >> 63 else pattern
+
+
+def _stamp(rows, records, stamp):
+    """Lay ``records`` (oldest first) into the stamped table ``rows`` (one
+    row per entry, its stamp last) from row 0 on, stamping them from
+    ``stamp + 1``; returns the last stamp.  SMS's AT, FT and PHT sets and
+    the streamer's page table are stamped tables."""
+    for i, record in enumerate(records):
+        stamp += 1
+        rows[i] = (*record, stamp)
+    return stamp
+
+
+def _unstamp(rows):
+    """A stamped table's live records (stamp not 0), oldest first, without
+    their stamps."""
+    live = sorted((row for row in rows.tolist() if row[-1]), key=lambda row: row[-1])
+    return [row[:-1] for row in live]
 
 
 def _ring_cap(need):
@@ -169,39 +173,18 @@ def _unhooked(pf):
     )
 
 
+#: The twin record of each twinned class.
+_TWIN_OF = {twin.cls: twin for twin in TWINS}
+
+
 def _twin_kind(pf, dram_obj):
     """The SCHEME_* kind of ``pf``'s compiled training twin, or 0."""
-    from repro.core.dspatch import DSPatch
-    from repro.prefetchers.bop import BOP, EBOP
-    from repro.prefetchers.sms import SMS
-    from repro.prefetchers.spp import ESPP, SPP
-    from repro.prefetchers.streamer import StreamPrefetcher
-
-    cls = type(pf)
-    if not _unhooked(pf):
+    twin = _TWIN_OF.get(type(pf))
+    if twin is None or not _unhooked(pf):
         return 0
-    if cls in (ESPP, DSPatch, EBOP) and not _bandwidth_is_packed(pf.bandwidth, dram_obj):
+    if twin.bandwidth and not _bandwidth_is_packed(pf.bandwidth, dram_obj):
         return 0
-    if cls is StreamPrefetcher:
-        fits = 1 <= pf.tracked_pages and len(pf._streams) <= pf.tracked_pages
-        return layout.SCHEME_STREAMER if fits else 0
-    if cls in (BOP, EBOP):
-        offsets = pf.config.offsets
-        fits = offsets and len(set(offsets)) == len(offsets)
-        return (layout.SCHEME_BOP if cls is BOP else layout.SCHEME_EBOP) if fits else 0
-    if cls is SMS:
-        cfg = pf.config
-        fits = 1 <= cfg.lines_per_region <= 64 and cfg.at_entries >= 1 and cfg.ft_entries >= 1
-        return layout.SCHEME_SMS if fits else 0
-    if cls in (SPP, ESPP):
-        # The spec rejects empty tables but runs without a GHR; the C needs one.
-        fits = pf.config.ghr_entries >= 1
-        return (layout.SCHEME_SPP if cls is SPP else layout.SCHEME_ESPP) if fits else 0
-    if cls is DSPatch:
-        cfg = pf.config
-        fits = cfg.compressed and cfg.pc_signature_bits <= 63
-        return layout.SCHEME_DSPATCH if fits else 0
-    return 0
+    return twin.kind if twin.fits(pf) else 0
 
 
 def _scheme_kind(l2_pf, dram_obj):
@@ -210,18 +193,14 @@ def _scheme_kind(l2_pf, dram_obj):
     ``SCHEME_PY`` (the empty tuple) when it crosses into Python.
 
     Each scheme, the composite and every component alike, must be of
-    the exact class (subclass variants override hooks the twins
-    hardcode), with no event tracing and none of the kernel's hooks
-    (``train`` and the two note hooks) replaced on the instance — a twin
-    would never call them.  Bandwidth-aware schemes must read the packed
-    DRAM monitor.  Every twin reads its config from flat-state slots, so
-    any config qualifies that the C can hold: unique BOP offsets, SMS
-    regions of at most 64 lines with non-empty AT and FT, a streamer
-    tracking at least one page and holding no more than it tracks, an
-    SPP with a GHR entry, and compressed DSPatch patterns with a PC
-    signature of at most 63 bits (the specs reject empty SPP tables and
-    signatures under 1 bit).  A composite twins when every component
-    does and no two components share a table family
+    the exact class of a :data:`~repro.kernel.layout.TWINS` record
+    (subclass variants override hooks the twins hardcode), with no event
+    tracing and none of the kernel's hooks (``train`` and the two note
+    hooks) replaced on the instance — a twin would never call them.
+    Bandwidth-aware schemes must read the packed DRAM monitor.  Every
+    twin reads its config from flat-state slots, so any config qualifies
+    that the C can hold (the record's ``fits``).  A composite twins when
+    every component does and no two components share a table family
     (:data:`~repro.kernel.layout.SCHEME_FAMILY`: SPP/eSPP, BOP/eBOP).
     Everything else (``fdp:`` wrappers, ``ampm``, the DSPatch variants,
     user subclasses) crosses into Python on every L2 training access.
@@ -518,11 +497,7 @@ class KernelState:
         ci[CI64["pos"]] = execution._pos
         ci[CI64["end"]] = execution._pos
         ci[CI64["instr"]] = execution._instr
-        hits = execution._hits
-        ci[CI64["hit_l1"]] = hits[0]
-        ci[CI64["hit_l2"]] = hits[1]
-        ci[CI64["hit_llc"]] = hits[2]
-        ci[CI64["hit_dram"]] = hits[3]
+        ci[HITS] = execution._hits
         cf[CF64["retire"]] = execution._retire
         cf[CF64["last_load_done"]] = execution._last_load_done
         window = execution._window
@@ -639,13 +614,12 @@ class KernelState:
         # stops to grow them before an op they lack room for), else
         # dummies the C never touches.
         sizes.update(dict.fromkeys(_LOGS, max(2 * log_cap, 1)))
-        # Scheme tables: dummies until _pack_scheme lays out a twin's.
-        sizes.update(dict.fromkeys(_SCHEME_I64_ARRAYS, 1))
         for name, arr in _carve(sizes).items():
             setattr(self, name, arr)
         self.win_ret = np.zeros(win_cap, dtype=np.float64)
-        self.sp_ghr_conf = np.zeros(1, dtype=np.float64)
-        self.dp_pb_pattern = np.zeros(1, dtype=np.uint64)
+        # Scheme tables: dummies until _pack_scheme lays out a twin's.
+        for table in TWIN_ARRAYS:
+            setattr(self, table.name, np.zeros(1, dtype=table.dtype))
 
         # Core execution constants
         ci[CI64["n_ops"]] = len(trace)
@@ -692,7 +666,7 @@ class KernelState:
         ci[CI64["scheme_len"]] = len(kinds)
         for i, (kind, pf) in enumerate(zip(kinds, _components(l2_pf))):
             ci[CI64[f"scheme_{i}"]] = kind
-            getattr(self, "_pack_" + SCHEME_FAMILY[kind])(pf, ci)
+            self._pack_twin(SCHEME_FAMILY[kind], pf)
         # Each twin appends at most one candidate per line of the page.
         if LINES_PER_PAGE * len(kinds) > ci[CI64["cand_cap"]]:
             self.grow_candidates(LINES_PER_PAGE * len(kinds))
@@ -703,38 +677,49 @@ class KernelState:
         with the stats measured from ``floor`` (see
         :func:`repro.cpu.core.measured_stats`)."""
         ci = self.ci64
-        hits = (
-            int(ci[CI64["hit_l1"]]),
-            int(ci[CI64["hit_l2"]]),
-            int(ci[CI64["hit_llc"]]),
-            int(ci[CI64["hit_dram"]]),
-        )
         stats = measured_stats(
             int(ci[CI64["instr"]]),
             int(ci[CI64["pos"]]),
             float(self.cf64[CF64["retire"]]),
-            hits,
+            tuple(ci[HITS].tolist()),
             floor,
         )
         pf = PrefetchStats(**{field: int(ci[CI64["pf_" + field]]) for field in _PF_STATS})
         return stats, pf, int(ci[CI64["l2_demand_misses"]]), self.pollution_logs()
 
     # --------------------------------------------- compiled scheme training
+    # A twin's config, counter and flat-list slots are one loop over its
+    # family record (layout.FAMILIES); the family's _pack_/_write_back_
+    # pair lays out and restores the tables whose object layout is not
+    # flat.
+
+    def _pack_twin(self, family, pf):
+        ci = self.ci64
+        for slot, source in family.slots:
+            if isinstance(source, str):
+                ci[CI64[slot]] = getattr(pf, source)
+            elif source is not None:
+                ci[CI64[slot]] = source(pf)
+        for slot, value in family.fconfig:
+            self.cf64[CF64[slot]] = value(pf)
+        for table in family.arrays:
+            if table.attr:
+                setattr(self, table.name, np.array(getattr(pf, table.attr), dtype=table.dtype))
+        getattr(self, "_pack_" + family.name)(pf, ci)
+
+    def _write_back_twin(self, family, pf):
+        ci = self.ci64
+        for slot, source in family.slots:
+            if isinstance(source, str):
+                setattr(pf, source, int(ci[CI64[slot]]))
+        for table in family.arrays:
+            if table.attr:
+                setattr(pf, table.attr, getattr(self, table.name).tolist())
+        getattr(self, "_write_back_" + family.name)(pf, ci)
 
     def _pack_spp(self, pf, ci):
+        """The ST's entries, the PT's (delta, count) slots and the GHR."""
         cfg = pf.config
-        ci[CI64["sp_st_mask"]] = cfg.st_entries - 1
-        ci[CI64["sp_pt_mask"]] = cfg.pt_entries - 1
-        ci[CI64["sp_slots"]] = cfg.delta_slots
-        ci[CI64["sp_cmax"]] = cfg.counter_max
-        ci[CI64["sp_ghr_cap"]] = cfg.ghr_entries
-        ci[CI64["sp_flt_mask"]] = cfg.filter_entries - 1
-        ci[CI64["sp_depth"]] = cfg.max_lookahead_depth
-        ci[CI64["sp_maxc"]] = cfg.max_candidates_per_train
-        cf = self.cf64
-        cf[CF64["sp_thr_pf"]] = cfg.prefetch_threshold
-        cf[CF64["sp_thr_la"]] = cfg.lookahead_threshold
-        cf[CF64["sp_thr_relax"]] = cfg.relaxed_threshold
         n_st = cfg.st_entries
         self.sp_st_tag = np.full(n_st, -1, dtype=np.int64)
         self.sp_st_loff = _i64(n_st)
@@ -749,7 +734,6 @@ class KernelState:
             self.sp_st_tag[idx] = tags
             self.sp_st_loff[idx] = loffs
             self.sp_st_sig[idx] = sigs
-        self.sp_pt_csig = np.array(pf._pt_c_sig, dtype=np.int64)
         # Every row's (delta, c_delta) slot pairs, in one flat conversion.
         n_slots = cfg.pt_entries * cfg.delta_slots
         pairs = np.fromiter(
@@ -770,23 +754,12 @@ class KernelState:
             self.sp_ghr_loff[:n] = [g.last_offset for g in ghr]
             self.sp_ghr_delta[:n] = [g.delta for g in ghr]
         ci[CI64["sp_ghr_len"]] = len(ghr)
-        self.sp_flt = np.array(pf._filter, dtype=np.int64)
-        ci[CI64["sp_trainings"]] = pf.trainings
-        ci[CI64["sp_filtered"]] = pf.filtered
-        ci[CI64["sp_fb_issued"]] = pf.feedback_issued
-        ci[CI64["sp_fb_useful"]] = pf.feedback_useful
 
     def _pack_dspatch(self, pf, ci):
-        cfg = pf.config
-        n_pb = cfg.pb_entries
-        ci[CI64["dp_pb_cap"]] = n_pb
-        ci[CI64["dp_spt_mask"]] = cfg.spt_entries - 1
-        ci[CI64["dp_maxc"]] = cfg.max_candidates_per_trigger
-        ci[CI64["dp_sig_bits"]] = cfg.pc_signature_bits
-        ci[CI64["dp_covp_reset"]] = 1 if cfg.covp_reset else 0
+        """The page buffer in LRU order and the SPT's patterns and
+        counters."""
+        n_pb = pf.config.pb_entries
         self.dp_pb_page = _i64(n_pb)
-        # Patterns are 64-bit with bit 63 reachable (line offset 63), so
-        # they live in uint64 — int64 would overflow on pack.
         self.dp_pb_pattern = np.zeros(n_pb, dtype=np.uint64)
         self.dp_pb_trig_sig = np.full(2 * n_pb, -1, dtype=np.int64)
         self.dp_pb_trig_off = _i64(2 * n_pb)
@@ -820,23 +793,12 @@ class KernelState:
         self.dp_spt_mcov = spt[:, 2:4].flatten()
         self.dp_spt_or = spt[:, 4:6].flatten()
         self.dp_spt_macc = spt[:, 6:8].flatten()
-        ci[CI64["dp_trainings"]] = pf.trainings
-        ci[CI64["dp_triggers"]] = pf.triggers
-        ci[CI64["dp_pred_covp"]] = pf.predictions_covp
-        ci[CI64["dp_pred_accp"]] = pf.predictions_accp
-        ci[CI64["dp_pred_supp"]] = pf.predictions_suppressed
 
     def _pack_bop(self, pf, ci):
+        """The offsets with their scores, the ranked active offsets and
+        the pending-fill ring."""
         cfg = pf.config
         offsets = cfg.offsets
-        ci[CI64["bp_n_off"]] = len(offsets)
-        ci[CI64["bp_rr_mask"]] = cfg.rr_entries - 1
-        ci[CI64["bp_max_round"]] = cfg.max_round
-        ci[CI64["bp_max_score"]] = cfg.max_score
-        ci[CI64["bp_bad_score"]] = cfg.bad_score
-        ci[CI64["bp_degree"]] = cfg.degree
-        ci[CI64["bp_fill_delay"]] = cfg.fill_delay_cycles
-        self.bp_rr = np.array(pf._rr, dtype=np.int64)
         self.bp_offsets = np.array(offsets, dtype=np.int64)
         self.bp_scores = np.array([pf._scores[off] for off in offsets], dtype=np.int64)
         # A phase keeps at most max(degree, 4) offsets.
@@ -845,10 +807,6 @@ class KernelState:
         self.bp_active = _i64(cap)
         self.bp_active[: len(active)] = active
         ci[CI64["bp_active_len"]] = len(active)
-        ci[CI64["bp_test_pos"]] = pf._test_pos
-        ci[CI64["bp_round"]] = pf._round
-        ci[CI64["bp_trainings"]] = pf.trainings
-        ci[CI64["bp_phases"]] = pf.learning_phases
         self._pack_pending(list(pf._pending_fills))
 
     def _pack_pending(self, pending):
@@ -937,134 +895,71 @@ class KernelState:
         return list(zip(flat[0::2], flat[1::2]))
 
     def _pack_sms(self, pf, ci):
+        """The AT, FT and PHT as stamped tables; the stamps follow each
+        table's dict order, AT first, then the FT, then the PHT set by
+        set."""
         cfg = pf.config
-        sets = cfg.pht_sets
-        ci[CI64["sm_region_shift"]] = pf._region_shift
-        ci[CI64["sm_off_mask"]] = pf._offset_mask
-        ci[CI64["sm_at_cap"]] = cfg.at_entries
-        ci[CI64["sm_ft_cap"]] = cfg.ft_entries
-        ci[CI64["sm_pht_sets"]] = sets
-        ci[CI64["sm_pht_ways"]] = cfg.pht_ways
-        ci[CI64["sm_set_bits"]] = (sets - 1).bit_length()
-        ci[CI64["sm_trainings"]] = pf.trainings
-        ci[CI64["sm_pht_stores"]] = pf.pht_stores
-        ci[CI64["sm_pht_hits"]] = pf.pht_hits
-        # Stamps follow dict order (oldest first) within every table.
+        self.sm_at = _i64(SM_REC * cfg.at_entries)
+        self.sm_ft = _i64(SM_REC * cfg.ft_entries)
         stamp = 0
-        for name, table, cap in (("sm_at", pf._at, cfg.at_entries), ("sm_ft", pf._ft, cfg.ft_entries)):
-            arr = _i64(SM_REC * cap)
-            for i, (region, e) in enumerate(table.items()):
-                stamp += 1
-                arr[SM_REC * i : SM_REC * (i + 1)] = (
-                    region, _s64(e.pattern), e.trigger_pc, e.trigger_offset, stamp
-                )
-            setattr(self, name, arr)
-        ways = cfg.pht_ways
-        pht = _i64(SM_PHT_REC * sets * ways)
+        for arr, table in ((self.sm_at, pf._at), (self.sm_ft, pf._ft)):
+            records = [
+                (region, _s64(e.pattern), e.trigger_pc, e.trigger_offset)
+                for region, e in table.items()
+            ]
+            stamp = _stamp(arr.reshape(-1, SM_REC), records, stamp)
+        self.sm_pht = _i64(SM_PHT_REC * cfg.pht_sets * cfg.pht_ways)
+        pht = self.sm_pht.reshape(cfg.pht_sets, cfg.pht_ways, SM_PHT_REC)
         # Only the sets holding patterns cost anything (a fresh SMS has
         # none).
-        self._sm_packed_sets = []
         if any(pf._pht):
             for set_idx, pht_set in enumerate(pf._pht):
-                if not pht_set:
-                    continue
-                self._sm_packed_sets.append(set_idx)
-                for way, (tag, pattern) in enumerate(pht_set.items()):
-                    stamp += 1
-                    base = SM_PHT_REC * (set_idx * ways + way)
-                    pht[base : base + SM_PHT_REC] = (tag, _s64(pattern), stamp)
-        self.sm_pht = pht
+                if pht_set:
+                    records = [(tag, _s64(pattern)) for tag, pattern in pht_set.items()]
+                    stamp = _stamp(pht[set_idx], records, stamp)
         ci[CI64["sm_clock"]] = stamp
-
-    def _pack_streamer(self, pf, ci):
-        ci[CI64["st_tracked"]] = pf.tracked_pages
-        ci[CI64["st_degree"]] = pf.degree
-        ci[CI64["st_trainings"]] = pf.trainings
-        # Stamps follow dict order (oldest first).
-        tab = _i64(ST_REC * pf.tracked_pages)
-        for i, (page, e) in enumerate(pf._streams.items()):
-            tab[ST_REC * i : ST_REC * (i + 1)] = (
-                page, e.last_offset, e.direction, e.confidence, i + 1
-            )
-        self.st_tab = tab
-        ci[CI64["st_clock"]] = len(pf._streams)
-
-    def _write_back_streamer(self, pf, ci):
-        from repro.prefetchers.streamer import _StreamEntry
-
-        pf.trainings = int(ci[CI64["st_trainings"]])
-        records = self.st_tab.reshape(-1, ST_REC).tolist()
-        streams = {}
-        for page, offset, direction, confidence, _ in sorted(
-            (r for r in records if r[4]), key=lambda r: r[4]
-        ):
-            entry = _StreamEntry(offset)
-            entry.direction = direction
-            entry.confidence = confidence
-            streams[page] = entry
-        pf._streams = streams
-
-    def _write_back_bop(self, pf, ci):
-        pf.trainings = int(ci[CI64["bp_trainings"]])
-        pf.learning_phases = int(ci[CI64["bp_phases"]])
-        pf._test_pos = int(ci[CI64["bp_test_pos"]])
-        pf._round = int(ci[CI64["bp_round"]])
-        pf._rr = self.bp_rr.tolist()
-        pf._scores = dict(zip(pf.config.offsets, self.bp_scores.tolist()))
-        pf.active_offsets = self.bp_active[: int(ci[CI64["bp_active_len"]])].tolist()
-        pf._pending_fills = deque(self._pending_list())
 
     def _write_back_sms(self, pf, ci):
         from repro.prefetchers.sms import _RegionEntry
 
-        pf.trainings = int(ci[CI64["sm_trainings"]])
-        pf.pht_stores = int(ci[CI64["sm_pht_stores"]])
-        pf.pht_hits = int(ci[CI64["sm_pht_hits"]])
-        for name, attr in (("sm_at", "_at"), ("sm_ft", "_ft")):
-            records = getattr(self, name).reshape(-1, SM_REC).tolist()
+        for arr, attr in ((self.sm_at, "_at"), (self.sm_ft, "_ft")):
             table = {}
-            for region, pattern, pc, offset, _ in sorted(
-                (r for r in records if r[4]), key=lambda r: r[4]
-            ):
-                entry = _RegionEntry(pc, offset)
+            for region, pattern, pc, offset in _unstamp(arr.reshape(-1, SM_REC)):
+                entry = table[region] = _RegionEntry(pc, offset)
                 entry.pattern = pattern & _U64
-                table[region] = entry
             setattr(pf, attr, table)
-        # Only the sets that held patterns at pack time or hold some now
-        # are rebuilt, each in ascending-stamp (LRU) order.
-        rec = self.sm_pht.reshape(-1, SM_PHT_REC)
-        occupied = np.flatnonzero(rec[:, 2])
-        set_of = occupied // pf.config.pht_ways
-        order = np.lexsort((rec[occupied, 2], set_of))
-        occupied = occupied[order]
-        pht = pf._pht
-        for set_idx in self._sm_packed_sets:
-            pht[set_idx] = {}
-        prev = -1
-        for set_idx, tag, pattern in zip(
-            set_of[order].tolist(), rec[occupied, 0].tolist(), rec[occupied, 1].tolist()
-        ):
-            if set_idx != prev:
-                pht_set = pht[set_idx] = {}
-                prev = set_idx
-            pht_set[tag] = pattern & _U64
+        cfg = pf.config
+        pht = self.sm_pht.reshape(cfg.pht_sets, cfg.pht_ways, SM_PHT_REC)
+        pf._pht = [{tag: pattern & _U64 for tag, pattern in _unstamp(rows)} for rows in pht]
+
+    def _pack_streamer(self, pf, ci):
+        """The page table as a stamped table, stamped in dict (LRU) order."""
+        self.st_tab = _i64(ST_REC * pf.tracked_pages)
+        records = [
+            (page, e.last_offset, e.direction, e.confidence) for page, e in pf._streams.items()
+        ]
+        ci[CI64["st_clock"]] = _stamp(self.st_tab.reshape(-1, ST_REC), records, 0)
+
+    def _write_back_streamer(self, pf, ci):
+        from repro.prefetchers.streamer import _StreamEntry
+
+        streams = {}
+        for page, offset, direction, confidence in _unstamp(self.st_tab.reshape(-1, ST_REC)):
+            entry = streams[page] = _StreamEntry(offset)
+            entry.direction = direction
+            entry.confidence = confidence
+        pf._streams = streams
+
+    def _write_back_bop(self, pf, ci):
+        pf._scores = dict(zip(pf.config.offsets, self.bp_scores.tolist()))
+        pf.active_offsets = self.bp_active[: int(ci[CI64["bp_active_len"]])].tolist()
+        pf._pending_fills = deque(self._pending_list())
 
     def _write_back_spp(self, pf, ci):
         from repro.prefetchers.spp import _GhrEntry, _StEntry
 
-        pf.trainings = int(ci[CI64["sp_trainings"]])
-        pf.filtered = int(ci[CI64["sp_filtered"]])
-        pf.feedback_issued = int(ci[CI64["sp_fb_issued"]])
-        pf.feedback_useful = int(ci[CI64["sp_fb_useful"]])
-        tags = self.sp_st_tag.tolist()
-        loffs = self.sp_st_loff.tolist()
-        sigs = self.sp_st_sig.tolist()
-        st = [None] * len(tags)
-        for i, tag in enumerate(tags):
-            if tag >= 0:
-                st[i] = _StEntry(tag, loffs[i], sigs[i])
-        pf._st = st
-        pf._pt_c_sig = self.sp_pt_csig.tolist()
+        rows = zip(self.sp_st_tag.tolist(), self.sp_st_loff.tolist(), self.sp_st_sig.tolist())
+        pf._st = [_StEntry(*row) if row[0] >= 0 else None for row in rows]
         slots = pf.config.delta_slots
         deltas = self.sp_pt_delta.tolist()
         counts = self.sp_pt_cdelta.tolist()
@@ -1072,25 +967,13 @@ class KernelState:
             list(zip(deltas[i : i + slots], counts[i : i + slots]))
             for i in range(0, len(deltas), slots)
         ]
-        pf._ghr = [
-            _GhrEntry(
-                int(self.sp_ghr_sig[i]),
-                float(self.sp_ghr_conf[i]),
-                int(self.sp_ghr_loff[i]),
-                int(self.sp_ghr_delta[i]),
-            )
-            for i in range(int(ci[CI64["sp_ghr_len"]]))
-        ]
-        pf._filter = self.sp_flt.tolist()
+        n = int(ci[CI64["sp_ghr_len"]])
+        ghr = (self.sp_ghr_sig, self.sp_ghr_conf, self.sp_ghr_loff, self.sp_ghr_delta)
+        pf._ghr = [_GhrEntry(*row) for row in zip(*(arr[:n].tolist() for arr in ghr))]
 
     def _write_back_dspatch(self, pf, ci):
         from repro.core.page_buffer import PageBufferEntry
 
-        pf.trainings = int(ci[CI64["dp_trainings"]])
-        pf.triggers = int(ci[CI64["dp_triggers"]])
-        pf.predictions_covp = int(ci[CI64["dp_pred_covp"]])
-        pf.predictions_accp = int(ci[CI64["dp_pred_accp"]])
-        pf.predictions_suppressed = int(ci[CI64["dp_pred_supp"]])
         pb = pf.page_buffer
         pb.evictions = int(ci[CI64["dp_pb_evictions"]])
         pages = {}
@@ -1103,18 +986,12 @@ class KernelState:
                     entry.triggers[seg] = (sig, int(self.dp_pb_trig_off[2 * i + seg]))
             pages[entry.page] = entry
         pb._pages = pages
-        for i, e in enumerate(pf.spt._table):
-            e.covp = int(self.dp_spt_cov[i])
-            e.accp = int(self.dp_spt_acc[i])
-            e.measure_covp = [
-                int(self.dp_spt_mcov[2 * i]),
-                int(self.dp_spt_mcov[2 * i + 1]),
-            ]
-            e.or_count = [int(self.dp_spt_or[2 * i]), int(self.dp_spt_or[2 * i + 1])]
-            e.measure_accp = [
-                int(self.dp_spt_macc[2 * i]),
-                int(self.dp_spt_macc[2 * i + 1]),
-            ]
+        # Per entry, the patterns and the two halves' counter pairs.
+        pairs = (self.dp_spt_mcov, self.dp_spt_or, self.dp_spt_macc)
+        rows = zip(self.dp_spt_cov.tolist(), self.dp_spt_acc.tolist(),
+                   *(arr.reshape(-1, 2).tolist() for arr in pairs))
+        for e, (cov, acc, mcov, orc, macc) in zip(pf.spt._table, rows):
+            e.covp, e.accp, e.measure_covp, e.or_count, e.measure_accp = cov, acc, mcov, orc, macc
 
     # ------------------------------------------------------------- plumbing
 
@@ -1168,10 +1045,8 @@ class KernelState:
             "cand_line": self.cand_line,
             "cand_lp": self.cand_lp,
             "pf_buf": self.pf_buf,
-            "sp_ghr_conf": self.sp_ghr_conf,
-            "dp_pb_pattern": self.dp_pb_pattern,
         }
-        for nm in _SCHEME_I64_ARRAYS + _LOGS:
+        for nm in (*(table.name for table in TWIN_ARRAYS), *_LOGS):
             m[nm] = getattr(self, nm)
         for lvl in ("l1", "l2"):
             for f in _CACHE_FIELDS:
@@ -1200,12 +1075,7 @@ class KernelState:
         ex._instr = int(ci[CI64["instr"]])
         ex._retire = float(cf[CF64["retire"]])
         ex._last_load_done = float(cf[CF64["last_load_done"]])
-        ex._hits = [
-            int(ci[CI64["hit_l1"]]),
-            int(ci[CI64["hit_l2"]]),
-            int(ci[CI64["hit_llc"]]),
-            int(ci[CI64["hit_dram"]]),
-        ]
+        ex._hits = ci[HITS].tolist()
         head = int(ci[CI64["win_head"]])
         length = int(ci[CI64["win_len"]])
         cap = int(ci[CI64["win_cap"]])
@@ -1260,4 +1130,4 @@ class KernelState:
 
         # Compiled scheme training: restore the scheme objects.
         for kind, pf in zip(self.scheme_kind, _components(hier.l2_prefetcher)):
-            getattr(self, "_write_back_" + SCHEME_FAMILY[kind])(pf, ci)
+            self._write_back_twin(SCHEME_FAMILY[kind], pf)

@@ -18,12 +18,14 @@ more than half the DRAM bandwidth is unused — the paper's strawman
 bandwidth-aware tuning of SPP, shown in Figure 6 to scale poorly.
 
 This module is also the *executable spec* for the compiled training twin:
-:mod:`repro.kernel.cgen` emits a C transliteration of ``train`` (including
+``kernel/c/spp.c`` is a C transliteration of ``train`` (including
 ``_lookahead``'s float arithmetic in this exact operation order) that
-reads every ``SppConfig`` value from flat-state slots.  It is selected at
-run time by ``kernel/state.py:_scheme_kind`` for SPP and eSPP instances
-of any config with tables of at least one entry, alone or as a component
-of a twinned composite, and pinned bit-identical by
+reads every ``SppConfig`` value from flat-state slots, declared with
+the twin's tables by the SPP and eSPP records in
+:mod:`repro.kernel.layout`.  It is selected at run time by
+``kernel/state.py:_scheme_kind`` for SPP and eSPP instances of any
+config with a GHR entry, alone or as a component of a twinned
+composite, and pinned bit-identical by
 ``tests/test_kernel_parity.py`` and ``tests/test_twin_fuzz.py``.
 Behavioral edits here must be mirrored in the C twin.
 """

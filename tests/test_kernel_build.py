@@ -2,9 +2,10 @@
 
 Two bug classes are pinned here:
 
-- the build cache must key on the *generator* (source + emitted C +
-  flags + compiler), so editing ``cgen.py`` can never load a stale
-  ``.so`` whose bytes happen to still sit at the old path;
+- the build cache must key on what is built (the emitted C, the flags
+  and the compiler), so editing the kernel's C or the layout it is
+  generated from can never load a stale ``.so`` whose bytes happen to
+  still sit at the old path;
 - a broken build must be reported as a broken build — never silently
   conflated with "no toolchain".  ``kernel='compiled'`` hard-fails with
   the classified reason; ``auto`` degrades to the object model with a
