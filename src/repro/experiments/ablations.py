@@ -179,7 +179,7 @@ def bandwidth_signal_study(scale=None, session=None):
     session = resolve_session(session)
     workloads = workload_subset(scale.workloads_per_category)
 
-    from repro.cpu.system import System, SystemConfig
+    from repro.cpu.system import SystemConfig
 
     fig = FigureResult(
         "bw-signal",
@@ -192,7 +192,6 @@ def bandwidth_signal_study(scale=None, session=None):
     def run_pinned(workload, bucket_value):
         """One run with the broadcast signal replaced by a constant."""
         config = SystemConfig.single_thread("dspatch")
-        system = System(config)
         # Swap the bandwidth source the prefetcher sees: build the system
         # manually so the DSPatch instance reads a FixedBandwidth.
         from repro.cpu.core import CoreExecution

@@ -7,9 +7,9 @@ The object model (``MemoryHierarchy`` driven by
 
 - :mod:`repro.kernel.layout`/:mod:`repro.kernel.state` lay a run's
   state out as a :class:`~repro.kernel.state.KernelState` of flat int
-  arrays straight from its ``SystemConfig`` (or pack built objects, and
-  restore them on request via ``KernelState.write_back``); each
-  training twin is declared once, by its records in ``layout``;
+  arrays straight from its ``SystemConfig`` (or pack built objects, the
+  tests' reference; the translation runs one way, objects to slots);
+  each training twin is declared once, by its records in ``layout``;
 - :mod:`repro.kernel.cgen`/:mod:`repro.kernel.cbuild` generate, compile
   and drive the C under ``kernel/c/``, a transliteration of the object
   model's per-access path and of its multi-core scheduler over those
@@ -21,7 +21,8 @@ The object model (``MemoryHierarchy`` driven by
   pollution logs; results are read from the flat counters.
 
 The twin is bit-identical to the object model (pinned by
-``tests/test_kernel_parity.py``); without a toolchain the object model
+``tests/test_kernel_parity.py``, which compares results and the whole
+machine's end state in flat form); without a toolchain the object model
 runs instead.
 """
 

@@ -168,21 +168,23 @@ static double mon_rate(const int64_t *si, const double *sf, int64_t cycle) {
     return SFG(mon_counter) / (1.0 + t);
 }
 
-static int64_t mon_instant(const int64_t *si, const double *sf, int64_t cycle) {
-    double rate = mon_rate(si, sf, cycle);
+static int64_t mon_level(const double *sf, double rate) {
     if (rate >= SFG(mon_thr_hi)) return 3;
     if (rate >= SFG(mon_thr_mid)) return 2;
     if (rate >= SFG(mon_thr_lo)) return 1;
     return 0;
 }
 
+static int64_t mon_instant(const int64_t *si, const double *sf, int64_t cycle) {
+    return mon_level(sf, mon_rate(si, sf, cycle));
+}
+
+/* BandwidthMonitor._advance: each window that ends by cycle is charged
+   at its end phase (t = 1: half the counter), then the counter halves. */
 static void mon_advance(int64_t *si, double *sf, int64_t cycle) {
-    if (cycle < SIG(mon_window_end)) return;
-    int64_t b = mon_instant(si, sf, SIG(mon_last_sample));
-    si[SI_mon_bucket0 + b] += cycle - SIG(mon_last_sample);
-    SIG(mon_last_sample) = cycle;
     int64_t window = SIG(mon_window_cycles);
     while (cycle >= SIG(mon_window_end)) {
+        si[SI_mon_bucket0 + mon_level(sf, SFG(mon_counter) / 2.0)] += window;
         SFG(mon_counter) /= 2.0;
         SIG(mon_window_end) += window;
     }

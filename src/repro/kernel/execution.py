@@ -8,10 +8,8 @@ tests' reference — and exposes the state surface of
 :class:`repro.cpu.core.CoreExecution` that the warmup callback reads
 (``mark_stats_start``, ``time``, ``ops``).  After the run the driver
 reads each core's result inputs from the flat counters
-(:meth:`KernelExecution.counters`) and writes nothing back; a packed
-core's objects are restored only when a test asks
-(:meth:`KernelExecution.write_back`), which is how tests read the twin's
-state.
+(:meth:`KernelExecution.counters`).  The flat state is never translated
+back into objects: tests read a twin's state in flat form.
 
 Every core of a run shares one :class:`KernelDomain` (the LLC + DRAM +
 bandwidth-monitor working state), and :meth:`KernelDomain.interleave`
@@ -83,8 +81,8 @@ class KernelDomain:
 
     ``llc`` is the :class:`~repro.memory.cache.CacheConfig` of a fresh
     LLC, laid out empty with no object built, or, in tests, a built
-    :class:`~repro.memory.cache.Cache` to pack, which :meth:`write_back`
-    restores; ``dram`` is the run's ``DramModel``.
+    :class:`~repro.memory.cache.Cache` to pack; ``dram`` is the run's
+    ``DramModel``.
 
     The domain is also its schemes' bandwidth source: the live monitor
     state sits here for the whole run, so bandwidth-aware schemes are
@@ -122,11 +120,6 @@ class KernelDomain:
         pending = _fire_met_checkpoints(executions, stop_ops, on_stop)
         self.shared.interleave([kex.runtime for kex in executions], pending, on_stop)
 
-    def write_back(self):
-        """Restore the shared LLC/DRAM objects of a packed domain (only on
-        request: a run reads its results from the live counters)."""
-        self.shared_state.write_back()
-
 
 class KernelExecution:
     """One core of a compiled run, in place of its ``CoreExecution``.
@@ -136,10 +129,10 @@ class KernelExecution:
     object built — or, in tests, a built ``CoreExecution`` (which owns
     the trace and the hierarchy objects) to pack.  Either way the flat
     state is the truth from :meth:`__init__` on: results come from
-    :meth:`counters`, and a packed core's objects are stale until a test
-    asks for :meth:`write_back`.  ``time``/``ops``/``mark_stats_start``
-    match ``CoreExecution``; running ops is
-    :meth:`KernelDomain.interleave`'s job.  With ``record_pollution`` the
+    :meth:`counters`, and a packed core's objects stay as they were at
+    the pack.  ``time``/``ops``/``mark_stats_start`` match
+    ``CoreExecution``; running ops is :meth:`KernelDomain.interleave`'s
+    job.  With ``record_pollution`` the
     kernel records the pollution logs, read back with the counters.
     """
 
@@ -148,11 +141,9 @@ class KernelExecution:
 
         self.domain = domain
         if isinstance(source, CoreExecution):
-            self.execution = source
             l2_pf = source.hierarchy.l2_prefetcher
             self.state = KernelState(source, trace, domain.shared_state, record_pollution)
         else:
-            self.execution = None
             l2_pf = l2_prefetcher
             self.state = KernelState.from_config(
                 source, l2_pf, trace, domain.shared_state, record_pollution
@@ -180,8 +171,6 @@ class KernelExecution:
     def mark_stats_start(self):
         """Set the measured-region floor from the live working state."""
         self._stats_floor = self.runtime.snapshot()
-        if self.execution is not None:
-            self.execution._stats_floor = self._stats_floor
 
     # ------------------------------------------------- warmup-boundary resets
 
@@ -197,10 +186,3 @@ class KernelExecution:
         the stats measured from the warmup boundary — what the object path
         reads from its execution and hierarchy."""
         return self.state.core_counters(self._stats_floor)
-
-    # --------------------------------------------------------------- teardown
-
-    def write_back(self):
-        """Restore a packed core's objects — execution, hierarchy, cache
-        lines, scheme tables — from the flat state (only on request)."""
-        self.state.write_back()

@@ -71,11 +71,12 @@ class Table(NamedTuple):
 class Family(NamedTuple):
     """The flat state one C file under ``kernel/c/`` trains (SPP and eSPP
     share a family, BOP and eBOP one).  Each int slot, in layout order,
-    names its source: the scheme attribute it mirrors (a ``str``, packed
-    and written back), a function of the scheme computing it at pack, or
-    ``None`` when the family's table packer sets it.  ``fconfig`` are
-    float64 slots computed at pack; ``defines`` C constants its C and
-    its packer share."""
+    names where the pack reads it: the scheme attribute it mirrors (a
+    ``str``), a function of the scheme, or ``None`` when the family's
+    ``KernelState._pack_<name>`` sets it.  ``fconfig`` are float64 slots
+    computed at pack; ``defines`` C constants its C and its packer
+    share.  The translation is one way: nothing reads slots back into
+    the scheme."""
 
     name: str
     c_file: str
@@ -235,9 +236,7 @@ TWINS = (
          lambda pf: pf.config.compressed and pf.config.pc_signature_bits <= 63, bandwidth=True),
     Twin(BOP, SCHEME_BOP, BOP_TABLES, _bop_fits),
     Twin(EBOP, SCHEME_EBOP, BOP_TABLES, _bop_fits, bandwidth=True),
-    Twin(SMS, SCHEME_SMS, SMS_TABLES,
-         lambda pf: 1 <= pf.config.lines_per_region <= 64
-         and pf.config.at_entries >= 1 and pf.config.ft_entries >= 1),
+    Twin(SMS, SCHEME_SMS, SMS_TABLES, lambda pf: 1 <= pf.config.lines_per_region <= 64),
     Twin(StreamPrefetcher, SCHEME_STREAMER, STREAMER_TABLES,
          lambda pf: 1 <= pf.tracked_pages and len(pf._streams) <= pf.tracked_pages),
 )
@@ -337,7 +336,6 @@ SI64_NAMES = (
     # bandwidth monitor
     "mon_window_cycles", "mon_window_end", "mon_total_cas",
     "mon_bucket0", "mon_bucket1", "mon_bucket2", "mon_bucket3",
-    "mon_last_sample",
 )
 
 #: Shared float64 slots.

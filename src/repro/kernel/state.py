@@ -13,23 +13,20 @@ LLC's ``CacheConfig``): every array is allocated zeroed in bulk, only
 the constants are set, and the one object it reads is the L2 scheme
 (its tables, when it has a compiled twin, are converted whole).  The
 run's results come from the flat counters (:meth:`KernelState.core_counters`,
-:meth:`SharedState.dram_counters`) and nothing is written back.
+:meth:`SharedState.dram_counters`).
 
 Packing objects is the test reference: ``KernelState(execution, ...)``
-and ``SharedState(cache, dram)`` pack a built (fresh or mid-run)
-``CoreExecution`` + ``MemoryHierarchy`` + ``Cache`` + ``DramModel`` —
-the state the config-built layout is tested against — and
-:meth:`KernelState.write_back` reconstructs them on request, which is
-how tests read the twin's state: OrderedDict sets in exact recency
-order, heap lists, ``CacheLine``/``_StrideEntry`` objects, the scheme's
-tables.
+and ``SharedState(cache, dram)`` pack a built (fresh, mid-run or
+finished) ``CoreExecution`` + ``MemoryHierarchy`` + ``Cache`` +
+``DramModel``.  The translation runs one way, objects to slots: tests
+compare a twin's state with the object model's in flat form, by packing
+the object run's end state.
 
 Shared state (the LLC, DRAM, and bandwidth monitor of a multi-programmed
 mix) lives in a :class:`SharedState` that all per-core states reference,
 mirroring how the object model shares one ``Cache``/``DramModel``.
 """
 
-from collections import OrderedDict, deque
 from itertools import chain
 
 import numpy as np
@@ -52,12 +49,12 @@ from repro.kernel.layout import (
     TWINS,
 )
 from repro.cpu.core import measured_stats
-from repro.memory.cache import Cache, CacheLine, victim_mode
+from repro.memory.cache import Cache, victim_mode
 from repro.memory.dram import DramCounters
 from repro.memory.hierarchy import PREFETCH_QUEUE_SIZE, PollutionEvent, PrefetchStats
 from repro.prefetchers.base import NullPrefetcher, Prefetcher
 from repro.prefetchers.composite import CompositePrefetcher
-from repro.prefetchers.stride import PcStridePrefetcher, _StrideEntry
+from repro.prefetchers.stride import PcStridePrefetcher
 
 _CACHE_FIELDS = ("valid", "line", "dirty", "pref", "used", "touch", "ready")
 #: Cache stats slots, in the order they sit in the slot arrays.
@@ -93,8 +90,6 @@ LOG_CAP0 = 1024
 _SCHEME_HOOKS = ("train", "note_useful_prefetch", "note_useless_prefetch")
 _NOTE_HOOKS = _SCHEME_HOOKS[1:]
 
-_U64 = (1 << 64) - 1
-
 
 def _s64(pattern):
     """A 64-bit pattern as the int64 with the same bits (for packing)."""
@@ -110,13 +105,6 @@ def _stamp(rows, records, stamp):
         stamp += 1
         rows[i] = (*record, stamp)
     return stamp
-
-
-def _unstamp(rows):
-    """A stamped table's live records (stamp not 0), oldest first, without
-    their stamps."""
-    live = sorted((row for row in rows.tolist() if row[-1]), key=lambda row: row[-1])
-    return [row[:-1] for row in live]
 
 
 def _ring_cap(need):
@@ -274,50 +262,9 @@ def _pack_cache(cache, arrs):
             arrs["ready"][slot] = cl.ready
 
 
-def _unpack_cache(cache, arrs, tick):
-    """Rebuild a Cache's sets from slot arrays, in exact recency order.
-
-    Recency order is ascending ``last_touch`` (every recency event burns a
-    unique tick; low-priority fills store the negated tick), so sorting by
-    the touch value reproduces the OrderedDict order the object path would
-    have — pinned by the parity tests.
-    """
-    ways = cache.ways
-    shift = cache._tag_shift
-    sets = [OrderedDict() for _ in range(cache.num_sets)]
-    occupied = np.flatnonzero(arrs["valid"])
-    if occupied.size:
-        # One vectorized (set, touch) sort over the occupied slots only —
-        # sparse caches (short runs) never pay for their empty slots.
-        set_idx = occupied // ways
-        touch_v = arrs["touch"][occupied]
-        order = np.lexsort((touch_v, set_idx))
-        occ = occupied[order]
-        set_l = set_idx[order].tolist()
-        touch_l = touch_v[order].tolist()
-        line_l = arrs["line"][occ].tolist()
-        dirty_l = arrs["dirty"][occ].tolist()
-        pref_l = arrs["pref"][occ].tolist()
-        used_l = arrs["used"][occ].tolist()
-        ready_l = arrs["ready"][occ].tolist()
-        for i, si in enumerate(set_l):
-            tag = line_l[i] >> shift
-            cl = CacheLine(tag, touch_l[i], prefetched=bool(pref_l[i]), ready=ready_l[i])
-            cl.dirty = bool(dirty_l[i])
-            cl.used = bool(used_l[i])
-            sets[si][tag] = cl
-    cache._sets = sets
-    cache._tick = tick
-
-
 def _cache_stats_to(ci, prefix, cache, slots):
     for off, field in enumerate(_CACHE_STATS):
         ci[slots[prefix + field]] = getattr(cache, field)
-
-
-def _cache_stats_from(ci, prefix, cache, slots):
-    for off, field in enumerate(_CACHE_STATS):
-        setattr(cache, field, int(ci[slots[prefix + field]]))
 
 
 class SharedState:
@@ -327,20 +274,20 @@ class SharedState:
     :class:`~repro.memory.cache.CacheConfig`: the LLC is then laid out
     empty straight from the config and no object is built.  Tests pass a
     built :class:`~repro.memory.cache.Cache` instead, packed as their
-    reference and restored by :meth:`write_back`.  The
-    DRAM model is always an object — it owns the DRAM timing constants.
+    reference.  The DRAM model is always an object — it owns the DRAM
+    timing constants.
     """
 
     def __init__(self, llc, dram):
-        self.llc_obj = llc if isinstance(llc, Cache) else None
-        self.llc_config = llc.config if self.llc_obj is not None else llc
+        packed = isinstance(llc, Cache)
+        self.llc_config = llc.config if packed else llc
         self.dram_obj = dram
         si = _i64(len(SI64))
         sf = np.zeros(len(SF64), dtype=np.float64)
         self.si64 = si
         self.sf64 = sf
         self.llc = _cache_arrays(self.llc_config)
-        if self.llc_obj is not None:
+        if packed:
             _pack_cache(llc, self.llc)
             si[SI64["llc_tick"]] = llc._tick
             _cache_stats_to(si, "llc_", llc, SI64)
@@ -384,7 +331,6 @@ class SharedState:
         si[SI64["mon_total_cas"]] = mon.total_cas
         for i in range(4):
             si[SI64[f"mon_bucket{i}"]] = mon._bucket_cycles[i]
-        si[SI64["mon_last_sample"]] = mon._last_sample_cycle
         sf[SF64["mon_counter"]] = mon._counter
         lo, mid, hi = mon._thresholds
         sf[SF64["mon_thr_lo"]] = lo
@@ -393,7 +339,8 @@ class SharedState:
 
     def dram_counters(self):
         """The run's :class:`~repro.memory.dram.DramCounters`, read from the
-        live slots (what :meth:`DramModel.counters` reads after write-back)."""
+        live slots (what :meth:`DramModel.counters` reads on the object
+        path)."""
         si = self.si64
         return DramCounters(
             int(si[SI64["dram_reads"]]),
@@ -402,41 +349,6 @@ class SharedState:
             int(si[SI64["dram_stats_start"]]),
             tuple(int(si[SI64[f"mon_bucket{i}"]]) for i in range(4)),
         )
-
-    def write_back(self):
-        """Restore the packed LLC and the DRAM object from the flat form."""
-        llc = self.llc_obj
-        if llc is None:
-            raise RuntimeError("an LLC laid out from its config has no object to restore")
-        si = self.si64
-        sf = self.sf64
-        dram = self.dram_obj
-        _unpack_cache(llc, self.llc, int(si[SI64["llc_tick"]]))
-        _cache_stats_from(si, "llc_", llc, SI64)
-        dram.reads = int(si[SI64["dram_reads"]])
-        dram.writes = int(si[SI64["dram_writes"]])
-        dram.row_hits = int(si[SI64["dram_row_hits"]])
-        dram.row_misses = int(si[SI64["dram_row_misses"]])
-        dram.busy_cycles = int(si[SI64["dram_busy_cycles"]])
-        dram.prefetches_dropped = int(si[SI64["dram_prefetches_dropped"]])
-        dram._last_data_done = int(si[SI64["dram_last_data_done"]])
-        dram._stats_start_cycle = int(si[SI64["dram_stats_start"]])
-        n_banks = dram.config.banks_per_channel
-        for c, channel in enumerate(dram._channels):
-            channel.bus_free_cycle = int(self.ch_busfree[c])
-            channel.demand_bus_free_cycle = int(self.ch_demandfree[c])
-            for b, bank in enumerate(channel.banks):
-                idx = c * n_banks + b
-                bank.open_row = int(self.bank_open[idx])
-                bank.next_activate_cycle = int(self.bank_nextact[idx])
-                bank.row_ready_cycle = int(self.bank_rowready[idx])
-        mon = dram.monitor
-        mon._window_end = int(si[SI64["mon_window_end"]])
-        mon.total_cas = int(si[SI64["mon_total_cas"]])
-        mon._bucket_cycles = [int(si[SI64[f"mon_bucket{i}"]]) for i in range(4)]
-        mon._last_sample_cycle = int(si[SI64["mon_last_sample"]])
-        mon._counter = float(sf[SF64["mon_counter"]])
-
 
 #: The L1 stride prefetcher's table geometry as ``(entries, degree,
 #: confidence threshold, confidence max)``: the stock one a config-built
@@ -456,10 +368,10 @@ class KernelState:
     """Flat form of one core: execution + private L1/L2 + MSHRs + stride.
 
     ``KernelState(execution, trace, shared)`` packs a built
-    ``CoreExecution`` and its hierarchy, fresh or mid-run, and
-    :meth:`write_back` restores them; :meth:`from_config` lays a fresh
-    core out straight from a ``SystemConfig`` with no object built — the
-    state packing a freshly built execution gives, slot for slot.  With
+    ``CoreExecution`` and its hierarchy, fresh, mid-run or finished;
+    :meth:`from_config` lays a fresh core out straight from a
+    ``SystemConfig`` with no object built — the state packing a freshly
+    built execution gives, slot for slot.  With
     ``record_pollution`` the kernel also records the three logs
     :class:`repro.observe.sinks.PollutionCollector` derives on the object
     path (see :meth:`pollution_logs`).
@@ -467,8 +379,6 @@ class KernelState:
 
     def __init__(self, execution, trace, shared, record_pollution=False):
         hier = execution.hierarchy
-        self.execution = execution
-        self.hierarchy = hier
         l1_pf = hier.l1_prefetcher
         if l1_pf is not None and type(l1_pf) is not PcStridePrefetcher:
             raise ValueError("kernel supports only the stock PC-stride L1 prefetcher")
@@ -550,11 +460,8 @@ class KernelState:
     def from_config(cls, config, l2_pf, trace, shared, record_pollution=False):
         """A fresh core laid out straight from ``config`` (a
         ``SystemConfig``) with ``l2_pf`` as its L2 scheme: no cache,
-        hierarchy, execution or L1 prefetcher object is built, and there
-        is nothing to write back."""
+        hierarchy, execution or L1 prefetcher object is built."""
         self = cls.__new__(cls)
-        self.execution = None
-        self.hierarchy = None
         hier = config.hierarchy
         self._allocate(
             config.core,
@@ -653,8 +560,7 @@ class KernelState:
 
     def _pack_scheme(self, l2_pf):
         """Flag the L2 scheme and, when it has compiled training twins,
-        list them and lay each one's tables out (:meth:`write_back`
-        restores the objects)."""
+        list them and lay each one's tables out."""
         ci = self.ci64
         has_l2pf = not (l2_pf is None or type(l2_pf) is NullPrefetcher)
         kinds = _scheme_kind(l2_pf, self.shared.dram_obj)
@@ -689,9 +595,8 @@ class KernelState:
 
     # --------------------------------------------- compiled scheme training
     # A twin's config, counter and flat-list slots are one loop over its
-    # family record (layout.FAMILIES); the family's _pack_/_write_back_
-    # pair lays out and restores the tables whose object layout is not
-    # flat.
+    # family record (layout.FAMILIES); the family's _pack_<family> lays
+    # out the tables whose object layout is not flat.
 
     def _pack_twin(self, family, pf):
         ci = self.ci64
@@ -706,16 +611,6 @@ class KernelState:
             if table.attr:
                 setattr(self, table.name, np.array(getattr(pf, table.attr), dtype=table.dtype))
         getattr(self, "_pack_" + family.name)(pf, ci)
-
-    def _write_back_twin(self, family, pf):
-        ci = self.ci64
-        for slot, source in family.slots:
-            if isinstance(source, str):
-                setattr(pf, source, int(ci[CI64[slot]]))
-        for table in family.arrays:
-            if table.attr:
-                setattr(pf, table.attr, getattr(self, table.name).tolist())
-        getattr(self, "_write_back_" + family.name)(pf, ci)
 
     def _pack_spp(self, pf, ci):
         """The ST's entries, the PT's (delta, count) slots and the GHR."""
@@ -919,19 +814,6 @@ class KernelState:
                     stamp = _stamp(pht[set_idx], records, stamp)
         ci[CI64["sm_clock"]] = stamp
 
-    def _write_back_sms(self, pf, ci):
-        from repro.prefetchers.sms import _RegionEntry
-
-        for arr, attr in ((self.sm_at, "_at"), (self.sm_ft, "_ft")):
-            table = {}
-            for region, pattern, pc, offset in _unstamp(arr.reshape(-1, SM_REC)):
-                entry = table[region] = _RegionEntry(pc, offset)
-                entry.pattern = pattern & _U64
-            setattr(pf, attr, table)
-        cfg = pf.config
-        pht = self.sm_pht.reshape(cfg.pht_sets, cfg.pht_ways, SM_PHT_REC)
-        pf._pht = [{tag: pattern & _U64 for tag, pattern in _unstamp(rows)} for rows in pht]
-
     def _pack_streamer(self, pf, ci):
         """The page table as a stamped table, stamped in dict (LRU) order."""
         self.st_tab = _i64(ST_REC * pf.tracked_pages)
@@ -939,59 +821,6 @@ class KernelState:
             (page, e.last_offset, e.direction, e.confidence) for page, e in pf._streams.items()
         ]
         ci[CI64["st_clock"]] = _stamp(self.st_tab.reshape(-1, ST_REC), records, 0)
-
-    def _write_back_streamer(self, pf, ci):
-        from repro.prefetchers.streamer import _StreamEntry
-
-        streams = {}
-        for page, offset, direction, confidence in _unstamp(self.st_tab.reshape(-1, ST_REC)):
-            entry = streams[page] = _StreamEntry(offset)
-            entry.direction = direction
-            entry.confidence = confidence
-        pf._streams = streams
-
-    def _write_back_bop(self, pf, ci):
-        pf._scores = dict(zip(pf.config.offsets, self.bp_scores.tolist()))
-        pf.active_offsets = self.bp_active[: int(ci[CI64["bp_active_len"]])].tolist()
-        pf._pending_fills = deque(self._pending_list())
-
-    def _write_back_spp(self, pf, ci):
-        from repro.prefetchers.spp import _GhrEntry, _StEntry
-
-        rows = zip(self.sp_st_tag.tolist(), self.sp_st_loff.tolist(), self.sp_st_sig.tolist())
-        pf._st = [_StEntry(*row) if row[0] >= 0 else None for row in rows]
-        slots = pf.config.delta_slots
-        deltas = self.sp_pt_delta.tolist()
-        counts = self.sp_pt_cdelta.tolist()
-        pf._pt_slots = [
-            list(zip(deltas[i : i + slots], counts[i : i + slots]))
-            for i in range(0, len(deltas), slots)
-        ]
-        n = int(ci[CI64["sp_ghr_len"]])
-        ghr = (self.sp_ghr_sig, self.sp_ghr_conf, self.sp_ghr_loff, self.sp_ghr_delta)
-        pf._ghr = [_GhrEntry(*row) for row in zip(*(arr[:n].tolist() for arr in ghr))]
-
-    def _write_back_dspatch(self, pf, ci):
-        from repro.core.page_buffer import PageBufferEntry
-
-        pb = pf.page_buffer
-        pb.evictions = int(ci[CI64["dp_pb_evictions"]])
-        pages = {}
-        for i in range(int(ci[CI64["dp_pb_len"]])):
-            entry = PageBufferEntry(int(self.dp_pb_page[i]))
-            entry.pattern = int(self.dp_pb_pattern[i])
-            for seg in (0, 1):
-                sig = int(self.dp_pb_trig_sig[2 * i + seg])
-                if sig >= 0:
-                    entry.triggers[seg] = (sig, int(self.dp_pb_trig_off[2 * i + seg]))
-            pages[entry.page] = entry
-        pb._pages = pages
-        # Per entry, the patterns and the two halves' counter pairs.
-        pairs = (self.dp_spt_mcov, self.dp_spt_or, self.dp_spt_macc)
-        rows = zip(self.dp_spt_cov.tolist(), self.dp_spt_acc.tolist(),
-                   *(arr.reshape(-1, 2).tolist() for arr in pairs))
-        for e, (cov, acc, mcov, orc, macc) in zip(pf.spt._table, rows):
-            e.covp, e.accp, e.measure_covp, e.or_count, e.measure_accp = cov, acc, mcov, orc, macc
 
     # ------------------------------------------------------------- plumbing
 
@@ -1055,79 +884,3 @@ class KernelState:
             m[f"llc_{f}"] = shared.llc[f]
         assert set(m) == set(layout.PTR_NAMES)
         return m
-
-    # ------------------------------------------------------------ write-back
-
-    def write_back(self):
-        """Restore the core's objects (execution, hierarchy) from flat form.
-
-        Shared state (LLC/DRAM) is restored separately via
-        :meth:`SharedState.write_back` — once per domain, not per core.
-        """
-        ex = self.execution
-        if ex is None:
-            raise RuntimeError("a core laid out from its config has no objects to restore")
-        ci = self.ci64
-        cf = self.cf64
-        hier = self.hierarchy
-
-        ex._pos = int(ci[CI64["pos"]])
-        ex._instr = int(ci[CI64["instr"]])
-        ex._retire = float(cf[CF64["retire"]])
-        ex._last_load_done = float(cf[CF64["last_load_done"]])
-        ex._hits = ci[HITS].tolist()
-        head = int(ci[CI64["win_head"]])
-        length = int(ci[CI64["win_len"]])
-        cap = int(ci[CI64["win_cap"]])
-        win_idx = self.win_idx
-        win_ret = self.win_ret
-        window = deque()
-        for i in range(length):
-            j = (head + i) & (cap - 1)
-            window.append((int(win_idx[j]), float(win_ret[j])))
-        ex._window = window
-
-        for name, cache in (("l1", hier.l1), ("l2", hier.l2)):
-            arrs = {f: getattr(self, f"{name}_{f}") for f in _CACHE_FIELDS}
-            _unpack_cache(cache, arrs, int(ci[CI64[f"{name}_tick"]]))
-            _cache_stats_from(ci, f"{name}_", cache, CI64)
-
-        for name, mshr in (
-            ("mshr_l1", hier.l1_mshr),
-            ("mshr_l2", hier.l2_mshr),
-            ("mshr_llc", hier.llc_mshr),
-        ):
-            length = int(ci[CI64[f"{name}_len"]])
-            mshr._ready_heap = sorted(getattr(self, name)[:length].tolist())
-            mshr.allocations = int(ci[CI64[f"{name}_allocations"]])
-            mshr.stall_cycles = int(ci[CI64[f"{name}_stall"]])
-
-        hier.demand_accesses = int(ci[CI64["demand_accesses"]])
-        n_in = int(ci[CI64["inflight_len"]])
-        hier._in_flight = dict(
-            zip(self.infl_line[:n_in].tolist(), self.infl_ready[:n_in].tolist())
-        )
-        pf = hier.pf_stats
-        for field in _PF_STATS:
-            setattr(pf, field, int(ci[CI64["pf_" + field]]))
-
-        l1_pf = hier.l1_prefetcher
-        if l1_pf is not None:
-            l1_pf.trainings = int(ci[CI64["stride_trainings"]])
-            valid = self.stride_valid.tolist()
-            tags = self.stride_tag.tolist()
-            lasts = self.stride_last.tolist()
-            strides = self.stride_stride.tolist()
-            confs = self.stride_conf.tolist()
-            table = [None] * len(valid)
-            for i in range(len(valid)):
-                if valid[i]:
-                    entry = _StrideEntry(tags[i], lasts[i])
-                    entry.stride = strides[i]
-                    entry.confidence = confs[i]
-                    table[i] = entry
-            l1_pf._table = table
-
-        # Compiled scheme training: restore the scheme objects.
-        for kind, pf in zip(self.scheme_kind, _components(hier.l2_prefetcher)):
-            self._write_back_twin(SCHEME_FAMILY[kind], pf)

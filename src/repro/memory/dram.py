@@ -109,12 +109,14 @@ class DramCounters(NamedTuple):
     last_data_done: int
     #: Cycle the measured region started (the warmup-boundary reset).
     stats_start: int
-    #: Sampled cycles per bandwidth-utilization quartile bucket.
+    #: Cycles of closed monitor windows per bandwidth-utilization
+    #: quartile bucket.
     bucket_cycles: tuple
 
 
 def bucket_residency(bucket_cycles):
-    """Fraction of sampled time spent in each quartile bucket."""
+    """Fraction of the closed monitor windows' time spent in each
+    quartile bucket."""
     total = sum(bucket_cycles)
     if total == 0:
         return [1.0, 0.0, 0.0, 0.0]
@@ -140,9 +142,11 @@ class BandwidthMonitor:
 
     The counter accumulates CAS commands and is halved at every window
     boundary (4 x tRC cycles), so at a steady CAS rate ``r`` per window the
-    counter converges to ``2r`` — the quartile thresholds are scaled by the
-    same factor of two so the exported 2-bit bucket reflects the true
-    utilization quartile.
+    counter converges to ``2r`` at each window's end; :meth:`bucket` divides
+    it by ``1 + t`` at phase ``t`` of the window, so the exported 2-bit
+    value reflects the true utilization quartile.  The residency
+    (:meth:`bucket_residency`) charges each closed window, whole, to the
+    bucket of its end phase.
     """
 
     __slots__ = (
@@ -153,7 +157,6 @@ class BandwidthMonitor:
         "_window_end",
         "total_cas",
         "_bucket_cycles",
-        "_last_sample_cycle",
     )
 
     def __init__(self, window_cycles, peak_cas_per_window):
@@ -170,18 +173,17 @@ class BandwidthMonitor:
         self._window_end = window_cycles
         self.total_cas = 0
         self._bucket_cycles = [0, 0, 0, 0]
-        self._last_sample_cycle = 0
 
     def _advance(self, cycle):
-        if cycle < self._window_end:
-            return
-        bucket = self._instant_bucket()
-        elapsed = cycle - self._last_sample_cycle
-        self._bucket_cycles[bucket] += elapsed
-        self._last_sample_cycle = cycle
+        """Close every window that ends by ``cycle``: charge its cycles to
+        the bucket of its end phase (``t = 1``, where the rate is half the
+        counter; a window without CAS is charged at its decayed rate),
+        then halve the counter."""
+        window = self.window_cycles
         while cycle >= self._window_end:
+            self._bucket_cycles[self._level(self._counter / 2.0)] += window
             self._counter /= 2.0
-            self._window_end += self.window_cycles
+            self._window_end += window
 
     def record_cas(self, cycle):
         """Count one CAS command issued at ``cycle``."""
@@ -203,9 +205,9 @@ class BandwidthMonitor:
         t = elapsed / self.window_cycles
         return self._counter / (1.0 + t)
 
-    def _instant_bucket(self, cycle=None):
+    def _level(self, rate):
+        """The quartile bucket of a per-window CAS ``rate``."""
         lo, mid, hi = self._thresholds
-        rate = self._rate_estimate(self._last_sample_cycle if cycle is None else cycle)
         if rate >= hi:
             return 3
         if rate >= mid:
@@ -217,7 +219,7 @@ class BandwidthMonitor:
     def bucket(self, cycle):
         """The 2-bit quantized bandwidth-utilization value at ``cycle``."""
         self._advance(cycle)
-        return self._instant_bucket(cycle)
+        return self._level(self._rate_estimate(cycle))
 
     def utilization(self, cycle):
         """Fractional utilization estimate (rate vs. peak rate)."""
@@ -225,7 +227,8 @@ class BandwidthMonitor:
         return min(1.0, self._rate_estimate(cycle) / self.peak_cas_per_window)
 
     def bucket_residency(self):
-        """Fraction of sampled time spent in each quartile bucket."""
+        """Fraction of the closed windows' time spent in each quartile
+        bucket."""
         return bucket_residency(self._bucket_cycles)
 
     def reset_stats(self):
@@ -365,19 +368,6 @@ class DramModel:
         #: Cycle at which the measured region starts (post-warmup floor).
         self._stats_start_cycle = 0
 
-    def _route(self, line_addr):
-        """Line-interleaved channels; row-interleaved banks.
-
-        Consecutive lines (after channel selection) fall in the same row of
-        the same bank, so streaming accesses enjoy open-page row hits — the
-        standard mapping for spatial locality.
-        """
-        channel_idx = line_addr & self._channel_mask
-        rest = line_addr >> self._channel_bits
-        bank_idx = (rest >> self._row_shift) & self._bank_mask
-        row = rest >> (self._row_shift + self._bank_bits)
-        return self._channels[channel_idx], bank_idx, row
-
     def access(self, cycle, line_addr, is_write=False, is_prefetch=False):
         """Service one 64B request; returns its latency in core cycles.
 
@@ -386,7 +376,9 @@ class DramModel:
         """
         cycle = int(cycle)
         burst = self.burst
-        # Inlined _route: line-interleaved channels, row-interleaved banks.
+        # Line-interleaved channels, row-interleaved banks: consecutive
+        # lines (after channel selection) fall in the same row of the same
+        # bank, so streaming accesses enjoy open-page row hits.
         channel = self._channels[line_addr & self._channel_mask]
         rest = line_addr >> self._channel_bits
         bank = channel.banks[(rest >> self._row_shift) & self._bank_mask]

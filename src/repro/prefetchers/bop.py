@@ -81,8 +81,9 @@ class BOP(Prefetcher):
     name = "bop"
 
     def __init__(self, config: BopConfig = BopConfig()):
-        if config.rr_entries & (config.rr_entries - 1):
-            raise ValueError("RR entry count must be a power of two")
+        rr = config.rr_entries
+        if rr < 1 or rr & (rr - 1):
+            raise ValueError("RR entry count must be a positive power of two")
         self.config = config
         self._rr = [-1] * config.rr_entries
         #: Accesses awaiting their modelled fill completion before they

@@ -63,6 +63,8 @@ class SMS(Prefetcher):
         region = config.region_bytes
         if region & (region - 1):
             raise ValueError("region size must be a power of two")
+        if config.at_entries < 1 or config.ft_entries < 1:
+            raise ValueError("SMS needs at least one AT and one FT entry")
         self._region_shift = region.bit_length() - 1
         self._offset_mask = config.lines_per_region - 1
         self._at = {}  # region -> _RegionEntry, dict order = LRU order

@@ -93,6 +93,12 @@ class TestLearning:
         with pytest.raises(ValueError):
             BOP(BopConfig(rr_entries=100))
 
+    def test_rejects_empty_rr(self):
+        """An empty RR table would raise ``IndexError`` on the first probe
+        (and the C twin would read past its table)."""
+        with pytest.raises(ValueError):
+            BOP(BopConfig(rr_entries=0))
+
     def test_storage_near_paper_budget(self):
         kb = BOP().storage_kb()
         assert 1.0 <= kb <= 1.6  # paper: 1.3KB

@@ -205,6 +205,71 @@ class TestBandwidthMonitor:
             m.record_cas(cycle)
             assert 0 <= m.bucket(cycle) <= 3
 
+    #: Windows a steady stream runs before it is measured: the counter,
+    #: which starts at 0, is then within a fraction of a CAS of steady.
+    WARMUP_WINDOWS = 16
+
+    @given(
+        window=st.integers(100, 4000),
+        peak=st.integers(40, 200),
+        quartile=st.integers(0, 3),
+        position=st.floats(0.0, 1.0),
+        windows=st.integers(4, 40),
+        samples_per_window=st.integers(2, 64),
+    )
+    def test_steady_stream_residency_matches_time_weighted_bucket(
+        self, window, peak, quartile, position, windows, samples_per_window
+    ):
+        """For a steady CAS stream, the residency is the time-weighted
+        distribution of ``bucket()`` sampled on a regular grid.
+
+        The rate is drawn inside a quartile, at least 3 CAS per window
+        from its edges: whole CAS arrive at the rounded times of a
+        fractional period, so the counter sits within 2 CAS of steady
+        and a rate nearer an edge has no single bucket.
+        """
+        edges = (0, peak / 4, peak / 2, 3 * peak / 4, peak)
+        lo, hi = edges[quartile] + 3, edges[quartile + 1] - 3
+        period = window / (lo + position * (hi - lo))
+        start = self.WARMUP_WINDOWS * window
+        end = start + windows * window
+        cas = [int(k * period) for k in range(int(end / period) + 1) if k * period < end]
+        m = BandwidthMonitor(window_cycles=window, peak_cas_per_window=peak)
+        for cycle in cas:
+            if cycle >= start:
+                break
+            m.record_cas(cycle)
+        # Measure from the warmup's end: the windows closed after it.
+        m.bucket(start)
+        m.reset_stats()
+        measured = [cycle for cycle in cas if cycle >= start]
+        samples = [0, 0, 0, 0]
+        i = 0
+        for t in range(start, end, max(1, window // samples_per_window)):
+            while i < len(measured) and measured[i] <= t:
+                m.record_cas(measured[i])
+                i += 1
+            samples[m.bucket(t)] += 1
+        for cycle in measured[i:]:
+            m.record_cas(cycle)
+        m.bucket(end)
+        sampled = [n / sum(samples) for n in samples]
+        assert m.bucket_residency() == sampled == [float(b == quartile) for b in range(4)]
+
+    def test_idle_windows_are_charged_at_their_decayed_rate(self):
+        """After a stream stops, each window closes at its end phase: at
+        half the counter, which halves every window."""
+        m = BandwidthMonitor(window_cycles=1000, peak_cas_per_window=100)
+        for cycle in range(0, 20_000, 12):  # 83 CAS per window: bucket 3
+            m.record_cas(cycle)
+        m.bucket(20_000)
+        before = list(m._bucket_cycles)
+        assert m.bucket(20_000) == 3
+        m.bucket(30_000)
+        idle = [after - was for after, was in zip(m._bucket_cycles, before)]
+        # rates 41.7, 20.8, 10.4, ... CAS per window
+        assert idle == [9000, 1000, 0, 0]
+
 
 class TestFixedBandwidth:
     def test_constant(self):

@@ -3,20 +3,18 @@
 A compiled ``System.run``/``MultiCoreSystem.run`` builds no cache,
 hierarchy, execution or L1 prefetcher object: ``KernelDomain`` and
 ``KernelExecution`` lay the state out straight from the
-``SystemConfig`` (only the L2 scheme object is built), results come from
-the flat counters, and nothing is written back.  The
-from-objects pack and the full write-back remain as the reference these
-tests compare against and as the way tests read the twin's state:
+``SystemConfig`` (only the L2 scheme object is built), and results come
+from the flat counters.  The from-objects pack remains as the reference
+these tests compare against, and as the way the parity tests read an
+object run's end state in flat form (``_machine_view`` in
+``tests/test_kernel_parity.py``):
 
-1. a compiled run constructs none of those objects and calls no
-   write-back and no cache unpack;
+1. a compiled run constructs none of those objects;
 2. the config-built state equals the from-objects pack of freshly built
    objects, slot for slot and array for array, for every twinned
    registry scheme (plus the baseline and a crossing scheme) at the ST
    and MP geometries and Figure 20's LLC sizes, recording pollution or
-   not;
-3. a requested write-back restores the cache contents the object model
-   leaves.
+   not.
 """
 
 import numpy as np
@@ -148,9 +146,7 @@ def test_config_built_state_without_l1_prefetcher():
 
 
 def _forbid_object_round_trip(monkeypatch):
-    """Make every object build, write-back and cache unpack of a
-    compiled run raise."""
-    import repro.kernel.state as state_mod
+    """Make every object build of a compiled run raise."""
 
     def forbidden(what):
         def fail(*args, **kwargs):
@@ -160,11 +156,6 @@ def _forbid_object_round_trip(monkeypatch):
 
     for cls in (Cache, MemoryHierarchy, CoreExecution, PcStridePrefetcher):
         monkeypatch.setattr(cls, "__init__", forbidden(f"{cls.__name__}()"))
-    write_backs = [name for name in vars(state_mod.KernelState) if name.startswith("_write_back")]
-    assert write_backs
-    for name in write_backs:
-        monkeypatch.setattr(state_mod.KernelState, name, forbidden(name))
-    monkeypatch.setattr(state_mod, "_unpack_cache", forbidden("_unpack_cache"))
 
 
 def test_compiled_single_thread_run_skips_the_object_model(monkeypatch):
@@ -181,40 +172,3 @@ def test_compiled_mix_skips_the_object_model(monkeypatch):
     _forbid_object_round_trip(monkeypatch)
     got = MultiCoreSystem(SystemConfig.multi_programmed("spp+dspatch", kernel="compiled")).run(traces)
     assert got == want
-
-
-def _cache_contents(cache):
-    return [
-        [(tag, cl.dirty, cl.prefetched, cl.used, cl.last_touch, cl.ready) for tag, cl in s.items()]
-        for s in cache._sets
-    ]
-
-
-@pytest.mark.parametrize("scheme", ("spp+dspatch", "sms"))
-def test_write_back_restores_cache_contents(scheme):
-    """A requested write-back restores every cache level's lines and
-    recency tick as the object model leaves them."""
-    from repro.cpu.core import interleave_two_level
-
-    trace = build_trace("cloud.memcached", 1500)
-    cfg = SystemConfig.single_thread(scheme, warmup_frac=0.0)
-
-    # The object model, run to the end.
-    dram = DramModel(cfg.dram)
-    hierarchy = MemoryHierarchy(
-        config=cfg.hierarchy,
-        dram=dram,
-        l1_prefetcher=PcStridePrefetcher(),
-        l2_prefetcher=build_prefetcher(scheme, dram),
-    )
-    interleave_two_level([CoreExecution(cfg.core, trace, hierarchy)])
-
-    (kex,), domain = _packed(cfg, trace)
-    domain.interleave([kex])
-    kex.write_back()
-    domain.write_back()
-    packed = kex.execution.hierarchy
-    for level in ("l1", "l2", "llc"):
-        got, want = getattr(packed, level), getattr(hierarchy, level)
-        assert _cache_contents(got) == _cache_contents(want), level
-        assert got._tick == want._tick, level

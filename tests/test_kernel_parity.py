@@ -16,20 +16,23 @@ compares ``RunResult.to_dict()`` and every ``PrefetchStats`` counter
 field-for-field.  A multi-programmed section does the same through
 ``MultiCoreSystem`` (shared LLC, per-core warmup boundaries, global-time
 interleave) where the kernel crossing machinery is under the most
-scheduling pressure.
+scheduling pressure.  The end-state rows also compare the whole machine
+at the end of the run in flat form (:func:`_machine_view`): the compiled
+run's live flat state against the object run's end state, packed.
 
 The parity tests need the compiled kernel and skip, with a reason, on
 hosts without a C toolchain (``kernel_available()``): there the object
 model is the only kernel, so there is nothing to compare.
 """
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from repro.cpu.system import MultiCoreSystem, System, SystemConfig
-from repro.kernel import kernel_available
-from repro.memory.cache import CacheConfig
+from repro.kernel import kernel_available, layout
 from repro.memory.dram import MP_DRAM, ST_DRAM
 from repro.memory.hierarchy import HierarchyConfig
 from repro.workloads.catalog import build_trace
@@ -97,19 +100,21 @@ def _fuzz_cases(n):
     return cases
 
 
-def _config(scheme, llc_geometry, warmup_frac, kernel, dram=ST_DRAM):
-    size_bytes, ways = llc_geometry
+def _resized(config, geometry):
+    """``config`` (a ``CacheConfig``) at another ``(size_bytes, ways)``."""
+    return dataclasses.replace(config, size_bytes=geometry[0], ways=geometry[1])
+
+
+def _config(scheme, llc_geometry, warmup_frac, kernel, dram=ST_DRAM, l2=None):
+    """A machine with the LLC at ``llc_geometry`` and, when given, the L2
+    at ``l2`` (both ``(size_bytes, ways)``)."""
     base = HierarchyConfig()
-    llc = CacheConfig(
-        name="LLC",
-        size_bytes=size_bytes,
-        ways=ways,
-        hit_latency=base.llc.hit_latency,
-        mshrs=base.llc.mshrs,
-        replacement=base.llc.replacement,
-    )
     return SystemConfig(
-        hierarchy=HierarchyConfig(l1=base.l1, l2=base.l2, llc=llc),
+        hierarchy=HierarchyConfig(
+            l1=base.l1,
+            l2=base.l2 if l2 is None else _resized(base.l2, l2),
+            llc=_resized(base.llc, llc_geometry),
+        ),
         dram=dram,
         l2_prefetcher=scheme,
         warmup_frac=warmup_frac,
@@ -134,8 +139,6 @@ def _reporting(monkeypatch, run):
     through: ``to_dict()`` has no drop reason and no
     ``issued_low_priority``, so a candidate issued twice shows only
     here, as ``dropped_resident``."""
-    import dataclasses
-
     import repro.cpu.system as system_mod
 
     reported = []
@@ -238,8 +241,6 @@ def test_multi_programmed_parity(scheme, warmup_frac, monkeypatch):
 def test_kernel_field_absent_from_fingerprints():
     """All kernels are bit-identical, so runs must share cache entries:
     the kernel choice may never reach a spec fingerprint."""
-    import dataclasses
-
     from repro.engine import RunSpec
 
     assert "kernel" not in [f.name for f in dataclasses.fields(RunSpec)]
@@ -466,175 +467,283 @@ def test_batched_crossing_parity_non_compiled_scheme():
     _assert_same(base, got, "batched/ampm")
 
 
-def _training_state(pf):
-    """Structural fingerprint of a scheme's training tables and counters."""
-    from repro.core.dspatch import DSPatch
-    from repro.prefetchers.bop import BOP
-    from repro.prefetchers.composite import CompositePrefetcher
-    from repro.prefetchers.sms import SMS
-    from repro.prefetchers.spp import SPP
-    from repro.prefetchers.streamer import StreamPrefetcher
+# ---------------------------------------------------------------------------
+# The whole machine in flat form.  A compiled run's state only ever exists
+# as flat arrays, so the object run's end state is packed into the same
+# form (the from-objects pack, which tests/test_kernel_fresh_state.py pins
+# to the config-built layout) and the two are compared as views.  A view
+# only normalizes where entries sit; it leaves out transient slots, the
+# scratch buffers and the pollution logs (compared through the results).
 
-    if isinstance(pf, StreamPrefetcher):
-        # dict order is the page table's LRU order
-        return (
-            [
-                (page, e.last_offset, e.direction, e.confidence)
-                for page, e in pf._streams.items()
-            ],
-            pf.trainings,
-        )
-    if isinstance(pf, BOP):  # covers EBOP
-        return (
-            list(pf._rr),
-            list(pf._pending_fills),
-            list(pf._scores.items()),
-            (pf._test_pos, pf._round),
-            list(pf.active_offsets),
-            (pf.learning_phases, pf.trainings),
-        )
-    if isinstance(pf, SMS):
-        def region_table(table):
-            return [
-                (region, e.pattern, e.trigger_pc, e.trigger_offset)
-                for region, e in table.items()
-            ]
-
-        return (
-            region_table(pf._at),
-            region_table(pf._ft),
-            [list(pht_set.items()) for pht_set in pf._pht],
-            (pf.trainings, pf.pht_stores, pf.pht_hits),
-        )
-    if isinstance(pf, CompositePrefetcher):
-        return [_training_state(c) for c in pf.components]
-    if isinstance(pf, SPP):  # covers ESPP
-        return (
-            [None if e is None else (e.tag, e.last_offset, e.signature) for e in pf._st],
-            list(pf._pt_c_sig),
-            [list(row) for row in pf._pt_slots],
-            [(g.signature, g.confidence, g.last_offset, g.delta) for g in pf._ghr],
-            list(pf._filter),
-            (pf.trainings, pf.filtered, pf.feedback_issued, pf.feedback_useful),
-        )
-    if isinstance(pf, DSPatch):
-        return (
-            [
-                (page, e.pattern, [None if t is None else tuple(t) for t in e.triggers])
-                for page, e in pf.page_buffer._pages.items()
-            ],
-            pf.page_buffer.evictions,
-            [
-                (e.covp, e.accp, list(e.measure_covp), list(e.or_count), list(e.measure_accp))
-                for e in pf.spt._table
-            ],
-            (
-                pf.trainings,
-                pf.triggers,
-                pf.predictions_covp,
-                pf.predictions_accp,
-                pf.predictions_suppressed,
-            ),
-        )
-    raise AssertionError(f"no fingerprint for {type(pf).__name__}")
-
-
-def _monitor_state(dram):
-    mon = dram.monitor
-    return (
-        mon._counter,
-        mon._window_end,
-        mon.total_cas,
-        list(mon._bucket_cycles),
-        mon._last_sample_cycle,
+#: Slots that hold no machine state: batch bounds, the saved crossing
+#: context (and every ``ctx_*``/``b_*`` slot), buffer lengths and
+#: capacities, ring heads and stamp clocks.
+_TRANSIENT = frozenset(
+    (
+        "end", "strict", "horizon", "phase",
+        "win_head", "win_cap", "note_len", "note_cap", "cand_len", "cand_cap",
+        "bp_pend_head", "bp_pend_cap", "sm_clock", "st_clock",
+        *(f"{log}_{n}" for log in ("pl_dem", "pl_fill", "pl_vic") for n in ("len", "cap")),
     )
+)
+#: Arrays a view leaves out: the crossing scratch buffers and the logs.
+_SCRATCH = frozenset(("note_buf", "cand_line", "cand_lp", "pf_buf", "pl_dem", "pl_fill", "pl_vic"))
+#: The arrays of the shared LLC/DRAM domain besides the LLC.
+_SHARED = ("bank_open", "bank_nextact", "bank_rowready", "ch_busfree", "ch_demandfree")
+_MSHRS = ("mshr_l1", "mshr_l2", "mshr_llc")
+_CACHE = ("touch", "line", "dirty", "pref", "used", "ready")
+#: Arrays a view reads through its normalized entries only.
+_FOLDED = frozenset(
+    (
+        "ci64", "cf64", "si64", "sf64", "win_idx", "win_ret", "infl_line", "infl_ready",
+        *_MSHRS, *_SHARED, *(f"{level}_{f}" for level in ("l1", "l2", "llc") for f in (*_CACHE, "valid")),
+    )
+)
+#: Tables read up to a length slot, in entries of the given width.
+_CUT = {
+    **dict.fromkeys(("sp_ghr_sig", "sp_ghr_conf", "sp_ghr_loff", "sp_ghr_delta"), ("sp_ghr_len", 1)),
+    **dict.fromkeys(("dp_pb_page", "dp_pb_pattern"), ("dp_pb_len", 1)),
+    **dict.fromkeys(("dp_pb_trig_sig", "dp_pb_trig_off"), ("dp_pb_len", 2)),
+    "bp_active": ("bp_active_len", 1),
+}
+#: Stamped tables and their record widths (SMS's PHT is one per set).
+_STAMPED = {"sm_at": layout.SM_REC, "sm_ft": layout.SM_REC, "st_tab": layout.ST_REC}
+
+
+def _kept(name):
+    return name not in _TRANSIENT and not name.startswith(("ctx_", "b_"))
+
+
+def _ring(arrays, head, n, cap):
+    """Entries ``head``.. of a power-of-two ring of ``cap`` rows, in
+    logical order."""
+    order = (head + np.arange(n)) & (cap - 1)
+    return list(zip(*(arr[order].tolist() for arr in arrays)))
+
+
+def _stamped(rows):
+    """A stamped table's live records (stamp not 0), in stamp order,
+    without their stamps."""
+    return [row[:-1] for row in sorted(rows.tolist(), key=lambda row: row[-1]) if row[-1]]
+
+
+def _resident(arrays, level, ways):
+    """A cache level's resident lines as (set, touch, line, dirty, pref,
+    used, ready), set by set in touch (recency) order."""
+    occupied = np.flatnonzero(arrays[level + "_valid"])
+    columns = [occupied // ways, *(arrays[f"{level}_{f}"][occupied] for f in _CACHE)]
+    return sorted(zip(*(column.tolist() for column in columns)))
+
+
+def _table(name, arr, slots):
+    """One table of a listed twin, normalized where its entries sit."""
+    if name in _CUT:
+        length, width = _CUT[name]
+        return arr[: width * slots[length]].tolist()
+    if name in _STAMPED:
+        return _stamped(arr.reshape(-1, _STAMPED[name]))
+    if name == "sm_pht":
+        return [_stamped(rows) for rows in arr.reshape(slots["sm_pht_sets"], -1, layout.SM_PHT_REC)]
+    if name == "bp_pend":
+        pairs = arr.reshape(-1, 2).T
+        return _ring(pairs, slots["bp_pend_head"], slots["bp_pend_len"], slots["bp_pend_cap"])
+    return arr.tolist()
+
+
+def _machine_view(states):
+    """The whole machine of a run, as ``{key: plain value}``: every
+    core's :class:`~repro.kernel.state.KernelState` and the
+    :class:`~repro.kernel.state.SharedState` they share.
+
+    Every slot but the transient ones, and every array but the scratch
+    buffers and logs, normalized only where entries sit: resident lines
+    per cache set in touch order; MSHR heaps and in-flight pairs sorted;
+    the ROB window and BOP's pending ring in logical order; stamped SMS
+    and streamer tables in stamp order without stamps; length-bounded
+    tables cut at their length.  Tables of twins a core does not list
+    are its 1-entry dummies.
+    """
+    view = {}
+    for core, state in enumerate(states):
+        arrays = state.array_map()
+        slots = dict(zip(layout.CI64_NAMES, arrays["ci64"].tolist()))
+        slots.update(zip(layout.CF64_NAMES, arrays["cf64"].tolist()))
+        live = {table.name for kind in state.scheme_kind for table in layout.SCHEME_FAMILY[kind].arrays}
+        n = slots["inflight_len"]
+        own = {
+            **{name: value for name, value in slots.items() if _kept(name)},
+            "scheme": state.scheme_kind,
+            "l1": _resident(arrays, "l1", slots["l1_ways"]),
+            "l2": _resident(arrays, "l2", slots["l2_ways"]),
+            "rob": _ring(
+                (arrays["win_idx"], arrays["win_ret"]),
+                slots["win_head"], slots["win_len"], slots["win_cap"],
+            ),
+            "inflight": sorted(zip(arrays["infl_line"][:n].tolist(), arrays["infl_ready"][:n].tolist())),
+            **{mshr: sorted(arrays[mshr][: slots[mshr + "_len"]].tolist()) for mshr in _MSHRS},
+            **{name: _table(name, arrays[name], slots) for name in live},
+            **{
+                name: arrays[name].tolist()
+                for name in layout.PTR_NAMES
+                if name not in _FOLDED | _SCRATCH | live
+            },
+        }
+        shared = {
+            **dict(zip(layout.SI64_NAMES, arrays["si64"].tolist())),
+            **dict(zip(layout.SF64_NAMES, arrays["sf64"].tolist())),
+            "llc": _resident(arrays, "llc", slots["llc_ways"]),
+            **{name: arrays[name].tolist() for name in _SHARED},
+        }
+        view.update((f"core{core}.{key}", value) for key, value in own.items())
+        view.update((f"shared.{key}", value) for key, value in shared.items())
+    return view
+
+
+def _assert_same_machine(want, have, label):
+    """Two machine views agree key for key; a failure names the keys."""
+    assert have.keys() == want.keys(), f"{label}: views of different machines"
+    diff = [key for key in want if have[key] != want[key]]
+    assert not diff, f"{label}: the end state diverges at {diff}"
+
+
+def _pack_end_state(executions, traces, llc, dram):
+    """The flat form of an object run's end state: its LLC and DRAM and
+    each core's execution, hierarchy and schemes, by the from-objects
+    pack."""
+    from repro.kernel.state import KernelState, SharedState
+
+    shared = SharedState(llc, dram)
+    return [KernelState(ex, trace, shared) for ex, trace in zip(executions, traces)]
 
 
 def _end_state_run(monkeypatch, cfg, traces, build=None):
     """One ``System``/``MultiCoreSystem`` run of ``cfg`` on ``cfg.kernel``:
     its per-core results, each with every counter of the core's
-    ``PrefetchStats`` (the drop reasons the results leave out included:
-    a candidate issued twice shows only as ``dropped_resident``), each
-    core's L2 scheme state at the end of the run, the DRAM monitor's
-    state and the schemes themselves.
+    ``PrefetchStats`` (see :func:`_reporting`), and the machine's view at
+    the end of the run (:func:`_machine_view`).
 
-    Each core's scheme is recorded when the run builds it.  A compiled
-    run keeps its state in flat form and writes nothing back, so here its
-    LLC and cores are packed from freshly built objects instead (the
-    state ``test_config_built_state_equals_object_pack`` pins equal to
-    the config-built one), and after the run the test asks for the full
-    write-back.  ``build``, when given, replaces the registry builder,
-    so any config can run.
+    A compiled run takes the production path, laid out from the config;
+    its cores are recorded as the run builds them, and their live flat
+    state, the shared domain's included, is the view.  An object run's
+    hierarchies and executions are recorded likewise, and its end state
+    is packed into flat form.  ``build``, when given, replaces the
+    registry builder, so any config can run.
     """
-    import dataclasses
-
     import repro.cpu.system as system_mod
-    from repro.cpu.core import CoreExecution
     from repro.kernel import execution as kexec
-    from repro.memory.cache import Cache
-    from repro.memory.hierarchy import MemoryHierarchy
-    from repro.prefetchers.stride import PcStridePrefetcher
 
-    drams, schemes, domains, cores, hierarchies = [], [], [], [], []
-    real_build = system_mod.build_prefetcher
-    real_dram = system_mod.DramModel
-    real_hierarchy = system_mod._make_hierarchy
+    built = {"scheme": [], "dram": [], "hierarchy": [], "execution": [], "kex": []}
 
-    def recording_build(name, bandwidth):
-        schemes.append(real_build(name, bandwidth) if build is None else build(bandwidth))
-        return schemes[-1]
+    def recording(kind, real):
+        def make(*args):
+            built[kind].append(build(args[1]) if kind == "scheme" and build else real(*args))
+            return built[kind][-1]
 
-    def recording_dram(config):
-        drams.append(real_dram(config))
-        return drams[-1]
+        return make
 
-    def recording_hierarchy(*args):
-        hierarchies.append(real_hierarchy(*args))
-        return hierarchies[-1]
+    class RecordingExecution(kexec.KernelExecution):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built["kex"].append(self)
 
-    class PackedDomain(kexec.KernelDomain):
-        def __init__(self, llc_config, dram):
-            super().__init__(Cache(llc_config), dram)
-            domains.append(self)
-
-    class PackedExecution(kexec.KernelExecution):
-        def __init__(self, cfg, trace, domain, record_pollution=False, l2_prefetcher=None):
-            shared = domain.shared_state
-            hierarchy = MemoryHierarchy(
-                config=cfg.hierarchy,
-                dram=shared.dram_obj,
-                llc=shared.llc_obj,
-                l1_prefetcher=PcStridePrefetcher() if cfg.l1_stride else None,
-                l2_prefetcher=l2_prefetcher,
-            )
-            execution = CoreExecution(cfg.core, trace, hierarchy)
-            super().__init__(execution, trace, domain, record_pollution)
-            cores.append(self)
+    def run():
+        if len(traces) == 1:
+            return [System(cfg).run(traces[0])]
+        return MultiCoreSystem(cfg, num_cores=len(traces)).run(traces).per_core
 
     with monkeypatch.context() as patch:
-        patch.setattr(system_mod, "build_prefetcher", recording_build)
-        patch.setattr(system_mod, "DramModel", recording_dram)
-        patch.setattr(system_mod, "_make_hierarchy", recording_hierarchy)
-        patch.setattr(kexec, "KernelDomain", PackedDomain)
-        patch.setattr(kexec, "KernelExecution", PackedExecution)
-        if len(traces) == 1:
-            results = [System(cfg).run(traces[0])]
-        else:
-            results = MultiCoreSystem(cfg, num_cores=len(traces)).run(traces).per_core
-        if cfg.kernel == "compiled":
-            assert len(cores) == len(traces)
-            for kex in cores:
-                kex.write_back()
-            (domain,) = domains
-            domain.write_back()
-            hierarchies = [kex.execution.hierarchy for kex in cores]
-    (dram,) = drams
-    assert len(schemes) == len(traces)
-    per_core = [
-        dict(r.to_dict(), pf_stats=dataclasses.asdict(h.pf_stats))
-        for r, h in zip(results, hierarchies)
-    ]
-    return per_core, [_training_state(pf) for pf in schemes], _monitor_state(dram), schemes
+        for name, kind in (
+            ("build_prefetcher", "scheme"),
+            ("DramModel", "dram"),
+            ("_make_hierarchy", "hierarchy"),
+            ("CoreExecution", "execution"),
+        ):
+            patch.setattr(system_mod, name, recording(kind, getattr(system_mod, name)))
+        patch.setattr(kexec, "KernelExecution", RecordingExecution)
+        results, pfs = _reporting(patch, run)
+    (dram,) = built["dram"]
+    assert len(built["scheme"]) == len(traces)
+    if cfg.kernel == "compiled":
+        assert not built["hierarchy"] and len(built["kex"]) == len(traces)
+        states = [kex.state for kex in built["kex"]]
+    else:
+        llc = built["hierarchy"][0].llc
+        states = _pack_end_state(built["execution"], traces, llc, dram)
+    per_core = [dict(r.to_dict(), pf_stats=pf) for r, pf in zip(results, pfs)]
+    return per_core, _machine_view(states)
+
+
+def _diverging(state, view):
+    """The keys where ``state``'s view differs from ``view``."""
+    now = _machine_view([state])
+    return [key for key in view if now[key] != view[key]]
+
+
+def test_machine_view_sees_state_not_placement():
+    """The view ignores where the flat form places an entry (a line's
+    way, a ring's head, a stamp's value, a heap's order, transient
+    slots) and sees state that no result reads: an LLC dirty bit, an
+    MSHR entry, a DRAM bank's open row."""
+    from repro.cpu.core import CoreExecution
+    from repro.memory.dram import DramModel
+    from repro.memory.hierarchy import MemoryHierarchy
+    from repro.prefetchers.bop import BOP
+    from repro.prefetchers.composite import CompositePrefetcher
+    from repro.prefetchers.sms import SMS
+    from repro.prefetchers.stride import PcStridePrefetcher
+
+    trace = build_trace("cloud.memcached", 1500)
+    cfg = _config("custom", _LLC_GEOMETRIES[0], 0.0, "object")
+    dram = DramModel(cfg.dram)
+    hierarchy = MemoryHierarchy(
+        config=cfg.hierarchy,
+        dram=dram,
+        l1_prefetcher=PcStridePrefetcher(),
+        l2_prefetcher=CompositePrefetcher([BOP(), SMS()]),
+    )
+    execution = CoreExecution(cfg.core, trace, hierarchy)
+    execution.run_ops()
+    (state,) = _pack_end_state([execution], [trace], hierarchy.llc, dram)
+    view = _machine_view([state])
+    ci, llc = state.ci64, state.shared.llc
+    ways = int(ci[layout.CI64["llc_ways"]])
+    full = next(s for s in range(len(llc["valid"]) // ways) if llc["valid"][s * ways : (s + 1) * ways].all())
+    a, b = full * ways, full * ways + 1
+
+    # Placement: swap two ways, rotate both rings, restamp and reorder
+    # SMS's AT, reverse a heap, touch the transient slots.
+    for column in llc.values():
+        column[[a, b]] = column[[b, a]]
+    for ring, head, n, cap in (
+        ((state.win_idx, state.win_ret), "win_head", "win_len", "win_cap"),
+        ((state.bp_pend.reshape(-1, 2),), "bp_pend_head", "bp_pend_len", "bp_pend_cap"),
+    ):
+        n, cap = int(ci[layout.CI64[n]]), int(ci[layout.CI64[cap]])
+        assert 0 < n < cap
+        for arr in ring:
+            arr[(3 + np.arange(n)) & (cap - 1)] = arr[:n].copy()
+        ci[layout.CI64[head]] = 3
+    at = state.sm_at.reshape(-1, layout.SM_REC)
+    assert at[:, -1].all()
+    at[:, -1] += 1000
+    at[:] = at[::-1].copy()
+    n = int(ci[layout.CI64["mshr_l2_len"]])
+    assert n > 1
+    state.mshr_l2[:n] = state.mshr_l2[:n][::-1].copy()
+    for slot in ("ctx_cycle", "phase", "end", "sm_clock"):
+        ci[layout.CI64[slot]] += 7
+    assert not _diverging(state, view)
+
+    # State: each change shows under its own key.
+    llc["dirty"][a] ^= 1
+    assert _diverging(state, view) == ["shared.llc"]
+    llc["dirty"][a] ^= 1
+    n = int(ci[layout.CI64["mshr_llc_len"]])
+    ci[layout.CI64["mshr_llc_len"]] = n + 1
+    assert _diverging(state, view) == ["core0.mshr_llc_len", "core0.mshr_llc"]
+    ci[layout.CI64["mshr_llc_len"]] = n
+    state.shared.bank_open[0] += 1
+    assert _diverging(state, view) == ["shared.bank_open"]
 
 
 @needs_compiled
@@ -644,13 +753,13 @@ def _end_state_run(monkeypatch, cfg, traces, build=None):
     "scheme", ("dspatch", "spp+dspatch", "sms", "bop", "streamer", "spp", "spp+bop+dspatch")
 )
 def test_end_of_run_state_is_identical(scheme, warmup_frac, cores, monkeypatch):
-    """Object and compiled runs end in the same state, whether training
-    ran in generated C or in Python: what DSPatch's page buffer still
-    holds (pages and LRU order), SMS's AT, FT and PHT order, the
-    streamer's page table in its dict (LRU) order, and so on for each
-    component, plus every prefetch counter and the DRAM monitor.  A
-    compiled run's state is written back on request (see
-    :func:`_end_state_run`)."""
+    """Object and compiled runs end in the same machine, whether training
+    ran in generated C or in Python: every cache line with its recency,
+    dirty and prefetch bits, the MSHRs, the in-flight prefetches, the ROB
+    window, the stride table, the DRAM banks and monitor, every counter,
+    and each scheme component's tables in their order (DSPatch's page
+    buffer, SMS's AT, FT and PHT sets, the streamer's page table, ...),
+    compared in flat form (see :func:`_end_state_run`)."""
     if cores == 1:
         traces = [build_trace("cloud.memcached", 2000)]
     else:
@@ -658,25 +767,25 @@ def test_end_of_run_state_is_identical(scheme, warmup_frac, cores, monkeypatch):
     _assert_end_state_parity(monkeypatch, scheme, warmup_frac, traces)
 
 
-def _assert_end_state_parity(monkeypatch, scheme, warmup_frac, traces, build=None):
+def _assert_end_state_parity(
+    monkeypatch, scheme, warmup_frac, traces, build=None, llc=None, l2=None
+):
     """Object and compiled runs of ``traces`` (the ST machine for one,
-    four cores under ``MP_DRAM`` for more) agree on every result, on
-    each core's scheme state at the end of the run (each component's,
-    for a composite) and on the DRAM monitor."""
+    four cores under ``MP_DRAM`` for more) agree on every result and on
+    the whole machine at the end of the run (:func:`_machine_view`).
+    ``llc``, when given, is the ``(bytes, ways)`` of the LLC, and
+    ``l2``, the L2's."""
     dram = ST_DRAM if len(traces) == 1 else MP_DRAM
 
     def run(kernel):
-        cfg = _config(scheme, _LLC_GEOMETRIES[0], warmup_frac, kernel, dram=dram)
-        return _end_state_run(monkeypatch, cfg, traces, build)[:3]
+        cfg = _config(scheme, llc or _LLC_GEOMETRIES[0], warmup_frac, kernel, dram=dram, l2=l2)
+        return _end_state_run(monkeypatch, cfg, traces, build)
 
-    base_results, base_states, base_monitor = run("object")
-    got_results, got_states, got_monitor = run("compiled")
+    base_results, base_view = run("object")
+    got_results, got_view = run("compiled")
     for core, (want, have) in enumerate(zip(base_results, got_results)):
         _assert_same(want, have, f"end/{scheme}/core{core}")
-    assert len(got_states) == len(traces)
-    for core, (want, have) in enumerate(zip(base_states, got_states)):
-        assert have == want, f"end-of-run scheme state diverges on core {core}"
-    assert got_monitor == base_monitor, "DRAM monitor diverges at the end of the run"
+    _assert_same_machine(base_view, got_view, f"end/{scheme}")
 
 
 def _assert_twins(scheme):
@@ -711,8 +820,9 @@ def _assert_twins(scheme):
     ],
 )
 def test_slot_and_composite_twins_match_the_object_model(scheme, cores, warmup_frac, monkeypatch):
-    """Results and each component's written-back state are bit-identical
-    to the object model for the schemes these twins newly cover."""
+    """Results and the whole machine at the end of the run, each
+    component's tables included, are bit-identical to the object model
+    for the schemes these twins newly cover."""
     _assert_twins(scheme)
     if cores == 1:
         traces = [build_trace("hpc.npb-cg", 2400)]
@@ -721,12 +831,12 @@ def test_slot_and_composite_twins_match_the_object_model(scheme, cores, warmup_f
     _assert_end_state_parity(monkeypatch, scheme, warmup_frac, traces)
 
 
-def _run_capturing_scheme(monkeypatch, scheme, trace, kernel, dram=ST_DRAM, build=None):
-    """``System.run`` result plus the scheme's state at the end of the
-    run (see :func:`_end_state_run`), and the scheme object itself."""
+def _run_capturing_machine(monkeypatch, scheme, trace, kernel, dram=ST_DRAM, build=None):
+    """``System.run`` result plus the machine's view at the end of the
+    run (see :func:`_end_state_run`)."""
     cfg = _config(scheme, _LLC_GEOMETRIES[1], 0.0, kernel, dram=dram)
-    (result,), (state,), _monitor, (pf,) = _end_state_run(monkeypatch, cfg, [trace], build)
-    return result, state, pf
+    (result,), view = _end_state_run(monkeypatch, cfg, [trace], build)
+    return result, view
 
 
 @needs_compiled
@@ -739,7 +849,7 @@ def _run_capturing_scheme(monkeypatch, scheme, trace, kernel, dram=ST_DRAM, buil
 def test_bop_learning_phases_end_alike(workload, length, ending, monkeypatch):
     """BOP's learning phase ends mid-train (MaxScore) or at a round
     boundary (MaxRound); the twin ranks the offsets like the spec's
-    stable sort and writes the learned state back exactly."""
+    stable sort and ends in exactly the learned state."""
     from repro.prefetchers.bop import BOP
 
     trace = build_trace(workload, length)
@@ -751,12 +861,12 @@ def test_bop_learning_phases_end_alike(workload, length, ending, monkeypatch):
         real_finish(self)
 
     monkeypatch.setattr(BOP, "_finish_phase", spying_finish)
-    base, base_state, _ = _run_capturing_scheme(monkeypatch, "bop", trace, "object")
+    base, base_view = _run_capturing_machine(monkeypatch, "bop", trace, "object")
     assert ending in endings
-    got, got_state, pf = _run_capturing_scheme(monkeypatch, "bop", trace, "compiled")
+    got, got_view = _run_capturing_machine(monkeypatch, "bop", trace, "compiled")
     _assert_same(base, got, f"bop-phases/{workload}")
-    assert got_state == base_state
-    assert pf.learning_phases > 0
+    _assert_same_machine(base_view, got_view, f"bop-phases/{workload}")
+    assert got_view["core0.bp_phases"] > 0
 
 
 def _small_bop(bw):
@@ -801,14 +911,15 @@ def test_non_default_configs_twin_from_slots(build, workload, monkeypatch):
     dram = DramModel(MP_DRAM)
     assert _scheme_kind(build(dram), dram) != layout.SCHEME_PY
     trace = build_trace(workload, 2600)
-    base, base_state, _ = _run_capturing_scheme(
+    base, base_view = _run_capturing_machine(
         monkeypatch, "custom", trace, "object", dram=MP_DRAM, build=build
     )
-    got, got_state, _ = _run_capturing_scheme(
+    got, got_view = _run_capturing_machine(
         monkeypatch, "custom", trace, "compiled", dram=MP_DRAM, build=build
     )
-    _assert_same(base, got, f"slots/{build.__name__}/{workload}")
-    assert got_state == base_state
+    label = f"slots/{build.__name__}/{workload}"
+    _assert_same(base, got, label)
+    _assert_same_machine(base_view, got_view, label)
 
 
 @needs_compiled
@@ -816,11 +927,11 @@ def test_non_default_configs_twin_from_slots(build, workload, monkeypatch):
 def test_bop_pending_ring_grows_never_truncates(scheme, monkeypatch):
     """BOP's pending-fill FIFO is unbounded in the spec.  Started at the
     smallest ring, the twin stops between ops to grow it (RC_GROW) many
-    times; results and the written-back queue stay exact."""
+    times; results and the queue at the end of the run stay exact."""
     import repro.kernel.state as state_mod
 
     trace = build_trace("hpc.npb-cg", 2600)
-    base, base_state, _ = _run_capturing_scheme(monkeypatch, scheme, trace, "object", dram=MP_DRAM)
+    base, base_view = _run_capturing_machine(monkeypatch, scheme, trace, "object", dram=MP_DRAM)
     grows = []
     real_grow = state_mod.KernelState.grow_pending_ring
 
@@ -830,10 +941,10 @@ def test_bop_pending_ring_grows_never_truncates(scheme, monkeypatch):
 
     monkeypatch.setattr(state_mod, "_ring_cap", state_mod._next_pow2)
     monkeypatch.setattr(state_mod.KernelState, "grow_pending_ring", counting_grow)
-    got, got_state, _ = _run_capturing_scheme(monkeypatch, scheme, trace, "compiled", dram=MP_DRAM)
+    got, got_view = _run_capturing_machine(monkeypatch, scheme, trace, "compiled", dram=MP_DRAM)
     assert len(grows) >= 3
     _assert_same(base, got, f"ring/{scheme}")
-    assert got_state == base_state
+    _assert_same_machine(base_view, got_view, f"ring/{scheme}")
 
 
 @needs_compiled
@@ -853,9 +964,9 @@ def test_mid_run_pack_carries_scheme_state(scheme, workload, switch_at):
     """Packing a scheme that already trained — non-empty RR table,
     pending fills, scores and active offsets; filled AT, FT and PHT sets
     — and finishing the run compiled equals running the object model
-    throughout, state included."""
+    throughout, results and the whole machine at the end included."""
     from repro.cpu.core import CoreExecution
-    from repro.cpu.system import _result_from
+    from repro.cpu.system import _result_from, _run_result
     from repro.kernel.execution import KernelDomain, KernelExecution
     from repro.memory.dram import DramModel
     from repro.memory.hierarchy import MemoryHierarchy
@@ -873,18 +984,21 @@ def test_mid_run_pack_carries_scheme_state(scheme, workload, switch_at):
         )
         execution = CoreExecution(cfg.core, trace, hierarchy)
         execution.run_ops(switch_at)
-        if switch_at < len(trace):
-            domain = KernelDomain(hierarchy.llc, dram)
-            kex = KernelExecution(execution, trace, domain)
-            domain.interleave([kex])
-            kex.write_back()
-            domain.write_back()
-        return _result_from(execution, hierarchy, dram).to_dict(), _training_state(pf)
+        if switch_at == len(trace):
+            result = _result_from(execution, hierarchy, dram)
+            return result.to_dict(), _machine_view(
+                _pack_end_state([execution], [trace], hierarchy.llc, dram)
+            )
+        domain = KernelDomain(hierarchy.llc, dram)
+        kex = KernelExecution(execution, trace, domain)
+        domain.interleave([kex])
+        result = _run_result(*kex.counters(), dram.config, domain.dram_counters())
+        return result.to_dict(), _machine_view([kex.state])
 
-    base_result, base_state = run(len(trace))
-    got_result, got_state = run(switch_at)
+    base_result, base_view = run(len(trace))
+    got_result, got_view = run(switch_at)
     _assert_same(base_result, got_result, f"mid-run/{scheme}")
-    assert got_state == base_state
+    _assert_same_machine(base_view, got_view, f"mid-run/{scheme}")
 
 
 @needs_compiled
@@ -935,8 +1049,6 @@ def _assert_same_logs(base, got, label):
 
 
 def _recording(scheme, llc_geometry, warmup_frac, kernel, dram=ST_DRAM):
-    import dataclasses
-
     cfg = _config(scheme, llc_geometry, warmup_frac, kernel, dram=dram)
     return dataclasses.replace(cfg, record_pollution_victims=True)
 

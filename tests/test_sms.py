@@ -142,6 +142,13 @@ class TestCapacity:
         with pytest.raises(ValueError):
             SMS(SmsConfig(pht_entries=100, pht_ways=16)).config.pht_sets
 
+    @pytest.mark.parametrize("field", ("at_entries", "ft_entries"))
+    def test_rejects_empty_tables(self, field):
+        """An empty AT or FT would raise ``StopIteration`` at its first
+        insert."""
+        with pytest.raises(ValueError):
+            SMS(SmsConfig(**{field: 0}))
+
     def test_reset(self):
         pf = SMS()
         teach_layout(pf, 0x400, range(0x100, 0x110), offsets=[2, 5])

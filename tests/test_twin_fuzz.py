@@ -1,19 +1,22 @@
-"""Differential fuzzing of the compiled training twins over the gate's domain.
+"""Differential fuzzing of the compiled twin over the gate's domain.
 
 Every twin reads its config from flat-state slots, and a twinned scheme
 is the ordered list of its components' twins, so the domain the fixed
 parity grids sample is much larger than the registry.  Here hypothesis
 draws schemes from it: 1 to 5 components in any arbitration order, one
 per table family (SPP/eSPP, DSPatch, BOP/eBOP, SMS, the streamer), each
-with a small random config; a warmup of 0 or 0.25; one core or a 4-core
-mix; catalog workloads of 300 to 1,200 ops.  Each drawn case runs on the
-object model (the spec) and the compiled kernel, which must agree on
-every result and prefetch counter, on each component's state at the end
-of the run (written back from the compiled run), and on the DRAM
-monitor.
+with a small random config (SMS's region and AT/FT sizes and BOP's RR
+size, bad score and fill delay included); the L2 and LLC geometries; a
+warmup of 0 or 0.25; one core or a 4-core mix; catalog workloads of 300
+to 1,200 ops.  Each drawn case runs on the object model (the spec) and
+the compiled kernel, which must agree on every result and prefetch
+counter and on the whole machine at the end of the run, compared in
+flat form (``_machine_view`` in ``tests/test_kernel_parity.py``).
 
 The examples are derandomized (a fixed sequence, no example database),
-so the test is deterministic, and few, to keep it cheap; a failure
+so the test is deterministic.  A plain run draws 30 of them, to keep it
+cheap; the Hypothesis profile ``twin-fuzz`` (``tests/conftest.py``,
+chosen with ``--hypothesis-profile``) sets a larger budget.  A failure
 shrinks to a minimal scheme and trace.
 """
 
@@ -73,10 +76,13 @@ def _dspatch(draw):
 @st.composite
 def _bop(draw):
     cfg = BopConfig(
+        rr_entries=draw(_pow2(0, 2, 6, 8, 10)),
         degree=draw(st.integers(1, 6)),
         offsets=tuple(draw(st.lists(st.integers(-70, 70), min_size=1, max_size=12, unique=True))),
         max_round=draw(st.sampled_from([2, 5, 100])),
         max_score=draw(st.sampled_from([3, 31])),
+        bad_score=draw(st.integers(-1, 4)),
+        fill_delay_cycles=draw(st.sampled_from([0, 1, 120, 300, 2000])),
     )
     if draw(st.booleans()):
         return lambda bw: EBOP(bw, cfg)
@@ -87,7 +93,13 @@ def _bop(draw):
 def _sms(draw):
     entries = draw(_pow2(2, 4, 6, 8, 10))
     ways = draw(st.sampled_from([w for w in (1, 4, 16) if w <= entries]))
-    cfg = SmsConfig(pht_entries=entries, pht_ways=ways)
+    cfg = SmsConfig(
+        region_bytes=draw(_pow2(6, 7, 9, 11, 12)),
+        at_entries=draw(st.sampled_from([1, 2, 8, 64])),
+        ft_entries=draw(st.sampled_from([1, 3, 32])),
+        pht_entries=entries,
+        pht_ways=ways,
+    )
     return lambda bw: SMS(cfg)
 
 
@@ -113,9 +125,17 @@ def _twinned_scheme(draw):
     return lambda bw: CompositePrefetcher([part(bw) for part in parts])
 
 
+def _geometry(sizes_kb, ways):
+    """A cache's ``(size_bytes, ways)``: any of these sizes and ways gives
+    a power-of-two set count."""
+    return st.tuples(st.sampled_from([kb << 10 for kb in sizes_kb]), st.sampled_from(ways))
+
+
 @needs_compiled
 @settings(
-    max_examples=30,
+    # 30 examples, unless the twin-fuzz profile (tests/conftest.py) sets
+    # the budget.
+    **({} if settings.get_current_profile_name() == "twin-fuzz" else {"max_examples": 30}),
     derandomize=True,
     database=None,
     deadline=None,
@@ -128,12 +148,14 @@ def _twinned_scheme(draw):
         st.sampled_from(_WORKLOADS), min_size=4, max_size=4
     ),
     length=st.integers(300, 1200),
+    llc=_geometry((64, 256, 1024, 2048), (1, 4, 16, 32)),
+    l2=_geometry((16, 64, 256, 512), (1, 2, 8, 16)),
 )
-def test_twins_match_the_object_model(build, warmup_frac, workloads, length):
+def test_twins_match_the_object_model(build, warmup_frac, workloads, length, llc, l2):
     dram = DramModel(ST_DRAM)
     scheme = build(dram.monitor)
     components = scheme.components if isinstance(scheme, CompositePrefetcher) else [scheme]
     assert len(_scheme_kind(scheme, dram)) == len(components), "the drawn scheme crosses"
     traces = [build_trace(name, length) for name in workloads]
     with pytest.MonkeyPatch.context() as patch:
-        _assert_end_state_parity(patch, "custom", warmup_frac, traces, build)
+        _assert_end_state_parity(patch, "custom", warmup_frac, traces, build, llc=llc, l2=l2)
