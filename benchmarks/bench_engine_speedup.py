@@ -22,7 +22,10 @@ comparison: 6 schemes x N workloads) under several regimes:
    process-pool fan-out (runs when ``--jobs`` > 1 is given explicitly,
    or by default on multicore hosts);
 3. **warm** — in-process memo cleared, disk cache intact: every run is a
-   content-addressed load from the store.
+   content-addressed load from the store; the best of
+   :data:`WARM_PASSES` passes, the memo cleared before each (one pass
+   takes about 10-15 ms at ``--trace-len 1000``, where a single pass
+   read under the 10x floor on scheduling noise now and then).
 
 All regimes — including every kernel — must produce bit-for-bit
 identical figure rows; the bench fails otherwise.  Machine-speed
@@ -67,6 +70,8 @@ SCHEME_LEG_RUNS = tuple((scheme, False) for scheme in TWINNED_SCHEMES) + (("stre
 #: The multi-core leg: one heterogeneous 4-core mix, ops per core.
 MP_MIX = ("ispec06.mcf", "cloud.memcached", "hpc.npb-bt", "sysmark.excel")
 MP_TRACE_LEN = 6000
+#: Warm passes over the filled store; the warm leg is the fastest.
+WARM_PASSES = 5
 
 
 def calibrate(n=2_000_000, repeats=3):
@@ -251,13 +256,16 @@ def run_bench(args):
         # sequential cold phase regardless of the parallel experiment.
         session.clear()
         fig12_single_thread(scale)
-    session.clear(disk=False)  # memo layers only; the disk store stays warm
-    t0 = time.perf_counter()
-    rows_warm = _rows_of(fig12_single_thread(scale))
-    t_warm = time.perf_counter() - t0
+    warm_rows = []
+    t_warm = float("inf")
+    for _ in range(WARM_PASSES):
+        session.clear(disk=False)  # memo layers only; the disk store stays warm
+        t0 = time.perf_counter()
+        warm_rows.append(_rows_of(fig12_single_thread(scale)))
+        t_warm = min(t_warm, time.perf_counter() - t0)
 
     deterministic = (
-        rows_warm == rows_seq
+        all(rows == rows_seq for rows in warm_rows)
         and (rows_par is None or rows_par == rows_seq)
         and all(rows == rows_seq for rows in kernel_rows.values())
     )
@@ -270,6 +278,7 @@ def run_bench(args):
             "trace_len": args.trace_len,
             "workloads_per_category": args.workloads_per_category,
             "repeats": args.repeats,
+            "warm_passes": WARM_PASSES,
             "sim_ops": sim_ops,
             "jobs": jobs,
             "cpu_count": cpu_count,

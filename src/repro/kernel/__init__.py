@@ -11,14 +11,15 @@ The object model (``MemoryHierarchy`` driven by
   tests' reference; the translation runs one way, objects to slots);
   each training twin is declared once, by its records in ``layout``;
 - :mod:`repro.kernel.cgen`/:mod:`repro.kernel.cbuild` generate, compile
-  and drive the C under ``kernel/c/``, a transliteration of the object
+  and load the C under ``kernel/c/``, a transliteration of the object
   model's per-access path and of its multi-core scheduler over those
   arrays, when a toolchain is available;
 - :mod:`repro.kernel.execution` is the system driver's entry:
-  ``KernelDomain.interleave`` runs a whole schedule in C and returns to
-  Python only for training crossings, usefulness notes, warmup
-  checkpoints and the rare growth of BOP's pending-fill ring or of the
-  pollution logs; results are read from the flat counters.
+  ``KernelDomain.interleave`` runs a whole schedule in one C call, which
+  calls back into Python where the object model runs it (a crossing
+  scheme's training and usefulness notes, warmup checkpoints) and for
+  the rare growth of BOP's pending-fill ring or of the pollution logs;
+  results are read from the flat counters.
 
 The twin is bit-identical to the object model (pinned by
 ``tests/test_kernel_parity.py``, which compares results and the whole

@@ -3,7 +3,7 @@
        serves any config with unique offsets.  The RR table, the score
        table (offset-list order) and the ranked active offsets are flat
        arrays; _pending_fills is a ring of (ready, line) pairs that krun
-       keeps room in (RC_GROW) before each op. --- */
+       has grown (the grow callback) to hold each op's trainings. --- */
 
 static int64_t bop_rr_index(const int64_t *ci, int64_t line) {
     return (line ^ (line >> 8)) & ci[CI_bp_rr_mask];

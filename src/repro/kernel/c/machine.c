@@ -20,7 +20,16 @@ typedef struct {
     int64_t cap;
 } mshr_t;
 
+/* The Python callbacks (pointer-table entries P_train, P_note, P_grow):
+   a crossing scheme's train, which writes the lookup's candidates, its
+   note hooks, and the growth of BOP's pending-fill ring or a pollution
+   log.  train and grow may re-lay arrays, so the caller re-binds. */
+typedef void (*train_fn)(int64_t cycle, int64_t pc, int64_t addr, _Bool hit);
+typedef void (*note_fn)(_Bool useful, int64_t cycle, int64_t line);
+typedef void (*grow_fn)(void);
+
 typedef struct {
+    void **P;
     int64_t *ci; double *cf;
     int64_t *si; double *sf;
     cache_t l1, l2, llc;
@@ -28,13 +37,16 @@ typedef struct {
     int64_t *bank_open, *bank_nextact, *bank_rowready;
     int64_t *ch_busfree, *ch_demandfree;
     int64_t *infl_line, *infl_ready;
-    int64_t *note_buf, *cand_line, *cand_lp;
+    int64_t *cand_line, *cand_lp;
     /* compiled scheme-training state (dummies unless a twin is listed):
        every table of layout.FAMILIES */
 #define TWIN_FIELD(type, name) type *name;
     TWIN_ARRAYS(TWIN_FIELD)
     /* pollution logs, (ordinal, line) pairs (dummies when pl_on == 0) */
     int64_t *pl_dem, *pl_fill, *pl_vic;
+    train_fn train;
+    note_fn note;
+    grow_fn grow;
 } kctx_t;
 
 /* ---------------------------------------------------------------- cache */
@@ -292,32 +304,28 @@ static void infl_sweep(kctx_t *k, int64_t cycle) {
     k->ci[CI_inflight_len] = n;
 }
 
-/* ------------------------------------------------- scheme note queue */
+/* ------------------------------------------------------- scheme notes */
 
-static void note_push(kctx_t *k, int64_t kind, int64_t cycle, int64_t line) {
+static void scheme_note(kctx_t *k, int useful, int64_t cycle, int64_t line) {
     /* l2pf_notes is 0 when no scheme is attached or its note hooks are
        Prefetcher's inherited no-ops (DSPatch, BOP, SMS, ampm, ...):
        nothing would read the note. */
-    if (!k->ci[CI_l2pf_notes]) return;
-    if (k->ci[CI_scheme_len]) {
-        /* Of the compiled twins only the SPP family reads notes.  SPP's
-           note hooks are pure feedback-counter increments (never read by
-           train), so immediate counting matches the deferred queue drain
-           exactly. */
-        if (kind == NOTE_USEFUL) k->ci[CI_sp_fb_useful]++;
-        else k->ci[CI_sp_fb_issued]++;
+    int64_t *ci = k->ci;
+    if (!CI(l2pf_notes)) return;
+    if (CI(scheme_len)) {
+        /* Of the compiled twins only the SPP family reads notes: its
+           note hooks only count them. */
+        if (useful) CI(sp_fb_useful)++;
+        else CI(sp_fb_issued)++;
         return;
     }
-    int64_t n = k->ci[CI_note_len];
-    int64_t *b = k->note_buf + 3 * n;
-    b[0] = kind; b[1] = cycle; b[2] = line;
-    k->ci[CI_note_len] = n + 1;
+    if (!k->si[SI_failed]) k->note(useful, cycle, line);
 }
 
 static void notify_useful(kctx_t *k, int64_t cycle, int64_t line) {
     c_touch_pf(&k->llc, line);
     c_touch_pf(&k->l2, line);
-    note_push(k, NOTE_USEFUL, cycle, line);
+    scheme_note(k, 1, cycle, line);
 }
 
 static void note_use(kctx_t *k, int64_t cycle, int64_t line, int64_t ready) {
@@ -328,9 +336,9 @@ static void note_use(kctx_t *k, int64_t cycle, int64_t line, int64_t ready) {
 
 /* ------------------------------------------------------ pollution logs
    PollutionCollector's three views (observe/sinks.py), recorded where
-   ObservedHierarchy emits the events it derives them from.  krun stops
-   between ops (RC_GROW) until every log has room for a whole op, so an
-   append never overflows. */
+   ObservedHierarchy emits the events it derives them from.  Before each
+   op krun has every log grown to hold a whole op, so an append never
+   overflows. */
 
 static void pl_push(int64_t *ci, int64_t *log, int64_t len_slot, int64_t line) {
     int64_t n = ci[len_slot]++;
@@ -344,7 +352,7 @@ static void fill_llc_acct(kctx_t *k, int64_t line, int64_t prefetched,
     if (c_fill(&k->llc, line, prefetched, lp, ready, &vline, &vpref, &vused)) {
         if (vpref && !vused) {
             k->ci[CI_pf_useless]++;
-            note_push(k, NOTE_USELESS, cycle, vline);
+            scheme_note(k, 0, cycle, vline);
         }
         /* POLLUTING: an LLC victim of a prefetch fill */
         if (prefetched && k->ci[CI_pl_on]) pl_push(k->ci, k->pl_vic, CI_pl_vic_len, vline);

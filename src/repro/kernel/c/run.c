@@ -1,33 +1,4 @@
-/* --------------------------------------------- MemoryHierarchy._below_l1 */
-
-/* Pre-crossing half: the L2 lookup.  Saves the lookup outcome in the
-   b_* slots; returns nonzero when the scheme must be trained (the
-   caller runs the compiled twins, or saves its context and returns
-   RC_TRAIN). */
-static int below_l1_pre(kctx_t *k, int64_t cycle, int64_t addr, int64_t is_write) {
-    int64_t *ci = k->ci;
-    int64_t line = addr >> LINE_SHIFT;
-    cache_t *l2 = &k->l2;
-    int64_t tick = ++(*l2->tick);
-    int64_t slot = c_find(l2, line);
-    int64_t first_use = 0;
-    if (slot < 0) l2->stats[1]++;
-    else {
-        l2->stats[0]++;
-        l2->touch[slot] = tick;
-        if (is_write) l2->dirty[slot] = 1;
-        if (l2->pref[slot] && !l2->used[slot]) {
-            l2->stats[3]++;
-            first_use = 1;
-            if (l2->ready[slot] > cycle) l2->stats[4]++;
-            l2->used[slot] = 1;
-        }
-    }
-    ci[CI_b_line] = line;
-    ci[CI_b_slot] = slot;
-    ci[CI_b_first_use] = first_use;
-    return (int)ci[CI_has_l2pf];
-}
+/* ------------------------------------- MemoryHierarchy._issue_prefetches */
 
 static void issue_prefetches(kctx_t *k, int64_t cycle) {
     int64_t *ci = k->ci;
@@ -74,17 +45,111 @@ static void issue_prefetches(kctx_t *k, int64_t cycle) {
     ci[CI_cand_len] = 0;
 }
 
-/* Post-crossing half: finish the lookup with the scheme's candidates
-   (cand_len == 0 when no scheme).  Returns latency, sets *level. */
-static int64_t below_l1_post(kctx_t *k, int64_t cycle, int64_t is_write, int64_t *level) {
+/* ------------------------------------------------------------- assembly */
+
+/* Point k at the arrays and callbacks of pointer table P; run again
+   after a callback that can re-lay an array (train, grow). */
+static void bind(kctx_t *k, void **P) {
+    k->P = P;
+    k->ci = (int64_t *)P[P_ci64];
+    k->cf = (double *)P[P_cf64];
+    k->si = (int64_t *)P[P_si64];
+    k->sf = (double *)P[P_sf64];
     int64_t *ci = k->ci;
-    int64_t line = ci[CI_b_line];
-    int64_t slot = ci[CI_b_slot];
+    int64_t *si = k->si;
+
+    k->l1.valid = (int64_t *)P[P_l1_valid]; k->l1.line = (int64_t *)P[P_l1_line];
+    k->l1.dirty = (int64_t *)P[P_l1_dirty]; k->l1.pref = (int64_t *)P[P_l1_pref];
+    k->l1.used = (int64_t *)P[P_l1_used]; k->l1.touch = (int64_t *)P[P_l1_touch];
+    k->l1.ready = (int64_t *)P[P_l1_ready];
+    k->l1.tick = &ci[CI_l1_tick]; k->l1.stats = &ci[CI_l1_demand_hits];
+    k->l1.ways = CI(l1_ways); k->l1.set_mask = CI(l1_set_mask);
+    k->l1.hit_lat = CI(l1_hit_latency); k->l1.mode = CI(l1_victim_mode);
+
+    k->l2.valid = (int64_t *)P[P_l2_valid]; k->l2.line = (int64_t *)P[P_l2_line];
+    k->l2.dirty = (int64_t *)P[P_l2_dirty]; k->l2.pref = (int64_t *)P[P_l2_pref];
+    k->l2.used = (int64_t *)P[P_l2_used]; k->l2.touch = (int64_t *)P[P_l2_touch];
+    k->l2.ready = (int64_t *)P[P_l2_ready];
+    k->l2.tick = &ci[CI_l2_tick]; k->l2.stats = &ci[CI_l2_demand_hits];
+    k->l2.ways = CI(l2_ways); k->l2.set_mask = CI(l2_set_mask);
+    k->l2.hit_lat = CI(l2_hit_latency); k->l2.mode = CI(l2_victim_mode);
+
+    k->llc.valid = (int64_t *)P[P_llc_valid]; k->llc.line = (int64_t *)P[P_llc_line];
+    k->llc.dirty = (int64_t *)P[P_llc_dirty]; k->llc.pref = (int64_t *)P[P_llc_pref];
+    k->llc.used = (int64_t *)P[P_llc_used]; k->llc.touch = (int64_t *)P[P_llc_touch];
+    k->llc.ready = (int64_t *)P[P_llc_ready];
+    k->llc.tick = &si[SI_llc_tick]; k->llc.stats = &si[SI_llc_demand_hits];
+    k->llc.ways = CI(llc_ways); k->llc.set_mask = CI(llc_set_mask);
+    k->llc.hit_lat = CI(llc_hit_latency); k->llc.mode = CI(llc_victim_mode);
+
+    k->l1m.heap = (int64_t *)P[P_mshr_l1]; k->l1m.len = &ci[CI_mshr_l1_len];
+    k->l1m.allocs = &ci[CI_mshr_l1_allocations]; k->l1m.stall = &ci[CI_mshr_l1_stall];
+    k->l1m.cap = CI(mshr_l1_cap);
+    k->l2m.heap = (int64_t *)P[P_mshr_l2]; k->l2m.len = &ci[CI_mshr_l2_len];
+    k->l2m.allocs = &ci[CI_mshr_l2_allocations]; k->l2m.stall = &ci[CI_mshr_l2_stall];
+    k->l2m.cap = CI(mshr_l2_cap);
+    k->llcm.heap = (int64_t *)P[P_mshr_llc]; k->llcm.len = &ci[CI_mshr_llc_len];
+    k->llcm.allocs = &ci[CI_mshr_llc_allocations]; k->llcm.stall = &ci[CI_mshr_llc_stall];
+    k->llcm.cap = CI(mshr_llc_cap);
+
+    k->bank_open = (int64_t *)P[P_bank_open];
+    k->bank_nextact = (int64_t *)P[P_bank_nextact];
+    k->bank_rowready = (int64_t *)P[P_bank_rowready];
+    k->ch_busfree = (int64_t *)P[P_ch_busfree];
+    k->ch_demandfree = (int64_t *)P[P_ch_demandfree];
+    k->infl_line = (int64_t *)P[P_infl_line];
+    k->infl_ready = (int64_t *)P[P_infl_ready];
+    k->cand_line = (int64_t *)P[P_cand_line];
+    k->cand_lp = (int64_t *)P[P_cand_lp];
+
+#define TWIN_BIND(type, name) k->name = (type *)P[P_##name];
+    TWIN_ARRAYS(TWIN_BIND)
+    k->pl_dem = (int64_t *)P[P_pl_dem];
+    k->pl_fill = (int64_t *)P[P_pl_fill];
+    k->pl_vic = (int64_t *)P[P_pl_vic];
+    k->train = (train_fn)P[P_train];
+    k->note = (note_fn)P[P_note];
+    k->grow = (grow_fn)P[P_grow];
+}
+
+/* --------------------------------------------- MemoryHierarchy._below_l1 */
+
+/* The demand path below the L1 (once per L1 miss): the L2, then an
+   in-flight prefetch to merge with, then the LLC, then DRAM.  The L2
+   scheme trains between the L2 lookup and the rest, in C for a twinned
+   scheme, else through the train callback.  Returns the latency and sets
+   *level. */
+static int64_t below_l1(kctx_t *k, int64_t cycle, int64_t pc, int64_t addr,
+                        int64_t is_write, int64_t *level) {
+    int64_t *ci = k->ci;
+    int64_t line = addr >> LINE_SHIFT;
     cache_t *l2 = &k->l2;
+    int64_t tick = ++(*l2->tick);
+    int64_t slot = c_find(l2, line);
+    int64_t first_use = 0;
+    if (slot < 0) l2->stats[1]++;
+    else {
+        l2->stats[0]++;
+        l2->touch[slot] = tick;
+        if (is_write) l2->dirty[slot] = 1;
+        if (l2->pref[slot] && !l2->used[slot]) {
+            l2->stats[3]++;
+            first_use = 1;
+            if (l2->ready[slot] > cycle) l2->stats[4]++;
+            l2->used[slot] = 1;
+        }
+    }
+    if (ci[CI_has_l2pf]) {
+        if (ci[CI_scheme_len]) scheme_train(k, cycle, pc, addr);
+        else if (!k->si[SI_failed]) {
+            k->train(cycle, pc, addr, slot >= 0);
+            bind(k, k->P);
+        }
+    }
     int64_t ncand = ci[CI_cand_len];
     int64_t merge_bound = ci[CI_merge_bound];
     if (slot >= 0) {
-        if (ci[CI_b_first_use]) note_use(k, cycle, line, l2->ready[slot]);
+        if (first_use) note_use(k, cycle, line, l2->ready[slot]);
         int64_t residual = l2->ready[slot] - cycle;
         if (residual > 0) {
             if (l2->pref[slot] && residual > merge_bound) residual = merge_bound;
@@ -147,75 +212,17 @@ static int64_t below_l1_post(kctx_t *k, int64_t cycle, int64_t is_write, int64_t
     return latency;
 }
 
-/* ------------------------------------------------------------- assembly */
-
-static void bind(kctx_t *k, void **P) {
-    k->ci = (int64_t *)P[P_ci64];
-    k->cf = (double *)P[P_cf64];
-    k->si = (int64_t *)P[P_si64];
-    k->sf = (double *)P[P_sf64];
-    int64_t *ci = k->ci;
-    int64_t *si = k->si;
-
-    k->l1.valid = (int64_t *)P[P_l1_valid]; k->l1.line = (int64_t *)P[P_l1_line];
-    k->l1.dirty = (int64_t *)P[P_l1_dirty]; k->l1.pref = (int64_t *)P[P_l1_pref];
-    k->l1.used = (int64_t *)P[P_l1_used]; k->l1.touch = (int64_t *)P[P_l1_touch];
-    k->l1.ready = (int64_t *)P[P_l1_ready];
-    k->l1.tick = &ci[CI_l1_tick]; k->l1.stats = &ci[CI_l1_demand_hits];
-    k->l1.ways = CI(l1_ways); k->l1.set_mask = CI(l1_set_mask);
-    k->l1.hit_lat = CI(l1_hit_latency); k->l1.mode = CI(l1_victim_mode);
-
-    k->l2.valid = (int64_t *)P[P_l2_valid]; k->l2.line = (int64_t *)P[P_l2_line];
-    k->l2.dirty = (int64_t *)P[P_l2_dirty]; k->l2.pref = (int64_t *)P[P_l2_pref];
-    k->l2.used = (int64_t *)P[P_l2_used]; k->l2.touch = (int64_t *)P[P_l2_touch];
-    k->l2.ready = (int64_t *)P[P_l2_ready];
-    k->l2.tick = &ci[CI_l2_tick]; k->l2.stats = &ci[CI_l2_demand_hits];
-    k->l2.ways = CI(l2_ways); k->l2.set_mask = CI(l2_set_mask);
-    k->l2.hit_lat = CI(l2_hit_latency); k->l2.mode = CI(l2_victim_mode);
-
-    k->llc.valid = (int64_t *)P[P_llc_valid]; k->llc.line = (int64_t *)P[P_llc_line];
-    k->llc.dirty = (int64_t *)P[P_llc_dirty]; k->llc.pref = (int64_t *)P[P_llc_pref];
-    k->llc.used = (int64_t *)P[P_llc_used]; k->llc.touch = (int64_t *)P[P_llc_touch];
-    k->llc.ready = (int64_t *)P[P_llc_ready];
-    k->llc.tick = &si[SI_llc_tick]; k->llc.stats = &si[SI_llc_demand_hits];
-    k->llc.ways = CI(llc_ways); k->llc.set_mask = CI(llc_set_mask);
-    k->llc.hit_lat = CI(llc_hit_latency); k->llc.mode = CI(llc_victim_mode);
-
-    k->l1m.heap = (int64_t *)P[P_mshr_l1]; k->l1m.len = &ci[CI_mshr_l1_len];
-    k->l1m.allocs = &ci[CI_mshr_l1_allocations]; k->l1m.stall = &ci[CI_mshr_l1_stall];
-    k->l1m.cap = CI(mshr_l1_cap);
-    k->l2m.heap = (int64_t *)P[P_mshr_l2]; k->l2m.len = &ci[CI_mshr_l2_len];
-    k->l2m.allocs = &ci[CI_mshr_l2_allocations]; k->l2m.stall = &ci[CI_mshr_l2_stall];
-    k->l2m.cap = CI(mshr_l2_cap);
-    k->llcm.heap = (int64_t *)P[P_mshr_llc]; k->llcm.len = &ci[CI_mshr_llc_len];
-    k->llcm.allocs = &ci[CI_mshr_llc_allocations]; k->llcm.stall = &ci[CI_mshr_llc_stall];
-    k->llcm.cap = CI(mshr_llc_cap);
-
-    k->bank_open = (int64_t *)P[P_bank_open];
-    k->bank_nextact = (int64_t *)P[P_bank_nextact];
-    k->bank_rowready = (int64_t *)P[P_bank_rowready];
-    k->ch_busfree = (int64_t *)P[P_ch_busfree];
-    k->ch_demandfree = (int64_t *)P[P_ch_demandfree];
-    k->infl_line = (int64_t *)P[P_infl_line];
-    k->infl_ready = (int64_t *)P[P_infl_ready];
-    k->note_buf = (int64_t *)P[P_note_buf];
-    k->cand_line = (int64_t *)P[P_cand_line];
-    k->cand_lp = (int64_t *)P[P_cand_lp];
-
-#define TWIN_BIND(type, name) k->name = (type *)P[P_##name];
-    TWIN_ARRAYS(TWIN_BIND)
-    k->pl_dem = (int64_t *)P[P_pl_dem];
-    k->pl_fill = (int64_t *)P[P_pl_fill];
-    k->pl_vic = (int64_t *)P[P_pl_vic];
-}
-
 /* ------------------------------------------------------------------ krun */
 
-static long krun(void **P) {
+/* CoreExecution.run_ops_until over pointer table P: run ops from pos
+   until end, or until retirement passes the horizon, or a Python
+   callback has raised. */
+static void krun(void **P) {
     kctx_t k;
     bind(&k, P);
     int64_t *ci = k.ci;
     double *cf = k.cf;
+    const int64_t *si = k.si;
     int64_t *op_gap = (int64_t *)P[P_op_gap];
     int64_t *op_pc = (int64_t *)P[P_op_pc];
     int64_t *op_addr = (int64_t *)P[P_op_addr];
@@ -243,7 +250,6 @@ static long krun(void **P) {
     double retire = CF(retire);
     double last_load_done = CF(last_load_done);
     int64_t has_l1pf = CI(has_l1pf);
-    int64_t twinned = CI(scheme_len);
     int64_t s_mask = CI(stride_mask);
     int64_t s_cthr = CI(stride_conf_threshold);
     int64_t s_cmax = CI(stride_conf_max);
@@ -256,162 +262,117 @@ static long krun(void **P) {
     int64_t lookups = 1 + (has_l1pf ? s_degree : 0);
     int64_t bop_room = CI(bp_pend_cap) ? lookups : 0;
     int64_t rec = CI(pl_on);
-    int64_t pl_cands = lookups * CI(cand_cap);
-    long rc = RC_DONE;
 
-    /* per-op state (restored from ctx slots on a resume) */
-    int64_t cycle = 0, pc = 0, addr = 0, is_write = 0, idx = 0;
-    int64_t l1_slot = -1, pf_i = 0, pf_n = 0, latency = 0, lvl = 0;
-    double enter = 0.0;
-
-#define SAVE_LOCALS do { \
-        CI(pos) = pos; CI(instr) = instr; \
-        CF(retire) = retire; CF(last_load_done) = last_load_done; \
-    } while (0)
-#define SAVE_CTX do { \
-        CI(ctx_cycle) = cycle; CI(ctx_pc) = pc; CI(ctx_addr) = addr; \
-        CI(ctx_is_write) = is_write; CI(ctx_idx) = idx; CF(ctx_enter) = enter; \
-        CI(ctx_line) = addr >> LINE_SHIFT; CI(ctx_l1_slot) = l1_slot; \
-        CI(ctx_pf_i) = pf_i; CI(ctx_pf_n) = pf_n; \
-    } while (0)
-
-    {
-        int64_t phase = CI(phase);
-        if (phase != PH_TOP) {
-            cycle = CI(ctx_cycle); pc = CI(ctx_pc); addr = CI(ctx_addr);
-            is_write = CI(ctx_is_write); idx = CI(ctx_idx); enter = CF(ctx_enter);
-            l1_slot = CI(ctx_l1_slot); pf_i = CI(ctx_pf_i); pf_n = CI(ctx_pf_n);
-            CI(phase) = PH_TOP;
-            if (phase == PH_L1PF_TRAIN) goto resume_l1pf;
-            goto resume_demand;
-        }
-    }
-
-    while (pos < end) {
+    while (pos < end && !SIG(failed)) {
         if (retire > horizon || (strict && retire == horizon)) break;
-        if (bop_room && CI(bp_pend_len) + bop_room > CI(bp_pend_cap)) {
-            rc = RC_GROW;
-            break;
+        if ((bop_room && CI(bp_pend_len) + bop_room > CI(bp_pend_cap))
+            || (rec && (CI(pl_dem_len) + lookups > CI(pl_dem_cap)
+                        || CI(pl_fill_len) + lookups * CI(cand_cap) > CI(pl_fill_cap)
+                        || CI(pl_vic_len) + lookups * CI(cand_cap) > CI(pl_vic_cap)))) {
+            /* KernelState.grow re-lays what is short; then check again */
+            k.grow();
+            bind(&k, P);
+            continue;
         }
-        if (rec && (CI(pl_dem_len) + lookups > CI(pl_dem_cap)
-                    || CI(pl_fill_len) + pl_cands > CI(pl_fill_cap)
-                    || CI(pl_vic_len) + pl_cands > CI(pl_vic_cap))) {
-            rc = RC_GROW;
-            break;
+        int64_t gap = op_gap[pos];
+        int64_t pc = op_pc[pos];
+        int64_t addr = op_addr[pos];
+        int64_t is_write = op_write[pos];
+        int64_t dep = op_dep[pos];
+        pos++;
+        if (gap) {
+            instr += gap;
+            retire += (double)gap / width_d;
         }
-        {
-            int64_t gap = op_gap[pos];
-            pc = op_pc[pos];
-            addr = op_addr[pos];
-            is_write = op_write[pos];
-            int64_t dep = op_dep[pos];
-            pos++;
-            if (gap) {
-                instr += gap;
-                retire += (double)gap / width_d;
+        int64_t idx = instr;
+        instr++;
+        int64_t rob_idx = idx - rob_size;
+        double enter;
+        if (rob_idx <= 0) {
+            enter = (double)idx / width_d;
+        } else {
+            int64_t head = CI(win_head), len = CI(win_len);
+            int64_t mask = CI(win_cap) - 1;
+            while (len > 1 && win_idx[(head + 1) & mask] <= rob_idx) {
+                head = (head + 1) & mask;
+                len--;
             }
-            idx = instr;
-            instr++;
-            int64_t rob_idx = idx - rob_size;
-            if (rob_idx <= 0) {
-                enter = (double)idx / width_d;
+            CI(win_head) = head;
+            CI(win_len) = len;
+            double floor_;
+            if (!len || win_idx[head] > rob_idx)
+                floor_ = (double)rob_idx / width_d;
+            else
+                floor_ = win_ret[head]
+                       + (double)(rob_idx - win_idx[head]) / width_d;
+            enter = (double)idx / width_d;
+            if (floor_ > enter) enter = floor_;
+        }
+        if (dep && last_load_done > enter) enter = last_load_done;
+
+        /* MemoryHierarchy.access: L1 lookup */
+        int64_t cycle = (int64_t)enter;
+        CI(demand_accesses)++;
+        int64_t line = addr >> LINE_SHIFT;
+        int64_t t1 = ++(*k.l1.tick);
+        int64_t l1_slot = c_find(&k.l1, line);
+        if (l1_slot < 0) k.l1.stats[1]++;
+        else {
+            k.l1.stats[0]++;
+            k.l1.touch[l1_slot] = t1;
+            if (is_write) k.l1.dirty[l1_slot] = 1;
+            if (k.l1.pref[l1_slot] && !k.l1.used[l1_slot]) {
+                k.l1.stats[3]++;
+                if (k.l1.ready[l1_slot] > cycle) k.l1.stats[4]++;
+                k.l1.used[l1_slot] = 1;
+            }
+        }
+
+        /* PcStridePrefetcher.train */
+        int64_t pf_n = 0;
+        if (has_l1pf) {
+            CI(stride_trainings)++;
+            int64_t sidx = (pc ^ (pc >> 12)) & s_mask;
+            if (!s_valid[sidx] || s_tag[sidx] != pc) {
+                s_valid[sidx] = 1;
+                s_tag[sidx] = pc;
+                s_last[sidx] = line;
+                s_stride[sidx] = 0;
+                s_conf[sidx] = 0;
             } else {
-                int64_t head = CI(win_head), len = CI(win_len);
-                int64_t mask = CI(win_cap) - 1;
-                while (len > 1 && win_idx[(head + 1) & mask] <= rob_idx) {
-                    head = (head + 1) & mask;
-                    len--;
-                }
-                CI(win_head) = head;
-                CI(win_len) = len;
-                double floor_;
-                if (!len || win_idx[head] > rob_idx)
-                    floor_ = (double)rob_idx / width_d;
-                else
-                    floor_ = win_ret[head]
-                           + (double)(rob_idx - win_idx[head]) / width_d;
-                enter = (double)idx / width_d;
-                if (floor_ > enter) enter = floor_;
-            }
-            if (dep && last_load_done > enter) enter = last_load_done;
-
-            /* MemoryHierarchy.access: L1 lookup */
-            cycle = (int64_t)enter;
-            CI(demand_accesses)++;
-            int64_t line = addr >> LINE_SHIFT;
-            int64_t t1 = ++(*k.l1.tick);
-            l1_slot = c_find(&k.l1, line);
-            if (l1_slot < 0) k.l1.stats[1]++;
-            else {
-                k.l1.stats[0]++;
-                k.l1.touch[l1_slot] = t1;
-                if (is_write) k.l1.dirty[l1_slot] = 1;
-                if (k.l1.pref[l1_slot] && !k.l1.used[l1_slot]) {
-                    k.l1.stats[3]++;
-                    if (k.l1.ready[l1_slot] > cycle) k.l1.stats[4]++;
-                    k.l1.used[l1_slot] = 1;
-                }
-            }
-
-            /* PcStridePrefetcher.train */
-            pf_n = 0;
-            pf_i = 0;
-            if (has_l1pf) {
-                CI(stride_trainings)++;
-                int64_t sidx = (pc ^ (pc >> 12)) & s_mask;
-                if (!s_valid[sidx] || s_tag[sidx] != pc) {
-                    s_valid[sidx] = 1;
-                    s_tag[sidx] = pc;
-                    s_last[sidx] = line;
-                    s_stride[sidx] = 0;
-                    s_conf[sidx] = 0;
-                } else {
-                    int64_t stride = line - s_last[sidx];
-                    if (stride != 0) {
-                        if (stride == s_stride[sidx]) {
-                            int64_t conf = s_conf[sidx] + 1;
-                            s_conf[sidx] = conf < s_cmax ? conf : s_cmax;
-                        } else {
-                            s_stride[sidx] = stride;
-                            s_conf[sidx] = 1;
-                        }
-                        if (s_conf[sidx] >= s_cthr) {
-                            int64_t page = line >> PG_SHIFT;
-                            for (int64_t d = 1; d <= s_degree; d++) {
-                                int64_t target = line + stride * d;
-                                if ((target >> PG_SHIFT) != page) break;
-                                pf_buf[pf_n++] = target;
-                            }
+                int64_t stride = line - s_last[sidx];
+                if (stride != 0) {
+                    if (stride == s_stride[sidx]) {
+                        int64_t conf = s_conf[sidx] + 1;
+                        s_conf[sidx] = conf < s_cmax ? conf : s_cmax;
+                    } else {
+                        s_stride[sidx] = stride;
+                        s_conf[sidx] = 1;
+                    }
+                    if (s_conf[sidx] >= s_cthr) {
+                        int64_t page = line >> PG_SHIFT;
+                        for (int64_t d = 1; d <= s_degree; d++) {
+                            int64_t target = line + stride * d;
+                            if ((target >> PG_SHIFT) != page) break;
+                            pf_buf[pf_n++] = target;
                         }
                     }
-                    s_last[sidx] = line;
                 }
+                s_last[sidx] = line;
             }
         }
 
         /* _issue_l1_prefetch for each stride candidate */
-        while (pf_i < pf_n) {
-            int64_t cand = pf_buf[pf_i];
-            if (c_find(&k.l1, cand) >= 0) { pf_i++; continue; }
+        int64_t latency, lvl;
+        for (int64_t i = 0; i < pf_n; i++) {
+            int64_t cand = pf_buf[i];
+            if (c_find(&k.l1, cand) >= 0) continue;
             mshr_drain(&k.l1m, cycle);
-            if (*k.l1m.len >= k.l1m.cap) { pf_i++; continue; }
-            if (below_l1_pre(&k, cycle, cand << LINE_SHIFT, 0)) {
-                if (twinned) scheme_train(&k, cycle, pc, cand << LINE_SHIFT);
-                else {
-                    /* Python trains on (ctx_cycle, ctx_pc, b_line's
-                       address, b_slot >= 0) and resumes here. */
-                    SAVE_CTX;
-                    CI(phase) = PH_L1PF_TRAIN;
-                    SAVE_LOCALS;
-                    return RC_TRAIN;
-                }
-            } else CI(cand_len) = 0;
-resume_l1pf:
-            latency = below_l1_post(&k, cycle, 0, &lvl);
-            if (rec) pl_push(ci, k.pl_dem, CI_pl_dem_len, CI(b_line));
+            if (*k.l1m.len >= k.l1m.cap) continue;
+            latency = below_l1(&k, cycle, pc, cand << LINE_SHIFT, 0, &lvl);
+            if (rec) pl_push(ci, k.pl_dem, CI_pl_dem_len, cand);
             mshr_allocate(&k.l1m, cycle, cycle + latency);
-            c_fill(&k.l1, CI(b_line), 1, 0, cycle + latency, 0, 0, 0);
-            pf_i++;
+            c_fill(&k.l1, cand, 1, 0, cycle + latency, 0, 0, 0);
         }
 
         /* demand completion (read the slot *after* prefetch issues: a
@@ -422,22 +383,10 @@ resume_l1pf:
             latency = k.l1.hit_lat + (rdy > cycle ? rdy - cycle : 0);
             lvl = 0;
         } else {
-            if (below_l1_pre(&k, cycle, addr, is_write)) {
-                if (twinned) scheme_train(&k, cycle, pc, addr);
-                else {
-                    /* Python trains on (ctx_cycle, ctx_pc, ctx_addr,
-                       b_slot >= 0) and resumes here. */
-                    SAVE_CTX;
-                    CI(phase) = PH_DEMAND_TRAIN;
-                    SAVE_LOCALS;
-                    return RC_TRAIN;
-                }
-            } else CI(cand_len) = 0;
-resume_demand:
-            latency = below_l1_post(&k, cycle, is_write, &lvl);
-            if (rec) pl_push(ci, k.pl_dem, CI_pl_dem_len, CI(b_line));
+            latency = below_l1(&k, cycle, pc, addr, is_write, &lvl);
+            if (rec) pl_push(ci, k.pl_dem, CI_pl_dem_len, line);
             latency += mshr_allocate(&k.l1m, cycle, cycle + latency);
-            c_fill(&k.l1, addr >> LINE_SHIFT, 0, 0, cycle + latency, 0, 0, 0);
+            c_fill(&k.l1, line, 0, 0, cycle + latency, 0, 0, 0);
         }
 
         /* retirement epilogue */
@@ -460,26 +409,24 @@ resume_demand:
         ci[CI_hit_l1 + lvl]++;
     }
 
-    SAVE_LOCALS;
-    return rc;
+    CI(pos) = pos;
+    CI(instr) = instr;
+    CF(retire) = retire;
+    CF(last_load_done) = last_load_done;
 }
 
 /* ---------------------------------------------------------------- ksched */
+
+typedef void (*stop_fn)(int64_t core);
 
 /* interleave_two_level (cpu/core.py) over the cores' pointer tables: run
    the minimum-(retire, core) core through krun until its retirement time
    passes the second-smallest entry (DBL_MAX for a lone core; strict when
    that entry's core index is smaller) or it reaches stop[core], its
-   pending warmup checkpoint (-1 once fired), then re-select.  Returns
-   RC_DONE once every core is done.  Otherwise it sets *who and returns
-   RC_TRAIN (the core is suspended mid-op on a training crossing) or
-   RC_YIELD (the core stopped between ops with usefulness notes queued or
-   at its checkpoint).  Re-entered with *who suspended mid-op, it first
-   finishes that core's batch under the bounds it started with. */
-long ksched(void ***tables, long n_cores, long long *stop, long long *who) {
-    int64_t cur = *who;
-    if (cur >= 0 && ((int64_t *)tables[cur][P_ci64])[CI_phase] != PH_TOP)
-        goto resume;
+   pending warmup checkpoint, where on_stop(core) runs (if given) and
+   stop[core] becomes -1; then re-select.  Returns RC_DONE once every core
+   is done, or RC_ERROR once a Python callback has raised (slot failed). */
+long ksched(void ***tables, long n_cores, long long *stop, stop_fn on_stop) {
     for (;;) {
         int64_t best = -1, second = -1;
         double best_t = 0.0, second_t = 0.0;
@@ -495,24 +442,20 @@ long ksched(void ***tables, long n_cores, long long *stop, long long *who) {
             }
         }
         if (best < 0) return RC_DONE;
-        {
-            int64_t *ci = (int64_t *)tables[best][P_ci64];
-            double *cf = (double *)tables[best][P_cf64];
-            int64_t end = CI(n_ops);
-            if (stop[best] >= 0 && stop[best] < end) end = stop[best];
-            CI(end) = end;
-            CI(strict) = second >= 0 && best > second;
-            CF(horizon) = second >= 0 ? second_t : DBL_MAX;
+        int64_t *ci = (int64_t *)tables[best][P_ci64];
+        double *cf = (double *)tables[best][P_cf64];
+        const int64_t *si = (const int64_t *)tables[best][P_si64];
+        int64_t end = CI(n_ops);
+        if (stop[best] >= 0 && stop[best] < end) end = stop[best];
+        CI(end) = end;
+        CI(strict) = second >= 0 && best > second;
+        CF(horizon) = second >= 0 ? second_t : DBL_MAX;
+        krun(tables[best]);
+        if (!SIG(failed) && stop[best] >= 0 && CI(pos) >= stop[best]) {
+            stop[best] = -1;
+            if (on_stop) on_stop(best);
         }
-        cur = best;
-resume:
-        {
-            long rc = krun(tables[cur]);
-            const int64_t *ci = (const int64_t *)tables[cur][P_ci64];
-            *who = cur;
-            if (rc != RC_DONE) return rc;
-            if (CI(note_len) || (stop[cur] >= 0 && CI(pos) >= stop[cur])) return RC_YIELD;
-        }
+        if (SIG(failed)) return RC_ERROR;
     }
 }
 

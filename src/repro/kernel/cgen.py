@@ -13,26 +13,28 @@ about where a counter lives.
 
 Exported symbols:
 
-- ``long ksched(void ***tables, long n_cores, long long *stop, long long
-  *who)`` — the twin of :func:`repro.cpu.core.interleave_two_level`:
-  picks the minimum-``(retire, core)`` core, sets its batch bounds and
-  runs the op body ``krun`` on it (one core's batch, over its pointer
-  table), over and over.  It returns only when every core is done
-  (``RC_DONE``), when core ``*who`` needs a Python training crossing
-  (``RC_TRAIN``: ``krun`` saved its mid-op context, which holds the
-  train call's arguments; the Python driver trains the scheme on them,
-  writes the candidates and re-enters, which resumes the op), or when
-  that core stopped with usefulness notes queued or at its warmup
-  checkpoint (``RC_YIELD``), or between ops because BOP's pending-fill
-  ring or a pollution log needs room for the next op (``RC_GROW``).  A
-  scheme with compiled twins (slot ``scheme_len`` > 0) never crosses:
-  its training runs in C against flat tables and fills the candidate
-  buffers directly.  Every twin (one per record of ``layout.TWINS``)
-  reads its config from flat-state slots and sizes its tables from
-  them, so one twin per class serves every config the gate admits, and
-  a composite is the list of its components' twins, trained in
-  arbitration order with ``CompositePrefetcher``'s merge.  With the
-  ``pl_on`` slot set, ``krun`` also records the three pollution logs of
+- ``long ksched(void ***tables, long n_cores, long long *stop, void
+  (*on_stop)(int64_t core))`` — the twin of
+  :func:`repro.cpu.core.interleave_two_level`: picks the
+  minimum-``(retire, core)`` core, sets its batch bounds and runs the op
+  body ``krun`` on it (one core's batch, over its pointer table), over
+  and over, calling ``on_stop`` at each core's warmup checkpoint.  It
+  returns ``RC_DONE`` when every core is done, or ``RC_ERROR`` once a
+  Python callback has raised.  ``krun`` calls Python where the object
+  model does: a scheme without a C twin trains through the pointer
+  table's ``train`` callback, which writes its candidates into the
+  candidate buffers, and gets its usefulness notes through ``note``;
+  ``grow`` re-lays BOP's pending-fill ring or a pollution log that
+  lacks room for the next op.  ``krun`` re-binds its array pointers
+  after a callback that can re-lay one.  A scheme with compiled twins
+  (slot ``scheme_len`` > 0) never crosses: its training runs in C
+  against flat tables and fills the candidate buffers directly.  Every
+  twin (one per record of ``layout.TWINS``) reads its config from
+  flat-state slots and sizes its tables from them, so one twin per class
+  serves every config the gate admits, and a composite is the list of
+  its components' twins, trained in arbitration order with
+  ``CompositePrefetcher``'s merge.  With the ``pl_on`` slot set,
+  ``krun`` also records the three pollution logs of
   :class:`repro.observe.sinks.PollutionCollector` (the spec) into
   per-core ``(ordinal, line)`` arrays.
 - ``long kbucket(long long *si, double *sf, long long cycle)`` — the
@@ -63,9 +65,7 @@ def _defines():
         return [(k, v) for k, v in vars(layout).items() if k.startswith(prefix) and isinstance(v, int)]
 
     constants = (
-        *group("PH_"),
         *group("RC_"),
-        *group("NOTE_"),
         *(define for family in layout.FAMILIES for define in family.defines),
         *group("SCHEME_"),
     )

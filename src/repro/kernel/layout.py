@@ -12,9 +12,10 @@ DRAM queue state, the bandwidth monitor — in four flat arrays:
   bandwidth monitor live here).
 
 Bulk state (cache line arrays, MSHR heaps, the ROB checkpoint ring, the
-stride table, DRAM bank arrays, the crossing buffers, the scheme tables,
-the pollution logs) lives in separate named arrays, indexed by the
-pointer-table constants (:data:`PTR`).
+stride table, DRAM bank arrays, the candidate buffers, the scheme
+tables, the pollution logs) lives in separate named arrays, indexed by
+the pointer-table constants (:data:`PTR`), which end with the Python
+callbacks the C calls (:data:`CALLBACK_NAMES`).
 
 Each compiled training twin is declared once, by the records
 :data:`TWINS` (one per twinned class) and :data:`FAMILIES` (one per
@@ -25,8 +26,8 @@ apart:
 
 - :mod:`repro.kernel.state` sizes and packs the arrays (and gates and
   packs each twin by its records),
-- :mod:`repro.kernel.cbuild` reads and resets slots at the crossings and
-  warmup boundaries,
+- :mod:`repro.kernel.execution` reads and resets slots in the callbacks
+  and at warmup boundaries,
 - :mod:`repro.kernel.cgen` emits them as ``#define`` lines into the
   generated C source, so the compiled twin shares the exact layout.
 """
@@ -236,7 +237,7 @@ TWINS = (
          lambda pf: pf.config.compressed and pf.config.pc_signature_bits <= 63, bandwidth=True),
     Twin(BOP, SCHEME_BOP, BOP_TABLES, _bop_fits),
     Twin(EBOP, SCHEME_EBOP, BOP_TABLES, _bop_fits, bandwidth=True),
-    Twin(SMS, SCHEME_SMS, SMS_TABLES, lambda pf: 1 <= pf.config.lines_per_region <= 64),
+    Twin(SMS, SCHEME_SMS, SMS_TABLES, lambda pf: pf.config.lines_per_region <= 64),
     Twin(StreamPrefetcher, SCHEME_STREAMER, STREAMER_TABLES,
          lambda pf: 1 <= pf.tracked_pages and len(pf._streams) <= pf.tracked_pages),
 )
@@ -266,7 +267,6 @@ CI64_NAMES = (
     "hit_l1", "hit_l2", "hit_llc", "hit_dram",
     "width", "rob_size",
     "strict",           # run_ops_until tie rule for this batch
-    "phase",            # crossing state machine (PH_*)
     # -- L1 ------------------------------------------------------------------
     "l1_ways", "l1_set_mask", "l1_hit_latency", "l1_victim_mode", "l1_tick",
     "l1_demand_hits", "l1_demand_misses", "l1_prefetch_probe_hits",
@@ -291,17 +291,11 @@ CI64_NAMES = (
     # -- L1 stride prefetcher --------------------------------------------------
     "has_l1pf", "has_l2pf", "stride_degree", "stride_mask",
     "stride_conf_threshold", "stride_conf_max", "stride_trainings",
-    # -- crossing machinery ----------------------------------------------------
+    # -- L2 scheme -------------------------------------------------------------
     # the kinds of l2_pf's compiled twins, in arbitration order (none: it crosses)
     "scheme_len", *(f"scheme_{i}" for i in range(MAX_TWINS)),
     "l2pf_notes",       # 1 when l2_pf's (or a twin's) note hooks read notes
-    "note_len", "note_cap",                         # queued usefulness notes
-    "cand_len", "cand_cap",                         # scheme candidates (in)
-    # saved per-op context across a crossing
-    "ctx_cycle", "ctx_pc", "ctx_addr", "ctx_is_write", "ctx_idx",
-    "ctx_line", "ctx_l1_slot", "ctx_pf_i", "ctx_pf_n",
-    # saved below-L1 context (the half-finished lookup)
-    "b_line", "b_slot", "b_first_use",
+    "cand_len", "cand_cap",                         # the lookup's candidates
     # -- compiled scheme training (live only for a listed twin) --------------
     *(slot for family in FAMILIES for slot, _ in family.slots),
     # -- pollution recording (live only when pl_on) --------------------------
@@ -313,13 +307,14 @@ CI64_NAMES = (
 
 #: Per-core float64 slot names.
 CF64_NAMES = (
-    "retire", "last_load_done", "horizon", "retire_step", "ctx_enter",
+    "retire", "last_load_done", "horizon", "retire_step",
     # compiled scheme training: the families' float config values
     *(slot for family in FAMILIES for slot, _ in family.fconfig),
 )
 
 #: Shared int64 slots (one copy per LLC/DRAM domain).
 SI64_NAMES = (
+    "failed",           # 1 once a Python callback raised: the run stops
     "llc_tick",
     "llc_demand_hits", "llc_demand_misses", "llc_prefetch_probe_hits",
     "llc_useful_prefetches", "llc_late_useful_prefetches",
@@ -351,23 +346,9 @@ SF64 = _index(SF64_NAMES)
 #: counts into ``ci[CI_hit_l1 + level]``).
 HITS = slice(CI64["hit_l1"], CI64["hit_dram"] + 1)
 
-#: Crossing state machine phases (slot ``phase``).
-PH_TOP = 0          # between ops
-PH_L1PF_TRAIN = 1   # waiting on l2_pf.train for an L1-stride prefetch issue
-PH_DEMAND_TRAIN = 2  # waiting on l2_pf.train for the demand L1 miss
-
-#: ``krun`` and ``ksched`` return codes.
-RC_DONE = 0         # krun: batch finished (end / horizon); ksched: every core done
-RC_TRAIN = 1        # scheme train requested; the ctx_/b_ slots hold its
-                    # arguments
-RC_YIELD = 2        # ksched: a core stopped between ops with notes queued or
-                    # at its warmup checkpoint
-RC_GROW = 3         # a core stopped between ops because BOP's pending-fill
-                    # ring or a pollution log lacks room for the next op
-
-#: Note-queue record kinds (triples of ``kind, cycle, line``).
-NOTE_USEFUL = 0
-NOTE_USELESS = 1
+#: ``ksched`` return codes.
+RC_DONE = 0         # every core is done
+RC_ERROR = 1        # a Python callback raised (slot ``failed``)
 
 #: Pointer-table entries for the compiled kernel: every array the C side
 #: touches, by name.  The Python side fills an ``int64`` table with the
@@ -384,17 +365,21 @@ PTR_NAMES = (
     "bank_open", "bank_nextact", "bank_rowready",
     "ch_busfree", "ch_demandfree",
     "infl_line", "infl_ready",
-    "note_buf", "cand_line", "cand_lp", "pf_buf",
+    "cand_line", "cand_lp", "pf_buf",
     # compiled scheme training state (1-element dummies unless a twin is listed)
     *(table.name for table in TWIN_ARRAYS),
     # pollution logs, (ordinal, line) pairs (1-element dummies when pl_on == 0)
     "pl_dem", "pl_fill", "pl_vic",
 )
-PTR = _index(PTR_NAMES)
+#: The Python callbacks ``krun`` calls, after the arrays in the pointer
+#: table: a crossing scheme's ``train`` and note hooks, and the growth of
+#: BOP's pending-fill ring or a pollution log.
+CALLBACK_NAMES = ("train", "note", "grow")
+PTR = _index(PTR_NAMES + CALLBACK_NAMES)
 
 #: Capacity of the stride-candidate scratch buffer (``pf_buf``): the page
 #: bound caps a stride burst at LINES_PER_PAGE targets.
 PF_BUF_CAP = 64
 
-#: Initial capacity of the crossing buffers; grown on demand.
+#: Initial capacity of the candidate buffers; grown on demand.
 CAND_CAP0 = 256

@@ -511,15 +511,10 @@ class KernelState:
         sizes.update(zip(_MSHRS, mshr_caps))
         sizes.update(infl_line=queue_size, infl_ready=queue_size)
         sizes.update(dict.fromkeys(_STRIDE_FIELDS, entries))
-        sizes.update(
-            note_buf=3 * (CAND_CAP0 + 16),
-            cand_line=CAND_CAP0,
-            cand_lp=CAND_CAP0,
-            pf_buf=PF_BUF_CAP,
-        )
+        sizes.update(cand_line=CAND_CAP0, cand_lp=CAND_CAP0, pf_buf=PF_BUF_CAP)
         # Pollution logs: empty at LOG_CAP0 pairs when recording (krun
-        # stops to grow them before an op they lack room for), else
-        # dummies the C never touches.
+        # has them grown before an op they lack room for), else dummies
+        # the C never touches.
         sizes.update(dict.fromkeys(_LOGS, max(2 * log_cap, 1)))
         for name, arr in _carve(sizes).items():
             setattr(self, name, arr)
@@ -552,7 +547,6 @@ class KernelState:
         ci[CI64["stride_conf_threshold"]] = conf_threshold
         ci[CI64["stride_conf_max"]] = conf_max
 
-        ci[CI64["note_cap"]] = CAND_CAP0 + 16
         ci[CI64["cand_cap"]] = CAND_CAP0
         ci[CI64["pl_on"]] = 1 if record_pollution else 0
         for name in _LOGS:
@@ -730,9 +724,9 @@ class KernelState:
         self._pack_pending(self._pending_list())
 
     def grow(self):
-        """Serve ``RC_GROW``: grow whichever of BOP's pending-fill ring
-        and the pollution logs lacks room for the next op, never
-        truncating; the caller rebuilds the pointer table."""
+        """The ``grow`` callback's work: grow whichever of BOP's
+        pending-fill ring and the pollution logs lacks room for the next
+        op, never truncating; the caller rebuilds the pointer table."""
         ci = self.ci64
         # one BOP training per below-L1 lookup (no ring packed: cap 0)
         cap = ci[CI64["bp_pend_cap"]]
@@ -825,18 +819,16 @@ class KernelState:
     # ------------------------------------------------------------- plumbing
 
     def grow_candidates(self, n):
-        """Reallocate the (empty) candidate and note buffers, doubling
-        their capacity until ``n`` candidates fit; the caller rebuilds
-        any pointer table that held the old ones."""
+        """Reallocate the (empty) candidate buffers, doubling their
+        capacity until ``n`` candidates fit; the caller rebuilds any
+        pointer table that held the old ones."""
         ci = self.ci64
         cap = int(ci[CI64["cand_cap"]])
         while cap < n:
             cap *= 2
         self.cand_line = _i64(cap)
         self.cand_lp = _i64(cap)
-        self.note_buf = _i64(3 * (cap + 16))
         ci[CI64["cand_cap"]] = cap
-        ci[CI64["note_cap"]] = cap + 16
         # More candidates per lookup: the logs need more room per op.
         self.reserve_logs()
 
@@ -870,7 +862,6 @@ class KernelState:
             "ch_demandfree": shared.ch_demandfree,
             "infl_line": self.infl_line,
             "infl_ready": self.infl_ready,
-            "note_buf": self.note_buf,
             "cand_line": self.cand_line,
             "cand_lp": self.cand_lp,
             "pf_buf": self.pf_buf,

@@ -18,7 +18,7 @@ performance collapses when the PHT shrinks toward DSPatch's budget).
 
 from dataclasses import dataclass
 
-from repro.constants import LINE_SHIFT
+from repro.constants import LINE_SHIFT, LINE_SIZE
 from repro.prefetchers.base import PrefetchCandidate, Prefetcher
 
 
@@ -61,8 +61,8 @@ class SMS(Prefetcher):
     def __init__(self, config: SmsConfig = SmsConfig()):
         self.config = config
         region = config.region_bytes
-        if region & (region - 1):
-            raise ValueError("region size must be a power of two")
+        if region < LINE_SIZE or region & (region - 1):
+            raise ValueError("region size must be a power of two of at least one line")
         if config.at_entries < 1 or config.ft_entries < 1:
             raise ValueError("SMS needs at least one AT and one FT entry")
         self._region_shift = region.bit_length() - 1

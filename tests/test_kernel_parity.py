@@ -475,19 +475,18 @@ def test_batched_crossing_parity_non_compiled_scheme():
 # only normalizes where entries sit; it leaves out transient slots, the
 # scratch buffers and the pollution logs (compared through the results).
 
-#: Slots that hold no machine state: batch bounds, the saved crossing
-#: context (and every ``ctx_*``/``b_*`` slot), buffer lengths and
+#: Slots that hold no machine state: batch bounds, buffer lengths and
 #: capacities, ring heads and stamp clocks.
 _TRANSIENT = frozenset(
     (
-        "end", "strict", "horizon", "phase",
-        "win_head", "win_cap", "note_len", "note_cap", "cand_len", "cand_cap",
+        "end", "strict", "horizon",
+        "win_head", "win_cap", "cand_len", "cand_cap",
         "bp_pend_head", "bp_pend_cap", "sm_clock", "st_clock",
         *(f"{log}_{n}" for log in ("pl_dem", "pl_fill", "pl_vic") for n in ("len", "cap")),
     )
 )
-#: Arrays a view leaves out: the crossing scratch buffers and the logs.
-_SCRATCH = frozenset(("note_buf", "cand_line", "cand_lp", "pf_buf", "pl_dem", "pl_fill", "pl_vic"))
+#: Arrays a view leaves out: the scratch buffers and the logs.
+_SCRATCH = frozenset(("cand_line", "cand_lp", "pf_buf", "pl_dem", "pl_fill", "pl_vic"))
 #: The arrays of the shared LLC/DRAM domain besides the LLC.
 _SHARED = ("bank_open", "bank_nextact", "bank_rowready", "ch_busfree", "ch_demandfree")
 _MSHRS = ("mshr_l1", "mshr_l2", "mshr_llc")
@@ -508,10 +507,6 @@ _CUT = {
 }
 #: Stamped tables and their record widths (SMS's PHT is one per set).
 _STAMPED = {"sm_at": layout.SM_REC, "sm_ft": layout.SM_REC, "st_tab": layout.ST_REC}
-
-
-def _kept(name):
-    return name not in _TRANSIENT and not name.startswith(("ctx_", "b_"))
 
 
 def _ring(arrays, head, n, cap):
@@ -571,7 +566,7 @@ def _machine_view(states):
         live = {table.name for kind in state.scheme_kind for table in layout.SCHEME_FAMILY[kind].arrays}
         n = slots["inflight_len"]
         own = {
-            **{name: value for name, value in slots.items() if _kept(name)},
+            **{name: value for name, value in slots.items() if name not in _TRANSIENT},
             "scheme": state.scheme_kind,
             "l1": _resident(arrays, "l1", slots["l1_ways"]),
             "l2": _resident(arrays, "l2", slots["l2_ways"]),
@@ -606,21 +601,24 @@ def _assert_same_machine(want, have, label):
     assert not diff, f"{label}: the end state diverges at {diff}"
 
 
-def _pack_end_state(executions, traces, llc, dram):
+def _pack_end_state(executions, traces, llc, dram, record_pollution=False):
     """The flat form of an object run's end state: its LLC and DRAM and
     each core's execution, hierarchy and schemes, by the from-objects
     pack."""
     from repro.kernel.state import KernelState, SharedState
 
     shared = SharedState(llc, dram)
-    return [KernelState(ex, trace, shared) for ex, trace in zip(executions, traces)]
+    return [
+        KernelState(ex, trace, shared, record_pollution) for ex, trace in zip(executions, traces)
+    ]
 
 
 def _end_state_run(monkeypatch, cfg, traces, build=None):
     """One ``System``/``MultiCoreSystem`` run of ``cfg`` on ``cfg.kernel``:
     its per-core results, each with every counter of the core's
-    ``PrefetchStats`` (see :func:`_reporting`), and the machine's view at
-    the end of the run (:func:`_machine_view`).
+    ``PrefetchStats`` (see :func:`_reporting`) and the ``repr`` of its
+    pollution logs, and the machine's view at the end of the run
+    (:func:`_machine_view`).
 
     A compiled run takes the production path, laid out from the config;
     its cores are recorded as the run builds them, and their live flat
@@ -668,8 +666,13 @@ def _end_state_run(monkeypatch, cfg, traces, build=None):
         states = [kex.state for kex in built["kex"]]
     else:
         llc = built["hierarchy"][0].llc
-        states = _pack_end_state(built["execution"], traces, llc, dram)
-    per_core = [dict(r.to_dict(), pf_stats=pf) for r, pf in zip(results, pfs)]
+        states = _pack_end_state(
+            built["execution"], traces, llc, dram, cfg.record_pollution_victims
+        )
+    per_core = [
+        dict(r.to_dict(), pf_stats=pf, logs=repr((r.demand_log, r.prefetch_fill_log, r.pollution_events)))
+        for r, pf in zip(results, pfs)
+    ]
     return per_core, _machine_view(states)
 
 
@@ -730,7 +733,7 @@ def test_machine_view_sees_state_not_placement():
     n = int(ci[layout.CI64["mshr_l2_len"]])
     assert n > 1
     state.mshr_l2[:n] = state.mshr_l2[:n][::-1].copy()
-    for slot in ("ctx_cycle", "phase", "end", "sm_clock"):
+    for slot in ("end", "sm_clock"):
         ci[layout.CI64[slot]] += 7
     assert not _diverging(state, view)
 
@@ -768,17 +771,19 @@ def test_end_of_run_state_is_identical(scheme, warmup_frac, cores, monkeypatch):
 
 
 def _assert_end_state_parity(
-    monkeypatch, scheme, warmup_frac, traces, build=None, llc=None, l2=None
+    monkeypatch, scheme, warmup_frac, traces, build=None, llc=None, l2=None, record=False
 ):
     """Object and compiled runs of ``traces`` (the ST machine for one,
     four cores under ``MP_DRAM`` for more) agree on every result and on
     the whole machine at the end of the run (:func:`_machine_view`).
     ``llc``, when given, is the ``(bytes, ways)`` of the LLC, and
-    ``l2``, the L2's."""
+    ``l2``, the L2's; with ``record``, both runs record the pollution
+    logs, which must agree too."""
     dram = ST_DRAM if len(traces) == 1 else MP_DRAM
 
     def run(kernel):
         cfg = _config(scheme, llc or _LLC_GEOMETRIES[0], warmup_frac, kernel, dram=dram, l2=l2)
+        cfg = dataclasses.replace(cfg, record_pollution_victims=record)
         return _end_state_run(monkeypatch, cfg, traces, build)
 
     base_results, base_view = run("object")
@@ -926,7 +931,7 @@ def test_non_default_configs_twin_from_slots(build, workload, monkeypatch):
 @pytest.mark.parametrize("scheme", ("bop", "ebop"))
 def test_bop_pending_ring_grows_never_truncates(scheme, monkeypatch):
     """BOP's pending-fill FIFO is unbounded in the spec.  Started at the
-    smallest ring, the twin stops between ops to grow it (RC_GROW) many
+    smallest ring, the twin grows it between ops (the grow callback) many
     times; results and the queue at the end of the run stay exact."""
     import repro.kernel.state as state_mod
 
@@ -1010,22 +1015,22 @@ def test_mid_run_pack_carries_scheme_state(scheme, workload, switch_at):
 )
 def test_notes_queue_only_for_schemes_that_read_them(scheme, delivered, monkeypatch):
     """A crossing scheme whose note hooks are the base no-ops gets no
-    usefulness notes queued or drained; results stay bit-identical."""
-    from repro.kernel.cbuild import CRuntime
+    usefulness note callbacks; results stay bit-identical."""
+    from repro.kernel.execution import KernelExecution
 
-    drained = []
-    real_drain = CRuntime._drain_notes
+    notes = []
+    real_note = KernelExecution._note
 
-    def counting_drain(self):
-        drained.append(1)
-        real_drain(self)
+    def counting_note(self, *args):
+        notes.append(1)
+        real_note(self, *args)
 
     trace = build_trace("server.tpcc-1", 2400)
     base = System(_config(scheme, _LLC_GEOMETRIES[0], 0.1, "object")).run(trace).to_dict()
-    monkeypatch.setattr(CRuntime, "_drain_notes", counting_drain)
+    monkeypatch.setattr(KernelExecution, "_note", counting_note)
     got = System(_config(scheme, _LLC_GEOMETRIES[0], 0.1, "compiled")).run(trace).to_dict()
     _assert_same(base, got, f"notes/{scheme}")
-    assert bool(drained) == delivered
+    assert bool(notes) == delivered
 
 
 # ---------------------------------------------------------------------------
@@ -1099,7 +1104,7 @@ def test_pollution_logs_parity_multi_programmed():
 @needs_compiled
 def test_pollution_logs_grow_never_truncate(monkeypatch):
     """The logs are unbounded in the spec.  Started two pairs long, they
-    grow at many RC_GROW stops between ops; every entry survives every
+    grow at many grow callbacks between ops; every entry survives every
     growth."""
     import repro.kernel.state as state_mod
 

@@ -154,3 +154,12 @@ class TestCapacity:
         teach_layout(pf, 0x400, range(0x100, 0x110), offsets=[2, 5])
         pf.reset()
         assert access(pf, 0x400, 0x999, 2) == ()
+
+
+@pytest.mark.parametrize("region_bytes", (0, 32))
+def test_rejects_regions_under_one_line(region_bytes):
+    """A region under one line passes the power-of-two check (0 too) but
+    has no line offsets: 32 B regions made every pattern ``1 << line``,
+    and 0 B ones raised at the first ``train``."""
+    with pytest.raises(ValueError):
+        SMS(SmsConfig(region_bytes=region_bytes))

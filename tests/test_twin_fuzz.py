@@ -13,6 +13,14 @@ the compiled kernel, which must agree on every result and prefetch
 counter and on the whole machine at the end of the run, compared in
 flat form (``_machine_view`` in ``tests/test_kernel_parity.py``).
 
+A second draw fuzzes the callbacks through which a compiled run calls
+Python: a drawn twinned scheme composed with one component that has no
+C twin (at a drawn arbitration position), or wrapped in ``fdp:``'s
+throttle, trains in Python and takes its usefulness notes there, with
+the pollution logs recorded or not; the logs must agree too.  One fixed
+row returns more than ``CAND_CAP0`` candidates while recording, which
+grows the candidate buffers and the logs inside the train callback.
+
 The examples are derandomized (a fixed sequence, no example database),
 so the test is deterministic.  A plain run draws 30 of them, to keep it
 cheap; the Hypothesis profile ``twin-fuzz`` (``tests/conftest.py``,
@@ -21,19 +29,24 @@ shrinks to a minimal scheme and trace.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from test_kernel_parity import _WORKLOADS, _assert_end_state_parity, needs_compiled
 
+from repro.constants import LINE_SHIFT
 from repro.core.dspatch import DSPatch, DSPatchConfig
+from repro.kernel.layout import CAND_CAP0, SCHEME_PY
 from repro.kernel.state import _scheme_kind
 from repro.memory.dram import DramModel, ST_DRAM
+from repro.prefetchers.base import PrefetchCandidate, Prefetcher
 from repro.prefetchers.bop import BOP, EBOP, BopConfig
 from repro.prefetchers.composite import CompositePrefetcher
+from repro.prefetchers.registry import build_prefetcher
 from repro.prefetchers.sms import SMS, SmsConfig
 from repro.prefetchers.spp import ESPP, SPP, SppConfig
 from repro.prefetchers.streamer import StreamPrefetcher
+from repro.prefetchers.throttle import FeedbackThrottle
 from repro.workloads.catalog import build_trace
 
 
@@ -159,3 +172,84 @@ def test_twins_match_the_object_model(build, warmup_frac, workloads, length, llc
     traces = [build_trace(name, length) for name in workloads]
     with pytest.MonkeyPatch.context() as patch:
         _assert_end_state_parity(patch, "custom", warmup_frac, traces, build, llc=llc, l2=l2)
+
+
+#: Registry schemes without a C twin, composed one at a time with a
+#: drawn twinned scheme.
+_CROSSING = (
+    "ampm", "nextline-4", "markov", "bingo", "vldp", "alwayscovp", "modcovp",
+    "dspatch-noanchor", "dspatch-1trigger", "dspatch-64b",
+)
+
+
+@st.composite
+def _crossing_scheme(draw):
+    """A drawn twinned scheme that crosses: composed with one crossing
+    component at a drawn arbitration position, or wrapped in ``fdp:``'s
+    throttle."""
+    twinned = draw(_twinned_scheme())
+    name = draw(st.sampled_from(("fdp:", *_CROSSING)))
+    if name == "fdp:":
+        return lambda bw: FeedbackThrottle(twinned(bw))
+    position = draw(st.integers(0, len(_FAMILIES)))
+
+    def build(bw):
+        scheme = twinned(bw)
+        parts = list(scheme.components) if isinstance(scheme, CompositePrefetcher) else [scheme]
+        parts.insert(position, build_prefetcher(name, bw))
+        return CompositePrefetcher(parts)
+
+    return build
+
+
+class _Burst(Prefetcher):
+    """A crossing component that returns ``CAND_CAP0 + 50`` candidates on
+    every 97th training (fresh lines far from the access)."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def train(self, cycle, pc, addr, hit):
+        self.calls += 1
+        if self.calls % 97:
+            return ()
+        far = (addr >> LINE_SHIFT) + (1 << 24) + 4096 * self.calls
+        return [PrefetchCandidate(far + i) for i in range(CAND_CAP0 + 50)]
+
+
+@needs_compiled
+@settings(
+    **({} if settings.get_current_profile_name() == "twin-fuzz" else {"max_examples": 30}),
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    build=_crossing_scheme(),
+    record=st.booleans(),
+    warmup_frac=st.sampled_from([0.0, 0.25]),
+    workloads=st.sampled_from(_WORKLOADS).map(lambda w: [w]) | st.lists(
+        st.sampled_from(_WORKLOADS), min_size=4, max_size=4
+    ),
+    length=st.integers(300, 1200),
+    llc=_geometry((64, 256, 1024, 2048), (1, 4, 16, 32)),
+    l2=_geometry((16, 64, 256, 512), (1, 2, 8, 16)),
+)
+@example(
+    build=lambda bw: CompositePrefetcher([SPP(), _Burst()]),
+    record=True,
+    warmup_frac=0.0,
+    workloads=["ispec06.mcf"] * 4,
+    length=1200,
+    llc=(256 << 10, 16),
+    l2=(64 << 10, 8),
+)
+def test_crossings_match_the_object_model(build, record, warmup_frac, workloads, length, llc, l2):
+    dram = DramModel(ST_DRAM)
+    assert _scheme_kind(build(dram.monitor), dram) == SCHEME_PY, "the drawn scheme twins"
+    traces = [build_trace(name, length) for name in workloads]
+    with pytest.MonkeyPatch.context() as patch:
+        _assert_end_state_parity(
+            patch, "custom", warmup_frac, traces, build, llc=llc, l2=l2, record=record
+        )
