@@ -110,7 +110,6 @@ class CoreExecution:
     __slots__ = (
         "model",
         "hierarchy",
-        "stats",
         "_trace",
         "_ops",
         "_pos",
@@ -130,7 +129,6 @@ class CoreExecution:
     def __init__(self, model, trace, hierarchy):
         self.model = model
         self.hierarchy = hierarchy
-        self.stats = CoreStats()
         self._trace = trace
         # Fused op tuples, built on the first run_ops_until: a compiled
         # run packs the trace arrays itself and never reads them.
@@ -284,10 +282,7 @@ class CoreExecution:
         Idempotent: the raw per-level hit counters stay untouched inside
         the execution; each call recomputes the measured-region view.
         """
-        stats = measured_stats(self._instr, self._pos, self._retire, self._hits, self._stats_floor)
-        if self._stats_floor is None:
-            self.stats = stats
-        return stats
+        return measured_stats(self._instr, self._pos, self._retire, self._hits, self._stats_floor)
 
 
 def measured_stats(instr, ops, retire, hits, floor=None):

@@ -6,17 +6,15 @@
 #define SIG(n) si[SI_##n]
 #define SFG(n) sf[SF_##n]
 
-/* One cache level: pointers into the flat slot arrays plus geometry.
-   stats[0..6] = demand_hits, demand_misses, prefetch_probe_hits,
-   useful, late_useful, useless_evictions, writebacks (layout order). */
+/* One cache level: pointers into the flat slot arrays plus geometry. */
 typedef struct {
-    int64_t *valid, *line, *dirty, *pref, *used, *touch, *ready;
-    int64_t *tick, *stats;
+    int64_t *valid, *line, *pref, *used, *touch, *ready;
+    int64_t *tick;
     int64_t ways, set_mask, hit_lat, mode;
 } cache_t;
 
 typedef struct {
-    int64_t *heap, *len, *allocs, *stall;
+    int64_t *heap, *len;
     int64_t cap;
 } mshr_t;
 
@@ -95,8 +93,6 @@ static int c_fill(cache_t *c, int64_t line, int64_t prefetched,
                 if (t < vtouch) { vslot = s; vtouch = t; }
             }
         }
-        if (c->pref[vslot] && !c->used[vslot]) c->stats[5]++;
-        if (c->dirty[vslot]) c->stats[6]++;
         if (out_vline) {
             *out_vline = c->line[vslot];
             *out_vpref = c->pref[vslot];
@@ -106,7 +102,6 @@ static int c_fill(cache_t *c, int64_t line, int64_t prefetched,
         slot = vslot;
     }
     c->line[slot] = line;
-    c->dirty[slot] = 0;
     c->pref[slot] = prefetched;
     c->used[slot] = !prefetched;
     c->touch[slot] = low_priority ? -tick : tick;
@@ -162,10 +157,8 @@ static int64_t mshr_allocate(mshr_t *m, int64_t cycle, int64_t completion) {
         int64_t until = cycle + wait;
         while (*m->len && m->heap[0] <= until) heap_pop(m->heap, m->len);
         if (*m->len >= m->cap) heap_pop(m->heap, m->len);
-        *m->stall += wait;
     }
     heap_push(m->heap, m->len, completion + wait);
-    (*m->allocs)++;
     return wait;
 }
 
@@ -216,13 +209,9 @@ static int64_t dram_access(kctx_t *k, int64_t cycle, int64_t line_addr,
                  + ((rest >> SIG(row_shift)) & SIG(bank_mask));
     int64_t row = rest >> (SIG(row_shift) + SIG(bank_bits));
     int64_t bus_free = k->ch_busfree[ch];
-    if (is_prefetch && bus_free - cycle > SIG(pf_drop_backlog)) {
-        SIG(dram_prefetches_dropped)++;
-        return -1;
-    }
+    if (is_prefetch && bus_free - cycle > SIG(pf_drop_backlog)) return -1;
     int64_t bus_ready;
     if (k->bank_open[bank] == row) {
-        SIG(dram_row_hits)++;
         int64_t row_wait = k->bank_rowready[bank];
         if (!is_prefetch) {
             int64_t bound = cycle + SIG(dem_preempt_acts);
@@ -231,7 +220,6 @@ static int64_t dram_access(kctx_t *k, int64_t cycle, int64_t line_addr,
         int64_t cas_start = cycle > row_wait ? cycle : row_wait;
         bus_ready = cas_start + SIG(tCL);
     } else {
-        SIG(dram_row_misses)++;
         int64_t next_act = k->bank_nextact[bank];
         int64_t act_start;
         if (is_prefetch) {
@@ -266,12 +254,10 @@ static int64_t dram_access(kctx_t *k, int64_t cycle, int64_t line_addr,
         k->ch_demandfree[ch] = data_done;
         k->ch_busfree[ch] = (bus_free > cycle ? bus_free : cycle) + burst;
     }
-    SIG(dram_busy_cycles) += burst;
     if (data_done > SIG(dram_last_data_done)) SIG(dram_last_data_done) = data_done;
     /* BandwidthMonitor.record_cas */
     if (data_start >= SIG(mon_window_end)) mon_advance(si, sf, data_start);
     SFG(mon_counter) += 1.0;
-    SIG(mon_total_cas)++;
     if (is_write) SIG(dram_writes)++; else SIG(dram_reads)++;
     return data_done - cycle;
 }

@@ -59,37 +59,31 @@ static void bind(kctx_t *k, void **P) {
     int64_t *si = k->si;
 
     k->l1.valid = (int64_t *)P[P_l1_valid]; k->l1.line = (int64_t *)P[P_l1_line];
-    k->l1.dirty = (int64_t *)P[P_l1_dirty]; k->l1.pref = (int64_t *)P[P_l1_pref];
-    k->l1.used = (int64_t *)P[P_l1_used]; k->l1.touch = (int64_t *)P[P_l1_touch];
-    k->l1.ready = (int64_t *)P[P_l1_ready];
-    k->l1.tick = &ci[CI_l1_tick]; k->l1.stats = &ci[CI_l1_demand_hits];
+    k->l1.pref = (int64_t *)P[P_l1_pref]; k->l1.used = (int64_t *)P[P_l1_used];
+    k->l1.touch = (int64_t *)P[P_l1_touch]; k->l1.ready = (int64_t *)P[P_l1_ready];
+    k->l1.tick = &ci[CI_l1_tick];
     k->l1.ways = CI(l1_ways); k->l1.set_mask = CI(l1_set_mask);
     k->l1.hit_lat = CI(l1_hit_latency); k->l1.mode = CI(l1_victim_mode);
 
     k->l2.valid = (int64_t *)P[P_l2_valid]; k->l2.line = (int64_t *)P[P_l2_line];
-    k->l2.dirty = (int64_t *)P[P_l2_dirty]; k->l2.pref = (int64_t *)P[P_l2_pref];
-    k->l2.used = (int64_t *)P[P_l2_used]; k->l2.touch = (int64_t *)P[P_l2_touch];
-    k->l2.ready = (int64_t *)P[P_l2_ready];
-    k->l2.tick = &ci[CI_l2_tick]; k->l2.stats = &ci[CI_l2_demand_hits];
+    k->l2.pref = (int64_t *)P[P_l2_pref]; k->l2.used = (int64_t *)P[P_l2_used];
+    k->l2.touch = (int64_t *)P[P_l2_touch]; k->l2.ready = (int64_t *)P[P_l2_ready];
+    k->l2.tick = &ci[CI_l2_tick];
     k->l2.ways = CI(l2_ways); k->l2.set_mask = CI(l2_set_mask);
     k->l2.hit_lat = CI(l2_hit_latency); k->l2.mode = CI(l2_victim_mode);
 
     k->llc.valid = (int64_t *)P[P_llc_valid]; k->llc.line = (int64_t *)P[P_llc_line];
-    k->llc.dirty = (int64_t *)P[P_llc_dirty]; k->llc.pref = (int64_t *)P[P_llc_pref];
-    k->llc.used = (int64_t *)P[P_llc_used]; k->llc.touch = (int64_t *)P[P_llc_touch];
-    k->llc.ready = (int64_t *)P[P_llc_ready];
-    k->llc.tick = &si[SI_llc_tick]; k->llc.stats = &si[SI_llc_demand_hits];
+    k->llc.pref = (int64_t *)P[P_llc_pref]; k->llc.used = (int64_t *)P[P_llc_used];
+    k->llc.touch = (int64_t *)P[P_llc_touch]; k->llc.ready = (int64_t *)P[P_llc_ready];
+    k->llc.tick = &si[SI_llc_tick];
     k->llc.ways = CI(llc_ways); k->llc.set_mask = CI(llc_set_mask);
     k->llc.hit_lat = CI(llc_hit_latency); k->llc.mode = CI(llc_victim_mode);
 
     k->l1m.heap = (int64_t *)P[P_mshr_l1]; k->l1m.len = &ci[CI_mshr_l1_len];
-    k->l1m.allocs = &ci[CI_mshr_l1_allocations]; k->l1m.stall = &ci[CI_mshr_l1_stall];
     k->l1m.cap = CI(mshr_l1_cap);
     k->l2m.heap = (int64_t *)P[P_mshr_l2]; k->l2m.len = &ci[CI_mshr_l2_len];
-    k->l2m.allocs = &ci[CI_mshr_l2_allocations]; k->l2m.stall = &ci[CI_mshr_l2_stall];
     k->l2m.cap = CI(mshr_l2_cap);
     k->llcm.heap = (int64_t *)P[P_mshr_llc]; k->llcm.len = &ci[CI_mshr_llc_len];
-    k->llcm.allocs = &ci[CI_mshr_llc_allocations]; k->llcm.stall = &ci[CI_mshr_llc_stall];
     k->llcm.cap = CI(mshr_llc_cap);
 
     k->bank_open = (int64_t *)P[P_bank_open];
@@ -127,15 +121,11 @@ static int64_t below_l1(kctx_t *k, int64_t cycle, int64_t pc, int64_t addr,
     int64_t tick = ++(*l2->tick);
     int64_t slot = c_find(l2, line);
     int64_t first_use = 0;
-    if (slot < 0) l2->stats[1]++;
+    if (slot < 0) ci[CI_l2_demand_misses]++;
     else {
-        l2->stats[0]++;
         l2->touch[slot] = tick;
-        if (is_write) l2->dirty[slot] = 1;
         if (l2->pref[slot] && !l2->used[slot]) {
-            l2->stats[3]++;
             first_use = 1;
-            if (l2->ready[slot] > cycle) l2->stats[4]++;
             l2->used[slot] = 1;
         }
     }
@@ -179,14 +169,9 @@ static int64_t below_l1(kctx_t *k, int64_t cycle, int64_t pc, int64_t addr,
     cache_t *llc = &k->llc;
     int64_t ltick = ++(*llc->tick);
     int64_t ls = c_find(llc, line);
-    if (ls < 0) llc->stats[1]++;
-    else {
-        llc->stats[0]++;
+    if (ls >= 0) {
         llc->touch[ls] = ltick;
-        if (is_write) llc->dirty[ls] = 1;
         if (llc->pref[ls] && !llc->used[ls]) {
-            llc->stats[3]++;
-            if (llc->ready[ls] > cycle) llc->stats[4]++;
             llc->used[ls] = 1;
             note_use(k, cycle, line, llc->ready[ls]);
         }
@@ -215,9 +200,9 @@ static int64_t below_l1(kctx_t *k, int64_t cycle, int64_t pc, int64_t addr,
 /* ------------------------------------------------------------------ krun */
 
 /* CoreExecution.run_ops_until over pointer table P: run ops from pos
-   until end, or until retirement passes the horizon, or a Python
-   callback has raised. */
-static void krun(void **P) {
+   until end (an exclusive op index), or until retirement passes the
+   horizon (reaches it, when strict), or a Python callback has raised. */
+static void krun(void **P, int64_t end, int64_t strict, double horizon) {
     kctx_t k;
     bind(&k, P);
     int64_t *ci = k.ci;
@@ -237,11 +222,8 @@ static void krun(void **P) {
     int64_t *s_conf = (int64_t *)P[P_stride_conf];
     int64_t *pf_buf = (int64_t *)P[P_pf_buf];
 
-    /* batch bounds + core constants */
+    /* core state and constants */
     int64_t pos = CI(pos);
-    int64_t end = CI(end);
-    int64_t strict = CI(strict);
-    double horizon = CF(horizon);
     int64_t width = CI(width);
     double width_d = (double)width;
     int64_t rob_size = CI(rob_size);
@@ -316,16 +298,9 @@ static void krun(void **P) {
         int64_t line = addr >> LINE_SHIFT;
         int64_t t1 = ++(*k.l1.tick);
         int64_t l1_slot = c_find(&k.l1, line);
-        if (l1_slot < 0) k.l1.stats[1]++;
-        else {
-            k.l1.stats[0]++;
+        if (l1_slot >= 0) {
             k.l1.touch[l1_slot] = t1;
-            if (is_write) k.l1.dirty[l1_slot] = 1;
-            if (k.l1.pref[l1_slot] && !k.l1.used[l1_slot]) {
-                k.l1.stats[3]++;
-                if (k.l1.ready[l1_slot] > cycle) k.l1.stats[4]++;
-                k.l1.used[l1_slot] = 1;
-            }
+            if (k.l1.pref[l1_slot] && !k.l1.used[l1_slot]) k.l1.used[l1_slot] = 1;
         }
 
         /* PcStridePrefetcher.train */
@@ -420,12 +395,13 @@ static void krun(void **P) {
 typedef void (*stop_fn)(int64_t core);
 
 /* interleave_two_level (cpu/core.py) over the cores' pointer tables: run
-   the minimum-(retire, core) core through krun until its retirement time
-   passes the second-smallest entry (DBL_MAX for a lone core; strict when
-   that entry's core index is smaller) or it reaches stop[core], its
-   pending warmup checkpoint, where on_stop(core) runs (if given) and
-   stop[core] becomes -1; then re-select.  Returns RC_DONE once every core
-   is done, or RC_ERROR once a Python callback has raised (slot failed). */
+   the minimum-(retire, core) core through krun, whose arguments bound the
+   batch, until its retirement time passes the second-smallest entry
+   (DBL_MAX for a lone core; strict when that entry's core index is
+   smaller) or it reaches stop[core], its pending warmup checkpoint, where
+   on_stop(core) runs (if given) and stop[core] becomes -1; then
+   re-select.  Returns RC_DONE once every core is done, or RC_ERROR once a
+   Python callback has raised (slot failed). */
 long ksched(void ***tables, long n_cores, long long *stop, stop_fn on_stop) {
     for (;;) {
         int64_t best = -1, second = -1;
@@ -442,15 +418,12 @@ long ksched(void ***tables, long n_cores, long long *stop, stop_fn on_stop) {
             }
         }
         if (best < 0) return RC_DONE;
-        int64_t *ci = (int64_t *)tables[best][P_ci64];
-        double *cf = (double *)tables[best][P_cf64];
+        const int64_t *ci = (const int64_t *)tables[best][P_ci64];
         const int64_t *si = (const int64_t *)tables[best][P_si64];
         int64_t end = CI(n_ops);
         if (stop[best] >= 0 && stop[best] < end) end = stop[best];
-        CI(end) = end;
-        CI(strict) = second >= 0 && best > second;
-        CF(horizon) = second >= 0 ? second_t : DBL_MAX;
-        krun(tables[best]);
+        krun(tables[best], end, second >= 0 && best > second,
+             second >= 0 ? second_t : DBL_MAX);
         if (!SIG(failed) && stop[best] >= 0 && CI(pos) >= stop[best]) {
             stop[best] = -1;
             if (on_stop) on_stop(best);

@@ -16,11 +16,11 @@ Exported symbols:
 - ``long ksched(void ***tables, long n_cores, long long *stop, void
   (*on_stop)(int64_t core))`` — the twin of
   :func:`repro.cpu.core.interleave_two_level`: picks the
-  minimum-``(retire, core)`` core, sets its batch bounds and runs the op
-  body ``krun`` on it (one core's batch, over its pointer table), over
-  and over, calling ``on_stop`` at each core's warmup checkpoint.  It
-  returns ``RC_DONE`` when every core is done, or ``RC_ERROR`` once a
-  Python callback has raised.  ``krun`` calls Python where the object
+  minimum-``(retire, core)`` core and runs the op body ``krun`` on it
+  (one core's batch, over its pointer table, bounded by ``krun``'s
+  arguments), over and over, calling ``on_stop`` at each core's warmup
+  checkpoint.  It returns ``RC_DONE`` when every core is done, or
+  ``RC_ERROR`` once a Python callback has raised.  ``krun`` calls Python where the object
   model does: a scheme without a C twin trains through the pointer
   table's ``train`` callback, which writes its candidates into the
   candidate buffers, and gets its usefulness notes through ``note``;

@@ -82,36 +82,17 @@ def kernel_unavailable_reason():
 
 
 #: Shared slots zeroed at the warmup boundary (``DramModel.reset_stats``).
-_DRAM_RESET_SLOTS = (
-    "dram_reads",
-    "dram_writes",
-    "dram_row_hits",
-    "dram_row_misses",
-    "dram_busy_cycles",
-    "dram_prefetches_dropped",
-    "mon_total_cas",
-    "mon_bucket0",
-    "mon_bucket1",
-    "mon_bucket2",
-    "mon_bucket3",
-)
+_DRAM_RESET_SLOTS = ("dram_reads", "dram_writes", *(f"mon_bucket{i}" for i in range(4)))
 #: Per-core slots zeroed at the warmup boundary (mirrors
-#: ``MemoryHierarchy.reset_stats``, plus the pollution logs, which
-#: ``PollutionCollector`` clears on the boundary's ``RESET`` events).
-_CORE_RESET_SLOTS = tuple(
-    name
-    for name in CI64
-    if name.startswith(("l1_demand", "l1_prefetch_probe", "l1_useful", "l1_late",
-                        "l1_useless", "l1_writebacks",
-                        "l2_demand", "l2_prefetch_probe", "l2_useful", "l2_late",
-                        "l2_useless", "l2_writebacks", "pf_"))
-    or name.endswith(("_allocations", "_stall"))
-    or name in ("pl_dem_len", "pl_fill_len", "pl_vic_len")
-)
-_LLC_RESET_SLOTS = tuple(
-    name
-    for name in SI64
-    if name.startswith("llc_") and name != "llc_tick"
+#: ``MemoryHierarchy.reset_stats``: the L2's misses and the prefetch
+#: counters; plus the pollution logs, which ``PollutionCollector``
+#: clears on the boundary's ``RESET`` events).
+_CORE_RESET_SLOTS = (
+    "l2_demand_misses",
+    *(name for name in CI64 if name.startswith("pf_")),
+    "pl_dem_len",
+    "pl_fill_len",
+    "pl_vic_len",
 )
 _CAND_LEN = CI64["cand_len"]
 _CAND_CAP = CI64["cand_cap"]
@@ -318,9 +299,6 @@ class KernelExecution:
         ci = self.state.ci64
         for name in _CORE_RESET_SLOTS:
             ci[CI64[name]] = 0
-        si = self.state.shared.si64
-        for name in _LLC_RESET_SLOTS:
-            si[SI64[name]] = 0
 
     # ------------------------------------------------------------- results
 

@@ -1,7 +1,7 @@
 """Flat-state layout: the single source of truth for kernel slot indices.
 
 The kernel subsystem keeps every piece of mutable hot-path state — core
-timing scalars, cache stats/ticks, MSHR counters, prefetch accounting,
+timing scalars, cache ticks, the L2's miss count, prefetch accounting,
 DRAM queue state, the bandwidth monitor — in four flat arrays:
 
 - per-core ``int64`` slots (:data:`CI64`) and ``float64`` slots
@@ -258,7 +258,6 @@ TWIN_ARRAYS = tuple(table for family in FAMILIES for table in family.arrays)
 CI64_NAMES = (
     # -- core execution ------------------------------------------------------
     "pos",              # next op index
-    "end",              # batch bound (exclusive op index)
     "n_ops",            # trace length
     "instr",            # instruction counter
     "win_head",         # ROB checkpoint ring: head index
@@ -266,23 +265,17 @@ CI64_NAMES = (
     "win_cap",          # ROB checkpoint ring: capacity (power of two)
     "hit_l1", "hit_l2", "hit_llc", "hit_dram",
     "width", "rob_size",
-    "strict",           # run_ops_until tie rule for this batch
     # -- L1 ------------------------------------------------------------------
     "l1_ways", "l1_set_mask", "l1_hit_latency", "l1_victim_mode", "l1_tick",
-    "l1_demand_hits", "l1_demand_misses", "l1_prefetch_probe_hits",
-    "l1_useful_prefetches", "l1_late_useful_prefetches",
-    "l1_useless_evictions", "l1_writebacks",
     # -- L2 ------------------------------------------------------------------
     "l2_ways", "l2_set_mask", "l2_hit_latency", "l2_victim_mode", "l2_tick",
-    "l2_demand_hits", "l2_demand_misses", "l2_prefetch_probe_hits",
-    "l2_useful_prefetches", "l2_late_useful_prefetches",
-    "l2_useless_evictions", "l2_writebacks",
-    # -- LLC geometry (stats/tick are shared; geometry is identical per core)
+    "l2_demand_misses",  # a run's l2_demand_misses
+    # -- LLC geometry (its tick is shared; geometry is identical per core)
     "llc_ways", "llc_set_mask", "llc_hit_latency", "llc_victim_mode",
     # -- MSHRs ---------------------------------------------------------------
-    "mshr_l1_cap", "mshr_l1_len", "mshr_l1_allocations", "mshr_l1_stall",
-    "mshr_l2_cap", "mshr_l2_len", "mshr_l2_allocations", "mshr_l2_stall",
-    "mshr_llc_cap", "mshr_llc_len", "mshr_llc_allocations", "mshr_llc_stall",
+    "mshr_l1_cap", "mshr_l1_len",
+    "mshr_l2_cap", "mshr_l2_len",
+    "mshr_llc_cap", "mshr_llc_len",
     # -- hierarchy -----------------------------------------------------------
     "demand_accesses", "queue_size", "merge_bound", "inflight_len",
     "pf_issued", "pf_issued_low_priority", "pf_filled_from_llc",
@@ -307,7 +300,7 @@ CI64_NAMES = (
 
 #: Per-core float64 slot names.
 CF64_NAMES = (
-    "retire", "last_load_done", "horizon", "retire_step",
+    "retire", "last_load_done", "retire_step",
     # compiled scheme training: the families' float config values
     *(slot for family in FAMILIES for slot, _ in family.fconfig),
 )
@@ -316,20 +309,15 @@ CF64_NAMES = (
 SI64_NAMES = (
     "failed",           # 1 once a Python callback raised: the run stops
     "llc_tick",
-    "llc_demand_hits", "llc_demand_misses", "llc_prefetch_probe_hits",
-    "llc_useful_prefetches", "llc_late_useful_prefetches",
-    "llc_useless_evictions", "llc_writebacks",
     # DRAM timing constants
     "tCL", "tRCD", "tRP", "tRC", "burst",
     "ch_mask", "ch_bits", "bank_mask", "bank_bits", "row_shift",
     "banks_per_channel",
     "pf_drop_backlog", "dem_preempt_bursts", "dem_preempt_acts",
     # DRAM statistics
-    "dram_reads", "dram_writes", "dram_row_hits", "dram_row_misses",
-    "dram_busy_cycles", "dram_prefetches_dropped",
-    "dram_last_data_done", "dram_stats_start",
+    "dram_reads", "dram_writes", "dram_last_data_done", "dram_stats_start",
     # bandwidth monitor
-    "mon_window_cycles", "mon_window_end", "mon_total_cas",
+    "mon_window_cycles", "mon_window_end",
     "mon_bucket0", "mon_bucket1", "mon_bucket2", "mon_bucket3",
 )
 
@@ -356,9 +344,9 @@ RC_ERROR = 1        # a Python callback raised (slot ``failed``)
 PTR_NAMES = (
     "ci64", "cf64", "si64", "sf64",
     "op_gap", "op_pc", "op_addr", "op_write", "op_dep",
-    "l1_valid", "l1_line", "l1_dirty", "l1_pref", "l1_used", "l1_touch", "l1_ready",
-    "l2_valid", "l2_line", "l2_dirty", "l2_pref", "l2_used", "l2_touch", "l2_ready",
-    "llc_valid", "llc_line", "llc_dirty", "llc_pref", "llc_used", "llc_touch", "llc_ready",
+    "l1_valid", "l1_line", "l1_pref", "l1_used", "l1_touch", "l1_ready",
+    "l2_valid", "l2_line", "l2_pref", "l2_used", "l2_touch", "l2_ready",
+    "llc_valid", "llc_line", "llc_pref", "llc_used", "llc_touch", "llc_ready",
     "win_idx", "win_ret",
     "mshr_l1", "mshr_l2", "mshr_llc",
     "stride_valid", "stride_tag", "stride_last", "stride_stride", "stride_conf",

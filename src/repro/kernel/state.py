@@ -2,8 +2,8 @@
 
 Layer 1 of the kernel subsystem (docs/engine.md, "compiled kernel"):
 everything the per-access hot path mutates — cache tags/valid/recency/
-dirty/prefetch bits, MSHR heaps, the in-flight prefetch queue, DRAM bank
-and bus state, the bandwidth monitor, core retirement state — packed
+prefetch bits, MSHR heaps, the in-flight prefetch queue, DRAM bank and
+bus state, the bandwidth monitor, core retirement state — packed
 into flat ``int64``/``float64`` NumPy arrays laid out by
 :mod:`repro.kernel.layout`.
 
@@ -56,17 +56,7 @@ from repro.prefetchers.base import NullPrefetcher, Prefetcher
 from repro.prefetchers.composite import CompositePrefetcher
 from repro.prefetchers.stride import PcStridePrefetcher
 
-_CACHE_FIELDS = ("valid", "line", "dirty", "pref", "used", "touch", "ready")
-#: Cache stats slots, in the order they sit in the slot arrays.
-_CACHE_STATS = (
-    "demand_hits",
-    "demand_misses",
-    "prefetch_probe_hits",
-    "useful_prefetches",
-    "late_useful_prefetches",
-    "useless_evictions",
-    "writebacks",
-)
+_CACHE_FIELDS = ("valid", "line", "pref", "used", "touch", "ready")
 _PF_STATS = (
     "issued",
     "issued_low_priority",
@@ -255,16 +245,10 @@ def _pack_cache(cache, arrs):
             slot = base + way
             arrs["valid"][slot] = 1
             arrs["line"][slot] = (tag << shift) | set_idx
-            arrs["dirty"][slot] = 1 if cl.dirty else 0
             arrs["pref"][slot] = 1 if cl.prefetched else 0
             arrs["used"][slot] = 1 if cl.used else 0
             arrs["touch"][slot] = cl.last_touch
             arrs["ready"][slot] = cl.ready
-
-
-def _cache_stats_to(ci, prefix, cache, slots):
-    for off, field in enumerate(_CACHE_STATS):
-        ci[slots[prefix + field]] = getattr(cache, field)
 
 
 class SharedState:
@@ -290,7 +274,6 @@ class SharedState:
         if packed:
             _pack_cache(llc, self.llc)
             si[SI64["llc_tick"]] = llc._tick
-            _cache_stats_to(si, "llc_", llc, SI64)
         # DRAM constants
         si[SI64["tCL"]] = dram.tCL
         si[SI64["tRCD"]] = dram.tRCD
@@ -309,10 +292,6 @@ class SharedState:
         # DRAM statistics
         si[SI64["dram_reads"]] = dram.reads
         si[SI64["dram_writes"]] = dram.writes
-        si[SI64["dram_row_hits"]] = dram.row_hits
-        si[SI64["dram_row_misses"]] = dram.row_misses
-        si[SI64["dram_busy_cycles"]] = dram.busy_cycles
-        si[SI64["dram_prefetches_dropped"]] = dram.prefetches_dropped
         si[SI64["dram_last_data_done"]] = dram._last_data_done
         si[SI64["dram_stats_start"]] = dram._stats_start_cycle
         # Bank and channel queue state, bank-major within each channel
@@ -328,7 +307,6 @@ class SharedState:
         mon = dram.monitor
         si[SI64["mon_window_cycles"]] = mon.window_cycles
         si[SI64["mon_window_end"]] = mon._window_end
-        si[SI64["mon_total_cas"]] = mon.total_cas
         for i in range(4):
             si[SI64[f"mon_bucket{i}"]] = mon._bucket_cycles[i]
         sf[SF64["mon_counter"]] = mon._counter
@@ -405,7 +383,6 @@ class KernelState:
 
         # Core execution state
         ci[CI64["pos"]] = execution._pos
-        ci[CI64["end"]] = execution._pos
         ci[CI64["instr"]] = execution._instr
         ci[HITS] = execution._hits
         cf[CF64["retire"]] = execution._retire
@@ -422,7 +399,7 @@ class KernelState:
         for name, cache in (("l1", hier.l1), ("l2", hier.l2)):
             _pack_cache(cache, {f: getattr(self, f"{name}_{f}") for f in _CACHE_FIELDS})
             ci[CI64[f"{name}_tick"]] = cache._tick
-            _cache_stats_to(ci, f"{name}_", cache, CI64)
+        ci[CI64["l2_demand_misses"]] = hier.l2.demand_misses
 
         # MSHRs (heap arrays sized to capacity: the allocate rule never
         # lets the heap outgrow it)
@@ -430,8 +407,6 @@ class KernelState:
             heap = sorted(mshr._ready_heap)
             getattr(self, name)[: len(heap)] = heap
             ci[CI64[f"{name}_len"]] = len(heap)
-            ci[CI64[f"{name}_allocations"]] = mshr.allocations
-            ci[CI64[f"{name}_stall"]] = mshr.stall_cycles
 
         # Hierarchy bookkeeping
         ci[CI64["demand_accesses"]] = hier.demand_accesses

@@ -6,10 +6,15 @@ while a prefetch is still in flight pays only the remaining latency — this
 is how prefetch *timeliness* (Section 2, "the fraction of the latency ...
 hidden by the prefetcher") is modelled.
 
-Prefetch usefulness is tracked per line: a line filled by a prefetch counts
-as *useful* on its first demand hit and as *useless* if it leaves the cache
-untouched — the raw ingredients of the paper's coverage / misprediction
-accounting (Figure 16).
+Prefetch usefulness is tracked per line (``prefetched``, ``used``): a
+lookup reports the first demand use of a prefetched line
+(:attr:`Cache.last_access_first_use`) and a fill reports its victim's bits
+(:class:`EvictionInfo`), from which
+:class:`repro.memory.hierarchy.MemoryHierarchy` counts a prefetch *useful*
+(late when its fill had not arrived) or *useless* — the raw ingredients of
+the paper's coverage / misprediction accounting (Figure 16).  The cache
+itself counts only demand misses.  Writebacks are not modelled, so a line
+records no writes.
 
 This class is the one statement of the lookup and replacement rules:
 :class:`repro.memory.hierarchy.MemoryHierarchy` calls :meth:`Cache.access`
@@ -48,11 +53,10 @@ def victim_mode(name):
 class CacheLine:
     """One cache line's metadata (tag plus prefetch bookkeeping)."""
 
-    __slots__ = ("tag", "dirty", "prefetched", "used", "last_touch", "ready")
+    __slots__ = ("tag", "prefetched", "used", "last_touch", "ready")
 
     def __init__(self, tag, tick, prefetched=False, ready=0):
         self.tag = tag
-        self.dirty = False
         self.prefetched = prefetched
         self.used = not prefetched
         self.last_touch = tick
@@ -84,13 +88,12 @@ class CacheConfig:
 class EvictionInfo:
     """What :meth:`Cache.fill` evicted, for pollution accounting."""
 
-    __slots__ = ("line_addr", "was_prefetched", "was_used", "was_dirty")
+    __slots__ = ("line_addr", "was_prefetched", "was_used")
 
-    def __init__(self, line_addr, was_prefetched, was_used, was_dirty=False):
+    def __init__(self, line_addr, was_prefetched, was_used):
         self.line_addr = line_addr
         self.was_prefetched = was_prefetched
         self.was_used = was_used
-        self.was_dirty = was_dirty
 
     def __eq__(self, other):
         if not isinstance(other, EvictionInfo):
@@ -99,14 +102,12 @@ class EvictionInfo:
             self.line_addr == other.line_addr
             and self.was_prefetched == other.was_prefetched
             and self.was_used == other.was_used
-            and self.was_dirty == other.was_dirty
         )
 
     def __repr__(self):
         return (
             f"EvictionInfo(line_addr={self.line_addr}, "
-            f"was_prefetched={self.was_prefetched}, was_used={self.was_used}, "
-            f"was_dirty={self.was_dirty})"
+            f"was_prefetched={self.was_prefetched}, was_used={self.was_used})"
         )
 
 
@@ -125,13 +126,7 @@ class Cache:
         "_victim_mode",
         "_tick",
         "last_access_first_use",
-        "demand_hits",
         "demand_misses",
-        "prefetch_probe_hits",
-        "useful_prefetches",
-        "late_useful_prefetches",
-        "useless_evictions",
-        "writebacks",
     )
 
     def __init__(self, config: CacheConfig):
@@ -148,24 +143,13 @@ class Cache:
         #: True when the most recent :meth:`access` was the first demand use
         #: of a prefetched line (the hierarchy reads it at L2 and LLC).
         self.last_access_first_use = False
-        # Statistics
-        self.demand_hits = 0
+        #: Demand lookups that missed (the L2's is a run's
+        #: ``l2_demand_misses``).
         self.demand_misses = 0
-        self.prefetch_probe_hits = 0
-        self.useful_prefetches = 0
-        self.late_useful_prefetches = 0
-        self.useless_evictions = 0
-        self.writebacks = 0
 
     def reset_stats(self):
-        """Zero the statistics counters; cache contents are untouched."""
-        self.demand_hits = 0
+        """Zero the miss counter; cache contents are untouched."""
         self.demand_misses = 0
-        self.prefetch_probe_hits = 0
-        self.useful_prefetches = 0
-        self.late_useful_prefetches = 0
-        self.useless_evictions = 0
-        self.writebacks = 0
 
     # -- queries -------------------------------------------------------------
 
@@ -182,12 +166,13 @@ class Cache:
 
     # -- demand path ---------------------------------------------------------
 
-    def access(self, line_addr, cycle, is_write=False):
+    def access(self, line_addr, cycle):
         """Demand lookup.  Returns the hit :class:`CacheLine` or ``None``.
 
         On a hit the line's recency is refreshed; if the hit is the first
-        demand to a prefetched line, the prefetch is counted useful (late if
-        the fill had not completed by ``cycle``).
+        demand to a prefetched line, the line becomes used and
+        :attr:`last_access_first_use` is set (the caller counts the
+        prefetch useful, late when ``line.ready > cycle``).
         """
         lines = self._sets[line_addr & self._set_mask]
         tag = line_addr >> self._tag_shift
@@ -198,16 +183,10 @@ class Cache:
         if line is None:
             self.demand_misses += 1
             return None
-        self.demand_hits += 1
         line.last_touch = tick
         lines.move_to_end(tag)
-        if is_write:
-            line.dirty = True
         if line.prefetched and not line.used:
-            self.useful_prefetches += 1
             self.last_access_first_use = True
-            if line.ready > cycle:
-                self.late_useful_prefetches += 1
             line.used = True
         return line
 
@@ -229,9 +208,8 @@ class Cache:
         ``ready`` is the cycle at which the fill's data actually arrives
         (defaults to ``cycle``); demands arriving earlier pay the remainder.
         ``want_victim=False`` skips constructing the :class:`EvictionInfo`
-        (eviction *accounting* still happens) for callers that discard the
-        return value — the hierarchy's L1/L2 fills, which dominate fill
-        volume.
+        for callers that discard the return value — the hierarchy's L1/L2
+        fills, which dominate fill volume.
         """
         set_idx = line_addr & self._set_mask
         lines = self._sets[set_idx]
@@ -258,22 +236,16 @@ class Cache:
             if victim is None:
                 # LRU: recency order makes the front line the victim.
                 victim = next(iter(lines.values()))
-            if victim.prefetched and not victim.used:
-                self.useless_evictions += 1
-            if victim.dirty:
-                self.writebacks += 1
             if want_victim:
                 evicted = EvictionInfo(
                     (victim.tag << self._tag_shift) | set_idx,
                     victim.prefetched,
                     victim.used,
-                    victim.dirty,
                 )
             del lines[victim.tag]
             # Recycle the victim's line object for the incoming fill (same
             # dict-insertion position a fresh object would take).
             victim.tag = tag
-            victim.dirty = False
             victim.prefetched = prefetched
             victim.used = not prefetched
             victim.last_touch = tick
@@ -294,17 +266,6 @@ class Cache:
     def invalidate(self, line_addr):
         """Drop ``line_addr`` if resident (no writeback modelling)."""
         self._sets[line_addr & self._set_mask].pop(line_addr >> self._tag_shift, None)
-
-    # -- stats ----------------------------------------------------------------
-
-    @property
-    def demand_accesses(self):
-        return self.demand_hits + self.demand_misses
-
-    def hit_rate(self):
-        """Demand hit rate (0.0 when no accesses were made)."""
-        total = self.demand_accesses
-        return self.demand_hits / total if total else 0.0
 
     def occupancy(self):
         """Total number of resident lines."""

@@ -155,7 +155,6 @@ class BandwidthMonitor:
         "_thresholds",
         "_counter",
         "_window_end",
-        "total_cas",
         "_bucket_cycles",
     )
 
@@ -171,7 +170,6 @@ class BandwidthMonitor:
         )
         self._counter = 0.0
         self._window_end = window_cycles
-        self.total_cas = 0
         self._bucket_cycles = [0, 0, 0, 0]
 
     def _advance(self, cycle):
@@ -190,7 +188,6 @@ class BandwidthMonitor:
         if cycle >= self._window_end:
             self._advance(cycle)
         self._counter += 1.0
-        self.total_cas += 1
 
     def _rate_estimate(self, cycle):
         """Per-window CAS rate implied by the counter at ``cycle``.
@@ -233,7 +230,6 @@ class BandwidthMonitor:
 
     def reset_stats(self):
         """Zero accumulated statistics; the live counter state survives."""
-        self.total_cas = 0
         self._bucket_cycles = [0, 0, 0, 0]
 
 
@@ -322,10 +318,6 @@ class DramModel:
         "monitor",
         "reads",
         "writes",
-        "row_hits",
-        "row_misses",
-        "busy_cycles",
-        "prefetches_dropped",
         "_last_data_done",
         "_stats_start_cycle",
         "_prefetch_drop_backlog",
@@ -360,10 +352,6 @@ class DramModel:
         # Statistics
         self.reads = 0
         self.writes = 0
-        self.row_hits = 0
-        self.row_misses = 0
-        self.busy_cycles = 0
-        self.prefetches_dropped = 0
         self._last_data_done = 0
         #: Cycle at which the measured region starts (post-warmup floor).
         self._stats_start_cycle = 0
@@ -385,11 +373,9 @@ class DramModel:
         row = rest >> (self._row_shift + self._bank_bits)
         if is_prefetch:
             if channel.bus_free_cycle - cycle > self._prefetch_drop_backlog:
-                self.prefetches_dropped += 1
                 return None
         if bank.open_row == row:
             # Row hit: CAS as soon as the open row is ready; hits pipeline.
-            self.row_hits += 1
             row_wait = bank.row_ready_cycle
             if not is_prefetch:
                 # A demand hit to a row opened by a far-future queued
@@ -403,7 +389,6 @@ class DramModel:
             # Row miss: precharge + activate, bounded by the bank's tRC
             # activate-to-activate constraint; subsequent hits to the new
             # row need only wait for row_ready, not tRC.
-            self.row_misses += 1
             next_act = bank.next_activate_cycle
             if is_prefetch:
                 act_start = cycle if cycle > next_act else next_act
@@ -452,7 +437,6 @@ class DramModel:
             data_done = data_start + burst
             channel.demand_bus_free_cycle = data_done
             channel.bus_free_cycle = (bus_free if bus_free > cycle else cycle) + burst
-        self.busy_cycles += burst
         if data_done > self._last_data_done:
             self._last_data_done = data_done
         self._record_cas(data_start)
@@ -503,10 +487,6 @@ class DramModel:
         """Zero statistics at the warmup boundary; queue state survives."""
         self.reads = 0
         self.writes = 0
-        self.row_hits = 0
-        self.row_misses = 0
-        self.busy_cycles = 0
-        self.prefetches_dropped = 0
         self._stats_start_cycle = int(cycle)
         self.monitor.reset_stats()
 

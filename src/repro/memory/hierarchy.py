@@ -213,7 +213,7 @@ class MemoryHierarchy:
         self.demand_accesses += 1
         line = addr >> LINE_SHIFT
         l1 = self.l1
-        l1_line = l1.access(line, cycle, is_write)
+        l1_line = l1.access(line, cycle)
         l1_pf = self.l1_prefetcher
         if l1_pf is not None:
             for cand in l1_pf.train(cycle, pc, addr, l1_line is not None):
@@ -239,7 +239,7 @@ class MemoryHierarchy:
         line = addr >> LINE_SHIFT
         candidates = ()
         l2 = self.l2
-        l2_line = l2.access(line, cycle, is_write)
+        l2_line = l2.access(line, cycle)
         first_use = l2.last_access_first_use
         if self._l2_train is not None:
             candidates = self._l2_train(cycle, pc, addr, l2_line is not None)
@@ -271,7 +271,7 @@ class MemoryHierarchy:
             return latency, LLC
 
         llc = self.llc
-        llc_line = llc.access(line, cycle, is_write)
+        llc_line = llc.access(line, cycle)
         if llc_line is not None:
             if llc.last_access_first_use:
                 self._note_use(cycle, line, llc_line)
@@ -449,9 +449,6 @@ class MemoryHierarchy:
         self.l1.reset_stats()
         self.l2.reset_stats()
         self.llc.reset_stats()
-        self.l1_mshr.reset_stats()
-        self.l2_mshr.reset_stats()
-        self.llc_mshr.reset_stats()
 
     def coverage_accuracy(self):
         """Return (coverage, accuracy, base_misses) per Figure 16 semantics."""

@@ -14,15 +14,13 @@ import heapq
 class MshrFile:
     """A bounded set of in-flight misses with completion-time tracking."""
 
-    __slots__ = ("capacity", "_ready_heap", "allocations", "stall_cycles")
+    __slots__ = ("capacity", "_ready_heap")
 
     def __init__(self, capacity):
         if capacity <= 0:
             raise ValueError("MSHR capacity must be positive")
         self.capacity = capacity
         self._ready_heap = []
-        self.allocations = 0
-        self.stall_cycles = 0
 
     def outstanding(self, cycle):
         """Number of misses still in flight at ``cycle``."""
@@ -50,9 +48,7 @@ class MshrFile:
             # the entry we waited on has completed by construction.
             if len(heap) >= self.capacity:
                 heapq.heappop(heap)
-            self.stall_cycles += wait
         heapq.heappush(heap, completion_cycle + wait)
-        self.allocations += 1
         return wait
 
     def _drain(self, cycle):
@@ -61,11 +57,5 @@ class MshrFile:
             heapq.heappop(heap)
 
     def reset(self):
-        """Clear all in-flight state and statistics."""
+        """Clear all in-flight state."""
         self._ready_heap.clear()
-        self.reset_stats()
-
-    def reset_stats(self):
-        """Zero the counters; in-flight entries are untouched."""
-        self.allocations = 0
-        self.stall_cycles = 0

@@ -20,7 +20,7 @@ history.
 
 from dataclasses import dataclass
 
-from repro.constants import LINE_SHIFT
+from repro.constants import LINE_SHIFT, LINE_SIZE
 from repro.prefetchers.base import PrefetchCandidate, Prefetcher
 
 
@@ -63,8 +63,8 @@ class Bingo(Prefetcher):
     def __init__(self, config: BingoConfig = BingoConfig()):
         self.config = config
         region = config.region_bytes
-        if region & (region - 1):
-            raise ValueError("region size must be a power of two")
+        if region < LINE_SIZE or region & (region - 1):
+            raise ValueError("region size must be a power of two of at least one line")
         self._region_shift = region.bit_length() - 1
         self._offset_mask = config.lines_per_region - 1
         self._at = {}  # region -> _RegionEntry, dict order = LRU order

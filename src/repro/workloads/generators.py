@@ -65,7 +65,7 @@ class GenContext:
     def alloc_pages(self, count):
         """Reserve ``count`` contiguous 4KB pages; returns the base page."""
         base = self._page_cursor
-        # Pad allocations so unrelated structures never share a page and
+        # Pad each reservation so unrelated structures never share a page and
         # set-index aliasing between them is incidental, not systematic.
         self._page_cursor += count + 16
         return base

@@ -4,8 +4,12 @@ The engine's disk cache is repointed at a per-session temporary
 directory so test runs are hermetic: they exercise the persistent layer
 (results really do round-trip through disk) without reading or writing
 the developer's real cache under ``~/.cache``.
+
+Every result a test computes in this process, on either kernel, is
+checked against the result invariants (:func:`_check_result`).
 """
 
+import math
 import os
 
 import pytest
@@ -28,3 +32,36 @@ def _isolated_engine_cache(tmp_path_factory):
         os.environ.pop("REPRO_CACHE_DIR", None)
     else:
         os.environ["REPRO_CACHE_DIR"] = old
+
+
+def _check_result(cfg, trace, result):
+    """The invariants every per-core ``RunResult`` holds: its level hits
+    sum to the measured ops (those after the warmup), no more prefetches
+    are late than useful, coverage is a rate, and the bandwidth-bucket
+    residency is a distribution.  (``pf_useful <= pf_issued`` is not one
+    yet: a prefetch issued in warmup can turn useful after the reset.)"""
+    label = f"{cfg.l2_prefetcher} on a {len(trace)}-op trace, warmup {cfg.warmup_frac}"
+    measured = len(trace) - int(len(trace) * cfg.warmup_frac)
+    assert sum(result.level_hits.values()) == measured, f"{label}: hits {result.level_hits}"
+    assert result.pf_late <= result.pf_useful, f"{label}: late {result.pf_late} > useful"
+    assert 0.0 <= result.coverage <= 1.0, f"{label}: coverage {result.coverage}"
+    shares = result.bw_utilization_residency
+    assert all(0.0 <= share <= 1.0 for share in shares), f"{label}: residency {shares}"
+    assert math.isclose(sum(shares), 1.0), f"{label}: residency {shares}"
+
+
+@pytest.fixture(autouse=True)
+def _result_invariants(monkeypatch):
+    """Check every core's result of every run against
+    :func:`_check_result`: every run goes through ``_simulate``."""
+    from repro.cpu import system
+
+    simulate = system._simulate
+
+    def checked(cfg, traces, sinks):
+        per_core, global_cycles = simulate(cfg, traces, sinks)
+        for trace, result in zip(traces, per_core):
+            _check_result(cfg, trace, result)
+        return per_core, global_cycles
+
+    monkeypatch.setattr(system, "_simulate", checked)

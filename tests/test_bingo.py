@@ -84,3 +84,12 @@ class TestCapacity:
         teach(pf, [1, 2, 3])
         pf.reset()
         assert pf.train(0, 0x400, (0x100 << 11) | (1 << 6), hit=False) == ()
+
+
+@pytest.mark.parametrize("region_bytes", (0, 32))
+def test_rejects_regions_under_one_line(region_bytes):
+    """A region under one line passes the power-of-two check (0 too) but
+    has no line offsets: 32 B regions made every pattern ``1 << line``,
+    and 0 B ones raised at the first ``train``."""
+    with pytest.raises(ValueError):
+        Bingo(BingoConfig(region_bytes=region_bytes))

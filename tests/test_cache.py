@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.memory.cache import Cache, CacheConfig
+from repro.memory.cache import Cache, CacheConfig, EvictionInfo
 
 
 def small_cache(ways=2, sets=4, replacement="lru"):
@@ -39,22 +39,23 @@ class TestBasicOperation:
         c.fill(0x100, cycle=0)
         assert c.access(0x100, cycle=1) is not None
 
-    def test_miss_and_hit_counters(self):
+    def test_miss_counter(self):
         c = small_cache()
         c.access(0x100, 0)
         c.fill(0x100, 0)
         c.access(0x100, 1)
         assert c.demand_misses == 1
-        assert c.demand_hits == 1
-        assert c.demand_accesses == 2
-        assert c.hit_rate() == 0.5
+        c.reset_stats()
+        assert c.demand_misses == 0
+        assert c.contains(0x100)
 
     def test_probe_does_not_change_stats(self):
         c = small_cache()
         c.fill(0x100, 0)
-        c.probe(0x100)
+        touched = c.probe(0x100).last_touch
         c.probe(0x200)
-        assert c.demand_accesses == 0
+        assert c.demand_misses == 0
+        assert c.probe(0x100).last_touch == touched
 
     def test_contains(self):
         c = small_cache()
@@ -73,19 +74,6 @@ class TestBasicOperation:
         c.fill(0x100, 0)
         c.invalidate(0x100)
         assert not c.contains(0x100)
-
-    def test_write_sets_dirty(self):
-        c = small_cache()
-        c.fill(0x100, 0)
-        line = c.access(0x100, 1, is_write=True)
-        assert line.dirty
-
-    def test_dirty_eviction_counts_writeback(self):
-        c = small_cache(ways=1, sets=1)
-        c.fill(0x0, 0)
-        c.access(0x0, 1, is_write=True)
-        c.fill(0x1, 2)
-        assert c.writebacks == 1
 
 
 class TestEviction:
@@ -125,11 +113,16 @@ class TestEviction:
 
 
 class TestPrefetchAccounting:
+    """The cache reports a prefetched line's first demand use and an
+    evicted line's bits; the hierarchy counts them
+    (tests/test_hierarchy_extra.py)."""
+
     def test_first_use_counts_useful(self):
         c = small_cache()
         c.fill(0x10, 0, prefetched=True)
-        c.access(0x10, 1)
-        assert c.useful_prefetches == 1
+        assert not c.probe(0x10).used
+        line = c.access(0x10, 1)
+        assert line.used
         assert c.last_access_first_use
 
     def test_second_use_not_counted(self):
@@ -137,39 +130,45 @@ class TestPrefetchAccounting:
         c.fill(0x10, 0, prefetched=True)
         c.access(0x10, 1)
         c.access(0x10, 2)
-        assert c.useful_prefetches == 1
+        assert not c.last_access_first_use
+
+    def test_demand_fill_has_no_first_use(self):
+        c = small_cache()
+        c.fill(0x10, 0)
+        assert c.access(0x10, 1).used
         assert not c.last_access_first_use
 
     def test_late_prefetch_detected(self):
         c = small_cache()
         c.fill(0x10, 0, prefetched=True, ready=100)
-        c.access(0x10, 50)  # before the fill completes
-        assert c.late_useful_prefetches == 1
+        line = c.access(0x10, 50)  # before the fill completes
+        assert c.last_access_first_use and line.ready > 50
 
     def test_timely_prefetch_not_late(self):
         c = small_cache()
         c.fill(0x10, 0, prefetched=True, ready=10)
-        c.access(0x10, 50)
-        assert c.late_useful_prefetches == 0
+        line = c.access(0x10, 50)
+        assert c.last_access_first_use and line.ready <= 50
 
     def test_unused_prefetch_eviction_counted(self):
         c = small_cache(ways=1, sets=1)
         c.fill(0, 0, prefetched=True)
-        c.fill(1, 1)
-        assert c.useless_evictions == 1
+        evicted = c.fill(1, 1)
+        assert evicted == EvictionInfo(0, was_prefetched=True, was_used=False)
 
     def test_demand_fill_not_useless(self):
         c = small_cache(ways=1, sets=1)
         c.fill(0, 0)
-        c.fill(1, 1)
-        assert c.useless_evictions == 0
+        evicted = c.fill(1, 1)
+        assert evicted == EvictionInfo(0, was_prefetched=False, was_used=True)
 
     def test_touch_for_prefetcher(self):
         c = small_cache()
         c.fill(0x10, 0, prefetched=True)
         c.touch_for_prefetcher(0x10)
+        assert c.probe(0x10).used
         c.access(0x10, 1)
-        assert c.useful_prefetches == 0  # touch consumed the first-use
+        assert not c.last_access_first_use  # touch consumed the first-use
 
 
 class TestReplacementPolicies:

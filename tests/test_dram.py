@@ -67,13 +67,6 @@ class TestAccessTiming:
         second = d.access(10_000, 1)  # same row, later -> row hit
         assert second < first
 
-    def test_row_hit_miss_counters(self):
-        d = DramModel(DramConfig())
-        d.access(0, 0)
-        d.access(10_000, 1)
-        assert d.row_misses == 1
-        assert d.row_hits == 1
-
     def test_latency_at_least_burst(self):
         d = DramModel(DramConfig())
         assert d.access(0, 0) >= d.burst
@@ -124,7 +117,7 @@ class TestAccessTiming:
             if d.access(0, 2 * i, is_prefetch=True) is None:
                 dropped += 1
         assert dropped > 0
-        assert d.prefetches_dropped == dropped
+        assert d.reads == 600 - dropped  # a dropped prefetch moves no data
 
     def test_demands_never_dropped(self):
         d = DramModel(DramConfig())
@@ -173,12 +166,6 @@ class TestBandwidthMonitor:
         assert m.bucket(500) == 3
         assert m.bucket(700) < 3  # decayed after two idle windows
         assert m.bucket(2000) == 0  # fully decayed
-
-    def test_total_cas_counted(self):
-        m = BandwidthMonitor(window_cycles=100, peak_cas_per_window=10)
-        for cycle in range(0, 100, 10):
-            m.record_cas(cycle)
-        assert m.total_cas == 10
 
     def test_utilization_bounded(self):
         m = BandwidthMonitor(window_cycles=100, peak_cas_per_window=10)

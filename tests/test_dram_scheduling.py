@@ -102,7 +102,7 @@ class TestBandwidthAccounting:
         dram = fresh()
         dram.access(0, 0)
         dram.access(0, 100, is_prefetch=True)
-        assert dram.monitor.total_cas == 2
+        assert dram.monitor._counter == 2.0
 
     def test_utilization_rises_with_load(self):
         dram = fresh()

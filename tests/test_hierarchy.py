@@ -104,9 +104,9 @@ class TestDemandPath:
         probed = []
         real_access = Cache.access
 
-        def recording_access(cache, line_addr, cycle, is_write=False):
+        def recording_access(cache, line_addr, cycle):
             probed.append(cache)
-            return real_access(cache, line_addr, cycle, is_write)
+            return real_access(cache, line_addr, cycle)
 
         monkeypatch.setattr(Cache, "access", recording_access)
         _latency, hit_level = h.access(10_000, 0x400, ADDR)

@@ -475,11 +475,10 @@ def test_batched_crossing_parity_non_compiled_scheme():
 # only normalizes where entries sit; it leaves out transient slots, the
 # scratch buffers and the pollution logs (compared through the results).
 
-#: Slots that hold no machine state: batch bounds, buffer lengths and
-#: capacities, ring heads and stamp clocks.
+#: Slots that hold no machine state: buffer lengths and capacities, ring
+#: heads and stamp clocks.
 _TRANSIENT = frozenset(
     (
-        "end", "strict", "horizon",
         "win_head", "win_cap", "cand_len", "cand_cap",
         "bp_pend_head", "bp_pend_cap", "sm_clock", "st_clock",
         *(f"{log}_{n}" for log in ("pl_dem", "pl_fill", "pl_vic") for n in ("len", "cap")),
@@ -490,7 +489,7 @@ _SCRATCH = frozenset(("cand_line", "cand_lp", "pf_buf", "pl_dem", "pl_fill", "pl
 #: The arrays of the shared LLC/DRAM domain besides the LLC.
 _SHARED = ("bank_open", "bank_nextact", "bank_rowready", "ch_busfree", "ch_demandfree")
 _MSHRS = ("mshr_l1", "mshr_l2", "mshr_llc")
-_CACHE = ("touch", "line", "dirty", "pref", "used", "ready")
+_CACHE = ("touch", "line", "pref", "used", "ready")
 #: Arrays a view reads through its normalized entries only.
 _FOLDED = frozenset(
     (
@@ -523,8 +522,8 @@ def _stamped(rows):
 
 
 def _resident(arrays, level, ways):
-    """A cache level's resident lines as (set, touch, line, dirty, pref,
-    used, ready), set by set in touch (recency) order."""
+    """A cache level's resident lines as (set, touch, line, pref, used,
+    ready), set by set in touch (recency) order."""
     occupied = np.flatnonzero(arrays[level + "_valid"])
     columns = [occupied // ways, *(arrays[f"{level}_{f}"][occupied] for f in _CACHE)]
     return sorted(zip(*(column.tolist() for column in columns)))
@@ -685,8 +684,8 @@ def _diverging(state, view):
 def test_machine_view_sees_state_not_placement():
     """The view ignores where the flat form places an entry (a line's
     way, a ring's head, a stamp's value, a heap's order, transient
-    slots) and sees state that no result reads: an LLC dirty bit, an
-    MSHR entry, a DRAM bank's open row."""
+    slots) and sees state that no result reads: an LLC line's used bit,
+    an MSHR entry, a DRAM bank's open row."""
     from repro.cpu.core import CoreExecution
     from repro.memory.dram import DramModel
     from repro.memory.hierarchy import MemoryHierarchy
@@ -714,7 +713,7 @@ def test_machine_view_sees_state_not_placement():
     a, b = full * ways, full * ways + 1
 
     # Placement: swap two ways, rotate both rings, restamp and reorder
-    # SMS's AT, reverse a heap, touch the transient slots.
+    # SMS's AT, reverse a heap, touch a transient slot.
     for column in llc.values():
         column[[a, b]] = column[[b, a]]
     for ring, head, n, cap in (
@@ -733,14 +732,13 @@ def test_machine_view_sees_state_not_placement():
     n = int(ci[layout.CI64["mshr_l2_len"]])
     assert n > 1
     state.mshr_l2[:n] = state.mshr_l2[:n][::-1].copy()
-    for slot in ("end", "sm_clock"):
-        ci[layout.CI64[slot]] += 7
+    ci[layout.CI64["sm_clock"]] += 7
     assert not _diverging(state, view)
 
     # State: each change shows under its own key.
-    llc["dirty"][a] ^= 1
+    llc["used"][a] ^= 1
     assert _diverging(state, view) == ["shared.llc"]
-    llc["dirty"][a] ^= 1
+    llc["used"][a] ^= 1
     n = int(ci[layout.CI64["mshr_llc_len"]])
     ci[layout.CI64["mshr_llc_len"]] = n + 1
     assert _diverging(state, view) == ["core0.mshr_llc_len", "core0.mshr_llc"]
@@ -757,8 +755,8 @@ def test_machine_view_sees_state_not_placement():
 )
 def test_end_of_run_state_is_identical(scheme, warmup_frac, cores, monkeypatch):
     """Object and compiled runs end in the same machine, whether training
-    ran in generated C or in Python: every cache line with its recency,
-    dirty and prefetch bits, the MSHRs, the in-flight prefetches, the ROB
+    ran in generated C or in Python: every cache line with its recency
+    and prefetch bits, the MSHRs, the in-flight prefetches, the ROB
     window, the stride table, the DRAM banks and monitor, every counter,
     and each scheme component's tables in their order (DSPatch's page
     buffer, SMS's AT, FT and PHT sets, the streamer's page table, ...),

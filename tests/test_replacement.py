@@ -31,8 +31,6 @@ class TestEndToEndPollution:
             hierarchy = MemoryHierarchy(
                 config=config, dram=DramModel(), l2_prefetcher=StreamPrefetcher()
             )
-            ex = CoreExecution(CoreModel(), trace, hierarchy)
-            ex.run()
-            return hierarchy.llc.demand_hits
+            return CoreExecution(CoreModel(), trace, hierarchy).run().llc_hits
 
         assert run("pf-dead-block") >= run("lru") * 0.9

@@ -51,7 +51,7 @@ class TestHierarchyReset:
         # The last access's line survived the reset: re-accessing it hits.
         _gap, pc, addr, _flags = trace[799]
         _latency, level = hierarchy.access(ex.time, pc, addr)
-        assert level == L1 and hierarchy.l1.demand_hits == 1
+        assert level == L1 and hierarchy.l1.demand_misses == 0
 
     def test_dram_reset_zeroes_counters(self):
         dram = DramModel()
@@ -59,8 +59,10 @@ class TestHierarchyReset:
         dram.access(100, 0x200)
         assert dram.reads == 2
         dram.reset_stats(cycle=200)
-        assert dram.reads == 0
-        assert dram.monitor.total_cas == 0
+        counters = dram.counters()
+        assert (counters.reads, counters.writes) == (0, 0)
+        assert counters.stats_start == 200
+        assert counters.bucket_cycles == (0, 0, 0, 0)
 
 
 class TestSystemWarmup:
