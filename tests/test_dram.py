@@ -67,6 +67,24 @@ class TestAccessTiming:
         second = d.access(10_000, 1)  # same row, later -> row hit
         assert second < first
 
+    def test_row_hit_pays_cas_only(self):
+        """On an idle channel a row miss pays precharge, activate and CAS;
+        a row hit pays only the CAS."""
+        d = DramModel(DramConfig())
+        assert d.access(0, 0) == d.tRP + d.tRCD + d.tCL + d.burst
+        assert d.access(10_000, 1) == d.tCL + d.burst
+
+    def test_bank_holds_one_open_row(self):
+        """Opening another row of a bank closes the one it held."""
+        cfg = DramConfig()
+        d = DramModel(cfg)
+        miss = d.tRP + d.tRCD + d.tCL + d.burst
+        other_row = cfg.lines_per_row * cfg.banks_per_channel  # bank 0, row 1
+        d.access(0, 0)
+        assert d.access(10_000, other_row) == miss  # row conflict
+        assert d.access(20_000, 1) == miss  # row 0 was closed
+        assert d.access(30_000, 2) == d.tCL + d.burst  # row 0 is open again
+
     def test_latency_at_least_burst(self):
         d = DramModel(DramConfig())
         assert d.access(0, 0) >= d.burst
@@ -166,6 +184,16 @@ class TestBandwidthMonitor:
         assert m.bucket(500) == 3
         assert m.bucket(700) < 3  # decayed after two idle windows
         assert m.bucket(2000) == 0  # fully decayed
+
+    def test_total_cas_counted(self):
+        """Every CAS of a window adds one to its counter; the window's
+        end halves it (Section 3.2)."""
+        m = BandwidthMonitor(window_cycles=100, peak_cas_per_window=10)
+        for cycle in range(0, 100, 10):
+            m.record_cas(cycle)
+        assert m._counter == 10
+        m.record_cas(100)
+        assert m._counter == 10 / 2 + 1
 
     def test_utilization_bounded(self):
         m = BandwidthMonitor(window_cycles=100, peak_cas_per_window=10)

@@ -33,7 +33,12 @@ class TestMshr:
         m.allocate(0, 100)
         wait = m.allocate(10, 150)
         assert wait == 90  # waited until cycle 100
-        # ... and its own completion moves back by the wait
+
+    def test_wait_delays_own_completion(self):
+        """An entry that waited for a free slot completes that much later."""
+        m = MshrFile(1)
+        m.allocate(0, 100)
+        m.allocate(10, 150)  # waits 90 cycles for the first entry
         assert m.outstanding(239) == 1
         assert m.outstanding(240) == 0
 
