@@ -274,7 +274,7 @@ class CoreExecution:
         moves, mirroring the warmup-then-measure methodology of the paper's
         simulator.
         """
-        self._stats_floor = (self._instr, self._retire, tuple(self._hits))
+        self._stats_floor = (self._instr, self._pos, self._retire, tuple(self._hits))
 
     def finalize(self):
         """Close out stats without requiring the trace to be exhausted.
@@ -290,16 +290,16 @@ def measured_stats(instr, ops, retire, hits, floor=None):
 
     ``instr``/``ops``/``retire``/``hits`` are the core's running counters
     (instructions, memory ops, retirement time, per-level hits) and
-    ``floor`` their ``(instr, retire, hits)`` at the warmup boundary
+    ``floor`` their ``(instr, ops, retire, hits)`` at the warmup boundary
     (:meth:`CoreExecution.mark_stats_start`), or ``None`` to measure the
     whole run.  The one definition both kernels report through.
     """
     if floor is None:
-        floor = (0, 0.0, (0, 0, 0, 0))
-    floor_instr, floor_retire, floor_hits = floor
+        floor = (0, 0, 0.0, (0, 0, 0, 0))
+    floor_instr, floor_ops, floor_retire, floor_hits = floor
     return CoreStats(
         instructions=instr - floor_instr,
-        memory_ops=ops,
+        memory_ops=ops - floor_ops,
         cycles=max(retire - floor_retire, 1e-9),
         l1_hits=hits[0] - floor_hits[0],
         l2_hits=hits[1] - floor_hits[1],

@@ -18,15 +18,30 @@ Three implementations ship here:
 - :class:`TieredBackend` — a read-through pair: a writable local backend
   over a read-only shared one (a network mount, a CI artifact dir); the
   content-addressed keys make entries portable across hosts.
+
+:class:`LocalDirBackend` saves are write-behind.  ``save_result``
+pickles the result on the caller's thread and hands the bytes to the
+process's one writer thread, which makes them durable (fsync, rename,
+directory fsync) while the caller simulates the next spec.  Readers
+wait for what they depend on: a load waits for a pending write of its
+own key, and ``stats``, ``gc``, ``verify`` and ``clear`` wait for every
+pending write.  :func:`flush_writes` waits for all of them and ends the
+thread; ``Session.run`` calls it before it returns and before it starts
+a process pool, and pool workers call it before they hand a result
+back.  Writes still pending at interpreter exit complete before the
+process ends.
 """
 
+import functools
 import os
 import pickle
 import re
 import shutil
 import sys
 import tempfile
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
@@ -55,6 +70,75 @@ def _fsync_directory(path):
         pass
     finally:
         os.close(fd)
+
+
+#: Name prefix of the writer thread (tests look for it).
+WRITER_THREAD_NAME = "repro-store-writer"
+
+
+class _WriteBehind:
+    """The process's pending ``LocalDirBackend`` writes and their thread.
+
+    One per process, not per backend: ``Session.store`` builds a new
+    backend at each use, and a load through one must wait for a save
+    through another.  One single-thread executor runs the writes in
+    submission order; it starts at the first write after a flush, so a
+    process that never saves never starts it.  Its thread is not a
+    daemon: at interpreter exit the executor finishes every queued write
+    before the process ends.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._pool = None
+        #: path -> Future of the newest write queued for that path.
+        self._pending = {}
+
+    def submit(self, path, blob, on_error):
+        with self._lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(1, thread_name_prefix=WRITER_THREAD_NAME)
+            future = self._pool.submit(_write_blob, path, blob, on_error)
+            self._pending[path] = future
+        # Outside the lock: a write already done runs the callback here.
+        future.add_done_callback(functools.partial(self._retire, path))
+
+    def _retire(self, path, future):
+        with self._lock:
+            if self._pending.get(path) is future:
+                del self._pending[path]
+
+    def wait(self, path):
+        """Block until every write queued for ``path`` is on disk (writes
+        run in order, so the newest one finishing covers the rest)."""
+        future = self._pending.get(path)
+        if future is not None:
+            future.result()
+
+    def flush(self):
+        """Block until every queued write is on disk; end the thread."""
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+
+def _write_blob(path, blob, on_error):
+    """One write-behind save, on the writer thread.  A failure is
+    reported and stops no later write: no caller is left to raise to."""
+    try:
+        LocalDirBackend._atomic_write(path, lambda f: f.write(blob))
+    except Exception as exc:  # noqa: BLE001 - the writer thread's boundary
+        on_error(exc)
+
+
+_WRITES = _WriteBehind()
+
+
+def flush_writes():
+    """Block until every write-behind save of this process is durable,
+    and end the writer thread (the next save starts a new one)."""
+    _WRITES.flush()
 
 
 @runtime_checkable
@@ -104,7 +188,9 @@ class LocalDirBackend:
     Writes are best-effort: the store is an optimization, so an
     unwritable cache directory degrades to no-persistence (with one
     warning on stderr) instead of failing the simulation that produced
-    the result.
+    the result.  They are also write-behind (see the module docstring):
+    a save returns once its bytes are pickled, and every read in the
+    process waits for the writes it depends on.
     """
 
     #: Roots that already warned about failed writes (class-level so the
@@ -177,6 +263,7 @@ class LocalDirBackend:
     def load_result(self, digest):
         """Return the stored object for ``digest`` or ``None`` on a miss."""
         path = self._result_path(digest)
+        _WRITES.wait(path)
         try:
             with open(path, "rb") as f:
                 result = pickle.load(f)["result"]
@@ -191,20 +278,19 @@ class LocalDirBackend:
         return result
 
     def save_result(self, digest, result, meta=None):
-        """Persist ``result`` under ``digest`` (atomic, best-effort)."""
+        """Persist ``result`` under ``digest`` (atomic, best-effort).
+
+        The result is pickled here, so later changes to it are not
+        stored; the writer thread makes the bytes durable."""
         payload = {"meta": meta or {}, "result": result}
-        try:
-            self._atomic_write(
-                self._result_path(digest),
-                lambda f: pickle.dump(payload, f, protocol=pickle.HIGHEST_PROTOCOL),
-            )
-        except OSError as exc:
-            self._write_failed(exc)
+        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        _WRITES.submit(self._result_path(digest), blob, self._write_failed)
 
     # -- maintenance ---------------------------------------------------------
 
     def clear(self):
         """Delete every cached result."""
+        flush_writes()
         # ``traces/`` is swept too: a store written while traces were still
         # persisted holds a trace tree that nothing reads any more, and
         # ``repro cache clear`` must still empty it.
@@ -252,6 +338,7 @@ class LocalDirBackend:
         """
         if max_bytes < 0:
             raise ValueError("max_bytes must be non-negative")
+        flush_writes()
         entries = self._artifacts()
         total = sum(size for _, size, _ in entries)
         removed = 0
@@ -279,6 +366,7 @@ class LocalDirBackend:
 
     def stats(self):
         """Entry count and total bytes, for ``repro cache`` / tests."""
+        flush_writes()
         files = self._files()
         return {"results": len(files), "bytes": sum(p.stat().st_size for p in files)}
 
@@ -312,6 +400,7 @@ class LocalDirBackend:
         ``(reason, path)`` pairs (reason in ``"corrupt"``/``"foreign"``).
         In-progress ``.tmp-`` writer files are skipped, like ``gc``.
         """
+        flush_writes()
         report = {
             "checked": 0,
             "ok": 0,

@@ -19,6 +19,12 @@ sequential/parallel execution.  :meth:`Session.trace` is the one way to
 get a trace: it is memoized in the process and rebuilt on a memo miss,
 never stored.
 
+A batch's results are on disk when :meth:`Session.run` returns, even
+when it raises.  :class:`~repro.engine.backends.LocalDirBackend` saves
+are write-behind (their fsyncs overlap the next spec's simulation), so
+a batch waits for its writes before it returns, and before it starts a
+process pool, so that no writer thread is alive at the fork.
+
 Two sessions never share memo state; they share persisted results only
 if their backends point at the same store (a local directory, or a
 mounted ``shared_cache_dir`` another host populated).  The **default
@@ -34,6 +40,7 @@ from pathlib import Path
 
 from repro.engine import compute
 from repro.engine import config as _config
+from repro.engine.backends import flush_writes
 from repro.engine.config import EngineConfig, backend_for
 from repro.engine.specs import SPEC_TYPES, RunSpec, TraceSpec
 
@@ -115,7 +122,8 @@ class Session:
         :meth:`trace`).  Memo hits are served immediately; misses are
         deduplicated and executed — across a process pool when ``jobs``
         (or the session's configured ``jobs``) exceeds 1 — then merged
-        back deterministically in input order.
+        back deterministically in input order.  Every result the batch
+        computed is in the store when it returns or raises.
         """
         # A lone TraceSpec counts as one spec, so its TypeError names
         # Session.trace instead of complaining that it is not iterable.
@@ -141,7 +149,10 @@ class Session:
                 if key not in positions:
                     positions[key] = len(unique_specs)
                     unique_specs.append(spec_list[i])
-            computed = self._execute(unique_specs, jobs)
+            try:
+                computed = self._execute(unique_specs, jobs)
+            finally:
+                flush_writes()
             for i in miss_indices:
                 memo, key = slots[i]
                 result = computed[positions[key]]
@@ -198,6 +209,8 @@ class Session:
             computed = [self._produce(todo[0])]
             produced_inline = True
         elif todo:
+            # No writer thread may be alive when the pool forks.
+            flush_writes()
             try:
                 with ProcessPoolExecutor(
                     max_workers=min(workers, len(todo)),
@@ -289,8 +302,12 @@ def _init_worker(cfg, explicit_backend, no_store=False):
 
 
 def _worker_produce(spec):
-    """Compute one spec inside a pool worker."""
-    return _WORKER_SESSION._produce(spec)
+    """Compute one spec inside a pool worker; its save is durable before
+    the parent sees the result."""
+    try:
+        return _WORKER_SESSION._produce(spec)
+    finally:
+        flush_writes()
 
 
 # -- the default session -----------------------------------------------------

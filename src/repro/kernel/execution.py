@@ -211,14 +211,20 @@ class KernelExecution:
         # memoryviews read and write plain Python ints, bypassing numpy's
         # boxed scalars in the train callback
         self._mci = memoryview(self.state.ci64)
+        #: The array object each table entry points at.
+        self._pointed = {}
         self._point_table()
         self._stats_floor = None
 
     def _point_table(self):
-        """Enter the state's arrays in the pointer table (at the start,
-        and after a growth re-laid one)."""
+        """Enter in the pointer table each of the state's arrays that is
+        not there yet: all of them at the start, and after a growth the
+        ones it re-laid."""
+        pointed = self._pointed
         for name, arr in self.state.array_map().items():
-            self.table[PTR[name]] = arr.ctypes.data
+            if pointed.get(name) is not arr:
+                pointed[name] = arr
+                self.table[PTR[name]] = arr.ctypes.data
         self._mcand_line = memoryview(self.state.cand_line)
         self._mcand_lp = memoryview(self.state.cand_lp)
 
@@ -290,7 +296,12 @@ class KernelExecution:
     def mark_stats_start(self):
         """Set the measured-region floor from the live working state."""
         ci = self.state.ci64
-        self._stats_floor = (int(ci[CI64["instr"]]), self.time, tuple(ci[HITS].tolist()))
+        self._stats_floor = (
+            int(ci[CI64["instr"]]),
+            self.ops,
+            self.time,
+            tuple(ci[HITS].tolist()),
+        )
 
     # ------------------------------------------------- warmup-boundary resets
 

@@ -55,7 +55,3 @@ class MshrFile:
         heap = self._ready_heap
         while heap and heap[0] <= cycle:
             heapq.heappop(heap)
-
-    def reset(self):
-        """Clear all in-flight state."""
-        self._ready_heap.clear()

@@ -51,6 +51,15 @@ def _check_result(cfg, trace, result):
 
 
 @pytest.fixture(autouse=True)
+def _no_pending_writes():
+    """No write-behind save, and no writer thread, outlives its test."""
+    from repro.engine.backends import flush_writes
+
+    yield
+    flush_writes()
+
+
+@pytest.fixture(autouse=True)
 def _result_invariants(monkeypatch):
     """Check every core's result of every run against
     :func:`_check_result`: every run goes through ``_simulate``."""

@@ -15,6 +15,7 @@ touching a developer's cache.
 
 import dataclasses
 import importlib
+import io
 import multiprocessing
 import os
 import pickle
@@ -35,7 +36,7 @@ from repro.engine import (
     TraceSpec,
     compute,
 )
-from repro.engine.backends import _DIGEST_RE
+from repro.engine.backends import _DIGEST_RE, flush_writes
 from repro.engine.config import KERNEL_CHOICES
 from repro.engine.session import default_session
 from repro.experiments import api
@@ -220,6 +221,7 @@ class TestLocalDirBackend:
         store = LocalDirBackend(tmp_path / "s")
         digest = "cd" + "0" * 62
         store.save_result(digest, 42)
+        flush_writes()  # saves are write-behind: on disk before it is damaged
         path = store._result_path(digest)
         path.write_bytes(b"not a pickle")
         assert store.load_result(digest) is None
@@ -334,6 +336,7 @@ class TestGarbageCollection:
         store = LocalDirBackend(tmp_path / "s")
         for i in range(4):
             store.save_result(self._digest(i), b"x" * 4096)
+        flush_writes()  # saves are write-behind: on disk before they are aged
         # Age entries 0 and 1; leave 2 and 3 recent.
         for i in (0, 1):
             path = store._result_path(self._digest(i))
@@ -353,6 +356,7 @@ class TestGarbageCollection:
         store = LocalDirBackend(tmp_path / "s")
         for i in range(3):
             store.save_result(self._digest(i), b"x" * 4096)
+            flush_writes()
             path = store._result_path(self._digest(i))
             os.utime(path, (1000 + i, 1000 + i))
         assert store.load_result(self._digest(0)) is not None  # touch oldest
@@ -406,6 +410,7 @@ class TestDiskCorruption:
     def test_truncated_pickle_is_a_miss(self, tmp_path):
         backend = LocalDirBackend(tmp_path)
         backend.save_result(DIGEST, {"v": 1})
+        flush_writes()  # saves are write-behind: on disk before it is damaged
         path = backend._result_path(DIGEST)
         path.write_bytes(path.read_bytes()[:11])
         assert backend.load_result(DIGEST) is None
@@ -413,6 +418,7 @@ class TestDiskCorruption:
     def test_garbage_pickle_is_a_miss(self, tmp_path):
         backend = LocalDirBackend(tmp_path)
         backend.save_result(DIGEST, {"v": 1})
+        flush_writes()
         backend._result_path(DIGEST).write_bytes(b"\x80\x05garbage")
         assert backend.load_result(DIGEST) is None
 
@@ -723,6 +729,8 @@ class TestVerifyScrub:
         backend = LocalDirBackend(tmp_path / "store")
         backend.save_result(self.DIGEST, {"v": 1})
         backend.save_result(self.DIGEST2, {"v": 2})
+        # Saves are write-behind: the tests damage the files themselves.
+        flush_writes()
         return backend
 
     def test_clean_store_verifies_clean(self, store):
@@ -772,6 +780,7 @@ class TestVerifyScrub:
         path.write_bytes(b"first corruption")
         store.verify(repair=True)
         store.save_result(self.DIGEST, {"v": 3})
+        flush_writes()
         path.write_bytes(b"second corruption")
         store.verify(repair=True)
         names = sorted(p.name for p in (store.root / "corrupt").iterdir())
@@ -836,26 +845,32 @@ class TestVerifyScrub:
         shared = LocalDirBackend(tmp_path / "shared", touch_on_load=False)
         tiered = TieredBackend(local, shared)
         tiered.save_result(self.DIGEST, {"v": 1})
+        flush_writes()
         local._result_path(self.DIGEST).write_bytes(b"torn")
         report = tiered.verify(repair=True)
         assert report["corrupt"] == 1 and report["quarantined"] == 1
 
 
+class _DiskFull(io.FileIO):
+    """A file that takes a few bytes, then reports a full disk."""
+
+    def write(self, data):
+        super().write(bytes(data[:8]))
+        raise OSError(28, "No space left on device")
+
+
 class TestAtomicWrites:
     """A write that fails half-way never publishes a torn entry."""
-
-    @staticmethod
-    def _disk_full_dump(obj, f, protocol=None):
-        f.write(b"\x80\x05partial")
-        raise OSError(28, "No space left on device")
 
     def test_failed_result_write_keeps_the_previous_entry(
         self, tmp_path, monkeypatch, capsys
     ):
         store = LocalDirBackend(tmp_path / "s")
         store.save_result(DIGEST, {"v": 1})
-        monkeypatch.setattr(pickle, "dump", self._disk_full_dump)
+        flush_writes()
+        monkeypatch.setattr(os, "fdopen", _DiskFull)
         store.save_result(DIGEST, {"v": 2})
+        flush_writes()  # the write fails on the writer thread
         monkeypatch.undo()
         assert store.load_result(DIGEST) == {"v": 1}
         assert _tmp_files(store.root) == []
@@ -863,8 +878,9 @@ class TestAtomicWrites:
 
     def test_failed_first_result_write_publishes_nothing(self, tmp_path, monkeypatch):
         store = LocalDirBackend(tmp_path / "s")
-        monkeypatch.setattr(pickle, "dump", self._disk_full_dump)
+        monkeypatch.setattr(os, "fdopen", _DiskFull)
         store.save_result(DIGEST, {"v": 1})
+        flush_writes()
         monkeypatch.undo()
         assert store.load_result(DIGEST) is None
         assert store.stats()["results"] == 0

@@ -47,12 +47,6 @@ class TestMshr:
         m.allocate(0, 100)
         assert m.allocate(200, 300) == 0
 
-    def test_reset(self):
-        m = MshrFile(2)
-        m.allocate(0, 100)
-        m.reset()
-        assert m.outstanding(0) == 0
-
     def test_capacity_respected_under_pressure(self):
         m = MshrFile(2)
         waits = [m.allocate(0, 100 + 10 * i) for i in range(6)]

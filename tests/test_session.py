@@ -24,6 +24,7 @@ from repro.engine import (
     TraceSpec,
     default_session,
 )
+from repro.engine.backends import flush_writes
 from repro.memory.dram import DramConfig
 
 
@@ -384,6 +385,7 @@ class TestTieredBackend:
         (its owner's LRU eviction order is not ours)."""
         writer = LocalDirBackend(tmp_path / "shared")
         writer.save_result("ab" + "0" * 62, {"x": 1})
+        flush_writes()  # saves are write-behind: on disk before it is aged
         path = writer._result_path("ab" + "0" * 62)
         os.utime(path, (1000, 1000))
         reader = LocalDirBackend(tmp_path / "shared", touch_on_load=False)

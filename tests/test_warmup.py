@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.cpu.core import CoreExecution, CoreModel
+from repro.cpu.core import CoreExecution, CoreModel, interleave_two_level
 from repro.cpu.system import System, SystemConfig
+from repro.kernel import kernel_available
 from repro.memory.dram import DramModel
 from repro.memory.hierarchy import L1, MemoryHierarchy
 from repro.workloads.catalog import build_trace
@@ -26,6 +27,27 @@ class TestCoreStatsFloor:
         assert stats.instructions < trace.instructions
         assert stats.cycles > 0
         assert sum(stats.level_hits.values()) == 1500
+
+    @pytest.mark.parametrize("kernel", ["object", "compiled"])
+    def test_memory_ops_count_from_the_floor(self, trace, kernel):
+        """Like the hits, ``memory_ops`` counts the measured region only."""
+        cfg = SystemConfig.single_thread()
+        dram = DramModel(cfg.dram)
+        if kernel == "compiled":
+            if not kernel_available():
+                pytest.skip("no C toolchain: the compiled kernel cannot be built")
+            from repro.kernel.execution import KernelDomain, KernelExecution
+
+            domain = KernelDomain(cfg.hierarchy.llc, dram)
+            ex = KernelExecution(cfg, trace, domain)
+            domain.interleave([ex], [500], lambda idx: ex.mark_stats_start())
+            stats = ex.counters()[0]
+        else:
+            hierarchy = MemoryHierarchy(config=cfg.hierarchy, dram=dram)
+            ex = CoreExecution(cfg.core, trace, hierarchy)
+            interleave_two_level([ex], [500], lambda idx: ex.mark_stats_start())
+            stats = ex.finalize()
+        assert stats.memory_ops == sum(stats.level_hits.values()) == 1500
 
     def test_no_floor_counts_everything(self, trace):
         hierarchy = MemoryHierarchy(dram=DramModel())
