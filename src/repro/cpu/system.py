@@ -309,7 +309,7 @@ def _result_from(execution, hierarchy, dram):
     return _run_result(
         execution.finalize(),
         hierarchy.pf_stats,
-        hierarchy.l2.demand_misses,
+        hierarchy.l2_demand_misses,
         logs,
         dram.config,
         dram.counters(),

@@ -27,9 +27,8 @@ wait for what they depend on: a load waits for a pending write of its
 own key, and ``stats``, ``gc``, ``verify`` and ``clear`` wait for every
 pending write.  :func:`flush_writes` waits for all of them and ends the
 thread; ``Session.run`` calls it before it returns and before it starts
-a process pool, and pool workers call it before they hand a result
-back.  Writes still pending at interpreter exit complete before the
-process ends.
+a process pool.  Writes still pending at interpreter exit complete
+before the process ends.
 """
 
 import functools
@@ -150,11 +149,6 @@ class StoreBackend(Protocol):
     fail the simulation that produced the result).
     """
 
-    #: Whether writes made in one process are visible from another (true
-    #: for filesystem-backed stores).  Sessions use this to decide how to
-    #: involve the backend in process-pool execution.
-    shared_across_processes: bool
-
     def load_result(self, digest): ...
 
     def save_result(self, digest, result, meta=None): ...
@@ -174,9 +168,9 @@ class LocalDirBackend:
     ``<aa>`` is the first two hex digits of the digest (fan-out so a
     large cache does not put tens of thousands of files in one
     directory).  Writes go through a temp file + ``os.replace`` so
-    concurrent writers (the process-pool workers) can never expose a
-    torn file; both writers produce identical bytes-for-key content, so
-    the race is benign.
+    concurrent writers (two processes sharing one store) can never
+    expose a torn file; both writers produce identical bytes-for-key
+    content, so the race is benign.
 
     Results are pickled, not JSON-encoded: the acceptance bar for the
     cache is *bit-for-bit* identity with a fresh computation, and pickle
@@ -196,8 +190,6 @@ class LocalDirBackend:
     #: Roots that already warned about failed writes (class-level so the
     #: warning fires once per location, not once per store instance).
     _warned_roots = set()
-
-    shared_across_processes = True
 
     def __init__(self, root, touch_on_load=True):
         self.root = Path(root)
@@ -365,10 +357,20 @@ class LocalDirBackend:
         }
 
     def stats(self):
-        """Entry count and total bytes, for ``repro cache`` / tests."""
+        """Entry count and total bytes, for ``repro cache`` / tests.
+
+        An in-progress ``.tmp-`` file counts in ``bytes`` only; a file
+        that vanishes mid-walk (another process renamed or evicted it) is
+        skipped, as ``gc`` skips it."""
         flush_writes()
-        files = self._files()
-        return {"results": len(files), "bytes": sum(p.stat().st_size for p in files)}
+        results = size = 0
+        for path in self._files():
+            try:
+                size += path.stat().st_size
+            except OSError:
+                continue
+            results += not path.name.startswith(".tmp-")
+        return {"results": results, "bytes": size}
 
     @staticmethod
     def _decodable(path):
@@ -460,8 +462,6 @@ class InMemoryBackend:
     backend a faithful stand-in for tests.
     """
 
-    shared_across_processes = False
-
     def __init__(self):
         self._results = {}
 
@@ -497,14 +497,6 @@ class TieredBackend:
     def __init__(self, local, shared):
         self.local = local
         self.shared = shared
-
-    @property
-    def shared_across_processes(self):
-        """Cross-process iff both tiers are."""
-        return bool(
-            getattr(self.local, "shared_across_processes", False)
-            and getattr(self.shared, "shared_across_processes", False)
-        )
 
     def load_result(self, digest):
         result = self.local.load_result(digest)

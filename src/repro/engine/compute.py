@@ -1,18 +1,17 @@
-"""Computation layer: pure simulation plus store-aware production.
+"""Computation layer: pure simulation plus the store's save/load shape.
 
-Two levels live here, both spec-driven:
+Everything here is spec-driven and touches no store on its own:
 
-- **pure compute** (:func:`build_trace_artifact`, :func:`simulate_run`,
+- **pure compute** (:func:`simulate`, over :func:`simulate_run` and
   :func:`simulate_mix`) — the exact pre-engine sequential code path
   (same construction order, same arithmetic), no caching.  Results are
   bit-for-bit identical whether computed in-process, by a pool worker,
   or loaded back from any store backend;
-- **store-aware production** (:func:`produce_run_with`,
-  :func:`produce_mix_with`) — consult a
-  :class:`~repro.engine.backends.StoreBackend` under the spec's
-  content-addressed fingerprint, compute on a miss, write the fresh
-  result back.  These are what :class:`repro.engine.session.Session`
-  (and its pool workers) execute.
+- **store access** (:func:`load_artifact`, :func:`save_artifact`) — one
+  result under its spec's content-addressed fingerprint, in a
+  :class:`~repro.engine.backends.StoreBackend` the caller passes.
+  :class:`repro.engine.session.Session` calls them in its own process;
+  pool workers only simulate.
 
 A trace is an input, not a stored artifact: :func:`produce_trace_with`
 serves it from an in-process memo or builds it, and no backend ever
@@ -66,7 +65,14 @@ def simulate_mix(spec):
     return MultiCoreSystem(config).run(traces)
 
 
-# -- store-aware production ------------------------------------------------
+def simulate(spec, trace_memo):
+    """One spec's result: a run on its memoized trace, or a mix."""
+    if isinstance(spec, RunSpec):
+        return simulate_run(spec, produce_trace_with(spec.trace_spec, trace_memo))
+    return simulate_mix(spec)
+
+
+# -- store access and traces ------------------------------------------------
 
 
 def load_artifact(spec, backend):
@@ -102,21 +108,3 @@ def produce_trace_with(spec, memo):
     if trace is None:
         trace = memo[key] = build_trace_artifact(spec)
     return trace
-
-
-def produce_run_with(spec, backend, trace_memo):
-    """Load-or-compute one single-core run; returns a ``RunResult``."""
-    result = load_artifact(spec, backend)
-    if result is None:
-        result = simulate_run(spec, produce_trace_with(spec.trace_spec, trace_memo))
-        save_artifact(spec, result, backend)
-    return result
-
-
-def produce_mix_with(spec, backend):
-    """Load-or-compute one mix; returns a ``MultiProgramResult``."""
-    result = load_artifact(spec, backend)
-    if result is None:
-        result = simulate_mix(spec)
-        save_artifact(spec, result, backend)
-    return result

@@ -19,11 +19,17 @@ sequential/parallel execution.  :meth:`Session.trace` is the one way to
 get a trace: it is memoized in the process and rebuilt on a memo miss,
 never stored.
 
-A batch's results are on disk when :meth:`Session.run` returns, even
-when it raises.  :class:`~repro.engine.backends.LocalDirBackend` saves
-are write-behind (their fsyncs overlap the next spec's simulation), so
-a batch waits for its writes before it returns, and before it starts a
-process pool, so that no writer thread is alive at the fork.
+The session is the only code that touches its store.  It probes the
+store for every spec of a batch before anything runs, and saves every
+result the batch computed; a pool worker is told only the kernel choice
+and the directory the compiled kernel is built under, and returns what
+it simulated.  A batch's results are on disk when :meth:`Session.run`
+returns, even when it raises.  :class:`~repro.engine.backends.LocalDirBackend`
+saves are write-behind: a sequentially computed result is saved at
+once, so its fsyncs overlap the next spec's simulation, and a batch
+waits for its writes before it returns.  No writer thread is alive at a
+fork: a batch flushes before it starts a pool, and saves pooled results
+once the pool has closed.
 
 Two sessions never share memo state; they share persisted results only
 if their backends point at the same store (a local directory, or a
@@ -120,10 +126,11 @@ class Session:
         :class:`RunSpec` and :class:`MixSpec` (returns a list); a
         :class:`TraceSpec` is a ``TypeError`` (traces come from
         :meth:`trace`).  Memo hits are served immediately; misses are
-        deduplicated and executed — across a process pool when ``jobs``
-        (or the session's configured ``jobs``) exceeds 1 — then merged
-        back deterministically in input order.  Every result the batch
-        computed is in the store when it returns or raises.
+        deduplicated, probed in the store and the rest computed — across
+        a process pool when ``jobs`` (or the session's configured
+        ``jobs``) exceeds 1 — then merged back deterministically in input
+        order.  Every result the batch computed is in the store when it
+        returns or raises.
         """
         # A lone TraceSpec counts as one spec, so its TypeError names
         # Session.trace instead of complaining that it is not iterable.
@@ -170,80 +177,48 @@ class Session:
         memo = self._run_memo if isinstance(spec, RunSpec) else self._mix_memo
         return memo, spec.fingerprint()
 
-    def _produce(self, spec):
-        """Compute one spec through this session's backend (no memo)."""
-        if isinstance(spec, RunSpec):
-            return compute.produce_run_with(spec, self.store, self._trace_memo)
-        return compute.produce_mix_with(spec, self.store)
-
     def _execute(self, specs, jobs):
-        """Execute deduplicated miss specs; sequential or pooled."""
+        """Execute deduplicated miss specs.  Only this process touches the
+        store: it probes it for every spec, computes the misses (over a
+        pool when ``jobs > 1`` and more than one missed) and saves each
+        computed result."""
         cfg = self.config()
         jobs = cfg.jobs if jobs is None else max(1, int(jobs))
-        if jobs <= 1 or len(specs) <= 1:
-            return [self._produce(spec) for spec in specs]
-        workers = min(jobs, len(specs))
-        backend = self._explicit_backend
-        # A cross-process backend (filesystem-backed) travels to the
-        # workers, which persist as they compute — exactly like the
-        # config-derived store.  A process-local backend (e.g.
-        # InMemoryBackend) would only be pickled into throwaway copies,
-        # so keep it out of the pool and persist the returned results
-        # here instead, as sequential execution would.
-        backend_is_shared = backend is not None and bool(
-            getattr(backend, "shared_across_processes", False)
-        )
-        if backend is not None and not backend_is_shared:
-            # A process-local backend cannot be consulted from workers, so
-            # probe it here first and dispatch only the true misses.
-            results = [compute.load_artifact(spec, backend) for spec in specs]
-            todo = [spec for spec, hit in zip(specs, results) if hit is None]
-        else:
-            results = [None] * len(specs)
-            todo = list(specs)
-        computed = []
-        produced_inline = False
-        if len(todo) == 1:
-            # One miss: no pool; _produce persists through self.store
-            # itself, so the parent-side save loop below must not re-save.
-            computed = [self._produce(todo[0])]
-            produced_inline = True
-        elif todo:
-            # No writer thread may be alive when the pool forks.
+        store = self.store
+        results = [compute.load_artifact(spec, store) for spec in specs]
+        todo = [i for i, hit in enumerate(results) if hit is None]
+        if jobs > 1 and len(todo) > 1:
+            # No writer thread may be alive when the pool forks (probing a
+            # tiered store may have queued a promotion).
             flush_writes()
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(todo)),
-                    initializer=_init_worker,
-                    initargs=(
-                        cfg,
-                        backend if backend_is_shared else None,
-                        # An explicit process-local backend also disables the
-                        # workers' config-derived store: the parent session
-                        # never touches that store, so neither may its workers.
-                        backend is not None and not backend_is_shared,
-                    ),
-                ) as pool:
-                    computed = list(pool.map(_worker_produce, todo))
-            except BrokenProcessPool:
-                # A worker *process* died (OOM kill, segfault, os._exit)
-                # rather than raising — the pool cannot say which specs
-                # finished, so recompute the batch sequentially.  Specs
-                # the dead pool already persisted are store hits, so the
-                # retry only pays for the genuinely lost work.  A spec
-                # that raises an ordinary exception still propagates
+            futures = _simulate_pooled([specs[i] for i in todo], min(jobs, len(todo)), cfg)
+            failed = None
+            for i, future in zip(todo, futures):
+                exc = future.exception()
+                if exc is None:
+                    results[i] = future.result()
+                    compute.save_artifact(specs[i], results[i], store)
+                elif failed is None and not isinstance(exc, BrokenProcessPool):
+                    failed = exc
+            if failed is not None:
+                # A spec that raises an ordinary exception propagates
                 # unchanged (a clear error beats a silent retry loop).
+                raise failed
+            if any(results[i] is None for i in todo):
+                # A worker *process* died (OOM kill, segfault, os._exit)
+                # rather than raising: the specs it lost are recomputed
+                # below, sequentially.
                 print(
                     "warning: a pool worker process died mid-sweep; "
                     "recomputing its specs sequentially",
                     file=sys.stderr,
                 )
-                computed = [self._produce(spec) for spec in todo]
-        if backend is not None and not backend_is_shared and not produced_inline:
-            for spec, result in zip(todo, computed):
-                compute.save_artifact(spec, result, backend)
-        fresh = iter(computed)
-        return [hit if hit is not None else next(fresh) for hit in results]
+        for i in todo:
+            if results[i] is None:
+                # Saved at once, so its durable write overlaps the next spec.
+                results[i] = compute.simulate(specs[i], self._trace_memo)
+                compute.save_artifact(specs[i], results[i], store)
+        return results
 
     # -- maintenance ---------------------------------------------------------
 
@@ -269,45 +244,36 @@ class Session:
 
 # -- pool worker plumbing ----------------------------------------------------
 
-#: The per-worker-process session, built by :func:`_init_worker`.
-_WORKER_SESSION = None
 
-
-def _init_worker(cfg, explicit_backend, no_store=False):
-    """Propagate the parent session's resolved configuration into a worker.
-
-    The worker gets the parent's *resolved* config explicitly (not
-    ambient environment), so parent and workers agree on the store and
-    write compatible artifacts.  A cross-process explicit backend object
-    travels by pickle; ``no_store`` marks a parent whose explicit backend
-    is process-local (the parent persists pool results itself, and the
-    worker must not touch the config-derived store either).  The worker
-    session shares the module-level trace memo so forked workers reuse
-    traces the parent already built.
-    """
-    global _WORKER_SESSION
-    _config.configure(
-        jobs=1,
-        cache_dir=cfg.cache_dir,
-        disk_cache=cfg.disk_cache,
-        shared_cache_dir=cfg.shared_cache_dir,
-        kernel=cfg.kernel,
-    )
-    _WORKER_SESSION = Session(
-        jobs=1,
-        backend=explicit_backend,
-        disk_cache=False if no_store else None,
-        trace_memo=compute.TRACE_MEMO,
-    )
-
-
-def _worker_produce(spec):
-    """Compute one spec inside a pool worker; its save is durable before
-    the parent sees the result."""
+def _simulate_pooled(specs, workers, cfg):
+    """Simulate ``specs`` over a new process pool; returns the finished
+    future of every spec the pool took, once the pool has closed.  A pool
+    that broke before it took them all returns the futures it took."""
+    futures = []
     try:
-        return _WORKER_SESSION._produce(spec)
-    finally:
-        flush_writes()
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_init_worker,
+            initargs=(cfg.kernel, cfg.cache_dir),
+        ) as pool:
+            for spec in specs:
+                futures.append(pool.submit(_worker_simulate, spec))
+    except BrokenProcessPool:
+        pass
+    return futures
+
+
+def _init_worker(kernel, cache_dir):
+    """Give a pool worker the parent's kernel choice and the cache
+    directory its compiled kernel is built under; a worker never sees
+    the store."""
+    _config.configure(kernel=kernel, cache_dir=cache_dir)
+
+
+def _worker_simulate(spec):
+    """One spec's result, computed in a pool worker.  Forked workers
+    inherit the default session's trace memo."""
+    return compute.simulate(spec, compute.TRACE_MEMO)
 
 
 # -- the default session -----------------------------------------------------

@@ -34,6 +34,7 @@ from repro.experiments.api import (
     scheme_label,
     workload_subset,
 )
+from repro.experiments.quality import quality_profiles
 from repro.experiments.scale import Scale
 from repro.workloads.catalog import CATEGORIES, MEMORY_INTENSIVE, WORKLOADS
 from repro.workloads.mixes import heterogeneous_mixes, homogeneous_mixes
@@ -706,18 +707,6 @@ def extra_triple_hybrid(scale=None, session=None):
         row[column] = 100.0 * (geomean(ratios.values()) - 1.0)
     fig.add_row("Hybrid", row)
     return fig
-
-
-def quality_profiles(scale=None, session=None):
-    """Cross-cutting: scored quality profiles for every registry scheme.
-
-    Lives in :mod:`repro.experiments.quality`; registered here so the
-    ``quality`` id flows through ``repro figure`` / ``repro report``
-    like any paper figure.
-    """
-    from repro.experiments.quality import quality_profiles as driver
-
-    return driver(scale, session=session)
 
 
 #: Registry used by ``python -m repro.experiments.figures <id>`` and tests.

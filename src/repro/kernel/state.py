@@ -399,7 +399,7 @@ class KernelState:
         for name, cache in (("l1", hier.l1), ("l2", hier.l2)):
             _pack_cache(cache, {f: getattr(self, f"{name}_{f}") for f in _CACHE_FIELDS})
             ci[CI64[f"{name}_tick"]] = cache._tick
-        ci[CI64["l2_demand_misses"]] = hier.l2.demand_misses
+        ci[CI64["l2_demand_misses"]] = hier.l2_demand_misses
 
         # MSHRs (heap arrays sized to capacity: the allocate rule never
         # lets the heap outgrow it)

@@ -126,7 +126,6 @@ class Cache:
         "_victim_mode",
         "_tick",
         "last_access_first_use",
-        "demand_misses",
     )
 
     def __init__(self, config: CacheConfig):
@@ -143,13 +142,6 @@ class Cache:
         #: True when the most recent :meth:`access` was the first demand use
         #: of a prefetched line (the hierarchy reads it at L2 and LLC).
         self.last_access_first_use = False
-        #: Demand lookups that missed (the L2's is a run's
-        #: ``l2_demand_misses``).
-        self.demand_misses = 0
-
-    def reset_stats(self):
-        """Zero the miss counter; cache contents are untouched."""
-        self.demand_misses = 0
 
     # -- queries -------------------------------------------------------------
 
@@ -181,7 +173,6 @@ class Cache:
         self._tick = tick
         self.last_access_first_use = False
         if line is None:
-            self.demand_misses += 1
             return None
         line.last_touch = tick
         lines.move_to_end(tag)

@@ -86,10 +86,6 @@ class _Recording:
         self.inner = inner
         self.calls = []
 
-    @property
-    def shared_across_processes(self):
-        return self.inner.shared_across_processes
-
     def load_result(self, digest):
         self.calls.append(("load_result", digest))
         return self.inner.load_result(digest)

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.constants import LINE_SHIFT
 from repro.memory.cache import Cache, CacheConfig, EvictionInfo
+from repro.memory.dram import DramModel
+from repro.memory.hierarchy import L1, MemoryHierarchy
 
 
 def small_cache(ways=2, sets=4, replacement="lru"):
@@ -40,21 +43,23 @@ class TestBasicOperation:
         assert c.access(0x100, cycle=1) is not None
 
     def test_miss_counter(self):
-        c = small_cache()
-        c.access(0x100, 0)
-        c.fill(0x100, 0)
-        c.access(0x100, 1)
-        assert c.demand_misses == 1
-        c.reset_stats()
-        assert c.demand_misses == 0
-        assert c.contains(0x100)
+        """Only the L2 lookup counts a demand miss, on the hierarchy; the
+        reset zeroes it and keeps the line."""
+        h = MemoryHierarchy(dram=DramModel())
+        h.access(0, 0, 0x1000)
+        _latency, level = h.access(1000, 0, 0x1000)
+        assert level == L1 and h.l2_demand_misses == 1
+        h.reset_stats()
+        assert h.l2_demand_misses == 0
+        assert h.l2.contains(0x1000 >> LINE_SHIFT)
 
     def test_probe_does_not_change_stats(self):
-        c = small_cache()
+        h = MemoryHierarchy(dram=DramModel())
+        c = h.l2
         c.fill(0x100, 0)
         touched = c.probe(0x100).last_touch
         c.probe(0x200)
-        assert c.demand_misses == 0
+        assert h.l2_demand_misses == 0
         assert c.probe(0x100).last_touch == touched
 
     def test_contains(self):

@@ -246,6 +246,24 @@ class TestLocalDirBackend:
         stats = store.stats()
         assert stats["results"] == 0
 
+    def test_stats_counts_a_temp_file_in_bytes_only(self, tmp_path):
+        store = LocalDirBackend(tmp_path / "s")
+        store.save_result(DIGEST, 1)
+        entry = store.stats()
+        (store._result_path(DIGEST).parent / ".tmp-inflight").write_bytes(b"x" * 10)
+        assert store.stats() == {"results": 1, "bytes": entry["bytes"] + 10}
+
+    def test_stats_skips_a_file_that_vanishes_mid_walk(self, tmp_path, monkeypatch):
+        """Another process's temp file renamed between the walk and its
+        stat is skipped, not a crash."""
+        store = LocalDirBackend(tmp_path / "s")
+        store.save_result(DIGEST, 1)
+        entry = store.stats()
+        gone = store._result_path(DIGEST).parent / ".tmp-renamed"
+        files = store._files
+        monkeypatch.setattr(store, "_files", lambda: files() + [gone])
+        assert store.stats() == entry
+
 
 class TestStoreWrittenWithTraces:
     """A store written while traces were still persisted holds a
@@ -441,10 +459,6 @@ class _Counting:
 
     def _count(self, name):
         self.calls[name] = self.calls.get(name, 0) + 1
-
-    @property
-    def shared_across_processes(self):
-        return self.inner.shared_across_processes
 
     def load_result(self, digest):
         self._count("load_result")
@@ -684,7 +698,6 @@ class TestEngineConfig:
             assert store.local.root == cfg.cache_dir and store.local.touch_on_load
             assert store.shared.root == cfg.shared_cache_dir
             assert not store.shared.touch_on_load
-            assert store.shared_across_processes
 
     @pytest.mark.parametrize(
         "knob, session_value, global_value",
@@ -988,6 +1001,8 @@ class TestSharedDirectoryAcrossHosts:
 
     @fork_only
     def test_pool_workers_read_the_shared_tier(self, tmp_path, monkeypatch):
+        """A pooled batch is served from the shared tier: the session
+        probes it before any pool starts, so nothing recomputes."""
         specs = [RunSpec("ispec06.mcf", "none", 300), RunSpec("hpc.linpack", "none", 300)]
         origin = Session(cache_dir=tmp_path / "host-a").run(specs)
         _refuse_compute(monkeypatch)

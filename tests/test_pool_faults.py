@@ -8,8 +8,8 @@ suite pins its two failure legs:
   partial result);
 - a worker **process that dies** (``os._exit``, modeling an OOM kill or
   segfault) surfaces as ``BrokenProcessPool`` inside ``_execute``, which
-  recomputes the batch sequentially with a warning — the caller still
-  gets complete, correct results.
+  recomputes the specs the pool lost sequentially with a warning — the
+  caller still gets complete, correct results.
 
 The death tests monkeypatch the pool's task function and rely on the
 ``fork`` start method to carry the patch into the children; they skip on
@@ -75,7 +75,7 @@ class TestDyingWorker:
 
         import repro.engine.session as session_mod
 
-        monkeypatch.setattr(session_mod, "_worker_produce", _die)
+        monkeypatch.setattr(session_mod, "_worker_simulate", _die)
         session = Session(cache_dir=tmp_path / "crash", jobs=2)
         results = session.run(_specs())
 
@@ -89,7 +89,7 @@ class TestDyingWorker:
         session (healthy pool) gets pure cache hits."""
         import repro.engine.session as session_mod
 
-        monkeypatch.setattr(session_mod, "_worker_produce", _die)
+        monkeypatch.setattr(session_mod, "_worker_simulate", _die)
         cache = tmp_path / "store"
         crashed = Session(cache_dir=cache, jobs=2)
         first = crashed.run(_specs())

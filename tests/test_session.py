@@ -7,6 +7,7 @@ grid — no hidden state may leak through the memo or store layers.
 """
 
 import dataclasses
+import multiprocessing
 import os
 
 import pytest
@@ -24,8 +25,14 @@ from repro.engine import (
     TraceSpec,
     default_session,
 )
+from repro.engine import session as session_module
 from repro.engine.backends import flush_writes
 from repro.memory.dram import DramConfig
+
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="patching what pool workers run needs fork to carry the patch",
+)
 
 
 @pytest.fixture(autouse=True)
@@ -304,7 +311,7 @@ class TestInMemoryBackend:
 
     def test_parallel_run_reads_explicit_backend_without_pool(self, monkeypatch):
         """Backend hits must be served in the parent — no pool, no
-        recompute — even though workers can't see a process-local store."""
+        recompute."""
         backend = InMemoryBackend()
         session = Session(backend=backend)
         specs = [
@@ -324,8 +331,8 @@ class TestInMemoryBackend:
         assert second == first
 
     def test_parallel_run_persists_to_explicit_backend(self):
-        """Worker saves land in pickled backend copies; the parent must
-        persist pool results itself or an in-process backend stays empty."""
+        """Workers never see the store: the session saves pool results
+        itself, so an in-process backend fills up as a disk store does."""
         backend = InMemoryBackend()
         session = Session(backend=backend)
         specs = [
@@ -337,6 +344,69 @@ class TestInMemoryBackend:
         session.clear(disk=False)
         second = [r.to_dict() for r in session.run(specs)]  # backend hits
         assert second == first
+
+
+class TestPooledStore:
+    """Only the session touches its store: it probes every spec and saves
+    every computed result in its own process; pool workers only simulate."""
+
+    SPECS = [RunSpec("ispec06.mcf", "none", 400), RunSpec("hpc.linpack", "none", 400)]
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["cache-dir", "backend"])
+    def test_a_warm_pooled_batch_starts_no_pool(self, tmp_path, monkeypatch, explicit):
+        cold = [r.to_dict() for r in Session(cache_dir=tmp_path).run(self.SPECS)]
+
+        def _no_pool(*args, **kwargs):
+            raise AssertionError("a pool started for a batch of store hits")
+
+        monkeypatch.setattr(session_module, "ProcessPoolExecutor", _no_pool)
+        if explicit:
+            warm = Session(backend=LocalDirBackend(tmp_path), jobs=2)
+        else:
+            warm = Session(cache_dir=tmp_path, jobs=2)
+        assert [r.to_dict() for r in warm.run(self.SPECS)] == cold
+
+    @fork_only
+    def test_pool_workers_never_touch_the_store(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        pools = []
+
+        def parent_only(name):
+            method = getattr(LocalDirBackend, name)
+
+            def call(self, *args, **kwargs):
+                assert os.getpid() == parent, f"a pool worker called {name}"
+                return method(self, *args, **kwargs)
+
+            return call
+
+        for name in ("load_result", "save_result"):
+            monkeypatch.setattr(LocalDirBackend, name, parent_only(name))
+        pool = session_module.ProcessPoolExecutor
+
+        def spy(*args, **kwargs):
+            pools.append(kwargs)
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "ProcessPoolExecutor", spy)
+        results = Session(cache_dir=tmp_path, jobs=2).run(self.SPECS)
+        assert len(pools) == 1
+        monkeypatch.undo()
+        store = LocalDirBackend(tmp_path)
+        for spec, result in zip(self.SPECS, results):
+            assert store.load_result(spec.fingerprint()).to_dict() == result.to_dict()
+
+    def test_a_raising_spec_leaves_the_finished_one_stored(self, tmp_path):
+        """The spec after the one that raised still finished: it is saved
+        before ``Session.run`` raises."""
+        good = self.SPECS[0]
+        batch = [RunSpec("no.such-workload", "none", 400), good]
+        with pytest.raises(KeyError, match="no.such-workload"):
+            Session(cache_dir=tmp_path, jobs=2).run(batch)
+        alone = Session(disk_cache=False).run(good)
+        assert LocalDirBackend(tmp_path).load_result(good.fingerprint()).to_dict() == (
+            alone.to_dict()
+        )
 
 
 class TestTieredBackend:

@@ -68,12 +68,12 @@ class TestHierarchyReset:
         resident = [cache.occupancy() for cache in caches]
         assert all(resident)
         hierarchy.reset_stats()
-        assert hierarchy.l2.demand_misses == 0
+        assert hierarchy.l2_demand_misses == 0
         assert [cache.occupancy() for cache in caches] == resident
         # The last access's line survived the reset: re-accessing it hits.
         _gap, pc, addr, _flags = trace[799]
         _latency, level = hierarchy.access(ex.time, pc, addr)
-        assert level == L1 and hierarchy.l1.demand_misses == 0
+        assert level == L1 and hierarchy.l2_demand_misses == 0
 
     def test_dram_reset_zeroes_counters(self):
         dram = DramModel()

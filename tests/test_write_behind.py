@@ -4,10 +4,9 @@ A save pickles its result on the caller's thread and leaves the durable
 write to one writer thread per process.  These tests pin when a save is
 on disk: when ``Session.run`` returns, at any read of the store in the
 process (a load of the same key waits for its write; ``stats``, ``gc``,
-``verify`` and ``clear`` wait for every write), when a pool worker hands
-its result back, and at interpreter exit.  They also pin what stays on
-the calling thread.  Most slow every write down, so that a reader which
-did not wait would find no file.
+``verify`` and ``clear`` wait for every write), and at interpreter
+exit.  They also pin what stays on the calling thread.  Most slow every
+write down, so that a reader which did not wait would find no file.
 """
 
 import collections
@@ -163,13 +162,6 @@ def test_no_writer_thread_outlives_a_batch_or_meets_a_fork(tmp_path, monkeypatch
     assert _writers() == []
     for spec, result in zip(SPECS[1:], results):
         assert _stored(tmp_path / "b", spec).to_dict() == result.to_dict()
-
-
-def test_a_pool_worker_hands_back_a_durable_result(tmp_path, monkeypatch, slow_writes):
-    monkeypatch.setattr(session_module, "_WORKER_SESSION", Session(cache_dir=tmp_path, jobs=1))
-    result = session_module._worker_produce(SPECS[0])
-    assert _writers() == []
-    assert _stored(tmp_path, SPECS[0]).to_dict() == result.to_dict()
 
 
 def test_hooked_store_calls_stay_on_the_calling_thread(tmp_path, monkeypatch):
