@@ -62,7 +62,7 @@ _SEGMENT_SHIFT = LINES_PER_SEGMENT.bit_length() - 1
 from repro.core.bitpattern import anchor_pattern, compress_pattern, unanchor_pattern
 from repro.core.page_buffer import PageBuffer
 from repro.core.selection import select_pattern
-from repro.core.spt import COUNTER_MAX, SignaturePredictionTable, fold_xor_hash
+from repro.core.spt import SignaturePredictionTable, fold_xor_hash
 from repro.prefetchers.base import PrefetchCandidate, Prefetcher
 
 
@@ -280,6 +280,3 @@ class DSPatch(Prefetcher):
             self.config.spt_entries, self._bits_per_page, self.config.covp_reset
         )
 
-
-# Re-export for introspection convenience.
-MEASURE_COUNTER_MAX = COUNTER_MAX

@@ -268,7 +268,7 @@ def _make_hierarchy(cfg, dram, llc, l1_pf, l2_pf, sink):
     )
 
 
-def _run_result(stats, pf, l2_demand_misses, logs, dram_config, dram):
+def _run_result(stats, pf, l2_demand_misses, logs, dram):
     """One core's :class:`RunResult` from its counters, whichever kernel ran.
 
     ``stats`` is the core's measured-region
@@ -295,7 +295,7 @@ def _run_result(stats, pf, l2_demand_misses, logs, dram_config, dram):
         l2_demand_misses=l2_demand_misses,
         dram_reads=dram.reads,
         bw_utilization_residency=bucket_residency(dram.bucket_cycles),
-        achieved_gbps=achieved_gbps(dram_config, dram, stats.cycles),
+        achieved_gbps=achieved_gbps(dram, stats.cycles),
         level_hits=dict(stats.level_hits),
         pollution_events=list(victims),
         demand_log=list(demand_log),
@@ -311,7 +311,6 @@ def _result_from(execution, hierarchy, dram):
         hierarchy.pf_stats,
         hierarchy.l2_demand_misses,
         logs,
-        dram.config,
         dram.counters(),
     )
 
@@ -395,9 +394,7 @@ def _simulate(cfg, traces, sinks):
         # Nothing can read a compiled run's scheme state once it returns,
         # so it writes nothing back.
         dram_counters = domain.dram_counters()
-        per_core = [
-            _run_result(*kex.counters(), dram.config, dram_counters) for kex in executions
-        ]
+        per_core = [_run_result(*kex.counters(), dram_counters) for kex in executions]
     else:
         per_core = [_result_from(ex, hier, dram) for ex, hier in zip(executions, hierarchies)]
     end_time = max((ex.time for ex in executions), default=0.0)

@@ -376,13 +376,16 @@ class LocalDirBackend:
     def _decodable(path):
         """Can this result actually be loaded?  (The scrub's oracle —
         the same decode the hot path performs, so anything verify passes
-        the cache will serve.)"""
+        the cache will serve.)  ``None`` when the file is gone: another
+        process evicted it since the walk listed it."""
         try:
             with open(path, "rb") as f:
                 payload = pickle.load(f)
-            return isinstance(payload, dict) and "result" in payload
+        except FileNotFoundError:
+            return None
         except Exception:
             return False
+        return isinstance(payload, dict) and "result" in payload
 
     def verify(self, repair=False):
         """Scrub the store: check every entry decodes and sits under the
@@ -400,7 +403,8 @@ class LocalDirBackend:
 
         Returns a report dict: counts plus ``entries`` — a list of
         ``(reason, path)`` pairs (reason in ``"corrupt"``/``"foreign"``).
-        In-progress ``.tmp-`` writer files are skipped, like ``gc``.
+        In-progress ``.tmp-`` writer files are skipped, like ``gc``, and
+        so is an entry that vanishes mid-walk, like ``stats`` skips it.
         """
         flush_writes()
         report = {
@@ -415,7 +419,6 @@ class LocalDirBackend:
         for path in sorted(self._files()):
             if path.name.startswith(".tmp-"):
                 continue
-            report["checked"] += 1
             digest = path.stem
             well_named = (
                 _DIGEST_RE.match(digest) is not None
@@ -423,13 +426,14 @@ class LocalDirBackend:
                 and path.parent.name == digest[:2]
                 and path.parent.parent == base
             )
-            if not well_named:
-                reason = "foreign"
-            elif not self._decodable(path):
-                reason = "corrupt"
-            else:
+            decodable = self._decodable(path) if well_named else False
+            if decodable is None:
+                continue
+            report["checked"] += 1
+            if decodable:
                 report["ok"] += 1
                 continue
+            reason = "corrupt" if well_named else "foreign"
             report[reason] += 1
             report["entries"].append((reason, str(path)))
             if repair and self._quarantine(path):

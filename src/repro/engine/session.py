@@ -15,9 +15,9 @@ objects and it returns their results **in input order**, computing only
 the misses — in parallel over a process pool when ``jobs > 1``,
 sequentially in-process otherwise.  Results are bit-for-bit identical
 across all three paths (memo hit, backend hit, fresh compute) and across
-sequential/parallel execution.  :meth:`Session.trace` is the one way to
-get a trace: it is memoized in the process and rebuilt on a memo miss,
-never stored.
+sequential/parallel execution.  A session keeps one trace memo:
+:meth:`Session.trace`, every run and every core of a mix take their
+traces from it; a trace is rebuilt on a memo miss and never stored.
 
 The session is the only code that touches its store.  It probes the
 store for every spec of a batch before anything runs, and saves every
@@ -49,6 +49,7 @@ from repro.engine import config as _config
 from repro.engine.backends import flush_writes
 from repro.engine.config import EngineConfig, backend_for
 from repro.engine.specs import SPEC_TYPES, RunSpec, TraceSpec
+from repro.workloads.catalog import memoized_trace
 
 
 class Session:
@@ -71,7 +72,6 @@ class Session:
         disk_cache=None,
         shared_cache_dir=None,
         backend=None,
-        trace_memo=None,
     ):
         self._jobs = None if jobs is None else max(1, int(jobs))
         self._cache_dir = None if cache_dir is None else Path(cache_dir)
@@ -80,7 +80,7 @@ class Session:
             None if shared_cache_dir is None else Path(shared_cache_dir)
         )
         self._explicit_backend = backend
-        self._trace_memo = {} if trace_memo is None else trace_memo
+        self._trace_memo = {}
         self._run_memo = {}
         self._mix_memo = {}
 
@@ -114,10 +114,11 @@ class Session:
 
     def trace(self, spec, length=None):
         """The trace for a :class:`TraceSpec` (or ``workload, length``):
-        the memo's copy, else a fresh build.  No store is consulted."""
+        the memo's copy, else a fresh build.  No store is consulted; the
+        session's runs and mixes take their traces from the same memo."""
         if not isinstance(spec, TraceSpec):
             spec = TraceSpec(spec, length)
-        return compute.produce_trace_with(spec, self._trace_memo)
+        return memoized_trace(self._trace_memo, spec.workload, spec.length, spec.copy)
 
     def run(self, specs, jobs=None):
         """Execute specs; returns results in input order.
@@ -272,8 +273,8 @@ def _init_worker(kernel, cache_dir):
 
 def _worker_simulate(spec):
     """One spec's result, computed in a pool worker.  Forked workers
-    inherit the default session's trace memo."""
-    return compute.simulate(spec, compute.TRACE_MEMO)
+    inherit the default session, so they start with its trace memo."""
+    return compute.simulate(spec, default_session()._trace_memo)
 
 
 # -- the default session -----------------------------------------------------
@@ -286,10 +287,10 @@ def default_session():
 
     Created lazily; resolves jobs/cache/backend dynamically from the
     global configuration on every use, so ``engine.configure()``, CLI
-    flags and env changes take effect on the next call.  Its trace memo
-    *is* ``compute.TRACE_MEMO``, which forked pool workers inherit.
+    flags and env changes take effect on the next call.  Forked pool
+    workers inherit it, and with it the traces it has built.
     """
     global _DEFAULT_SESSION
     if _DEFAULT_SESSION is None:
-        _DEFAULT_SESSION = Session(trace_memo=compute.TRACE_MEMO)
+        _DEFAULT_SESSION = Session()
     return _DEFAULT_SESSION

@@ -64,10 +64,12 @@ class _Fingerprinted:
 
 @dataclass(frozen=True)
 class TraceSpec:
-    """One generated workload trace: catalog name × memory-op count."""
+    """One generated workload trace: catalog name × memory-op count ×
+    copy (the n-th core running the workload in a mix reads copy n)."""
 
     workload: str
     length: int
+    copy: int = 0
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,8 @@ class MixSpec(_Fingerprinted):
     """One multi-programmed simulation on the paper's MP machine.
 
     ``workloads`` holds one catalog name per core (the paper runs four);
-    copies of the same workload are de-lockstepped by the mix builder.
+    copies of the same workload are de-lockstepped by their copy number
+    (see :class:`TraceSpec`).
     """
 
     mix_name: str

@@ -12,7 +12,6 @@ from repro.memory.dram import (
     BandwidthMonitor,
     DramConfig,
     DramModel,
-    DramTimings,
     FixedBandwidth,
 )
 from repro.memory.hierarchy import (
@@ -31,7 +30,6 @@ __all__ = [
     "CacheLine",
     "DramConfig",
     "DramModel",
-    "DramTimings",
     "EvictionInfo",
     "FixedBandwidth",
     "HierarchyConfig",

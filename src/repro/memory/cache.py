@@ -35,6 +35,8 @@ and falls back to the front.
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.constants import LINE_SIZE
+
 #: Replacement-policy name -> victim mode, shared by :class:`Cache` and
 #: the compiled kernel's layout: 0 evicts the front (LRU) line, 1 the
 #: oldest never-demanded prefetched line, else the front.
@@ -71,13 +73,12 @@ class CacheConfig:
     size_bytes: int
     ways: int
     hit_latency: int
-    line_size: int = 64
     mshrs: int = 32
     replacement: str = "lru"
 
     @property
     def num_sets(self):
-        sets = self.size_bytes // (self.ways * self.line_size)
+        sets = self.size_bytes // (self.ways * LINE_SIZE)
         if sets <= 0 or sets & (sets - 1):
             raise ValueError(
                 f"{self.name}: derived set count {sets} must be a positive power of two"

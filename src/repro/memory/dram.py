@@ -19,27 +19,28 @@ exported as a 2-bit value that the prefetchers read.
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from repro.constants import LINE_SIZE
+
 #: Simulated core frequency (Table 2: 4 GHz x86 cores).
 CORE_GHZ = 4.0
 
+#: DDR4 device timings in nanoseconds (Table 2).
+TCL_NS = 15.0
+TRCD_NS = 15.0
+TRP_NS = 15.0
+TRAS_NS = 39.0
+#: Row-cycle time: minimum gap between two activations of a bank.
+TRC_NS = TRAS_NS + TRP_NS
 
-@dataclass(frozen=True)
-class DramTimings:
-    """DDR4 device timings in nanoseconds (Table 2)."""
+#: Per-channel geometry (Table 2): 2 ranks of 8 banks, 2KB row buffers.
+RANKS_PER_CHANNEL = 2
+BANKS_PER_RANK = 8
+ROW_BYTES = 2048
 
-    tCL_ns: float = 15.0
-    tRCD_ns: float = 15.0
-    tRP_ns: float = 15.0
-    tRAS_ns: float = 39.0
 
-    @property
-    def tRC_ns(self):
-        """Row-cycle time: minimum gap between two activations of a bank."""
-        return self.tRAS_ns + self.tRP_ns
-
-    def to_cycles(self, ns, core_ghz=CORE_GHZ):
-        """Convert a nanosecond latency to (integer) core cycles."""
-        return max(1, round(ns * core_ghz))
+def to_cycles(ns):
+    """Convert a nanosecond latency to (integer) core cycles."""
+    return max(1, round(ns * CORE_GHZ))
 
 
 #: Peak per-channel bandwidth in GB/s for each DDR4 speed grade:
@@ -57,12 +58,6 @@ class DramConfig:
 
     speed_grade: int = 2133
     channels: int = 1
-    ranks_per_channel: int = 2
-    banks_per_rank: int = 8
-    row_bytes: int = 2048
-    line_size: int = 64
-    timings: DramTimings = DramTimings()
-    core_ghz: float = CORE_GHZ
 
     def __post_init__(self):
         if self.speed_grade not in SPEED_GRADE_GBPS:
@@ -79,16 +74,15 @@ class DramConfig:
     @property
     def burst_cycles(self):
         """Core cycles to move one 64B line over one channel's data bus."""
-        ns = self.line_size / SPEED_GRADE_GBPS[self.speed_grade]
-        return max(1, round(ns * self.core_ghz))
+        return to_cycles(LINE_SIZE / SPEED_GRADE_GBPS[self.speed_grade])
 
     @property
     def banks_per_channel(self):
-        return self.ranks_per_channel * self.banks_per_rank
+        return RANKS_PER_CHANNEL * BANKS_PER_RANK
 
     @property
     def lines_per_row(self):
-        return self.row_bytes // self.line_size
+        return ROW_BYTES // LINE_SIZE
 
     def label(self):
         """Human-readable name, e.g. ``'2ch-2400'`` as in Figure 15."""
@@ -123,7 +117,7 @@ def bucket_residency(bucket_cycles):
     return [c / total for c in bucket_cycles]
 
 
-def achieved_gbps(config, counters, total_cycles):
+def achieved_gbps(counters, total_cycles):
     """Average delivered bandwidth over ``total_cycles`` of measurement.
 
     Clamped to the completion time of the last burst, so a backlogged
@@ -132,8 +126,8 @@ def achieved_gbps(config, counters, total_cycles):
     span = max(total_cycles, counters.last_data_done - counters.stats_start)
     if span <= 0:
         return 0.0
-    bytes_moved = (counters.reads + counters.writes) * config.line_size
-    seconds = span / (config.core_ghz * 1e9)
+    bytes_moved = (counters.reads + counters.writes) * LINE_SIZE
+    seconds = span / (CORE_GHZ * 1e9)
     return bytes_moved / seconds / 1e9
 
 
@@ -328,12 +322,10 @@ class DramModel:
 
     def __init__(self, config: DramConfig = DramConfig()):
         self.config = config
-        t = config.timings
-        ghz = config.core_ghz
-        self.tCL = t.to_cycles(t.tCL_ns, ghz)
-        self.tRCD = t.to_cycles(t.tRCD_ns, ghz)
-        self.tRP = t.to_cycles(t.tRP_ns, ghz)
-        self.tRC = t.to_cycles(t.tRC_ns, ghz)
+        self.tCL = to_cycles(TCL_NS)
+        self.tRCD = to_cycles(TRCD_NS)
+        self.tRP = to_cycles(TRP_NS)
+        self.tRC = to_cycles(TRC_NS)
         self.burst = config.burst_cycles
         self._channels = [_Channel(config.banks_per_channel) for _ in range(config.channels)]
         self._channel_mask = config.channels - 1
@@ -471,7 +463,7 @@ class DramModel:
 
     def achieved_gbps(self, total_cycles):
         """Average delivered bandwidth over ``total_cycles`` of measurement."""
-        return achieved_gbps(self.config, self.counters(), total_cycles)
+        return achieved_gbps(self.counters(), total_cycles)
 
     def counters(self):
         """The statistics a run's result reads, as :class:`DramCounters`."""

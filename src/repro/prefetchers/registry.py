@@ -69,25 +69,17 @@ _SIMPLE_BUILDERS = {
     "nextline": lambda bw: NextLinePrefetcher(),
     "nextline-4": lambda bw: NextLinePrefetcher(degree=4),
 }
-_DSPATCH_NAMES = (
-    "dspatch",
-    "alwayscovp",
-    "modcovp",
-    "dspatch-noanchor",
-    "dspatch-1trigger",
-    "dspatch-64b",
-    "dspatch-noreset",
-    "dspatch-spt512",
-    "dspatch-spt128",
-    "dspatch-spt64",
-    "dspatch-pb128",
-    "dspatch-pb32",
-)
+
+
+def _builders():
+    """Every single-scheme builder by name, read at call time (the
+    DSPatch family's imports cannot run while this module imports)."""
+    return {**_SIMPLE_BUILDERS, **_dspatch_builders()}
 
 
 def available_prefetchers():
     """Names accepted by :func:`build_prefetcher` (composites excluded)."""
-    return sorted(list(_SIMPLE_BUILDERS) + list(_DSPATCH_NAMES))
+    return sorted(_builders())
 
 
 def build_prefetcher(name, bandwidth):
@@ -106,9 +98,7 @@ def build_prefetcher(name, bandwidth):
         from repro.prefetchers.throttle import FeedbackThrottle
 
         return FeedbackThrottle(build_prefetcher(name[len("fdp:"):], bandwidth))
-    builder = _SIMPLE_BUILDERS.get(name)
-    if builder is None and name in _DSPATCH_NAMES:
-        builder = _dspatch_builders()[name]
+    builder = _builders().get(name)
     if builder is None:
         known = ", ".join(available_prefetchers())
         raise ValueError(f"unknown prefetcher {name!r} (known: {known})") from None

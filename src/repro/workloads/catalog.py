@@ -30,11 +30,28 @@ class Workload:
         """Stable seed derived from the workload name."""
         return zlib.crc32(self.name.encode())
 
-    def build(self, length):
-        """Generate a trace of roughly ``length`` memory operations."""
-        ctx = GenContext(self.seed(), self.intensity)
+    def build(self, length, copy=0):
+        """Generate a trace of roughly ``length`` memory operations.
+
+        This is the one place a trace is generated.  ``copy`` numbers the
+        copies of one workload in a multi-programmed mix: each copy draws
+        from its own seed (``1009 * copy`` past the workload's), so copies
+        are not lock-step identical.
+        """
+        ctx = GenContext(self.seed() + 1009 * copy, self.intensity)
         self.builder(ctx, length)
         return ctx.build()
+
+
+def memoized_trace(memo, name, length, copy=0):
+    """The trace ``memo`` holds under ``(name, length, copy)``, else a
+    fresh :meth:`Workload.build` it then holds.  Every session, run and
+    mix core gets its trace through here."""
+    key = (name, length, copy)
+    trace = memo.get(key)
+    if trace is None:
+        trace = memo[key] = WORKLOADS[name].build(length, copy)
+    return trace
 
 
 def _phases(*parts):

@@ -12,8 +12,7 @@ separate processes would be.
 
 import numpy as np
 
-from repro.workloads.catalog import MEMORY_INTENSIVE, WORKLOADS
-from repro.workloads.generators import GenContext
+from repro.workloads.catalog import MEMORY_INTENSIVE, memoized_trace
 
 #: Address-space stride between cores' rebased copies (1 TB apart).
 CORE_ADDRESS_STRIDE = 1 << 40
@@ -45,19 +44,22 @@ def heterogeneous_mixes(count=75, seed=20191012, workloads=None):
     return mixes
 
 
-def build_mix_traces(workload_names, length_per_core):
-    """Generate and rebase one trace per core for a 4-workload mix.
+def build_mix_traces(workload_names, length_per_core, memo=None):
+    """One rebased trace per core for a 4-workload mix.
 
-    Copies of the same workload get distinct generator seeds (so the four
-    copies are *not* lock-step identical) and distinct address ranges.
+    The n-th core running a workload gets its copy ``n`` (see
+    :meth:`~repro.workloads.catalog.Workload.build`), so copies of the
+    same workload are not lock-step identical, and each core's trace sits
+    in its own address range.  Traces come from ``memo`` (see
+    :func:`~repro.workloads.catalog.memoized_trace`); without one, each
+    is built afresh.
     """
+    memo = {} if memo is None else memo
     traces = []
-    seen = {}
+    copies = {}
     for core, name in enumerate(workload_names):
-        workload = WORKLOADS[name]
-        copy_index = seen.get(name, 0)
-        seen[name] = copy_index + 1
-        ctx = GenContext(workload.seed() + 1009 * copy_index, workload.intensity)
-        workload.builder(ctx, length_per_core)
-        traces.append(ctx.build().rebase(core * CORE_ADDRESS_STRIDE))
+        copy = copies.get(name, 0)
+        copies[name] = copy + 1
+        trace = memoized_trace(memo, name, length_per_core, copy)
+        traces.append(trace.rebase(core * CORE_ADDRESS_STRIDE))
     return traces

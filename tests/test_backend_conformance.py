@@ -43,6 +43,7 @@ from repro.engine import (
     TieredBackend,
     TraceSpec,
 )
+from repro.workloads.catalog import Workload
 
 #: Well-formed content-addressed keys (64 lowercase hex chars).
 DIGEST_A = "aa" + "0" * 62
@@ -106,13 +107,13 @@ class _Recording:
 def _count_builds(monkeypatch):
     """Log every trace build; returns the list of specs built."""
     builds = []
-    build = compute.build_trace_artifact
+    build = Workload.build
 
-    def counting(spec):
-        builds.append(spec)
-        return build(spec)
+    def counting(workload, length, copy=0):
+        builds.append(TraceSpec(workload.name, length, copy))
+        return build(workload, length, copy)
 
-    monkeypatch.setattr(compute, "build_trace_artifact", counting)
+    monkeypatch.setattr(Workload, "build", counting)
     return builds
 
 
@@ -122,8 +123,8 @@ def _refuse_compute(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a store hit must not recompute")
 
-    for name in ("build_trace_artifact", "simulate_run", "simulate_mix"):
-        monkeypatch.setattr(compute, name, refuse)
+    monkeypatch.setattr(compute, "simulate", refuse)
+    monkeypatch.setattr(Workload, "build", refuse)
 
 
 class TestProtocolConformance:

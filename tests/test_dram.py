@@ -6,26 +6,25 @@ from hypothesis import strategies as st
 
 from repro.memory.dram import (
     BANDWIDTH_SWEEP,
+    TRC_NS,
     BandwidthMonitor,
     DramConfig,
     DramModel,
-    DramTimings,
     FixedBandwidth,
+    to_cycles,
 )
 
 
 class TestTimings:
     def test_trc_is_tras_plus_trp(self):
-        t = DramTimings()
-        assert t.tRC_ns == 54.0
+        assert TRC_NS == 54.0
 
     def test_to_cycles_at_4ghz(self):
-        t = DramTimings()
-        assert t.to_cycles(15.0) == 60
-        assert t.to_cycles(39.0) == 156
+        assert to_cycles(15.0) == 60
+        assert to_cycles(39.0) == 156
 
     def test_to_cycles_minimum_one(self):
-        assert DramTimings().to_cycles(0.01) == 1
+        assert to_cycles(0.01) == 1
 
 
 class TestConfig:

@@ -41,6 +41,7 @@ from repro.engine.config import KERNEL_CHOICES
 from repro.engine.session import default_session
 from repro.experiments import api
 from repro.memory.dram import DramConfig
+from repro.workloads.catalog import Workload
 
 # The default session's memo layers: the same dict objects Session.run
 # reads and writes, so clearing/inspecting them observes the truth.
@@ -62,8 +63,8 @@ def _refuse_compute(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a store hit must not recompute")
 
-    for name in ("build_trace_artifact", "simulate_run", "simulate_mix"):
-        monkeypatch.setattr(compute, name, refuse)
+    monkeypatch.setattr(compute, "simulate", refuse)
+    monkeypatch.setattr(Workload, "build", refuse)
 
 
 def _same_artifact(a, b):
@@ -752,6 +753,18 @@ class TestVerifyScrub:
         assert report["ok"] == 2
         assert report["corrupt"] == report["foreign"] == 0
         assert report["entries"] == []
+
+    def test_an_entry_evicted_mid_walk_is_skipped(self, store, monkeypatch, capsys):
+        # Another process's gc or clear removes an entry after the walk
+        # listed it: it is neither checked nor reported nor quarantined.
+        listed = store._files()
+        vanished = store._result_path("ef" + "0" * 62)
+        monkeypatch.setattr(store, "_files", lambda: [*listed, vanished])
+        for repair in (False, True):
+            report = store.verify(repair=repair)
+            assert (report["checked"], report["ok"], report["corrupt"]) == (2, 2, 0)
+            assert report["quarantined"] == 0 and report["entries"] == []
+        assert capsys.readouterr().err == ""
 
     def test_torn_entry_is_reported_corrupt(self, store):
         path = store._result_path(self.DIGEST)

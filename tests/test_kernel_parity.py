@@ -995,7 +995,7 @@ def test_mid_run_pack_carries_scheme_state(scheme, workload, switch_at):
         domain = KernelDomain(hierarchy.llc, dram)
         kex = KernelExecution(execution, trace, domain)
         domain.interleave([kex])
-        result = _run_result(*kex.counters(), dram.config, domain.dram_counters())
+        result = _run_result(*kex.counters(), domain.dram_counters())
         return result.to_dict(), _machine_view([kex.state])
 
     base_result, base_view = run(len(trace))

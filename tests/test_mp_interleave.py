@@ -182,7 +182,7 @@ def _mp_run_with_driver(driver, cfg, traces, stop_ops=None, events=None, scheme_
         domain.interleave(executions, stop_ops, _cross)
         assert all(kex.ops == len(trace) for kex, trace in zip(executions, traces))
         dram_counters = domain.dram_counters()
-        results = [_run_result(*kex.counters(), cfg.dram, dram_counters) for kex in executions]
+        results = [_run_result(*kex.counters(), dram_counters) for kex in executions]
     else:
         DRIVERS[driver](executions, stop_ops, _cross)
         assert all(ex.done for ex in executions)

@@ -9,11 +9,12 @@ grid — no hidden state may leak through the memo or store layers.
 import dataclasses
 import multiprocessing
 import os
+import pickle
 
 import pytest
 
 from repro import engine
-from repro.engine import compute
+from repro.cpu.system import MultiCoreSystem, SystemConfig
 from repro.engine import (
     InMemoryBackend,
     LocalDirBackend,
@@ -27,7 +28,11 @@ from repro.engine import (
 )
 from repro.engine import session as session_module
 from repro.engine.backends import flush_writes
+from repro.experiments import api
 from repro.memory.dram import DramConfig
+from repro.workloads.catalog import WORKLOADS, Workload
+from repro.workloads.generators import GenContext
+from repro.workloads.mixes import build_mix_traces
 
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -197,7 +202,9 @@ class TestSessionTrace:
         trace = session.trace(TraceSpec("ispec06.mcf", 300))
         assert session.trace("ispec06.mcf", 300) is trace
 
-    @pytest.mark.parametrize("field, value", [("workload", "hpc.linpack"), ("length", 301)])
+    @pytest.mark.parametrize(
+        "field, value", [("workload", "hpc.linpack"), ("length", 301), ("copy", 1)]
+    )
     def test_memo_keys_on_every_field(self, field, value):
         session = Session(disk_cache=False)
         base = TraceSpec("ispec06.mcf", 300)
@@ -205,7 +212,7 @@ class TestSessionTrace:
         first = session.trace(base)
         other = session.trace(changed)
         assert other is not first
-        assert list(other) == list(compute.build_trace_artifact(changed))
+        assert list(other) == list(WORKLOADS[changed.workload].build(changed.length, changed.copy))
         assert session.memo_stats()["traces"] == 2
 
     def test_run_leaves_its_trace_in_the_memo(self, monkeypatch):
@@ -216,14 +223,56 @@ class TestSessionTrace:
         def refuse(*args, **kwargs):
             raise AssertionError("the run already built this trace")
 
-        monkeypatch.setattr(compute, "build_trace_artifact", refuse)
+        monkeypatch.setattr(Workload, "build", refuse)
         assert len(session.trace(spec.trace_spec)) == spec.length
 
-    def test_default_session_builds_into_the_module_memo(self):
-        """Forked pool workers inherit ``compute.TRACE_MEMO``, so the
-        default session's traces must land there."""
-        trace = default_session().trace(TraceSpec("hpc.linpack", 280))
-        assert any(t is trace for t in compute.TRACE_MEMO.values())
+    def test_pool_workers_read_the_default_session_memo(self, monkeypatch):
+        """Forked pool workers inherit the default session, and a worker
+        takes its traces from that session's memo."""
+        spec = RunSpec("hpc.linpack", "none", 280)
+        default_session().trace(spec.trace_spec)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the default session already built this trace")
+
+        monkeypatch.setattr(Workload, "build", refuse)
+        assert session_module._worker_simulate(spec).ipc > 0
+
+    @staticmethod
+    def _count_generations(monkeypatch):
+        """Count every trace generated, at the generator itself."""
+        built = []
+        build = GenContext.build
+
+        def counting(ctx):
+            built.append(ctx)
+            return build(ctx)
+
+        monkeypatch.setattr(GenContext, "build", counting)
+        return built
+
+    MIX_SCHEMES = ("none", "spp", "spp+dspatch")
+
+    def test_a_mix_batch_generates_each_core_trace_once(self, monkeypatch):
+        session = Session(disk_cache=False, jobs=1)
+        built = self._count_generations(monkeypatch)
+        session.run([MixSpec("homo", ("ispec06.mcf",) * 4, s, 300) for s in self.MIX_SCHEMES])
+        assert len(built) == 4
+
+    def test_alone_runs_and_mixes_share_one_memo(self, monkeypatch):
+        session = Session(disk_cache=False, jobs=1)
+        built = self._count_generations(monkeypatch)
+        api.warm_mix_grid(session, [("homo", ["ispec06.mcf"] * 4)], self.MIX_SCHEMES, 300)
+        assert session.memo_stats() == {"traces": 4, "runs": 1, "mixes": 3}
+        assert len(built) == 4
+
+    def test_a_mix_runs_on_the_mix_builder_traces(self):
+        names = ("ispec06.mcf", "hpc.linpack", "ispec06.mcf", "cloud.bigbench")
+        spec = MixSpec("m", names, "spp", 300)
+        direct = MultiCoreSystem(SystemConfig.multi_programmed("spp")).run(
+            build_mix_traces(list(names), 300)
+        )
+        assert pickle.dumps(Session(disk_cache=False).run(spec)) == pickle.dumps(direct)
 
 
 class TestSessionIsolation:
