@@ -11,8 +11,8 @@ comparison: 6 schemes x N workloads) under several regimes:
    available, a dedicated **scheme-training leg** additionally times the
    C-twinned schemes (:data:`TWINNED_SCHEMES`, plus Figure 20's
    pollution-recording streamer run) on one longer trace where training
-   dominates, asserts bit-identity against the object model (every
-   ``PrefetchStats`` counter and the pollution logs included), and
+   dominates, asserts bit-identity against the object model (the
+   pollution logs included), and
    gates the twins' advantage with its own
    ``--min-scheme-kernel-speedup`` floor.  A **multi-core leg** runs one
    4-core ``spp+dspatch`` mix through ``MultiCoreSystem`` on both
@@ -47,8 +47,6 @@ Run directly (no pytest-benchmark dependency)::
 """
 
 import argparse
-import contextlib
-import dataclasses
 import json
 import os
 import sys
@@ -84,28 +82,6 @@ def calibrate(n=2_000_000, repeats=3):
             acc += i & 7
         rates.append(n / (time.perf_counter() - t0))
     return sorted(rates)[len(rates) // 2]
-
-
-@contextlib.contextmanager
-def _reported_prefetch_stats():
-    """Record each run's full ``PrefetchStats`` (as a dict) at
-    ``repro.cpu.system._run_result``, the one function both kernels
-    report through: ``to_dict()`` has no drop reason and no
-    ``issued_low_priority``."""
-    import repro.cpu.system as system_mod
-
-    reported = []
-    real_run_result = system_mod._run_result
-
-    def recording_run_result(stats, pf, *rest):
-        reported.append(dataclasses.asdict(pf))
-        return real_run_result(stats, pf, *rest)
-
-    system_mod._run_result = recording_run_result
-    try:
-        yield reported
-    finally:
-        system_mod._run_result = real_run_result
 
 
 def _rows_of(fig):
@@ -188,22 +164,19 @@ def run_bench(args):
             for _ in range(args.repeats):
                 t0 = time.perf_counter()
                 out = []
-                with _reported_prefetch_stats() as reported:
-                    for scheme, record in SCHEME_LEG_RUNS:
-                        res = System(
-                            SystemConfig.single_thread(
-                                scheme, kernel=kind, record_pollution_victims=record
-                            )
-                        ).run(scheme_trace)
-                        # the run's every PrefetchStats counter, and repr
-                        # keeps the logs' element types in the comparison
-                        out.append((
-                            res.to_dict(),
-                            reported.pop(),
-                            repr(res.demand_log),
-                            repr(res.prefetch_fill_log),
-                            repr(res.pollution_events),
-                        ))
+                for scheme, record in SCHEME_LEG_RUNS:
+                    res = System(
+                        SystemConfig.single_thread(
+                            scheme, kernel=kind, record_pollution_victims=record
+                        )
+                    ).run(scheme_trace)
+                    # repr keeps the logs' element types in the comparison
+                    out.append((
+                        res.to_dict(),
+                        repr(res.demand_log),
+                        repr(res.prefetch_fill_log),
+                        repr(res.pollution_events),
+                    ))
                 dt = time.perf_counter() - t0
                 scheme_results[kind] = out
                 if best is None or dt < best:

@@ -115,8 +115,6 @@ class DSPatch(Prefetcher):
         self.spt = SignaturePredictionTable(
             config.spt_entries, self._bits_per_page, config.covp_reset
         )
-        self.trainings = 0
-        self.triggers = 0
         self.predictions_covp = 0
         self.predictions_accp = 0
         self.predictions_suppressed = 0
@@ -124,7 +122,6 @@ class DSPatch(Prefetcher):
     # ------------------------------------------------------------ training
 
     def train(self, cycle, pc, addr, hit):
-        self.trainings += 1
         # Inlined page_number / line_offset_in_page / segment_of_line_offset
         # (one call per training access).
         page = addr >> PAGE_SHIFT
@@ -145,7 +142,6 @@ class DSPatch(Prefetcher):
         if self._trigger_allowed(segment) and entry.triggers[segment] is None:
             signature = fold_xor_hash(pc, self.config.pc_signature_bits)
             entry.set_trigger(segment, signature, line_off)
-            self.triggers += 1
             candidates = self._predict(cycle, signature, page, line_off, segment)
         entry.pattern |= 1 << line_off
         return candidates

@@ -48,7 +48,6 @@ class PageBuffer:
             raise ValueError("page buffer needs at least one entry")
         self.entries = entries
         self._pages = {}  # page -> PageBufferEntry, dict order = LRU order
-        self.evictions = 0
 
     def __len__(self):
         return len(self._pages)
@@ -71,7 +70,6 @@ class PageBuffer:
         if len(self._pages) >= self.entries:
             oldest = next(iter(self._pages))
             evicted = self._pages.pop(oldest)
-            self.evictions += 1
         entry = PageBufferEntry(page)
         self._pages[page] = entry
         return entry, evicted

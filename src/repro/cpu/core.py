@@ -58,7 +58,6 @@ class CoreStats:
     """
 
     instructions: int = 0
-    memory_ops: int = 0
     cycles: float = 0.0
     l1_hits: int = 0
     l2_hits: int = 0
@@ -68,6 +67,11 @@ class CoreStats:
     @property
     def ipc(self):
         return self.instructions / self.cycles if self.cycles > 0 else 0.0
+
+    @property
+    def memory_ops(self):
+        """Memory ops executed: each one hits exactly one level."""
+        return self.l1_hits + self.l2_hits + self.llc_hits + self.dram_hits
 
     @property
     def level_hits(self):
@@ -274,7 +278,7 @@ class CoreExecution:
         moves, mirroring the warmup-then-measure methodology of the paper's
         simulator.
         """
-        self._stats_floor = (self._instr, self._pos, self._retire, tuple(self._hits))
+        self._stats_floor = (self._instr, self._retire, tuple(self._hits))
 
     def finalize(self):
         """Close out stats without requiring the trace to be exhausted.
@@ -282,24 +286,23 @@ class CoreExecution:
         Idempotent: the raw per-level hit counters stay untouched inside
         the execution; each call recomputes the measured-region view.
         """
-        return measured_stats(self._instr, self._pos, self._retire, self._hits, self._stats_floor)
+        return measured_stats(self._instr, self._retire, self._hits, self._stats_floor)
 
 
-def measured_stats(instr, ops, retire, hits, floor=None):
+def measured_stats(instr, retire, hits, floor=None):
     """:class:`CoreStats` of a core's measured region.
 
-    ``instr``/``ops``/``retire``/``hits`` are the core's running counters
-    (instructions, memory ops, retirement time, per-level hits) and
-    ``floor`` their ``(instr, ops, retire, hits)`` at the warmup boundary
+    ``instr``/``retire``/``hits`` are the core's running counters
+    (instructions, retirement time, per-level hits) and ``floor`` their
+    ``(instr, retire, hits)`` at the warmup boundary
     (:meth:`CoreExecution.mark_stats_start`), or ``None`` to measure the
     whole run.  The one definition both kernels report through.
     """
     if floor is None:
-        floor = (0, 0, 0.0, (0, 0, 0, 0))
-    floor_instr, floor_ops, floor_retire, floor_hits = floor
+        floor = (0, 0.0, (0, 0, 0, 0))
+    floor_instr, floor_retire, floor_hits = floor
     return CoreStats(
         instructions=instr - floor_instr,
-        memory_ops=ops - floor_ops,
         cycles=max(retire - floor_retire, 1e-9),
         l1_hits=hits[0] - floor_hits[0],
         l2_hits=hits[1] - floor_hits[1],

@@ -151,7 +151,7 @@ class StoreBackend(Protocol):
 
     def load_result(self, digest): ...
 
-    def save_result(self, digest, result, meta=None): ...
+    def save_result(self, digest, result): ...
 
     def clear(self): ...
 
@@ -163,7 +163,7 @@ class LocalDirBackend:
 
     Layout (under ``root``)::
 
-        results/<aa>/<digest>.pkl   # pickled {"meta": ..., "result": ...}
+        results/<aa>/<digest>.pkl   # pickled {"result": ...}
 
     ``<aa>`` is the first two hex digits of the digest (fan-out so a
     large cache does not put tens of thousands of files in one
@@ -269,13 +269,12 @@ class LocalDirBackend:
             self._touch(path)
         return result
 
-    def save_result(self, digest, result, meta=None):
+    def save_result(self, digest, result):
         """Persist ``result`` under ``digest`` (atomic, best-effort).
 
         The result is pickled here, so later changes to it are not
         stored; the writer thread makes the bytes durable."""
-        payload = {"meta": meta or {}, "result": result}
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = pickle.dumps({"result": result}, protocol=pickle.HIGHEST_PROTOCOL)
         _WRITES.submit(self._result_path(digest), blob, self._write_failed)
 
     # -- maintenance ---------------------------------------------------------
@@ -473,7 +472,7 @@ class InMemoryBackend:
         blob = self._results.get(digest)
         return None if blob is None else pickle.loads(blob)
 
-    def save_result(self, digest, result, meta=None):
+    def save_result(self, digest, result):
         self._results[digest] = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
 
     def clear(self):
@@ -508,11 +507,11 @@ class TieredBackend:
             return result
         result = self.shared.load_result(digest)
         if result is not None:
-            self.local.save_result(digest, result, meta={"promoted": True})
+            self.local.save_result(digest, result)
         return result
 
-    def save_result(self, digest, result, meta=None):
-        self.local.save_result(digest, result, meta=meta)
+    def save_result(self, digest, result):
+        self.local.save_result(digest, result)
 
     def clear(self):
         self.local.clear()

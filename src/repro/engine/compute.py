@@ -46,21 +46,6 @@ def load_artifact(spec, backend):
 
 def save_artifact(spec, result, backend):
     """Persist one computed result under its spec's fingerprint."""
-    if backend is None:
-        return
-    if isinstance(spec, RunSpec):
-        meta = {
-            "kind": "run",
-            "workload": spec.workload,
-            "scheme": spec.scheme,
-            "length": spec.length,
-        }
-    else:
-        meta = {
-            "kind": "mix",
-            "mix": spec.mix_name,
-            "scheme": spec.scheme,
-            "length": spec.length_per_core,
-        }
-    backend.save_result(spec.fingerprint(), result, meta=meta)
+    if backend is not None:
+        backend.save_result(spec.fingerprint(), result)
 

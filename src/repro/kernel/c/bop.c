@@ -32,12 +32,10 @@ static void bop_finish_phase(kctx_t *k) {
     for (int64_t i = 0; i < n; i++) sc[i] = 0;
     ci[CI_bp_test_pos] = 0;
     ci[CI_bp_round] = 0;
-    ci[CI_bp_phases]++;
 }
 
 static void bop_train(kctx_t *k, int64_t sk, int64_t cycle, int64_t addr) {
     int64_t *ci = k->ci;
-    ci[CI_bp_trainings]++;
     int64_t line = addr >> LINE_SHIFT;
     int64_t offset_in_page = line & 63;
     /* _drain_pending: fills that completed by now enter the RR table */

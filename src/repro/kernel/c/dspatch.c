@@ -146,7 +146,6 @@ static int64_t dp_predict(kctx_t *k, int64_t cycle, int64_t sig,
    the segment trigger and the pattern-bit record. */
 static void dp_train(kctx_t *k, int64_t cycle, int64_t pc, int64_t addr) {
     int64_t *ci = k->ci;
-    ci[CI_dp_trainings]++;
     int64_t page = addr >> (LINE_SHIFT + PG_SHIFT);
     int64_t line_off = (addr >> LINE_SHIFT) & 63;
     int64_t segment = line_off >> 5;
@@ -188,7 +187,6 @@ static void dp_train(kctx_t *k, int64_t cycle, int64_t pc, int64_t addr) {
             ev_off[0] = k->dp_pb_trig_off[0];
             ev_off[1] = k->dp_pb_trig_off[1];
             evicted = 1;
-            ci[CI_dp_pb_evictions]++;
             for (int64_t i = 0; i < len - 1; i++) {
                 k->dp_pb_page[i] = k->dp_pb_page[i + 1];
                 k->dp_pb_pattern[i] = k->dp_pb_pattern[i + 1];
@@ -214,7 +212,6 @@ static void dp_train(kctx_t *k, int64_t cycle, int64_t pc, int64_t addr) {
         int64_t signature = dp_fold(pc, ci[CI_dp_sig_bits]);
         k->dp_pb_trig_sig[2 * slot + segment] = signature;
         k->dp_pb_trig_off[2 * slot + segment] = line_off;
-        ci[CI_dp_triggers]++;
         ci[CI_cand_len] = dp_predict(k, cycle, signature, page, line_off, segment);
     }
     k->dp_pb_pattern[slot] |= 1ull << line_off;

@@ -293,19 +293,10 @@ static void infl_sweep(kctx_t *k, int64_t cycle) {
 /* ------------------------------------------------------- scheme notes */
 
 static void scheme_note(kctx_t *k, int useful, int64_t cycle, int64_t line) {
-    /* l2pf_notes is 0 when no scheme is attached or its note hooks are
-       Prefetcher's inherited no-ops (DSPatch, BOP, SMS, ampm, ...):
-       nothing would read the note. */
-    int64_t *ci = k->ci;
-    if (!CI(l2pf_notes)) return;
-    if (CI(scheme_len)) {
-        /* Of the compiled twins only the SPP family reads notes: its
-           note hooks only count them. */
-        if (useful) CI(sp_fb_useful)++;
-        else CI(sp_fb_issued)++;
-        return;
-    }
-    if (!k->si[SI_failed]) k->note(useful, cycle, line);
+    /* l2pf_notes is 1 only for a crossing scheme whose note hooks are not
+       Prefetcher's inherited no-ops (composites, fdp: wrappers, ...): no
+       compiled twin reads notes. */
+    if (k->ci[CI_l2pf_notes] && !k->si[SI_failed]) k->note(useful, cycle, line);
 }
 
 static void notify_useful(kctx_t *k, int64_t cycle, int64_t line) {

@@ -1,5 +1,7 @@
 /* ------------------------------------- MemoryHierarchy._issue_prefetches */
 
+/* Each candidate ends as one of the spec's outcomes, named at its branch;
+   only issued ones are counted. */
 static void issue_prefetches(kctx_t *k, int64_t cycle) {
     int64_t *ci = k->ci;
     int64_t n = ci[CI_cand_len];
@@ -8,32 +10,25 @@ static void issue_prefetches(kctx_t *k, int64_t cycle) {
     for (int64_t i = 0; i < n; i++) {
         int64_t line = k->cand_line[i];
         int64_t lp = k->cand_lp[i];
-        if (c_find(l2, line) >= 0) { ci[CI_pf_dropped_resident]++; continue; }
+        if (c_find(l2, line) >= 0) continue;                    /* "resident" */
         int64_t ifl = infl_find(k, line);
         if (ifl >= 0) {
-            if (k->infl_ready[ifl] > cycle) { ci[CI_pf_dropped_in_flight]++; continue; }
+            if (k->infl_ready[ifl] > cycle) continue;           /* "inflight" */
             infl_del(k, ifl);
         }
-        if (c_find(llc, line) >= 0) {
+        if (c_find(llc, line) >= 0) {                           /* "llc" */
             ci[CI_pf_issued]++;
-            if (lp) ci[CI_pf_issued_low_priority]++;
-            ci[CI_pf_filled_from_llc]++;
             c_fill(l2, line, 1, lp, cycle + llc->hit_lat, 0, 0, 0);
             continue;
         }
         if (ci[CI_inflight_len] >= ci[CI_queue_size]) {
             infl_sweep(k, cycle);
-            if (ci[CI_inflight_len] >= ci[CI_queue_size]) {
-                ci[CI_pf_dropped_bandwidth]++;
-                continue;
-            }
+            if (ci[CI_inflight_len] >= ci[CI_queue_size]) continue;  /* "bandwidth" */
         }
         int64_t dl = dram_access(k, cycle, line, 0, 1);
-        if (dl < 0) { ci[CI_pf_dropped_bandwidth]++; continue; }
-        ci[CI_pf_issued]++;
-        if (lp) ci[CI_pf_issued_low_priority]++;
+        if (dl < 0) continue;                                   /* "bandwidth" */
+        ci[CI_pf_issued]++;                                     /* "dram" */
         int64_t ready = cycle + llc->hit_lat + dl;
-        ci[CI_pf_filled_from_dram]++;
         /* FILL from DRAM */
         if (ci[CI_pl_on]) pl_push(ci, k->pl_fill, CI_pl_fill_len, line);
         int64_t m = ci[CI_inflight_len]++;
@@ -306,7 +301,6 @@ static void krun(void **P, int64_t end, int64_t strict, double horizon) {
         /* PcStridePrefetcher.train */
         int64_t pf_n = 0;
         if (has_l1pf) {
-            CI(stride_trainings)++;
             int64_t sidx = (pc ^ (pc >> 12)) & s_mask;
             if (!s_valid[sidx] || s_tag[sidx] != pc) {
                 s_valid[sidx] = 1;

@@ -39,7 +39,6 @@ static void sms_pht_store(kctx_t *k, const int64_t *entry) {
     r[0] = tag;
     r[1] = entry[1];
     r[2] = ++ci[CI_sm_clock];
-    ci[CI_sm_pht_stores]++;
 }
 
 /* Find `key` in a stamped table of `cap` records of `rec` fields (key
@@ -61,7 +60,6 @@ static int64_t stamp_find(const int64_t *table, int64_t rec, int64_t cap,
 
 static void sms_train(kctx_t *k, int64_t pc, int64_t addr) {
     int64_t *ci = k->ci;
-    ci[CI_sm_trainings]++;
     int64_t line = addr >> LINE_SHIFT;
     int64_t region = addr >> ci[CI_sm_region_shift];
     int64_t offset = line & ci[CI_sm_off_mask];
@@ -92,7 +90,8 @@ static void sms_train(kctx_t *k, int64_t pc, int64_t addr) {
         return;
     }
 
-    /* Trigger access to a fresh region: _predict, then _ft_insert. */
+    /* Trigger access to a fresh region: _pht_lookup and _replay, then
+       _ft_insert. */
     int64_t tag;
     int64_t *row = sms_pht_set(k, sms_signature(pc, offset), &tag);
     int64_t ways = ci[CI_sm_pht_ways];
@@ -100,7 +99,6 @@ static void sms_train(kctx_t *k, int64_t pc, int64_t addr) {
         int64_t *r = row + SM_PHT_REC * w;
         if (!r[2] || r[0] != tag) continue;
         r[2] = ++ci[CI_sm_clock];           /* refresh LRU position */
-        ci[CI_sm_pht_hits]++;
         int64_t lines = ci[CI_sm_off_mask] + 1;
         uint64_t p = (uint64_t)r[1] & ~bit;
         if (lines < 64) p &= (1ull << lines) - 1;

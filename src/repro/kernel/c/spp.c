@@ -69,7 +69,6 @@ static double spp_threshold(kctx_t *k, int64_t sk, int64_t cycle) {
 
 static void spp_train(kctx_t *k, int64_t sk, int64_t cycle, int64_t addr) {
     int64_t *ci = k->ci;
-    ci[CI_sp_trainings]++;
     int64_t page = addr >> (LINE_SHIFT + PG_SHIFT);
     int64_t offset = (addr >> LINE_SHIFT) & 63;
     int64_t sidx = page & ci[CI_sp_st_mask];
@@ -100,7 +99,7 @@ static void spp_train(kctx_t *k, int64_t sk, int64_t cycle, int64_t addr) {
     uint64_t seen = 1ull << offset;   /* in-page lines as an offset bitmap */
     double confidence = 1.0;
     int64_t off = offset;
-    int64_t base = ci[CI_cand_len], n_cands = 0, n_filtered = 0;
+    int64_t base = ci[CI_cand_len], n_cands = 0;
     for (int64_t depth = 0; depth < max_depth; depth++) {
         int64_t idx = (signature ^ (signature >> 6)) & pt_mask;
         int64_t c_sig = k->sp_pt_csig[idx];
@@ -120,10 +119,9 @@ static void spp_train(kctx_t *k, int64_t sk, int64_t cycle, int64_t addr) {
             if (target >= 0 && target < 64) {
                 int64_t line = page_base + target;
                 if (!((seen >> target) & 1)) {
-                    /* inlined prefetch filter */
+                    /* the prefetch filter */
                     int64_t fidx = (line ^ (line >> 10)) & flt_mask;
-                    if (k->sp_flt[fidx] == line) n_filtered++;
-                    else {
+                    if (k->sp_flt[fidx] != line) {
                         k->sp_flt[fidx] = line;
                         seen |= 1ull << target;
                         k->cand_line[base + n_cands] = line;
@@ -136,7 +134,6 @@ static void spp_train(kctx_t *k, int64_t sk, int64_t cycle, int64_t addr) {
                 spp_ghr_insert(k, signature, conf, off, delta);
             }
             if (n_cands >= maxc) {
-                ci[CI_sp_filtered] += n_filtered;
                 ci[CI_cand_len] = base + n_cands;
                 return;
             }
@@ -148,6 +145,5 @@ static void spp_train(kctx_t *k, int64_t sk, int64_t cycle, int64_t addr) {
         off = next_off;
         confidence = best_conf;
     }
-    ci[CI_sp_filtered] += n_filtered;
     ci[CI_cand_len] = base + n_cands;
 }

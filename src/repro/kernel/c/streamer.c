@@ -6,7 +6,6 @@
 
 static void streamer_train(kctx_t *k, int64_t addr) {
     int64_t *ci = k->ci;
-    ci[CI_st_trainings]++;
     int64_t page = addr >> (LINE_SHIFT + PG_SHIFT);
     int64_t offset = (addr >> LINE_SHIFT) & 63;
     int64_t line = addr >> LINE_SHIFT;

@@ -296,12 +296,7 @@ class KernelExecution:
     def mark_stats_start(self):
         """Set the measured-region floor from the live working state."""
         ci = self.state.ci64
-        self._stats_floor = (
-            int(ci[CI64["instr"]]),
-            self.ops,
-            self.time,
-            tuple(ci[HITS].tolist()),
-        )
+        self._stats_floor = (int(ci[CI64["instr"]]), self.time, tuple(ci[HITS].tolist()))
 
     # ------------------------------------------------- warmup-boundary resets
 

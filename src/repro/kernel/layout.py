@@ -102,8 +102,6 @@ class Twin(NamedTuple):
 SPP_TABLES = Family(
     "spp", "spp.c",
     slots=(
-        ("sp_trainings", "trainings"), ("sp_filtered", "filtered"),
-        ("sp_fb_issued", "feedback_issued"), ("sp_fb_useful", "feedback_useful"),
         ("sp_ghr_len", None),
         ("sp_st_mask", lambda pf: pf.config.st_entries - 1),
         ("sp_pt_mask", lambda pf: pf.config.pt_entries - 1),
@@ -131,8 +129,7 @@ SPP_TABLES = Family(
 DSPATCH_TABLES = Family(
     "dspatch", "dspatch.c",
     slots=(
-        ("dp_pb_len", None), ("dp_pb_evictions", None),
-        ("dp_trainings", "trainings"), ("dp_triggers", "triggers"),
+        ("dp_pb_len", None),
         ("dp_pred_covp", "predictions_covp"), ("dp_pred_accp", "predictions_accp"),
         ("dp_pred_supp", "predictions_suppressed"),
         ("dp_pb_cap", lambda pf: pf.config.pb_entries),
@@ -157,7 +154,6 @@ DSPATCH_TABLES = Family(
 BOP_TABLES = Family(
     "bop", "bop.c",
     slots=(
-        ("bp_trainings", "trainings"), ("bp_phases", "learning_phases"),
         ("bp_test_pos", "_test_pos"), ("bp_round", "_round"),
         ("bp_active_len", None), ("bp_pend_head", None), ("bp_pend_len", None),
         ("bp_pend_cap", None),      # pending-fill ring capacity, 0 when none is packed
@@ -186,8 +182,7 @@ SM_PHT_REC = 3
 SMS_TABLES = Family(
     "sms", "sms.c",
     slots=(
-        ("sm_trainings", "trainings"), ("sm_pht_stores", "pht_stores"),
-        ("sm_pht_hits", "pht_hits"), ("sm_clock", None),
+        ("sm_clock", None),
         ("sm_region_shift", lambda pf: pf._region_shift),
         ("sm_off_mask", lambda pf: pf._offset_mask),
         ("sm_at_cap", lambda pf: pf.config.at_entries),
@@ -208,7 +203,7 @@ ST_REC = 5
 STREAMER_TABLES = Family(
     "streamer", "streamer.c",
     slots=(
-        ("st_trainings", "trainings"), ("st_clock", None),
+        ("st_clock", None),
         ("st_tracked", lambda pf: pf.tracked_pages), ("st_degree", lambda pf: pf.degree),
     ),
     arrays=(Table("st_tab"),),
@@ -278,16 +273,14 @@ CI64_NAMES = (
     "mshr_llc_cap", "mshr_llc_len",
     # -- hierarchy -----------------------------------------------------------
     "demand_accesses", "queue_size", "merge_bound", "inflight_len",
-    "pf_issued", "pf_issued_low_priority", "pf_filled_from_llc",
-    "pf_filled_from_dram", "pf_useful", "pf_late", "pf_useless",
-    "pf_dropped_resident", "pf_dropped_in_flight", "pf_dropped_bandwidth",
+    "pf_issued", "pf_useful", "pf_late", "pf_useless",
     # -- L1 stride prefetcher --------------------------------------------------
     "has_l1pf", "has_l2pf", "stride_degree", "stride_mask",
-    "stride_conf_threshold", "stride_conf_max", "stride_trainings",
+    "stride_conf_threshold", "stride_conf_max",
     # -- L2 scheme -------------------------------------------------------------
     # the kinds of l2_pf's compiled twins, in arbitration order (none: it crosses)
     "scheme_len", *(f"scheme_{i}" for i in range(MAX_TWINS)),
-    "l2pf_notes",       # 1 when l2_pf's (or a twin's) note hooks read notes
+    "l2pf_notes",       # 1 when a crossing l2_pf's note hooks read notes
     "cand_len", "cand_cap",                         # the lookup's candidates
     # -- compiled scheme training (live only for a listed twin) --------------
     *(slot for family in FAMILIES for slot, _ in family.slots),

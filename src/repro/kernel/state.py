@@ -57,18 +57,7 @@ from repro.prefetchers.composite import CompositePrefetcher
 from repro.prefetchers.stride import PcStridePrefetcher
 
 _CACHE_FIELDS = ("valid", "line", "pref", "used", "touch", "ready")
-_PF_STATS = (
-    "issued",
-    "issued_low_priority",
-    "filled_from_llc",
-    "filled_from_dram",
-    "useful",
-    "late",
-    "useless",
-    "dropped_resident",
-    "dropped_in_flight",
-    "dropped_bandwidth",
-)
+_PF_STATS = ("issued", "useful", "late", "useless")
 #: The pollution logs, in the order of ``RunResult``'s three log fields
 #: (``demand_log``, ``prefetch_fill_log``, ``pollution_events``).
 _LOGS = ("pl_dem", "pl_fill", "pl_vic")
@@ -420,7 +409,6 @@ class KernelState:
 
         # L1 stride prefetcher
         if l1_pf is not None:
-            ci[CI64["stride_trainings"]] = l1_pf.trainings
             for i, entry in enumerate(l1_pf._table):
                 if entry is not None:
                     self.stride_valid[i] = 1
@@ -533,10 +521,9 @@ class KernelState:
         ci = self.ci64
         has_l2pf = not (l2_pf is None or type(l2_pf) is NullPrefetcher)
         kinds = _scheme_kind(l2_pf, self.shared.dram_obj)
-        # A twinned scheme's notes matter only to twins that read them.
-        notes = _components(l2_pf) if kinds else (l2_pf,)
         ci[CI64["has_l2pf"]] = 1 if has_l2pf else 0
-        ci[CI64["l2pf_notes"]] = 1 if has_l2pf and any(map(_reads_notes, notes)) else 0
+        # No twin reads notes: only a crossing scheme's hooks take them.
+        ci[CI64["l2pf_notes"]] = 1 if has_l2pf and not kinds and _reads_notes(l2_pf) else 0
         self.scheme_kind = kinds
         ci[CI64["scheme_len"]] = len(kinds)
         for i, (kind, pf) in enumerate(zip(kinds, _components(l2_pf))):
@@ -554,7 +541,6 @@ class KernelState:
         ci = self.ci64
         stats = measured_stats(
             int(ci[CI64["instr"]]),
-            int(ci[CI64["pos"]]),
             float(self.cf64[CF64["retire"]]),
             tuple(ci[HITS].tolist()),
             floor,
@@ -642,7 +628,6 @@ class KernelState:
                 self.dp_pb_trig_sig[list(slots)] = sig_off[:, 0]
                 self.dp_pb_trig_off[list(slots)] = sig_off[:, 1]
         ci[CI64["dp_pb_len"]] = n
-        ci[CI64["dp_pb_evictions"]] = pf.page_buffer.evictions
         # One row per SPT entry: the patterns, then each counter pair.
         spt = np.array(
             [

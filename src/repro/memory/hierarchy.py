@@ -83,18 +83,13 @@ class HierarchyConfig:
 
 @dataclass
 class PrefetchStats:
-    """Counters for one L2 prefetcher's activity."""
+    """Counts of one L2 prefetcher's prefetches: issued, useful (late ones
+    included), late, and useless (evicted from the LLC unused)."""
 
     issued: int = 0
-    issued_low_priority: int = 0
-    filled_from_llc: int = 0
-    filled_from_dram: int = 0
     useful: int = 0
     late: int = 0
     useless: int = 0
-    dropped_resident: int = 0
-    dropped_in_flight: int = 0
-    dropped_bandwidth: int = 0
 
     def accuracy(self):
         """Fraction of issued prefetches that saw a demand use."""
@@ -269,7 +264,7 @@ class MemoryHierarchy:
             pf.useful += 1
             pf.late += 1
             l2.fill(line, cycle, False, False, cycle + residual, False)
-            self._notify_useful(cycle, line)
+            self._notify_useful(cycle, line, True)
             if candidates:
                 self._issue_prefetches(cycle, candidates)
             return latency, LLC
@@ -335,7 +330,10 @@ class MemoryHierarchy:
     # ------------------------------------------------------- L2 prefetching
 
     def _issue_prefetches(self, cycle, candidates):
-        """Issue a batch of prefetch candidates.
+        """Issue a batch of prefetch candidates; returns what became of the
+        last one: ``"dram"`` or ``"llc"``, where its fill came from, or
+        ``"resident"``, ``"inflight"`` or ``"bandwidth"``, why it was
+        dropped (the strings its trace events carry).
 
         One call per training access that produced candidates, one loop
         iteration per candidate — the body is fully inlined (cache lookup,
@@ -357,25 +355,24 @@ class MemoryHierarchy:
         in_flight = self._in_flight
         queue_size = self.prefetch_queue_size
         dram_access = self._dram_access
+        outcome = None
         for cand in candidates:
             line = cand.line_addr
             if l2_sets[line & l2_mask].get(line >> l2_shift) is not None:
-                pf.dropped_resident += 1
+                outcome = "resident"
                 continue
             inflight_ready = in_flight.get(line)
             if inflight_ready is not None:
                 if inflight_ready > cycle:
-                    pf.dropped_in_flight += 1
+                    outcome = "inflight"
                     continue
                 del in_flight[line]
             llc_line = llc_sets[line & llc_mask].get(line >> llc_shift)
             if llc_line is not None:
                 # Promote from LLC into L2.
                 pf.issued += 1
-                if cand.low_priority:
-                    pf.issued_low_priority += 1
-                pf.filled_from_llc += 1
                 l2_fill(line, cycle, True, cand.low_priority, cycle + llc_hit_latency, False)
+                outcome = "llc"
                 continue
             if len(in_flight) >= queue_size:
                 # Lazily retire completed prefetches before declaring the
@@ -383,21 +380,20 @@ class MemoryHierarchy:
                 # entries never affect anything but this capacity check).
                 self._prune_in_flight(cycle)
                 if len(in_flight) >= queue_size:
-                    pf.dropped_bandwidth += 1
+                    outcome = "bandwidth"
                     continue
             dram_latency = dram_access(cycle, line, False, True)
             if dram_latency is None:
                 # Rejected by the memory controller under extreme backlog.
-                pf.dropped_bandwidth += 1
+                outcome = "bandwidth"
                 continue
             pf.issued += 1
-            if cand.low_priority:
-                pf.issued_low_priority += 1
             ready = cycle + llc_hit_latency + dram_latency
-            pf.filled_from_dram += 1
             in_flight[line] = ready
             self._fill_llc(line, cycle, prefetched=True, ready=ready, low_priority=cand.low_priority)
             l2_fill(line, cycle, True, cand.low_priority, ready, False)
+            outcome = "dram"
+        return outcome
 
     def _prune_in_flight(self, cycle):
         in_flight = self._in_flight
@@ -429,12 +425,17 @@ class MemoryHierarchy:
         """First demand use of a prefetched line at L2 or LLC (the cache's
         ``last_access_first_use``): count it useful, late when its fill
         had not arrived, and propagate."""
-        self.pf_stats.useful += 1
-        if cache_line.ready > cycle:
-            self.pf_stats.late += 1
-        self._notify_useful(cycle, line)
+        pf = self.pf_stats
+        pf.useful += 1
+        late = cache_line.ready > cycle
+        if late:
+            pf.late += 1
+        self._notify_useful(cycle, line, late)
 
-    def _notify_useful(self, cycle, line):
+    def _notify_useful(self, cycle, line, late):
+        """A prefetched line's first demand use (``late`` when the demand
+        came before the fill, which the observed subclass emits): mark
+        the line used and tell the L2 scheme."""
         self.llc.touch_for_prefetcher(line)
         self.l2.touch_for_prefetcher(line)
         if self.l2_prefetcher is not None:

@@ -14,13 +14,14 @@ logic.  The split is deliberate:
   ``tests/test_observed_hierarchy.py``).
 
 Instead of duplicating the aggressively inlined issue loop, the
-override replays it one candidate at a time through the parent and
-classifies the outcome from the stats deltas — each candidate resolves
-to exactly one of {issue+fill, drop}; the LLC fill override calls the
-parent's, which returns the victim, and only adds its two events.  The
-simulation semantics keep a single source of truth.  Tracing-on
-throughput is not a goal; tracing-off throughput is (see
-``benchmarks/bench_observe_overhead.py``).
+override replays it one candidate at a time through the parent, which
+returns what became of the candidate: a fill from DRAM or the LLC, or
+the reason it was dropped.  The parent's useful-prefetch hook is told
+whether the use was late, and the LLC fill override calls the parent's,
+which returns the victim, and only adds its two events.  No outcome is
+worked out from counters, so the simulation semantics keep a single
+source of truth.  Tracing-on throughput is not a goal; tracing-off
+throughput is (see ``benchmarks/bench_observe_overhead.py``).
 
 ``record_pollution_victims`` rides the same event stream: a
 :class:`repro.observe.sinks.PollutionCollector` subscribes internally
@@ -59,7 +60,6 @@ class ObservedHierarchy(MemoryHierarchy):
         "_cache_subs",
         "_pf_subs",
         "_pollution",
-        "_late_seen",
         "record_pollution_victims",
     )
 
@@ -96,7 +96,6 @@ class ObservedHierarchy(MemoryHierarchy):
             cache_subs.append(self._pollution.emit)
         self._pf_subs = tuple(pf_subs)
         self._cache_subs = tuple(cache_subs)
-        self._late_seen = 0
         if self._pf_subs and l2_prefetcher is not None:
             attach = getattr(l2_prefetcher, "attach_trace", None)
             if attach is not None:
@@ -145,46 +144,32 @@ class ObservedHierarchy(MemoryHierarchy):
     def _issue_prefetches(self, cycle, candidates):
         subs = self._pf_subs
         if not subs:
-            MemoryHierarchy._issue_prefetches(self, cycle, candidates)
-            return
-        pf = self.pf_stats
+            return MemoryHierarchy._issue_prefetches(self, cycle, candidates)
         in_flight = self._in_flight
         llc_hit_latency = self.llc.hit_latency
         issue_one = MemoryHierarchy._issue_prefetches
         cyc = int(cycle)
+        outcome = None
         for cand in candidates:
             line = cand.line_addr
-            resident = pf.dropped_resident
-            inflight = pf.dropped_in_flight
-            bandwidth = pf.dropped_bandwidth
-            from_llc = pf.filled_from_llc
-            from_dram = pf.filled_from_dram
             # One candidate through the parent's (single-source-of-truth)
-            # issue path; the outcome is recovered from the stats deltas.
-            issue_one(self, cycle, (cand,))
+            # issue path, which returns what became of it.
+            outcome = issue_one(self, cycle, (cand,))
             ord_ = self.demand_accesses
-            if pf.filled_from_dram != from_dram:
-                lp = 1 if cand.low_priority else 0
+            if outcome == "dram":
                 ready = in_flight.get(line, cyc)
+            elif outcome == "llc":
+                ready = cyc + llc_hit_latency
+            else:
                 for emit in subs:
-                    emit((ISSUE, ord_, cyc, line, lp, "dram"))
-                for emit in subs:
-                    emit((FILL, ord_, cyc, line, "dram", ready))
-            elif pf.filled_from_llc != from_llc:
-                lp = 1 if cand.low_priority else 0
-                for emit in subs:
-                    emit((ISSUE, ord_, cyc, line, lp, "llc"))
-                for emit in subs:
-                    emit((FILL, ord_, cyc, line, "llc", cyc + llc_hit_latency))
-            elif pf.dropped_resident != resident:
-                for emit in subs:
-                    emit((DROP, ord_, cyc, line, "resident"))
-            elif pf.dropped_in_flight != inflight:
-                for emit in subs:
-                    emit((DROP, ord_, cyc, line, "inflight"))
-            elif pf.dropped_bandwidth != bandwidth:
-                for emit in subs:
-                    emit((DROP, ord_, cyc, line, "bandwidth"))
+                    emit((DROP, ord_, cyc, line, outcome))
+                continue
+            lp = 1 if cand.low_priority else 0
+            for emit in subs:
+                emit((ISSUE, ord_, cyc, line, lp, outcome))
+            for emit in subs:
+                emit((FILL, ord_, cyc, line, outcome, ready))
+        return outcome
 
     def _fill_llc(self, line, cycle, prefetched, ready, low_priority=False):
         evicted = MemoryHierarchy._fill_llc(self, line, cycle, prefetched, ready, low_priority)
@@ -203,25 +188,19 @@ class ObservedHierarchy(MemoryHierarchy):
                 emit(ev)
         return evicted
 
-    def _notify_useful(self, cycle, line):
+    def _notify_useful(self, cycle, line, late):
         subs = self._pf_subs
         if subs:
-            # Both useful paths (first demand use, in-flight merge) bump
-            # pf.useful — and pf.late when late — immediately before this
-            # notification, so the late delta carries the lateness.
-            late_now = self.pf_stats.late
-            is_late = 1 if late_now != self._late_seen else 0
-            self._late_seen = late_now
             ord_ = self.demand_accesses
             cyc = int(cycle)
-            ev = (USEFUL, ord_, cyc, line, is_late)
+            ev = (USEFUL, ord_, cyc, line, 1 if late else 0)
             for emit in subs:
                 emit(ev)
-            if is_late:
+            if late:
                 ev = (LATE, ord_, cyc, line)
                 for emit in subs:
                     emit(ev)
-        MemoryHierarchy._notify_useful(self, cycle, line)
+        MemoryHierarchy._notify_useful(self, cycle, line, late)
 
     def _scheme_emit(self, cycle, name, info=""):
         ev = (SCHEME, self.demand_accesses, int(cycle), 0, name, str(info))
@@ -230,7 +209,6 @@ class ObservedHierarchy(MemoryHierarchy):
 
     def reset_stats(self):
         MemoryHierarchy.reset_stats(self)
-        self._late_seen = 0
         ord_ = self.demand_accesses
         marker_cache = (RESET, ord_, 0, FAMILY_CACHE)
         for emit in self._cache_subs:

@@ -24,10 +24,8 @@ class AMPM(Prefetcher):
         self.max_stride = max_stride
         self.degree = degree
         self._maps = {}  # page -> access bitmap, dict order = LRU order
-        self.trainings = 0
 
     def train(self, cycle, pc, addr, hit):
-        self.trainings += 1
         page = page_number(addr)
         offset = line_offset_in_page(addr)
         bitmap = self._maps.pop(page, 0)

@@ -99,7 +99,7 @@ class Prefetcher:
             emit(cycle, self.name, info)
 
     # Optional feedback hooks; the hierarchy calls these so prefetchers that
-    # track their own usefulness (SPP's feedback counters) can do so.
+    # track their own usefulness (the fdp: throttle's accuracy) can do so.
 
     def note_useful_prefetch(self, cycle, line_addr):
         """A previously issued prefetch was demanded before eviction."""

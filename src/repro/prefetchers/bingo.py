@@ -74,9 +74,6 @@ class Bingo(Prefetcher):
         # for that event, which is Bingo's fallback semantics.
         self._pht_long = [dict() for _ in range(config.pht_sets)]
         self._pht_short = {}
-        self.trainings = 0
-        self.long_hits = 0
-        self.short_hits = 0
 
     # -- events ------------------------------------------------------------------
 
@@ -94,7 +91,6 @@ class Bingo(Prefetcher):
     # -- training -----------------------------------------------------------------
 
     def train(self, cycle, pc, addr, hit):
-        self.trainings += 1
         line = addr >> LINE_SHIFT
         region = addr >> self._region_shift
         offset = line & self._offset_mask
@@ -105,18 +101,12 @@ class Bingo(Prefetcher):
             self._at[region] = self._at.pop(region)  # refresh LRU position
             return ()
 
-        long_before, short_before = self.long_hits, self.short_hits
-        candidates = self._predict(pc, offset, region)
+        pattern, match = self._lookup(pc, offset, region)
+        candidates = () if pattern is None else self._replay(pattern, offset, region)
         if self.trace_emit is not None:
             # The scheme's core decision: which event matched the PHT — the
             # precise long event (PC+address) or the short fallback
             # (PC+offset) — and how wide the replayed footprint is.
-            if self.long_hits > long_before:
-                match = "long"
-            elif self.short_hits > short_before:
-                match = "short"
-            else:
-                match = "none"
             self.trace_emit(
                 cycle,
                 self.name,
@@ -150,18 +140,19 @@ class Bingo(Prefetcher):
 
     # -- prediction ------------------------------------------------------------------
 
-    def _predict(self, pc, offset, region):
-        long_key = self._long_event(pc, region)
-        pht_set, tag = self._pht_locate(long_key)
+    def _lookup(self, pc, offset, region):
+        """A trigger's PHT pattern (``None`` when neither event matches)
+        and which event matched: ``"long"``, ``"short"`` or ``"none"``."""
+        pht_set, tag = self._pht_locate(self._long_event(pc, region))
         pattern = pht_set.get(tag)
         if pattern is not None:
-            self.long_hits += 1
-        else:
-            pattern = self._pht_short.get(self._short_event(pc, offset))
-            if pattern is not None:
-                self.short_hits += 1
-        if pattern is None:
-            return ()
+            return pattern, "long"
+        pattern = self._pht_short.get(self._short_event(pc, offset))
+        return pattern, "none" if pattern is None else "short"
+
+    def _replay(self, pattern, offset, region):
+        """The candidates a pattern replays for a trigger at ``offset`` of
+        ``region``: every set bit but the trigger's."""
         region_base_line = region << (self._region_shift - LINE_SHIFT)
         return [
             PrefetchCandidate(region_base_line + bit)

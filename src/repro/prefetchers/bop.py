@@ -95,8 +95,6 @@ class BOP(Prefetcher):
         #: Offsets currently used for prefetch generation (ranked); the
         #: original design starts with offset 1 until learning converges.
         self.active_offsets = [1]
-        self.learning_phases = 0
-        self.trainings = 0
 
     # -- RR table ---------------------------------------------------------------
 
@@ -123,7 +121,6 @@ class BOP(Prefetcher):
         self._scores = dict.fromkeys(cfg.offsets, 0)
         self._test_pos = 0
         self._round = 0
-        self.learning_phases += 1
 
     def _drain_pending(self, cycle):
         """Move accesses whose modelled fill has completed into the RR."""
@@ -132,7 +129,6 @@ class BOP(Prefetcher):
             self._rr_insert(pending.popleft()[1])
 
     def train(self, cycle, pc, addr, hit):
-        self.trainings += 1
         cfg = self.config
         line = addr >> LINE_SHIFT
         offset_in_page = line & (LINES_PER_PAGE - 1)

@@ -72,10 +72,8 @@ class MarkovPrefetcher(Prefetcher):
         self.config = config
         self._table = {}  # line -> _Node, dict order = LRU order
         self._last_line = None
-        self.trainings = 0
 
     def train(self, cycle, pc, addr, hit):
-        self.trainings += 1
         line = addr >> LINE_SHIFT
         previous = self._last_line
         self._last_line = line

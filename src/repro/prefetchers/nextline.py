@@ -20,10 +20,8 @@ class NextLinePrefetcher(Prefetcher):
         if degree < 1:
             raise ValueError("degree must be at least 1")
         self.degree = degree
-        self.trainings = 0
 
     def train(self, cycle, pc, addr, hit):
-        self.trainings += 1
         line = addr >> LINE_SHIFT
         offset = line_offset_in_page(addr)
         out = []

@@ -70,9 +70,6 @@ class SMS(Prefetcher):
         self._at = {}  # region -> _RegionEntry, dict order = LRU order
         self._ft = {}  # region -> _RegionEntry
         self._pht = [dict() for _ in range(config.pht_sets)]  # sig tag -> pattern
-        self.trainings = 0
-        self.pht_stores = 0
-        self.pht_hits = 0
 
     # -- signature ---------------------------------------------------------------
 
@@ -96,7 +93,6 @@ class SMS(Prefetcher):
             oldest = next(iter(pht_set))
             del pht_set[oldest]
         pht_set[tag] = entry.pattern
-        self.pht_stores += 1
 
     def _pht_lookup(self, pc, offset):
         signature = self._signature(pc, offset)
@@ -106,13 +102,11 @@ class SMS(Prefetcher):
             # Refresh LRU position.
             del pht_set[tag]
             pht_set[tag] = pattern
-            self.pht_hits += 1
         return pattern
 
     # -- training -----------------------------------------------------------------
 
     def train(self, cycle, pc, addr, hit):
-        self.trainings += 1
         line = addr >> LINE_SHIFT
         region = addr >> self._region_shift
         offset = line & self._offset_mask
@@ -131,16 +125,16 @@ class SMS(Prefetcher):
             return ()
 
         # Trigger access to a fresh region.
-        pht_hits_before = self.pht_hits
-        candidates = self._predict(pc, offset, region)
+        pattern = self._pht_lookup(pc, offset)
+        candidates = () if pattern is None else self._replay(pattern, offset, region)
         if self.trace_emit is not None:
             # The scheme's core decision: a fresh-region trigger either
             # replays a recorded PHT pattern or starts cold.
-            hit = "hit" if self.pht_hits > pht_hits_before else "miss"
             self.trace_emit(
                 cycle,
                 self.name,
-                f"trigger region={region:#x} pht={hit} cands={len(candidates)}",
+                f"trigger region={region:#x} pht={'miss' if pattern is None else 'hit'} "
+                f"cands={len(candidates)}",
             )
         self._ft_insert(region, _RegionEntry(pc, offset))
         return candidates
@@ -158,10 +152,9 @@ class SMS(Prefetcher):
             del self._ft[oldest]
         self._ft[region] = entry
 
-    def _predict(self, pc, offset, region):
-        pattern = self._pht_lookup(pc, offset)
-        if pattern is None:
-            return ()
+    def _replay(self, pattern, offset, region):
+        """The candidates a PHT pattern replays for a trigger at ``offset``
+        of ``region``: every set bit but the trigger's."""
         region_base_line = region << (self._region_shift - LINE_SHIFT)
         out = []
         for bit in range(self.config.lines_per_region):

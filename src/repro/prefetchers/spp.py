@@ -116,10 +116,6 @@ class SPP(Prefetcher):
         self._pt_slots = [[(0, 0)] * config.delta_slots for _ in range(config.pt_entries)]
         self._ghr = []
         self._filter = [-1] * config.filter_entries
-        self.trainings = 0
-        self.filtered = 0
-        self.feedback_issued = 0
-        self.feedback_useful = 0
 
     # -- thresholds (overridden by eSPP) --------------------------------------
 
@@ -154,15 +150,6 @@ class SPP(Prefetcher):
                 victim_count = c
         slots[victim] = (delta, 1)
 
-    def _filter_admits(self, line):
-        """True if ``line`` was not recently issued (and record it)."""
-        idx = (line ^ (line >> 10)) & (self.config.filter_entries - 1)
-        if self._filter[idx] == line:
-            self.filtered += 1
-            return False
-        self._filter[idx] = line
-        return True
-
     def _ghr_insert(self, signature, confidence, last_offset, delta):
         self._ghr.insert(0, _GhrEntry(signature, confidence, last_offset, delta))
         del self._ghr[self.config.ghr_entries :]
@@ -180,7 +167,6 @@ class SPP(Prefetcher):
     # -- main algorithm ---------------------------------------------------------
 
     def train(self, cycle, pc, addr, hit):
-        self.trainings += 1
         page = page_number(addr)
         offset = line_offset_in_page(addr)
         idx = page & (self.config.st_entries - 1)
@@ -234,7 +220,6 @@ class SPP(Prefetcher):
         max_candidates = cfg.max_candidates_per_train
         lpp = LINES_PER_PAGE
         n_cands = 0
-        n_filtered = 0
         for _ in range(cfg.max_lookahead_depth):
             idx = (signature ^ (signature >> 6)) & pt_mask
             c_sig = pt_c_sig[idx]
@@ -255,12 +240,10 @@ class SPP(Prefetcher):
                 if 0 <= target < lpp:
                     line = page_base + target
                     if line not in seen:
-                        # Inlined _filter_admits (recently issued lines are
-                        # not re-requested).
+                        # The prefetch filter: recently issued lines are
+                        # not re-requested.
                         fidx = (line ^ (line >> 10)) & flt_mask
-                        if flt[fidx] == line:
-                            n_filtered += 1
-                        else:
+                        if flt[fidx] != line:
                             flt[fidx] = line
                             seen_add(line)
                             append(PrefetchCandidate(line))
@@ -269,7 +252,6 @@ class SPP(Prefetcher):
                     # Crossing the page: remember for cross-page bootstrap.
                     self._ghr_insert(signature, conf, offset, delta)
                 if n_cands >= max_candidates:
-                    self.filtered += n_filtered
                     return candidates
             if best_delta == 0 or best_conf < lookahead_threshold:
                 break
@@ -283,21 +265,7 @@ class SPP(Prefetcher):
             signature = ((signature << 3) ^ magnitude) & SIGNATURE_MASK
             offset = next_offset
             confidence = best_conf
-        self.filtered += n_filtered
         return candidates
-
-    # -- feedback ------------------------------------------------------------
-
-    def note_useful_prefetch(self, cycle, line_addr):
-        self.feedback_useful += 1
-
-    def note_useless_prefetch(self, cycle, line_addr):
-        self.feedback_issued += 1
-
-    def global_accuracy(self):
-        """Rough global accuracy estimate from the feedback counters."""
-        seen = self.feedback_useful + self.feedback_issued
-        return self.feedback_useful / seen if seen else 1.0
 
     # -- storage ----------------------------------------------------------------
 
@@ -312,6 +280,8 @@ class SPP(Prefetcher):
             "pattern-table": pt_bits,
             "ghr": ghr_bits,
             "prefetch-filter": filter_bits,
+            # Table 3 budgets the global feedback counters; no decision
+            # here reads them, so the model keeps none.
             "feedback": 10,
         }
 

@@ -31,10 +31,8 @@ class StreamPrefetcher(Prefetcher):
         self.tracked_pages = tracked_pages
         self.degree = degree
         self._streams = {}  # page -> _StreamEntry, dict order = LRU order
-        self.trainings = 0
 
     def train(self, cycle, pc, addr, hit):
-        self.trainings += 1
         page = page_number(addr)
         offset = line_offset_in_page(addr)
         line = addr >> LINE_SHIFT

@@ -39,13 +39,11 @@ class PcStridePrefetcher(Prefetcher):
         self.table_entries = table_entries
         self.degree = degree
         self._table = [None] * table_entries
-        self.trainings = 0
 
     def _index(self, pc):
         return (pc ^ (pc >> 12)) & (self.table_entries - 1)
 
     def train(self, cycle, pc, addr, hit):
-        self.trainings += 1
         line = addr >> LINE_SHIFT
         idx = (pc ^ (pc >> 12)) & (self.table_entries - 1)
         entry = self._table[idx]

@@ -70,7 +70,6 @@ class VLDP(Prefetcher):
         self._dhb = {}  # page -> _DhbEntry, dict order = LRU order
         self._dpts = [dict() for _ in range(config.history_len)]  # key tuple -> _DptEntry
         self._opt = {}  # first offset -> (delta, confidence)
-        self.trainings = 0
 
     # -- table plumbing --------------------------------------------------------
 
@@ -122,7 +121,6 @@ class VLDP(Prefetcher):
     # -- main algorithm ---------------------------------------------------------
 
     def train(self, cycle, pc, addr, hit):
-        self.trainings += 1
         page = page_number(addr)
         offset = line_offset_in_page(addr)
 

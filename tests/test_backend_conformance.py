@@ -91,9 +91,9 @@ class _Recording:
         self.calls.append(("load_result", digest))
         return self.inner.load_result(digest)
 
-    def save_result(self, digest, result, meta=None):
+    def save_result(self, digest, result):
         self.calls.append(("save_result", digest))
-        return self.inner.save_result(digest, result, meta=meta)
+        return self.inner.save_result(digest, result)
 
     def clear(self):
         self.calls.append(("clear", None))
@@ -133,7 +133,7 @@ class TestProtocolConformance:
 
     def test_result_round_trip(self, backend):
         payload = {"ipc": 1.25, "nested": {"tuple": (1, 2.5, "x")}, "list": [1, 2]}
-        backend.save_result(DIGEST_A, payload, meta={"kind": "test"})
+        backend.save_result(DIGEST_A, payload)
         assert backend.load_result(DIGEST_A) == payload
 
     def test_unknown_key_is_a_none_miss(self, backend):
@@ -198,12 +198,6 @@ class TestProtocolConformance:
         backend.save_result(DIGEST_A, payload)
         payload["list"].append(4)
         assert backend.load_result(DIGEST_A) == {"list": [1, 2, 3]}
-
-    def test_meta_never_leaks_into_the_result(self, backend):
-        backend.save_result(DIGEST_A, {"v": 1}, meta={"kind": "run", "v": 2})
-        backend.save_result(DIGEST_B, {"v": 3}, meta=None)
-        assert backend.load_result(DIGEST_A) == {"v": 1}
-        assert backend.load_result(DIGEST_B) == {"v": 3}
 
     def test_numpy_payloads_round_trip_with_dtype(self, backend):
         arrays = {

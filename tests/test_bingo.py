@@ -5,6 +5,13 @@ import pytest
 from repro.prefetchers.bingo import Bingo, BingoConfig
 
 
+def matches(pf):
+    """The ``match=`` of each Bingo trigger event from now on."""
+    infos = []
+    pf.attach_trace(lambda cycle, name, info: infos.append(info))
+    return infos
+
+
 def visit_region(pf, region, offsets, pc=0x400, start=0):
     """Access a 2KB region at the given line offsets; returns candidates."""
     out = []
@@ -41,17 +48,18 @@ class TestPrediction:
     def test_short_event_generalizes_to_new_region(self):
         pf = Bingo()
         teach(pf, self.LAYOUT)
+        infos = matches(pf)
         cands = pf.train(10**6, 0x400, (0x9999 << 11) | (3 << 6), hit=False)
         assert sorted(c.line_addr & 31 for c in cands) == [7, 11, 19]
-        assert pf.short_hits >= 1
+        assert infos == ["match=short region=0x9999 cands=3"]
 
     def test_long_event_hits_on_revisited_region(self):
         pf = Bingo()
         teach(pf, self.LAYOUT, regions=range(0x100, 0x180))
         # Revisit a trained region: the long (PC+address) event matches.
-        before = pf.long_hits
+        infos = matches(pf)
         cands = pf.train(10**6, 0x400, (0x100 << 11) | (3 << 6), hit=False)
-        assert pf.long_hits == before + 1
+        assert infos == ["match=long region=0x100 cands=3"]
         assert cands
 
     def test_trigger_line_excluded(self):

@@ -26,16 +26,31 @@ class TestOffsetList:
         assert 48 in default_offset_list()  # 2^4 * 3
 
 
+def spy_phases(pf):
+    """The ranked offsets each learning phase of ``pf`` ends with, from a
+    spy on its ``_finish_phase``."""
+    rankings = []
+    finish = pf._finish_phase
+
+    def spying_finish():
+        finish()
+        rankings.append(list(pf.active_offsets))
+
+    pf._finish_phase = spying_finish
+    return rankings
+
+
 class TestLearning:
     def test_initial_offset_is_one(self):
         assert BOP().active_offsets == [1]
 
     def test_stream_keeps_positive_offset(self):
         pf = BOP()
+        rankings = spy_phases(pf)
         # ~40 cycles between accesses, as a real miss stream would show.
         for i in range(4000):
             pf.train(i * 40, 0x400, ((0x10 + i // 64) << 12) | ((i % 64) << 6), hit=False)
-        assert pf.learning_phases >= 1
+        assert rankings and pf.active_offsets == rankings[-1]
         assert pf.active_offsets
         assert pf.active_offsets[0] >= 1
 
@@ -54,6 +69,7 @@ class TestLearning:
 
     def test_strided_stream_learns_its_delta(self):
         pf = BOP()
+        rankings = spy_phases(pf)
         stride = 4
         line = 0
         for i in range(6000):
@@ -62,7 +78,7 @@ class TestLearning:
             line += stride
             if line >= 64:
                 line = 0  # wrap within one page to keep it simple
-        assert pf.learning_phases >= 1
+        assert rankings and pf.active_offsets == rankings[-1]
         assert pf.active_offsets and pf.active_offsets[0] % stride == 0
 
     def test_random_traffic_disables_prefetching(self):
@@ -70,11 +86,13 @@ class TestLearning:
 
         random.seed(7)
         pf = BOP(BopConfig(max_round=3))
+        rankings = spy_phases(pf)
         for i in range(4000):
             addr = (random.randrange(1 << 20) << 12) | (random.randrange(64) << 6)
             pf.train(i, 0x400, addr, hit=False)
-        assert pf.learning_phases >= 1
-        # Scores can never beat BadScore on uncorrelated traffic.
+        # Scores can never beat BadScore on uncorrelated traffic: every
+        # phase ends with no offset.
+        assert rankings and all(ranking == [] for ranking in rankings)
         assert pf.active_offsets == []
 
     def test_candidates_stay_in_page(self):

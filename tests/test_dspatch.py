@@ -95,12 +95,17 @@ class TestLearningAndPrediction:
 
     def test_one_trigger_per_segment(self):
         pf = DSPatch(FixedBandwidth(0))
+
+        def trigger_offsets():
+            triggers = pf.page_buffer._pages[0x10].triggers
+            return [None if t is None else t[1] for t in triggers]
+
         visit_page(pf, 0x10, [4, 7, 9, 12])  # all in segment 0
-        assert pf.triggers == 1
+        assert trigger_offsets() == [4, None]
         visit_page(pf, 0x10, [40, 45])  # first touches of segment 1
-        assert pf.triggers == 2
+        assert trigger_offsets() == [4, 40]
         visit_page(pf, 0x10, [50, 3])  # no new triggers
-        assert pf.triggers == 2
+        assert trigger_offsets() == [4, 40]
 
     def test_candidates_capped(self):
         cfg = DSPatchConfig(max_candidates_per_trigger=8)

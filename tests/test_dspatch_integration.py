@@ -54,10 +54,16 @@ class TestStatCounters:
         trace = build_trace("hpc.linpack", 4000)
         for i, (gap, pc, addr, flags) in enumerate(trace):
             pf.train(i * 30, pc, addr, hit=False)
-        # Every PB insertion can produce at most two triggers.
-        assert pf.triggers <= 2 * (pf.page_buffer.insertions
-                                   if hasattr(pf.page_buffer, "insertions")
-                                   else pf.trainings)
+        # A page holds at most one trigger per 2KB segment: the first
+        # line it touched there.
+        entries = list(pf.page_buffer._pages.values())
+        assert any(None not in entry.triggers for entry in entries)
+        for entry in entries:
+            for segment, trigger in enumerate(entry.triggers):
+                if trigger is not None:
+                    _signature, offset = trigger
+                    assert offset >> 5 == segment
+                    assert (entry.pattern >> offset) & 1
 
     def test_prediction_counters_partition_selections(self):
         pf = DSPatch(FixedBandwidth(0))

@@ -211,7 +211,7 @@ class TestFingerprint:
 class TestLocalDirBackend:
     def test_result_round_trip(self, tmp_path):
         store = LocalDirBackend(tmp_path / "s")
-        store.save_result("ab" + "0" * 62, {"ipc": 1.25}, meta={"kind": "test"})
+        store.save_result("ab" + "0" * 62, {"ipc": 1.25})
         assert store.load_result("ab" + "0" * 62) == {"ipc": 1.25}
 
     def test_missing_is_none(self, tmp_path):
@@ -465,9 +465,9 @@ class _Counting:
         self._count("load_result")
         return self.inner.load_result(digest)
 
-    def save_result(self, digest, result, meta=None):
+    def save_result(self, digest, result):
         self._count("save_result")
-        return self.inner.save_result(digest, result, meta=meta)
+        return self.inner.save_result(digest, result)
 
     def clear(self):
         self._count("clear")

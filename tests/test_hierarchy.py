@@ -14,6 +14,8 @@ from repro.memory.hierarchy import (
     HierarchyConfig,
     MemoryHierarchy,
 )
+from repro.observe.events import DROP
+from repro.observe.sinks import CollectingSink
 from repro.prefetchers.base import PrefetchCandidate, Prefetcher
 
 
@@ -39,7 +41,9 @@ class RecordingPrefetcher(Prefetcher):
         self.useless_notes.append(line_addr)
 
 
-def make_hierarchy(l2_pf=None, l1_pf=None, llc_bytes=None, record_pollution=False):
+def make_hierarchy(l2_pf=None, l1_pf=None, llc_bytes=None, record_pollution=False, sink=None):
+    """A hierarchy; the observed one when recording pollution or when
+    ``sink`` collects its prefetch events."""
     config = HierarchyConfig()
     if llc_bytes:
         config = config.scaled_llc(llc_bytes)
@@ -49,12 +53,22 @@ def make_hierarchy(l2_pf=None, l1_pf=None, llc_bytes=None, record_pollution=Fals
         l1_prefetcher=l1_pf,
         l2_prefetcher=l2_pf,
     )
-    if record_pollution:
-        # Pollution recording lives on the observed subclass now.
+    if record_pollution or sink is not None:
+        # Pollution recording and event tracing live on the observed subclass.
         from repro.memory.observed import ObservedHierarchy
 
-        return ObservedHierarchy(record_pollution_victims=True, **kwargs)
+        return ObservedHierarchy(
+            record_pollution_victims=record_pollution,
+            sink=sink,
+            trace_prefetch=sink is not None,
+            **kwargs,
+        )
     return MemoryHierarchy(**kwargs)
+
+
+def drops(sink):
+    """``(line, reason)`` of each collected DROP event."""
+    return [ev[3:] for ev in sink.events if ev[0] == DROP]
 
 
 ADDR = 0x1234 << 12  # an arbitrary page
@@ -158,14 +172,15 @@ class TestPrefetchIssue:
         pf = RecordingPrefetcher(
             {ADDR >> 6: [PrefetchCandidate(target)], target: [PrefetchCandidate(target)]}
         )
-        h = make_hierarchy(l2_pf=pf)
+        sink = CollectingSink()
+        h = make_hierarchy(l2_pf=pf, sink=sink)
         h.access(0, 0x400, ADDR)
         h.access(1000, 0x400, (target + 64) << 6)  # unrelated access
         # Re-requesting the resident target is suppressed.
         before = h.pf_stats.issued
         h.access(2000, 0x401, target << 6)
-        assert h.pf_stats.dropped_resident >= 0
-        assert h.pf_stats.issued >= before
+        assert drops(sink) == [(target, "resident")]
+        assert h.pf_stats.issued == before
 
     def test_useful_prefetch_accounting(self):
         target = (ADDR >> 6) + 7
@@ -198,11 +213,12 @@ class TestPrefetchIssue:
         line = ADDR >> 6
         candidates = [PrefetchCandidate(line + i) for i in range(1, 200)]
         pf = RecordingPrefetcher({line: candidates})
-        h = make_hierarchy(l2_pf=pf)
+        sink = CollectingSink()
+        h = make_hierarchy(l2_pf=pf, sink=sink)
         h.prefetch_queue_size = 16
         h.access(0, 0x400, ADDR)
-        assert h.pf_stats.issued <= 16
-        assert h.pf_stats.dropped_bandwidth > 0
+        assert h.pf_stats.issued == 16
+        assert drops(sink) == [(line + i, "bandwidth") for i in range(17, 200)]
 
     def test_coverage_accuracy_math(self):
         target = (ADDR >> 6) + 7

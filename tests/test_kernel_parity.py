@@ -12,13 +12,14 @@ The grid here is randomized but *deterministic* (fixed seed): each case
 draws a workload, a registry scheme, a trace length, an LLC geometry
 (size and associativity) and a warmup fraction, then runs the identical
 trace through the object model and through the compiled kernel and
-compares ``RunResult.to_dict()`` and every ``PrefetchStats`` counter
-field-for-field.  A multi-programmed section does the same through
-``MultiCoreSystem`` (shared LLC, per-core warmup boundaries, global-time
-interleave) where the kernel crossing machinery is under the most
-scheduling pressure.  The end-state rows also compare the whole machine
-at the end of the run in flat form (:func:`_machine_view`): the compiled
-run's live flat state against the object run's end state, packed.
+compares ``RunResult.to_dict()`` field-for-field, whose four prefetch
+counts (issued, useful, late, useless) are the whole ``PrefetchStats``.
+A multi-programmed section does the same through ``MultiCoreSystem``
+(shared LLC, per-core warmup boundaries, global-time interleave) where
+the kernel crossing machinery is under the most scheduling pressure.
+The end-state rows also compare the whole machine at the end of the run
+in flat form (:func:`_machine_view`): the compiled run's live flat state
+against the object run's end state, packed.
 
 The parity tests need the compiled kernel and skip, with a reason, on
 hosts without a C toolchain (``kernel_available()``): there the object
@@ -133,32 +134,9 @@ def _assert_crosses(scheme):
     assert _scheme_kind(build_prefetcher(scheme, dram.monitor), dram) == layout.SCHEME_PY
 
 
-def _reporting(monkeypatch, run):
-    """``run()``'s value plus each core's ``PrefetchStats`` as a dict,
-    recorded at ``_run_result``, the one function both kernels report
-    through: ``to_dict()`` has no drop reason and no
-    ``issued_low_priority``, so a candidate issued twice shows only
-    here, as ``dropped_resident``."""
-    import repro.cpu.system as system_mod
-
-    reported = []
-    real_run_result = system_mod._run_result
-
-    def recording_run_result(stats, pf, *rest):
-        reported.append(dataclasses.asdict(pf))
-        return real_run_result(stats, pf, *rest)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(system_mod, "_run_result", recording_run_result)
-        value = run()
-    return value, reported
-
-
-def _st_result(monkeypatch, cfg, trace):
-    """``System(cfg).run(trace)``'s ``to_dict()`` with every prefetch
-    counter (see :func:`_reporting`)."""
-    result, (pf,) = _reporting(monkeypatch, lambda: System(cfg).run(trace))
-    return dict(result.to_dict(), pf_stats=pf)
+def _st_result(cfg, trace):
+    """``System(cfg).run(trace)``'s ``to_dict()``."""
+    return System(cfg).run(trace).to_dict()
 
 
 def _assert_same(baseline, candidate, label):
@@ -178,10 +156,10 @@ def _assert_same(baseline, candidate, label):
     _fuzz_cases(14),
     ids=lambda v: str(v).replace(" ", ""),
 )
-def test_single_thread_parity(scheme, workload, length, llc_geometry, warmup_frac, monkeypatch):
+def test_single_thread_parity(scheme, workload, length, llc_geometry, warmup_frac):
     trace = build_trace(workload, length)
-    base = _st_result(monkeypatch, _config(scheme, llc_geometry, warmup_frac, "object"), trace)
-    got = _st_result(monkeypatch, _config(scheme, llc_geometry, warmup_frac, "compiled"), trace)
+    base = _st_result(_config(scheme, llc_geometry, warmup_frac, "object"), trace)
+    got = _st_result(_config(scheme, llc_geometry, warmup_frac, "compiled"), trace)
     _assert_same(base, got, f"{scheme}/{workload}")
 
 
@@ -221,14 +199,14 @@ def test_mp_draw_is_stable_across_processes():
     # bop runs its C twin; ampm keeps the Python training crossing.
     [("dspatch", 0.25), ("spp", 0.1), ("bop", 0.0), ("ampm", 0.0)],
 )
-def test_multi_programmed_parity(scheme, warmup_frac, monkeypatch):
+def test_multi_programmed_parity(scheme, warmup_frac):
     traces = [build_trace(name, length) for name, length in _mp_draw(scheme, warmup_frac)]
     geometry = (2 * 1024 * 1024, 16)  # shared LLC; per-core pressure is the point
 
     def run(kernel):
         cfg = _config(scheme, geometry, warmup_frac, kernel, dram=MP_DRAM)
-        mp, pfs = _reporting(monkeypatch, lambda: MultiCoreSystem(cfg, num_cores=4).run(traces))
-        return [dict(core.to_dict(), pf_stats=pf) for core, pf in zip(mp.per_core, pfs)] + [
+        mp = MultiCoreSystem(cfg, num_cores=4).run(traces)
+        return [core.to_dict() for core in mp.per_core] + [
             {"global_cycles": mp.global_cycles}
         ]
 
@@ -444,12 +422,12 @@ _TRAINING_CASES = [
     _TRAINING_CASES,
     ids=lambda v: getattr(v, "speed_grade", None) and "dram" or str(v),
 )
-def test_training_heavy_parity(scheme, workload, length, dram, monkeypatch):
+def test_training_heavy_parity(scheme, workload, length, dram):
     trace = build_trace(workload, length)
 
     def run(warmup_frac, kernel):
         cfg = _config(scheme, _LLC_GEOMETRIES[1], warmup_frac, kernel, dram=dram)
-        return _st_result(monkeypatch, cfg, trace)
+        return _st_result(cfg, trace)
 
     for warmup_frac in (0.0, 0.25):
         label = f"train/{scheme}/{workload}/{warmup_frac}"
@@ -614,9 +592,7 @@ def _pack_end_state(executions, traces, llc, dram, record_pollution=False):
 
 def _end_state_run(monkeypatch, cfg, traces, build=None):
     """One ``System``/``MultiCoreSystem`` run of ``cfg`` on ``cfg.kernel``:
-    its per-core results, each with every counter of the core's
-    ``PrefetchStats`` (see :func:`_reporting`) and the ``repr`` of its
-    pollution logs, and the machine's view at the end of the run
+    its per-core results, each with the ``repr`` of its pollution logs, and the machine's view at the end of the run
     (:func:`_machine_view`).
 
     A compiled run takes the production path, laid out from the config;
@@ -657,7 +633,7 @@ def _end_state_run(monkeypatch, cfg, traces, build=None):
         ):
             patch.setattr(system_mod, name, recording(kind, getattr(system_mod, name)))
         patch.setattr(kexec, "KernelExecution", RecordingExecution)
-        results, pfs = _reporting(patch, run)
+        results = run()
     (dram,) = built["dram"]
     assert len(built["scheme"]) == len(traces)
     if cfg.kernel == "compiled":
@@ -669,8 +645,8 @@ def _end_state_run(monkeypatch, cfg, traces, build=None):
             built["execution"], traces, llc, dram, cfg.record_pollution_victims
         )
     per_core = [
-        dict(r.to_dict(), pf_stats=pf, logs=repr((r.demand_log, r.prefetch_fill_log, r.pollution_events)))
-        for r, pf in zip(results, pfs)
+        dict(r.to_dict(), logs=repr((r.demand_log, r.prefetch_fill_log, r.pollution_events)))
+        for r in results
     ]
     return per_core, _machine_view(states)
 
@@ -857,11 +833,13 @@ def test_bop_learning_phases_end_alike(workload, length, ending, monkeypatch):
 
     trace = build_trace(workload, length)
     endings = []
+    rankings = []
     real_finish = BOP._finish_phase
 
     def spying_finish(self):
         endings.append("max_round" if self._round >= self.config.max_round else "max_score")
         real_finish(self)
+        rankings.append(list(self.active_offsets))
 
     monkeypatch.setattr(BOP, "_finish_phase", spying_finish)
     base, base_view = _run_capturing_machine(monkeypatch, "bop", trace, "object")
@@ -869,7 +847,10 @@ def test_bop_learning_phases_end_alike(workload, length, ending, monkeypatch):
     got, got_view = _run_capturing_machine(monkeypatch, "bop", trace, "compiled")
     _assert_same(base, got, f"bop-phases/{workload}")
     _assert_same_machine(base_view, got_view, f"bop-phases/{workload}")
-    assert got_view["core0.bp_phases"] > 0
+    # The spy sees the object run only; the twin ended phases too, since
+    # it holds the last phase's ranking, not the initial offset 1.
+    assert rankings[-1] != [1]
+    assert got_view["core0.bp_active"] == rankings[-1]
 
 
 def _small_bop(bw):

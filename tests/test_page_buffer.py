@@ -71,12 +71,6 @@ class TestBuffer:
                 pb.insert(page)
         assert len(pb) <= 8
 
-    def test_eviction_counter(self):
-        pb = PageBuffer(entries=2)
-        for page in range(5):
-            pb.insert(page)
-        assert pb.evictions == 3
-
     def test_contains(self):
         pb = PageBuffer(entries=4)
         pb.insert(0x5)

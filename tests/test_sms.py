@@ -61,14 +61,16 @@ class TestTables:
         for region in range(5):
             access(pf, 0x400, region, 1)
             access(pf, 0x404, region, 2)  # promote
-        assert pf.pht_stores > 0
+        # Regions 0-2 left the AT: one pattern under their one signature.
+        stored = [pattern for pht_set in pf._pht for pattern in pht_set.values()]
+        assert stored == [(1 << 1) | (1 << 2)]
 
     def test_single_access_regions_not_stored(self):
         pf = SMS(SmsConfig(at_entries=2))
         for region in range(8):
             access(pf, 0x400, region, 1)
             access(pf, 0x400, region, 1)  # promoted, still one line touched
-        assert pf.pht_stores == 0
+        assert not any(pf._pht)
 
 
 class TestPrediction:
@@ -98,11 +100,16 @@ class TestPrediction:
         teach_layout(pf, 0x400, range(0x100, 0x110), offsets=[2, 5, 9])
         assert access(pf, 0x500, 0x999, 2) == ()
 
-    def test_pht_hit_counter(self):
+    def test_pht_hit_replays_and_refreshes_the_pattern(self):
         pf = SMS()
         teach_layout(pf, 0x400, range(0x100, 0x110), offsets=[2, 5, 9])
-        access(pf, 0x400, 0x999, 2)
-        assert pf.pht_hits == 1
+        pattern = (1 << 2) | (1 << 5) | (1 << 9)
+        pht_set, tag = pf._pht_locate(pf._signature(0x400, 2))
+        assert pht_set[tag] == pattern
+        cands = access(pf, 0x400, 0x999, 2)
+        assert [c.line_addr for c in cands] == [(0x999 << 5) + 5, (0x999 << 5) + 9]
+        # The hit moved the pattern to its set's MRU position.
+        assert list(pht_set.items())[-1] == (tag, pattern)
 
 
 class TestCapacity:
