@@ -199,6 +199,15 @@ class TestProtocolConformance:
         payload["list"].append(4)
         assert backend.load_result(DIGEST_A) == {"list": [1, 2, 3]}
 
+    def test_meta_never_leaks_into_the_result(self, backend):
+        # A result shaped like the disk store's {"result": ...} envelope,
+        # with a "meta" key of its own, comes back exactly as saved.
+        enveloped = {"result": {"v": 1}, "meta": {"kind": "run", "v": 2}}
+        backend.save_result(DIGEST_A, enveloped)
+        backend.save_result(DIGEST_B, {"v": 3})
+        assert backend.load_result(DIGEST_A) == enveloped
+        assert backend.load_result(DIGEST_B) == {"v": 3}
+
     def test_numpy_payloads_round_trip_with_dtype(self, backend):
         arrays = {
             "u8": np.arange(5, dtype=np.uint8),

@@ -71,6 +71,12 @@ class TestBuffer:
                 pb.insert(page)
         assert len(pb) <= 8
 
+    def test_each_insert_past_capacity_evicts_one_page(self):
+        pb = PageBuffer(entries=2)
+        evicted = [pb.insert(page)[1] for page in range(5)]
+        assert [e.page for e in evicted if e is not None] == [0, 1, 2]
+        assert len(pb) == 2
+
     def test_contains(self):
         pb = PageBuffer(entries=4)
         pb.insert(0x5)
