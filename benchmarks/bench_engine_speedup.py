@@ -56,11 +56,14 @@ import time
 SCHEMES = 6  # fig12: none + bop/sms/spp/dspatch/spp+dspatch
 CATEGORIES = 9
 #: The scheme-training leg: every twinned scheme shape, the Section 5.1
-#: composites as component lists and a DSPatch config read from slots.
+#: composites as component lists, and DSPatch configs read from slots:
+#: sizes, the CovP reset, Figure 19's selections, anchoring and the
+#: second trigger.
 TWINNED_SCHEMES = (
     "spp", "dspatch", "spp+dspatch", "bop", "ebop", "sms", "streamer",
     "spp+bop", "spp+ebop", "spp+sms-256", "spp+bop+dspatch",
     "dspatch-spt128", "dspatch-noreset",
+    "spp+alwayscovp", "spp+modcovp", "dspatch-noanchor", "dspatch-1trigger",
 )
 #: The leg's runs, ``(scheme, record_pollution_victims)``: each twin, then
 #: Figure 20's streamer run with its pollution logs recorded in C.

@@ -5,7 +5,7 @@ The package bundles:
 
 - :mod:`repro.core` — DSPatch itself (Page Buffer, Signature Prediction
   Table, anchored bit-patterns, dual-pattern modulation and the
-  bandwidth-driven selection of Figure 10), plus its ablation variants;
+  bandwidth-driven selection of Figure 10), its ablations config switches;
 - :mod:`repro.prefetchers` — every baseline the paper evaluates (PC-stride,
   SPP/eSPP, BOP/eBOP, SMS, AMPM, a streaming prefetcher) and adjunct
   composition;
@@ -42,12 +42,6 @@ from repro.engine import (
     TieredBackend,
     TraceSpec,
     default_session,
-)
-from repro.core.variants import (
-    AlwaysCovP,
-    ModCovP,
-    NoAnchorDSPatch,
-    SingleTriggerDSPatch,
 )
 from repro.cpu import (
     MultiCoreSystem,
@@ -100,7 +94,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AMPM",
-    "AlwaysCovP",
     "BOP",
     "BandwidthMonitor",
     "Bingo",
@@ -124,11 +117,9 @@ __all__ = [
     "MarkovPrefetcher",
     "MemoryHierarchy",
     "MixSpec",
-    "ModCovP",
     "MultiCoreSystem",
     "MultiProgramResult",
     "NextLinePrefetcher",
-    "NoAnchorDSPatch",
     "NullPrefetcher",
     "PAGE_SIZE",
     "PcStridePrefetcher",
@@ -137,7 +128,6 @@ __all__ = [
     "SMS",
     "SPP",
     "Session",
-    "SingleTriggerDSPatch",
     "StoreBackend",
     "StreamPrefetcher",
     "System",

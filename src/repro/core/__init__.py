@@ -2,9 +2,10 @@
 
 The public surface of this package is:
 
-- :class:`repro.core.dspatch.DSPatch` — the full Section 3 prefetcher.
-- :class:`repro.core.variants.AlwaysCovP` / :class:`repro.core.variants.ModCovP`
-  — the Section 5.5 ablation variants.
+- :class:`repro.core.dspatch.DSPatch` — the full Section 3 prefetcher,
+  and :class:`repro.core.dspatch.DSPatchConfig`, its sizes and the
+  switches of its ablations (Section 5.5's AlwaysCovP and ModCovP
+  selections among them).
 - :mod:`repro.core.bitpattern` — anchored-rotation / compression / quartile
   primitives (Sections 3.3, 3.5, 3.8).
 - :class:`repro.core.page_buffer.PageBuffer` and
@@ -27,13 +28,10 @@ from repro.core.dspatch import DSPatch, DSPatchConfig
 from repro.core.page_buffer import PageBuffer, PageBufferEntry
 from repro.core.selection import PatternChoice, select_pattern
 from repro.core.spt import SignaturePredictionTable, SptEntry, fold_xor_hash
-from repro.core.variants import AlwaysCovP, ModCovP
 
 __all__ = [
-    "AlwaysCovP",
     "DSPatch",
     "DSPatchConfig",
-    "ModCovP",
     "PageBuffer",
     "PageBufferEntry",
     "PatternChoice",

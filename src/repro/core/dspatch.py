@@ -21,28 +21,32 @@ A segment-0 trigger predicts both 16-bit halves (the full 4KB page); a
 segment-1 trigger predicts only its first half — the 2KB region relative
 to the trigger (Section 3.7).
 
-Design-choice knobs (the ablation benches exercise these):
+Design-choice knobs, all :class:`DSPatchConfig` fields (Figure 19 and
+the ablation benches exercise these):
 
 - ``compressed=False`` stores uncompressed 64-bit patterns at 64B
   granularity, doubling SPT pattern storage (the Section 3.8 trade-off);
-- :class:`~repro.core.variants.NoAnchorDSPatch` stores page-absolute
-  patterns instead of trigger-anchored ones (the Figure 2 claim);
-- :class:`~repro.core.variants.SingleTriggerDSPatch` allows only one
-  trigger per 4KB page (the Section 3.7 claim).
+- ``covp_reset=False`` drops Section 3.6's CovP relearn rule;
+- ``selection`` is Figure 10's dual-pattern selection (``"dual"``) or
+  one of Section 5.5's ablations that never use AccP: AlwaysCovP
+  (``"covp"``) and ModCovP (``"modcovp"``);
+- ``anchored=False`` stores page-absolute patterns instead of
+  trigger-anchored ones (the Figure 2 claim);
+- ``segment1_trigger=False`` allows only the segment-0 trigger per 4KB
+  page (the Section 3.7 claim).
 
 This class is also the *executable spec* for a compiled training twin:
 ``kernel/c/dspatch.c`` is a C transliteration of ``train`` (PB
 insert/evict, SPT dual-pattern update, bandwidth-bucketed pattern select)
-that reads the PB and SPT sizes, the candidate cap,
-``pc_signature_bits`` and ``covp_reset`` from flat-state slots, declared
-with the twin's tables by the DSPatch record in
+that reads every config value but ``compressed`` from flat-state slots,
+declared with the twin's tables by the DSPatch record in
 :mod:`repro.kernel.layout`.  It is selected at run time by
 ``kernel/state.py:_scheme_kind`` for instances of the exact class with
 compressed patterns, alone or as a component of a twinned composite
-(``spp+dspatch``, ``spp+bop+dspatch``), and pinned bit-identical by
-``tests/test_kernel_parity.py`` and
-``tests/test_twin_fuzz.py``.  The variants subclass it and keep the
-Python crossing.  Behavioral edits here must be mirrored in the C twin.
+(``spp+dspatch``, ``spp+alwayscovp``, ``spp+bop+dspatch``), and pinned
+bit-identical by ``tests/test_kernel_parity.py`` and
+``tests/test_twin_fuzz.py``.  A subclass keeps the Python crossing.
+Behavioral edits here must be mirrored in the C twin.
 """
 
 from dataclasses import dataclass
@@ -61,14 +65,20 @@ _LINE_OFF_MASK = LINES_PER_PAGE - 1
 _SEGMENT_SHIFT = LINES_PER_SEGMENT.bit_length() - 1
 from repro.core.bitpattern import anchor_pattern, compress_pattern, unanchor_pattern
 from repro.core.page_buffer import PageBuffer
-from repro.core.selection import select_pattern
+from repro.core.selection import NO_PREFETCH, select_pattern
 from repro.core.spt import SignaturePredictionTable, fold_xor_hash
 from repro.prefetchers.base import PrefetchCandidate, Prefetcher
 
 
+#: ``DSPatchConfig.selection``'s values, in the order of the twin's
+#: ``dp_selection`` slot.
+SELECTIONS = ("dual", "covp", "modcovp")
+
+
 @dataclass(frozen=True)
 class DSPatchConfig:
-    """DSPatch structure sizes (Table 1 configuration)."""
+    """DSPatch structure sizes (Table 1 configuration) and the switches
+    of its ablations."""
 
     pb_entries: int = 64
     spt_entries: int = 256
@@ -86,6 +96,18 @@ class DSPatchConfig:
     #: it (the no-reset ablation): stale patterns from a finished program
     #: phase are never replaced.
     covp_reset: bool = True
+    #: Figure 10's pattern selection (``"dual"``), or a Section 5.5
+    #: ablation that never uses AccP: ``"covp"`` (AlwaysCovP) takes CovP
+    #: at every bucket, at low priority when MeasureCovP is saturated;
+    #: ``"modcovp"`` (ModCovP) is Figure 10 with every AccP choice
+    #: suppressed.
+    selection: str = "dual"
+    #: Section 3.3's trigger anchoring.  ``False`` learns and predicts
+    #: page-absolute patterns (the Figure 2 ablation).
+    anchored: bool = True
+    #: Section 3.7's second trigger.  ``False`` lets only segment 0 of a
+    #: page trigger.
+    segment1_trigger: bool = True
 
 
 class DSPatch(Prefetcher):
@@ -101,6 +123,8 @@ class DSPatch(Prefetcher):
         if config.pc_signature_bits < 1:
             # fold_xor_hash folds the PC by this many bits per step.
             raise ValueError("pc_signature_bits must be at least 1")
+        if config.selection not in SELECTIONS:
+            raise ValueError(f"selection must be one of {SELECTIONS}")
         self.config = config
         self.bandwidth = bandwidth
         # Pattern geometry: one stored bit covers 2 lines (128B) in the
@@ -139,37 +163,30 @@ class DSPatch(Prefetcher):
             entry, evicted = self.page_buffer.insert(page)
             if evicted is not None:
                 self._learn(cycle, evicted)
-        if self._trigger_allowed(segment) and entry.triggers[segment] is None:
+        if entry.triggers[segment] is None and (segment == 0 or self.config.segment1_trigger):
             signature = fold_xor_hash(pc, self.config.pc_signature_bits)
             entry.set_trigger(segment, signature, line_off)
             candidates = self._predict(cycle, signature, page, line_off, segment)
         entry.pattern |= 1 << line_off
         return candidates
 
-    # ----------------------------------------------------- variant hooks
-
-    def _trigger_allowed(self, segment):
-        """Which 2KB segments may trigger (Section 3.7: both)."""
-        return True
-
-    def _anchor(self, pattern, trigger_bit):
-        """Anchor a page-absolute pattern to the trigger (Section 3.3)."""
-        return anchor_pattern(pattern, trigger_bit, self._bits_per_page)
-
-    def _unanchor(self, pattern, trigger_bit):
-        """Project a stored anchored pattern back to page positions."""
-        return unanchor_pattern(pattern, trigger_bit, self._bits_per_page)
+    # ------------------------------------------------------------ prediction
 
     def _select(self, cycle, spt_entry, half):
-        """Figure 10 selection for one half; ablations override this."""
-        bucket = self.bandwidth.bucket(cycle)
-        return select_pattern(
-            bucket,
-            spt_entry.covp_saturated(half),
-            spt_entry.accp_saturated(half),
+        """One half's pattern choice: Figure 10, or the ablation that
+        ``config.selection`` names."""
+        covp_saturated = spt_entry.covp_saturated(half)
+        selection = self.config.selection
+        if selection == "covp":
+            # Figure 10's low-utilization branch at every bucket, with no
+            # bucket read: a read closes the monitor's elapsed windows.
+            return select_pattern(0, covp_saturated, False)
+        choice = select_pattern(
+            self.bandwidth.bucket(cycle), covp_saturated, spt_entry.accp_saturated(half)
         )
-
-    # ------------------------------------------------------------ prediction
+        if selection == "modcovp" and choice.pattern == "acc":
+            return NO_PREFETCH
+        return choice
 
     def _predict(self, cycle, signature, page, trigger_line_off, segment):
         spt_entry = self.spt.lookup_by_signature(signature)
@@ -179,7 +196,7 @@ class DSPatch(Prefetcher):
         # segment-1 triggers predict only the 2KB region from the trigger
         # (anchored half 0).  Section 3.7.
         halves = (0, 1) if segment == 0 else (0,)
-        anchored = 0
+        pattern = 0
         low_priority = False
         trace_emit = self.trace_emit
         for half in halves:
@@ -203,15 +220,16 @@ class DSPatch(Prefetcher):
                 self.predictions_suppressed += 1
                 continue
             low_priority = low_priority or choice.low_priority
-            anchored |= (chunk & self._half_mask) << (half * self._half_bits)
+            pattern |= (chunk & self._half_mask) << (half * self._half_bits)
 
-        if anchored == 0:
+        if pattern == 0:
             return ()
-        page_pattern = self._unanchor(anchored, trigger_bit)
+        if self.config.anchored:
+            pattern = unanchor_pattern(pattern, trigger_bit, self._bits_per_page)
         # The trigger's own line needs no prefetch, but its 128B companion
         # (the other line of the trigger's compressed bit) does; _expand
         # skips exactly the trigger line.
-        return self._expand(page, page_pattern, trigger_line_off, low_priority)
+        return self._expand(page, pattern, trigger_line_off, low_priority)
 
     def _expand(self, page, page_pattern, trigger_line_off, low_priority):
         """Expand stored page-absolute bits into 64B line prefetches.
@@ -255,11 +273,14 @@ class DSPatch(Prefetcher):
             if trigger is None:
                 continue
             signature, trigger_line_off = trigger
-            anchored = self._anchor(program, trigger_line_off >> self._comp_shift)
+            pattern = program
+            if self.config.anchored:
+                trigger_bit = trigger_line_off >> self._comp_shift
+                pattern = anchor_pattern(program, trigger_bit, self._bits_per_page)
             spt_entry = self.spt.lookup_by_signature(signature)
             halves = (0, 1) if segment == 0 else (0,)
             for half in halves:
-                program_half = (anchored >> (half * self._half_bits)) & self._half_mask
+                program_half = (pattern >> (half * self._half_bits)) & self._half_mask
                 spt_entry.update_half(half, program_half, bw_bucket)
 
     # -------------------------------------------------------------- storage

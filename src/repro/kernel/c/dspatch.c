@@ -77,55 +77,52 @@ static void dp_learn(kctx_t *k, int64_t cycle, uint64_t pattern,
     int64_t bw_bucket = k_bucket(k, cycle);
     for (int64_t segment = 0; segment < 2; segment++) {
         if (trig_sig[segment] < 0) continue;
-        uint32_t anchored = dp_rotr32(program, trig_off[segment] >> 1);
+        uint32_t p = program;
+        if (k->ci[CI_dp_anchored]) p = dp_rotr32(program, trig_off[segment] >> 1);
         int64_t e = trig_sig[segment] & k->ci[CI_dp_spt_mask];
         int64_t nhalves = segment == 0 ? 2 : 1;
         for (int64_t half = 0; half < nhalves; half++)
-            dp_update_half(k, e, half,
-                           (int64_t)((anchored >> (half * 16)) & 0xFFFF),
+            dp_update_half(k, e, half, (int64_t)((p >> (half * 16)) & 0xFFFF),
                            bw_bucket);
     }
 }
 
-/* DSPatch._predict + _expand: Figure 10 selection per half (one bucket
-   read per half, as the Python does), rotate to the trigger, expand
-   each compressed bit to its line pair skipping the trigger line. */
+/* DSPatch._predict + _expand: Figure 10's selection per half (one
+   bucket read per half, as the Python does; AlwaysCovP reads none and
+   selects as at bucket 0, ModCovP suppresses every AccP choice), then
+   rotate to the trigger and expand each compressed bit to its line
+   pair, skipping the trigger line. */
 static int64_t dp_predict(kctx_t *k, int64_t cycle, int64_t sig,
                           int64_t page, int64_t trig_off, int64_t segment) {
     int64_t *ci = k->ci;
     int64_t e = sig & ci[CI_dp_spt_mask];
-    int64_t trigger_bit = trig_off >> 1;
+    int64_t selection = ci[CI_dp_selection];
     int64_t nhalves = segment == 0 ? 2 : 1;
-    uint32_t anchored = 0;
+    uint32_t p = 0;
     int64_t low_priority = 0;
     for (int64_t half = 0; half < nhalves; half++) {
         int64_t m = 2 * e + half;
-        int64_t bucket = k_bucket(k, cycle);
+        int64_t bucket = selection == DP_SEL_COVP ? 0 : k_bucket(k, cycle);
         int cov_sat = k->dp_spt_mcov[m] >= DP_CMAX;
-        int acc_sat = k->dp_spt_macc[m] >= DP_CMAX;
         int64_t chunk;
-        if (bucket == 3) {
-            if (acc_sat) { ci[CI_dp_pred_supp]++; continue; }
+        if (bucket == 3 || (bucket == 2 && cov_sat)) {
+            if (selection == DP_SEL_MODCOVP
+                || (bucket == 3 && k->dp_spt_macc[m] >= DP_CMAX)) {
+                ci[CI_dp_pred_supp]++;
+                continue;
+            }
             chunk = (k->dp_spt_acc[e] >> (half * 16)) & 0xFFFF;
             ci[CI_dp_pred_accp]++;
-        } else if (bucket == 2) {
-            if (cov_sat) {
-                chunk = (k->dp_spt_acc[e] >> (half * 16)) & 0xFFFF;
-                ci[CI_dp_pred_accp]++;
-            } else {
-                chunk = (k->dp_spt_cov[e] >> (half * 16)) & 0xFFFF;
-                ci[CI_dp_pred_covp]++;
-            }
         } else {
             chunk = (k->dp_spt_cov[e] >> (half * 16)) & 0xFFFF;
             ci[CI_dp_pred_covp]++;
-            if (cov_sat) low_priority = 1;   /* COV_LOW */
+            if (bucket < 2 && cov_sat) low_priority = 1;   /* COV_LOW */
         }
-        anchored |= (uint32_t)chunk << (half * 16);
+        p |= (uint32_t)chunk << (half * 16);
     }
     int64_t base = ci[CI_cand_len], n = base, maxc = ci[CI_dp_maxc];
-    if (!anchored) return n;
-    uint32_t p = dp_rotl32(anchored, trigger_bit);
+    if (!p) return n;
+    if (ci[CI_dp_anchored]) p = dp_rotl32(p, trig_off >> 1);
     int64_t base_line = page << PG_SHIFT;
     while (p) {
         int64_t first_line = (int64_t)__builtin_ctz(p) << 1;
@@ -208,7 +205,8 @@ static void dp_train(kctx_t *k, int64_t cycle, int64_t pc, int64_t addr) {
         /* Python order: PageBuffer.insert first, then _learn(evicted). */
         if (evicted) dp_learn(k, cycle, ev_pat, ev_sig, ev_off);
     }
-    if (k->dp_pb_trig_sig[2 * slot + segment] < 0) {
+    if (k->dp_pb_trig_sig[2 * slot + segment] < 0
+        && (segment == 0 || ci[CI_dp_seg1_trigger])) {
         int64_t signature = dp_fold(pc, ci[CI_dp_sig_bits]);
         k->dp_pb_trig_sig[2 * slot + segment] = signature;
         k->dp_pb_trig_off[2 * slot + segment] = line_off;

@@ -294,8 +294,8 @@ static void infl_sweep(kctx_t *k, int64_t cycle) {
 
 static void scheme_note(kctx_t *k, int useful, int64_t cycle, int64_t line) {
     /* l2pf_notes is 1 only for a crossing scheme whose note hooks are not
-       Prefetcher's inherited no-ops (composites, fdp: wrappers, ...): no
-       compiled twin reads notes. */
+       Prefetcher's inherited no-ops (fdp: wrappers, a composite holding
+       one, ...): no compiled twin reads notes. */
     if (k->ci[CI_l2pf_notes] && !k->si[SI_failed]) k->note(useful, cycle, line);
 }
 

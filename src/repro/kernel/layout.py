@@ -34,7 +34,7 @@ apart:
 
 from typing import Callable, NamedTuple
 
-from repro.core.dspatch import DSPatch
+from repro.core.dspatch import SELECTIONS, DSPatch
 from repro.core.spt import COUNTER_MAX
 from repro.prefetchers.bop import BOP, EBOP
 from repro.prefetchers.sms import SMS
@@ -137,6 +137,9 @@ DSPATCH_TABLES = Family(
         ("dp_maxc", lambda pf: pf.config.max_candidates_per_trigger),
         ("dp_sig_bits", lambda pf: pf.config.pc_signature_bits),
         ("dp_covp_reset", lambda pf: 1 if pf.config.covp_reset else 0),
+        ("dp_selection", lambda pf: SELECTIONS.index(pf.config.selection)),
+        ("dp_anchored", lambda pf: 1 if pf.config.anchored else 0),
+        ("dp_seg1_trigger", lambda pf: 1 if pf.config.segment1_trigger else 0),
     ),
     arrays=(
         # Patterns are 64-bit with bit 63 reachable (line offset 63), so
@@ -147,8 +150,12 @@ DSPATCH_TABLES = Family(
         Table("dp_spt_mcov"), Table("dp_spt_or"), Table("dp_spt_macc"),
     ),
     # The SPT's 2-bit counter ceiling: a constant of the spec, not a
-    # config value.
-    defines=(("DP_CMAX", COUNTER_MAX),),
+    # config value; and the ablations' dp_selection values.
+    defines=(
+        ("DP_CMAX", COUNTER_MAX),
+        ("DP_SEL_COVP", SELECTIONS.index("covp")),
+        ("DP_SEL_MODCOVP", SELECTIONS.index("modcovp")),
+    ),
 )
 
 BOP_TABLES = Family(

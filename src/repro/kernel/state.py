@@ -119,7 +119,11 @@ def _bandwidth_is_packed(bw, dram_obj):
 
 
 def _reads_notes(pf):
-    """False when ``pf``'s bound note hooks are Prefetcher's no-ops."""
+    """False when ``pf``'s bound note hooks are Prefetcher's no-ops, or
+    when ``pf`` is a composite whose own note hooks, not replaced on the
+    instance, fan out to components that all read none."""
+    if type(pf) is CompositePrefetcher and not any(name in pf.__dict__ for name in _NOTE_HOOKS):
+        return any(_reads_notes(component) for component in pf.components)
     return any(
         getattr(getattr(pf, name), "__func__", None) is not getattr(Prefetcher, name)
         for name in _NOTE_HOOKS
@@ -160,17 +164,19 @@ def _scheme_kind(l2_pf, dram_obj):
     ``SCHEME_PY`` (the empty tuple) when it crosses into Python.
 
     Each scheme, the composite and every component alike, must be of
-    the exact class of a :data:`~repro.kernel.layout.TWINS` record
-    (subclass variants override hooks the twins hardcode), with no event
+    the exact class of a :data:`~repro.kernel.layout.TWINS` record (a
+    subclass may override what the twins hardcode), with no event
     tracing and none of the kernel's hooks (``train`` and the two note
     hooks) replaced on the instance — a twin would never call them.
     Bandwidth-aware schemes must read the packed DRAM monitor.  Every
     twin reads its config from flat-state slots, so any config qualifies
-    that the C can hold (the record's ``fits``).  A composite twins when
-    every component does and no two components share a table family
-    (:data:`~repro.kernel.layout.SCHEME_FAMILY`: SPP/eSPP, BOP/eBOP).
-    Everything else (``fdp:`` wrappers, ``ampm``, the DSPatch variants,
-    user subclasses) crosses into Python on every L2 training access.
+    that the C can hold (the record's ``fits``): the DSPatch ablations
+    twin, but not uncompressed DSPatch (``dspatch-64b``).  A composite
+    twins when every component does and no two components share a table
+    family (:data:`~repro.kernel.layout.SCHEME_FAMILY`: SPP/eSPP,
+    BOP/eBOP).  Everything else (``fdp:`` wrappers, ``ampm``,
+    ``dspatch-64b``, user subclasses) crosses into Python on every L2
+    training access.
     """
     if l2_pf is None or (type(l2_pf) is CompositePrefetcher and not _unhooked(l2_pf)):
         return layout.SCHEME_PY

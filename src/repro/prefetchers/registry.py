@@ -3,7 +3,7 @@
 ``build_prefetcher(name, bandwidth)`` constructs any scheme the paper
 evaluates; composite names use ``+`` (e.g. ``"dspatch+spp"``).  The
 bandwidth argument is the Section 3.2 utilization signal — required by the
-bandwidth-aware schemes (DSPatch and its variants, eSPP, eBOP) and ignored
+bandwidth-aware schemes (DSPatch and its ablations, eSPP, eBOP) and ignored
 by the rest.
 """
 
@@ -24,23 +24,25 @@ def _dspatch_builders():
     # Imported lazily: repro.core depends on repro.prefetchers.base, so a
     # top-level import here would be circular.
     from repro.core.dspatch import DSPatch, DSPatchConfig
-    from repro.core.variants import (
-        AlwaysCovP,
-        ModCovP,
-        NoAnchorDSPatch,
-        SingleTriggerDSPatch,
-        no_reset_dspatch,
-        uncompressed_dspatch,
-    )
+
+    def ablation(name, **fields):
+        # The Figure 19 and design-choice ablations carry their own name
+        # (scheme events, composite storage keys, table rows).
+        def build(bw):
+            pf = DSPatch(bw, DSPatchConfig(**fields))
+            pf.name = name
+            return pf
+
+        return build
 
     return {
         "dspatch": lambda bw: DSPatch(bw),
-        "alwayscovp": lambda bw: AlwaysCovP(bw),
-        "modcovp": lambda bw: ModCovP(bw),
-        "dspatch-noanchor": lambda bw: NoAnchorDSPatch(bw),
-        "dspatch-1trigger": lambda bw: SingleTriggerDSPatch(bw),
-        "dspatch-64b": uncompressed_dspatch,
-        "dspatch-noreset": no_reset_dspatch,
+        "alwayscovp": ablation("alwayscovp", selection="covp"),
+        "modcovp": ablation("modcovp", selection="modcovp"),
+        "dspatch-noanchor": ablation("dspatch-noanchor", anchored=False),
+        "dspatch-1trigger": ablation("dspatch-1trigger", segment1_trigger=False),
+        "dspatch-64b": lambda bw: DSPatch(bw, DSPatchConfig(compressed=False)),
+        "dspatch-noreset": lambda bw: DSPatch(bw, DSPatchConfig(covp_reset=False)),
         "dspatch-spt512": lambda bw: DSPatch(bw, DSPatchConfig(spt_entries=512)),
         "dspatch-spt128": lambda bw: DSPatch(bw, DSPatchConfig(spt_entries=128)),
         "dspatch-spt64": lambda bw: DSPatch(bw, DSPatchConfig(spt_entries=64)),

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.dspatch import DSPatch, DSPatchConfig
 from repro.core.spt import fold_xor_hash
-from repro.core.variants import AlwaysCovP, ModCovP
 from repro.memory.dram import FixedBandwidth
 
 TRIGGER_PC = 0x40100
@@ -200,6 +199,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="pc_signature_bits"):
             DSPatch(FixedBandwidth(0), DSPatchConfig(pc_signature_bits=bits))
 
+    def test_rejects_an_unknown_selection(self):
+        with pytest.raises(ValueError, match="selection"):
+            DSPatch(FixedBandwidth(0), DSPatchConfig(selection="bogus"))
+
     @pytest.mark.parametrize("bits", (1, 64))
     def test_any_positive_signature_width_trains(self, bits):
         pf = DSPatch(FixedBandwidth(0), DSPatchConfig(pc_signature_bits=bits))
@@ -220,16 +223,24 @@ class TestStorage:
         assert not pf.train(0, TRIGGER_PC, 0x9000 << 12 | (4 << 6), hit=False)
 
 
-class TestVariants:
-    def _entry_with_saturation(self, variant_cls, bucket):
-        bw = FixedBandwidth(bucket)
-        pf = variant_cls(bw)
-        teach(pf, LAYOUT)
-        return pf
+ALWAYS_COVP = DSPatchConfig(selection="covp")
+MOD_COVP = DSPatchConfig(selection="modcovp")
 
+
+class CountingBandwidth(FixedBandwidth):
+    """A fixed bandwidth signal that counts its bucket reads."""
+
+    reads = 0
+
+    def bucket(self, cycle):
+        self.reads += 1
+        return super().bucket(cycle)
+
+
+class TestVariants:
     def test_alwayscovp_uses_covp_at_high_bw(self):
         bw = FixedBandwidth(0)
-        pf = AlwaysCovP(bw)
+        pf = DSPatch(bw, ALWAYS_COVP)
         teach(pf, LAYOUT)
         bw.set_bucket(3)
         before = pf.predictions_covp
@@ -237,9 +248,23 @@ class TestVariants:
         assert pf.predictions_covp > before
         assert pf.predictions_accp == 0
 
+    @pytest.mark.parametrize("selection,reads", [("dual", 1), ("modcovp", 1), ("covp", 0)])
+    def test_bucket_reads_of_a_trigger_that_evicts_nothing(self, selection, reads):
+        """A segment-1 trigger selects one half: Figure 10 and ModCovP read
+        the bucket for it, AlwaysCovP reads none (a read closes the
+        monitor's elapsed windows).  Its page is in the page buffer, so
+        no eviction's learning reads the bucket either."""
+        bw = CountingBandwidth(0)
+        pf = DSPatch(bw, DSPatchConfig(selection=selection))
+        teach(pf, LAYOUT)
+        page = 0x1000 + 69  # taught last, still buffered
+        before = bw.reads
+        assert pf.train(0, TRIGGER_PC, (page << 12) | (36 << 6), hit=False)
+        assert bw.reads - before == reads
+
     def test_modcovp_throttles_at_high_bw(self):
         bw = FixedBandwidth(0)
-        pf = ModCovP(bw)
+        pf = DSPatch(bw, MOD_COVP)
         teach(pf, LAYOUT)
         bw.set_bucket(3)
         cands = pf.train(0, TRIGGER_PC, 0x9000 << 12 | (4 << 6), hit=False)
@@ -248,7 +273,7 @@ class TestVariants:
 
     def test_modcovp_predicts_at_low_bw(self):
         bw = FixedBandwidth(0)
-        pf = ModCovP(bw)
+        pf = DSPatch(bw, MOD_COVP)
         teach(pf, LAYOUT)
         cands = pf.train(0, TRIGGER_PC, 0x9000 << 12 | (4 << 6), hit=False)
         assert cands
@@ -256,7 +281,7 @@ class TestVariants:
     def test_variants_share_learning_path(self):
         """Only selection differs: CovP contents match full DSPatch."""
         full = DSPatch(FixedBandwidth(0))
-        always = AlwaysCovP(FixedBandwidth(0))
+        always = DSPatch(FixedBandwidth(0), ALWAYS_COVP)
         teach(full, LAYOUT)
         teach(always, LAYOUT)
         assert (

@@ -3,12 +3,11 @@
 import pytest
 
 from repro.core.dspatch import DSPatch, DSPatchConfig
-from repro.core.variants import (
-    NoAnchorDSPatch,
-    SingleTriggerDSPatch,
-    uncompressed_dspatch,
-)
 from repro.memory.dram import FixedBandwidth
+
+NO_ANCHOR = DSPatchConfig(anchored=False)
+SINGLE_TRIGGER = DSPatchConfig(segment1_trigger=False)
+UNCOMPRESSED = DSPatchConfig(compressed=False)
 
 
 def visit_page(pf, page, offsets, pc=0x40180, start=0):
@@ -36,7 +35,7 @@ def triggered_segments(pf, page):
 class TestNoAnchor:
     def test_same_offset_layout_still_works(self):
         """Without jitter the un-anchored variant predicts fine."""
-        pf = NoAnchorDSPatch(FixedBandwidth(0))
+        pf = DSPatch(FixedBandwidth(0), NO_ANCHOR)
         teach(pf, LAYOUT)
         cands = pf.train(0, 0x40180, (0x9000 << 12) | (4 << 6), hit=False)
         offsets = {c.line_addr & 63 for c in cands}
@@ -47,7 +46,7 @@ class TestNoAnchor:
         predictions no longer track the trigger position (the Figure 2
         failure mode DSPatch's anchoring avoids)."""
         anchored = DSPatch(FixedBandwidth(0))
-        unanchored = NoAnchorDSPatch(FixedBandwidth(0))
+        unanchored = DSPatch(FixedBandwidth(0), NO_ANCHOR)
         for i in range(70):
             shift = (2 * i) % 10
             offsets = [o + shift for o in LAYOUT]
@@ -74,12 +73,12 @@ class TestNoAnchor:
 
 class TestSingleTrigger:
     def test_segment1_never_triggers(self):
-        pf = SingleTriggerDSPatch(FixedBandwidth(0))
+        pf = DSPatch(FixedBandwidth(0), SINGLE_TRIGGER)
         visit_page(pf, 0x10, [40, 45, 50])  # segment-1 accesses only
         assert triggered_segments(pf, 0x10) == []
 
     def test_segment0_still_triggers(self):
-        pf = SingleTriggerDSPatch(FixedBandwidth(0))
+        pf = DSPatch(FixedBandwidth(0), SINGLE_TRIGGER)
         visit_page(pf, 0x10, [4, 40])
         assert triggered_segments(pf, 0x10) == [0]
 
@@ -92,13 +91,13 @@ class TestSingleTrigger:
 class TestUncompressed:
     def test_storage_larger(self):
         full = DSPatch(FixedBandwidth(0))
-        wide = uncompressed_dspatch(FixedBandwidth(0))
+        wide = DSPatch(FixedBandwidth(0), UNCOMPRESSED)
         assert wide.storage_bits() > full.storage_bits() * 1.4
 
     def test_no_companion_overprediction(self):
         """64B granularity predicts exactly the learnt lines — no 128B
         companion expansion."""
-        pf = uncompressed_dspatch(FixedBandwidth(0))
+        pf = DSPatch(FixedBandwidth(0), UNCOMPRESSED)
         teach(pf, [4, 12, 20])  # isolated lines, no adjacent pairs
         cands = pf.train(0, 0x40180, (0x9000 << 12) | (4 << 6), hit=False)
         offsets = sorted(c.line_addr & 63 for c in cands)
@@ -114,7 +113,7 @@ class TestUncompressed:
         assert offsets == [5, 12, 13, 20, 21]
 
     def test_anchoring_still_works_uncompressed(self):
-        pf = uncompressed_dspatch(FixedBandwidth(0))
+        pf = DSPatch(FixedBandwidth(0), UNCOMPRESSED)
         teach(pf, [4, 12, 20])
         shift = 7  # odd shifts are fine at 64B granularity
         cands = pf.train(

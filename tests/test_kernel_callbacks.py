@@ -111,7 +111,7 @@ def test_a_raising_callback_stops_the_run(hook, at, cores, monkeypatch):
 
 
 @needs_compiled
-@pytest.mark.parametrize("scheme", ("spp+dspatch", "ampm", "spp+alwayscovp", "fdp:bop"))
+@pytest.mark.parametrize("scheme", ("spp+dspatch", "ampm", "spp+dspatch-64b", "fdp:bop"))
 def test_a_finished_run_leaves_no_kernel_object_alive(scheme, monkeypatch):
     """Nothing of a compiled run is kept alive once it returns, not even
     while the cyclic GC is off (as it is during every run): each run's

@@ -259,10 +259,10 @@ def test_unsupported_features_fall_back_to_object():
 
 def test_scheme_kind_detection():
     """The gate lists each twinned registry scheme's component twins in
-    arbitration order; variants, uncompressed DSPatch, composites with
-    two components of one table family or one without a twin, wrappers,
-    configs the C cannot hold, traced or instance-hooked schemes and
-    unrelated schemes keep the Python crossing."""
+    arbitration order; uncompressed DSPatch, composites with two
+    components of one table family or one without a twin, wrappers,
+    subclasses, configs the C cannot hold, traced or instance-hooked
+    schemes and unrelated schemes keep the Python crossing."""
     from repro.core.dspatch import DSPatch, DSPatchConfig
     from repro.kernel import layout
     from repro.kernel.state import _scheme_kind
@@ -298,6 +298,13 @@ def test_scheme_kind_detection():
         "dspatch-spt64": (DP,),
         "dspatch-pb128": (DP,),
         "dspatch-pb32": (DP,),
+        # the ablations are DSPatch configs: selection, anchoring, trigger
+        "alwayscovp": (DP,),
+        "modcovp": (DP,),
+        "dspatch-noanchor": (DP,),
+        "dspatch-1trigger": (DP,),
+        "spp+alwayscovp": (SPP_, DP),
+        "spp+modcovp": (SPP_, DP),
         "bop": (BOP_,),
         "bop1": (BOP_,),
         "ebop": (EBOP_,),
@@ -307,13 +314,8 @@ def test_scheme_kind_detection():
         "sms-256": (SMS_,),
         "streamer": (ST,),
         # no C twin: crossing path
-        "alwayscovp": layout.SCHEME_PY,        # subclass variants
-        "modcovp": layout.SCHEME_PY,
-        "dspatch-noanchor": layout.SCHEME_PY,
-        "dspatch-1trigger": layout.SCHEME_PY,
         "dspatch-64b": layout.SCHEME_PY,       # uncompressed patterns
-        "spp+alwayscovp": layout.SCHEME_PY,    # a component without a twin
-        "spp+modcovp": layout.SCHEME_PY,
+        "spp+dspatch-64b": layout.SCHEME_PY,   # a component without a twin
         "spp+espp": layout.SCHEME_PY,          # two of one table family
         "bop+ebop": layout.SCHEME_PY,
         "fdp:spp": layout.SCHEME_PY,           # throttle wrapper
@@ -345,7 +347,11 @@ def test_scheme_kind_detection():
     class TunedStreamer(StreamPrefetcher):
         pass
 
+    class TunedDSPatch(DSPatch):
+        pass
+
     assert _scheme_kind(TunedBop(), dram) == layout.SCHEME_PY
+    assert _scheme_kind(TunedDSPatch(dram), dram) == layout.SCHEME_PY
     assert _scheme_kind(TunedStreamer(), dram) == layout.SCHEME_PY
     assert _scheme_kind(StreamPrefetcher(tracked_pages=4, degree=2), dram) == (ST,)
     # A hook replaced on the instance would never be called by a twin;
@@ -398,7 +404,7 @@ _TRAINING_CASES = [
     ("spp+dspatch", "cloud.memcached", 2400, ST_DRAM),
     ("spp+dspatch", "hpc.npb-cg", 2400, MP_DRAM),
     ("spp+bop", "ispec06.mcf", 2000, ST_DRAM),
-    ("spp+alwayscovp", "ispec06.mcf", 2000, ST_DRAM),
+    ("spp+dspatch-64b", "ispec06.mcf", 2000, ST_DRAM),
     # BOP offset scoring (a phase ends by MaxScore within this trace) and
     # its degree-1 config; eBOP under the narrow MP DRAM, where the bucket
     # crosses all three of eBOP's degree thresholds mid-run.
@@ -784,7 +790,8 @@ def _assert_twins(scheme):
     "scheme,cores",
     # The registry entries that twin as component lists or through the
     # SPP/DSPatch config slots (spp+bop+dspatch runs in the end-state
-    # test above), plus a 4-core mix of the Figure 15 composite.
+    # test above), the DSPatch ablations among them, plus 4-core mixes of
+    # the Figure 15 composite and of a Figure 19 one.
     [
         ("spp+bop", 1),
         ("spp+ebop", 1),
@@ -795,7 +802,14 @@ def _assert_twins(scheme):
         ("dspatch-spt64", 1),
         ("dspatch-pb128", 1),
         ("dspatch-pb32", 1),
+        ("alwayscovp", 1),
+        ("modcovp", 1),
+        ("dspatch-noanchor", 1),
+        ("dspatch-1trigger", 1),
+        ("spp+alwayscovp", 1),
+        ("spp+modcovp", 1),
         ("spp+ebop", 4),
+        ("spp+modcovp", 4),
     ],
 )
 def test_slot_and_composite_twins_match_the_object_model(scheme, cores, warmup_frac, monkeypatch):
@@ -988,13 +1002,21 @@ def test_mid_run_pack_carries_scheme_state(scheme, workload, switch_at):
 @needs_compiled
 @pytest.mark.parametrize(
     "scheme,delivered",
-    # ampm and streamer inherit Prefetcher's no-op note hooks; a
-    # composite and the fdp: throttle read their notes.
-    [("ampm", False), ("streamer", False), ("spp+alwayscovp", True), ("fdp:ampm", True)],
+    # ampm and streamer inherit Prefetcher's no-op note hooks, and so
+    # does every component of spp+ampm; the fdp: throttle reads its
+    # notes, alone or as a composite's component.
+    [
+        ("ampm", False),
+        ("streamer", False),
+        ("spp+ampm", False),
+        ("spp+fdp:ampm", True),
+        ("fdp:ampm", True),
+    ],
 )
 def test_notes_queue_only_for_schemes_that_read_them(scheme, delivered, monkeypatch):
-    """A crossing scheme whose note hooks are the base no-ops gets no
-    usefulness note callbacks; results stay bit-identical."""
+    """A crossing scheme whose note hooks are the base no-ops, or a
+    composite whose components' all are, gets no usefulness note
+    callbacks; results stay bit-identical."""
     from repro.kernel.execution import KernelExecution
 
     notes = []

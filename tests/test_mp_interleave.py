@@ -241,14 +241,14 @@ class TestDriverParity:
         _assert_matches_reference(driver, cfg, traces, "uneven lengths")
 
     @pytest.mark.parametrize("driver", SCHEDULERS)
-    @pytest.mark.parametrize("scheme", ["alwayscovp", "spp+alwayscovp"])
+    @pytest.mark.parametrize("scheme", ["dspatch-64b", "spp+dspatch-64b"])
     def test_parity_with_training_crossings(self, scheme, driver):
         """Schemes without a C twin train in Python: every training
         access returns from the C schedule mid-batch, and queued
         usefulness notes return at the batch end.  Every core's train
         and note calls must reach the schemes in the reference's global
-        order (AlwaysCovP also reads the shared bandwidth monitor from
-        Python while the other cores' state is live in C)."""
+        order (uncompressed DSPatch also reads the shared bandwidth
+        monitor from Python while the other cores' state is live in C)."""
         from repro.kernel import layout
         from repro.kernel.state import _scheme_kind
 

@@ -5,8 +5,9 @@ is the ordered list of its components' twins, so the domain the fixed
 parity grids sample is much larger than the registry.  Here hypothesis
 draws schemes from it: 1 to 5 components in any arbitration order, one
 per table family (SPP/eSPP, DSPatch, BOP/eBOP, SMS, the streamer), each
-with a small random config (SMS's region and AT/FT sizes and BOP's RR
-size, bad score and fill delay included); the L2 and LLC geometries; a
+with a small random config (SMS's region and AT/FT sizes, BOP's RR
+size, bad score and fill delay, and DSPatch's ablation switches
+included); the L2 and LLC geometries; a
 warmup of 0 or 0.25; one core or a 4-core mix; catalog workloads of 300
 to 1,200 ops.  Each drawn case runs on the object model (the spec) and
 the compiled kernel, which must agree on every result and prefetch
@@ -35,7 +36,7 @@ from hypothesis import strategies as st
 from test_kernel_parity import _WORKLOADS, _assert_end_state_parity, needs_compiled
 
 from repro.constants import LINE_SHIFT
-from repro.core.dspatch import DSPatch, DSPatchConfig
+from repro.core.dspatch import SELECTIONS, DSPatch, DSPatchConfig
 from repro.kernel.layout import CAND_CAP0, SCHEME_PY
 from repro.kernel.state import _scheme_kind
 from repro.memory.dram import DramModel, ST_DRAM
@@ -82,6 +83,9 @@ def _dspatch(draw):
         max_candidates_per_trigger=draw(st.sampled_from([1, 5, 62])),
         pc_signature_bits=draw(st.sampled_from([1, 3, 8, 12, 63])),
         covp_reset=draw(st.booleans()),
+        selection=draw(st.sampled_from(SELECTIONS)),
+        anchored=draw(st.booleans()),
+        segment1_trigger=draw(st.booleans()),
     )
     return lambda bw: DSPatch(bw, cfg)
 
@@ -176,10 +180,7 @@ def test_twins_match_the_object_model(build, warmup_frac, workloads, length, llc
 
 #: Registry schemes without a C twin, composed one at a time with a
 #: drawn twinned scheme.
-_CROSSING = (
-    "ampm", "nextline-4", "markov", "bingo", "vldp", "alwayscovp", "modcovp",
-    "dspatch-noanchor", "dspatch-1trigger", "dspatch-64b",
-)
+_CROSSING = ("ampm", "nextline-4", "markov", "bingo", "vldp", "dspatch-64b")
 
 
 @st.composite
